@@ -18,8 +18,9 @@ host, scales — written by :func:`benchmarks.run_all.run_metadata`):
 * **machine-independent ratios** are compared always, over the
   (path, scale) / (case, scale) records both reports contain at
   scale >= 100 (smaller workloads are noise-floor territory): the
-  cached-vs-uncached speedup and the index-vs-scan speedup must not
-  drop by more than the ratio tolerance (default 25%), and the summary
+  cached-vs-naive speedup (the planned pipeline against the one
+  oracle) and the index-vs-scan speedup must not drop by more than
+  the ratio tolerance (default 25%), and the summary
   gate booleans must not flip from met to unmet (booleans are only
   compared between runs of the same kind — smoke vs full runs gate
   different scales);
@@ -34,6 +35,11 @@ scale >= 100 actually gate there (the scale-100 index speedups); the
 obs-overhead budget gates separately in CI off a fresh scale-1000
 measurement.  The full scope — raw ops, p99, summary booleans — engages
 when comparing same-host, same-kind runs during development.
+
+The fresh report must also hold on its own
+(:func:`check_compiled_plans`): the per-scale cached-vs-naive floors
+met, the campaign's 2x cached-vs-uncached showing present, and the
+lookup/execution split well-formed — the same check locally and in CI.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ SUMMARY_GATES = (
     "ddl_invalidation_exact",
     "bulk_load_faster",
     "checkpoint_incremental_10x_met",
-    "min_cached_vs_uncached_1_5x_met",
+    "cached_vs_naive_floors_met",
     "speedup_2x_met",
     "concurrency_zero_relabels",
     "concurrency_no_torn_reads",
@@ -157,9 +163,9 @@ def compare(baseline: dict, fresh: dict,
             continue
         base, new = base_records[key], fresh_records[key]
         label = f"{key[0]}@{key[1]}"
-        ratio_drop(f"cached_vs_uncached[{label}]",
-                   base["cached_vs_uncached"],
-                   new["cached_vs_uncached"], ratio_tolerance)
+        ratio_drop(f"cached_vs_naive[{label}]",
+                   base["cached_vs_naive"],
+                   new["cached_vs_naive"], ratio_tolerance)
         if scope["same_machine"]:
             ratio_drop(f"ops_cached_plan[{label}]",
                        base["ops_cached_plan"],
@@ -233,6 +239,44 @@ def compare(baseline: dict, fresh: dict,
     return failures
 
 
+def check_compiled_plans(report: dict) -> list:
+    """What the compiled-plan section of one report must show on its
+    own, as failure rows shaped like :func:`compare`'s."""
+    failures = []
+    summary = report.get("summary", {})
+    floors = summary.get("cached_vs_naive_floor_per_scale") or {}
+    if not floors:
+        failures.append(("summary.cached_vs_naive_floor_per_scale",
+                         "per-scale floors", floors,
+                         "no per-scale speedup gates"))
+    for scale in sorted(floors, key=int):
+        if not floors[scale]:
+            failures.append((
+                f"summary.cached_vs_naive_floor_per_scale[{scale}]",
+                True, False,
+                "a cached plan fell under the floor against the naive "
+                f"oracle (worst overall "
+                f"{summary.get('min_cached_vs_naive')}x): the "
+                "closure-chain hot path regressed"))
+    if not summary.get("speedup_2x_met"):
+        failures.append(("summary.speedup_2x_met", True,
+                         summary.get("speedup_2x_met"),
+                         "no query runs 2x faster cached than uncached "
+                         f"(best {summary.get('max_cached_vs_uncached')}"
+                         "x)"))
+    for record in report.get("records", ()):
+        label = f"{record['path']}@{record['scale']}"
+        for key in ("ops_plan_lookup", "ops_compiled_exec"):
+            if not record[key] > 0:
+                failures.append((f"{key}[{label}]", "> 0", record[key],
+                                 "route was not timed"))
+        if not 0.0 <= record["lookup_share"] <= 1.0:
+            failures.append((f"lookup_share[{label}]", "within [0, 1]",
+                             record["lookup_share"],
+                             "lookup/execution split does not add up"))
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0])
@@ -258,6 +302,7 @@ def main(argv=None) -> int:
                            ops_tolerance=args.ops_tolerance,
                            ratio_tolerance=args.ratio_tolerance,
                            p99_blowup=args.p99_blowup)
+        failures += check_compiled_plans(fresh)
     except Refusal as refusal:
         print(f"refused: {refusal}", file=sys.stderr)
         return 2

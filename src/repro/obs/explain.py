@@ -37,10 +37,13 @@ class QueryExplain:
                  "axis_steps", "nodes_visited", "nodes_returned",
                  "elapsed_s", "index_used", "compiled", "stage_ns",
                  "not_lowerable_reason", "cost_table",
-                 "cost_estimated_rows", "cost_total")
+                 "cost_estimated_rows", "cost_total", "outer")
 
     def __init__(self, path: str) -> None:
         self.path = path
+        #: The record that was collecting when this one began
+        #: (:func:`begin`), resumed by :func:`end`.
+        self.outer: Optional[QueryExplain] = None
         #: "empty" | "index" | "scan" | "hybrid" | "naive"
         #: (set by the planner).
         self.strategy = ""
@@ -57,15 +60,14 @@ class QueryExplain:
         self.nodes_visited = 0
         self.nodes_returned = 0
         self.elapsed_s = 0.0
-        #: True when the evaluation ran a lowered closure chain
-        #: (:mod:`repro.query.compiled`) rather than the interpreted
-        #: plan dispatch.
+        #: True once the plan's lowered closure chain
+        #: (:mod:`repro.query.compiled`) ran — every executed plan.
         self.compiled = False
         #: Per-stage ``(name, elapsed_ns)`` pairs of the closure chain,
-        #: source first; empty for interpreted runs.
+        #: source first.
         self.stage_ns: list = []
-        #: Why lowering declined this plan (empty when the plan
-        #: compiled, or no lowering was attempted yet).
+        #: "naive" plans: why the path was handed to the navigator
+        #: instead of a block scan ("" for every other strategy).
         self.not_lowerable_reason = ""
         #: Per-candidate cost estimates from the cost-based planner
         #: (one dict per candidate, the chosen one flagged); empty
@@ -115,9 +117,6 @@ class QueryExplain:
             f"  elapsed:            {self.elapsed_s * 1e3:.3f}ms",
             f"  compiled:           {'yes' if self.compiled else 'no'}",
         ]
-        if not self.compiled and self.not_lowerable_reason:
-            lines.append(
-                f"  not lowerable:      {self.not_lowerable_reason}")
         for name, elapsed_ns in self.stage_ns:
             lines.append(
                 f"    stage {name + ':':<22}{elapsed_ns / 1e6:.3f}ms")
@@ -160,23 +159,36 @@ def current() -> Optional[QueryExplain]:
     return ACTIVE
 
 
-@contextmanager
-def collect(path: str) -> Iterator[QueryExplain]:
-    """Collect one query's execution record.
+def begin(path: str) -> QueryExplain:
+    """Start collecting one query's execution record; pair with
+    :func:`end` in a ``finally`` (or use :func:`collect`).
 
     Nested evaluations (a hybrid plan navigating its suffix calls the
     shared kernel again) accumulate into the same record — that is the
-    point: the record totals the whole query.  A nested ``collect``
-    (e.g. XQuery evaluating an inner path) stacks and restores.
+    point: the record totals the whole query.  A nested scope (e.g.
+    XQuery evaluating an inner path) stacks and restores.
     """
     global ACTIVE
-    previous = ACTIVE
     record = QueryExplain(path)
+    record.outer = ACTIVE
     ACTIVE = record
+    return record
+
+
+def end(record: QueryExplain) -> None:
+    """Stop collecting into *record*; the enclosing scope resumes."""
+    global ACTIVE
+    ACTIVE = record.outer
+
+
+@contextmanager
+def collect(path: str) -> Iterator[QueryExplain]:
+    """:func:`begin` / :func:`end` as a ``with`` block."""
+    record = begin(path)
     try:
         yield record
     finally:
-        ACTIVE = previous
+        end(record)
 
 
 class ExplainLog:

@@ -1,10 +1,10 @@
-"""Closure-chain lowering of cached query plans.
+"""Closure-chain lowering of query plans — the one executor.
 
 A :class:`~repro.query.planner.CompiledPlan` records a *decision*
-(strategy, schema nodes, probe); executing it still re-dispatches on
+(strategy, schema nodes, probe); interpreting it would re-dispatch on
 that decision every call — string compares on the strategy, isinstance
 tests per predicate, generator hops per block.  This module lowers a
-plan **once** — on its first cached execution — into a
+plan **once** — on its first execution — into a
 :class:`CompiledExecutor`: a source closure that materializes the
 initial descriptor list plus a chain of stage closures, each pre-bound
 to exactly the schema nodes, attribute slots, index probes and
@@ -15,7 +15,7 @@ The lowering is *schema-bound, not block-bound*: closures capture
 :class:`~repro.storage.dschema.SchemaNode` objects and walk their live
 ``first_block`` chains at run time, so pure data mutations (inserts,
 deletes, value updates, block splits) are picked up for free — the
-same liveness argument the interpreted scan makes.  Consistency with
+same liveness argument the plan cache makes.  Consistency with
 DDL and schema growth rides on the existing plan-cache invalidation:
 the cache drops a plan when the schema version moved (the executor
 dies with it) and nulls :attr:`CompiledPlan.executor` when a DDL
@@ -23,8 +23,9 @@ restamp keeps the plan, forcing a re-lower against the fresh probe
 bindings.
 
 Stage specialization falls back — per stage, not per plan — to the
-shared interpreted kernel whenever the specialized form could diverge
-from it:
+navigation kernel of the one interpreter
+(:func:`repro.query.engine.navigate_steps`) whenever the specialized
+form could diverge from it:
 
 * positional predicates on suffix steps regroup per context, which a
   flat sweep cannot reproduce (``navigate-fallback``);
@@ -34,12 +35,13 @@ from it:
   duplicate-free (two ancestor-free descriptors have disjoint
   subtrees, so their child/descendant results never interleave or
   overlap);
-* attribute steps always mirror the per-context pointer walk, since
-  ``attributes()`` order is schema-children order, which a label
-  sweep does not reproduce.
+* child-axis attribute steps mirror the per-context pointer walk,
+  since ``attributes()`` order is schema-children order, which a
+  label sweep does not reproduce (``//@name`` sweeps like any
+  descendant step: descendant order *is* label order).
 
 The correctness contract — closure-chain results are nid-identical to
-the interpreted plan for every strategy — is what
+the interpreter's (``evaluate_naive``) for every strategy — is what
 ``tests/test_compiled_parity.py`` pins down.
 """
 
@@ -49,19 +51,16 @@ import time
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import obs
+from repro.errors import QueryError
+from repro.query.axes import _doc_order_key
+from repro.query.engine import navigate_steps, predicate_holds
 from repro.query.paths import (
     AttributePredicate,
     ChildPredicate,
     PositionPredicate,
     Step,
 )
-from repro.query.planner import (
-    NOT_LOWERABLE,
-    CompiledPlan,
-    _doc_order_key,
-    _schema_accepts,
-    _schema_candidates,
-)
+from repro.query.planner import CompiledPlan, match_step, predicate_carriers
 from repro.storage.dschema import SchemaNode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -127,27 +126,28 @@ class CompiledExecutor:
 # Lowering entry point.
 
 
-def lower(plan: CompiledPlan, queries: "StorageQueryEngine"):
-    """Lower *plan* into a :class:`CompiledExecutor` (or the
-    ``NOT_LOWERABLE`` sentinel for shapes the lowering declines).
+def lower(plan: CompiledPlan,
+          queries: "StorageQueryEngine") -> CompiledExecutor:
+    """Lower *plan* into a :class:`CompiledExecutor`.
 
-    Called once per cached plan; the nanoseconds spent here are
-    surfaced through the ``query.compile.ns`` counter so the benchmark
-    harness can attribute them.
+    Every strategy the planner emits lowers; a strategy this function
+    does not know raises :class:`~repro.errors.QueryError` rather than
+    running some second way.  Called once per cached plan; the
+    nanoseconds spent here are surfaced through the
+    ``query.compile.ns`` counter so the benchmark harness can
+    attribute them.
     """
-    if not obs.RECORDING:
-        return _lower(plan, queries)
     started = time.perf_counter_ns()
     executor = _lower(plan, queries)
-    registry = obs.REGISTRY
-    registry.counter("query.compile.ns").inc(
-        time.perf_counter_ns() - started)
-    registry.counter("query.plans.lowered" if executor is not NOT_LOWERABLE
-                     else "query.plans.not_lowerable").inc()
+    if obs.RECORDING:
+        obs.REGISTRY.counter("query.compile.ns").inc(
+            time.perf_counter_ns() - started)
+        obs.REGISTRY.counter("query.plans.lowered").inc()
     return executor
 
 
-def _lower(plan: CompiledPlan, queries: "StorageQueryEngine"):
+def _lower(plan: CompiledPlan,
+           queries: "StorageQueryEngine") -> CompiledExecutor:
     strategy = plan.strategy
     if strategy == "empty":
         return CompiledExecutor("empty", lambda: [], [])
@@ -164,7 +164,8 @@ def _lower(plan: CompiledPlan, queries: "StorageQueryEngine"):
         # generic per-descriptor tests (they are rare — everything
         # after the decisive predicate).
         for predicate in plan.rest_predicates:
-            stages.append(_generic_predicate_stage(queries, predicate))
+            stages.append(_generic_predicate_stage(queries.store,
+                                                   predicate))
     elif strategy in ("scan", "hybrid"):
         source_name, source = _scan_source(plan.scan_nodes)
         scan_step = (steps[-1] if plan.split is None
@@ -172,10 +173,8 @@ def _lower(plan: CompiledPlan, queries: "StorageQueryEngine"):
         for predicate in scan_step.predicates:
             stages.append(_predicate_stage(queries, plan.scan_nodes,
                                            predicate))
-    else:  # future strategies stay interpreted until lowered here
-        plan.not_lowerable_reason = (
-            f"no closure lowering for strategy {strategy!r}")
-        return NOT_LOWERABLE
+    else:
+        raise QueryError(f"no closure lowering for strategy {strategy!r}")
     if plan.split is not None:
         stages.extend(_suffix_stages(queries, plan.scan_nodes,
                                      steps[plan.split + 1:]))
@@ -268,19 +267,40 @@ def _probe_source(plan: CompiledPlan) -> tuple[str, Callable[[], list]]:
 # Predicate stages over a known schema-node set.
 
 
-def _generic_predicate_stage(queries: "StorageQueryEngine",
-                             predicate) -> tuple[str, Stage]:
+def _positional_stage(predicate: PositionPredicate) -> tuple[str, Stage]:
+    """A positional predicate over a flat, document-ordered selection:
+    positions count per parent context (as in XPath), so the selection
+    is grouped by parent first."""
+    index = predicate.index
+
+    def positional(descriptors: list) -> list:
+        # Grouped by the parent's stable packed label, not id(); dicts
+        # keep first-seen order, which is document order here.
+        groups: dict[Optional[bytes], list] = {}
+        for descriptor in descriptors:
+            parent = descriptor.parent
+            key = parent.nid.sort_key() if parent is not None else None
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = []
+            group.append(descriptor)
+        if index is None:
+            return [group[-1] for group in groups.values()]
+        return [group[index - 1] for group in groups.values()
+                if index <= len(group)]
+
+    return "predicate[pos]", positional
+
+
+def _generic_predicate_stage(store, predicate) -> tuple[str, Stage]:
     """The unspecialized per-descriptor test (probe results, whose
     schema nodes the plan does not pin)."""
     if isinstance(predicate, PositionPredicate):
-        def positional(descriptors: list) -> list:
-            return queries._apply_final_predicates(descriptors,
-                                                   (predicate,))
-        return "predicate[pos]", positional
+        return _positional_stage(predicate)
 
     def filtered(descriptors: list) -> list:
         return [descriptor for descriptor in descriptors
-                if queries._test_holds(descriptor, predicate)]
+                if predicate_holds(store, descriptor, predicate)]
     return "predicate[test]", filtered
 
 
@@ -289,12 +309,7 @@ def _predicate_stage(queries: "StorageQueryEngine",
     """One predicate lowered against the schema nodes the descriptors
     are known to instantiate."""
     if isinstance(predicate, PositionPredicate):
-        # Positional grouping over a flat scan is exactly what the
-        # interpreted _apply_final_predicates does; keep it shared.
-        def positional(descriptors: list) -> list:
-            return queries._apply_final_predicates(descriptors,
-                                                   (predicate,))
-        return "predicate[pos]", positional
+        return _positional_stage(predicate)
     if isinstance(predicate, AttributePredicate):
         return _attribute_predicate_stage(schema_nodes, predicate)
     if isinstance(predicate, ChildPredicate):
@@ -308,12 +323,9 @@ def _attribute_predicate_stage(schema_nodes, predicate: AttributePredicate
     # name matches, in schema-children order — the FIRST slot holding
     # an instance decides, mirroring predicate_holds over the
     # attributes() order.
-    slots: dict[SchemaNode, tuple[int, ...]] = {}
-    for schema_node in schema_nodes:
-        slots[schema_node] = tuple(
-            index for index, child in enumerate(schema_node.children)
-            if child.node_type == "attribute"
-            and child.name.local == predicate.name)
+    slots = {schema_node: tuple(
+        slot for slot, _ in predicate_carriers(schema_node, predicate))
+        for schema_node in schema_nodes}
     value = predicate.value
 
     def stage(descriptors: list) -> list:
@@ -338,14 +350,8 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
     # matches, as (slot, schema child) pairs — existence is answered by
     # the stored first-child pointer alone; a value test walks the
     # sibling chain from it (children_via_schema_pointer, inlined).
-    targets: dict[SchemaNode, tuple[tuple[int, SchemaNode], ...]] = {}
-    for schema_node in schema_nodes:
-        targets[schema_node] = tuple(
-            (index, child)
-            for index, child in enumerate(schema_node.children)
-            if child.node_type == "element"
-            and child.name is not None
-            and child.name.local == predicate.name)
+    targets = {schema_node: predicate_carriers(schema_node, predicate)
+               for schema_node in schema_nodes}
     value = predicate.value
     string_value = queries.engine.string_value
 
@@ -386,19 +392,6 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
 # Suffix step stages (hybrid / index plans with a split).
 
 
-def _match_step(schema_nodes: "list[SchemaNode]",
-                step: Step) -> "list[SchemaNode]":
-    bucket: list[SchemaNode] = []
-    seen: set[SchemaNode] = set()
-    for schema_node in schema_nodes:
-        for candidate in _schema_candidates(schema_node, step):
-            if candidate not in seen and _schema_accepts(candidate,
-                                                         step):
-                seen.add(candidate)
-                bucket.append(candidate)
-    return bucket
-
-
 def _ancestor_free(schema_nodes: "list[SchemaNode]") -> bool:
     """No member is a schema ancestor of another.  Because a schema
     node's path is unique (§9.1), descriptor-level ancestor relations
@@ -420,7 +413,7 @@ def _suffix_stages(queries: "StorageQueryEngine", context_nodes,
     stages: list[tuple[str, Stage]] = []
     current: list[SchemaNode] = list(context_nodes)
     for position, step in enumerate(steps):
-        destination = _match_step(current, step)
+        destination = match_step(current, step)
         if not destination:
             stages.append(("step-empty", lambda _descriptors: []))
             return stages
@@ -429,22 +422,23 @@ def _suffix_stages(queries: "StorageQueryEngine", context_nodes,
         if positional or not _ancestor_free(current):
             # Positional predicates regroup per context node, and
             # ancestor-related contexts interleave child/descendant
-            # results — both need the per-context interpreted kernel.
+            # results — both need the per-context navigation kernel.
             remaining = steps[position:]
+            store = queries.store
 
             def fallback(descriptors: list,
                          _remaining=remaining) -> list:
-                return queries._navigate_steps(descriptors, _remaining)
+                return navigate_steps(store, descriptors, _remaining)
 
             stages.append(("navigate-fallback", fallback))
             return stages
-        if step.kind == "attribute":
-            stages.append(_attribute_step_stage(current, step))
-        elif step.axis == "child":
-            stages.append(_child_step_stage(current, destination, step))
-        else:
+        if step.axis != "child":
             stages.append(_descendant_step_stage(current, destination,
                                                  step))
+        elif step.kind == "attribute":
+            stages.append(_attribute_step_stage(current, step))
+        else:
+            stages.append(_child_step_stage(current, destination, step))
         for predicate in step.predicates:
             stages.append(_predicate_stage(queries, destination,
                                            predicate))

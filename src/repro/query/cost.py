@@ -41,16 +41,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.query.paths import (
-    AttributePredicate,
-    ChildPredicate,
-    PositionPredicate,
-)
+from repro.query.paths import AttributePredicate, PositionPredicate
+from repro.query.planner import predicate_carriers
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.statistics import NodeStats, StatisticsCollector
     from repro.query.planner import CompiledPlan
-    from repro.storage.dschema import DescriptiveSchema, SchemaNode
+    from repro.storage.dschema import SchemaNode
 
 #: Modeled page size: how many descriptor bytes one block holds.  The
 #: in-memory engine caps blocks by descriptor *count*; pricing by
@@ -75,9 +72,8 @@ COST_OUTPUT = 0.2
 #: Fixed cost of one index probe (hash/bisect lookup).
 COST_PROBE = 8.0
 
-#: Fallbacks when a node has no collected statistics yet.
+#: Fallback when a node has no collected statistics yet.
 DEFAULT_EQ_SELECTIVITY = 0.1
-DEFAULT_EXISTS_SELECTIVITY = 0.5
 
 
 class CostEstimate:
@@ -220,24 +216,15 @@ class CostModel:
                 return 1.0 / rows
             groups = self.rows(parent)
             return min(1.0, groups / rows) if groups else 1.0 / rows
-        if isinstance(predicate, AttributePredicate):
-            carriers = [child for child in schema_node.children
-                        if child.node_type == "attribute"
-                        and child.name.local == predicate.name]
-            value_holder = carriers[0] if carriers else None
-        elif isinstance(predicate, ChildPredicate):
-            carriers = [child for child in schema_node.children
-                        if child.node_type == "element"
-                        and child.name is not None
-                        and child.name.local == predicate.name]
-            # An element compares by string value — its text child
-            # holds the collected value distribution.
-            value_holder = self._text_child(carriers[0]) \
-                if carriers else None
-        else:  # pragma: no cover - unknown predicate kinds never plan
-            return DEFAULT_EXISTS_SELECTIVITY
+        carriers = [child for _slot, child
+                    in predicate_carriers(schema_node, predicate)]
         if not carriers:
             return 0.0
+        # An element compares by string value — its text child holds
+        # the collected value distribution.
+        value_holder = (carriers[0]
+                        if isinstance(predicate, AttributePredicate)
+                        else self._text_child(carriers[0]))
         carrier_rows = sum(self.rows(child) for child in carriers)
         present = min(1.0, carrier_rows / rows)
         if predicate.value is None:
@@ -266,30 +253,31 @@ class CostModel:
         return survivors
 
     def _suffix(self, estimate: CostEstimate, plan: "CompiledPlan",
-                schema: "DescriptiveSchema", context_rows: float,
+                frontiers: list, context_rows: float,
                 context_total: float) -> float:
         """Charge the hybrid/index suffix navigation; returns the
         estimated final output rows."""
-        from repro.query.planner import match_schema_nodes
         suffix_steps = plan.path.steps[plan.split + 1:]
         estimate.navigations += context_rows * len(suffix_steps)
-        final_nodes = match_schema_nodes(schema.root, plan.path.steps)
-        final_rows = sum(self.rows(node) for node in final_nodes)
+        final_rows = sum(self.rows(node) for node in frontiers[-1])
         fraction = (context_rows / context_total) if context_total \
             else 0.0
         return final_rows * min(1.0, fraction)
 
     def price(self, plan: "CompiledPlan",
-              schema: "DescriptiveSchema") -> CostEstimate:
-        """The :class:`CostEstimate` of one candidate plan."""
+              frontiers: list) -> CostEstimate:
+        """The :class:`CostEstimate` of one candidate plan.
+        *frontiers* is the per-step schema match of the plan's path
+        (:func:`repro.query.planner.schema_frontiers`), computed once
+        by the candidate enumeration."""
         strategy = plan.strategy
         estimate = CostEstimate(strategy, plan.index_used)
         if strategy == "empty":
             return estimate.finish()
         if strategy == "naive":
-            return self._price_naive(estimate, plan, schema)
+            return self._price_naive(estimate, plan, frontiers)
         if strategy == "index":
-            return self._price_probe(estimate, plan, schema)
+            return self._price_probe(estimate, plan, frontiers)
         # scan / hybrid: sweep the matched block lists, test the
         # decisive step's predicates per instance.
         steps = plan.path.steps
@@ -299,7 +287,7 @@ class CostModel:
                                 scan_step.predicates)
         if strategy == "hybrid":
             estimate.output_rows = self._suffix(
-                estimate, plan, schema, survivors, estimate.scan_rows)
+                estimate, plan, frontiers, survivors, estimate.scan_rows)
         else:
             estimate.output_rows = survivors
         return estimate.finish()
@@ -312,19 +300,16 @@ class CostModel:
 
     def _price_naive(self, estimate: CostEstimate,
                      plan: "CompiledPlan",
-                     schema: "DescriptiveSchema") -> CostEstimate:
+                     frontiers: list) -> CostEstimate:
         """Per-descriptor navigation: every step visits every child
         (or descendant) of the surviving frontier *before* the name
         test — that candidate sweep, not the matched set, is what
         navigation pays per context node."""
-        from repro.query.planner import match_schema_nodes
-        steps = plan.path.steps
-        frontier: list = [schema.root]
         final_rows = 0.0
-        for depth, step in enumerate(steps):
+        for depth, step in enumerate(plan.path.steps):
             visited: set = set()
             candidates = 0.0
-            for schema_node in frontier:
+            for schema_node in frontiers[depth]:
                 if step.axis == "child":
                     for child in schema_node.children:
                         if child not in visited:
@@ -335,9 +320,8 @@ class CostModel:
                         visited.add(schema_node)
                         candidates += self._subtree_rows(schema_node)
             estimate.navigations += candidates
-            frontier = match_schema_nodes(schema.root,
-                                          steps[:depth + 1])
-            final_rows = sum(self.rows(node) for node in frontier)
+            final_rows = sum(self.rows(node)
+                             for node in frontiers[depth + 1])
             for _predicate in step.predicates:
                 estimate.residual += final_rows
         estimate.output_rows = final_rows
@@ -345,7 +329,7 @@ class CostModel:
 
     def _price_probe(self, estimate: CostEstimate,
                      plan: "CompiledPlan",
-                     schema: "DescriptiveSchema") -> CostEstimate:
+                     frontiers: list) -> CostEstimate:
         probe = plan.probe
         assert probe is not None
         if probe[0] == "path":
@@ -384,7 +368,7 @@ class CostModel:
         if plan.split is not None:
             context_total = self.rows(owner) if owner is not None \
                 else survivors
-            survivors = self._suffix(estimate, plan, schema,
+            survivors = self._suffix(estimate, plan, frontiers,
                                      survivors,
                                      context_total or survivors)
         estimate.output_rows = survivors

@@ -1,23 +1,29 @@
 """Path evaluation over both representations of a document.
 
-The navigational semantics is written **once**, against the
-:class:`~repro.xdm.store.NodeStore` accessor protocol
+One interpreter.  The navigational semantics is written **once**,
+against the :class:`~repro.xdm.store.NodeStore` accessor protocol
 (:func:`evaluate_store`); the representations differ only in which
 store interprets the node references:
 
 * :func:`evaluate_tree` — the formal node model, via
   :class:`~repro.xdm.store.TreeNodeStore` (the semantics reference);
 * :meth:`StorageQueryEngine.evaluate_naive` — the Sedna storage, via
-  :class:`~repro.storage.store.StorageNodeStore` (descriptor-chasing
-  baseline);
-* :meth:`StorageQueryEngine.evaluate_schema_driven` — Sedna's trick:
-  match the path against the *descriptive schema* first, then scan the
-  blocks of only the matching schema nodes, in document order, with no
-  per-document-node navigation at all.
+  :class:`~repro.storage.store.StorageNodeStore` (descriptor chasing):
+  the oracle the production route is tested against.
 
-The three agreeing node-for-node is an integration test of the whole
-Section 9 layer against the Section 5/6 model; the speed difference is
-the XP benchmark.
+One production route.  :meth:`StorageQueryEngine.evaluate` is Sedna's
+trick (Section 9.1-9.2) as a pipeline: parse, match the path against
+the *descriptive schema* and enumerate the candidate plans
+(:mod:`repro.query.planner`), select one by policy, lower it to a
+closure chain (:mod:`repro.query.compiled`) and run that — scanning
+the blocks of only the matching schema nodes, in document order.
+Parse and plan are cached; :meth:`StorageQueryEngine.
+evaluate_schema_driven` forces the same pipeline with both caches
+bypassed.
+
+The route agreeing node-for-node with the interpreter is an
+integration test of the whole Section 9 layer against the Section 5/6
+model; the speed difference is the XP benchmark.
 """
 
 from __future__ import annotations
@@ -37,12 +43,7 @@ from repro.query.cache import (
     cached_parse_path,
     parse_cache_stats,
 )
-from repro.query.planner import (
-    CompiledPlan,
-    QueryPlanner,
-    compile_plan,
-    match_schema_nodes,
-)
+from repro.query.planner import CompiledPlan, QueryPlanner, match_schema_nodes
 from repro.query.paths import (
     AttributePredicate,
     ChildPredicate,
@@ -55,13 +56,6 @@ from repro.query.paths import (
 
 def _as_path(path: "Path | str") -> Path:
     return cached_parse_path(path) if isinstance(path, str) else path
-
-
-def _as_path_uncached(path: "Path | str") -> Path:
-    """Parse afresh — for the baseline evaluators, which model the
-    engine *without* the caching layer and must not borrow its parse
-    cache (the XP benchmark compares them against :meth:`evaluate`)."""
-    return parse_path(path) if isinstance(path, str) else path
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +181,7 @@ def evaluate_tree(root: Node, path: "Path | str") -> list[Node]:
 class StorageQueryEngine:
     """Path queries over a loaded :class:`StorageEngine`.
 
-    Beyond the two evaluators, the engine owns a
+    The engine owns a
     :class:`~repro.query.planner.QueryPlanner` whose plan cache makes
     repeated queries skip parsing and schema matching entirely:
     :meth:`evaluate` is the cached entry point, and :meth:`cache_stats`
@@ -238,28 +232,33 @@ class StorageQueryEngine:
         is timed into the ``query.latency.ns`` histogram and counted —
         nothing per-query is allocated.
         """
+        record = None
         if obs.ENABLED or obs.SLOW_QUERY_NS is not None:
-            return self._evaluate_explained(path)
-        if obs.TELEMETRY:
+            record = _explain.begin(str(path))
+        try:
             started = time.perf_counter_ns()
             result = self._planner.compile(path).execute_compiled(self)
+            elapsed_ns = time.perf_counter_ns() - started
+        finally:
+            # try/finally, not ``with``: the hot path (nothing
+            # collecting) then pays for no context manager.
+            if record is not None:
+                _explain.end(record)
+        if record is not None:
+            self._report_explained(record, len(result), elapsed_ns)
+        elif obs.TELEMETRY:
             self._evaluations.inc()
-            self._latency.observe(time.perf_counter_ns() - started)
-            return result
-        return self._planner.compile(path).execute_compiled(self)
+            self._latency.observe(elapsed_ns)
+        return result
 
-    def _evaluate_explained(self, path: "Path | str"
-                            ) -> list[NodeDescriptor]:
-        with _explain.collect(str(path)) as record:
-            start = time.perf_counter()
-            result = self._planner.compile(path).execute_compiled(self)
-            record.elapsed_s = time.perf_counter() - start
-            record.nodes_returned = len(result)
-        elapsed_ns = int(record.elapsed_s * 1e9)
+    def _report_explained(self, record: _explain.QueryExplain,
+                          nodes_returned: int, elapsed_ns: int) -> None:
+        record.elapsed_s = elapsed_ns / 1e9
+        record.nodes_returned = nodes_returned
         registry = obs.REGISTRY
         if obs.RECORDING:
-            registry.counter("query.evaluations").inc()
-            registry.histogram("query.latency.ns").observe(elapsed_ns)
+            self._evaluations.inc()
+            self._latency.observe(elapsed_ns)
         if obs.ENABLED:
             obs.EXPLAINS.append(record)
             if record.compiled:
@@ -281,7 +280,6 @@ class StorageQueryEngine:
                 registry.counter("query.slow").inc()
             obs.EVENTS.emit("query.slow", severity="warn",
                             **record.as_dict())
-        return result
 
     def cache_stats(self) -> dict[str, float]:
         """Plan- and parse-cache counters for the benchmark harness."""
@@ -303,25 +301,20 @@ class StorageQueryEngine:
         """Drop the plan cache and zero its counters."""
         self._planner.clear()
 
-    # -- baseline: navigate descriptors --------------------------------
+    # -- the oracle: navigate descriptors -------------------------------
 
     def evaluate_naive(self, path: "Path | str") -> list[NodeDescriptor]:
-        path = _as_path_uncached(path)
+        """:func:`evaluate_store` over the storage — the one
+        interpreter, kept as the oracle the pipeline is tested against
+        (and what a ``naive`` plan runs).  Parses afresh: it models the
+        engine *without* the caching layer and must not borrow its
+        parse cache (the XP benchmark compares it against
+        :meth:`evaluate`)."""
+        if isinstance(path, str):
+            path = parse_path(path)
         if self._engine.document is None:
             return []
         return evaluate_store(self._store, path)
-
-    def _navigate_steps(self, current: list[NodeDescriptor],
-                        steps: "tuple[Step, ...]"
-                        ) -> list[NodeDescriptor]:
-        """Per-step navigation from *current* context descriptors —
-        the shared protocol navigation, deduplicated on the stable
-        label symbols (unique per document, Section 9.3)."""
-        return navigate_steps(self._store, current, steps)
-
-    def _test_holds(self, descriptor: NodeDescriptor,
-                    predicate) -> bool:
-        return predicate_holds(self._store, descriptor, predicate)
 
     # -- Sedna's way: match the descriptive schema first -----------------
 
@@ -332,53 +325,17 @@ class StorageQueryEngine:
 
     def evaluate_schema_driven(self, path: "Path | str"
                                ) -> list[NodeDescriptor]:
-        """Jump straight to the blocks of the matching schema nodes.
+        """:meth:`evaluate` with both caches bypassed.
 
         Because every document path has exactly one schema path (the
         defining property of Section 9.1), scanning the block lists of
         the matching schema nodes yields exactly the query result — no
-        per-node navigation.  Results across several schema nodes are
-        merged by label to restore global document order.
-
-        Compilation happens afresh on every call (the planner decides
-        scan vs. hybrid vs. naive, including structural predicate
-        pruning); :meth:`evaluate` is the cached variant that skips
-        recompilation while the schema version is unchanged.
+        per-node navigation.  This forces the whole of that pipeline on
+        every call — fresh parse, candidate enumeration and selection
+        under the engine's policy, lowering, execution — where
+        :meth:`evaluate` skips all but the last while the plan's
+        freshness stamps hold.
         """
-        path = _as_path_uncached(path)
-        return compile_plan(path, self._engine.schema).execute(self)
-
-    def _apply_final_predicates(self, descriptors: list[NodeDescriptor],
-                                predicates) -> list[NodeDescriptor]:
-        """Final-step predicates over a schema-driven scan.
-
-        Positional predicates are per parent context (as in XPath), so
-        the flat scan is grouped by parent first; value predicates
-        filter descriptors directly.
-        """
-        for predicate in predicates:
-            if isinstance(predicate, PositionPredicate):
-                # Grouped by the parent's stable packed label, not id().
-                groups: dict[bytes | None,
-                             list[NodeDescriptor]] = {}
-                order: list[bytes | None] = []
-                for descriptor in descriptors:
-                    parent = descriptor.parent
-                    key = parent.nid.sort_key() if parent is not None \
-                        else None
-                    if key not in groups:
-                        groups[key] = []
-                        order.append(key)
-                    groups[key].append(descriptor)
-                kept: list[NodeDescriptor] = []
-                for key in order:
-                    group = groups[key]
-                    if predicate.index is None:
-                        kept.append(group[-1])
-                    elif predicate.index <= len(group):
-                        kept.append(group[predicate.index - 1])
-                descriptors = kept
-            else:
-                descriptors = [descriptor for descriptor in descriptors
-                               if self._test_holds(descriptor, predicate)]
-        return descriptors
+        if isinstance(path, str):
+            path = parse_path(path)
+        return self._planner.compile_uncached(path).execute_compiled(self)

@@ -115,13 +115,8 @@ def parse_path(text: str) -> Path:
         else:
             raise QueryError(f"expected '/' at {position} in {text!r}")
         end = position
-        depth = 0
-        while end < length and (text[end] != "/" or depth > 0):
-            if text[end] == "[":
-                depth += 1
-            elif text[end] == "]":
-                depth -= 1
-            end += 1
+        while end < length and text[end] != "/":
+            end = _predicate_end(text, end) if text[end] == "[" else end + 1
         token = text[position:end]
         position = end
         if not token:
@@ -130,17 +125,34 @@ def parse_path(text: str) -> Path:
     return Path(tuple(steps))
 
 
+def _predicate_end(text: str, start: int) -> int:
+    """The index just past the ``]`` closing the predicate opened at
+    *start*.  Brackets and slashes inside a quoted literal are part of
+    the literal, not syntax."""
+    quote = ""
+    for position in range(start + 1, len(text)):
+        char = text[position]
+        if quote:
+            if char == quote:
+                quote = ""
+        elif char in "'\"":
+            quote = char
+        elif char == "]":
+            return position + 1
+    raise QueryError(f"malformed predicate in {text[start:]!r}")
+
+
 def _split_predicates(token: str) -> tuple[str, tuple["Predicate", ...]]:
-    if "[" not in token:
-        return token, ()
-    head, _, rest = token.partition("[")
+    head = token.partition("[")[0]
     predicates: list[Predicate] = []
-    rest = "[" + rest
-    while rest:
-        if not rest.startswith("[") or "]" not in rest:
+    position = len(head)
+    while position < len(token):
+        if token[position] != "[":
             raise QueryError(f"malformed predicate in {token!r}")
-        body, _, rest = rest[1:].partition("]")
-        predicates.append(_parse_predicate(body, token))
+        end = _predicate_end(token, position)
+        predicates.append(_parse_predicate(token[position + 1:end - 1],
+                                           token))
+        position = end
     return head, tuple(predicates)
 
 
@@ -151,10 +163,10 @@ def _parse_predicate(body: str, token: str) -> "Predicate":
     if body == "last()":
         return PositionPredicate(None)
     if body.lstrip("-").isdigit():
-        index = int(body)
-        if index < 1:
+        # isdecimal: exactly the digit strings int() accepts.
+        if not body.isdecimal() or int(body) < 1:
             raise QueryError(f"positions are 1-based: [{body}]")
-        return PositionPredicate(index)
+        return PositionPredicate(int(body))
     if "=" in body:
         name_part, _, value_part = body.partition("=")
         name_part = name_part.strip()

@@ -2,10 +2,13 @@
 
 Section 9's pitch is that the descriptive schema lets the engine
 answer a path query by scanning only the blocks of the matching schema
-nodes.  The evaluator used to re-derive that match on every call; this
-module compiles a path **once** into a :class:`CompiledPlan` — the
-matched schema nodes plus an execution strategy — and caches the plan
-keyed by the path and the schema's growth version.  Because every
+nodes.  This module is the planning half of the one query pipeline
+(parse → **enumerate candidates → select by policy** → lower →
+execute): it compiles a path **once** into a :class:`CompiledPlan` —
+the matched schema nodes plus an execution strategy — and caches the
+plan keyed by the path and the schema's growth version.  A plan has
+one way to run, the closure chain :mod:`repro.query.compiled` lowers
+it to (:meth:`CompiledPlan.execute_compiled`).  Because every
 document path has exactly one schema path (the defining property of
 Section 9.1), a plan stays valid until the schema itself grows: pure
 data inserts add descriptors to existing block lists, which the plan's
@@ -21,11 +24,11 @@ Strategies, from fastest to slowest:
   apply final-step predicates per instance;
 * ``hybrid`` — the path has predicates on an *inner* step: scan the
   blocks for the prefix ending at that step, filter instances, then
-  navigate only the remaining steps (the old code fell back to naive
-  navigation from the root for the whole path);
-* ``naive`` — per-descriptor navigation; required only for positional
-  predicates on ``//`` steps, whose whole-selection grouping a flat
-  block scan cannot reproduce.
+  navigate only the remaining steps;
+* ``naive`` — per-descriptor navigation by the one interpreter
+  (:func:`repro.query.engine.evaluate_store`); required only for
+  positional predicates on ``//`` steps, whose whole-selection
+  grouping a flat block scan cannot reproduce.
 
 With declared secondary indexes (:mod:`repro.storage.indexes`) a
 fifth strategy slots in above ``scan``:
@@ -41,12 +44,13 @@ index is created or dropped, a cached plan is recompiled on next use
 and kept (restamped) if its decision did not change — so DDL
 invalidates exactly the affected plans.
 
+The planner enumerates **every** applicable candidate exactly once
+(:func:`_candidate_plans`) — the scan/hybrid baseline, one value-index
+probe per eligible predicate, the path-index probe, and priced-naive —
+and a policy (:data:`POLICIES`) is a selection rule over that list.
 With engine statistics available (the default through
-:class:`QueryPlanner`), the strategy is no longer picked by fixed
-structural precedence: the planner enumerates **every** applicable
-candidate — the scan/hybrid baseline, one value-index probe per
-eligible predicate, the path-index probe, and priced-naive — and
-takes the cheapest under the :mod:`repro.query.cost` model.  Plans
+:class:`QueryPlanner`) the rule is ``cost``: the cheapest under the
+:mod:`repro.query.cost` model.  Plans
 then also stamp the **statistics epoch** and the schema nodes whose
 statistics they priced: when collected statistics drift past the
 relative threshold, exactly the plans whose pricing inputs moved are
@@ -57,6 +61,7 @@ invalidation contract the index epoch established.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro import obs
@@ -69,7 +74,6 @@ from repro.query.cache import (
 )
 from repro.query.paths import (
     AttributePredicate,
-    ChildPredicate,
     Path,
     PositionPredicate,
     Step,
@@ -110,67 +114,72 @@ def _schema_accepts(schema_node: SchemaNode, step: Step) -> bool:
     return step.matches_name(schema_node.name.local)
 
 
-def match_schema_nodes(root: SchemaNode,
-                       steps: tuple[Step, ...]) -> list[SchemaNode]:
-    """Schema nodes reached from *root* along *steps* (predicates are
-    ignored — this is the pure Section 9.1 path match).
+def match_step(schema_nodes: "list[SchemaNode]",
+               step: Step) -> "list[SchemaNode]":
+    """Schema nodes one *step* below *schema_nodes* (predicates are
+    ignored — this is the pure Section 9.1 path match), in first-reached
+    order.
 
     Deduplication holds the schema nodes themselves (identity hash),
     not their transient ``id()``s.
     """
-    current: list[SchemaNode] = [root]
+    bucket: list[SchemaNode] = []
+    seen: set[SchemaNode] = set()
+    for schema_node in schema_nodes:
+        for candidate in _schema_candidates(schema_node, step):
+            if candidate not in seen and _schema_accepts(candidate,
+                                                         step):
+                seen.add(candidate)
+                bucket.append(candidate)
+    return bucket
+
+
+def schema_frontiers(root: SchemaNode, steps: "tuple[Step, ...]"
+                     ) -> "list[list[SchemaNode]]":
+    """The schema frontier after every step: entry 0 is ``[root]``,
+    entry ``k + 1`` the schema nodes reached along ``steps[:k + 1]``."""
+    frontiers = [[root]]
     for step in steps:
-        bucket: list[SchemaNode] = []
-        seen: set[SchemaNode] = set()
-        for schema_node in current:
-            for candidate in _schema_candidates(schema_node, step):
-                if candidate not in seen and _schema_accepts(candidate,
-                                                             step):
-                    seen.add(candidate)
-                    bucket.append(candidate)
-        current = bucket
-    return current
+        frontiers.append(match_step(frontiers[-1], step))
+    return frontiers
+
+
+def match_schema_nodes(root: SchemaNode,
+                       steps: "tuple[Step, ...]") -> list[SchemaNode]:
+    """Schema nodes reached from *root* along *steps*."""
+    return schema_frontiers(root, steps)[-1]
+
+
+def predicate_carriers(schema_node: SchemaNode, predicate
+                       ) -> "list[tuple[int, SchemaNode]]":
+    """The ``(slot, schema child)`` pairs whose instances can satisfy a
+    value *predicate* on instances of *schema_node*, in schema-children
+    order: ``[@name…]`` is carried by the ``@name`` attribute schema
+    children, ``[name…]`` by the element schema children ``name``."""
+    node_type = ("attribute" if isinstance(predicate, AttributePredicate)
+                 else "element")
+    return [(slot, child)
+            for slot, child in enumerate(schema_node.children)
+            if child.node_type == node_type and child.name is not None
+            and child.name.local == predicate.name]
 
 
 def structurally_feasible(schema_node: SchemaNode, predicates) -> bool:
     """Can *any* instance of this schema node satisfy the predicates?
 
-    ``[@name…]`` needs an ``@name`` attribute schema child and
-    ``[name…]`` an element schema child ``name`` — if the descriptive
-    schema has no such child, no instance anywhere has one (the
+    If the descriptive schema has no child carrying a value predicate
+    (:func:`predicate_carriers`), no instance anywhere has one (the
     node→schema-node mapping is surjective), so the schema node can be
     pruned without touching a single block.  Positional predicates
     never prune.
     """
-    for predicate in predicates:
-        if isinstance(predicate, AttributePredicate):
-            if not any(child.node_type == "attribute"
-                       and child.name.local == predicate.name
-                       for child in schema_node.children):
-                return False
-        elif isinstance(predicate, ChildPredicate):
-            if not any(child.node_type == "element"
-                       and child.name is not None
-                       and child.name.local == predicate.name
-                       for child in schema_node.children):
-                return False
-    return True
+    return all(isinstance(predicate, PositionPredicate)
+               or predicate_carriers(schema_node, predicate)
+               for predicate in predicates)
 
 
 # ----------------------------------------------------------------------
 # Compiled plans.
-
-
-def _doc_order_key(descriptor: "NodeDescriptor") -> bytes:
-    """Memoized packed document-order key (§9.3) — C-level bytewise
-    comparisons instead of per-comparison tuple walks."""
-    return descriptor.nid.sort_key()
-
-
-#: Sentinel stored in :attr:`CompiledPlan.executor` when the lowering
-#: declines the plan's shape — execution then stays interpreted, and
-#: the decision is not retried until the plan is invalidated.
-NOT_LOWERABLE = object()
 
 
 class CompiledPlan:
@@ -213,12 +222,11 @@ class CompiledPlan:
         #: "value:<path>" / "path:<path>" (EXPLAIN), "" otherwise.
         self.index_used = index_used
         #: Lazily lowered closure chain (:mod:`repro.query.compiled`);
-        #: built on the first cached execution, dropped whenever the
-        #: plan is restamped after DDL (the probe bindings may differ).
+        #: built on the first execution, dropped whenever the plan is
+        #: restamped after DDL (the probe bindings may differ).
         self.executor = None
-        #: Why the plan stays interpreted (set at planning time for
-        #: "naive" plans, by the lowering when it declines; "" while
-        #: undetermined or when the plan compiled).
+        #: "naive" plans: why the path is handed to the navigator
+        #: instead of a block scan ("" for every other strategy).
         self.not_lowerable_reason = ""
         #: Statistics epoch the plan was priced under (restamped in
         #: place while none of :attr:`stats_nodes` drift).
@@ -235,111 +243,29 @@ class CompiledPlan:
         #: cost table.
         self.cost_table: tuple = ()
 
-    def execute(self, queries: "StorageQueryEngine"
-                ) -> "list[NodeDescriptor]":
-        """Run the plan over the engine's *current* data.
-
-        The block scan is live, so descriptors inserted after
-        compilation are found as long as the schema has not grown
-        (which the plan cache checks before handing out a plan).
-        """
-        if self.strategy == "naive":
-            return queries.evaluate_naive(self.path)
-        if self.strategy == "empty":
-            return []
-        if self.strategy == "index":
-            return self._execute_probe(queries)
-        engine = queries.engine
-        if len(self.scan_nodes) == 1:
-            result = list(engine.scan_schema_node(self.scan_nodes[0]))
-        else:
-            # Each per-schema-node scan is already in document order;
-            # sorting the concatenation restores global order in one
-            # linear galloping merge (Timsort recognizes the runs),
-            # which beats a Python-level k-way heap merge.
-            result = [descriptor
-                      for schema_node in self.scan_nodes
-                      for descriptor in engine.scan_schema_node(
-                          schema_node)]
-            result.sort(key=_doc_order_key)
-        context = _explain.ACTIVE
-        if context is not None:
-            context.nodes_visited += len(result)
-        steps = self.path.steps
-        scan_step = steps[-1] if self.split is None else steps[self.split]
-        if scan_step.predicates:
-            result = queries._apply_final_predicates(result,
-                                                     scan_step.predicates)
-        if self.strategy == "hybrid":
-            result = queries._navigate_steps(result,
-                                             steps[self.split + 1:])
-        return result
-
     def execute_compiled(self, queries: "StorageQueryEngine"
                          ) -> "list[NodeDescriptor]":
-        """Run the plan through its lowered closure chain.
+        """Run the plan over the engine's *current* data, through its
+        lowered closure chain.
 
-        Lowering happens once, on the first cached execution, and the
+        Lowering happens once, on the first execution, and the
         resulting :class:`~repro.query.compiled.CompiledExecutor` is
         pinned to the plan: the cache drops the whole plan when the
         schema grows and nulls :attr:`executor` when a DDL restamp
         keeps the plan, so a live executor is always consistent with
-        the bindings it closed over.  Falls back to the interpreted
-        :meth:`execute` for shapes the lowering declines.
+        the bindings it closed over.  The block scans are live, so
+        descriptors inserted after compilation are found as long as
+        the schema has not grown (which the plan cache checks before
+        handing out a plan).
         """
         executor = self.executor
         if executor is None:
             from repro.query.compiled import lower
-            executor = lower(self, queries)
-            self.executor = executor
-        if executor is NOT_LOWERABLE:
-            context = _explain.ACTIVE
-            if context is not None:
-                context.not_lowerable_reason = self.not_lowerable_reason
-            return self.execute(queries)
+            executor = self.executor = lower(self, queries)
         context = _explain.ACTIVE
         if context is not None:
             return executor.run_explained(queries, context)
         return executor.run(queries)
-
-    def _execute_probe(self, queries: "StorageQueryEngine"
-                       ) -> "list[NodeDescriptor]":
-        """Answer the probed step from the index posting lists."""
-        probe = self.probe
-        assert probe is not None
-        if probe[0] == "path":
-            result = probe[1].probe()
-        else:
-            mode, index, key, via_parent = probe
-            owners = (index.probe_eq(key) if mode == "eq"
-                      else index.probe_exists())
-            if via_parent:
-                # An element-value index posts the children; the
-                # predicate selects their parents (deduplicated,
-                # document order preserved — equal-depth paths keep
-                # parent order aligned with child order).
-                seen: set[bytes] = set()
-                result = []
-                for owner in owners:
-                    parent = owner.parent
-                    if parent is None:  # pragma: no cover - defensive
-                        continue
-                    parent_key = parent.nid.sort_key()
-                    if parent_key not in seen:
-                        seen.add(parent_key)
-                        result.append(parent)
-            else:
-                result = owners
-        context = _explain.ACTIVE
-        if context is not None:
-            context.nodes_visited += len(result)
-        if self.rest_predicates:
-            result = queries._apply_final_predicates(
-                result, self.rest_predicates)
-        if self.split is not None:
-            result = queries._navigate_steps(
-                result, self.path.steps[self.split + 1:])
-        return result
 
     def __repr__(self) -> str:
         return (f"CompiledPlan({self.path!r}, {self.strategy}, "
@@ -352,12 +278,17 @@ class CompiledPlan:
 _STRATEGY_RANK = {"empty": 0, "index": 1, "scan": 2, "hybrid": 3,
                   "naive": 4}
 
-#: Planner policies: ``cost`` prices every candidate and takes the
-#: cheapest (falling back to ``structural`` without statistics);
-#: ``structural`` keeps the historical fixed precedence; ``scan``
-#: never probes an index; ``naive`` always navigates.  The forced
-#: policies exist for the benchmark harness and the parity tests —
-#: every policy returns the same rows.
+#: Planner policies — four selection rules over the one candidate
+#: enumeration (:func:`_candidate_plans`): ``cost`` prices every
+#: candidate and takes the cheapest (``structural`` without
+#: statistics); ``structural`` takes the historical fixed precedence
+#: (a probe on the first predicate > scan/hybrid); ``scan`` takes the
+#: scan/hybrid base candidate and never probes an index; ``naive``
+#: takes the navigating candidate.  Where the enumeration has a single
+#: entry (the schema proves the path empty, or only the navigator is
+#: sound) every rule selects it.  The forced policies exist for the
+#: benchmark harness and the parity tests — every policy returns the
+#: same rows.
 POLICIES = ("cost", "structural", "scan", "naive")
 
 
@@ -366,113 +297,108 @@ def compile_plan(path: Path, schema: "DescriptiveSchema",
                  policy: str = "cost") -> CompiledPlan:
     """Compile *path* against the current schema (no caching here).
 
-    *indexes* is the engine's :class:`IndexManager` (or None for the
-    pure scan planner, e.g. the index-free ``evaluate_schema_driven``
-    baseline).  *stats* is the engine's
+    *indexes* is the engine's :class:`IndexManager` (or None: no probe
+    candidates).  *stats* is the engine's
     :class:`~repro.obs.statistics.StatisticsCollector`; when given
-    (and *policy* is ``cost``) every applicable candidate strategy is
-    priced under :mod:`repro.query.cost` and the cheapest wins,
-    otherwise the historical structural precedence applies.
+    (and *policy* is ``cost``) every candidate is priced under
+    :mod:`repro.query.cost` and the cheapest wins, otherwise the
+    historical structural precedence applies.
     """
-    if obs.ENABLED:
-        with obs.TRACER.span("query.plan.compile", path=str(path)):
-            plan = _plan_for_policy(path, schema, indexes, stats,
-                                    block_capacity, policy)
-    elif obs.RECORDING:
-        plan = _plan_for_policy(path, schema, indexes, stats,
-                                block_capacity, policy)
-    else:
-        return _plan_for_policy(path, schema, indexes, stats,
-                                block_capacity, policy)
-    obs.REGISTRY.counter("query.plan.compiles").inc()
-    obs.REGISTRY.counter(
-        f"query.plan.strategy.{plan.strategy}").inc()
-    if plan.pruned_schema_nodes:
-        obs.REGISTRY.counter("query.plan.pruned_schema_nodes").inc(
-            plan.pruned_schema_nodes)
+    with (obs.TRACER.span("query.plan.compile", path=str(path))
+          if obs.ENABLED else nullcontext()):
+        plan = _select_plan(path, schema, indexes, stats, block_capacity,
+                            policy)
+    if obs.RECORDING:
+        obs.REGISTRY.counter("query.plan.compiles").inc()
+        obs.REGISTRY.counter(
+            f"query.plan.strategy.{plan.strategy}").inc()
+        if plan.pruned_schema_nodes:
+            obs.REGISTRY.counter("query.plan.pruned_schema_nodes").inc(
+                plan.pruned_schema_nodes)
     return plan
 
 
-def _plan_for_policy(path: Path, schema: "DescriptiveSchema", indexes,
-                     stats, block_capacity: int,
-                     policy: str) -> CompiledPlan:
-    if policy == "naive":
-        plan = CompiledPlan(path, schema.version, "naive", (), None, 0,
-                            index_epoch=indexes.epoch
-                            if indexes is not None else 0)
-        plan.not_lowerable_reason = "naive policy forced"
+def _select_plan(path: Path, schema: "DescriptiveSchema", indexes,
+                 stats, block_capacity: int,
+                 policy: str) -> CompiledPlan:
+    """Enumerate the candidates once, then apply *policy*'s rule."""
+    candidates, structural_pick, frontiers = _candidate_plans(
+        path, schema, indexes)
+    if policy == "cost" and stats is not None:
+        pick = _cheapest(candidates, structural_pick, frontiers, stats,
+                         block_capacity)
     elif policy == "scan":
-        # Structural planning with the indexes hidden — but stamped
-        # with the real DDL epoch so the plan cache does not loop.
-        plan = _compile_plan(path, schema, None)
-        plan.index_epoch = indexes.epoch if indexes is not None else 0
-    elif policy == "structural" or stats is None:
-        plan = _compile_plan(path, schema, indexes)
+        pick = 0
+    elif policy == "naive":
+        pick = len(candidates) - 1
     else:
-        plan = _costed_plan(path, schema, indexes, stats,
-                            block_capacity)
+        pick = structural_pick
+    plan = candidates[pick]
     if stats is not None:
         plan.stats_epoch = stats.epoch
     return plan
 
 
-def _forced_naive(path: Path, version: int,
-                  epoch: int) -> Optional[CompiledPlan]:
-    """The one structurally-forced strategy: positional predicates on
-    ``//`` steps have whole-selection semantics no block scan (or
-    probe) reproduces, so the whole query navigates."""
-    for step in path.steps:
-        if (step.axis == "descendant-or-self"
-                and any(isinstance(p, PositionPredicate)
-                        for p in step.predicates)):
-            plan = CompiledPlan(path, version, "naive", (), None, 0,
-                                index_epoch=epoch)
-            plan.not_lowerable_reason = (
-                "positional predicate on a descendant step needs "
-                "whole-selection navigation")
-            return plan
-    return None
+def _naive_plan(path: Path, version: int, epoch: int,
+                reason: str) -> CompiledPlan:
+    plan = CompiledPlan(path, version, "naive", (), None, 0,
+                        index_epoch=epoch)
+    plan.not_lowerable_reason = reason
+    return plan
 
 
 def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
-                     ) -> "tuple[list[CompiledPlan], int]":
-    """Every strategy that can answer *path*, plus the index of the
-    candidate the historical structural precedence would pick.
+                     ) -> "tuple[list[CompiledPlan], int, list]":
+    """Every strategy that can answer *path*, the index of the
+    candidate the historical structural precedence picks, and the
+    per-step schema frontiers (:func:`schema_frontiers`) the cost model
+    prices from.
 
-    The first entry is always the structurally-forced plan when one
-    exists (naive-on-``//``-positional, or ``empty``), in which case
-    it is the only entry.  Otherwise the list holds the scan/hybrid
-    baseline, one ``index`` candidate per eligible value-index probe
-    (any prefix of non-positional predicates may be probed, not just
-    the first — the remaining predicates commute as pure filters), the
-    path-index candidate, and a priced ``naive`` — all sharing the
-    plan shapes :mod:`repro.query.compiled` already lowers.
+    What a block scan can answer is a property of the path fragment
+    (Fletcher, Gyssens, Paredaens, Van Gucht, Wu — PAPERS.md): downward
+    steps with per-node predicates lower to scans, probes and sweeps;
+    a positional predicate on a ``//`` step selects over the *whole*
+    descendant selection, which no flat scan (or probe) reproduces, so
+    such a path has one candidate — the navigator.  A path the schema
+    proves unmatchable likewise has one candidate, ``empty``.
+
+    Otherwise the list holds, in order, the scan/hybrid base, one
+    ``index`` candidate per eligible value-index probe (any prefix of
+    non-positional predicates may be probed, not just the first — the
+    remaining predicates commute as pure filters), the path-index
+    candidate, and last the priced ``naive`` — all shapes
+    :mod:`repro.query.compiled` lowers.
     """
     steps = path.steps
     version = schema.version
     epoch = indexes.epoch if indexes is not None else 0
-    forced = _forced_naive(path, version, epoch)
-    if forced is not None:
-        return [forced], 0
+    frontiers = schema_frontiers(schema.root, steps)
+    for step in steps:
+        if (step.axis == "descendant-or-self"
+                and any(isinstance(p, PositionPredicate)
+                        for p in step.predicates)):
+            return [_naive_plan(
+                path, version, epoch,
+                "positional predicate on a descendant step needs "
+                "whole-selection navigation")], 0, frontiers
     split: Optional[int] = None
     for index, step in enumerate(steps[:-1]):
         if step.predicates:
             split = index
             break
-    prefix = steps if split is None else steps[:split + 1]
-    matched = match_schema_nodes(schema.root, prefix)
+    predicates = steps[-1 if split is None else split].predicates
+    matched = frontiers[-1 if split is None else split + 1]
     pruned = 0
-    if prefix[-1].predicates:
+    if predicates:
         feasible = [node for node in matched
-                    if structurally_feasible(node, prefix[-1].predicates)]
+                    if structurally_feasible(node, predicates)]
         pruned = len(matched) - len(feasible)
         matched = feasible
     if not matched:
         return [CompiledPlan(path, version, "empty", (), split, pruned,
-                             index_epoch=epoch)], 0
-    base_strategy = "scan" if split is None else "hybrid"
-    predicates = prefix[-1].predicates
-    candidates = [CompiledPlan(path, version, base_strategy,
+                             index_epoch=epoch)], 0, frontiers
+    candidates = [CompiledPlan(path, version,
+                               "scan" if split is None else "hybrid",
                                tuple(matched), split, pruned,
                                index_epoch=epoch)]
     structural_pick = 0
@@ -488,12 +414,11 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
                 if probe is None:
                     continue
                 rest = predicates[:position] + predicates[position + 1:]
-                candidate = CompiledPlan(
+                candidates.append(CompiledPlan(
                     path, version, "index", tuple(matched), split,
                     pruned, index_epoch=epoch, probe=probe,
                     rest_predicates=rest,
-                    index_used=f"value:{probe[1].definition.path}")
-                candidates.append(candidate)
+                    index_used=f"value:{probe[1].definition.path}"))
                 if position == 0:
                     # Structural precedence probed the first predicate.
                     structural_pick = len(candidates) - 1
@@ -506,25 +431,22 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
                     probe=("path", path_index),
                     index_used=f"path:{path_index.definition.path}"))
                 structural_pick = len(candidates) - 1
-    naive = CompiledPlan(path, version, "naive", (), None, 0,
-                         index_epoch=epoch)
-    naive.not_lowerable_reason = "naive strategy is interpreted"
-    candidates.append(naive)
-    return candidates, structural_pick
+    candidates.append(_naive_plan(path, version, epoch,
+                                  "naive candidate navigates"))
+    return candidates, structural_pick, frontiers
 
 
-def _costed_plan(path: Path, schema: "DescriptiveSchema", indexes,
-                 stats, block_capacity: int) -> CompiledPlan:
-    """Enumerate candidates, price each, take the cheapest."""
+def _cheapest(candidates: "list[CompiledPlan]", structural_pick: int,
+              frontiers: list, stats, block_capacity: int) -> int:
+    """Price every candidate; index of the cheapest (the ``cost``
+    rule).  The winner carries the cost table and the consulted
+    statistics nodes."""
     from repro.query.cost import CostModel
-    candidates, structural_pick = _candidate_plans(path, schema,
-                                                   indexes)
     model = CostModel(stats, block_capacity)
     table = []
     for candidate in candidates:
-        estimate = model.price(candidate, schema)
-        candidate.cost = estimate
-        table.append(estimate)
+        candidate.cost = model.price(candidate, frontiers)
+        table.append(candidate.cost)
     best = min(
         range(len(candidates)),
         key=lambda i: (table[i].total,
@@ -533,7 +455,6 @@ def _costed_plan(path: Path, schema: "DescriptiveSchema", indexes,
     table[best].chosen = True
     plan.cost_table = tuple(table)
     plan.stats_nodes = tuple(model.consulted)
-    plan.stats_epoch = stats.epoch
     if obs.RECORDING:
         registry = obs.REGISTRY
         registry.counter("query.cost.priced").inc()
@@ -541,56 +462,7 @@ def _costed_plan(path: Path, schema: "DescriptiveSchema", indexes,
         registry.counter(f"query.cost.chosen.{plan.strategy}").inc()
         if best != structural_pick:
             registry.counter("query.cost.overrides").inc()
-    return plan
-
-
-def _compile_plan(path: Path, schema: "DescriptiveSchema",
-                  indexes=None) -> CompiledPlan:
-    """The historical structural planner: fixed precedence
-    (index probe on the first predicate > scan/hybrid), no pricing."""
-    steps = path.steps
-    version = schema.version
-    epoch = indexes.epoch if indexes is not None else 0
-    forced = _forced_naive(path, version, epoch)
-    if forced is not None:
-        return forced
-    split: Optional[int] = None
-    for index, step in enumerate(steps[:-1]):
-        if step.predicates:
-            split = index
-            break
-    prefix = steps if split is None else steps[:split + 1]
-    matched = match_schema_nodes(schema.root, prefix)
-    pruned = 0
-    if prefix[-1].predicates:
-        feasible = [node for node in matched
-                    if structurally_feasible(node, prefix[-1].predicates)]
-        pruned = len(matched) - len(feasible)
-        matched = feasible
-    if not matched:
-        return CompiledPlan(path, version, "empty", (), split, pruned,
-                            index_epoch=epoch)
-    strategy = "scan" if split is None else "hybrid"
-    predicates = prefix[-1].predicates
-    if indexes is not None and indexes.active:
-        if predicates and len(matched) == 1:
-            probe = indexes.plan_probe(matched[0], predicates[0])
-            if probe is not None:
-                return CompiledPlan(
-                    path, version, "index", tuple(matched), split,
-                    pruned, index_epoch=epoch, probe=probe,
-                    rest_predicates=predicates[1:],
-                    index_used=f"value:{probe[1].definition.path}")
-        elif not predicates and split is None and len(matched) > 1:
-            path_index = indexes.path_probe(matched)
-            if path_index is not None:
-                return CompiledPlan(
-                    path, version, "index", tuple(matched), split,
-                    pruned, index_epoch=epoch,
-                    probe=("path", path_index),
-                    index_used=f"path:{path_index.definition.path}")
-    return CompiledPlan(path, version, strategy, tuple(matched), split,
-                        pruned, index_epoch=epoch)
+    return best
 
 
 def _same_decision(fresh: CompiledPlan, stale: CompiledPlan) -> bool:
@@ -643,7 +515,9 @@ class QueryPlanner:
         self._plans: LRUCache[Path, CompiledPlan] = LRUCache(
             capacity, prefix="query.plan_cache")
 
-    def _compile(self, path: Path) -> CompiledPlan:
+    def compile_uncached(self, path: Path) -> CompiledPlan:
+        """A fresh plan for *path* under this planner's policy — what
+        :meth:`compile` computes on a miss, bypassing the cache."""
         engine = self._engine
         return compile_plan(path, engine.schema, engine.indexes,
                             stats=engine.stats,
@@ -671,7 +545,7 @@ class QueryPlanner:
             # INDEX invalidates exactly the plans it affects.  The
             # closure chain is always dropped: the probe may bind a
             # *new* index object.
-            fresh = self._compile(path)
+            fresh = self.compile_uncached(path)
             if _same_decision(fresh, stale):
                 _adopt(stale, fresh, drop_executor=True)
                 fresh = None
@@ -690,7 +564,7 @@ class QueryPlanner:
                     obs.REGISTRY.counter(
                         "query.cost.stats_restamps").inc()
             else:
-                fresh = self._compile(path)
+                fresh = self.compile_uncached(path)
                 if obs.RECORDING:
                     obs.REGISTRY.counter(
                         "query.cost.stats_replans").inc()
@@ -706,7 +580,7 @@ class QueryPlanner:
         plan = self._plans.get(path)
         hit = plan is not None
         if plan is None:
-            plan = fresh if fresh is not None else self._compile(path)
+            plan = fresh if fresh is not None else self.compile_uncached(path)
             self._plans.put(path, plan)
         context = _explain.ACTIVE
         if context is not None:

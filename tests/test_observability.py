@@ -12,7 +12,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main as cli_main
-from repro.errors import StorageError
+from repro.errors import QueryError, StorageError
 from repro.obs.events import EventLog
 from repro.obs.metrics import Histogram, MetricsRegistry, \
     render_prometheus
@@ -271,19 +271,16 @@ class TestNotLowerableReason:
         assert record.compiled is True
         assert "not lowerable" not in record.render()
 
-    def test_unlowerable_strategy_surfaces_in_the_rendering(self):
+    def test_lowering_an_unknown_strategy_raises(self):
+        """There is one executor: a strategy the lowering does not know
+        is an error, not a second way to run the plan."""
         queries = StorageQueryEngine(_engine())
         plan = queries.compile("/library/book/title")
-        plan.strategy = "bogus"  # simulate a plan lowering can't take
+        plan.strategy = "bogus"
         plan.executor = None
-        obs.enable()
-        queries.evaluate("/library/book/title")
-        record = obs.EXPLAINS.last()
-        assert record.compiled is False
-        assert record.as_dict()["not_lowerable_reason"] == \
-            "no closure lowering for strategy 'bogus'"
-        assert "not lowerable:      no closure lowering" in \
-            record.render()
+        with pytest.raises(QueryError, match="no closure lowering for "
+                                             "strategy 'bogus'"):
+            queries.evaluate("/library/book/title")
 
 
 class TestStatisticsCollector:
@@ -493,22 +490,22 @@ class TestBenchCompare:
 
     def test_ratio_drop_fails_and_small_scales_are_ignored(self):
         base = _report(meta=_meta(host="a"), records=[
-            {"path": "/p", "scale": 1000, "cached_vs_uncached": 4.0,
+            {"path": "/p", "scale": 1000, "cached_vs_naive": 4.0,
              "ops_cached_plan": 100.0},
-            {"path": "/p", "scale": 10, "cached_vs_uncached": 4.0,
+            {"path": "/p", "scale": 10, "cached_vs_naive": 4.0,
              "ops_cached_plan": 100.0}])
         fresh = _report(meta=_meta(host="b"), records=[
-            {"path": "/p", "scale": 1000, "cached_vs_uncached": 2.0,
+            {"path": "/p", "scale": 1000, "cached_vs_naive": 2.0,
              "ops_cached_plan": 10.0},
-            {"path": "/p", "scale": 10, "cached_vs_uncached": 0.1,
+            {"path": "/p", "scale": 10, "cached_vs_naive": 0.1,
              "ops_cached_plan": 1.0}])
         failures = bench_compare.compare(base, fresh)
         assert [f[0] for f in failures] == \
-            ["cached_vs_uncached[/p@1000]"]
+            ["cached_vs_naive[/p@1000]"]
 
     def test_raw_ops_gate_only_on_the_same_machine(self):
         record = {"path": "/p", "scale": 1000,
-                  "cached_vs_uncached": 4.0, "ops_cached_plan": 100.0}
+                  "cached_vs_naive": 4.0, "ops_cached_plan": 100.0}
         slower = dict(record, ops_cached_plan=50.0)
         cross = bench_compare.compare(
             _report(meta=_meta(host="a"), records=[record]),
@@ -540,10 +537,33 @@ class TestBenchCompare:
             _report(meta=_meta(), metrics=blown))
         assert [f[0] for f in failures] == ["query.latency.ns.p99"]
 
+    def test_compiled_plan_section_is_checked_on_its_own(self):
+        summary = {"cached_vs_naive_floor_per_scale": {"10": True,
+                                                       "100": False},
+                   "min_cached_vs_naive": 7.0, "speedup_2x_met": True}
+        record = {"path": "/p", "scale": 100, "ops_plan_lookup": 5.0,
+                  "ops_compiled_exec": 0.0, "lookup_share": 1.5}
+        failures = bench_compare.check_compiled_plans(
+            _report(records=[record], summary=summary))
+        assert [f[0] for f in failures] == [
+            "summary.cached_vs_naive_floor_per_scale[100]",
+            "ops_compiled_exec[/p@100]", "lookup_share[/p@100]"]
+        assert [f[0] for f in bench_compare.check_compiled_plans(
+            _report())] == ["summary.cached_vs_naive_floor_per_scale",
+                            "summary.speedup_2x_met"]
+
     def test_main_exit_codes(self, tmp_path, capsys):
+        passing = {"cached_vs_naive_floor_per_scale": {"10": True},
+                   "speedup_2x_met": True}
         good = tmp_path / "a.json"
-        good.write_text(json.dumps(_report(meta=_meta())))
+        good.write_text(json.dumps(_report(meta=_meta(),
+                                           summary=passing)))
         assert bench_compare.main([str(good), str(good)]) == 0
+        under_floor = tmp_path / "c.json"
+        under_floor.write_text(json.dumps(_report(
+            meta=_meta(), summary=dict(
+                passing, cached_vs_naive_floor_per_scale={"10": False}))))
+        assert bench_compare.main([str(good), str(under_floor)]) == 1
         stampless = tmp_path / "b.json"
         stampless.write_text(json.dumps(_report()))
         assert bench_compare.main([str(stampless), str(good)]) == 2

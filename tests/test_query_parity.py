@@ -51,6 +51,9 @@ INNER_PREDICATES = (
     "/lib/book[last()]/a",
     "/lib/shelf/book[@lang='fr']/a",
     "/lib/book[@zzz]/t",
+    # Attribute steps on the descendant axis below the scanned prefix.
+    "/lib[book]//@lang",
+    "/lib[shelf]//@*",
 )
 
 #: Results merged across several schema nodes' block lists.

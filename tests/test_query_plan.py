@@ -234,8 +234,8 @@ class TestPlanCache:
         stale = compile_plan(cached_parse_path("/lib/*"), engine.schema)
         engine.insert_child(lib, 0, name=QName("", "memo"))
         fresh = compile_plan(cached_parse_path("/lib/*"), engine.schema)
-        assert len(stale.execute(queries)) == 3   # misses <memo>
-        assert len(fresh.execute(queries)) == 4
+        assert len(stale.execute_compiled(queries)) == 3   # misses <memo>
+        assert len(fresh.execute_compiled(queries)) == 4
 
 
 class TestEvaluateMatchesOtherEvaluators:

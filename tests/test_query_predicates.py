@@ -75,6 +75,18 @@ class TestPredicateParsing:
         with pytest.raises(QueryError):
             parse_path(bad)
 
+    def test_malformed_position_is_a_query_error(self):
+        # Used to escape as a bare ValueError from int("--2").
+        with pytest.raises(QueryError):
+            parse_path("/library/book[--2]")
+
+    @pytest.mark.parametrize("literal", ["a[b", "x]y", "a/b"])
+    def test_brackets_and_slashes_inside_a_quoted_literal(self, literal):
+        _library, book, title = parse_path(
+            f"/library/book[title='{literal}']/title").steps
+        assert book.predicates == (ChildPredicate("title", literal),)
+        assert (title.name, title.predicates) == ("title", ())
+
 
 class TestTreePredicates:
     def test_position_is_per_parent(self, setup):
