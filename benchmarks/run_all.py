@@ -947,6 +947,8 @@ def run_concurrency(readers=4, writers=2, rounds=20, scale=30):
         "dead_letters": dead_letters,
         "snapshot_materializations":
             registry.value("server.snapshot.materializations"),
+        "snapshot_advances":
+            registry.value("server.snapshot.advances"),
         "snapshot_cache_hits":
             registry.value("server.snapshot.cache_hits"),
         "torn_reads": sum(torn_counts.values()) +
@@ -980,7 +982,8 @@ def _print_concurrency(record):
           f"{record['lease_expirations']} expirations, "
           f"{record['dead_letters']} dead letters)")
     print(f"  snapshots: {record['snapshot_materializations']} "
-          f"materialized, {record['snapshot_cache_hits']} cache hits")
+          f"recovered, {record['snapshot_advances']} advanced, "
+          f"{record['snapshot_cache_hits']} cache hits")
     print(f"  isolation: {record['torn_reads']} torn reads, "
           f"{record['recovery_relabels']} relabels on recovery, "
           f"{record['errors']} errors")

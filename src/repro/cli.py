@@ -614,7 +614,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     writers hand off the single-writer lease under timeout/backoff;
     load past the admission caps sheds with typed ``Overloaded``.
     The exit code is 1 unless every reader saw a frozen snapshot
-    (torn_reads == 0) and final recovery relabelled nothing.
+    (torn_reads == 0), a reader opened after the last commit sees it,
+    and final recovery relabelled nothing.
     """
     import threading
 
@@ -687,7 +688,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     for thread in threads:
         thread.join()
 
+    # Fresh-read probe, alone on the server: a reader at the final
+    # horizon, the closing checkpoint, then a reader opened after it
+    # must see what the live engine holds.  Nothing is pinned in
+    # between, so the second pin carries the first one's snapshot
+    # across the checkpoint (server.snapshot.advances) instead of
+    # recovering the image.
+    server.open_session("read", owner="probe").close()
     server.checkpoint_now()
+    with server.open_session("read", owner="probe") as session:
+        fresh_read_current = (session.snapshot.engine.node_count()
+                              == server.engine.node_count())
     final = recover(server.backend)
     report = {
         "document": args.document,
@@ -696,6 +707,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    "max_sessions": args.max_sessions,
                    "seed": args.seed},
         "results": dict(counters),
+        "fresh_read_current": fresh_read_current,
         "recovery": {"relabels": final.relabels,
                      "nodes": final.engine.node_count()},
         "dead_letters": [letter.as_dict() for letter
@@ -704,7 +716,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "admission": server.admission.snapshot(),
     }
     healthy = (counters["torn_reads"] == 0 and final.relabels == 0
-               and counters["errors"] == 0)
+               and counters["errors"] == 0 and fresh_read_current)
     report["healthy"] = healthy
     try:
         if args.prom:
@@ -725,6 +737,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"{report['server']['lease']['expirations']} "
                   f"expiration(s), {len(report['dead_letters'])} "
                   f"dead letter(s)")
+            snapshots = report["server"]["snapshots"]
+            print(f"  snapshots:    "
+                  f"{snapshots['materializations']} recovered, "
+                  f"{snapshots['advances']} advanced, "
+                  f"{snapshots['cache_hits']} cache hit(s)")
             print(f"  recovery:     {final.relabels} relabel(s), "
                   f"{final.engine.node_count()} nodes")
             print(f"  healthy:      {healthy}")

@@ -8,7 +8,8 @@ writer, and an :class:`~repro.server.admission.AdmissionController`
 at the front door.  Sessions open in two modes:
 
 * ``open_session("read")`` pins the current committed snapshot; every
-  query of the session runs against that frozen engine;
+  query of the session runs against that engine, which is frozen
+  until the session closes;
 * ``open_session("write")`` claims the writer lease (waiting with
   jittered backoff, bounded by *timeout*); every ``execute`` runs one
   heartbeat-renewed, lease-checked transaction on the live engine.
@@ -202,8 +203,9 @@ class DatabaseServer:
             backend.checkpoint(engine, wal=wal)
         #: Serializes live-engine reads (write-session queries) with
         #: the writer's mutations; reader sessions never touch it on
-        #: the fast path — only a contended snapshot pin falls back to
-        #: it (see SnapshotManager.pin).
+        #: a pin hit or a snapshot advance — only a pin that had to
+        #: fall back to recover() and kept losing races against the
+        #: writer takes it (see SnapshotManager.pin).
         self._live_lock = threading.RLock()
         self.snapshots = SnapshotManager(backend,
                                          write_latch=self._live_lock)
@@ -352,7 +354,6 @@ class DatabaseServer:
                     # Expiry during commit: a lapsed holder rolls
                     # back instead of publishing.
                     self.leases.check(session.lease)
-                self._invalidate_live_queries()
         finally:
             session.deadline = previous_deadline
         self._account_request(session, "write", started)
@@ -372,10 +373,11 @@ class DatabaseServer:
     def checkpoint_now(self):
         """Checkpoint the live engine (the writer's horizon advance).
 
-        Readers keep their pins across it — their snapshots were
-        materialized from the *previous* durable state and stay
-        valid; the named crash point covers the server dying here
-        while readers outlive the old checkpoint.
+        Readers keep their pins across it — their snapshots hold the
+        *previous* durable state and stay valid (and, once released,
+        are advanced across the checkpoint like across any commit);
+        the named crash point covers the server dying here while
+        readers outlive the old checkpoint.
         """
         with self._live_lock:
             info = self.backend.checkpoint(self.engine, wal=self.wal)
@@ -406,11 +408,6 @@ class DatabaseServer:
             from repro.query.engine import StorageQueryEngine
             self._live_queries = StorageQueryEngine(self.engine)
         return self._live_queries
-
-    def _invalidate_live_queries(self) -> None:
-        # StorageQueryEngine tracks engine mutations itself (schema
-        # version restamps); nothing to do, kept as the named seam.
-        pass
 
     def _account_request(self, session: Session, kind: str,
                          started: int) -> None:
@@ -469,8 +466,14 @@ def server_report(registry=None) -> dict:
                 histogram("server.session.latency.ns"),
         },
         "snapshots": {
+            # A pin is a cache hit, an advance of a cached snapshot by
+            # the committed WAL delta, or a recover() from the image.
             "materializations":
                 registry.value("server.snapshot.materializations"),
+            "advances":
+                registry.value("server.snapshot.advances"),
+            "advance_records":
+                histogram("server.snapshot.advance.records"),
             "cache_hits":
                 registry.value("server.snapshot.cache_hits"),
             "pinned": registry.value("server.snapshot.pinned"),

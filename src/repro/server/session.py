@@ -8,7 +8,13 @@ A :class:`Session` is one client's view of a served database
   against that frozen state: repeatable reads, never blocked by (and
   never blocking) the writer, and by the recovery contract the
   snapshot contains exactly the committed transactions — uncommitted
-  state is unobservable.
+  state is unobservable.  **Handle lifetime:** the node descriptors
+  :meth:`Session.query` returns belong to the pinned snapshot's
+  engine and are valid while the session is open.  Closing it drops
+  the pin, after which the snapshot manager may advance that engine
+  to a newer horizon in place (or evict it): a handle kept past
+  ``close()`` may then show later commits, or a node since deleted.
+  Take values (``query_values``) out of a session, not handles.
 * **write** — the session holds the single-writer intent lease
   (:mod:`repro.server.leases`) and mutates the live engine through the
   WAL-backed transaction manager; every request re-checks the lease so
@@ -150,7 +156,8 @@ class Session:
     # -- requests (delegated to the server) -------------------------------
 
     def query(self, path: str) -> "list[NodeDescriptor]":
-        """Evaluate *path* against this session's view."""
+        """Evaluate *path* against this session's view.  The handles
+        are valid until the session closes (module docstring)."""
         return self.server.query(self, path)
 
     def query_values(self, path: str) -> list[str]:

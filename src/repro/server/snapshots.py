@@ -7,50 +7,66 @@ durability layer already provides is exactly enough:
 * the backend's checkpoint image is immutable once published (atomic
   rename / COMMIT-barrier publish), and
 * the WAL scan (:func:`repro.storage.wal.read_wal_store`) yields the
-  durable record sequence with torn tails discarded, and
-  :meth:`~repro.storage.wal.WalScan.committed_txns` identifies the
-  transactions whose COMMIT landed.
+  durable record sequence with torn tails discarded, and a record
+  counts only once its transaction's COMMIT landed.
 
-So a **snapshot key** is the pair ``(checkpoint_lsn, horizon)`` where
-*horizon* is the last LSN belonging to a committed transaction: the
-committed-WAL horizon.  Materializing a snapshot replays exactly that
-committed prefix onto the checkpoint image — which is
-:func:`repro.storage.recovery.recover` verbatim, and inherits its
-guarantees: uncommitted and torn suffixes are unobservable by
-construction, replay re-derives every numbering label (relabels == 0,
-Proposition 1), and the §9 invariants are re-checked.  A snapshot is
-copy-on-write at the coarsest possible grain: the reader's descriptor
-graph is materialized from durable bytes, shares no mutable object
-with the live engine, and is never written again — version *k*'s
-descriptors survive unchanged while the writer builds version *k+1*.
+So a **snapshot key** is the pair ``(checkpoint_lsn, horizon)``:
+*checkpoint_lsn* is what the log's CHECKPOINT marker says the image
+covers, *horizon* the last LSN belonging to a committed transaction
+(the marker's own LSN in a log without one yet).
+A snapshot at a key holds the image plus exactly that committed
+prefix: uncommitted and torn suffixes are unobservable by
+construction, every numbering label is re-derived on replay and
+compared with the logged one (relabels == 0, Proposition 1), and the
+§9 invariants are re-checked.
 
-Snapshots are cached by key with pin counts: concurrent readers at the
-same horizon share one immutable engine (pin is O(1)); a new horizon
-materializes once.  Unpinned stale snapshots are evicted when the
-cache grows past ``max_cached``; the newest is always retained as the
-fast path for the next reader.
+**One scan per pin.**  The manager keeps its scan of the log between
+pins (:class:`_LogView`) and decodes only the frames appended since,
+so the key — and on a miss the records to apply — come from a single
+read of a single medium: what a snapshot contains is what its key
+says by construction, and a pin *hit* costs one read of the log's
+bytes plus a dictionary lookup, however long the log has grown.
+
+**A miss advances a spare.**  A committed transaction is a local
+change (§9.2: an insertion touches one block; Proposition 1: nothing
+is ever relabelled), so a new horizon is not rebuilt from the image.
+The manager takes the newest cached snapshot nobody has pinned whose
+horizon the current log still reaches back to, applies the committed
+records beyond it through :func:`repro.storage.recovery.replay` — the
+same loop ``recover()`` runs, with the same per-record label
+comparison — re-checks the §9 invariants and the index entries of
+what those records touched, re-keys it and hands it out.  Its engine,
+nid index, secondary indexes, statistics and query engine (plan cache
+included) are kept and maintained incrementally.  An unpinned version
+is a spare, not garbage: a long-lived reader costs one extra
+``recover()``, after which every released engine is the next base.
+The advance costs O(delta) engine work (plus one pass over the
+decoded log records held in memory) and runs under the manager lock,
+so two readers arriving at one new horizon build it once.
+
+A snapshot engine is therefore **never written while pinned** (it has
+no transaction manager and no writer ever sees it); between pins it
+may move forward.  Node handles a session obtained stay valid while
+that session is open, not longer.
+
+**``recover()`` is the fallback**, and stays the oracle: the first
+pin, a miss with no eligible base (every cached snapshot pinned, or
+older than the log's checkpoint), and a base whose advance failed
+(it is dropped; recovery decides whether the log or the spare was at
+fault).  Only there are image and log two reads, so a commit or
+checkpoint can land between them — a checkpoint's image-publish +
+WAL-reset pair can even show the old image against the reset log.
+That path alone is closed *optimistically*: the key is re-derived
+after recovering and the snapshot published only when the two match;
+after :data:`PIN_OPTIMISTIC_ATTEMPTS` lost races the pin serializes
+with the writer through the *write latch* the owning server shares
+with its commit/checkpoint path.  The advance needs neither: it reads
+nothing but the scan its key came from.
 
 The writer never takes part on the fast path: it appends to the WAL
-and mutates the live engine while readers pin, query and release —
-reader isolation comes from *which bytes* a snapshot reads (the
-durable committed prefix), not from excluding the writer.  The WAL's
-CRC framing makes a concurrent half-appended record indistinguishable
-from a torn tail, which the scan already tolerates; the record simply
-falls past the snapshot's horizon.
-
-Key computation and materialization are two steps, so a commit or
-checkpoint can land between them: the materialized engine would then
-contain state beyond the key it is cached under, and a checkpoint's
-image-publish + WAL-reset pair can even make ``recover`` read the old
-image against the already-reset log.  :meth:`SnapshotManager.pin`
-closes both windows *optimistically*: it re-derives the key after
-materializing and publishes only when the two match — a mismatch (or
-a recovery error that disappears on re-derivation) means the writer
-moved the horizon mid-flight, and the pin retries against the new
-durable state.  Under sustained write pressure the retry could starve,
-so after a few optimistic rounds the pin serializes with the writer
-through the *write latch* the owning server shares with its
-commit/checkpoint path.
+and mutates the live engine while readers pin, query and release.
+The WAL's CRC framing makes a concurrent half-appended record
+indistinguishable from a torn tail; it is read again by the next pin.
 """
 
 from __future__ import annotations
@@ -61,39 +77,52 @@ from typing import TYPE_CHECKING, Optional
 from repro import obs
 from repro.errors import StorageError
 from repro.server.session import SessionError
-from repro.storage.recovery import recover
-from repro.storage.wal import read_wal_store
+from repro.storage.recovery import RecoveryError, recover, replay
+from repro.storage.wal import (
+    CHECKPOINT,
+    COMMIT,
+    DDL_KINDS,
+    OP_KINDS,
+    WalScan,
+    read_wal_store,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.query.engine import StorageQueryEngine
     from repro.storage.backends.base import StorageBackend
     from repro.storage.engine import StorageEngine
+    from repro.storage.wal import WalStore
 
 #: Distinct snapshot versions kept around by default (the newest is
 #: never evicted while unpinned; pinned versions are never evicted).
 DEFAULT_MAX_CACHED = 4
 
-#: Optimistic key-verify rounds before a pin serializes with the
-#: writer through the shared write latch.
+#: Optimistic key-verify rounds of the ``recover()`` fallback before a
+#: pin serializes with the writer through the shared write latch.
 PIN_OPTIMISTIC_ATTEMPTS = 3
 
 
 class Snapshot:
-    """One immutable, committed-only view of the database."""
+    """One committed-only view of the database, frozen while pinned."""
 
-    __slots__ = ("key", "engine", "pins", "relabels", "_queries")
+    __slots__ = ("key", "engine", "pins", "relabels", "nid_index",
+                 "_queries")
 
     def __init__(self, key: tuple[int, int],
                  engine: "StorageEngine", relabels: int) -> None:
         #: ``(checkpoint_lsn, committed_wal_horizon)`` — the version id.
         self.key = key
-        #: The materialized engine.  Immutable by contract: it has no
-        #: transaction manager attached and no writer ever sees it.
+        #: The engine.  It has no transaction manager attached and no
+        #: writer ever sees it; only the manager moves it forward, and
+        #: only while ``pins == 0``.
         self.engine = engine
         self.pins = 0
-        #: Relabels during materialization — always 0 (Proposition 1);
-        #: recorded so sessions can assert it without re-deriving.
+        #: Relabels while building and advancing it — always 0
+        #: (Proposition 1); recorded so sessions can assert it.
         self.relabels = relabels
+        #: ``nid.symbols()`` -> descriptor, filled by the first advance
+        #: and kept current by every later one (see ``replay``).
+        self.nid_index: dict = {}
         self._queries: "Optional[StorageQueryEngine]" = None
 
     @property
@@ -111,7 +140,8 @@ class Snapshot:
 
     def queries(self) -> "StorageQueryEngine":
         """A (lazily built, shared) query engine over the snapshot —
-        readers at the same horizon share its plan cache too."""
+        readers at the same horizon share its plan cache too, and it
+        follows the engine through every advance."""
         if self._queries is None:
             from repro.query.engine import StorageQueryEngine
             self._queries = StorageQueryEngine(self.engine)
@@ -122,8 +152,71 @@ class Snapshot:
                 f"{self.engine.node_count()} nodes)")
 
 
+class _LogView:
+    """The manager's scan of the backend's WAL, kept between pins.
+
+    :meth:`refresh` decodes what was appended since the last call and
+    folds each new record into the three facts a pin needs: the
+    CHECKPOINT marker, the committed horizon, and the *floor* below
+    which interleaved transactions make a cached snapshot's horizon
+    an unsafe place to resume replay from (0 in a serial log).  A
+    reset log (new marker) starts the view over.
+    """
+
+    __slots__ = ("scan", "folded", "marker", "horizon", "floor",
+                 "committed", "unresolved")
+
+    def __init__(self) -> None:
+        self._start_over(WalScan())
+
+    def _start_over(self, scan: WalScan) -> None:
+        self.scan = scan
+        #: Records of ``scan`` already folded into the fields below.
+        self.folded = 0
+        #: What the CHECKPOINT marker says the image covers (None: a
+        #: log that was never reset carries no marker).
+        self.marker: Optional[int] = None
+        #: Greatest LSN of a record whose transaction committed (or
+        #: of the marker, before the first one).
+        self.horizon = 0
+        self.floor = 0
+        self.committed: set[int] = set()
+        #: Transactions with logged work and no COMMIT yet -> the LSN
+        #: of their first such record.
+        self.unresolved: dict[int, int] = {}
+
+    def refresh(self, store: "WalStore") -> None:
+        scan = read_wal_store(store, resume=self.scan)
+        if scan is not self.scan:
+            self._start_over(scan)
+        for record in scan.records[self.folded:]:
+            if record.kind == CHECKPOINT:
+                # Everything at or below the marker is in the image,
+                # not in this log.  The marker itself carries no work,
+                # so the image is already *at* the marker's LSN: a
+                # snapshot pinned between two checkpoints with no
+                # commit in between still reaches the second log.
+                self.marker = record.checkpoint_lsn
+                self.horizon = record.lsn
+            elif record.kind == COMMIT:
+                self.committed.add(record.txn)
+                first = self.unresolved.pop(record.txn, record.lsn)
+                if first < self.horizon:
+                    # Another commit landed between this
+                    # transaction's first record and its COMMIT: a
+                    # snapshot at that horizon lacks work logged
+                    # *below* it, which replaying "beyond the
+                    # horizon" would never apply.
+                    self.floor = record.lsn
+            if record.txn in self.committed:
+                self.horizon = record.lsn
+            elif record.kind in OP_KINDS or record.kind in DDL_KINDS:
+                self.unresolved.setdefault(record.txn, record.lsn)
+        self.folded = len(scan.records)
+
+
 class SnapshotManager:
-    """Pin-counted cache of materialized snapshots over one backend."""
+    """Pin-counted cache of snapshots over one backend."""
 
     def __init__(self, backend: "StorageBackend",
                  max_cached: int = DEFAULT_MAX_CACHED,
@@ -131,37 +224,44 @@ class SnapshotManager:
         self.backend = backend
         self.max_cached = max_cached
         #: Lock the owning server holds across every commit and
-        #: checkpoint.  Pins fall back to it when optimistic
-        #: key-verification keeps losing races against the writer;
-        #: holding it makes key computation + materialization atomic
-        #: with respect to horizon moves.  ``None`` (standalone use,
-        #: no concurrent writer) disables the fallback.
+        #: checkpoint.  The ``recover()`` fallback takes it when
+        #: optimistic key-verification keeps losing races against the
+        #: writer; holding it makes image read + log read atomic with
+        #: respect to horizon moves.  ``None`` (standalone use, no
+        #: concurrent writer) disables that.
         self._write_latch = write_latch
-        self._lock = threading.Lock()
+        #: Guards the cache and the log view, and is held across an
+        #: advance.  Re-entrant: ``pin`` derives its key through the
+        #: public ``current_key`` while holding it.
+        self._lock = threading.RLock()
         self._cache: dict[tuple[int, int], Snapshot] = {}
-        #: Insertion order of keys (oldest first) for eviction.
+        #: Keys, least recently built or advanced first, for eviction.
         self._order: list[tuple[int, int]] = []
+        self._log = _LogView()
 
     # -- the version key --------------------------------------------------
 
     def current_key(self) -> tuple[int, int]:
         """The key a snapshot pinned *now* would get.
 
-        ``checkpoint_lsn`` comes from the backend's published image;
-        ``horizon`` is the greatest LSN of any committed record in the
-        durable WAL (or the checkpoint LSN when the log holds no newer
-        committed work) — together: "image plus committed log prefix".
+        ``checkpoint_lsn`` is what the log's CHECKPOINT marker says
+        the image covers (the published image's LSN for a log that
+        was never reset); ``horizon`` is the greatest LSN of any
+        committed record in the durable WAL — the marker's own LSN
+        while the log holds no committed work yet — together: "image
+        plus committed log prefix".  Only the frames appended since
+        the previous call are decoded.
         """
-        engine_lsn = self._image_lsn()
-        horizon = engine_lsn
-        store = self.backend.wal_store()
-        if store is not None:
-            scan = read_wal_store(store)
-            committed = scan.committed_txns()
-            for record in scan.records:
-                if record.txn in committed and record.lsn > horizon:
-                    horizon = record.lsn
-        return (engine_lsn, horizon)
+        with self._lock:
+            store = self.backend.wal_store()
+            if store is None:
+                image_lsn = self._image_lsn()
+                return (image_lsn, image_lsn)
+            log = self._log
+            log.refresh(store)
+            checkpoint_lsn = (log.marker if log.marker is not None
+                              else self._image_lsn())
+            return (checkpoint_lsn, max(checkpoint_lsn, log.horizon))
 
     def _image_lsn(self) -> int:
         # The snapshot list is cheaper than loading the engine, and its
@@ -172,80 +272,89 @@ class SnapshotManager:
     # -- pin / release ----------------------------------------------------
 
     def pin(self) -> Snapshot:
-        """An immutable snapshot of the current committed state.
+        """A snapshot of the current committed state, frozen until
+        released.
 
-        Cache hit: O(1) under the lock.  Miss: materialize via
-        :func:`~repro.storage.recovery.recover` (outside the lock —
-        readers at other horizons are not blocked), then re-derive the
-        key and publish only if it still matches: a commit or
-        checkpoint that landed mid-materialization moved the horizon,
-        so the engine just built may contain state the key does not
-        claim (or recover() may have read a half-advanced image/log
-        pair) — the pin retries against the new durable state.  After
-        :data:`PIN_OPTIMISTIC_ATTEMPTS` lost races it serializes with
-        the writer through the shared write latch instead of starving.
+        Under the lock, from one scan of the log: a cache hit is O(1);
+        a miss advances the newest unpinned cached snapshot the log
+        still reaches (:meth:`_advance`, O(delta)).  Key and contents
+        come from the same scan there, so nothing can move between
+        them and nothing is re-verified.
+
+        Only when no cached snapshot can be advanced does the pin fall
+        back to :func:`~repro.storage.recovery.recover`, outside the
+        lock (readers at cached horizons are not blocked).  Image and
+        log are two reads there: a commit or checkpoint that lands
+        in between leaves contents the key does not claim, or has
+        recover() read a half-advanced image/log pair.  So that path —
+        and only that path — re-derives the key afterwards, publishes
+        on a match and otherwise starts the pin over; after
+        :data:`PIN_OPTIMISTIC_ATTEMPTS` lost races it runs once more
+        holding the write latch the writer commits under.
         """
         for _ in range(PIN_OPTIMISTIC_ATTEMPTS):
-            key = self.current_key()
-            snapshot = self._pin_cached(key)
+            snapshot = self._pin_once()
             if snapshot is not None:
                 return snapshot
-            try:
-                materialized = self._materialize(key)
-            except StorageError:
-                if self.current_key() == key:
-                    raise  # stable horizon: a genuine recovery failure
-                continue  # a checkpoint raced recover(); re-derive
-            if self.current_key() != key:
-                continue  # horizon moved: contents may exceed the key
-            return self._publish(key, materialized)
         # Sustained contention: the writer keeps moving the horizon
-        # under us.  Take the latch it holds across commit/checkpoint
-        # so key + materialization are atomic this round.
+        # under recover().  Take the latch it holds across
+        # commit/checkpoint so image + log are read atomically.
         if self._write_latch is None:
             raise SessionError(
                 "could not pin a stable snapshot: the committed "
                 f"horizon moved {PIN_OPTIMISTIC_ATTEMPTS} times "
-                "during materialization and no write latch is "
-                "configured to serialize with the writer")
+                "during recovery and no write latch is configured "
+                "to serialize with the writer")
         with self._write_latch:
-            key = self.current_key()
-            snapshot = self._pin_cached(key)
-            if snapshot is not None:
-                return snapshot
-            materialized = self._materialize(key)
-        return self._publish(key, materialized)
+            snapshot = self._pin_once()
+        if snapshot is None:
+            raise SessionError(
+                "could not pin a stable snapshot: the committed "
+                "horizon moved during recovery even under the write "
+                "latch (a writer that does not hold it?)")
+        return snapshot
 
-    def _pin_cached(self, key: tuple[int, int]) -> Optional[Snapshot]:
-        """Pin the cached snapshot at *key*, or None on a miss."""
+    def _pin_once(self) -> Optional[Snapshot]:
+        """One round of :meth:`pin`; None when recover() lost a race
+        against the writer and the pin must start over."""
         with self._lock:
+            key = self.current_key()
             snapshot = self._cache.get(key)
             if snapshot is not None:
-                snapshot.pins += 1
                 if obs.RECORDING:
                     obs.REGISTRY.counter(
                         "server.snapshot.cache_hits").inc()
-                    self._record_pins()
-            return snapshot
-
-    def _publish(self, key: tuple[int, int],
-                 materialized: Snapshot) -> Snapshot:
-        """Cache *materialized* under *key* (unless another reader
-        raced the materialization) and pin the cached copy."""
+            else:
+                snapshot = self._advance(key)
+            if snapshot is not None:
+                return self._pinned(snapshot)
+        try:
+            materialized = self._materialize(key)
+        except StorageError:
+            if self.current_key() == key:
+                raise  # stable horizon: a genuine recovery failure
+            return None  # a checkpoint raced recover(); re-derive
         with self._lock:
+            if self.current_key() != key:
+                return None  # horizon moved: contents may exceed key
             snapshot = self._cache.get(key)
-            if snapshot is None:
+            if snapshot is None:  # else: another reader built it first
                 snapshot = materialized
                 self._cache[key] = snapshot
                 self._order.append(key)
                 self._evict_stale()
-            snapshot.pins += 1
-            if obs.RECORDING:
-                self._record_pins()
-            return snapshot
+            return self._pinned(snapshot)
+
+    def _pinned(self, snapshot: Snapshot) -> Snapshot:
+        """Under the lock: count one more pin on *snapshot*."""
+        snapshot.pins += 1
+        if obs.RECORDING:
+            self._record_pins()
+        return snapshot
 
     def release(self, snapshot: Snapshot) -> None:
-        """Drop one pin; unpinned stale versions become evictable."""
+        """Drop one pin; an unpinned version may be advanced to a
+        newer horizon, and past the cache bound is evictable."""
         with self._lock:
             if snapshot.pins <= 0:
                 raise SessionError(
@@ -266,6 +375,51 @@ class SnapshotManager:
 
     # -- internals --------------------------------------------------------
 
+    def _advance(self, key: tuple[int, int]) -> Optional[Snapshot]:
+        """Under the lock, right after the scan *key* came from: move
+        the newest unpinned cached snapshot the log still reaches
+        forward to *key*.  None when there is no such snapshot, or
+        when it could not be advanced (it is dropped then)."""
+        log = self._log
+        for old_key in reversed(self._order):
+            base = self._cache[old_key]
+            # Everything the base has not applied must be in the log
+            # beyond its horizon — so it covers the checkpoint, and
+            # no transaction straddles it — and nothing it has
+            # applied may lie beyond the key.
+            if base.pins == 0 and \
+                    max(key[0], log.floor) <= base.horizon <= key[1]:
+                break
+        else:
+            return None
+        # Out of the cache first: whatever interrupts the replay, a
+        # half-advanced engine is never handed out.
+        del self._cache[old_key]
+        self._order.remove(old_key)
+        engine = base.engine
+        try:
+            done = replay(engine, base.nid_index, log.scan,
+                          base.horizon)
+            if engine.relabel_count:  # pragma: no cover - Prop. 1
+                raise RecoveryError(
+                    f"advance relabeled {engine.relabel_count} nodes")
+            engine.check_invariants(done.touched)
+            if engine.indexes.active:
+                engine.indexes.verify_consistency(done.touched)
+        except StorageError:
+            # recover() decides whether the log or this spare was at
+            # fault — and raises if it was the log.
+            return None
+        base.key = key
+        self._cache[key] = base
+        self._order.append(key)
+        if obs.RECORDING:
+            obs.REGISTRY.counter("server.snapshot.advances").inc()
+            obs.REGISTRY.histogram(
+                "server.snapshot.advance.records").observe(
+                    done.replayed)
+        return base
+
     def _materialize(self, key: tuple[int, int]) -> Snapshot:
         # recover() asserts relabels == 0 and the §9 invariants, and by
         # construction replays only the committed prefix — the two
@@ -285,7 +439,7 @@ class SnapshotManager:
     def _evict_stale(self) -> None:
         """Under the lock: drop old unpinned versions past the bound
         (the newest version survives even unpinned — it is the next
-        reader's cache hit)."""
+        reader's cache hit, or the base of its advance)."""
         while len(self._order) > self.max_cached:
             for key in list(self._order[:-1]):
                 snapshot = self._cache[key]

@@ -34,6 +34,7 @@ from repro.storage.labels import (
     NumberingScheme,
     before,
     is_ancestor,
+    is_parent,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -459,9 +460,13 @@ class StorageEngine:
                       text: str | None) -> NodeDescriptor:
         left = siblings[index - 1] if index > 0 else None
         right = siblings[index] if index < len(siblings) else None
+        # Attributes precede the children in document order (§7), so
+        # a new first child is labelled after the last of them.
+        lower = left if left is not None \
+            else self._last_attribute(parent)
         nid = self.numbering.child_label(
             parent.nid,
-            left.nid if left is not None else None,
+            lower.nid if lower is not None else None,
             right.nid if right is not None else None)
         manager = self.txn_manager
         if manager is not None and manager.logging:
@@ -495,6 +500,15 @@ class StorageEngine:
         if manager is not None and manager.logging:
             manager.applied_insert(descriptor)
         return descriptor
+
+    def _last_attribute(self, parent: NodeDescriptor
+                        ) -> NodeDescriptor | None:
+        """*parent*'s attribute with the greatest label, if any."""
+        last = None
+        for attribute in self.attributes(parent):
+            if last is None or before(last.nid, attribute.nid):
+                last = attribute
+        return last
 
     def set_attribute(self, parent: NodeDescriptor, name: QName,
                       value: str,
@@ -545,10 +559,7 @@ class StorageEngine:
             return existing
         children = self._children_of(parent)
         right = children[0] if children else None
-        left = None
-        for attribute in self.attributes(parent):
-            if left is None or before(left.nid, attribute.nid):
-                left = attribute
+        left = self._last_attribute(parent)
         nid = self.numbering.child_label(
             parent.nid,
             left.nid if left is not None else None,
@@ -791,51 +802,80 @@ class StorageEngine:
         return {node.path or "#document": node.block_count()
                 for node in self.schema.iter_nodes()}
 
-    def check_invariants(self) -> None:
-        """Re-verify the §9 invariants (used heavily by the tests)."""
-        for schema_node in self.schema.iter_nodes():
-            previous_block_last: NodeDescriptor | None = None
-            for block in schema_node.blocks():
-                ordered = list(block.iter_in_order())
-                if len(ordered) != block.count:
-                    raise StorageError(
-                        f"{block!r}: chain length {len(ordered)} != "
-                        f"count {block.count}")
-                for a, b in zip(ordered, ordered[1:]):
-                    if not before(a.nid, b.nid):
-                        raise StorageError(
-                            f"{block!r}: in-block chain out of order")
-                if ordered and previous_block_last is not None:
-                    if not before(previous_block_last.nid, ordered[0].nid):
-                        raise StorageError(
-                            f"{block!r}: partial order across blocks "
-                            "violated")
-                if ordered:
-                    previous_block_last = ordered[-1]
-                for descriptor in ordered:
-                    if descriptor.schema_node is not schema_node:
-                        raise StorageError(
-                            f"{descriptor!r} stored under the wrong "
-                            "schema node")
-        if self.document is not None:
-            self._check_tree_labels(self.document)
+    def check_invariants(self, touched=None) -> None:
+        """Re-verify the §9 invariants (used heavily by the tests):
+        every block chain and every child list.
 
-    def _check_tree_labels(self, descriptor: NodeDescriptor) -> None:
-        from repro.storage.labels import is_parent
-        previous = None
-        for child in self.attributes(descriptor) + \
-                self.children(descriptor):
+        With *touched* — the descriptors a replay inserted, overwrote
+        or deleted — only the block chains of their schema nodes and
+        the child lists of their still-stored parents are checked:
+        the same two checks over what a local change can have broken.
+        """
+        if touched is not None:
+            for schema_node in {d.schema_node for d in touched}:
+                self._check_block_chain(schema_node)
+            for parent in {d.parent for d in touched}:
+                if parent is not None and parent.block is not None:
+                    self._check_children(parent)
+            return
+        for schema_node in self.schema.iter_nodes():
+            self._check_block_chain(schema_node)
+        if self.document is not None:
+            pending = [self.document]
+            while pending:
+                pending.extend(self._check_children(pending.pop()))
+
+    def _check_block_chain(self, schema_node: SchemaNode) -> None:
+        """One schema node's block list: chain lengths, document order
+        inside each block and across blocks, and ownership."""
+        previous_block_last: NodeDescriptor | None = None
+        for block in schema_node.blocks():
+            ordered = list(block.iter_in_order())
+            if len(ordered) != block.count:
+                raise StorageError(
+                    f"{block!r}: chain length {len(ordered)} != "
+                    f"count {block.count}")
+            for a, b in zip(ordered, ordered[1:]):
+                if not before(a.nid, b.nid):
+                    raise StorageError(
+                        f"{block!r}: in-block chain out of order")
+            if ordered and previous_block_last is not None:
+                if not before(previous_block_last.nid, ordered[0].nid):
+                    raise StorageError(
+                        f"{block!r}: partial order across blocks "
+                        "violated")
+            if ordered:
+                previous_block_last = ordered[-1]
+            for descriptor in ordered:
+                if descriptor.schema_node is not schema_node:
+                    raise StorageError(
+                        f"{descriptor!r} stored under the wrong "
+                        "schema node")
+
+    def _check_children(self, descriptor: NodeDescriptor
+                        ) -> list[NodeDescriptor]:
+        """One node's attributes and child sequence: child labels,
+        parent pointers, attributes before children, sibling order.
+        Returns the children, so the full check walks the tree
+        without computing them twice."""
+        children = self.children(descriptor)
+        attributes = self.attributes(descriptor)
+        for child in attributes + children:
             if not is_parent(descriptor.nid, child.nid):
                 raise StorageError(
                     f"label of {child!r} is not a child label of "
                     f"{descriptor!r}")
             if child.parent is not descriptor:
                 raise StorageError(f"{child!r} has the wrong parent")
-        for child in self.children(descriptor):
-            if previous is not None and not before(previous.nid, child.nid):
+        if children:
+            for attribute in attributes:
+                if not before(attribute.nid, children[0].nid):
+                    raise StorageError(
+                        f"{attribute!r} is labelled after a child")
+        for previous, child in zip(children, children[1:]):
+            if not before(previous.nid, child.nid):
                 raise StorageError("sibling labels out of order")
-            previous = child
-            self._check_tree_labels(child)
+        return children
 
     def __repr__(self) -> str:
         return (f"StorageEngine({self.node_count()} nodes, "

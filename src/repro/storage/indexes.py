@@ -89,11 +89,20 @@ def _insert_in_order(postings: "list[NodeDescriptor]",
     insort_right(postings, descriptor, key=_doc_order_key)
 
 
-def _remove_in_order(postings: "list[NodeDescriptor]",
-                     descriptor: "NodeDescriptor") -> None:
+def _position_in_order(postings: "list[NodeDescriptor]",
+                       descriptor: "NodeDescriptor") -> int:
+    """Where *descriptor*'s label sits in *postings*, or -1."""
     key = descriptor.nid.sort_key()
     i = bisect_left(postings, key, key=_doc_order_key)
     if i < len(postings) and postings[i].nid.sort_key() == key:
+        return i
+    return -1
+
+
+def _remove_in_order(postings: "list[NodeDescriptor]",
+                     descriptor: "NodeDescriptor") -> None:
+    i = _position_in_order(postings, descriptor)
+    if i >= 0:
         del postings[i]
 
 
@@ -210,6 +219,38 @@ class ValueIndex:
         else:
             for owner in engine.scan_schema_node(self.value_node):
                 self.add(owner, engine.string_value(owner))
+
+    def _built_key(self, owner: "NodeDescriptor"):
+        """The key :meth:`build` would file *owner* under from the
+        stored data now (``_MISSING``: it would not file it)."""
+        if owner.block is None:
+            return _MISSING
+        if not self.attribute:
+            return self._typed(self.engine.string_value(owner))
+        attribute = self.engine.first_child_by_schema(owner,
+                                                      self.value_node)
+        return _MISSING if attribute is None \
+            else self._typed(attribute.value)
+
+    def verify_entry(self, owner: "NodeDescriptor") -> None:
+        """Assert *owner* is filed exactly as :meth:`build` would."""
+        label = owner.nid.sort_key()
+        at = _position_in_order(self._all, owner)
+        listed = at >= 0 and self._all[at] is owner
+        expected = self._built_key(owner)
+        if expected is _MISSING:
+            # Its label may since belong to a new descriptor's entry;
+            # *this* descriptor must be gone.
+            consistent = not listed and (at >= 0
+                                         or label not in self._key_of)
+        else:
+            consistent = listed and self._key_of.get(label) == expected \
+                and (expected is _UNTYPED or _position_in_order(
+                    self._postings.get(expected, ()), owner) >= 0)
+        if not consistent:
+            raise StorageError(
+                f"index value:{self.definition.path} holds a stale "
+                f"entry for {owner!r}")
 
     # -- probes ---------------------------------------------------------
 
@@ -329,6 +370,15 @@ class PathIndex:
                 merged.extend(engine.scan_schema_node(schema_node))
         merged.sort(key=_doc_order_key)
         self._postings = merged
+
+    def verify_entry(self, descriptor: "NodeDescriptor") -> None:
+        """Assert *descriptor* is posted exactly while it is stored."""
+        at = _position_in_order(self._postings, descriptor)
+        posted = at >= 0 and self._postings[at] is descriptor
+        if posted != (descriptor.block is not None):
+            raise StorageError(
+                f"index path:{self.definition.path} holds a stale "
+                f"entry for {descriptor!r}")
 
     def probe(self) -> "list[NodeDescriptor]":
         """The pre-merged, document-ordered result set."""
@@ -510,17 +560,22 @@ class IndexManager:
             else:
                 index.add(descriptor,
                           self.engine.string_value(descriptor))
-        if descriptor.node_type == "text" \
-                and descriptor.parent is not None:
-            parent = descriptor.parent
-            owner_index = self._by_value_node.get(
-                id(parent.schema_node))
-            if owner_index is not None and not owner_index.attribute:
-                owner_index.reindex(parent)
+        if descriptor.node_type == "text":
+            self._reindex_ancestors(descriptor)
         node_id = id(descriptor.schema_node)
         for path_index in self._path_indexes:
             if node_id in path_index.covered_ids():
                 path_index.add(descriptor)
+
+    def _reindex_ancestors(self, text: "NodeDescriptor") -> None:
+        """A text node came or went: every element above it that an
+        element value index keys by string value has a new key."""
+        owner = text.parent
+        while owner is not None:
+            index = self._by_value_node.get(id(owner.schema_node))
+            if index is not None and not index.attribute:
+                index.reindex(owner)
+            owner = owner.parent
 
     def note_removed(self, descriptor: "NodeDescriptor") -> None:
         """A descriptor is leaving the tree (delete or rollback undo);
@@ -547,13 +602,8 @@ class IndexManager:
                     index.remove(descriptor.parent)
             else:
                 index.remove(descriptor)
-        if descriptor.node_type == "text" \
-                and descriptor.parent is not None:
-            parent = descriptor.parent
-            owner_index = self._by_value_node.get(
-                id(parent.schema_node))
-            if owner_index is not None and not owner_index.attribute:
-                owner_index.reindex(parent)
+        if descriptor.node_type == "text":
+            self._reindex_ancestors(descriptor)
         node_id = id(descriptor.schema_node)
         for path_index in self._path_indexes:
             if node_id in path_index.covered_ids():
@@ -649,9 +699,32 @@ class IndexManager:
         return PathIndex(self.engine, definition,
                          parse_path(definition.path).steps)
 
-    def verify_consistency(self) -> int:
+    def verify_consistency(self, touched=None) -> int:
         """Assert every live index bisimulates a from-scratch rebuild
-        (the recovery reconciliation step); returns the number checked."""
+        (the recovery reconciliation step); returns the number checked.
+
+        With *touched* — the descriptors a replay inserted, overwrote
+        or deleted — only the entries that depend on them are checked
+        against the stored data: each descriptor's own and those of
+        its ancestors (an element entry is keyed by a string value the
+        whole subtree feeds), O(touched x depth) where the rebuild is
+        O(document).
+        """
+        if touched is not None:
+            owners: set = set()
+            for descriptor in touched:
+                node_id = id(descriptor.schema_node)
+                for path_index in self._path_indexes:
+                    if node_id in path_index.covered_ids():
+                        path_index.verify_entry(descriptor)
+                owner = descriptor
+                while owner is not None and owner not in owners:
+                    owners.add(owner)  # and with it its ancestors
+                    for index in self._by_value_node.values():
+                        if index.owner_node is owner.schema_node:
+                            index.verify_entry(owner)
+                    owner = owner.parent
+            return len(self._indexes)
         for key, index in self._indexes.items():
             fresh = self._fresh_instance(index.definition)
             fresh.build()

@@ -50,8 +50,8 @@ from repro.storage.wal import (
     INSERT_TEXT,
     LOAD,
     OP_KINDS,
-    SET_ATTRIBUTE,
     WalRecord,
+    WalScan,
     WriteAheadLog,
     read_wal,
     read_wal_store,
@@ -244,68 +244,25 @@ def _recover(target, wal_path, schema, strict) -> RecoveryResult:
 
     if scan is not None:
         result.torn_bytes = scan.torn_bytes
-        committed = scan.committed_txns()
-        seen_committed: list[int] = []
-        seen_discarded: list[int] = []
-        index = {d.nid.symbols(): d
-                 for d in engine.iter_document_order()}
-        for record in scan.records:
-            if record.kind == COMMIT and record.txn in committed:
-                if record.txn not in seen_committed:
-                    seen_committed.append(record.txn)
-            if record.kind in DDL_KINDS:
-                if record.lsn <= engine.checkpoint_lsn:
-                    result.skipped += 1
-                    continue
-                if record.txn not in committed:
-                    result.discarded += 1
-                    if record.txn not in seen_discarded:
-                        seen_discarded.append(record.txn)
-                    continue
-                _apply_ddl(engine, record)
-                result.replayed += 1
-                continue
-            if record.kind == LOAD:
-                if record.lsn <= engine.checkpoint_lsn:
-                    # The bulk-load protocol checkpoints right after
-                    # the marker, so this is the normal case.
-                    result.skipped += 1
-                elif record.txn in committed:
-                    raise RecoveryError(
-                        f"WAL record {record.lsn}: a committed bulk "
-                        f"LOAD of {record.node_count} nodes was never "
-                        "checkpointed — its nodes have no per-op "
-                        "records and cannot be replayed; re-run the "
-                        "load")
-                else:
-                    result.discarded += 1
-                    if record.txn not in seen_discarded:
-                        seen_discarded.append(record.txn)
-                continue
-            if record.kind not in OP_KINDS:
-                continue
-            if record.lsn <= engine.checkpoint_lsn:
-                result.skipped += 1
-                continue
-            if record.txn not in committed:
-                result.discarded += 1
-                if record.txn not in seen_discarded:
-                    seen_discarded.append(record.txn)
-                continue
-            _apply(engine, index, record)
-            result.replayed += 1
-        result.committed_txns = seen_committed
-        result.discarded_txns = seen_discarded
+        done = replay(engine, {}, scan, engine.checkpoint_lsn)
+        result.replayed = done.replayed
+        result.skipped = done.skipped
+        result.discarded = done.discarded
+        result.committed_txns = done.committed_txns
+        result.discarded_txns = done.discarded_txns
 
     result.relabels = engine.relabel_count
     if result.relabels:  # pragma: no cover - Proposition 1 holds
         raise RecoveryError(
             f"recovery relabeled {result.relabels} nodes")
-    try:
-        engine.check_invariants()
-    except StorageError as error:
-        raise RecoveryError(f"recovered engine is corrupt: {error}") \
-            from error
+    if result.replayed:
+        # With nothing replayed the engine is exactly what the image
+        # loader built, and the loader ran this very check on it.
+        try:
+            engine.check_invariants()
+        except StorageError as error:
+            raise RecoveryError(
+                f"recovered engine is corrupt: {error}") from error
     result.index_definitions = len(engine.indexes)
     if engine.indexes.active:
         # Reconciliation: the indexes carried through image load +
@@ -342,54 +299,112 @@ def _recover(target, wal_path, schema, strict) -> RecoveryResult:
     return result
 
 
-def _apply(engine: StorageEngine, index: dict, record: WalRecord) -> None:
+@dataclass
+class Replay:
+    """What one :func:`replay` pass applied, passed over and touched."""
+
+    replayed: int = 0
+    skipped: int = 0       # records at or below *after_lsn*
+    discarded: int = 0     # records of transactions without a COMMIT
+    committed_txns: list[int] = field(default_factory=list)
+    discarded_txns: list[int] = field(default_factory=list)
+    #: Every descriptor a replayed record inserted, overwrote or
+    #: deleted (a deleted subtree in full) — the scope of the §9 and
+    #: index checks for a caller that need not re-check everything.
+    touched: list = field(default_factory=list)
+
+
+def replay(engine: StorageEngine, nid_index: dict, scan: WalScan,
+           after_lsn: int) -> Replay:
+    """Redo onto *engine*, in LSN order, every record of *scan* beyond
+    *after_lsn* whose transaction committed — the one replay loop:
+    :func:`recover` runs it on a freshly loaded image (*after_lsn* its
+    checkpoint LSN), a reader snapshot on the engine it already holds
+    (*after_lsn* the horizon it is at).
+
+    *nid_index* maps ``nid.symbols()`` to the stored descriptor.  The
+    caller owns it; an empty one is filled from *engine* when the
+    first record has to be applied (O(document), so a pass that
+    applies nothing does not pay it), and every applied record keeps
+    it current, so the next pass over the same engine reuses it.
+    """
+    done = Replay()
+    committed = scan.committed_txns()
+    for record in scan.records:
+        kind = record.kind
+        if kind == COMMIT and record.txn not in done.committed_txns:
+            done.committed_txns.append(record.txn)
+        if not (kind in OP_KINDS or kind in DDL_KINDS or kind == LOAD):
+            continue  # framing: BEGIN / COMMIT / ABORT / CHECKPOINT
+        if record.lsn <= after_lsn:
+            # For a LOAD the normal case: the bulk-load protocol
+            # checkpoints right after the marker.
+            done.skipped += 1
+            continue
+        if record.txn not in committed:
+            done.discarded += 1
+            if record.txn not in done.discarded_txns:
+                done.discarded_txns.append(record.txn)
+            continue
+        if kind == LOAD:
+            raise RecoveryError(
+                f"WAL record {record.lsn}: a committed bulk "
+                f"LOAD of {record.node_count} nodes was never "
+                "checkpointed — its nodes have no per-op "
+                "records and cannot be replayed; re-run the "
+                "load")
+        if kind in DDL_KINDS:
+            _apply_ddl(engine, record)
+        else:
+            if not nid_index:
+                nid_index.update((d.nid.symbols(), d) for d
+                                 in engine.iter_document_order())
+            _apply(engine, nid_index, record, done.touched)
+        done.replayed += 1
+    return done
+
+
+def _apply(engine: StorageEngine, index: dict, record: WalRecord,
+           touched: list) -> None:
     """Redo one committed logical record.
 
     The engine re-derives the numbering label from the same state the
     original mutation saw; a mismatch with the logged label would mean
     replay relabeled — a Proposition 1 violation — and raises.
     """
-    if record.kind in (INSERT_ELEMENT, INSERT_TEXT):
-        parent = index.get(record.parent_nid.symbols())
-        if parent is None:
-            raise RecoveryError(
-                f"WAL record {record.lsn}: parent {record.parent_nid!r} "
-                "not present at replay")
-        if record.kind == INSERT_ELEMENT:
-            descriptor = engine.insert_child(parent, record.index,
-                                             name=record.name)
-        else:
-            descriptor = engine.insert_child(parent, record.index,
-                                             text=record.text)
-        if not equal(descriptor.nid, record.nid):
-            raise RecoveryError(
-                f"WAL record {record.lsn}: replay produced label "
-                f"{descriptor.nid!r}, log says {record.nid!r}")
-        index[descriptor.nid.symbols()] = descriptor
-    elif record.kind == SET_ATTRIBUTE:
-        parent = index.get(record.parent_nid.symbols())
-        if parent is None:
-            raise RecoveryError(
-                f"WAL record {record.lsn}: parent {record.parent_nid!r} "
-                "not present at replay")
-        descriptor = engine.set_attribute(parent, record.name,
-                                          record.text or "",
-                                          replace=record.replace)
-        if not equal(descriptor.nid, record.nid):
-            raise RecoveryError(
-                f"WAL record {record.lsn}: attribute label diverged")
-        index[descriptor.nid.symbols()] = descriptor
-    elif record.kind == DELETE:
+    if record.kind == DELETE:
         descriptor = index.get(record.nid.symbols())
         if descriptor is None:
             raise RecoveryError(
                 f"WAL record {record.lsn}: delete target "
                 f"{record.nid!r} not present at replay")
-        doomed = [d.nid.symbols()
-                  for d in engine.iter_document_order(descriptor)]
+        doomed = list(engine.iter_document_order(descriptor))
         engine.delete_subtree(descriptor)
-        for symbols in doomed:
-            index.pop(symbols, None)
+        for gone in doomed:
+            index.pop(gone.nid.symbols(), None)
+        touched.extend(doomed)
+        return
+    parent = index.get(record.parent_nid.symbols())
+    if parent is None:
+        raise RecoveryError(
+            f"WAL record {record.lsn}: parent {record.parent_nid!r} "
+            "not present at replay")
+    if record.kind == INSERT_ELEMENT:
+        descriptor = engine.insert_child(parent, record.index,
+                                         name=record.name)
+    elif record.kind == INSERT_TEXT:
+        descriptor = engine.insert_child(parent, record.index,
+                                         text=record.text)
+    else:  # SET_ATTRIBUTE
+        descriptor = engine.set_attribute(parent, record.name,
+                                          record.text or "",
+                                          replace=record.replace)
+    if not equal(descriptor.nid, record.nid):
+        raise RecoveryError(
+            f"WAL record {record.lsn}: replay produced label "
+            f"{descriptor.nid!r}, log says {record.nid!r}")
+    index[descriptor.nid.symbols()] = descriptor
+    touched.append(descriptor)
 
 
 def _apply_ddl(engine: StorageEngine, record: WalRecord) -> None:

@@ -126,6 +126,9 @@ class WalScan:
     records: list[WalRecord] = field(default_factory=list)
     valid_bytes: int = 0
     torn_bytes: int = 0
+    #: The first frame's bytes: what tells this log from the one a
+    #: checkpoint reset starts (whose first frame is a new marker).
+    first_frame: bytes = b""
 
     @property
     def torn(self) -> bool:
@@ -311,8 +314,17 @@ class MemoryWalStore(WalStore):
 
 
 def scan_wal(data: bytes, describe: str = "WAL",
-             backend: str = "file") -> WalScan:
-    """Scan one log byte stream up to the first torn/corrupt record."""
+             backend: str = "file",
+             resume: Optional[WalScan] = None) -> WalScan:
+    """Scan one log byte stream up to the first torn/corrupt record.
+
+    With *resume* — an earlier scan of the same log — only the frames
+    appended since are decoded, into *resume* itself, which is
+    returned; a tail frame that was half-appended last time is simply
+    read again.  A log that was reset in between (shorter than the
+    earlier scan reached, or starting with a different first frame)
+    is scanned from its start into a new :class:`WalScan`.
+    """
     if not data:
         return WalScan()
     if len(data) < _HEADER_LEN or data[:len(_MAGIC)] != _MAGIC:
@@ -321,8 +333,15 @@ def scan_wal(data: bytes, describe: str = "WAL",
     version = struct.unpack_from("<H", data, len(_MAGIC))[0]
     if version != _VERSION:
         raise StorageError(f"unsupported WAL version {version}")
-    scan = WalScan(valid_bytes=_HEADER_LEN)
-    for payload, end in iter_frames(data, start=_HEADER_LEN):
+    if (resume is not None
+            and _HEADER_LEN <= resume.valid_bytes <= len(data)
+            and data.startswith(resume.first_frame, _HEADER_LEN)):
+        scan = resume
+    else:
+        scan = WalScan(valid_bytes=_HEADER_LEN)
+    for payload, end in iter_frames(data, start=scan.valid_bytes):
+        if not scan.records:
+            scan.first_frame = data[_HEADER_LEN:end]
         scan.records.append(_decode_payload(payload, backend=backend))
         scan.valid_bytes = end
     scan.torn_bytes = len(data) - scan.valid_bytes
@@ -337,10 +356,12 @@ def read_wal(path: str | os.PathLike) -> WalScan:
     return scan_wal(path.read_bytes(), describe=str(path))
 
 
-def read_wal_store(store: WalStore) -> WalScan:
-    """Scan any log store up to the first torn or corrupt record."""
+def read_wal_store(store: WalStore,
+                   resume: Optional[WalScan] = None) -> WalScan:
+    """Scan any log store up to the first torn or corrupt record
+    (*resume*: continue an earlier scan, see :func:`scan_wal`)."""
     return scan_wal(store.load(), describe=store.describe(),
-                    backend=store.backend)
+                    backend=store.backend, resume=resume)
 
 
 class WriteAheadLog:

@@ -1,0 +1,11 @@
+"""Suite-wide hypothesis profiles.
+
+``--hypothesis-profile=crash-matrix`` is what the CI crash-matrix step
+runs the stateful properties under (``tests/test_snapshot_advance.py``
+inherits its example budget from the active profile); tier-1 runs the
+hypothesis default.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("crash-matrix", max_examples=500, deadline=None)

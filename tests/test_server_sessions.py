@@ -26,8 +26,10 @@ from repro.server import (
     SessionClosed,
     SessionError,
     SessionExpired,
+    SnapshotManager,
     server_report,
 )
+from repro.server.snapshots import PIN_OPTIMISTIC_ATTEMPTS
 from repro.storage import FileBackend, MemoryBackend, faults, recover
 from repro.storage.faults import FaultPlan, derive_seed
 from repro.workloads.bookstore import (
@@ -123,9 +125,13 @@ class TestSnapshotIsolation:
 
 
 class TestPinWriterRaces:
-    """A pin whose materialization races a commit or checkpoint must
-    not publish contents beyond its declared key (nor fail on the
-    half-advanced image/log pair a checkpoint leaves mid-flight)."""
+    """The ``recover()`` fallback of a pin — taken here because a
+    server's first pin has no cached snapshot to advance — reads image
+    and log separately, so a commit or checkpoint can land between
+    the two: it must not publish contents beyond its declared key
+    (nor fail on the half-advanced image/log pair a checkpoint leaves
+    mid-flight).  The advance path reads one scan and has no such
+    window; its races are in ``test_snapshot_advance.py``."""
 
     def test_pin_retries_when_a_commit_races_materialization(self):
         with make_server() as server:
@@ -150,6 +156,11 @@ class TestPinWriterRaces:
                 assert reader.snapshot.key == manager.current_key()
                 assert len(values) == 6 and "RACER" in values
             assert raced["commits"] == 1
+            # Both rounds went through recover(); nothing was cached
+            # in between for the second one to advance.
+            assert obs.REGISTRY.value(
+                "server.snapshot.materializations") == 2
+            assert obs.REGISTRY.value("server.snapshot.advances") == 0
 
     def test_pin_retries_when_a_checkpoint_races_materialization(self):
         with make_server() as server:
@@ -172,6 +183,44 @@ class TestPinWriterRaces:
                 assert len(reader.query_values(TITLES)) == 6
                 assert reader.snapshot.key == manager.current_key()
                 assert reader.snapshot.relabels == 0
+
+
+    def _race_every_recover(self, server, manager, rounds):
+        real = manager._materialize
+        raced = []
+
+        def racing(key):
+            if len(raced) < rounds:
+                raced.append(key)
+                with server.open_session("write") as writer:
+                    writer.execute(add_book(f"RACER{len(raced)}"))
+            return real(key)
+
+        manager._materialize = racing
+        return raced
+
+    def test_pin_takes_the_write_latch_after_repeated_lost_races(self):
+        with make_server() as server:
+            raced = self._race_every_recover(
+                server, server.snapshots, PIN_OPTIMISTIC_ATTEMPTS)
+            with server.open_session("read") as reader:
+                assert len(reader.query_values(TITLES)) \
+                    == 5 + PIN_OPTIMISTIC_ATTEMPTS
+                assert reader.snapshot.key \
+                    == server.snapshots.current_key()
+            assert len(raced) == PIN_OPTIMISTIC_ATTEMPTS
+            assert obs.REGISTRY.value(
+                "server.snapshot.materializations") \
+                == PIN_OPTIMISTIC_ATTEMPTS + 1
+
+    def test_pin_without_a_latch_gives_up_with_a_typed_error(self):
+        with make_server() as server:
+            standalone = SnapshotManager(server.backend)
+            self._race_every_recover(server, standalone,
+                                     PIN_OPTIMISTIC_ATTEMPTS)
+            with pytest.raises(SessionError):
+                standalone.pin()
+            assert standalone.cached() == 0
 
 
 class TestSessionLifecycle:
@@ -481,6 +530,10 @@ class TestServeCli:
         assert report["recovery"]["relabels"] == 0
         assert report["results"]["writes"] == 3
         assert report["server"]["lease"]["grants"] == 3
+        # The fresh-read probe after the closing checkpoint saw the
+        # live state, and got there by advancing a cached snapshot.
+        assert report["fresh_read_current"] is True
+        assert report["server"]["snapshots"]["advances"] >= 1
 
     def test_serve_text_mode(self, document, capsys):
         code = main(["serve", document, "--readers", "1",
@@ -488,6 +541,7 @@ class TestServeCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "healthy:      True" in out
+        assert "advanced" in out and "recovered" in out
 
     def test_serve_prom_exposes_server_metrics(self, document, capsys):
         code = main(["serve", document, "--readers", "1",
