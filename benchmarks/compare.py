@@ -14,7 +14,9 @@ host, scales — written by :func:`benchmarks.run_all.run_metadata`):
 
 * **refused** outright when either report has no ``meta`` stamp or the
   ``format`` numbers differ — a diff across report layouts proves
-  nothing;
+  nothing — or when a full-run baseline carries a summary gate that is
+  unmet: only met -> unmet flips fail, so an unmet baseline would
+  disarm its gate for good;
 * **machine-independent ratios** are compared always, over the
   (path, scale) / (case, scale) records both reports contain at
   scale >= 100 (smaller workloads are noise-floor territory): the
@@ -128,6 +130,18 @@ def check_comparable(baseline: dict, fresh: dict) -> dict:
             f"{base_meta.get('format')!r}, fresh is format "
             f"{fresh_meta.get('format')!r} — cross-version comparisons "
             "are refused")
+    if not base_meta.get("smoke"):
+        # A full-run baseline with a gate committed unmet can never
+        # flip met -> unmet: the gate would be disarmed for good.
+        # (Smoke runs stop at scales the thresholds were not set for.)
+        unmet = [gate for gate in SUMMARY_GATES
+                 if baseline.get("summary", {}).get(gate) is False]
+        if unmet:
+            raise Refusal(
+                f"baseline commits {', '.join(unmet)} unmet — a "
+                "baseline must meet every gate it is meant to hold; "
+                "fix the regression or restate the gate, then "
+                "regenerate it")
     return {
         "same_machine": all(base_meta.get(key) == fresh_meta.get(key)
                             for key in MACHINE_KEYS),

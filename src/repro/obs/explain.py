@@ -37,7 +37,8 @@ class QueryExplain:
                  "axis_steps", "nodes_visited", "nodes_returned",
                  "elapsed_s", "index_used", "compiled", "stage_ns",
                  "not_lowerable_reason", "cost_table",
-                 "cost_estimated_rows", "cost_total", "outer")
+                 "cost_estimated_rows", "cost_total", "outer",
+                 "stage_note")
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -66,6 +67,10 @@ class QueryExplain:
         #: Per-stage ``(name, elapsed_ns)`` pairs of the closure chain,
         #: source first.
         self.stage_ns: list = []
+        #: ``(route suffix, descriptors read)`` left by the stage that
+        #: is running, for the executor to fold into its stage name and
+        #: :attr:`nodes_visited`; None between stages.
+        self.stage_note: Optional[tuple] = None
         #: "naive" plans: why the path was handed to the navigator
         #: instead of a block scan ("" for every other strategy).
         self.not_lowerable_reason = ""
@@ -119,7 +124,7 @@ class QueryExplain:
         ]
         for name, elapsed_ns in self.stage_ns:
             lines.append(
-                f"    stage {name + ':':<22}{elapsed_ns / 1e6:.3f}ms")
+                f"    stage {name + ': ':<23}{elapsed_ns / 1e6:.3f}ms")
         if self.cost_table:
             lines.append("  cost candidates:    "
                          "(chosen marked ->, abstract units)")

@@ -40,6 +40,14 @@ form could diverge from it:
   label sweep does not reproduce (``//@name`` sweeps like any
   descendant step: descendant order *is* label order).
 
+The stages are *context-driven*: a child step below a few context
+descriptors follows their §9.2 first-child-by-schema pointers and the
+sibling chain (:func:`_walk`) instead of sweeping every instance of
+the destination schema node — the sweep stays for large context sets,
+chosen per call by :func:`repro.query.cost.walks` — and a positional
+predicate counts contiguous same-parent runs, stepping over whole
+blocks when it is fused with the scan source (:class:`_Runs`).
+
 The correctness contract — closure-chain results are nid-identical to
 the interpreter's (``evaluate_naive``) for every strategy — is what
 ``tests/test_compiled_parity.py`` pins down.
@@ -52,8 +60,10 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import obs
 from repro.errors import QueryError
+from repro.obs import explain as _explain
 from repro.query.axes import _doc_order_key
-from repro.query.engine import navigate_steps, predicate_holds
+from repro.query.cost import walks
+from repro.query.engine import navigate_steps
 from repro.query.paths import (
     AttributePredicate,
     ChildPredicate,
@@ -100,18 +110,20 @@ class CompiledExecutor:
         timings: list[tuple[str, int]] = []
         started = time.perf_counter_ns()
         result = self.source()
-        timings.append((self.source_name,
-                        time.perf_counter_ns() - started))
-        record.nodes_visited += len(result)
+        elapsed = time.perf_counter_ns() - started
+        timings.append((_visited(record, self.source_name, result, True),
+                        elapsed))
         for name, stage in self.stages:
             started = time.perf_counter_ns()
             result = stage(result)
-            timings.append((name, time.perf_counter_ns() - started))
-            if name.startswith("step"):
-                # Specialized step stages bypass the kernel's ACTIVE
-                # accounting; the fallback stage counts through it.
+            elapsed = time.perf_counter_ns() - started
+            # Specialized step stages bypass the kernel's ACTIVE
+            # accounting; the fallback stage counts through it.
+            step = name.startswith("step")
+            if step:
                 record.axis_steps += 1
-                record.nodes_visited += len(result)
+            timings.append((_visited(record, name, result, step),
+                            elapsed))
         record.compiled = True
         record.stage_ns = timings
         return result
@@ -120,6 +132,30 @@ class CompiledExecutor:
         names = " | ".join([self.source_name]
                            + [name for name, _ in self.stages])
         return f"CompiledExecutor({names})"
+
+
+def _note(suffix: str, visited: int) -> None:
+    """Tell the collecting EXPLAIN what only the running stage knows:
+    the route it chose for this call (a suffix for its stage name) and
+    how many descriptors it read, when that is not what it returns."""
+    context = _explain.ACTIVE
+    if context is not None:
+        context.stage_note = (suffix, visited)
+
+
+def _visited(record: "QueryExplain", name: str, result: list,
+             counts: bool) -> str:
+    """Add the node visits of the stage that just produced *result* to
+    *record* — what the stage noted (:func:`_note`), else its output
+    size when it *counts* (sources and steps; a filter visits nothing
+    new) — and return its stage name, route suffix included."""
+    note, record.stage_note = record.stage_note, None
+    if note is not None:
+        name += note[0]
+        record.nodes_visited += note[1]
+    elif counts:
+        record.nodes_visited += len(result)
+    return name
 
 
 # ----------------------------------------------------------------------
@@ -159,22 +195,23 @@ def _lower(plan: CompiledPlan,
     stages: list[tuple[str, Stage]] = []
     if strategy == "index":
         source_name, source = _probe_source(plan)
-        # Residual predicates of the probed step: the probe result's
-        # schema nodes are not pinned by the planner, so these stay
-        # generic per-descriptor tests (they are rare — everything
-        # after the decisive predicate).
-        for predicate in plan.rest_predicates:
-            stages.append(_generic_predicate_stage(queries.store,
-                                                   predicate))
+        predicates = plan.rest_predicates
     elif strategy in ("scan", "hybrid"):
-        source_name, source = _scan_source(plan.scan_nodes)
         scan_step = (steps[-1] if plan.split is None
                      else steps[plan.split])
-        for predicate in scan_step.predicates:
-            stages.append(_predicate_stage(queries, plan.scan_nodes,
-                                           predicate))
+        predicates = scan_step.predicates
+        if (len(plan.scan_nodes) == 1 and predicates
+                and isinstance(predicates[0], PositionPredicate)):
+            source_name, source = _positional_scan_source(
+                plan.scan_nodes[0], predicates[0])
+            predicates = predicates[1:]
+        else:
+            source_name, source = _scan_source(plan.scan_nodes)
     else:
         raise QueryError(f"no closure lowering for strategy {strategy!r}")
+    for predicate in predicates:
+        stages.append(_predicate_stage(queries, plan.scan_nodes,
+                                       predicate))
     if plan.split is not None:
         stages.extend(_suffix_stages(queries, plan.scan_nodes,
                                      steps[plan.split + 1:]))
@@ -264,18 +301,129 @@ def _probe_source(plan: CompiledPlan) -> tuple[str, Callable[[], list]]:
 
 
 # ----------------------------------------------------------------------
-# Predicate stages over a known schema-node set.
+# Positional predicates.
+
+#: The parent of no descriptor (the document node's is None): a
+#: :class:`_Runs` that has not opened a run yet.
+_NO_RUN = object()
 
 
-def _positional_stage(predicate: PositionPredicate) -> tuple[str, Stage]:
-    """A positional predicate over a flat, document-ordered selection:
-    positions count per parent context (as in XPath), so the selection
-    is grouped by parent first."""
+class _Runs:
+    """The *index*-th (None: the last) member of every same-parent run
+    of a document-ordered selection of ONE schema node.
+
+    One schema node means one depth, and at one depth the children of
+    one parent are adjacent in document order — also in a filtered
+    selection — so "the i-th per parent" is a count along contiguous
+    runs, by parent identity, with no grouping.  Fed whole blocks
+    (:func:`_positional_scan_source`), a block whose first and last
+    members share a parent lies inside one run and is stepped over by
+    its ``count``, its members untouched.
+    """
+
+    __slots__ = ("index", "parent", "count", "tail", "out", "touched")
+
+    def __init__(self, index: Optional[int]) -> None:
+        self.index = index
+        self.parent: object = _NO_RUN
+        self.count = 0
+        self.tail = None
+        self.out: list = []
+        #: Descriptors read (EXPLAIN's node visits).
+        self.touched = 0
+
+    def members(self, descriptors) -> None:
+        index, out = self.index, self.out
+        parent, count, tail = self.parent, self.count, self.tail
+        for descriptor in descriptors:
+            if descriptor.parent is not parent:
+                if index is None and tail is not None:
+                    out.append(tail)
+                parent = descriptor.parent
+                count = 0
+            count += 1
+            if count == index:
+                out.append(descriptor)
+            tail = descriptor
+        self.parent, self.count, self.tail = parent, count, tail
+        self.touched += len(descriptors)
+
+    def block(self, block) -> None:
+        # A block in a schema node's chain is never empty (the engine
+        # unlinks a block with its last descriptor).
+        first = block.first_descriptor()
+        last = block.last_descriptor()
+        if first.parent is not last.parent:
+            ordered: list = []
+            block.extend_in_order(ordered)
+            self.members(ordered)
+            return
+        # One run covers the block.  A new parent's run is opened by
+        # reading the first member; what is left of the block is
+        # counted without being read — unless the index falls there.
+        lead = 0
+        if first.parent is not self.parent:
+            self.members((first,))
+            lead = 1
+        rest = block.count - lead
+        index = self.index
+        if index is not None and self.count < index <= self.count + rest:
+            ordered = []
+            block.extend_in_order(ordered)
+            self.out.append(ordered[lead + index - self.count - 1])
+            self.touched += rest
+        else:
+            self.touched += 2 - lead
+        self.count += rest
+        self.tail = last
+
+    def finish(self) -> list:
+        if self.index is None and self.tail is not None:
+            self.out.append(self.tail)
+        return self.out
+
+
+def _positional_scan_source(schema_node: SchemaNode,
+                            predicate: PositionPredicate
+                            ) -> tuple[str, Callable[[], list]]:
+    """A single-node scan fused with the positional predicate that
+    comes first on it: O(blocks) where every block lies inside one
+    parent's run (``/library/book[i]``)."""
     index = predicate.index
 
+    def source() -> list:
+        runs = _Runs(index)
+        block = schema_node.first_block
+        while block is not None:
+            runs.block(block)
+            block = block.next_block
+        if _explain.ACTIVE is not None:
+            _note("", runs.touched)
+        return runs.finish()
+
+    return (f"scan-pos[{schema_node.path or '#document'}]"
+            f"[{index or 'last()'}]", source)
+
+
+def _positional_stage(schema_nodes, predicate: PositionPredicate
+                      ) -> tuple[str, Stage]:
+    """A positional predicate over a flat, document-ordered selection:
+    positions count per parent context (as in XPath)."""
+    index = predicate.index
+
+    if len(schema_nodes) == 1:
+        def positional_runs(descriptors: list) -> list:
+            runs = _Runs(index)
+            runs.members(descriptors)
+            return runs.finish()
+
+        return "predicate[pos]", positional_runs
+
     def positional(descriptors: list) -> list:
-        # Grouped by the parent's stable packed label, not id(); dicts
-        # keep first-seen order, which is document order here.
+        # Several schema nodes (a wildcard, or one name at several
+        # depths): same-parent members need not be adjacent, so the
+        # selection is grouped by the parent's stable packed label;
+        # dicts keep first-seen order, the interpreter's context order.
         groups: dict[Optional[bytes], list] = {}
         for descriptor in descriptors:
             parent = descriptor.parent
@@ -292,16 +440,40 @@ def _positional_stage(predicate: PositionPredicate) -> tuple[str, Stage]:
     return "predicate[pos]", positional
 
 
-def _generic_predicate_stage(store, predicate) -> tuple[str, Stage]:
-    """The unspecialized per-descriptor test (probe results, whose
-    schema nodes the plan does not pin)."""
-    if isinstance(predicate, PositionPredicate):
-        return _positional_stage(predicate)
+# ----------------------------------------------------------------------
+# The §9.2 walk and the value predicates built on it.
 
-    def filtered(descriptors: list) -> list:
-        return [descriptor for descriptor in descriptors
-                if predicate_holds(store, descriptor, predicate)]
-    return "predicate[test]", filtered
+
+def _walk(descriptor: "NodeDescriptor", targets, out: list) -> None:
+    """Append to *out* the children of *descriptor* attributed to the
+    ``(slot, schema child)`` *targets*: jump to the first through the
+    stored first-child-by-schema pointer, then follow the sibling chain
+    (children of one schema node are contiguous only for recurring
+    content, so the chain is filtered).  The one statement of the walk
+    in the query layer."""
+    lookup = descriptor.children_by_schema.get
+    for slot, child_schema in targets:
+        node = lookup(slot)
+        while node is not None:
+            if node.schema_node is child_schema:
+                out.append(node)
+            node = node.right_sibling
+
+
+class _Carriers(dict):
+    """Schema node → the ``(slot, schema child)`` pairs carrying one
+    value predicate, in schema-children order, resolved on first
+    sight: a probe's owners and a scan's instances are lowered the same
+    way, whether or not the planner pinned their schema node."""
+
+    def __init__(self, predicate) -> None:
+        super().__init__()
+        self.predicate = predicate
+
+    def __missing__(self, schema_node: SchemaNode) -> tuple:
+        found = self[schema_node] = tuple(
+            predicate_carriers(schema_node, self.predicate))
+        return found
 
 
 def _predicate_stage(queries: "StorageQueryEngine",
@@ -309,31 +481,28 @@ def _predicate_stage(queries: "StorageQueryEngine",
     """One predicate lowered against the schema nodes the descriptors
     are known to instantiate."""
     if isinstance(predicate, PositionPredicate):
-        return _positional_stage(predicate)
+        return _positional_stage(schema_nodes, predicate)
     if isinstance(predicate, AttributePredicate):
-        return _attribute_predicate_stage(schema_nodes, predicate)
+        return _attribute_predicate_stage(predicate)
     if isinstance(predicate, ChildPredicate):
-        return _child_predicate_stage(queries, schema_nodes, predicate)
+        return _child_predicate_stage(queries, predicate)
     raise TypeError(f"unknown predicate {predicate!r}")
 
 
-def _attribute_predicate_stage(schema_nodes, predicate: AttributePredicate
+def _attribute_predicate_stage(predicate: AttributePredicate
                                ) -> tuple[str, Stage]:
-    # Per schema node: the attribute schema-child slots whose local
-    # name matches, in schema-children order — the FIRST slot holding
-    # an instance decides, mirroring predicate_holds over the
-    # attributes() order.
-    slots = {schema_node: tuple(
-        slot for slot, _ in predicate_carriers(schema_node, predicate))
-        for schema_node in schema_nodes}
+    # The attribute schema-child slots whose local name matches, in
+    # schema-children order — the FIRST slot holding an instance
+    # decides, mirroring predicate_holds over the attributes() order.
+    carriers = _Carriers(predicate)
     value = predicate.value
 
     def stage(descriptors: list) -> list:
         out: list = []
         for descriptor in descriptors:
             lookup = descriptor.children_by_schema.get
-            for index in slots[descriptor.schema_node]:
-                attribute = lookup(index)
+            for slot, _child in carriers[descriptor.schema_node]:
+                attribute = lookup(slot)
                 if attribute is not None:
                     if value is None or (attribute.value or "") == value:
                         out.append(descriptor)
@@ -343,15 +512,13 @@ def _attribute_predicate_stage(schema_nodes, predicate: AttributePredicate
     return f"predicate[@{predicate.name}]", stage
 
 
-def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
+def _child_predicate_stage(queries: "StorageQueryEngine",
                            predicate: ChildPredicate
                            ) -> tuple[str, Stage]:
-    # Per schema node: the element schema children whose local name
-    # matches, as (slot, schema child) pairs — existence is answered by
-    # the stored first-child pointer alone; a value test walks the
-    # sibling chain from it (children_via_schema_pointer, inlined).
-    targets = {schema_node: predicate_carriers(schema_node, predicate)
-               for schema_node in schema_nodes}
+    # The element schema children whose local name matches: existence
+    # is answered by the stored first-child pointer alone, a value test
+    # walks the sibling chain from it.
+    carriers = _Carriers(predicate)
     value = predicate.value
     string_value = queries.engine.string_value
 
@@ -360,8 +527,8 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
             out: list = []
             for descriptor in descriptors:
                 lookup = descriptor.children_by_schema.get
-                for index, _child in targets[descriptor.schema_node]:
-                    if lookup(index) is not None:
+                for slot, _child in carriers[descriptor.schema_node]:
+                    if lookup(slot) is not None:
                         out.append(descriptor)
                         break
             return out
@@ -370,17 +537,10 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
     def value_stage(descriptors: list) -> list:
         out: list = []
         for descriptor in descriptors:
-            lookup = descriptor.children_by_schema.get
-            for index, child_schema in targets[descriptor.schema_node]:
-                node = lookup(index)
-                matched = False
-                while node is not None:
-                    if (node.schema_node is child_schema
-                            and string_value(node) == value):
-                        matched = True
-                        break
-                    node = node.right_sibling
-                if matched:
+            children: list = []
+            _walk(descriptor, carriers[descriptor.schema_node], children)
+            for child in children:
+                if string_value(child) == value:
                     out.append(descriptor)
                     break
         return out
@@ -474,22 +634,40 @@ def _attribute_step_stage(context_nodes: "list[SchemaNode]",
 def _child_step_stage(context_nodes: "list[SchemaNode]",
                       destination: "list[SchemaNode]",
                       step: Step) -> tuple[str, Stage]:
-    # Sweep the destination schema nodes' blocks once for the whole
-    # context set and keep the descriptors whose parent is a context —
-    # valid (order- and duplicate-exact vs. the per-context kernel)
-    # because the context set is ancestor-free.
+    # Two routes to the same rows, chosen per call (cost.walks) from
+    # the context count and the destination's descriptor counts: walk
+    # each context's first-child pointers, or sweep the destination
+    # schema nodes' blocks once and keep the descriptors whose parent
+    # is a context.  Both are order- and duplicate-exact vs. the
+    # per-context kernel because the context set is ancestor-free and
+    # document-ordered.
     dest_nodes = tuple(destination)
     multi = len(dest_nodes) > 1
+    targets = {schema_node: tuple(
+        (slot, child) for slot, child in enumerate(schema_node.children)
+        if child in dest_nodes) for schema_node in context_nodes}
 
     def stage(descriptors: list) -> list:
         if not descriptors:
             return []
-        contexts = set(descriptors)
-        sweep: list = []
+        rows = 0
         for schema_node in dest_nodes:
-            _sweep_blocks(schema_node, sweep)
-        out = [descriptor for descriptor in sweep
-               if descriptor.parent in contexts]
+            rows += schema_node.descriptor_count
+        if walks(len(descriptors), rows):
+            out: list = []
+            for descriptor in descriptors:
+                _walk(descriptor, targets[descriptor.schema_node], out)
+            if _explain.ACTIVE is not None:
+                _note("/walk", len(out))
+        else:
+            contexts = set(descriptors)
+            sweep: list = []
+            for schema_node in dest_nodes:
+                _sweep_blocks(schema_node, sweep)
+            out = [descriptor for descriptor in sweep
+                   if descriptor.parent in contexts]
+            if _explain.ACTIVE is not None:
+                _note("/sweep", len(sweep))
         if multi:
             out.sort(key=_doc_order_key)
         return out

@@ -16,12 +16,15 @@ the §9 physical design actually spends:
 * **blocks** touched — block fan-in is modeled from the per-node byte
   sizing (``bytes / BLOCK_TARGET_BYTES``, capped by the engine's
   descriptor capacity), so fat values mean more blocks;
-* **scan rows** swept inside those blocks;
+* **scan rows** swept inside those blocks (a positional predicate
+  fused with its scan reads two per block it steps over);
 * **postings** read out of an index posting list;
 * **residual** predicate evaluations — per-instance tests the probe
   or scan could not answer;
 * **navigations** — context-node×step units of per-descriptor
-  navigation (hybrid/index suffixes, the whole path for naive);
+  navigation (a walked hybrid/index suffix step, the whole path for
+  naive); a suffix child step is charged the way the executor runs it
+  (:func:`walks`): walked per context, or swept per destination row;
 * **output cardinality** — the selectivity-discounted result size
   (surfaced to EXPLAIN as ``cost.estimated`` for calibration against
   the observed row count).
@@ -65,7 +68,8 @@ COST_POSTING = 0.6
 #: Unit cost of one residual predicate evaluation (attribute walk +
 #: string compare per instance).
 COST_RESIDUAL = 2.5
-#: Unit cost of navigating one context node across one axis step.
+#: Unit cost of navigating one context node across one axis step: the
+#: §9.2 first-child pointer plus the sibling chain behind it.
 COST_NAVIGATE = 4.0
 #: Unit cost of emitting one result row (append + order-merge share).
 COST_OUTPUT = 0.2
@@ -74,6 +78,36 @@ COST_PROBE = 8.0
 
 #: Fallback when a node has no collected statistics yet.
 DEFAULT_EQ_SELECTIVITY = 0.1
+
+
+#: Swept destination rows that cost what one walked context costs —
+#: the walk/sweep crossover of a suffix child step.  Measured on the
+#: 1,000-book library with ``/library/book/title`` as the step (1,000
+#: destination rows, about five siblings behind each first-child
+#: pointer), µs per call:
+#:
+#:     contexts     1    28   100   200   300   600  1000
+#:     walk       0.5   6.3    23    44    66   132   223
+#:     sweep       28    30    32    36    42    49    62
+#:
+#: i.e. 0.22 µs per walked context against 0.028 µs per swept row plus
+#: 0.034 µs per context for the parent set: they meet near 150
+#: contexts, one per seven rows.
+WALK_SWEEP_ROWS = 7.0
+
+
+def walks(context_rows: float, destination_rows: float) -> bool:
+    """Does a child step below *context_rows* context nodes walk their
+    §9.2 first-child pointers, rather than sweep the
+    *destination_rows* instances of the destination schema nodes and
+    keep those whose parent is a context?
+
+    The one walk/sweep rule: the executor
+    (``compiled._child_step_stage``) applies it per call to the counts
+    it holds, the model per estimate to the counts it expects, so the
+    route priced is the route run whenever the estimate is right.
+    """
+    return context_rows * WALK_SWEEP_ROWS < destination_rows
 
 
 class CostEstimate:
@@ -241,12 +275,30 @@ class CostModel:
         """Charge a block sweep of *schema_nodes* plus the residual
         predicate cascade; returns the estimated surviving rows."""
         survivors = 0.0
+        fused = (len(schema_nodes) == 1 and predicates
+                 and isinstance(predicates[0], PositionPredicate))
         for schema_node in schema_nodes:
             rows = self.rows(schema_node)
-            estimate.blocks += self.blocks(schema_node)
-            estimate.scan_rows += rows
-            for predicate in predicates:
-                estimate.residual += rows
+            blocks = self.blocks(schema_node)
+            estimate.blocks += blocks
+            if fused and blocks:
+                # A first positional predicate on a single-node scan is
+                # fused with the source: a block inside one parent's
+                # run is stepped over — first and last member read —
+                # and only the blocks a run boundary crosses (at most
+                # one per further parent) and the one holding the
+                # position are opened.
+                parent = schema_node.parent
+                runs = self.rows(parent) if parent is not None else 1.0
+                mixed = min(blocks, max(0.0, runs - 1))
+                estimate.scan_rows += min(
+                    rows, 2 * (blocks - mixed)
+                    + (mixed + 1) * rows / blocks)
+            else:
+                estimate.scan_rows += rows
+            for position, predicate in enumerate(predicates):
+                if not (fused and position == 0):
+                    estimate.residual += rows
                 rows *= self.predicate_selectivity(schema_node,
                                                    predicate)
             survivors += rows
@@ -257,12 +309,21 @@ class CostModel:
                 context_total: float) -> float:
         """Charge the hybrid/index suffix navigation; returns the
         estimated final output rows."""
-        suffix_steps = plan.path.steps[plan.split + 1:]
-        estimate.navigations += context_rows * len(suffix_steps)
-        final_rows = sum(self.rows(node) for node in frontiers[-1])
-        fraction = (context_rows / context_total) if context_total \
-            else 0.0
-        return final_rows * min(1.0, fraction)
+        fraction = min(1.0, context_rows / context_total) \
+            if context_total else 0.0
+        first = plan.split + 1
+        for position, step in enumerate(plan.path.steps[first:], first):
+            destination = frontiers[position + 1]
+            rows = sum(self.rows(node) for node in destination)
+            if (step.axis == "child" and step.kind != "attribute"
+                    and not walks(context_rows, rows)):
+                estimate.scan_rows += rows
+                estimate.blocks += sum(self.blocks(node)
+                                       for node in destination)
+            else:
+                estimate.navigations += context_rows
+            context_rows = rows * fraction
+        return context_rows
 
     def price(self, plan: "CompiledPlan",
               frontiers: list) -> CostEstimate:
@@ -287,7 +348,8 @@ class CostModel:
                                 scan_step.predicates)
         if strategy == "hybrid":
             estimate.output_rows = self._suffix(
-                estimate, plan, frontiers, survivors, estimate.scan_rows)
+                estimate, plan, frontiers, survivors,
+                sum(self.rows(node) for node in plan.scan_nodes))
         else:
             estimate.output_rows = survivors
         return estimate.finish()

@@ -170,12 +170,17 @@ def structurally_feasible(schema_node: SchemaNode, predicates) -> bool:
     If the descriptive schema has no child carrying a value predicate
     (:func:`predicate_carriers`), no instance anywhere has one (the
     node→schema-node mapping is surjective), so the schema node can be
-    pruned without touching a single block.  Positional predicates
-    never prune.
+    pruned without touching a single block.  Only the value predicates
+    *before* the first positional one prune: a position counts the
+    instances of every matched schema node, so a node whose instances
+    fail a later test still has to be counted (``*[last()][@year]``).
     """
-    return all(isinstance(predicate, PositionPredicate)
-               or predicate_carriers(schema_node, predicate)
-               for predicate in predicates)
+    for predicate in predicates:
+        if isinstance(predicate, PositionPredicate):
+            break
+        if not predicate_carriers(schema_node, predicate):
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------

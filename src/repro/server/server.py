@@ -51,6 +51,7 @@ from repro.server.session import (
 from repro.server.snapshots import SnapshotManager
 from repro.storage import faults
 from repro.storage.engine import StorageEngine
+from repro.storage.recovery import recover
 from repro.storage.txn import TransactionManager
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -188,7 +189,9 @@ class DatabaseServer:
                       if block_capacity else StorageEngine())
             engine.load_document(document)
         else:
-            engine = backend.load_engine()
+            # Re-opening: the image plus the committed suffix of a log
+            # the last server may not have checkpointed.
+            engine = recover(backend).engine
         self.engine = engine
         wal = backend.open_wal(sync=sync_wal)
         if wal is None:

@@ -317,18 +317,21 @@ class StorageEngine:
     def parent(self, descriptor: NodeDescriptor) -> NodeDescriptor | None:
         return descriptor.parent
 
+    def first_child(self, descriptor: NodeDescriptor
+                    ) -> NodeDescriptor | None:
+        """Head of the child sequence: the first-child-by-schema
+        pointer (§9.2) that has no left sibling."""
+        for candidate in descriptor.children_by_schema.values():
+            if (candidate.left_sibling is None
+                    and candidate.node_type != "attribute"):
+                return candidate
+        return None
+
     def children(self, descriptor: NodeDescriptor) -> list[NodeDescriptor]:
         """The child sequence in document order, reconstructed from the
         first-child-by-schema pointers and the sibling chain."""
-        first: Optional[NodeDescriptor] = None
-        for index, candidate in descriptor.children_by_schema.items():
-            if candidate.node_type == "attribute":
-                continue
-            if candidate.left_sibling is None:
-                first = candidate
-                break
         out: list[NodeDescriptor] = []
-        node = first
+        node = self.first_child(descriptor)
         while node is not None:
             out.append(node)
             node = node.right_sibling
@@ -371,14 +374,25 @@ class StorageEngine:
         return out
 
     def string_value(self, descriptor: NodeDescriptor) -> str:
-        if descriptor.is_text_enabled:
+        node_type = descriptor.node_type
+        if node_type == "text" or node_type == "attribute":
             return descriptor.value or ""
+        # An element (or the document): the text below it, in document
+        # order, read off the sibling chain in place.
+        node = self.first_child(descriptor)
+        if node is None:
+            return ""
+        if node.right_sibling is None and node.node_type == "text":
+            # The common leaf element: one text child.
+            return node.value or ""
         parts: list[str] = []
-        for child in self.children(descriptor):
-            if child.node_type == "text":
-                parts.append(child.value or "")
-            elif child.node_type == "element":
-                parts.append(self.string_value(child))
+        while node is not None:
+            node_type = node.node_type
+            if node_type == "text":
+                parts.append(node.value or "")
+            elif node_type == "element":
+                parts.append(self.string_value(node))
+            node = node.right_sibling
         return "".join(parts)
 
     # ==================================================================

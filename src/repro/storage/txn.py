@@ -69,7 +69,9 @@ class TransactionManager:
         self.wal = wal
         self.strict = strict
         self.active: Optional[Transaction] = None
-        self._next_txn = 1
+        # Continue the log's id sequence: recovery and the snapshot
+        # key decide "committed" by id, over whatever the log holds.
+        self._next_txn = wal.last_txn + 1
         self._undoing = False
         engine.txn_manager = self
 

@@ -382,6 +382,11 @@ class WriteAheadLog:
             self.store = FileWalStore(target)
         self.sync = sync
         self.last_lsn = 0
+        #: Highest transaction id on any record of the log: a manager
+        #: attaching to a log that was not reset continues from it, so
+        #: no new transaction shares an id — recovery's measure of
+        #: "committed" — with an old one.
+        self.last_txn = 0
         self.appends = 0
         self.bytes_written = 0
         self._closed = False
@@ -391,6 +396,7 @@ class WriteAheadLog:
                             backend=self.store.backend)
             if scan.records:
                 self.last_lsn = scan.records[-1].lsn
+                self.last_txn = max(r.txn for r in scan.records)
             if scan.torn:
                 # Never append behind garbage: drop the torn tail.
                 self.store.truncate(scan.valid_bytes)
@@ -428,6 +434,8 @@ class WriteAheadLog:
             else:
                 self.store.sync()
         self.last_lsn = lsn
+        if txn > self.last_txn:
+            self.last_txn = txn
         self.appends += 1
         self.bytes_written += len(frame)
         if recording:

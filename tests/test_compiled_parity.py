@@ -9,12 +9,18 @@ interpreter, ``evaluate_store`` over the storage (``evaluate_naive``)
 bindings) and after data mutations (schema-bound closures see live
 block chains, so no recompilation is needed or taken).  A generated
 property extends the hand-written corpus to the whole path grammar,
-every planner policy, with and without indexes.
+every planner policy, with and without indexes — on both sides of the
+walk/sweep switch of a suffix step, with positional predicates over
+parents whose children span small, half-emptied and split blocks, and
+with residual predicates behind an index probe.
 """
+
+from typing import Callable, NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs.explain import collect
 from repro.query import POLICIES, StorageQueryEngine, evaluate_store
 from repro.storage import StorageEngine
 from repro.workloads import make_library_document
@@ -32,8 +38,8 @@ from tests.test_query_parity import (
 CORPUS = DESCENDANT_POSITIONAL + INNER_PREDICATES + MULTI_SCHEMA_MERGES
 
 
-def _setup(text):
-    engine = StorageEngine()
+def _setup(text, **engine_options):
+    engine = StorageEngine(**engine_options)
     engine.load_document(parse_document(text))
     return engine, StorageQueryEngine(engine)
 
@@ -85,35 +91,103 @@ def test_library_corpus_compiled_parity(library_queries, path):
 _LIBRARY_DOC = serialize_document(
     make_library_document(books=12, papers=6, seed=3, year_attrs=True))
 
-#: Per fixture: root-to-leaf element chains the generator walks (so
-#: most drawn paths select something), the names and literals its
-#: predicates use (present ones plus ``zzz``, which nothing carries)
-#: and the indexes of the indexed variant.
+#: Books per shelf of the ``stacks`` fixture.  Stored four to a block,
+#: the book and ``a`` block lists hold blocks inside one parent's run,
+#: blocks shared by several parents, and parents spanning many blocks.
+_STACKS_SHELVES = (3, 21, 1, 10, 0, 6)
+
+
+def _stacks_doc():
+    shelves, number = [], 0
+    for size in _STACKS_SHELVES:
+        books = []
+        for _ in range(size):
+            attributes = f' lang="{("en", "fr", "ru")[number % 3]}"'
+            if number % 7 == 0:
+                attributes += ' year="1977"'
+            authors = "".join(f"<a>A{(number + k) % 5}</a>"
+                              for k in range(number % 4))
+            books.append(f"<book{attributes}><t>T{number % 9}</t>"
+                         f"{authors}</book>")
+            number += 1
+        shelves.append(f"<shelf>{''.join(books)}</shelf>")
+    return f"<lib>{''.join(shelves)}</lib>"
+
+
+def _churn_stacks(engine):
+    """Half-empty some blocks by deletes, split others by inserts."""
+    lib = engine.children(engine.document)[0]
+    shelves = engine.children(lib)
+    for book in engine.children(shelves[1])[2:14:2]:
+        engine.delete_subtree(book)
+    for index in (0, 4, 4, 9):
+        book = engine.insert_child(shelves[3], index,
+                                   name=QName("", "book"))
+        engine.set_attribute(book, QName("", "lang"), "en")
+        title = engine.insert_child(book, 0, name=QName("", "t"))
+        engine.insert_child(title, 0, text="T1")
+        for position in (1, 1, 2):
+            author = engine.insert_child(book, position,
+                                         name=QName("", "a"))
+            engine.insert_child(author, 0, text="A1")
+    assert engine.split_count > 0
+    engine.check_invariants()
+
+
+class _Fixture(NamedTuple):
+    text: str
+    #: Root-to-leaf element chains the generator walks, so most drawn
+    #: paths select something.
+    chains: tuple
+    #: Names and literals the generated predicates use: present ones
+    #: plus ``zzz``, which nothing carries.
+    names: tuple
+    attributes: tuple
+    literals: tuple
+    #: Indexes of the indexed variant.
+    ddl: tuple
+    engine_options: dict = {}
+    #: Mutations applied before any query runs.
+    churn: Optional[Callable] = None
+
+
 _FIXTURES = {
-    "shelf": (_SHELF_DOC,
-              ("lib/book/t", "lib/book/a", "lib/shelf/book/t",
-               "lib/shelf/book/a"),
-              ("book", "shelf", "t", "a", "zzz"), ("lang", "year", "zzz"),
-              ("en", "fr", "1977", "Joyce", "Molloy", "zzz"),
-              (("lib/book/@lang", {}), ("lib/book/a", {}),
-               ("lib/shelf/book/@lang", {}),
-               ("//a", {"kind": "path"}), ("//book", {"kind": "path"}))),
-    "library": (_LIBRARY_DOC,
-                ("library/book/title", "library/book/author",
-                 "library/book/issue/publisher", "library/book/issue/year",
-                 "library/paper/title", "library/paper/author"),
-                ("title", "author", "issue", "year", "zzz"),
-                ("year", "zzz"),
-                ("1973", "1980", "1987", "Codd", "zzz"),
-                (("library/book/@year", {"value_type": "integer"}),
-                 ("library/book/author", {}),
-                 ("//author", {"kind": "path"}),
-                 ("//title", {"kind": "path"}))),
+    "stacks": _Fixture(
+        _stacks_doc(),
+        ("lib/shelf/book/t", "lib/shelf/book/a"),
+        ("book", "t", "a", "zzz"), ("lang", "year", "zzz"),
+        ("en", "ru", "1977", "A1", "T1", "zzz"),
+        (("lib/shelf/book/@lang", {}), ("lib/shelf/book/a", {}),
+         ("//a", {"kind": "path"})),
+        {"block_capacity": 4}, _churn_stacks),
+    "shelf": _Fixture(
+        _SHELF_DOC,
+        ("lib/book/t", "lib/book/a", "lib/shelf/book/t",
+         "lib/shelf/book/a"),
+        ("book", "shelf", "t", "a", "zzz"), ("lang", "year", "zzz"),
+        ("en", "fr", "1977", "Joyce", "Molloy", "zzz"),
+        (("lib/book/@lang", {}), ("lib/book/a", {}),
+         ("lib/shelf/book/@lang", {}),
+         ("//a", {"kind": "path"}), ("//book", {"kind": "path"}))),
+    "library": _Fixture(
+        _LIBRARY_DOC,
+        ("library/book/title", "library/book/author",
+         "library/book/issue/publisher", "library/book/issue/year",
+         "library/paper/title", "library/paper/author"),
+        ("title", "author", "issue", "year", "zzz"),
+        ("year", "zzz"),
+        ("1973", "1980", "1987", "Codd", "zzz"),
+        (("library/book/@year", {"value_type": "integer"}),
+         ("library/book/author", {}),
+         ("//author", {"kind": "path"}),
+         ("//title", {"kind": "path"}))),
 }
 
 
-def _policy_engines(text, ddl):
-    engine, _ = _setup(text)
+def _policy_engines(fixture, ddl):
+    engine, _ = _setup(fixture.text, **fixture.engine_options)
+    if fixture.churn is not None:
+        fixture.churn(engine)
     for target, options in ddl:
         engine.create_index(target, **options)
     return [StorageQueryEngine(engine, planner_policy=policy)
@@ -122,8 +196,9 @@ def _policy_engines(text, ddl):
 
 @pytest.fixture(scope="module")
 def generated_engines():
-    return {name: (_policy_engines(text, ()), _policy_engines(text, ddl))
-            for name, (text, *_, ddl) in _FIXTURES.items()}
+    return {name: (_policy_engines(fixture, ()),
+                   _policy_engines(fixture, fixture.ddl))
+            for name, fixture in _FIXTURES.items()}
 
 
 @st.composite
@@ -133,11 +208,12 @@ def _paths(draw):
     ``text()`` / attribute last step, and up to two predicates on any
     element step."""
     fixture = draw(st.sampled_from(sorted(_FIXTURES)))
-    _, chains, names, attributes, literals, _ = _FIXTURES[fixture]
+    _, chains, names, attributes, literals, *_ = _FIXTURES[fixture]
     value = st.one_of(st.just(""), st.sampled_from(literals).map(
         lambda literal: f"='{literal}'"))
     predicate = st.one_of(
-        st.integers(1, 3).map(lambda n: f"[{n}]"),
+        # Small positions, and some beyond one four-member block.
+        st.sampled_from((1, 2, 3, 6, 11)).map(lambda n: f"[{n}]"),
         st.just("[last()]"),
         st.tuples(st.sampled_from(attributes), value).map(
             lambda pair: f"[@{pair[0]}{pair[1]}]"),
@@ -182,6 +258,81 @@ def test_every_policy_matches_the_oracle_on_generated_paths(
             assert warm == oracle, (policy, path)
 
 
+def _stage_names(queries, path):
+    """Stage names of one explained evaluation, checked for parity."""
+    with collect(path) as record:
+        result = queries.evaluate(path)
+    assert _nids(result) == _nids(queries.evaluate_naive(path)), path
+    return [name for name, _ in record.stage_ns], record.nodes_visited
+
+
+def test_stacks_fixture_reaches_every_route(generated_engines):
+    """The generated property is not vacuous on the new routes: the
+    ``stacks`` fixture puts context sets on both sides of the
+    walk/sweep switch, fuses positional predicates into scans whose
+    runs cross block boundaries, and lowers residual predicates of
+    both kinds behind a probe."""
+    plain, indexed = (engines[0] for engines in generated_engines["stacks"])
+    blocks = plain.engine.schema.find_path("lib/shelf/book").block_count()
+    assert blocks > len(_STACKS_SHELVES)
+    for path, expected in (
+            ("/lib/shelf/book[@year='1977']/t",
+             ["scan[lib/shelf/book]", "predicate[@year]", "step[t]/walk"]),
+            ("/lib/shelf/book[@lang]/t",
+             ["scan[lib/shelf/book]", "predicate[@lang]", "step[t]/sweep"]),
+            ("/lib/shelf/book[6]/a",
+             ["scan-pos[lib/shelf/book][6]", "step[a]/walk"]),
+            ("/lib/shelf/book[last()]/t",
+             ["scan-pos[lib/shelf/book][last()]", "step[t]/walk"]),
+            ("/lib/shelf/book[@lang='en'][2]/t",
+             ["scan[lib/shelf/book]", "predicate[@lang]",
+              "predicate[pos]", "step[t]/walk"]),
+            ("/lib/shelf/book/a[last()]",
+             ["scan-pos[lib/shelf/book/a][last()]"])):
+        assert _stage_names(plain, path)[0] == expected
+    names, _ = _stage_names(
+        indexed, "/lib/shelf/book[@lang='en'][a='A1'][@year]/t")
+    assert names == ["probe[eq]", "predicate[a=…]", "predicate[@year]",
+                     "step[t]/walk"]
+    names, _ = _stage_names(
+        indexed, "/lib/shelf/book[a='A1'][@lang='en'][2]/t")
+    assert names[0] in ("probe[eq]", "probe[eq/parent]")
+    assert "predicate[pos]" in names
+
+
+def test_node_visits_follow_the_answer_not_the_document():
+    """At 1,000 books a probe-then-step and a positional step read
+    O(result + blocks) descriptors, not every book or every title."""
+    document = make_library_document(books=1000, papers=10, seed=2,
+                                     year_attrs=True)
+    engine = StorageEngine()
+    engine.load_document(document)
+    engine.create_index("library/book/@year", value_type="integer")
+    queries = StorageQueryEngine(engine)
+    books = engine.schema.find_path("library/book")
+    assert books.descriptor_count == 1000
+    blocks, capacity = books.block_count(), engine.block_capacity
+    year = engine.string_value(
+        queries.evaluate_naive("/library/book/@year")[0])
+    path = f"/library/book[@year='{year}']/title"
+    names, visited = _stage_names(queries, path)
+    found = len(queries.evaluate(path))
+    assert names == ["probe[eq]", "step[title]/walk"]
+    assert 0 < found < 100 and visited == 2 * found
+    for index in (1, 500, 1000):
+        names, visited = _stage_names(queries,
+                                      f"/library/book[{index}]/title")
+        assert names == [f"scan-pos[library/book][{index}]",
+                         "step[title]/walk"]
+        assert visited <= 2 * blocks + capacity + 1
+    names, visited = _stage_names(queries, "/library/book[last()]/title")
+    assert visited <= 2 * blocks + 1
+    # The sweep reads every title, and says so.
+    names, visited = _stage_names(queries, "/library/book[@year]/title")
+    assert names[-1] == "step[title]/sweep"
+    assert visited >= 2000
+
+
 def test_corpus_covers_the_interpreter_strategies(shelf_queries):
     """The corpus exercises every non-index strategy, so the parity
     runs above are not vacuous."""
@@ -210,6 +361,32 @@ class TestIndexStrategyParity:
         engine.create_index("lib/book/a")
         plan = _assert_compiled_parity(queries, "/lib/book[a='Joyce']/t")
         assert plan.strategy == "index"
+
+    def test_probe_residuals_are_lowered_stages(self, setup):
+        """Predicates behind a probe run as the same slot-resolved
+        stages a scan uses (carriers resolved when a schema node is
+        first seen), and the warm chain sees later inserts."""
+        engine, queries = setup
+        engine.create_index("lib/book/@lang")
+        path = "/lib/book[@lang='en'][a='Joyce'][@lang][2]/t"
+        plan = _assert_compiled_parity(queries, path)
+        assert plan.strategy == "index"
+        executor = plan.executor
+        assert [name for name, _ in executor.stages] == [
+            "predicate[a=…]", "predicate[@lang]", "predicate[pos]",
+            "step[t]"]
+        lib = engine.children(engine.document)[0]
+        book = engine.insert_child(lib, 0, name=QName("", "book"))
+        engine.set_attribute(book, QName("", "lang"), "en")
+        engine.insert_child(
+            engine.insert_child(book, 0, name=QName("", "t")),
+            0, text="Dubliners")
+        engine.insert_child(
+            engine.insert_child(book, 1, name=QName("", "a")),
+            0, text="Joyce")
+        assert queries.compile(path).executor is executor
+        assert len(_assert_compiled_parity(queries, path)
+                   .execute_compiled(queries)) == 1
 
     def test_path_index_probe_parity(self, setup):
         engine, queries = setup
@@ -249,7 +426,9 @@ class TestMutationParity:
     """Warm closure chains see data mutations without recompiling."""
 
     PATHS = ("/lib/book/t", "/lib/book[@lang='en']/t", "//a",
-             "/lib/book[a]/t", "//book/@lang")
+             "/lib/book[a]/t", "//book/@lang", "/lib/book[2]/t",
+             "/lib/book[last()]/a", "/lib/book[@lang='en'][2]/a",
+             "/lib/*[last()]", "/lib/book[a='Joyce']/t")
 
     @pytest.fixture()
     def setup(self):

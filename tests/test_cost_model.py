@@ -10,6 +10,10 @@ Three families of guarantees:
   cost structure: scan beats naive on a deep path, a selective
   eq-probe beats scanning, and the planner may override the structural
   first-predicate pick when a later predicate prices cheaper.
+* **Priced as executed** — a suffix child step is charged as the
+  walk or the sweep the executor takes for that context count, and a
+  first positional predicate on a single-node scan as blocks stepped
+  over; EXPLAIN's stage names show the same route.
 * **Exactly-scoped invalidation** — a statistics-epoch bump re-plans
   only the plans whose *consulted* schema nodes drifted; every other
   plan is restamped in place, keeping its object identity and its
@@ -19,6 +23,7 @@ Three families of guarantees:
 import pytest
 
 from repro import obs
+from repro.obs.explain import collect
 from repro.query import StorageQueryEngine
 from repro.storage import StorageEngine
 from repro.workloads import make_library_document
@@ -210,6 +215,73 @@ class TestPricingSanity:
         for path in ("/library/book/title", "//author", "//book[1]"):
             plan = queries.compile(path)
             assert plan.stats_nodes, f"no consulted nodes for {path}"
+
+
+class TestPricedAsExecuted:
+    """The estimate charges the route the executor takes."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        text = serialize_document(
+            make_library_document(books=40, papers=12, seed=5,
+                                  year_attrs=True))
+        engine = StorageEngine(block_capacity=8)
+        engine.load_document(parse_document(text))
+        engine.create_index("library/book/@year", kind="value",
+                            value_type="integer")
+        return engine, StorageQueryEngine(engine)
+
+    @staticmethod
+    def _explained(queries, path):
+        with collect(path) as record:
+            record.nodes_returned = len(queries.evaluate(path))
+        return queries.compile(path), record
+
+    def test_few_contexts_price_and_run_the_walk(self, setup):
+        engine, queries = setup
+        year = engine.string_value(
+            queries.evaluate_naive("/library/book/@year")[0])
+        plan, record = self._explained(
+            queries, f"/library/book[@year='{year}']/title")
+        assert plan.strategy == "index"
+        # Walked: charged per context, no title row swept.
+        assert plan.cost.navigations > 0
+        assert plan.cost.scan_rows == 0
+        assert [name for name, _ in record.stage_ns] \
+            == ["probe[eq]", "step[title]/walk"]
+        assert record.nodes_visited == 2 * record.nodes_returned < 40
+
+    def test_many_contexts_price_and_run_the_sweep(self, setup):
+        engine, queries = setup
+        titles = engine.schema.find_path("library/book/title")
+        plan, record = self._explained(queries,
+                                       "/library/book[@year]/title")
+        # Every book is a context: sweeping the 40 titles is cheaper
+        # than walking from 40 books, and that is what is charged.
+        assert plan.cost.navigations == 0
+        source_rows = 0 if plan.strategy == "index" else 40
+        assert plan.cost.scan_rows \
+            == source_rows + titles.descriptor_count
+        assert record.stage_ns[-1][0] == "step[title]/sweep"
+        assert record.nodes_returned == 40
+
+    def test_first_positional_predicate_is_priced_as_blocks(self, setup):
+        _, queries = setup
+        plan, record = self._explained(queries, "/library/book[7]/title")
+        assert plan.strategy == "hybrid"
+        # 40 books in 5 blocks below one parent: first and last member
+        # of each block plus the block holding the position — not the
+        # 40 rows, and no per-row test of the fused predicate.
+        assert plan.cost.scan_rows == 2 * 5 + 8
+        assert plan.cost.residual == 0
+        assert [name for name, _ in record.stage_ns] \
+            == ["scan-pos[library/book][7]", "step[title]/walk"]
+        assert record.nodes_visited < 2 * 5 + 8 + 1
+        assert record.nodes_returned == 1
+        # An unfused positional predicate still tests every row.
+        later = queries.compile("/library/book[@year][7]/title")
+        by_strategy = {c.strategy: c for c in later.cost_table}
+        assert by_strategy["hybrid"].scan_rows == 40
 
 
 class TestExactlyScopedInvalidation:

@@ -488,6 +488,18 @@ class TestBenchCompare:
             bench_compare.compare(_report(meta=_meta(format=1)),
                                   _report(meta=_meta()))
 
+    def test_an_unmet_full_run_baseline_is_refused(self):
+        unmet = {"index_speedup_3x_met": False, "speedup_2x_met": True}
+        with pytest.raises(bench_compare.Refusal,
+                           match="index_speedup_3x_met unmet"):
+            bench_compare.compare(_report(meta=_meta(), summary=unmet),
+                                  _report(meta=_meta(), summary=unmet))
+        # A smoke baseline stops short of the gated scales.
+        smoke = _meta(smoke=True)
+        assert bench_compare.compare(
+            _report(meta=smoke, summary=unmet),
+            _report(meta=smoke, summary=unmet)) == []
+
     def test_ratio_drop_fails_and_small_scales_are_ignored(self):
         base = _report(meta=_meta(host="a"), records=[
             {"path": "/p", "scale": 1000, "cached_vs_naive": 4.0,

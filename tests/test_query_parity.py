@@ -51,6 +51,10 @@ INNER_PREDICATES = (
     "/lib/book[last()]/a",
     "/lib/shelf/book[@lang='fr']/a",
     "/lib/book[@zzz]/t",
+    # A position counts every matched schema node's instances, also
+    # those a later value predicate can never hold on (the shelf).
+    "/lib/*[last()][@lang]",
+    "/lib/*[4][a]/t",
     # Attribute steps on the descendant axis below the scanned prefix.
     "/lib[book]//@lang",
     "/lib[shelf]//@*",

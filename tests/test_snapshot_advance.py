@@ -74,6 +74,15 @@ PICK = st.integers(min_value=0, max_value=10_000)
 
 AUTHORS = "/library/book/author"
 
+#: Asked of every fresh pin through its kept, warm plans: the
+#: context-driven stages (pointer walk, block sweep, positional runs,
+#: probe residuals) against the interpreter on the same engine.
+PATHS = (AUTHORS, "/library/book[2]/author",
+         "/library/book[last()]/title", "/library/book/author[last()]",
+         "/library/book[@year='2001']/author",
+         "/library/book[@year][author='Ann']/title",
+         "/library/*[3]/title", "/library/book[title]/note")
+
 #: Where the state machines keep their files: memory-backed when the
 #: platform has it.  The sqlite WAL store commits — fsyncs — once per
 #: record, and the property is about replay, not about the disk.
@@ -123,8 +132,11 @@ class AdvanceMachine(RuleBasedStateMachine):
         self.directory = tempfile.mkdtemp(prefix="advance-",
                                           dir=SCRATCH)
         self.backend = make_backend(self.backend_name, self.directory)
+        # Four descriptors to a block: a few inserts split blocks, a
+        # few deletes leave them half empty.
         self.server = DatabaseServer(self.backend,
-                                     parse_document(LIBRARY), workers=1)
+                                     parse_document(LIBRARY), workers=1,
+                                     block_capacity=4)
         self.readers = []
 
     def teardown(self):
@@ -160,6 +172,10 @@ class AdvanceMachine(RuleBasedStateMachine):
             assert snapshot.relabels == 0
             assert_equivalent(snapshot.engine,
                               recover(self.backend).engine)
+            queries = snapshot.queries()
+            for path in PATHS:
+                assert [d.nid for d in queries.evaluate(path)] \
+                    == [d.nid for d in queries.evaluate_naive(path)], path
 
     # -- writes -----------------------------------------------------------
 
@@ -580,6 +596,54 @@ class TestIncrementalKey:
             snapshot = manager.pin()
             assert_equivalent(snapshot.engine, recover(backend).engine)
             assert counter("advances") == 1
+
+
+class TestReopenWithoutACheckpoint:
+    """A server opened on a backend alone starts from ``recover()`` —
+    the image plus the log's committed suffix — and numbers its
+    transactions after the log's."""
+
+    @pytest.mark.parametrize("name", ["memory", "file", "sqlite"])
+    def test_reopen_replays_the_log_and_continues_its_ids(self, name):
+        directory = tempfile.mkdtemp(prefix="reopen-", dir=SCRATCH)
+        try:
+            backend = make_backend(name, directory)
+            with DatabaseServer(backend, parse_document(LIBRARY),
+                                workers=1) as server:
+                commit(server, "Dee")
+                logged = server.wal.last_txn
+                assert logged >= 1
+            # Closed without a checkpoint: "Dee" is in the log only.
+            if name != "memory":
+                backend.close()
+                backend = make_backend(name, directory)
+            with DatabaseServer(backend, workers=1) as server:
+                with server.open_session("read") as reader:
+                    assert "Dee" in reader.query_values(AUTHORS)
+                assert server.txns.claim_txn_id() == logged + 1
+                with server.open_session("write") as writer:
+                    # An open transaction's records share no id with a
+                    # committed one: invisible before their COMMIT ...
+                    def check_then_add(engine, session):
+                        add_author("Eve")(engine, session)
+                        assert "Eve" not in [
+                            engine.string_value(d) for d in
+                            recover(backend).engine.iter_document_order()]
+                        with server.open_session("read") as reader:
+                            assert "Eve" not in \
+                                reader.query_values(AUTHORS)
+                    writer.execute(check_then_add)
+                # ... and both commits after it.
+                recovered = recover(backend)
+                assert recovered.relabels == 0
+                assert_equivalent(server.engine, recovered.engine)
+                with server.open_session("read") as reader:
+                    authors = reader.query_values(AUTHORS)
+                assert authors.count("Dee") == 1 \
+                    and authors.count("Eve") == 1
+            backend.close()
+        finally:
+            shutil.rmtree(directory, ignore_errors=True)
 
 
 class TestAdvanceRaces:
