@@ -3,7 +3,9 @@
 The derivative of a particle with respect to an element name is the
 particle matching the remainder of the word.  Bounded repetition is
 handled with counters (no expansion), so ``maxOccurs="1000000"`` costs
-nothing.  This is the primary matcher used by validation and the
+nothing; :meth:`DerivativeMatcher.matches` remembers the derivatives
+it has taken, which makes it a lazily built DFA of bounded size.  This
+is the primary matcher used by validation and the
 Section 6.2 conformance checker; the Glushkov matcher cross-checks it
 in the test suite.
 """
@@ -26,6 +28,9 @@ from repro.content.particles import (
 _FAIL = ChoiceParticle(())
 
 _EMPTY = EmptyParticle()
+
+#: Memoised transitions one matcher keeps before it starts over.
+_MAX_TRANSITIONS = 512
 
 
 def _is_fail(particle: Particle) -> bool:
@@ -120,6 +125,10 @@ class DerivativeMatcher:
     def __init__(self, particle: Particle) -> None:
         self._particle = particle
         self._alphabet = frozenset(particle.names())
+        # The lazily built DFA behind matches(): (state, name) ->
+        # state, keyed by particle *value*, so equal derivatives are
+        # one state ((book|paper)* never leaves its start state).
+        self._transitions: dict[tuple[Particle, str], Particle] = {}
 
     @property
     def alphabet(self) -> frozenset[str]:
@@ -127,13 +136,21 @@ class DerivativeMatcher:
 
     def matches(self, names: Iterable[str]) -> bool:
         """True iff the whole name sequence is accepted."""
+        transitions = self._transitions
         state = self._particle
         for name in names:
-            if name not in self._alphabet:
+            following = transitions.get((state, name))
+            if following is None:
+                if name not in self._alphabet:
+                    return False
+                following = derive(state, name)
+                if len(transitions) >= _MAX_TRANSITIONS:
+                    # A counted particle has a state per count.
+                    transitions.clear()
+                transitions[state, name] = following
+            if _is_fail(following):
                 return False
-            state = derive(state, name)
-            if _is_fail(state):
-                return False
+            state = following
         return state.nullable()
 
     def residual(self, names: Iterable[str]) -> Particle:

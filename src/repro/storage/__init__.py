@@ -40,7 +40,7 @@ from repro.storage.indexes import (
     PathIndex,
     ValueIndex,
 )
-from repro.storage.persist import dump_engine, dumps_engine, load_engine
+from repro.storage.persist import dumps_engine, load_engine
 from repro.storage.recovery import (
     RecoveryError,
     RecoveryResult,
@@ -121,7 +121,6 @@ __all__ = [
     "snapshot_version",
     "bulk_load",
     "checkpoint",
-    "dump_engine",
     "dumps_engine",
     "load_engine",
     "read_wal",

@@ -2,7 +2,7 @@
 
 The §9 engine state (descriptive schema + per-schema-node block lists
 + numbering labels) used to be durable in exactly one shape — a
-monolithic ``SEDNAPY3`` image file plus a WAL file.  This package
+monolithic image file plus a WAL file.  This package
 carves that coupling out: a backend owns *where* checkpoint images,
 WAL frames and snapshot versions live, while the write-ahead rule,
 torn-tail detection and replay semantics stay in

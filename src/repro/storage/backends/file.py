@@ -1,16 +1,15 @@
 """The historical durability layout, behind the backend protocol.
 
-One atomic ``SEDNAPY3`` image file plus one WAL file — exactly the
-behavior :mod:`repro.storage.recovery` shipped with, extracted
-unchanged so every pre-protocol test passes through the seam:
+One atomic image file (:mod:`repro.storage.persist`) plus one WAL
+file — exactly the behavior :mod:`repro.storage.recovery` shipped
+with, extracted unchanged so every pre-protocol test passes through
+the seam:
 
 * checkpoint = temp file in the same directory, flush + fsync,
   ``os.replace``, directory fsync — a crash at any fault point leaves
   either the old image or the new one, never a torn hybrid;
 * the WAL is a sibling file driven through
-  :class:`~repro.storage.wal.FileWalStore`;
-* legacy images (``SEDNAPY1``/``SEDNAPY2``) load transparently via
-  :func:`~repro.storage.persist.load_engine`'s magic dispatch.
+  :class:`~repro.storage.wal.FileWalStore`.
 
 Snapshot versions are retained as whole-image copies under
 ``<image>.snapshots/<version>.img`` — the file backend is monolithic

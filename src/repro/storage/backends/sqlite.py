@@ -40,14 +40,13 @@ generations no retained manifest references.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Iterator, Optional
 
-from repro.errors import CorruptionError, StorageError
+from repro.errors import CorruptionError, ReproError, StorageError
 from repro.storage import faults
 from repro.storage.backends.base import (
     DEFAULT_MAX_SNAPSHOTS,
@@ -59,13 +58,12 @@ from repro.storage.backends.base import (
 from repro.storage.blocks import Block
 from repro.storage.codec import Reader, Writer
 from repro.storage.descriptor import NodeDescriptor
+from repro.storage.engine import StorageEngine
 from repro.storage.faults import CrashError
 from repro.storage.indexes import KINDS, IndexDefinition
+from repro.storage.persist import finish_load
 from repro.storage.wal import WalStore
 from repro.xmlio.qname import QName
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.storage.engine import StorageEngine
 
 _SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -156,11 +154,11 @@ class SqliteWalStore(WalStore):
 
 def _encode_block(block: Block) -> bytes:
     """The binary payload of one block: descriptor count, then per
-    descriptor (in in-block order) its nid, parent/left/right links
-    as optional nids, and the optional text value."""
-    buffer = io.BytesIO()
-    writer = Writer(buffer)
-    ordered = []
+    descriptor (in in-block order) one record — its nid, the
+    parent/left/right links as optional nids, the optional text
+    value."""
+    writer = Writer()
+    ordered: list[NodeDescriptor] = []
     block.extend_in_order(ordered)
     writer.u32(len(ordered))
     for descriptor in ordered:
@@ -177,7 +175,22 @@ def _encode_block(block: Block) -> bytes:
             writer.text(descriptor.value)
         else:
             writer.u8(0)
-    return buffer.getvalue()
+    return bytes(writer.out)
+
+
+def _decode_block(reader: Reader) -> Iterator[tuple]:
+    """The records of one block payload: per descriptor its label,
+    that label's wire bytes, the parent / left / right links as wire
+    bytes (None = no link) and the value.  Links stay undecoded: they
+    are only ever looked up, and equal labels are equal bytes."""
+    u8, link = reader.u8, reader.nid_bytes
+    for _ in range(reader.u32()):
+        start = reader.pos
+        nid = reader.nid()
+        yield (nid, reader.since(start),
+               link() if u8() else None, link() if u8() else None,
+               link() if u8() else None,
+               reader.text() if u8() else None)
 
 
 class SqliteBackend(StorageBackend):
@@ -207,7 +220,7 @@ class SqliteBackend(StorageBackend):
                         horizon: int) -> SnapshotInfo:
         tracker = engine.checkpoints
         full, dirty, dropped = tracker.begin(self._consumer)
-        previous = self._current_manifest()
+        previous = self._manifest(self._meta_get("current_version"))
         if previous is None:
             full = True
         gens: dict[int, int] = {} if full else \
@@ -318,16 +331,21 @@ class SqliteBackend(StorageBackend):
             "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
             (key, value))
 
-    def _current_manifest(self) -> Optional[dict]:
-        version = self._meta_get("current_version")
-        if version is None:
-            return None
+    def _manifest(self, version: Optional[str]) -> Optional[dict]:
+        """The manifest of snapshot *version* (None: no such row)."""
         row = self._conn.execute(
             "SELECT manifest FROM snapshots WHERE version = ?",
             (version,)).fetchone()
         if row is None:
             return None
-        return json.loads(row[0])
+        try:
+            manifest = json.loads(row[0])
+            if not isinstance(manifest, dict):
+                raise ValueError("not a JSON object")
+        except ValueError as error:
+            raise self._corrupt(f"unreadable snapshot manifest: {error}",
+                                version, "manifest") from error
+        return manifest
 
     # -- loading ---------------------------------------------------------
 
@@ -339,46 +357,65 @@ class SqliteBackend(StorageBackend):
         return self.restore(version)
 
     def restore(self, version: str) -> "StorageEngine":
-        row = self._conn.execute(
-            "SELECT manifest FROM snapshots WHERE version = ?",
-            (version,)).fetchone()
-        if row is None:
+        manifest = self._manifest(version)
+        if manifest is None:
             raise StorageError(
                 f"unknown snapshot version {version!r} "
                 f"(backend {self.name}, {self.describe()})")
-        return self._build_engine(json.loads(row[0]), version)
+        return self._build_engine(manifest, version)
 
     def _build_engine(self, manifest: dict,
                       version: str) -> "StorageEngine":
-        from repro.storage.engine import StorageEngine
+        # What the manifest says, decoded before any row is read: a
+        # damaged one is refused by the key it is damaged at.
+        key = "base"
+        try:
+            engine = StorageEngine(base=manifest["base"],
+                                   block_capacity=manifest["capacity"])
+            key = "lsn"
+            engine.checkpoint_lsn = int(manifest["lsn"])
+            key = "schema"
+            schema_nodes = []
+            for index, (parent_index, node_type, uri, local) in \
+                    enumerate(manifest["schema"]):
+                key = f"schema[{index}]"
+                if parent_index is None:
+                    if index != 0 or node_type != "document":
+                        raise ValueError("malformed schema tree")
+                    schema_nodes.append(engine.schema.root)
+                    continue
+                if not 0 <= parent_index < index:
+                    raise ValueError(
+                        f"parent index {parent_index} out of range")
+                name = QName(uri, local) if local is not None else None
+                schema_nodes.append(engine.schema.get_or_add_child(
+                    schema_nodes[parent_index], name, node_type))
+            key = "gens"
+            gens = {int(block_id): gen
+                    for block_id, gen in manifest["gens"].items()}
+            key = "chains"
+            chains = [[int(block_id) for block_id in chain]
+                      for chain in manifest["chains"]]
+            key = "indexes"
+            definitions = [IndexDefinition(*entry)
+                           for entry in manifest["indexes"]]
+            for definition in definitions:
+                if definition.kind not in KINDS:
+                    raise ValueError(
+                        f"unknown index kind {definition.kind!r}")
+            stats = manifest.get("stats")
+        except (KeyError, IndexError, TypeError, ValueError,
+                ReproError) as error:
+            raise self._corrupt(
+                f"damaged snapshot manifest at {key!r}: {error!r}",
+                version, f"manifest {key}") from error
 
-        capacity = manifest["capacity"]
-        engine = StorageEngine(base=manifest["base"],
-                               block_capacity=capacity)
-        engine.checkpoint_lsn = manifest["lsn"]
-
-        schema_nodes = []
-        for index, (parent_index, node_type, uri, local) in \
-                enumerate(manifest["schema"]):
-            if parent_index is None:
-                if index != 0 or node_type != "document":
-                    raise self._corrupt(
-                        "malformed schema tree in snapshot manifest",
-                        version)
-                schema_nodes.append(engine.schema.root)
-                continue
-            name = QName(uri, local) if local is not None else None
-            schema_nodes.append(engine.schema.get_or_add_child(
-                schema_nodes[parent_index], name, node_type))
-
-        gens = {int(key): value
-                for key, value in manifest["gens"].items()}
-        by_symbols: dict[tuple, NodeDescriptor] = {}
+        capacity = engine.block_capacity
+        by_wire: dict[bytes, NodeDescriptor] = {}
         all_descriptors: list[NodeDescriptor] = []
-        links: list[tuple[NodeDescriptor, object, object, object]] = []
+        links: list[tuple] = []
         max_block_id = -1
-        for schema_node, chain in zip(schema_nodes,
-                                      manifest["chains"]):
+        for schema_node, chain in zip(schema_nodes, chains):
             previous: Optional[Block] = None
             for block_id in chain:
                 gen = gens.get(block_id)
@@ -409,23 +446,17 @@ class SqliteBackend(StorageBackend):
                     place=lambda pos, loc=location:
                         f"{loc} byte {pos}",
                     what="block payload")
-                count = reader.u32()
                 last: Optional[NodeDescriptor] = None
-                for _ in range(count):
-                    nid = reader.nid()
-                    parent_nid = reader.nid() if reader.u8() else None
-                    left_nid = reader.nid() if reader.u8() else None
-                    right_nid = reader.nid() if reader.u8() else None
-                    value = reader.text() if reader.u8() else None
+                for nid, wire, parent, left, right, value in \
+                        _decode_block(reader):
                     descriptor = NodeDescriptor(schema_node, nid,
                                                 value=value)
                     block.insert_after(descriptor, last)
                     last = descriptor
-                    schema_node.descriptor_count += 1
-                    by_symbols[nid.symbols()] = descriptor
+                    by_wire[wire] = descriptor
                     all_descriptors.append(descriptor)
-                    links.append((descriptor, parent_nid, left_nid,
-                                  right_nid))
+                    links.append((descriptor, parent, left, right))
+                schema_node.descriptor_count += block.count
                 if not reader.at_end():
                     raise self._corrupt(
                         f"trailing bytes in block payload ({location})",
@@ -435,71 +466,33 @@ class SqliteBackend(StorageBackend):
         if max_block_id >= Block._next_id:
             Block._next_id = max_block_id + 1
 
-        def resolve(nid, role, owner):
-            if nid is None:
+        def resolve(wire, role, owner):
+            if wire is None:
                 return None
-            target = by_symbols.get(nid.symbols())
+            target = by_wire.get(wire)
             if target is None:
                 raise self._corrupt(
                     f"descriptor {owner.nid!r} links to missing "
-                    f"{role} {nid!r}", version)
+                    f"{role} {Reader(wire).nid()!r}", version)
             return target
 
-        for descriptor, parent_nid, left_nid, right_nid in links:
-            descriptor.parent = resolve(parent_nid, "parent",
-                                        descriptor)
-            descriptor.left_sibling = resolve(left_nid, "left sibling",
+        for descriptor, parent, left, right in links:
+            descriptor.parent = resolve(parent, "parent", descriptor)
+            descriptor.left_sibling = resolve(left, "left sibling",
                                               descriptor)
-            descriptor.right_sibling = resolve(right_nid,
-                                               "right sibling",
+            descriptor.right_sibling = resolve(right, "right sibling",
                                                descriptor)
 
-        # Rebuild the first-child-by-schema pointers from the links.
-        for descriptor in all_descriptors:
-            parent = descriptor.parent
-            if parent is None:
-                continue
-            index = parent.schema_node.child_index(
-                descriptor.schema_node)
-            current = parent.children_by_schema.get(index)
-            if current is None or descriptor.nid.symbols() < \
-                    current.nid.symbols():
-                parent.children_by_schema[index] = descriptor
-
-        root_block = schema_nodes[0].first_block
-        document = root_block.first_descriptor() \
-            if root_block is not None else None
-        if document is None or document.node_type != "document":
-            raise self._corrupt("snapshot holds no document node",
-                                version)
-        engine.document = document
-        engine.check_invariants()
-
-        # Row decoding bypassed the mutation hooks, so the statistics
-        # are rebuilt from scratch; a persisted digest (absent from
-        # pre-stats manifests) doubles as a corruption check.
-        from repro.obs.statistics import StatisticsCollector
-        engine.stats = StatisticsCollector.recount(engine)
-        persisted_stats = manifest.get("stats")
-        if persisted_stats is not None and \
-                persisted_stats != engine.stats.export():
-            raise self._corrupt(
-                "persisted statistics digest does not match the "
-                "recounted stored data", version)
-
-        for path, kind, value_type in manifest["indexes"]:
-            definition = IndexDefinition(path, kind, value_type)
-            if definition.kind not in KINDS:
-                raise self._corrupt(
-                    f"unknown index kind {definition.kind!r} in "
-                    "snapshot manifest", version)
-            engine.indexes.install(definition)
+        finish_load(engine, all_descriptors, definitions, stats,
+                    lambda message: self._corrupt(message, version))
         return engine
 
-    def _corrupt(self, message: str, version: str) -> CorruptionError:
+    def _corrupt(self, message: str, version: str,
+                 where: str = "") -> CorruptionError:
         return CorruptionError(
             f"{message} (snapshot {version}, {self.describe()})",
-            backend=self.name, location=f"snapshot {version}")
+            backend=self.name,
+            location=f"snapshot {version} {where}".rstrip())
 
     # -- snapshot management ---------------------------------------------
 

@@ -66,10 +66,13 @@ class Block:
         return self.count == 0
 
     def _free_slot(self) -> int:
-        for index, slot in enumerate(self.slots):
-            if slot is None:
-                return index
-        raise StorageError("no free slot in a non-full block")
+        """A free slot of a non-full block: slot ``count`` when it is
+        free — always, while ``remove`` has left no hole, so loads
+        fill a block in order without a scan — else the lowest hole."""
+        slot = self.count
+        if self.slots[slot] is not None:
+            slot = self.slots.index(None)
+        return slot
 
     # -- the in-block document-order chain ---------------------------------
 

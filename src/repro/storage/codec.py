@@ -6,80 +6,108 @@ by every durable artifact in this package: the checkpoint image
 (:mod:`repro.storage.wal`) and the per-block payloads of the pluggable
 backends (:mod:`repro.storage.backends`).  The pieces:
 
-* :class:`Writer` — field writer that maintains a running CRC32 of
-  everything written (the image trailer signs it);
-* :class:`Reader` — bounds-checked field reader whose errors are
+* :class:`Writer` — record writer over one buffer; the CRC32 the
+  image trailer signs is taken once, over the finished buffer;
+* :class:`Reader` — bounds-checked record reader whose errors are
   :class:`~repro.errors.CorruptionError` carrying a backend label and
   a backend-specific location ("byte 123" for a file image, "block
   row 7 byte 9" for a SQLite payload), never a raw ``struct.error``;
+  a fixed-width record head is one compiled ``struct.Struct``;
 * u32-length + CRC32 record framing (:func:`encode_frame` /
   :func:`iter_frames`) — the WAL's torn-tail detection, shared by
   every WAL store;
-* numbering-label packing (:func:`pack_nid` / ``Reader.nid``) — the
-  digit-exact wire form of :class:`~repro.storage.labels.NidLabel`.
+* numbering labels (:func:`u16_run` states the digit-exact wire form
+  of :class:`~repro.storage.labels.NidLabel`; :func:`pack_nid`,
+  ``Reader.nid``, ``Reader.nid_bytes``).
 """
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
-from typing import BinaryIO, Callable, Iterator, Optional
+from functools import lru_cache
+from typing import Callable, Iterator, Optional
 
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, XmlSyntaxError
 from repro.storage.labels import NidLabel
+from repro.xmlio.qname import QName
+
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+
+_FIELDS = re.compile(r"(\d*)([BHIQ])")  # the codes layouts here use
+
+
+@lru_cache(maxsize=256)
+def u16_run(count: int) -> struct.Struct:
+    """*count* little-endian u16 in a row — the label wire form.
+
+    A numbering label travels as one such run: the component count,
+    then per component its length followed by its digits.  Writers
+    pack a whole label through one run (:func:`pack_nid`); a reader
+    takes each component's digits through a run of the length it has
+    just read (``Reader.nid``) or steps over it (``Reader.nid_bytes``).
+    """
+    return struct.Struct(f"<{count}H")
+
+
+def pack_nid(out: bytearray, nid: NidLabel) -> None:
+    """Append the digit-exact wire form of *nid* to *out*."""
+    components = nid.components
+    flat = [len(components)]
+    for component in components:
+        flat.append(len(component))
+        flat.extend(component)
+    out += u16_run(len(flat)).pack(*flat)
+
+
+def pack_text(out: bytearray, value: str) -> None:
+    """Append a u32-length-prefixed UTF-8 string to *out*."""
+    data = value.encode("utf-8")
+    out += _U32.pack(len(data))
+    out += data
 
 
 class Writer:
-    """Field writer that maintains the running CRC32 of its output."""
+    """Record writer over one growing buffer, :attr:`out`.  The CRC32
+    an image trailer signs is taken once, over the whole buffer."""
 
-    def __init__(self, stream: BinaryIO) -> None:
-        self._stream = stream
-        self.crc = 0
+    def __init__(self) -> None:
+        self.out = bytearray()
 
-    def raw(self, data: bytes) -> None:
-        self._stream.write(data)
-        self.crc = zlib.crc32(data, self.crc)
+    def pack(self, layout: struct.Struct, *values: int) -> None:
+        """One fixed-width record through its compiled layout."""
+        self.out += layout.pack(*values)
 
     def u8(self, value: int) -> None:
-        self.raw(struct.pack("<B", value))
-
-    def u16(self, value: int) -> None:
-        self.raw(struct.pack("<H", value))
+        self.out += _U8.pack(value)
 
     def u32(self, value: int) -> None:
-        self.raw(struct.pack("<I", value))
-
-    def u64(self, value: int) -> None:
-        self.raw(struct.pack("<Q", value))
+        self.out += _U32.pack(value)
 
     def text(self, value: str) -> None:
-        data = value.encode("utf-8")
-        self.u32(len(data))
-        self.raw(data)
+        pack_text(self.out, value)
 
     def nid(self, nid: NidLabel) -> None:
-        """Digit-exact numbering label: component count, then per
-        component its length and digits, all u16."""
-        components = nid.components
-        self.u16(len(components))
-        for component in components:
-            self.u16(len(component))
-            for digit in component:
-                self.u16(digit)
+        pack_nid(self.out, nid)
 
     def trailer(self) -> None:
         """The CRC32 of everything written so far (not self-included)."""
-        self._stream.write(struct.pack("<I", self.crc))
+        self.out += _U32.pack(zlib.crc32(self.out))
 
 
 class Reader:
-    """Bounds-checked field reader with backend-labeled errors.
+    """Bounds-checked record reader with backend-labeled errors.
 
     *backend* names where the bytes came from ("file", "sqlite",
     "memory"); *place* renders a byte position into that backend's
     location vocabulary (default: ``byte {pos}``).  Both ride on the
     :class:`CorruptionError` any damage raises, so ``--json`` error
-    objects stay meaningful whatever medium held the bytes.
+    objects stay meaningful whatever medium held the bytes.  A record
+    that does not fit is refused at its first *field* that does not.
     """
 
     def __init__(self, data: bytes, backend: str = "file",
@@ -114,17 +142,36 @@ class Reader:
         self._pos += count
         return chunk
 
-    def u8(self) -> int:
-        return self._take(1)[0]
+    def _truncated(self, layout: struct.Struct, pos: int) -> None:
+        """*layout* does not fit at *pos*: walk to its first field
+        that does not fit and fail there."""
+        self._pos = pos
+        for count, code in _FIELDS.findall(layout.format):
+            for _ in range(int(count or 1)):
+                self._take(struct.calcsize(code))
+        raise AssertionError("the record fits")  # pragma: no cover
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self._take(2))[0]
+    def unpack(self, layout: struct.Struct) -> tuple:
+        """One fixed-width record through its compiled layout."""
+        pos = self._pos
+        end = pos + layout.size
+        if end > len(self._data):
+            self._truncated(layout, pos)
+        self._pos = end
+        return layout.unpack_from(self._data, pos)
+
+    def u8(self) -> int:
+        pos = self._pos
+        if pos >= len(self._data):
+            self._truncated(_U8, pos)
+        self._pos = pos + 1
+        return self._data[pos]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return self.unpack(_U32)[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return self.unpack(_U64)[0]
 
     def text(self) -> str:
         start = self._pos
@@ -136,13 +183,59 @@ class Reader:
                 f"corrupt text in {self.what} at {self.location(start)}: "
                 f"{error}", pos=start) from error
 
-    def nid(self) -> NidLabel:
-        count = self.u16()
+    def qname(self) -> QName:
+        """A name as two texts, namespace URI then local part."""
+        start = self._pos
+        try:
+            return QName(self.text(), self.text())
+        except XmlSyntaxError as error:
+            raise self.corrupt(
+                f"corrupt name in {self.what} at {self.location(start)}: "
+                f"{error}", pos=start) from error
+
+    def since(self, start: int) -> bytes:
+        """The bytes read since position *start*."""
+        return self._data[start:self._pos]
+
+    def _label(self, decode: bool) -> list:
+        """Step over one label — per component one bounds check and,
+        to *decode*, one unpack of its digits."""
+        data = self._data
+        size = len(data)
+        pos = self._pos
+        if pos + 2 > size:
+            self._truncated(_U16, pos)
+        (count,) = _U16.unpack_from(data, pos)
+        if not count:
+            raise self.corrupt(
+                f"label without components in {self.what} at "
+                f"{self.location()}")
+        pos += 2
         components = []
         for _ in range(count):
-            length = self.u16()
-            components.append(tuple(self.u16() for _ in range(length)))
-        return NidLabel(tuple(components))
+            if pos + 2 > size:
+                self._truncated(_U16, pos)
+            (length,) = _U16.unpack_from(data, pos)
+            pos += 2
+            end = pos + 2 * length
+            if end > size:
+                self._truncated(u16_run(length), pos)
+            if decode:
+                components.append(u16_run(length).unpack_from(data, pos))
+            pos = end
+        self._pos = pos
+        return components
+
+    def nid(self) -> NidLabel:
+        return NidLabel(tuple(self._label(True)))
+
+    def nid_bytes(self) -> bytes:
+        """The wire bytes of one label, bounds-checked like
+        :meth:`nid` with no digit unpacked.  Labels are digit-exact on
+        the wire, so equal bytes are equal labels."""
+        start = self._pos
+        self._label(False)
+        return self._data[start:self._pos]
 
     def at_end(self) -> bool:
         return self._pos == len(self._data)
@@ -183,19 +276,3 @@ def iter_frames(data: bytes, start: int = 0
             return  # corrupt payload: treat as torn tail
         yield payload, end
         pos = end
-
-
-def pack_nid(out: bytearray, nid: NidLabel) -> None:
-    """Append the wire form of *nid* to *out* (see ``Writer.nid``)."""
-    out += struct.pack("<H", len(nid.components))
-    for component in nid.components:
-        out += struct.pack("<H", len(component))
-        for digit in component:
-            out += struct.pack("<H", digit)
-
-
-def pack_text(out: bytearray, value: str) -> None:
-    """Append a u32-length-prefixed UTF-8 string to *out*."""
-    data = value.encode("utf-8")
-    out += struct.pack("<I", len(data))
-    out += data

@@ -65,9 +65,11 @@ class NidLabel:
         # Labels are immutable, so the flattened symbol sequence is
         # computed once; it is on the hot path of every comparison.
         out: list[int] = []
+        append = out.append
         for component in self.components:
-            out.extend(digit + 1 for digit in component)
-            out.append(SEPARATOR)
+            for digit in component:
+                append(digit + 1)
+            append(SEPARATOR)
         object.__setattr__(self, "_symbols", tuple(out))
         # The binary comparison key is built lazily: most labels are
         # only ever compared pairwise via symbols(), and the bytes key

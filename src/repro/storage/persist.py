@@ -1,7 +1,7 @@
 """Binary persistence of the storage engine.
 
 Sedna is a disk-based system; this module gives the simulated engine
-the corresponding capability: :func:`dump_engine` serializes the whole
+the corresponding capability: :func:`dumps_engine` serializes the whole
 Section 9 state — descriptive schema, numbering labels, descriptors,
 and the block assignment with its in-block order chains — into a
 compact binary image, and :func:`load_engine` reconstructs an
@@ -9,19 +9,20 @@ equivalent engine from it.  Labels are stored digit-exactly, so
 document order, ancestry and future gap insertions behave identically
 after a round trip.
 
-Format (little-endian, fixed-width), version 4::
+Format (little-endian, fixed-width), magic ``SEDNAPY4``::
 
-* header: magic ``SEDNAPY4``, base (u16), block capacity (u16),
-  checkpoint LSN (u64) — the WAL horizon this image covers;
+* header: magic, base (u16), block capacity (u16), checkpoint LSN
+  (u64) — the WAL horizon this image covers;
 * index definitions: count (u32), then per declared secondary index
   its path, kind and value type (length-prefixed UTF-8).  Only the
   *definitions* persist — index contents are derived state, rebuilt
   from the block lists on load;
 * schema nodes in pre-order: parent index (u32), type tag (u8),
   name URI and local (length-prefixed UTF-8, only for named kinds);
-* descriptors in document order: schema node index (u32), the nid as
-  component-count / digits-per-component (u16s), parent and sibling
-  ids (u32, ``0xFFFFFFFF`` = none), optional text value;
+* descriptors in document order, one record each: schema node index
+  (u32), the nid (:func:`repro.storage.codec.u16_run`), then parent
+  and sibling ids and the value flag as one fixed head (3 × u32,
+  ``0xFFFFFFFF`` = none, u8), then the optional text value;
 * per schema node: its blocks as lists of descriptor ids in in-block
   chain (document) order;
 * statistics digest: the canonical JSON of
@@ -32,13 +33,10 @@ Format (little-endian, fixed-width), version 4::
   digest is a corruption check against that recount;
 * trailer: CRC32 (u32) of every preceding byte, header included.
 
-Version 3 images (magic ``SEDNAPY3``: no statistics digest), version 2
-images (magic ``SEDNAPY2``: additionally no index-definition section)
-and version 1 images (magic ``SEDNAPY1``: additionally no LSN and no
-trailer) still load; each v1 load bumps the ``persist.legacy_images``
-warning counter.
-Any truncated or garbled input surfaces as :class:`StorageError` with
-the byte offset of the damage — never a raw ``struct.error``.
+This is the only format read: an image under an older magic is
+refused by name.  Any truncated or garbled input surfaces as
+:class:`CorruptionError` with the byte offset of the damage — never a
+raw ``struct.error``.
 """
 
 from __future__ import annotations
@@ -46,44 +44,40 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import BinaryIO
+from typing import Callable, Optional
 
-from repro import obs
 from repro.errors import CorruptionError, StorageError
 from repro.obs.statistics import StatisticsCollector
-from repro.xmlio.qname import QName
 from repro.storage.blocks import Block
 from repro.storage.codec import Reader, Writer
 from repro.storage.descriptor import NodeDescriptor
 from repro.storage.dschema import SchemaNode
 from repro.storage.engine import StorageEngine
 from repro.storage.indexes import KINDS, IndexDefinition
-from repro.storage.labels import NidLabel
 
-_MAGIC_V1 = b"SEDNAPY1"
-_MAGIC_V2 = b"SEDNAPY2"
-_MAGIC_V3 = b"SEDNAPY3"
-_MAGIC_V4 = b"SEDNAPY4"
+_MAGIC = b"SEDNAPY4"
 _NONE = 0xFFFFFFFF
 
 _TYPE_TAGS = {"document": 0, "element": 1, "attribute": 2, "text": 3}
 _TAG_TYPES = {tag: name for name, tag in _TYPE_TAGS.items()}
 
+_HEADER = struct.Struct("<HHQ")       # base, block capacity, LSN
+_SCHEMA_HEAD = struct.Struct("<IB")   # parent index, type tag
+_LINKS = struct.Struct("<IIIB")       # parent, left, right, has value
 
-def dump_engine(engine: StorageEngine, stream: BinaryIO,
-                checkpoint_lsn: int = 0) -> None:
-    """Serialize *engine* into *stream* (version 4 image).
+
+def dumps_engine(engine: StorageEngine, checkpoint_lsn: int = 0) -> bytes:
+    """Serialize *engine* to a bytes image.
 
     *checkpoint_lsn* is the WAL horizon the image covers — recovery
     replays only log records strictly beyond it.
     """
     if engine.document is None:
         raise StorageError("cannot dump an empty engine")
-    writer = Writer(stream)
-    writer.raw(_MAGIC_V4)
-    writer.u16(engine.numbering.base)
-    writer.u16(engine.block_capacity)
-    writer.u64(checkpoint_lsn)
+    writer = Writer()
+    writer.out += _MAGIC
+    writer.pack(_HEADER, engine.numbering.base, engine.block_capacity,
+                checkpoint_lsn)
 
     definitions = engine.indexes.definitions()
     writer.u32(len(definitions))
@@ -94,141 +88,124 @@ def dump_engine(engine: StorageEngine, stream: BinaryIO,
 
     schema_nodes = list(engine.schema.iter_nodes())
     schema_index = {id(node): i for i, node in enumerate(schema_nodes)}
+    schema_index[id(None)] = _NONE
     writer.u32(len(schema_nodes))
     for node in schema_nodes:
-        writer.u32(schema_index[id(node.parent)]
-                   if node.parent is not None else _NONE)
-        writer.u8(_TYPE_TAGS[node.node_type])
+        writer.pack(_SCHEMA_HEAD, schema_index[id(node.parent)],
+                    _TYPE_TAGS[node.node_type])
         if node.name is not None:
             writer.text(node.name.uri)
             writer.text(node.name.local)
 
     descriptors = list(engine.iter_document_order())
     descriptor_index = {id(d): i for i, d in enumerate(descriptors)}
+    descriptor_index[id(None)] = _NONE  # an absent link
     writer.u32(len(descriptors))
     for descriptor in descriptors:
+        value = descriptor.value
         writer.u32(schema_index[id(descriptor.schema_node)])
         writer.nid(descriptor.nid)
-        for link in (descriptor.parent, descriptor.left_sibling,
-                     descriptor.right_sibling):
-            writer.u32(descriptor_index[id(link)]
-                       if link is not None else _NONE)
-        if descriptor.value is not None:
-            writer.u8(1)
-            writer.text(descriptor.value)
-        else:
-            writer.u8(0)
+        writer.pack(_LINKS,
+                    descriptor_index[id(descriptor.parent)],
+                    descriptor_index[id(descriptor.left_sibling)],
+                    descriptor_index[id(descriptor.right_sibling)],
+                    value is not None)
+        if value is not None:
+            writer.text(value)
 
     for node in schema_nodes:
         blocks = list(node.blocks())
         writer.u32(len(blocks))
         for block in blocks:
-            ordered = list(block.iter_in_order())
-            writer.u32(len(ordered))
-            for descriptor in ordered:
-                writer.u32(descriptor_index[id(descriptor)])
+            ordered: list[NodeDescriptor] = []
+            block.extend_in_order(ordered)
+            writer.out += struct.pack(
+                f"<{len(ordered) + 1}I", len(ordered),
+                *[descriptor_index[id(d)] for d in ordered])
 
     writer.text(json.dumps(engine.stats.export(),
                            separators=(",", ":"), sort_keys=True))
     writer.trailer()
-
-
-def dumps_engine(engine: StorageEngine, checkpoint_lsn: int = 0) -> bytes:
-    """Serialize *engine* to a bytes image."""
-    import io
-    buffer = io.BytesIO()
-    dump_engine(engine, buffer, checkpoint_lsn=checkpoint_lsn)
-    return buffer.getvalue()
+    return bytes(writer.out)
 
 
 def load_engine(data: bytes, backend: str = "file",
                 place=None) -> StorageEngine:
-    """Reconstruct an engine from a binary image (either version).
+    """Reconstruct an engine from a binary image.
 
     *backend* and *place* label corruption errors with the medium the
     bytes came from (see :class:`repro.storage.codec.Reader`).
     """
-    magic_len = len(_MAGIC_V4)
+    magic_len = len(_MAGIC)
     if len(data) < magic_len:
         raise CorruptionError(
             "not a storage image (shorter than the magic)",
             backend=backend, location="byte 0")
     magic = data[:magic_len]
-    if magic in (_MAGIC_V2, _MAGIC_V3, _MAGIC_V4):
-        if len(data) < magic_len + 4:
+    if magic != _MAGIC:
+        if magic[:-1] == _MAGIC[:-1] and magic[-1:] in b"123":
             raise CorruptionError(
-                "truncated storage image (no room for the CRC trailer)",
-                backend=backend, location="trailer")
-        (expected,) = struct.unpack("<I", data[-4:])
-        actual = zlib.crc32(data[:-4])
-        if actual != expected:
-            raise CorruptionError(
-                f"storage image CRC mismatch: trailer says "
-                f"{expected:#010x}, content hashes to {actual:#010x} "
-                "(torn or corrupted image)",
-                backend=backend, location="trailer")
-        body = data[:-4]
-        version = {_MAGIC_V4: 4, _MAGIC_V3: 3, _MAGIC_V2: 2}[magic]
-    elif magic == _MAGIC_V1:
-        body = data
-        version = 1
-        if obs.RECORDING:
-            # The warning counter for pre-trailer images: they load,
-            # but without whole-image corruption detection.
-            obs.REGISTRY.counter("persist.legacy_images").inc()
-    else:
+                f"storage image format {magic.decode('latin-1')} is no "
+                "longer read: SEDNAPY1 to SEDNAPY3 images must be "
+                f"re-checkpointed as {_MAGIC.decode()}",
+                backend=backend, location="byte 0")
         raise CorruptionError("not a storage image (bad magic)",
                               backend=backend, location="byte 0")
+    if len(data) < magic_len + 4:
+        raise CorruptionError(
+            "truncated storage image (no room for the CRC trailer)",
+            backend=backend, location="trailer")
+    (expected,) = struct.unpack_from("<I", data, len(data) - 4)
+    actual = zlib.crc32(memoryview(data)[:-4])
+    if actual != expected:
+        raise CorruptionError(
+            f"storage image CRC mismatch: trailer says "
+            f"{expected:#010x}, content hashes to {actual:#010x} "
+            "(torn or corrupted image)",
+            backend=backend, location="trailer")
 
-    reader = Reader(body, backend=backend, place=place)
+    reader = Reader(data[:-4], backend=backend, place=place)
     reader._take(magic_len)
     try:
-        return _parse_image(reader, version)
+        return _parse_image(reader)
     except StorageError:
         raise
-    except (struct.error, UnicodeDecodeError, IndexError,
+    except (struct.error, ValueError, IndexError,
             OverflowError, MemoryError) as error:
         raise reader.corrupt(
             f"corrupt storage image at {reader.location()}: "
             f"{error}") from error
 
 
-def _parse_image(reader: Reader, version: int) -> StorageEngine:
-    base = reader.u16()
-    capacity = reader.u16()
-    checkpoint_lsn = 0 if version == 1 else reader.u64()
+def _parse_image(reader: Reader) -> StorageEngine:
+    base, capacity, checkpoint_lsn = reader.unpack(_HEADER)
     engine = StorageEngine(base=base, block_capacity=capacity)
     engine.checkpoint_lsn = checkpoint_lsn
 
     definitions: list[IndexDefinition] = []
-    if version >= 3:
-        definition_count = reader.u32()
-        for _ in range(definition_count):
-            definition = IndexDefinition(reader.text(), reader.text(),
-                                         reader.text())
-            if definition.kind not in KINDS:
-                raise StorageError(
-                    f"unknown index kind {definition.kind!r} in "
-                    "storage image")
-            definitions.append(definition)
+    for _ in range(reader.u32()):
+        definition = IndexDefinition(reader.text(), reader.text(),
+                                     reader.text())
+        if definition.kind not in KINDS:
+            raise reader.corrupt(
+                f"unknown index kind {definition.kind!r} in storage "
+                f"image before {reader.location()}")
+        definitions.append(definition)
 
     schema_count = reader.u32()
     schema_nodes: list[SchemaNode] = []
     for index in range(schema_count):
-        parent_index = reader.u32()
-        node_type = _TAG_TYPES.get(reader.u8())
+        parent_index, tag = reader.unpack(_SCHEMA_HEAD)
+        node_type = _TAG_TYPES.get(tag)
         if node_type is None:
             raise reader.corrupt(
                 f"unknown schema node type tag at {reader.location()}")
-        if node_type in ("element", "attribute"):
-            uri = reader.text()
-            local = reader.text()
-            name: QName | None = QName(uri, local)
-        else:
-            name = None
+        name = reader.qname() \
+            if node_type in ("element", "attribute") else None
         if parent_index == _NONE:
             if index != 0 or node_type != "document":
-                raise StorageError("malformed schema tree")
+                raise reader.corrupt(
+                    f"malformed schema tree at {reader.location()}")
             schema_nodes.append(engine.schema.root)
             continue
         if parent_index >= len(schema_nodes):
@@ -248,22 +225,22 @@ def _parse_image(reader: Reader, version: int) -> StorageEngine:
             raise reader.corrupt(
                 f"descriptor schema index {schema_ref} out of range "
                 f"at {reader.location()}")
-        schema_node = schema_nodes[schema_ref]
         nid = reader.nid()
-        parent_id = reader.u32()
-        left_id = reader.u32()
-        right_id = reader.u32()
-        value = reader.text() if reader.u8() else None
-        descriptor = NodeDescriptor(schema_node, nid, value=value)
-        descriptors.append(descriptor)
-        links.append((parent_id, left_id, right_id))
+        head = reader.unpack(_LINKS)
+        for slot in (0, 1, 2):
+            link_id = head[slot]
+            if link_id >= descriptor_count and link_id != _NONE:
+                where = reader.pos - _LINKS.size + 4 * slot
+                raise reader.corrupt(
+                    f"descriptor link {link_id} out of range at "
+                    f"{reader.location(where)}", pos=where)
+        descriptors.append(NodeDescriptor(
+            schema_nodes[schema_ref], nid,
+            value=reader.text() if head[3] else None))
+        links.append(head)
 
-    for descriptor, (parent_id, left_id, right_id) in zip(descriptors,
-                                                          links):
-        for link_id in (parent_id, left_id, right_id):
-            if link_id != _NONE and link_id >= len(descriptors):
-                raise StorageError(
-                    f"descriptor link {link_id} out of range")
+    for descriptor, (parent_id, left_id, right_id, _) in zip(descriptors,
+                                                             links):
         if parent_id != _NONE:
             descriptor.parent = descriptors[parent_id]
         if left_id != _NONE:
@@ -272,9 +249,8 @@ def _parse_image(reader: Reader, version: int) -> StorageEngine:
             descriptor.right_sibling = descriptors[right_id]
 
     for schema_node in schema_nodes:
-        block_count = reader.u32()
         previous: Block | None = None
-        for _b in range(block_count):
+        for _b in range(reader.u32()):
             block = Block(schema_node, capacity)
             if previous is None:
                 schema_node.first_block = block
@@ -283,24 +259,42 @@ def _parse_image(reader: Reader, version: int) -> StorageEngine:
                 block.prev_block = previous
             schema_node.last_block = block
             previous = block
-            member_count = reader.u32()
+            members = reader.unpack(
+                struct.Struct(f"<{reader.u32()}I"))
             last: NodeDescriptor | None = None
-            for _m in range(member_count):
-                member_id = reader.u32()
-                if member_id >= len(descriptors):
+            for offset, member_id in enumerate(members, start=1):
+                if member_id >= descriptor_count:
+                    where = reader.pos - 4 * (len(members) - offset)
                     raise reader.corrupt(
                         f"block member {member_id} out of range "
-                        f"at {reader.location()}")
+                        f"at {reader.location(where)}", pos=where)
                 descriptor = descriptors[member_id]
                 block.insert_after(descriptor, last)
                 last = descriptor
-                schema_node.descriptor_count += 1
+            schema_node.descriptor_count += len(members)
 
-    stats_digest = reader.text() if version >= 4 else None
-
+    stats_digest = reader.text()
     if not reader.at_end():
         raise reader.corrupt(
             f"trailing bytes in storage image after {reader.location()}")
+    finish_load(engine, descriptors, definitions,
+                json.loads(stats_digest), reader.corrupt)
+    return engine
+
+
+def finish_load(engine: StorageEngine,
+                descriptors: list[NodeDescriptor],
+                definitions: list[IndexDefinition],
+                stats: Optional[dict],
+                corrupt: Callable[[str], CorruptionError]) -> None:
+    """The tail every loader shares, once descriptors, links and
+    blocks are decoded.  *descriptors* holds every decoded descriptor,
+    the document node first; *stats* is the persisted statistics
+    digest (None: a SQLite manifest from before there was one);
+    *corrupt* builds the loader's located error for a message."""
+    if not descriptors or descriptors[0].node_type != "document":
+        raise corrupt("the stored data holds no document node")
+    engine.document = descriptors[0]
 
     # Rebuild the first-child-by-schema pointers from the links.
     for descriptor in descriptors:
@@ -312,24 +306,17 @@ def _parse_image(reader: Reader, version: int) -> StorageEngine:
         if current is None or descriptor.nid.symbols() < \
                 current.nid.symbols():
             parent.children_by_schema[index] = descriptor
-
-    if not descriptors or descriptors[0].node_type != "document":
-        raise StorageError("image holds no document node")
-    engine.document = descriptors[0]
     engine.check_invariants()
 
-    # Image decoding bypassed the mutation hooks, so the statistics
-    # are rebuilt from the decoded block lists; a digest persisted by
-    # v4+ images must agree with the recount (corruption check).
+    # Decoding bypassed the mutation hooks, so the statistics are
+    # rebuilt from the decoded block lists; a persisted digest must
+    # agree with the recount (corruption check).
     engine.stats = StatisticsCollector.recount(engine)
-    if stats_digest is not None and \
-            json.loads(stats_digest) != engine.stats.export():
-        raise reader.corrupt(
-            "persisted statistics digest does not match the image's "
-            "stored data")
+    if stats is not None and stats != engine.stats.export():
+        raise corrupt("persisted statistics digest does not match the "
+                      "recount of the stored data")
 
     # Re-install the declared indexes last: their contents are derived
     # state, rebuilt here by one block-list scan per index.
     for definition in definitions:
         engine.indexes.install(definition)
-    return engine

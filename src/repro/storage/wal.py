@@ -63,6 +63,7 @@ _MAGIC = b"SEDNAWAL"
 _VERSION = 1
 _HEADER = _MAGIC + struct.pack("<H", _VERSION)
 _HEADER_LEN = len(_HEADER)
+_RECORD_HEAD = struct.Struct("<QBQ")  # lsn, kind, txn
 
 # Record kinds.
 BEGIN = 1
@@ -147,15 +148,13 @@ class WalScan:
 
 def _decode_payload(payload: bytes, backend: str = "file") -> WalRecord:
     reader = Reader(payload, backend=backend, what="WAL payload")
-    lsn = reader.u64()
-    kind = reader.u8()
-    txn = reader.u64()
+    lsn, kind, txn = reader.unpack(_RECORD_HEAD)
     if kind in (BEGIN, COMMIT, ABORT):
         return WalRecord(lsn, kind, txn)
     if kind == INSERT_ELEMENT:
         parent = reader.nid()
         index = reader.u32()
-        name = QName(reader.text(), reader.text())
+        name = reader.qname()
         return WalRecord(lsn, kind, txn, parent_nid=parent, index=index,
                          name=name, nid=reader.nid())
     if kind == INSERT_TEXT:
@@ -166,7 +165,7 @@ def _decode_payload(payload: bytes, backend: str = "file") -> WalRecord:
                          text=text, nid=reader.nid())
     if kind == SET_ATTRIBUTE:
         parent = reader.nid()
-        name = QName(reader.text(), reader.text())
+        name = reader.qname()
         value = reader.text()
         replace = bool(reader.u8())
         return WalRecord(lsn, kind, txn, parent_nid=parent, name=name,
@@ -184,7 +183,8 @@ def _decode_payload(payload: bytes, backend: str = "file") -> WalRecord:
                          index_kind=reader.text())
     if kind == LOAD:
         return WalRecord(lsn, kind, txn, node_count=reader.u64())
-    raise StorageError(f"unknown WAL record kind {kind}")
+    raise reader.corrupt(f"unknown WAL record kind {kind} at "
+                         f"{reader.location(8)}", pos=8)
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +416,7 @@ class WriteAheadLog:
         recording = obs.RECORDING
         started = time.perf_counter_ns() if recording else 0
         lsn = self.last_lsn + 1
-        payload = struct.pack("<QBQ", lsn, kind, txn) + body
+        payload = _RECORD_HEAD.pack(lsn, kind, txn) + body
         frame = encode_frame(payload)
         faults.fire("wal.append")
         if faults.wants("wal.append.torn"):

@@ -6,6 +6,8 @@ correctness on the SQLite backend, and the legacy image matrix
 through the file backend.
 """
 
+import json
+
 import pytest
 
 from repro.errors import CorruptionError, StorageError
@@ -17,7 +19,6 @@ from repro.storage import (
     StorageEngine,
     TransactionManager,
     checkpoint,
-    load_engine,
     recover,
     schema_fingerprint,
     snapshot_version,
@@ -27,12 +28,6 @@ from repro.storage.persist import dumps_engine
 from repro.workloads import make_library_document
 from repro.xmlio import QName, parse_document
 from repro.workloads.fixtures import EXAMPLE_8_DOCUMENT
-
-from tests.test_storage_persist import (
-    _as_legacy_v1,
-    _as_legacy_v2,
-    _as_legacy_v3,
-)
 
 
 def make_backend(name, tmp_path):
@@ -258,8 +253,50 @@ class TestRecoverThroughBackends:
         assert info.value.as_dict()["backend"] == "file"
 
 
+class TestDamagedSqliteManifest:
+    """A snapshot manifest that is not what a checkpoint wrote is a
+    located corruption error, whichever key the damage is at."""
+
+    @pytest.mark.parametrize("damage,where", [
+        (lambda manifest: "{not json", "manifest"),
+        (lambda manifest: json.dumps(
+            {k: v for k, v in manifest.items() if k != "chains"}),
+         "manifest chains"),
+        (lambda manifest: json.dumps(dict(
+            manifest, schema=manifest["schema"][:1]
+            + [[99] + manifest["schema"][1][1:]]
+            + manifest["schema"][2:])),
+         "manifest schema[1]"),
+        (lambda manifest: json.dumps(dict(
+            manifest, indexes=[["library/book/title", "hash",
+                                "string"]])),
+         "manifest indexes"),
+    ], ids=["not-json", "no-chains", "schema-parent-99",
+            "index-kind"])
+    def test_restore_refuses_with_a_location(self, tmp_path, damage,
+                                             where):
+        backend = SqliteBackend(tmp_path / "store.db")
+        try:
+            info = backend.checkpoint(_engine())
+            (text,) = backend._conn.execute(
+                "SELECT manifest FROM snapshots").fetchone()
+            backend._conn.execute("UPDATE snapshots SET manifest = ?",
+                                  (damage(json.loads(text)),))
+            for attempt in (backend.load_engine,
+                            lambda: backend.restore(info.version),
+                            lambda: recover(backend)):
+                with pytest.raises(CorruptionError) as refusal:
+                    attempt()
+                assert refusal.value.as_dict() == {
+                    "backend": "sqlite",
+                    "location": f"snapshot {info.version} {where}"}
+        finally:
+            backend.close()
+
+
 class TestLegacyImageMatrix:
-    """SEDNAPY1/2/3/4 images all load through the file backend."""
+    """One image format loads through the file backend; the retired
+    ones are refused by name."""
 
     @pytest.fixture
     def index_free_engine(self):
@@ -268,13 +305,11 @@ class TestLegacyImageMatrix:
                                                    seed=7))
         return engine
 
-    @pytest.mark.parametrize("downgrade", [
-        _as_legacy_v1, _as_legacy_v2, _as_legacy_v3,
-        lambda image: image,
-    ], ids=["SEDNAPY1", "SEDNAPY2", "SEDNAPY3", "SEDNAPY4"])
-    def test_legacy_images_load_and_recover(self, tmp_path, downgrade,
+    @pytest.mark.parametrize("magic", [b"SEDNAPY4"], ids=["SEDNAPY4"])
+    def test_legacy_images_load_and_recover(self, tmp_path, magic,
                                             index_free_engine):
-        image = downgrade(dumps_engine(index_free_engine))
+        image = dumps_engine(index_free_engine)
+        assert image[:8] == magic
         (tmp_path / "store.img").write_bytes(image)
         backend = FileBackend(tmp_path / "store.img")
         restored = backend.load_engine()
@@ -284,15 +319,19 @@ class TestLegacyImageMatrix:
         assert result.backend == "file"
         assert result.relabels == 0
 
-    @pytest.mark.parametrize("downgrade,magic", [
-        (_as_legacy_v1, b"SEDNAPY1"), (_as_legacy_v2, b"SEDNAPY2"),
-        (_as_legacy_v3, b"SEDNAPY3")],
-        ids=["SEDNAPY1", "SEDNAPY2", "SEDNAPY3"])
-    def test_legacy_reserialization_upgrades(self, downgrade, magic,
-                                             index_free_engine):
-        legacy = downgrade(dumps_engine(index_free_engine))
-        assert legacy[:8] == magic
-        upgraded = dumps_engine(load_engine(legacy))
-        assert upgraded[:8] == b"SEDNAPY4"
-        assert _snapshot(load_engine(upgraded)) == \
-            _snapshot(index_free_engine)
+    @pytest.mark.parametrize("magic", [b"SEDNAPY1", b"SEDNAPY2",
+                                       b"SEDNAPY3"],
+                             ids=["SEDNAPY1", "SEDNAPY2", "SEDNAPY3"])
+    def test_legacy_images_are_refused(self, tmp_path, magic,
+                                       index_free_engine):
+        """What used to load and re-serialize as the current format
+        is now a located refusal from load and from recovery."""
+        image = magic + dumps_engine(index_free_engine)[8:]
+        (tmp_path / "store.img").write_bytes(image)
+        backend = FileBackend(tmp_path / "store.img")
+        for attempt in (backend.load_engine, lambda: recover(backend)):
+            with pytest.raises(CorruptionError,
+                               match=magic.decode()) as info:
+                attempt()
+            assert info.value.as_dict() == {"backend": "file",
+                                            "location": "byte 0"}

@@ -253,3 +253,31 @@ class TestMatcherCrossCheck:
                 for word in itertools.product("abc", repeat=length):
                     assert (derivative.matches(word)
                             == glushkov.matches(word)), (group, word)
+
+    def test_counter_larger_than_the_transition_table(self):
+        """One matcher, reused: a counted particle has a state per
+        count, more of them than the memo keeps — it starts over
+        instead of growing, and answers as the unmemoised derivative
+        and (on the two words at the bound; the automaton is
+        quadratic in a run of one name) the Glushkov automaton do."""
+        from repro.content.derivatives import _MAX_TRANSITIONS
+        bound = _MAX_TRANSITIONS + 10
+        particle = compile_group(_group(
+            [_eld("a", 2, bound),
+             _group([_eld("b"), _eld("c")], CombinationFactor.CHOICE,
+                    0, UNBOUNDED)]))
+        matcher = DerivativeMatcher(particle)
+        for count in (0, 1, 2, 7, bound - 1, bound, bound + 1, 3):
+            for tail in ((), ("b",), ("c", "b", "b"), ("b", "a")):
+                word = ("a",) * count + tail
+                assert matcher.matches(word) \
+                    == matcher.residual(word).nullable(), word
+                assert len(matcher._transitions) <= _MAX_TRANSITIONS
+        glushkov = GlushkovAutomaton(particle)
+        for word in (("a",) * bound + ("c",), ("a",) * (bound + 1)):
+            assert matcher.matches(word) == glushkov.matches(word), word
+        # (b|c)* is one state however long the run.
+        matcher.matches(("a", "a", "b", "c", "b"))
+        before = len(matcher._transitions)
+        assert matcher.matches(("a", "a") + ("b", "c") * 400)
+        assert len(matcher._transitions) == before

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import CorruptionError, StorageError
 from repro.storage import StorageEngine
 from repro.storage.persist import dumps_engine, load_engine
 from repro.xmlio import QName, parse_document
@@ -116,6 +116,72 @@ class TestErrors:
             dumps_engine(StorageEngine())
 
 
+def _resigned(image: bytearray) -> bytes:
+    """*image* with a CRC trailer that matches its damaged body, so
+    the parser — not the CRC gate — meets the damage."""
+    import struct
+    import zlib
+    body = bytes(image[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestDamagePastTheCrcIsLocated:
+    """What the parser itself refuses is a corruption error with the
+    byte offset, like a short read — not a bare StorageError."""
+
+    #: The document descriptor's record tail: no parent, no siblings,
+    #: no value.  Its label (one one-digit component) and its schema
+    #: index sit in the ten bytes before.
+    DOCUMENT_LINKS = b"\xff" * 12 + b"\x00"
+
+    def _refused(self, image: bytearray, match: str) -> int:
+        with pytest.raises(CorruptionError, match=match) as info:
+            load_engine(_resigned(image), backend="memory")
+        assert info.value.backend == "memory"
+        kind, _, offset = info.value.location.partition(" ")
+        assert kind == "byte"
+        assert 0 < int(offset) <= len(image) - 4
+        return int(offset)
+
+    def test_malformed_schema_tree(self):
+        image = bytearray(dumps_engine(_engine()))
+        # magic, header, no index definitions, schema count, the root
+        # schema node (parent, tag): the second node's parent follows.
+        second_parent = 8 + 12 + 4 + 4 + 5
+        assert image[second_parent:second_parent + 4] == b"\0\0\0\0"
+        image[second_parent:second_parent + 4] = b"\xff" * 4
+        self._refused(image, "malformed schema tree")
+
+    def test_descriptor_link_out_of_range(self):
+        image = bytearray(dumps_engine(_engine()))
+        links = image.index(self.DOCUMENT_LINKS)
+        image[links + 4:links + 8] = b"\xff\xff\xff\x7f"
+        assert self._refused(
+            image, "descriptor link 2147483647 out of range") \
+            == links + 4
+
+    def test_no_document_node(self):
+        image = bytearray(dumps_engine(_engine()))
+        schema_ref = image.index(self.DOCUMENT_LINKS) - 6 - 4
+        assert image[schema_ref:schema_ref + 4] == b"\0\0\0\0"
+        image[schema_ref] = 1  # the library element's schema node
+        self._refused(image, "no document node")
+
+    def test_unknown_index_kind(self):
+        engine = _engine()
+        engine.create_index("library/book/title")
+        image = bytearray(dumps_engine(engine))
+        kind = image.index(b"\x05\0\0\0value")
+        image[kind + 8] = ord("x")
+        self._refused(image, "unknown index kind 'valux'")
+
+    def test_invalid_name(self):
+        image = bytearray(dumps_engine(_engine()))
+        name = image.index(b"\x07\0\0\0library")
+        image[name + 4] = ord("<")
+        self._refused(image, "corrupt name")
+
+
 class TestScale:
     def test_large_document_roundtrip(self):
         original = _engine(make_library_document(200, 200, seed=3))
@@ -150,46 +216,6 @@ class TestDumpAfterUpdates:
         assert _snapshot(restored) == _snapshot(engine)
 
 
-def _as_legacy_v3(image: bytes) -> bytes:
-    """Rewrite a current (version-4) image into the version-3 layout:
-    drop the trailing statistics digest, patch the magic, re-sign the
-    CRC trailer."""
-    import json
-    import struct
-    import zlib
-    digest = json.dumps(load_engine(image).stats.export(),
-                        separators=(",", ":"),
-                        sort_keys=True).encode("utf-8")
-    body = image[:-4]
-    tail = struct.pack("<I", len(digest)) + digest
-    assert body.endswith(tail), "helper needs a version-4 image"
-    v3 = b"SEDNAPY3" + body[8:-len(tail)]
-    return v3 + struct.pack("<I", zlib.crc32(v3))
-
-
-def _as_legacy_v1(image: bytes) -> bytes:
-    """Rewrite a current image (of an engine without indexes) into
-    the version-1 layout: strip the statistics digest and the CRC
-    trailer, drop the u64 checkpoint LSN and the u32 index-definition
-    count after the capacity field, and patch the magic."""
-    body = _as_legacy_v3(image)[:-4]
-    assert body[20:24] == b"\x00" * 4, "helper needs an index-free image"
-    return b"SEDNAPY1" + body[8:12] + body[24:]
-
-
-def _as_legacy_v2(image: bytes) -> bytes:
-    """Rewrite a current image (of an engine without indexes) into
-    the version-2 layout: strip the statistics digest, drop the u32
-    index-definition count, patch the magic, re-sign the CRC
-    trailer."""
-    import struct
-    import zlib
-    body = _as_legacy_v3(image)[:-4]
-    assert body[20:24] == b"\x00" * 4, "helper needs an index-free image"
-    v2 = b"SEDNAPY2" + body[8:20] + body[24:]
-    return v2 + struct.pack("<I", zlib.crc32(v2))
-
-
 class TestImageFormatV2:
     def test_checkpoint_lsn_roundtrips(self):
         engine = _engine()
@@ -214,32 +240,21 @@ class TestImageFormatV2:
         with pytest.raises(StorageError, match=r"at byte \d+"):
             load_engine(signed)
 
-    def test_legacy_v1_image_still_loads(self):
-        original = _engine()
-        legacy = _as_legacy_v1(dumps_engine(original, checkpoint_lsn=9))
-        restored = load_engine(legacy)
-        assert _snapshot(restored) == _snapshot(original)
-        assert restored.checkpoint_lsn == 0  # v1 has no horizon field
-
-    def test_legacy_v1_load_bumps_warning_counter(self):
-        from repro import obs
-        legacy = _as_legacy_v1(dumps_engine(_engine()))
-        obs.reset()
-        obs.enable()
-        try:
-            load_engine(legacy)
-            assert obs.snapshot()["persist.legacy_images"] == 1
-        finally:
-            obs.disable()
-            obs.reset()
-
-    def test_legacy_v2_image_still_loads(self):
-        original = _engine()
-        legacy = _as_legacy_v2(dumps_engine(original, checkpoint_lsn=9))
-        restored = load_engine(legacy)
-        assert _snapshot(restored) == _snapshot(original)
-        assert restored.checkpoint_lsn == 9
-        assert len(restored.indexes) == 0
+    @pytest.mark.parametrize("magic", [b"SEDNAPY1", b"SEDNAPY2",
+                                       b"SEDNAPY3"])
+    def test_old_magic_is_refused_by_name(self, magic):
+        """Only the current format is read: an image under a retired
+        magic is a located corruption error that names it, whatever
+        follows the magic (a valid trailer included)."""
+        import struct
+        import zlib
+        body = magic + dumps_engine(_engine())[8:-4]
+        for image in (body, body + struct.pack("<I", zlib.crc32(body))):
+            with pytest.raises(CorruptionError,
+                               match=magic.decode()) as info:
+                load_engine(image, backend="memory")
+            assert info.value.backend == "memory"
+            assert info.value.location == "byte 0"
 
     def test_index_definitions_roundtrip(self):
         original = _engine(make_library_document(5, 0, seed=2))
