@@ -77,15 +77,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+import threading
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 from repro import obs
-from repro.errors import ReproError
+from repro.errors import ReproError, StorageError, UpdateError
 from repro.mapping.doc_to_tree import (
     document_to_tree,
     untyped_document_to_tree,
 )
-from repro.query.engine import evaluate_tree
+from repro.query.engine import StorageQueryEngine, evaluate_tree
 from repro.xquery.evaluator import execute as xquery_execute
 from repro.xdm.node import Node
 from repro.mapping.tree_to_doc import serialize_tree
@@ -93,14 +95,54 @@ from repro.schema.normalize import normalize_schema
 from repro.schema.parser import parse_schema
 from repro.schema.wellformed import lint_schema
 from repro.schema.writer import write_schema
-from repro.query.engine import StorageQueryEngine
+from repro.server import DatabaseServer, server_report
+from repro.server.session import LeaseTimeout, Overloaded
+from repro.storage import FileBackend, MemoryBackend, SqliteBackend
 from repro.storage.engine import StorageEngine
+from repro.storage.indexes import ValueIndex
+from repro.storage.recovery import recover
 from repro.xmlio.parser import parse_document
 
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+def _load_engine(args: argparse.Namespace) -> StorageEngine:
+    """``args.document`` parsed and loaded into a fresh engine."""
+    engine = StorageEngine()
+    engine.load_document(parse_document(_read(args.document)))
+    return engine
+
+
+def _load_tree(args: argparse.Namespace):
+    """``args.document`` as a data-model tree: validated and typed
+    against ``--schema`` when one is given, untyped otherwise."""
+    document = parse_document(_read(args.document))
+    if args.schema:
+        return document_to_tree(document, parse_schema(_read(args.schema)))
+    return untyped_document_to_tree(document)
+
+
+@contextmanager
+def _obs_scope(diagnostics: bool = False,
+               slow_ms: float | None = None) -> Iterator[None]:
+    """One command's observability scope: the registry and the logs
+    start empty, the diagnostics tier (EXPLAIN collection, spans) and
+    the slow-query log are switched on as asked, and everything is
+    switched off and emptied again on the way out."""
+    obs.reset()
+    if diagnostics:
+        obs.enable()
+    if slow_ms is not None:
+        obs.set_slow_query_threshold(slow_ms / 1000.0)
+    try:
+        yield
+    finally:
+        obs.set_slow_query_threshold(None)
+        obs.disable()
+        obs.reset()
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -130,13 +172,8 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    document = parse_document(_read(args.document))
-    if args.schema:
-        tree = document_to_tree(document, parse_schema(_read(args.schema)))
-    else:
-        tree = untyped_document_to_tree(document)
     values = [node.string_value()
-              for node in evaluate_tree(tree, args.path)]
+              for node in evaluate_tree(_load_tree(args), args.path)]
     if args.json:
         print(json.dumps({"path": args.path, "count": len(values),
                           "values": values}, indent=2))
@@ -147,12 +184,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_xquery(args: argparse.Namespace) -> int:
-    document = parse_document(_read(args.document))
-    if args.schema:
-        tree = document_to_tree(document, parse_schema(_read(args.schema)))
-    else:
-        tree = untyped_document_to_tree(document)
-    for item in xquery_execute(tree, args.query):
+    for item in xquery_execute(_load_tree(args), args.query):
         if isinstance(item, Node) and item.node_kind() == "element":
             print(serialize_tree(item))
         elif isinstance(item, Node):
@@ -163,8 +195,7 @@ def _cmd_xquery(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    engine = StorageEngine()
-    engine.load_document(parse_document(_read(args.document)))
+    engine = _load_engine(args)
     if args.json:
         print(json.dumps({
             "document_nodes": engine.node_count(),
@@ -222,11 +253,8 @@ def _print_statistics_table(statistics: dict) -> None:
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Load (and optionally query) with observability on, then print
     every instrument the instrumented layers recorded."""
-    obs.reset()
-    obs.enable()
-    try:
-        engine = StorageEngine()
-        engine.load_document(parse_document(_read(args.document)))
+    with _obs_scope(diagnostics=True):
+        engine = _load_engine(args)
         queries = StorageQueryEngine(engine)
         for path in args.path or ():
             queries.evaluate(path)
@@ -249,20 +277,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                   f"{_format_instrument(snapshot[name])}")
         _print_statistics_table(engine.stats.export())
         return 0
-    finally:
-        obs.disable()
-        obs.reset()
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Evaluate a path twice — a cold compile, then the warmed plan
     cache — and report the EXPLAIN record of each run."""
-    obs.reset()
-    obs.enable()
-    try:
-        engine = StorageEngine()
-        engine.load_document(parse_document(_read(args.document)))
-        queries = StorageQueryEngine(engine)
+    with _obs_scope(diagnostics=True):
+        queries = StorageQueryEngine(_load_engine(args))
         queries.evaluate(args.path)
         cold = obs.EXPLAINS.last()
         queries.evaluate(args.path)
@@ -276,19 +297,13 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         print("-- warm (plan cache hit) --")
         print(warm.render())
         return 0
-    finally:
-        obs.disable()
-        obs.reset()
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Scrape the always-on telemetry registry after a load-and-query
     run — Prometheus text exposition, structured JSON, or readable."""
-    obs.reset()
-    try:
-        engine = StorageEngine()
-        engine.load_document(parse_document(_read(args.document)))
-        queries = StorageQueryEngine(engine)
+    with _obs_scope():
+        queries = StorageQueryEngine(_load_engine(args))
         for path in args.path or ():
             queries.evaluate(path)
         if args.prom:
@@ -308,20 +323,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                 print(f"    {name:40s} "
                       f"{_format_instrument(structured[group][name])}")
         return 0
-    finally:
-        obs.reset()
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """Run a repeated query workload and print the aggregated live
     view: query rates and latency percentiles, cache hit rates,
     WAL/checkpoint latencies — plus slow-query events if armed."""
-    obs.reset()
-    if args.slow_ms is not None:
-        obs.set_slow_query_threshold(args.slow_ms / 1000.0)
-    try:
-        engine = StorageEngine()
-        engine.load_document(parse_document(_read(args.document)))
+    with _obs_scope(slow_ms=args.slow_ms):
+        engine = _load_engine(args)
         queries = StorageQueryEngine(engine)
         paths = args.path or ["/"]
         for _ in range(args.repeat):
@@ -399,20 +408,13 @@ def _cmd_top(args: argparse.Namespace) -> int:
             print("slow queries (JSON lines):")
             print(obs.EVENTS.to_jsonl())
         return 0
-    finally:
-        obs.set_slow_query_threshold(None)
-        obs.reset()
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Record a cold+warm evaluation with span tracing on and export
     Chrome-trace-viewer JSON (chrome://tracing, Perfetto)."""
-    obs.reset()
-    obs.enable(tracing=True)
-    try:
-        engine = StorageEngine()
-        engine.load_document(parse_document(_read(args.document)))
-        queries = StorageQueryEngine(engine)
+    with _obs_scope(diagnostics=True):
+        queries = StorageQueryEngine(_load_engine(args))
         queries.evaluate(args.path)  # cold: compile + execute
         queries.evaluate(args.path)  # warm: plan cache hit
         trace = obs.TRACER.chrome_trace()
@@ -425,16 +427,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         else:
             print(payload)
         return 0
-    finally:
-        obs.disable()
-        obs.reset()
 
 
 def _make_backend(args: argparse.Namespace):
     """Build the backend the durability commands operate on."""
-    from repro.errors import StorageError
-    from repro.storage.backends import FileBackend, SqliteBackend
-
     if args.backend == "sqlite":
         if getattr(args, "wal", None):
             raise StorageError(
@@ -446,8 +442,7 @@ def _make_backend(args: argparse.Namespace):
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
     """Load a document and persist it through a storage backend."""
-    engine = StorageEngine()
-    engine.load_document(parse_document(_read(args.document)))
+    engine = _load_engine(args)
     backend = _make_backend(args)
     wal = backend.open_wal() if (args.wal or args.backend == "sqlite") \
         else None
@@ -474,8 +469,6 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     """Rebuild an engine from a backend's snapshot + write-ahead log."""
-    from repro.storage.recovery import recover
-
     schema = parse_schema(_read(args.schema)) if args.schema else None
     if args.backend == "sqlite":
         result = recover(_make_backend(args), schema=schema,
@@ -536,11 +529,7 @@ def _cmd_snapshots(args: argparse.Namespace) -> int:
 def _cmd_index(args: argparse.Namespace) -> int:
     """Declare a secondary index over a loaded document, report its
     statistics, and optionally probe it or EXPLAIN a query through it."""
-    from repro.errors import UpdateError
-    from repro.storage.indexes import ValueIndex
-
-    engine = StorageEngine()
-    engine.load_document(parse_document(_read(args.document)))
+    engine = _load_engine(args)
     index = engine.create_index(args.path, kind=args.kind,
                                 value_type=args.type)
     report: dict = {"definition": index.definition.as_dict(),
@@ -566,18 +555,11 @@ def _cmd_index(args: argparse.Namespace) -> int:
                                "high": args.high,
                                "count": len(matches)}
     if args.query:
-        obs.reset()
-        obs.enable()
-        try:
-            queries = StorageQueryEngine(engine)
-            result = queries.evaluate(args.query)
-            record = obs.EXPLAINS.last()
-            report["query"] = {"path": args.query,
-                               "count": len(result),
-                               "explain": record.as_dict()}
-        finally:
-            obs.disable()
-            obs.reset()
+        with _obs_scope(diagnostics=True):
+            result = StorageQueryEngine(engine).evaluate(args.query)
+            report["query"] = {
+                "path": args.query, "count": len(result),
+                "explain": obs.EXPLAINS.last().as_dict()}
     if args.json:
         print(json.dumps(report, indent=2))
         return 0
@@ -606,6 +588,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
+@_obs_scope()
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run a bounded N-reader/M-writer workload through the session
     layer and report isolation + degradation evidence.
@@ -617,14 +600,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     (torn_reads == 0), a reader opened after the last commit sees it,
     and final recovery relabelled nothing.
     """
-    import threading
-
-    from repro.server import DatabaseServer, server_report
-    from repro.server.session import LeaseTimeout, Overloaded
-    from repro.storage import MemoryBackend
-    from repro.storage.recovery import recover
-
-    obs.reset()
     document = parse_document(_read(args.document))
     server = DatabaseServer(MemoryBackend(), document,
                             max_sessions=args.max_sessions,
@@ -650,28 +625,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 else engine.node_name(root))
         engine.insert_child(root, 0, name=name)
 
-    def _reader(index: int) -> None:
-        for _ in range(args.requests):
-            try:
-                with server.open_session(
-                        "read", owner=f"reader-{index}") as session:
-                    first = session.query_values(path)
-                    again = session.query_values(path)
-                    if first != again:
-                        _count("torn_reads")
-                    _count("reads", 2)
-            except Overloaded:
-                _count("overloaded")
-            except ReproError:
-                _count("errors")
+    def _read_twice(session) -> None:
+        first = session.query_values(path)
+        if session.query_values(path) != first:
+            _count("torn_reads")
+        _count("reads", 2)
 
-    def _writer(index: int) -> None:
+    def _write_once(session) -> None:
+        session.execute(_mutate)
+        _count("writes")
+
+    def _worker(mode: str, owner: str, request) -> None:
         for _ in range(args.requests):
             try:
-                with server.open_session(
-                        "write", owner=f"writer-{index}") as session:
-                    session.execute(_mutate)
-                    _count("writes")
+                with server.open_session(mode, owner=owner) as session:
+                    request(session)
             except LeaseTimeout:
                 _count("lease_timeouts")
             except Overloaded:
@@ -679,9 +647,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             except ReproError:
                 _count("errors")
 
-    threads = [threading.Thread(target=_reader, args=(i,))
+    threads = [threading.Thread(target=_worker,
+                                args=("read", f"reader-{i}", _read_twice))
                for i in range(args.readers)]
-    threads += [threading.Thread(target=_writer, args=(i,))
+    threads += [threading.Thread(target=_worker,
+                                 args=("write", f"writer-{i}",
+                                       _write_once))
                 for i in range(args.writers)]
     for thread in threads:
         thread.start()
@@ -748,16 +719,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0 if healthy else 1
     finally:
         server.close()
-        obs.reset()
 
 
+@_obs_scope()
 def _cmd_session(args: argparse.Namespace) -> int:
     """Open one session against a fresh server and evaluate a path —
     the smallest end-to-end exercise of the session layer."""
-    from repro.server import DatabaseServer
-    from repro.storage import MemoryBackend
-
-    obs.reset()
     server = DatabaseServer(MemoryBackend(),
                             parse_document(_read(args.document)))
     try:
@@ -787,7 +754,15 @@ def _cmd_session(args: argparse.Namespace) -> int:
         return 0
     finally:
         server.close()
-        obs.reset()
+
+
+def _add_target_arguments(command: argparse.ArgumentParser) -> None:
+    """What the durability commands operate on (see _make_backend)."""
+    command.add_argument("image", metavar="target",
+                         help="image path (file) or database (sqlite)")
+    command.add_argument("--backend", choices=("file", "sqlite"),
+                         default="file",
+                         help="storage backend (default: file)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -893,11 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     checkpoint = commands.add_parser(
         "checkpoint", help="persist a document through a storage backend")
     checkpoint.add_argument("document")
-    checkpoint.add_argument("image", metavar="target",
-                            help="image path (file) or database (sqlite)")
-    checkpoint.add_argument("--backend", choices=("file", "sqlite"),
-                            default="file",
-                            help="storage backend (default: file)")
+    _add_target_arguments(checkpoint)
     checkpoint.add_argument("--wal", default=None,
                             help="also start a write-ahead log at WAL "
                                  "(file backend)")
@@ -907,11 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover = commands.add_parser(
         "recover", help="rebuild an engine from snapshot + write-ahead log")
-    recover.add_argument("image", metavar="target",
-                         help="image path (file) or database (sqlite)")
-    recover.add_argument("--backend", choices=("file", "sqlite"),
-                         default="file",
-                         help="storage backend (default: file)")
+    _add_target_arguments(recover)
     recover.add_argument("--wal", default=None,
                          help="replay committed transactions from WAL "
                               "(file backend)")
@@ -925,11 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     snapshots = commands.add_parser(
         "snapshots", help="list a backend's fingerprinted snapshots")
-    snapshots.add_argument("image", metavar="target",
-                           help="image path (file) or database (sqlite)")
-    snapshots.add_argument("--backend", choices=("file", "sqlite"),
-                           default="file",
-                           help="storage backend (default: file)")
+    _add_target_arguments(snapshots)
     snapshots.add_argument("--restore", default=None, metavar="VERSION",
                            help="also restore VERSION and report it")
     snapshots.add_argument("--json", action="store_true",

@@ -4,9 +4,8 @@ The registry is the **one counter mechanism** of the repository: every
 subsystem that counts something — cache hits, block splits, labels
 allocated, conformance violations — does it through a
 :class:`Counter`/:class:`Gauge`/:class:`Histogram` instrument, and
-aggregate views (``repro stats``, the ``metrics`` section of
-``benchmarks/run_all.py --json``) read one :meth:`MetricsRegistry
-.snapshot`.
+aggregate views (``repro stats``, ``repro metrics``) read one
+:meth:`MetricsRegistry.snapshot`.
 
 Two usage modes keep the hot paths honest:
 

@@ -10,8 +10,8 @@ Three implementations are provided, all agreeing:
 * :func:`document_order` — the ordered node list by one traversal,
 * :class:`DocumentOrderIndex` — an O(1) comparator after O(n) setup,
 * :func:`before` — a pure structural comparison that walks parent
-  chains (no precomputation), the baseline the numbering-scheme
-  benchmarks compare against.
+  chains (no precomputation), the baseline of the numbering-scheme
+  benchmarks.
 
 The traversal and the precomputed index are stated over the
 :class:`~repro.xdm.store.NodeStore` protocol

@@ -220,12 +220,11 @@ class SqliteBackend(StorageBackend):
                         horizon: int) -> SnapshotInfo:
         tracker = engine.checkpoints
         full, dirty, dropped = tracker.begin(self._consumer)
-        previous = self._manifest(self._meta_get("current_version"))
+        current = self._meta_get("current_version")
+        previous = self._manifest(current)
         if previous is None:
             full = True
-        gens: dict[int, int] = {} if full else \
-            {int(key): value
-             for key, value in previous["gens"].items()}
+        gens = {} if full else self._gens(previous, current)
 
         schema_nodes = list(engine.schema.iter_nodes())
         schema_index = {id(node): i
@@ -347,6 +346,17 @@ class SqliteBackend(StorageBackend):
                                 version, "manifest") from error
         return manifest
 
+    def _gens(self, manifest: dict, version: str) -> dict[int, int]:
+        """The ``block_id → gen`` map *manifest* pins."""
+        try:
+            return {int(block_id): int(gen)
+                    for block_id, gen in manifest["gens"].items()}
+        except (KeyError, AttributeError, TypeError,
+                ValueError) as error:
+            raise self._corrupt(
+                f"damaged snapshot manifest at 'gens': {error!r}",
+                version, "manifest[gens]") from error
+
     # -- loading ---------------------------------------------------------
 
     def load_engine(self) -> "StorageEngine":
@@ -362,7 +372,15 @@ class SqliteBackend(StorageBackend):
             raise StorageError(
                 f"unknown snapshot version {version!r} "
                 f"(backend {self.name}, {self.describe()})")
-        return self._build_engine(manifest, version)
+        try:
+            return self._build_engine(manifest, version)
+        except CorruptionError:
+            raise
+        except ReproError as error:
+            # Stored rows the engine refuses: an overfilled block, a
+            # broken invariant, an index that no longer resolves.
+            raise self._corrupt(f"corrupt snapshot rows: {error}",
+                                version) from error
 
     def _build_engine(self, manifest: dict,
                       version: str) -> "StorageEngine":
@@ -390,9 +408,6 @@ class SqliteBackend(StorageBackend):
                 name = QName(uri, local) if local is not None else None
                 schema_nodes.append(engine.schema.get_or_add_child(
                     schema_nodes[parent_index], name, node_type))
-            key = "gens"
-            gens = {int(block_id): gen
-                    for block_id, gen in manifest["gens"].items()}
             key = "chains"
             chains = [[int(block_id) for block_id in chain]
                       for chain in manifest["chains"]]
@@ -409,6 +424,7 @@ class SqliteBackend(StorageBackend):
             raise self._corrupt(
                 f"damaged snapshot manifest at {key!r}: {error!r}",
                 version, f"manifest {key}") from error
+        gens = self._gens(manifest, version)
 
         capacity = engine.block_capacity
         by_wire: dict[bytes, NodeDescriptor] = {}
@@ -524,11 +540,10 @@ class SqliteBackend(StorageBackend):
     def _gc_generations(self) -> None:
         """Drop block generations no retained manifest references."""
         referenced: set[tuple[int, int]] = set()
-        for (manifest_text,) in self._conn.execute(
-                "SELECT manifest FROM snapshots").fetchall():
-            manifest = json.loads(manifest_text)
-            for key, gen in manifest["gens"].items():
-                referenced.add((int(key), gen))
+        for (version,) in self._conn.execute(
+                "SELECT version FROM snapshots").fetchall():
+            referenced.update(
+                self._gens(self._manifest(version), version).items())
         rows = self._conn.execute(
             "SELECT block_id, gen FROM block_rows").fetchall()
         for block_id, gen in rows:

@@ -15,6 +15,7 @@ benchmark harness.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro import obs
@@ -824,31 +825,38 @@ class StorageEngine:
         or deleted — only the block chains of their schema nodes and
         the child lists of their still-stored parents are checked:
         the same two checks over what a local change can have broken.
+
+        Every chain walk is bounded — an in-block chain by the block's
+        count, a sibling chain by the stored descriptor count — so
+        links that loop (a crafted image) are reported, not followed.
         """
+        limit = self.node_count()
         if touched is not None:
             for schema_node in {d.schema_node for d in touched}:
                 self._check_block_chain(schema_node)
             for parent in {d.parent for d in touched}:
                 if parent is not None and parent.block is not None:
-                    self._check_children(parent)
+                    self._check_children(parent, limit)
             return
         for schema_node in self.schema.iter_nodes():
             self._check_block_chain(schema_node)
         if self.document is not None:
             pending = [self.document]
             while pending:
-                pending.extend(self._check_children(pending.pop()))
+                pending.extend(
+                    self._check_children(pending.pop(), limit))
 
     def _check_block_chain(self, schema_node: SchemaNode) -> None:
         """One schema node's block list: chain lengths, document order
         inside each block and across blocks, and ownership."""
         previous_block_last: NodeDescriptor | None = None
         for block in schema_node.blocks():
-            ordered = list(block.iter_in_order())
+            ordered = list(islice(block.iter_in_order(),
+                                  block.count + 1))
             if len(ordered) != block.count:
                 raise StorageError(
-                    f"{block!r}: chain length {len(ordered)} != "
-                    f"count {block.count}")
+                    f"{block!r}: the order chain does not hold "
+                    f"exactly its count of {block.count} descriptors")
             for a, b in zip(ordered, ordered[1:]):
                 if not before(a.nid, b.nid):
                     raise StorageError(
@@ -866,13 +874,22 @@ class StorageEngine:
                         f"{descriptor!r} stored under the wrong "
                         "schema node")
 
-    def _check_children(self, descriptor: NodeDescriptor
-                        ) -> list[NodeDescriptor]:
+    def _check_children(self, descriptor: NodeDescriptor,
+                        limit: int) -> list[NodeDescriptor]:
         """One node's attributes and child sequence: child labels,
         parent pointers, attributes before children, sibling order.
         Returns the children, so the full check walks the tree
-        without computing them twice."""
-        children = self.children(descriptor)
+        without computing them twice.  The sibling chain must end
+        within *limit* links."""
+        children: list[NodeDescriptor] = []
+        child = self.first_child(descriptor)
+        while child is not None:
+            if len(children) == limit:
+                raise StorageError(
+                    f"the sibling chain below {descriptor!r} does not "
+                    f"end within the {limit} stored descriptors")
+            children.append(child)
+            child = child.right_sibling
         attributes = self.attributes(descriptor)
         for child in attributes + children:
             if not is_parent(descriptor.nid, child.nid):

@@ -46,7 +46,7 @@ import struct
 import zlib
 from typing import Callable, Optional
 
-from repro.errors import CorruptionError, StorageError
+from repro.errors import CorruptionError, ReproError, StorageError
 from repro.obs.statistics import StatisticsCollector
 from repro.storage.blocks import Block
 from repro.storage.codec import Reader, Writer
@@ -168,10 +168,12 @@ def load_engine(data: bytes, backend: str = "file",
     reader._take(magic_len)
     try:
         return _parse_image(reader)
-    except StorageError:
+    except CorruptionError:
         raise
-    except (struct.error, ValueError, IndexError,
+    except (ReproError, struct.error, ValueError, IndexError,
             OverflowError, MemoryError) as error:
+        # Signed bytes the engine refuses — a full block overfilled,
+        # an invariant broken, an index that no longer resolves.
         raise reader.corrupt(
             f"corrupt storage image at {reader.location()}: "
             f"{error}") from error

@@ -388,7 +388,6 @@ class WriteAheadLog:
         #: "committed" — with an old one.
         self.last_txn = 0
         self.appends = 0
-        self.bytes_written = 0
         self._closed = False
         existing = self.store.load()
         if existing:
@@ -437,7 +436,6 @@ class WriteAheadLog:
         if txn > self.last_txn:
             self.last_txn = txn
         self.appends += 1
-        self.bytes_written += len(frame)
         if recording:
             registry = obs.REGISTRY
             registry.counter("wal.appends").inc()

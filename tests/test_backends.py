@@ -207,6 +207,33 @@ class TestIncrementalCheckpoints:
         restored = sqlite_backend.restore(info.version)
         assert _snapshot(restored) == _snapshot(engine)
 
+    def test_a_small_batch_writes_a_tenth_of_the_monolithic_image(
+            self, tmp_path):
+        """The point of block-granular durability, as work counted
+        rather than timed: after ten inserts into a 1,000-book library
+        the SQLite checkpoint writes a few dirty blocks where the file
+        backend rewrites the whole image."""
+        engine = StorageEngine()
+        engine.load_document(make_library_document(
+            books=1000, papers=0, seed=1000))
+        incremental = SqliteBackend(tmp_path / "store.db")
+        try:
+            assert incremental.checkpoint(engine).mode == "full"
+            library = engine.children(engine.document)[0]
+            for op, book in enumerate(engine.children(library)[:10]):
+                author = engine.insert_child(book, 1,
+                                             name=QName("", "author"))
+                engine.insert_child(author, 0, text=f"Writer {op}")
+            dirty = engine.checkpoints.dirty_count
+            assert 0 < dirty < engine.block_count()
+            written = incremental.checkpoint(engine)
+            assert written.mode == "incremental"
+            monolithic = FileBackend(
+                tmp_path / "store.img").checkpoint(engine)
+            assert 0 < 10 * written.bytes <= monolithic.bytes
+        finally:
+            incremental.close()
+
     def test_second_sqlite_store_gets_a_full_snapshot(self, tmp_path):
         """A different SQLite database is a different consumer: its
         first checkpoint cannot reuse another store's diff baseline."""
@@ -228,10 +255,12 @@ class TestRecoverThroughBackends:
         checkpoint(engine, backend, wal=wal)
         library = engine.children(engine.document)[0]
         with manager.transaction():
-            engine.insert_child(library, 0, name=QName("", "paper"))
+            paper = engine.insert_child(library, 0,
+                                        name=QName("", "paper"))
+            engine.insert_child(paper, 0, name=QName("", "title"))
         result = recover(backend)
         assert result.backend == backend.name
-        assert result.replayed > 0
+        assert result.replayed == 2  # one per logged operation
         assert result.relabels == 0
         assert _snapshot(result.engine) == _snapshot(engine)
 
@@ -271,8 +300,10 @@ class TestDamagedSqliteManifest:
             manifest, indexes=[["library/book/title", "hash",
                                 "string"]])),
          "manifest indexes"),
+        (lambda manifest: json.dumps(dict(manifest, gens=[1, 2])),
+         "manifest[gens]"),
     ], ids=["not-json", "no-chains", "schema-parent-99",
-            "index-kind"])
+            "index-kind", "gens-a-list"])
     def test_restore_refuses_with_a_location(self, tmp_path, damage,
                                              where):
         backend = SqliteBackend(tmp_path / "store.db")
@@ -290,6 +321,42 @@ class TestDamagedSqliteManifest:
                 assert refusal.value.as_dict() == {
                     "backend": "sqlite",
                     "location": f"snapshot {info.version} {where}"}
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("site", ["incremental-checkpoint",
+                                      "generation-gc"])
+    def test_the_gens_map_is_read_guarded_at_every_site(self, tmp_path,
+                                                        site):
+        """The two readers of ``gens`` besides restore: the next
+        incremental checkpoint starts from the previous map, and
+        eviction's garbage collection reads every retained one."""
+        backend = SqliteBackend(tmp_path / "store.db", max_snapshots=1)
+        engine = _engine()
+        try:
+            info = backend.checkpoint(engine)
+            (text,) = backend._conn.execute(
+                "SELECT manifest FROM snapshots").fetchone()
+            manifest = json.loads(text)
+            del manifest["gens"]
+            backend._conn.execute("UPDATE snapshots SET manifest = ?",
+                                  (json.dumps(manifest),))
+            library = engine.children(engine.document)[0]
+            engine.insert_child(library, 0, name=QName("", "paper"))
+            rows = "SELECT COUNT(*) FROM block_rows"
+            (stored,) = backend._conn.execute(rows).fetchone()
+            with pytest.raises(CorruptionError) as refusal:
+                if site == "incremental-checkpoint":
+                    backend.checkpoint(engine)
+                else:
+                    backend._gc_generations()
+            assert refusal.value.as_dict() == {
+                "backend": "sqlite",
+                "location": f"snapshot {info.version} manifest[gens]"}
+            # Refused before anything was written or collected.
+            assert [s.version for s in backend.list_snapshots()] \
+                == [info.version]
+            assert backend._conn.execute(rows).fetchone() == (stored,)
         finally:
             backend.close()
 

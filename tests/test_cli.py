@@ -102,6 +102,34 @@ class TestQuery:
                           "count": 1, "values": ["T"]}
 
 
+class TestXQuery:
+    def test_element_results_are_serialized(self, files, capsys):
+        assert main(["xquery", files["valid.xml"],
+                     "for $b in /library/book return $b/title"]) == 0
+        assert capsys.readouterr().out == "<title>T</title>\n"
+
+    def test_atomic_and_attribute_results_print_their_value(
+            self, files, tmp_path, capsys):
+        doc = tmp_path / "years.xml"
+        doc.write_text('<library><book year="1999"><title>A</title>'
+                       '</book><book year="2001"><title>B</title>'
+                       '</book></library>', encoding="utf-8")
+        assert main(["xquery", str(doc), "count(/library/book)"]) == 0
+        assert main(["xquery", str(doc), "/library/book/@year"]) == 0
+        assert capsys.readouterr().out == "2\n1999\n2001\n"
+
+    def test_typed_query(self, files, capsys):
+        assert main(["xquery", files["books.xml"],
+                     "for $b in /BookStore/Book[1] "
+                     "return string($b/Author)",
+                     "--schema", files["books.xsd"]]) == 0
+        assert capsys.readouterr().out == "Paul McCartney\n"
+
+    def test_bad_query(self, files, capsys):
+        assert main(["xquery", files["valid.xml"], "for $b in"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestInspect:
     def test_reports_statistics(self, files, capsys):
         assert main(["inspect", files["valid.xml"]]) == 0
@@ -164,6 +192,17 @@ class TestExplain:
         assert report["warm"]["strategy"] == "scan"
         assert report["warm"]["nodes_returned"] == 1
 
+    def test_json_carries_the_cost_table_behind_the_choice(self, files,
+                                                           capsys):
+        assert main(["explain", files["valid.xml"],
+                     "/library/book/title", "--json"]) == 0
+        cold = json.loads(capsys.readouterr().out)["cold"]
+        chosen = [candidate for candidate in cold["cost_table"]
+                  if candidate["chosen"]]
+        assert len(cold["cost_table"]) >= 2 and len(chosen) == 1
+        assert chosen[0]["strategy"] == cold["strategy"]
+        assert chosen[0]["total"] == cold["cost_total"]
+
     def test_bad_path(self, files, capsys):
         assert main(["explain", files["valid.xml"], "not-a-path"]) == 2
 
@@ -216,6 +255,55 @@ class TestCheckpointRecover:
                                                  capsys):
         assert main(["checkpoint", str(tmp_path / "absent.xml"),
                      str(tmp_path / "out.img")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestSnapshots:
+    @pytest.mark.parametrize("backend", ["file", "sqlite"])
+    def test_list_and_restore(self, files, tmp_path, capsys, backend):
+        target = str(tmp_path / "store")
+        assert main(["checkpoint", files["books.xml"], target,
+                     "--backend", backend, "--json"]) == 0
+        written = json.loads(capsys.readouterr().out)
+        assert main(["snapshots", target, "--backend", backend,
+                     "--json"]) == 0
+        listed = json.loads(capsys.readouterr().out)
+        assert listed["backend"] == backend
+        assert [info["version"] for info in listed["snapshots"]] \
+            == [written["snapshot_version"]]
+        assert "restored" not in listed
+        assert main(["snapshots", target, "--backend", backend,
+                     "--restore", written["snapshot_version"],
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["restored"] == {
+            "version": written["snapshot_version"],
+            "nodes": written["nodes"], "blocks": written["blocks"]}
+        assert main(["recover", target, "--backend", backend,
+                     "--json"]) == 0
+        recovered = json.loads(capsys.readouterr().out)
+        assert recovered["snapshot_version"] \
+            == written["snapshot_version"]
+        assert recovered["relabels"] == 0
+
+    def test_readable_listing(self, files, tmp_path, capsys):
+        target = str(tmp_path / "store.db")
+        assert main(["snapshots", target, "--backend", "sqlite"]) == 0
+        assert capsys.readouterr().out == \
+            f"no snapshots at {target} (sqlite backend)\n"
+        assert main(["checkpoint", files["books.xml"], target,
+                     "--backend", "sqlite"]) == 0
+        capsys.readouterr()
+        assert main(["snapshots", target, "--backend", "sqlite"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == f"snapshots at {target} (sqlite backend):"
+        assert row.split()[0] == "1" and row.endswith(" bytes")
+
+    def test_unknown_version_exits_2(self, files, tmp_path, capsys):
+        target = str(tmp_path / "store.db")
+        assert main(["checkpoint", files["books.xml"], target,
+                     "--backend", "sqlite"]) == 0
+        assert main(["snapshots", target, "--backend", "sqlite",
+                     "--restore", "no-such-version"]) == 2
         assert "error:" in capsys.readouterr().err
 
 

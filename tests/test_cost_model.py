@@ -217,6 +217,50 @@ class TestPricingSanity:
             assert plan.stats_nodes, f"no consulted nodes for {path}"
 
 
+class TestCostBeatsFixed:
+    """The cost rule pays for itself, in descriptors read (EXPLAIN
+    ``nodes_visited``) rather than in seconds: never more work than
+    the structural precedence it replaced, and strictly less than
+    every fixed policy where a later predicate is the selective one."""
+
+    #: Scans, a path-index merge, an exists-probe, an eq-probe and the
+    #: two-predicate showcase: ``structural`` probes the first,
+    #: unselective ``[@year]``; ``cost`` prices the second far cheaper.
+    PATHS = (
+        "/library/book/title",
+        "//author",
+        "/library/book[@year]/title",
+        "/library/book[@year='{year}']/title",
+        "/library/book[@year][@year='{year}']/title",
+    )
+
+    def test_never_more_than_structural_and_a_strict_win(self):
+        engine = StorageEngine()
+        engine.load_document(make_library_document(
+            books=100, papers=100, seed=100, year_attrs=True))
+        engine.create_index("library/book/@year", value_type="integer")
+        engine.create_index("//author", kind="path")
+        policies = {
+            policy: StorageQueryEngine(engine, planner_policy=policy)
+            for policy in ("cost",) + FORCED_POLICIES}
+        year = engine.string_value(
+            policies["cost"].evaluate_naive("/library/book/@year")[0])
+        reads = {}
+        for template in self.PATHS:
+            path = template.format(year=year)
+            expected = _nids(policies["cost"].evaluate_naive(path))
+            assert expected
+            visited = reads[template] = {}
+            for policy, queries in policies.items():
+                with collect(path) as record:
+                    assert _nids(queries.evaluate(path)) == expected
+                visited[policy] = record.nodes_visited
+            assert visited["cost"] <= visited["structural"], path
+        showcase = reads[self.PATHS[-1]]
+        assert all(showcase["cost"] < showcase[policy]
+                   for policy in FORCED_POLICIES), showcase
+
+
 class TestPricedAsExecuted:
     """The estimate charges the route the executor takes."""
 

@@ -2,8 +2,8 @@
 
 The always-on telemetry tier, the structured event + slow-query log,
 windowed histograms, per-schema-node statistics collectors (and their
-persistence through checkpoint/recover), the operator CLI surfaces,
-and the benchmark regression comparator.
+persistence through checkpoint/recover) and the operator CLI
+surfaces.
 """
 
 import json
@@ -30,8 +30,6 @@ from repro.storage.persist import dumps_engine
 from repro.workloads import make_library_document
 from repro.xmlio import QName, parse_document
 from repro.workloads.fixtures import EXAMPLE_8_DOCUMENT
-
-from benchmarks import compare as bench_compare
 
 
 @pytest.fixture(autouse=True)
@@ -455,128 +453,3 @@ class TestOperatorCli:
         trace = json.loads(out.read_text())
         assert trace["traceEvents"]
         assert trace["traceEvents"][0]["ph"] == "X"
-
-
-def _report(meta=None, records=(), indexes=(), summary=None,
-            metrics=None):
-    out = {"records": list(records),
-           "indexes": {"records": list(indexes)},
-           "summary": summary or {}}
-    if meta is not None:
-        out["meta"] = meta
-    if metrics is not None:
-        out["metrics"] = metrics
-    return out
-
-
-def _meta(**overrides):
-    meta = {"format": 2, "git_sha": "cafe", "timestamp": "t",
-            "python": "3.11.7", "implementation": "CPython",
-            "machine": "x86_64", "system": "Linux", "host": "ci",
-            "scales": [10], "smoke": False}
-    meta.update(overrides)
-    return meta
-
-
-class TestBenchCompare:
-    def test_missing_meta_is_refused(self):
-        with pytest.raises(bench_compare.Refusal, match="meta"):
-            bench_compare.compare(_report(), _report(meta=_meta()))
-
-    def test_format_mismatch_is_refused(self):
-        with pytest.raises(bench_compare.Refusal, match="format"):
-            bench_compare.compare(_report(meta=_meta(format=1)),
-                                  _report(meta=_meta()))
-
-    def test_an_unmet_full_run_baseline_is_refused(self):
-        unmet = {"index_speedup_3x_met": False, "speedup_2x_met": True}
-        with pytest.raises(bench_compare.Refusal,
-                           match="index_speedup_3x_met unmet"):
-            bench_compare.compare(_report(meta=_meta(), summary=unmet),
-                                  _report(meta=_meta(), summary=unmet))
-        # A smoke baseline stops short of the gated scales.
-        smoke = _meta(smoke=True)
-        assert bench_compare.compare(
-            _report(meta=smoke, summary=unmet),
-            _report(meta=smoke, summary=unmet)) == []
-
-    def test_ratio_drop_fails_and_small_scales_are_ignored(self):
-        base = _report(meta=_meta(host="a"), records=[
-            {"path": "/p", "scale": 1000, "cached_vs_naive": 4.0,
-             "ops_cached_plan": 100.0},
-            {"path": "/p", "scale": 10, "cached_vs_naive": 4.0,
-             "ops_cached_plan": 100.0}])
-        fresh = _report(meta=_meta(host="b"), records=[
-            {"path": "/p", "scale": 1000, "cached_vs_naive": 2.0,
-             "ops_cached_plan": 10.0},
-            {"path": "/p", "scale": 10, "cached_vs_naive": 0.1,
-             "ops_cached_plan": 1.0}])
-        failures = bench_compare.compare(base, fresh)
-        assert [f[0] for f in failures] == \
-            ["cached_vs_naive[/p@1000]"]
-
-    def test_raw_ops_gate_only_on_the_same_machine(self):
-        record = {"path": "/p", "scale": 1000,
-                  "cached_vs_naive": 4.0, "ops_cached_plan": 100.0}
-        slower = dict(record, ops_cached_plan=50.0)
-        cross = bench_compare.compare(
-            _report(meta=_meta(host="a"), records=[record]),
-            _report(meta=_meta(host="b"), records=[slower]))
-        assert cross == []
-        same = bench_compare.compare(
-            _report(meta=_meta(), records=[record]),
-            _report(meta=_meta(), records=[slower]))
-        assert [f[0] for f in same] == ["ops_cached_plan[/p@1000]"]
-
-    def test_summary_gates_flip_only_between_same_kind_runs(self):
-        base = _report(meta=_meta(),
-                       summary={"speedup_2x_met": True})
-        fresh_smoke = _report(meta=_meta(smoke=True),
-                              summary={"speedup_2x_met": False})
-        fresh_full = _report(meta=_meta(),
-                             summary={"speedup_2x_met": False})
-        assert bench_compare.compare(base, fresh_smoke) == []
-        failures = bench_compare.compare(base, fresh_full)
-        assert [f[0] for f in failures] == ["summary.speedup_2x_met"]
-
-    def test_p99_blowup_gate(self):
-        metrics = {"scale": 100,
-                   "registry": {"query.latency.ns": {"p99": 100.0}}}
-        blown = {"scale": 100,
-                 "registry": {"query.latency.ns": {"p99": 500.0}}}
-        failures = bench_compare.compare(
-            _report(meta=_meta(), metrics=metrics),
-            _report(meta=_meta(), metrics=blown))
-        assert [f[0] for f in failures] == ["query.latency.ns.p99"]
-
-    def test_compiled_plan_section_is_checked_on_its_own(self):
-        summary = {"cached_vs_naive_floor_per_scale": {"10": True,
-                                                       "100": False},
-                   "min_cached_vs_naive": 7.0, "speedup_2x_met": True}
-        record = {"path": "/p", "scale": 100, "ops_plan_lookup": 5.0,
-                  "ops_compiled_exec": 0.0, "lookup_share": 1.5}
-        failures = bench_compare.check_compiled_plans(
-            _report(records=[record], summary=summary))
-        assert [f[0] for f in failures] == [
-            "summary.cached_vs_naive_floor_per_scale[100]",
-            "ops_compiled_exec[/p@100]", "lookup_share[/p@100]"]
-        assert [f[0] for f in bench_compare.check_compiled_plans(
-            _report())] == ["summary.cached_vs_naive_floor_per_scale",
-                            "summary.speedup_2x_met"]
-
-    def test_main_exit_codes(self, tmp_path, capsys):
-        passing = {"cached_vs_naive_floor_per_scale": {"10": True},
-                   "speedup_2x_met": True}
-        good = tmp_path / "a.json"
-        good.write_text(json.dumps(_report(meta=_meta(),
-                                           summary=passing)))
-        assert bench_compare.main([str(good), str(good)]) == 0
-        under_floor = tmp_path / "c.json"
-        under_floor.write_text(json.dumps(_report(
-            meta=_meta(), summary=dict(
-                passing, cached_vs_naive_floor_per_scale={"10": False}))))
-        assert bench_compare.main([str(good), str(under_floor)]) == 1
-        stampless = tmp_path / "b.json"
-        stampless.write_text(json.dumps(_report()))
-        assert bench_compare.main([str(stampless), str(good)]) == 2
-        capsys.readouterr()

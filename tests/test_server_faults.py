@@ -231,3 +231,103 @@ def test_session_points_are_registered():
     assert SESSION_CRASH_POINTS == {
         "session.lease.granted", "session.txn.mid",
         "session.reader.checkpoint"}
+
+
+# ---------------------------------------------------------------------------
+# The five ``except BaseException`` sites: cleanup, then the same
+# exception again — an interrupt or a simulated crash is never eaten.
+
+def _raiser(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+def _interrupt_submit(server, error, monkeypatch, tmp_path):
+    """``RequestLoop.submit``: the depth slot taken before the enqueue
+    is given back when the enqueue itself dies."""
+    with monkeypatch.context() as patch:  # stop() enqueues too
+        patch.setattr(server.loop._queue, "put", _raiser(error))
+        with pytest.raises(type(error)) as raised:
+            server.loop.submit(lambda: None)
+    assert raised.value is error
+    assert server.admission.queue_depth == 0
+
+
+def _interrupt_worker(server, error, monkeypatch, tmp_path):
+    """``RequestLoop._run``: what the thunk raised is delivered to the
+    waiter, the slot released, and the worker lives on."""
+    pending = server.loop.submit(_raiser(error))
+    with pytest.raises(type(error)) as raised:
+        pending.wait(timeout=10.0)
+    assert raised.value is error
+    assert server.admission.queue_depth == 0
+    assert server.loop.submit(lambda: "alive").wait(timeout=10.0) \
+        == "alive"
+
+
+def _interrupt_open_session(server, error, monkeypatch, tmp_path):
+    """``DatabaseServer.open_session``: the admitted session slot is
+    released when pinning the snapshot dies."""
+    monkeypatch.setattr(server.snapshots, "pin", _raiser(error))
+    with pytest.raises(type(error)) as raised:
+        server.open_session("read")
+    assert raised.value is error
+    assert server.admission.active_sessions == 0
+
+
+def _interrupt_sqlite_checkpoint(server, error, monkeypatch, tmp_path):
+    """``SqliteBackend._write_snapshot``: the open SQLite transaction
+    is rolled back, so the previous snapshot is still the current one
+    and the next checkpoint starts clean."""
+    backend = SqliteBackend(tmp_path / "interrupted.db")
+    try:
+        before = backend.checkpoint(server.engine)
+        with monkeypatch.context() as patch:
+            patch.setattr(backend, "_meta_set", _raiser(error))
+            with pytest.raises(type(error)) as raised:
+                backend.checkpoint(server.engine)
+        assert raised.value is error
+        assert not backend._conn.in_transaction
+        assert backend.list_snapshots() == [before]
+        assert backend.checkpoint(server.engine).version \
+            == before.version
+    finally:
+        backend.close()
+
+
+def _interrupt_transaction(server, error, monkeypatch, tmp_path):
+    """``TransactionManager.transaction``: an interrupt aborts the
+    transaction (undo + ABORT record); a simulated crash is hands-off
+    by contract — the process is dead, nothing more may be written."""
+    titles = titles_of(server.engine)
+    with pytest.raises(type(error)) as raised:
+        with server.txns.transaction() as txn:
+            add_book("doomed")(server.engine, None)
+            logged = server.txns.wal.appends
+            raise error
+    assert raised.value is error
+    if isinstance(error, CrashError):
+        assert txn.state == "open" and server.txns.active is txn
+        assert server.txns.wal.appends == logged
+    else:
+        assert txn.state == "aborted" and server.txns.active is None
+        assert titles_of(server.engine) == titles
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt("stop"),
+                                   CrashError("test.point")],
+                         ids=["KeyboardInterrupt", "CrashError"])
+@pytest.mark.parametrize("site", [
+    _interrupt_submit, _interrupt_worker, _interrupt_open_session,
+    _interrupt_sqlite_checkpoint, _interrupt_transaction],
+    ids=lambda site: site.__name__.removeprefix("_interrupt_"))
+def test_base_exception_sites_clean_up_and_reraise(site, error,
+                                                   monkeypatch,
+                                                   tmp_path):
+    server = DatabaseServer(MemoryBackend(),
+                            make_bookstore_document(books=2, seed=1))
+    try:
+        site(server, error, monkeypatch, tmp_path)
+    finally:
+        server.close()

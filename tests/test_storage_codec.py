@@ -1,6 +1,6 @@
 """The storage codec moves records; the bytes and the refusals stay.
 
-Four things are pinned here:
+Five things are pinned here:
 
 * **golden byte identity** — the image, every SQLite block payload and
   the WAL stream of a fixed set of engines hash to SHA-256 values
@@ -12,7 +12,11 @@ Four things are pinned here:
   this file;
 * **decoder fuzz** — every truncation and every single-bit flip of a
   small image, a block payload and a WAL payload is a located
-  :class:`CorruptionError`, never another exception;
+  :class:`CorruptionError`, never another exception; an image is
+  fuzzed twice, once as damaged (the CRC refuses it) and once
+  re-signed (the decoder and the invariant checks must);
+* **looping links** — a signed image, or SQLite block rows, whose
+  sibling or in-block chain loops is refused in bounded time;
 * **block fill order** — a hole left by ``remove`` is reused.
 """
 
@@ -21,6 +25,8 @@ import hashlib
 import json
 import sqlite3
 import struct
+import threading
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -47,6 +53,7 @@ from repro.storage.codec import (
 )
 from repro.storage.descriptor import NodeDescriptor
 from repro.storage.dschema import DescriptiveSchema
+from repro.storage.persist import _LINKS, _NONE
 from repro.storage.wal import _HEADER as WAL_HEADER
 from repro.storage.wal import _decode_payload, scan_wal
 from repro.workloads import make_bookstore_document, make_library_document
@@ -350,6 +357,15 @@ def _decode_image(data: bytes):
     return load_engine(data, backend="memory")
 
 
+def _resign(image: bytes) -> bytes:
+    """*image* with its CRC trailer recomputed over the body."""
+    return image[:-4] + struct.pack("<I", zlib.crc32(image[:-4]))
+
+
+def _decode_resigned_image(data: bytes):
+    return load_engine(_resign(data), backend="memory")
+
+
 def _decode_block_payload(data: bytes):
     return list(_decode_block(Reader(
         data, backend="sqlite",
@@ -374,7 +390,9 @@ def _fuzz_inputs(mutated: bool) -> dict:
     """One small artifact per decoder: ``name -> (bytes, decoder,
     backend, may a damaged input decode?)``.  A payload has no
     checksum of its own, so damage can leave a valid one; an image
-    and a WAL frame have, so it cannot."""
+    and a WAL frame have, so it cannot — unless the image is signed
+    again after the damage, which is what reaches the decoder's own
+    checks and ``check_invariants`` behind the CRC."""
     factory, capacity, _ = FIXTURES["library6" if mutated else "shelf"]
     engine = StorageEngine(block_capacity=capacity)
     engine.load_document(factory())
@@ -396,9 +414,11 @@ def _fuzz_inputs(mutated: bool) -> dict:
                  for block in node.blocks()
                  if node.node_type == "text"),
                 key=lambda block: block.count)
+    image = dumps_engine(engine, checkpoint_lsn=wal.last_lsn)
     return {
-        "image": (dumps_engine(engine, checkpoint_lsn=wal.last_lsn),
-                  _decode_image, "memory", False),
+        "image": (image, _decode_image, "memory", False),
+        "image-resigned": (image, _decode_resigned_image, "memory",
+                           True),
         "block": (_encode_block(block), _decode_block_payload,
                   "sqlite", True),
         "wal-payload": (frame[FRAME_HEADER_LEN:], _decode_wal_payload,
@@ -425,15 +445,20 @@ def _check_damaged(name, damaged: bytes, decoder, backend, may_decode):
 
 
 class TestDecoderFuzz:
-    @pytest.mark.parametrize("name", ["image", "block", "wal-payload",
-                                      "wal-frame"])
+    @pytest.mark.parametrize("name", ["image", "image-resigned", "block",
+                                      "wal-payload", "wal-frame"])
     def test_every_truncation_and_a_flip_at_every_byte(self, name):
         data, decoder, backend, may_decode = _fuzz_inputs(False)[name]
         assert decoder(data)  # intact, it decodes
-        for length in range(len(data)):
+        # A re-signed image is decoded and invariant-checked in full
+        # every time, so tier-1 takes every 13th position (13 and 8
+        # are coprime: every bit still gets flipped); the generated
+        # test below covers the rest under the crash-matrix profile.
+        step = 13 if name == "image-resigned" else 1
+        for length in range(0, len(data), step):
             _check_damaged(name, data[:length], decoder, backend,
                            may_decode)
-        for position in range(len(data)):
+        for position in range(0, len(data), step):
             damaged = bytearray(data)
             damaged[position] ^= 1 << (position % 8)
             _check_damaged(name, bytes(damaged), decoder, backend,
@@ -464,7 +489,110 @@ class TestDecoderFuzz:
 
 
 # ----------------------------------------------------------------------
-# (d) Block fill order.
+# (d) Links that loop are refused, not followed.
+
+def _outcome_within(call, seconds: float = 10.0):
+    """What *call* returned or raised; fails if it is still running
+    after *seconds* (the thread is a daemon, so a hang cannot outlive
+    the test run)."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call())
+        except BaseException as error:  # noqa: BLE001 — reported below
+            outcome.append(error)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    return outcome[0]
+
+
+class TestLoopingLinks:
+    @pytest.fixture
+    def engine(self):
+        engine = StorageEngine(block_capacity=2)
+        engine.load_document(make_library_document(4, 0, seed=11))
+        return engine
+
+    @staticmethod
+    def _books(engine):
+        library = engine.children(engine.document)[0]
+        return engine.children(library)
+
+    @staticmethod
+    def _image_ids(engine):
+        """``id(descriptor)`` → its index in the image's records."""
+        return {id(descriptor): index for index, descriptor
+                in enumerate(engine.iter_document_order())}
+
+    def _assert_refused(self, load, backend):
+        error = _outcome_within(load)
+        assert isinstance(error, CorruptionError), error
+        assert error.backend == backend and error.location, error
+
+    def test_a_sibling_chain_that_loops_in_a_signed_image(self, engine):
+        order = self._image_ids(engine)
+        books = self._books(engine)
+        last = books[-1]
+        image = dumps_engine(engine)
+
+        def links(right):
+            record = bytearray()
+            pack_nid(record, last.nid)
+            return bytes(record) + _LINKS.pack(
+                order[id(last.parent)], order[id(last.left_sibling)],
+                right, False)
+
+        assert image.count(links(_NONE)) == 1
+        looped = _resign(image.replace(links(_NONE),
+                                       links(order[id(books[0])])))
+        self._assert_refused(
+            lambda: load_engine(looped, backend="memory"), "memory")
+
+    def test_an_in_block_chain_that_loops_in_a_signed_image(self,
+                                                            engine):
+        """A descriptor listed in two blocks: the second listing
+        re-points its short pointer, and the first block's chain walk
+        then never leaves it."""
+        order = self._image_ids(engine)
+        first, second = ([order[id(d)] for d in block.iter_in_order()]
+                         for block in self._books(engine)[0]
+                         .schema_node.blocks())
+        image = dumps_engine(engine)
+        members = struct.pack("<3I", 2, *second)
+        assert image.count(members) == 1
+        looped = _resign(image.replace(
+            members, struct.pack("<3I", 2, first[1], second[1])))
+        self._assert_refused(
+            lambda: load_engine(looped, backend="memory"), "memory")
+
+    def test_a_sibling_chain_that_loops_in_sqlite_rows(self, tmp_path,
+                                                       engine):
+        backend = SqliteBackend(tmp_path / "store.db")
+        info = backend.checkpoint(engine)
+        books = self._books(engine)
+        books[-1].right_sibling = books[0]
+        block = books[-1].block
+        backend._conn.execute(
+            "UPDATE block_rows SET payload = ? WHERE block_id = ?",
+            (_encode_block(block), block.block_id))
+        backend.close()
+
+        def restore():  # a connection belongs to the thread it opens in
+            reopened = SqliteBackend(tmp_path / "store.db")
+            try:
+                return reopened.restore(info.version)
+            finally:
+                reopened.close()
+
+        self._assert_refused(restore, "sqlite")
+
+
+# ----------------------------------------------------------------------
+# (e) Block fill order.
 
 class TestBlockFillOrder:
     def _block(self, capacity: int = 6):
