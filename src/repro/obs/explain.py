@@ -65,7 +65,8 @@ class QueryExplain:
         #: (:mod:`repro.query.compiled`) ran — every executed plan.
         self.compiled = False
         #: Per-stage ``(name, elapsed_ns)`` pairs of the closure chain,
-        #: source first.
+        #: source first; a stage with two routes names the one it took
+        #: (``step[title]/walk``, ``predicate[author=…]/sweep``).
         self.stage_ns: list = []
         #: ``(route suffix, descriptors read)`` left by the stage that
         #: is running, for the executor to fold into its stage name and
@@ -124,7 +125,7 @@ class QueryExplain:
         ]
         for name, elapsed_ns in self.stage_ns:
             lines.append(
-                f"    stage {name + ': ':<23}{elapsed_ns / 1e6:.3f}ms")
+                f"    stage {name + ': ':<31}{elapsed_ns / 1e6:.3f}ms")
         if self.cost_table:
             lines.append("  cost candidates:    "
                          "(chosen marked ->, abstract units)")
@@ -137,6 +138,7 @@ class QueryExplain:
                     f"    {marker} {label:<40}"
                     f"total={row.get('total', 0):>10.1f}  "
                     f"blocks={row.get('blocks', 0):>6.1f}  "
+                    f"rows={row.get('scan_rows', 0):>8.1f}  "
                     f"postings={row.get('postings', 0):>8.1f}  "
                     f"residual={row.get('residual', 0):>8.1f}  "
                     f"out={row.get('output_rows', 0):>8.1f}")

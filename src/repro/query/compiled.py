@@ -44,9 +44,14 @@ The stages are *context-driven*: a child step below a few context
 descriptors follows their §9.2 first-child-by-schema pointers and the
 sibling chain (:func:`_walk`) instead of sweeping every instance of
 the destination schema node — the sweep stays for large context sets,
-chosen per call by :func:`repro.query.cost.walks` — and a positional
-predicate counts contiguous same-parent runs, stepping over whole
-blocks when it is fused with the scan source (:class:`_Runs`).
+chosen per call by :func:`repro.query.cost.walks`; a child-value
+predicate has the same two routes — walk to each context's carriers
+and compare their stored text in place, or sweep the carriers' text
+blocks once for the literal and go up two parent pointers (a
+semi-join from the value side, :func:`repro.query.cost.sweep_holders`)
+— and a positional predicate counts contiguous same-parent runs,
+stepping over whole blocks when it is fused with the scan source
+(:class:`_Runs`).
 
 The correctness contract — closure-chain results are nid-identical to
 the interpreter's (``evaluate_naive``) for every strategy — is what
@@ -62,7 +67,7 @@ from repro import obs
 from repro.errors import QueryError
 from repro.obs import explain as _explain
 from repro.query.axes import _doc_order_key
-from repro.query.cost import walks
+from repro.query.cost import sweep_holders, text_slot, walks
 from repro.query.engine import navigate_steps
 from repro.query.paths import (
     AttributePredicate,
@@ -147,8 +152,10 @@ def _visited(record: "QueryExplain", name: str, result: list,
              counts: bool) -> str:
     """Add the node visits of the stage that just produced *result* to
     *record* — what the stage noted (:func:`_note`), else its output
-    size when it *counts* (sources and steps; a filter visits nothing
-    new) — and return its stage name, route suffix included."""
+    size when it *counts* (sources and steps; a filter that reads
+    nothing below its input visits nothing new, a child-value
+    predicate notes what it read) — and return its stage name, route
+    suffix included."""
     note, record.stage_note = record.stage_note, None
     if note is not None:
         name += note[0]
@@ -476,6 +483,15 @@ class _Carriers(dict):
         return found
 
 
+class _TextSlots(dict):
+    """Carrier schema node → :func:`repro.query.cost.text_slot`,
+    resolved on first sight like :class:`_Carriers`."""
+
+    def __missing__(self, carrier: SchemaNode) -> Optional[int]:
+        slot = self[carrier] = text_slot(carrier)
+        return slot
+
+
 def _predicate_stage(queries: "StorageQueryEngine",
                      schema_nodes, predicate) -> tuple[str, Stage]:
     """One predicate lowered against the schema nodes the descriptors
@@ -485,7 +501,7 @@ def _predicate_stage(queries: "StorageQueryEngine",
     if isinstance(predicate, AttributePredicate):
         return _attribute_predicate_stage(predicate)
     if isinstance(predicate, ChildPredicate):
-        return _child_predicate_stage(queries, predicate)
+        return _child_predicate_stage(queries, schema_nodes, predicate)
     raise TypeError(f"unknown predicate {predicate!r}")
 
 
@@ -512,12 +528,14 @@ def _attribute_predicate_stage(predicate: AttributePredicate
     return f"predicate[@{predicate.name}]", stage
 
 
-def _child_predicate_stage(queries: "StorageQueryEngine",
+def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
                            predicate: ChildPredicate
                            ) -> tuple[str, Stage]:
     # The element schema children whose local name matches: existence
-    # is answered by the stored first-child pointer alone, a value test
-    # walks the sibling chain from it.
+    # is answered by the stored first-child pointer alone; a value test
+    # has the two routes of a child step, chosen per call by the same
+    # rule (cost.walks) from the context count and the value holders'
+    # descriptor counts.
     carriers = _Carriers(predicate)
     value = predicate.value
     string_value = queries.engine.string_value
@@ -534,15 +552,71 @@ def _child_predicate_stage(queries: "StorageQueryEngine",
             return out
         return f"predicate[{predicate.name}]", exists_stage
 
+    holders = sweep_holders(schema_nodes, predicate)
+    text_slots = _TextSlots()
+
+    def swept(descriptors: list) -> list:
+        # A semi-join from the value side.  The predicate is a per-node
+        # filter, so it may be answered for every instance at once:
+        # a text equal to the literal that is its parent's only child
+        # IS that carrier's string value (simple content: the chain
+        # holds texts only), and its parent's parent has the matching
+        # child.  A carrier with several texts (update-made) is read
+        # whole, once, from its first.  Membership only — order and
+        # duplicate-freedom are the input's.
+        texts: list = []
+        for holder in holders:
+            _sweep_blocks(holder, texts)
+        hits = set()
+        for text in texts:
+            if text.right_sibling is None:
+                if text.value == value and text.left_sibling is None:
+                    hits.add(text.parent.parent)
+            elif (text.left_sibling is None
+                  and string_value(text.parent) == value):
+                hits.add(text.parent.parent)
+        if _explain.ACTIVE is not None:
+            _note("/sweep", len(texts))
+        return [descriptor for descriptor in descriptors
+                if descriptor in hits]
+
     def value_stage(descriptors: list) -> list:
+        if not descriptors:
+            return []
+        if holders is not None:
+            rows = 0
+            for holder in holders:
+                rows += holder.descriptor_count
+            if not walks(len(descriptors), rows):
+                return swept(descriptors)
+        # Walk: compare the stored value of a simple-content carrier's
+        # one text child in place; only several texts or complex
+        # content build a string.
         out: list = []
+        children: list = []
+        tested = 0
         for descriptor in descriptors:
-            children: list = []
             _walk(descriptor, carriers[descriptor.schema_node], children)
             for child in children:
-                if string_value(child) == value:
+                tested += 1
+                slot = text_slots[child.schema_node]
+                if slot is None:
+                    found = string_value(child)
+                else:
+                    text = child.children_by_schema.get(slot)
+                    if text is None:
+                        found = ""
+                    elif text.right_sibling is None:
+                        found = text.value or ""
+                    else:
+                        found = string_value(child)
+                if found == value:
                     out.append(descriptor)
                     break
+            children.clear()
+        if _explain.ACTIVE is not None:
+            # A carrier and the text below it per test.
+            _note("/walk", 2 * tested)
         return out
 
     return f"predicate[{predicate.name}=…]", value_stage

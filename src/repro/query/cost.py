@@ -20,7 +20,9 @@ the §9 physical design actually spends:
   fused with its scan reads two per block it steps over);
 * **postings** read out of an index posting list;
 * **residual** predicate evaluations — per-instance tests the probe
-  or scan could not answer;
+  or scan could not answer (a child-value predicate over many
+  instances is answered from its value holders' blocks instead and
+  charged as scan rows: :func:`sweep_holders`);
 * **navigations** — context-node×step units of per-descriptor
   navigation (a walked hybrid/index suffix step, the whole path for
   naive); a suffix child step is charged the way the executor runs it
@@ -44,7 +46,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.query.paths import AttributePredicate, PositionPredicate
+from repro.query.paths import (
+    AttributePredicate,
+    ChildPredicate,
+    PositionPredicate,
+)
 from repro.query.planner import predicate_carriers
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,6 +99,20 @@ DEFAULT_EQ_SELECTIVITY = 0.1
 #: i.e. 0.22 µs per walked context against 0.028 µs per swept row plus
 #: 0.034 µs per context for the parent set: they meet near 150
 #: contexts, one per seven rows.
+#:
+#: A child-value predicate has the same two routes and takes the same
+#: constant.  ``[author='A']`` on ``/library/*`` of the 1,000-book,
+#: 1,000-paper library (2,991 author texts in the value holders, one
+#: or two authors behind each context), µs per call:
+#:
+#:     contexts     1    28   100   200   300   600  1000  2000
+#:     walk       0.7  12.7    44    90   133   301   584  1138
+#:     sweep      112   113   117   120   123   140   159   184
+#:
+#: i.e. 0.45 µs per walked context against 0.037 µs per swept text
+#: plus 0.036 µs per context for the intersection: they meet near 270
+#: contexts, one per eleven rows — within a factor of two of the
+#: step's one per seven, so there is one rule, not two constants.
 WALK_SWEEP_ROWS = 7.0
 
 
@@ -100,14 +120,60 @@ def walks(context_rows: float, destination_rows: float) -> bool:
     """Does a child step below *context_rows* context nodes walk their
     §9.2 first-child pointers, rather than sweep the
     *destination_rows* instances of the destination schema nodes and
-    keep those whose parent is a context?
+    keep those whose parent is a context?  Likewise a child-value
+    predicate, whose destination is its value holders
+    (:func:`sweep_holders`).
 
     The one walk/sweep rule: the executor
-    (``compiled._child_step_stage``) applies it per call to the counts
-    it holds, the model per estimate to the counts it expects, so the
-    route priced is the route run whenever the estimate is right.
+    (``compiled._child_step_stage``, ``_child_predicate_stage``)
+    applies it per call to the counts it holds, the model per estimate
+    to the counts it expects, so the route priced is the route run
+    whenever the estimate is right.
     """
     return context_rows * WALK_SWEEP_ROWS < destination_rows
+
+
+def text_slot(carrier: "SchemaNode") -> Optional[int]:
+    """The slot of the ``#text`` schema child of a *carrier* with
+    simple content, -1 when it has no text child either (every
+    instance is empty), None for complex content.
+
+    Simple content is a schema fact: with no element schema child, no
+    instance anywhere has an element child (§9.1: the node→schema-node
+    mapping is surjective), so an instance's sibling chain holds text
+    nodes only and its string value is exactly their concatenation.
+    """
+    slot = -1
+    for index, child in enumerate(carrier.children):
+        if child.node_type == "element":
+            return None
+        if child.node_type == "text":
+            slot = index
+    return slot
+
+
+def sweep_holders(schema_nodes, predicate
+                  ) -> "Optional[list[SchemaNode]]":
+    """The ``#text`` schema nodes whose blocks answer *predicate* on
+    instances of *schema_nodes* set-at-a-time — keep the texts equal to
+    the literal, go up two parent pointers, intersect with the contexts
+    — or None when only the per-context walk can: not a child-value
+    predicate, the literal ``''`` (an element with no text child has
+    that string value and no row in any text block), or a carrier with
+    complex content (:func:`text_slot`).  Shared, like :func:`walks`,
+    by the executor (``compiled._child_predicate_stage``) and the
+    model, which put the holders' rows to that rule."""
+    if not (isinstance(predicate, ChildPredicate) and predicate.value):
+        return None
+    holders = []
+    for schema_node in schema_nodes:
+        for _slot, carrier in predicate_carriers(schema_node, predicate):
+            slot = text_slot(carrier)
+            if slot is None:
+                return None
+            if slot >= 0:
+                holders.append(carrier.children[slot])
+    return holders
 
 
 class CostEstimate:
@@ -177,40 +243,58 @@ class CostModel:
     """Prices candidate plans from one engine's statistics.
 
     Every statistics read records the schema node it consulted in
-    :attr:`consulted` — the planner stamps that set onto the chosen
+    :attr:`consulted` — the planner stamps its keys onto the chosen
     plan so the statistics epoch can re-plan exactly the plans whose
     pricing inputs drifted (and restamp every other plan in place).
+    The values memoise what pricing asks for over and over — the
+    candidates of one path read the same few schema nodes' descriptor
+    counts some twenty times, their block fan-in a few times.
     """
 
     def __init__(self, stats: "StatisticsCollector",
                  block_capacity: int = 64) -> None:
         self._stats = stats
         self._capacity = max(1, block_capacity)
-        self.consulted: set = set()
+        #: Schema node → ``[rows, blocks or None, NodeStats or None]``.
+        self.consulted: dict = {}
 
     # -- statistics reads (every read records the consulted node) ------
 
+    def _consult(self, schema_node: "SchemaNode") -> list:
+        stats = self._stats.stats_for(schema_node)
+        entry = self.consulted[schema_node] = [
+            float(stats.descriptors) if stats is not None else 0.0,
+            None, stats]
+        return entry
+
     def node_stats(self, schema_node: "SchemaNode"
                    ) -> Optional["NodeStats"]:
-        self.consulted.add(schema_node)
-        return self._stats.stats_for(schema_node)
+        entry = self.consulted.get(schema_node)
+        return (entry or self._consult(schema_node))[2]
 
     def rows(self, schema_node: "SchemaNode") -> float:
-        stats = self.node_stats(schema_node)
-        return float(stats.descriptors) if stats is not None else 0.0
+        entry = self.consulted.get(schema_node)
+        return (entry or self._consult(schema_node))[0]
 
     def blocks(self, schema_node: "SchemaNode") -> float:
         """Modeled block fan-in: descriptor count over rows-per-block,
         where rows-per-block is the byte-derived fan-in capped by the
         engine's per-block descriptor capacity."""
-        stats = self.node_stats(schema_node)
-        if stats is None or stats.descriptors <= 0:
-            return 0.0
-        avg_bytes = stats.byte_size / stats.descriptors
-        per_block = min(self._capacity,
-                        max(1, int(BLOCK_TARGET_BYTES
-                                   // max(1.0, avg_bytes))))
-        return float(-(-stats.descriptors // per_block))
+        entry = self.consulted.get(schema_node) \
+            or self._consult(schema_node)
+        blocks = entry[1]
+        if blocks is None:
+            stats = entry[2]
+            if stats is None or stats.descriptors <= 0:
+                blocks = 0.0
+            else:
+                avg_bytes = stats.byte_size / stats.descriptors
+                per_block = min(self._capacity,
+                                max(1, int(BLOCK_TARGET_BYTES
+                                           // max(1.0, avg_bytes))))
+                blocks = float(-(-stats.descriptors // per_block))
+            entry[1] = blocks
+        return blocks
 
     # -- selectivity ---------------------------------------------------
 
@@ -270,13 +354,31 @@ class CostModel:
 
     # -- per-strategy pricing ------------------------------------------
 
+    def _filter(self, estimate: CostEstimate, schema_nodes,
+                context_rows: float, predicate) -> None:
+        """Charge one predicate stage over *context_rows* instances of
+        *schema_nodes* the way it runs: a child-value predicate a sweep
+        can answer (:func:`sweep_holders`) is put to the :func:`walks`
+        rule and, swept, costs the value holders' rows and blocks and
+        no per-context test; anything else is one residual test per
+        context."""
+        holders = sweep_holders(schema_nodes, predicate)
+        if holders is not None:
+            rows = sum(self.rows(holder) for holder in holders)
+            if not walks(context_rows, rows):
+                estimate.scan_rows += rows
+                estimate.blocks += sum(self.blocks(holder)
+                                       for holder in holders)
+                return
+        estimate.residual += context_rows
+
     def _sweep(self, estimate: CostEstimate, schema_nodes,
                predicates) -> float:
-        """Charge a block sweep of *schema_nodes* plus the residual
-        predicate cascade; returns the estimated surviving rows."""
-        survivors = 0.0
+        """Charge a block sweep of *schema_nodes* plus the predicate
+        cascade; returns the estimated surviving rows."""
         fused = (len(schema_nodes) == 1 and predicates
                  and isinstance(predicates[0], PositionPredicate))
+        survivors = []
         for schema_node in schema_nodes:
             rows = self.rows(schema_node)
             blocks = self.blocks(schema_node)
@@ -296,13 +398,17 @@ class CostModel:
                     + (mixed + 1) * rows / blocks)
             else:
                 estimate.scan_rows += rows
-            for position, predicate in enumerate(predicates):
-                if not (fused and position == 0):
-                    estimate.residual += rows
-                rows *= self.predicate_selectivity(schema_node,
-                                                   predicate)
-            survivors += rows
-        return survivors
+            survivors.append(rows)
+        # A stage sees the survivors of every schema node at once, and
+        # picks its route from their total.
+        for position, predicate in enumerate(predicates):
+            if not (fused and position == 0):
+                self._filter(estimate, schema_nodes, sum(survivors),
+                             predicate)
+            survivors = [
+                rows * self.predicate_selectivity(schema_node, predicate)
+                for schema_node, rows in zip(schema_nodes, survivors)]
+        return sum(survivors)
 
     def _suffix(self, estimate: CostEstimate, plan: "CompiledPlan",
                 frontiers: list, context_rows: float,
@@ -423,7 +529,7 @@ class CostModel:
         else:
             survivors = postings
         for predicate in plan.rest_predicates:
-            estimate.residual += survivors
+            self._filter(estimate, plan.scan_nodes, survivors, predicate)
             if owner is not None:
                 survivors *= self.predicate_selectivity(owner,
                                                         predicate)

@@ -10,15 +10,18 @@ bindings) and after data mutations (schema-bound closures see live
 block chains, so no recompilation is needed or taken).  A generated
 property extends the hand-written corpus to the whole path grammar,
 every planner policy, with and without indexes — on both sides of the
-walk/sweep switch of a suffix step, with positional predicates over
-parents whose children span small, half-emptied and split blocks, and
-with residual predicates behind an index probe.
+walk/sweep switch of a suffix step and of a child-value predicate
+(values split over several texts, empty and complex-content carriers,
+the literal ``''``, wildcard contexts over two carriers), with
+positional predicates over parents whose children span small,
+half-emptied and split blocks, and with residual predicates behind an
+index probe.
 """
 
 from typing import Callable, NamedTuple, Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs.explain import collect
 from repro.query import POLICIES, StorageQueryEngine, evaluate_store
@@ -114,23 +117,59 @@ def _stacks_doc():
     return f"<lib>{''.join(shelves)}</lib>"
 
 
+def _element(engine, parent, index, name, *texts):
+    """Insert ``<name>`` at *index* below *parent*, one text child per
+    member of *texts*."""
+    element = engine.insert_child(parent, index, name=QName("", name))
+    for position, text in enumerate(texts):
+        engine.insert_child(element, position, text=text)
+    return element
+
+
 def _churn_stacks(engine):
-    """Half-empty some blocks by deletes, split others by inserts."""
+    """Half-empty some blocks by deletes, split others by inserts, and
+    leave behind what a value sweep has to get right."""
     lib = engine.children(engine.document)[0]
     shelves = engine.children(lib)
     for book in engine.children(shelves[1])[2:14:2]:
         engine.delete_subtree(book)
     for index in (0, 4, 4, 9):
-        book = engine.insert_child(shelves[3], index,
-                                   name=QName("", "book"))
+        book = _element(engine, shelves[3], index, "book")
         engine.set_attribute(book, QName("", "lang"), "en")
-        title = engine.insert_child(book, 0, name=QName("", "t"))
-        engine.insert_child(title, 0, text="T1")
+        _element(engine, book, 0, "t", "T1")
         for position in (1, 1, 2):
-            author = engine.insert_child(book, position,
-                                         name=QName("", "a"))
-            engine.insert_child(author, 0, text="A1")
+            _element(engine, book, position, "a", "A1")
+    # Simple-content carriers whose value is not one text's: "A" + "1"
+    # IS 'A1'; a lone "A1" with a second text behind it is not; an
+    # empty <a/> has the value '' and no row in any text block.
+    for index, texts in ((1, ("A", "1")), (3, ("A1", "x")), (5, ())):
+        book = _element(engine, shelves[5], index, "book")
+        _element(engine, book, 0, "t", "T2")
+        _element(engine, book, 1, "a", *texts)
+    # Two carriers below one wildcard context: /lib/*[a='A1'] reads
+    # lib/shelf/a and lib/box/a.
+    _element(engine, shelves[0], 0, "a", "A1")
+    _element(engine, shelves[2], 1, "a", "A", "1")
+    for index, text in ((2, "A1"), (4, "A2"), (7, "A1")):
+        _element(engine, _element(engine, lib, index, "box"),
+                 0, "a", text)
     assert engine.split_count > 0
+    engine.check_invariants()
+
+
+def _churn_shelf(engine):
+    """Give ``lib/shelf/book/a`` complex content — no sweep can answer
+    for it, ``lib/book/a`` keeps simple content: <a><b>A</b>1</a> has
+    the string value 'A1', <a><b/></a> the value ''."""
+    shelf = [child for child in engine.children(
+        engine.children(engine.document)[0])
+        if child.schema_node.step == "shelf"][0]
+    books = [child for child in engine.children(shelf)
+             if child.node_type == "element"]
+    mixed = _element(engine, books[1], 1, "a")
+    _element(engine, mixed, 0, "b", "A")
+    engine.insert_child(mixed, 1, text="1")
+    _element(engine, _element(engine, books[0], 1, "a"), 0, "b")
     engine.check_invariants()
 
 
@@ -144,6 +183,9 @@ class _Fixture(NamedTuple):
     names: tuple
     attributes: tuple
     literals: tuple
+    #: Child-value predicates some node satisfies (a random name and a
+    #: random literal seldom meet).
+    carried: tuple
     #: Indexes of the indexed variant.
     ddl: tuple
     engine_options: dict = {}
@@ -154,9 +196,11 @@ class _Fixture(NamedTuple):
 _FIXTURES = {
     "stacks": _Fixture(
         _stacks_doc(),
-        ("lib/shelf/book/t", "lib/shelf/book/a"),
+        ("lib/shelf/book/t", "lib/shelf/book/a", "lib/shelf/a",
+         "lib/box/a"),
         ("book", "t", "a", "zzz"), ("lang", "year", "zzz"),
-        ("en", "ru", "1977", "A1", "T1", "zzz"),
+        ("en", "ru", "1977", "A1", "T1", "", "zzz"),
+        ("[a='A1']", "[a='A2']", "[a='']", "[t='T2']"),
         (("lib/shelf/book/@lang", {}), ("lib/shelf/book/a", {}),
          ("//a", {"kind": "path"})),
         {"block_capacity": 4}, _churn_stacks),
@@ -165,10 +209,12 @@ _FIXTURES = {
         ("lib/book/t", "lib/book/a", "lib/shelf/book/t",
          "lib/shelf/book/a"),
         ("book", "shelf", "t", "a", "zzz"), ("lang", "year", "zzz"),
-        ("en", "fr", "1977", "Joyce", "Molloy", "zzz"),
+        ("en", "fr", "1977", "Joyce", "Molloy", "A1", "", "zzz"),
+        ("[a='A1']", "[a='Joyce']", "[a='']", "[t='Molloy']"),
         (("lib/book/@lang", {}), ("lib/book/a", {}),
          ("lib/shelf/book/@lang", {}),
-         ("//a", {"kind": "path"}), ("//book", {"kind": "path"}))),
+         ("//a", {"kind": "path"}), ("//book", {"kind": "path"})),
+        churn=_churn_shelf),
     "library": _Fixture(
         _LIBRARY_DOC,
         ("library/book/title", "library/book/author",
@@ -177,6 +223,7 @@ _FIXTURES = {
         ("title", "author", "issue", "year", "zzz"),
         ("year", "zzz"),
         ("1973", "1980", "1987", "Codd", "zzz"),
+        ("[author='Codd']", "[author='Gray']", "[year='1980']"),
         (("library/book/@year", {"value_type": "integer"}),
          ("library/book/author", {}),
          ("//author", {"kind": "path"}),
@@ -208,7 +255,8 @@ def _paths(draw):
     ``text()`` / attribute last step, and up to two predicates on any
     element step."""
     fixture = draw(st.sampled_from(sorted(_FIXTURES)))
-    _, chains, names, attributes, literals, *_ = _FIXTURES[fixture]
+    _, chains, names, attributes, literals, carried, *_ = \
+        _FIXTURES[fixture]
     value = st.one_of(st.just(""), st.sampled_from(literals).map(
         lambda literal: f"='{literal}'"))
     predicate = st.one_of(
@@ -218,7 +266,8 @@ def _paths(draw):
         st.tuples(st.sampled_from(attributes), value).map(
             lambda pair: f"[@{pair[0]}{pair[1]}]"),
         st.tuples(st.sampled_from(names), value).map(
-            lambda pair: f"[{pair[0]}{pair[1]}]"))
+            lambda pair: f"[{pair[0]}{pair[1]}]"),
+        st.sampled_from(carried))
     chain = draw(st.sampled_from(chains)).split("/")
     chain = chain[:draw(st.integers(1, len(chain)))]
     tail = draw(st.sampled_from(
@@ -243,8 +292,21 @@ def _paths(draw):
     return fixture, text
 
 
-@settings(max_examples=300, deadline=None)
+# The example budget is the selected hypothesis profile's (CI's
+# ``crash-matrix``: 500), never below what tier-1 runs.
+@settings(max_examples=max(300, settings().max_examples), deadline=None)
 @given(drawn=_paths())
+# What a value sweep must get right, under every policy whatever the
+# generator draws: a value split over two texts and a lone match with
+# a text behind it, the literal '' against an empty carrier, two
+# carriers below one wildcard, the walk behind a selective filter,
+# and complex content with and without a simple-content sibling.
+@example(drawn=("stacks", "/lib/shelf/book[a='A1']/t"))
+@example(drawn=("stacks", "/lib/shelf/book[a='']/t"))
+@example(drawn=("stacks", "/lib/*[a='A1']"))
+@example(drawn=("stacks", "/lib/shelf/book[@year='1977'][a='A1']/t"))
+@example(drawn=("shelf", "/lib/shelf/book[a='A1']/t"))
+@example(drawn=("shelf", "//book[a='']/t"))
 def test_every_policy_matches_the_oracle_on_generated_paths(
         generated_engines, drawn):
     fixture, path = drawn
@@ -269,9 +331,10 @@ def _stage_names(queries, path):
 def test_stacks_fixture_reaches_every_route(generated_engines):
     """The generated property is not vacuous on the new routes: the
     ``stacks`` fixture puts context sets on both sides of the
-    walk/sweep switch, fuses positional predicates into scans whose
-    runs cross block boundaries, and lowers residual predicates of
-    both kinds behind a probe."""
+    walk/sweep switch — of a step and of a child-value predicate —
+    fuses positional predicates into scans whose runs cross block
+    boundaries, and lowers residual predicates of both kinds behind a
+    probe."""
     plain, indexed = (engines[0] for engines in generated_engines["stacks"])
     blocks = plain.engine.schema.find_path("lib/shelf/book").block_count()
     assert blocks > len(_STACKS_SHELVES)
@@ -288,16 +351,56 @@ def test_stacks_fixture_reaches_every_route(generated_engines):
              ["scan[lib/shelf/book]", "predicate[@lang]",
               "predicate[pos]", "step[t]/walk"]),
             ("/lib/shelf/book/a[last()]",
-             ["scan-pos[lib/shelf/book/a][last()]"])):
-        assert _stage_names(plain, path)[0] == expected
+             ["scan-pos[lib/shelf/book/a][last()]"]),
+            # Every book is a context: the value side is swept, and the
+            # split "A" + "1" is found, the "A1" + "x" is not.
+            ("/lib/shelf/book[a='A1']/t",
+             ["scan[lib/shelf/book]", "predicate[a=…]/sweep",
+              "step[t]/sweep"]),
+            # A handful of contexts walk to their own authors.
+            ("/lib/shelf/book[@year='1977'][a='A1']/t",
+             ["scan[lib/shelf/book]", "predicate[@year]",
+              "predicate[a=…]/walk", "step[t]/walk"]),
+            # No text block has a row for the empty <a/>.
+            ("/lib/shelf/book[a='']/t",
+             ["scan[lib/shelf/book]", "predicate[a=…]/walk",
+              "step[t]/walk"])):
+        assert _stage_names(plain, path)[0] == expected, path
+    assert len(plain.evaluate("/lib/shelf/book[a='']")) == 1
+    # One sweep over the text blocks of two carriers (the cost rule
+    # navigates a document this small, so the scan is forced).
+    scan = generated_engines["stacks"][0][POLICIES.index("scan")]
+    assert _stage_names(scan, "/lib/*[a='A1']")[0] == [
+        "scan-merge[2]", "predicate[a=…]/sweep"]
+    assert len(scan.evaluate("/lib/*[a='A1']")) == 4
+    structural = generated_engines["stacks"][1][POLICIES.index("structural")]
     names, _ = _stage_names(
-        indexed, "/lib/shelf/book[@lang='en'][a='A1'][@year]/t")
-    assert names == ["probe[eq]", "predicate[a=…]", "predicate[@year]",
-                     "step[t]/walk"]
+        structural, "/lib/shelf/book[@lang='en'][a='A1'][@year]/t")
+    assert names == ["probe[eq]", "predicate[a=…]/sweep",
+                     "predicate[@year]", "step[t]/walk"]
     names, _ = _stage_names(
         indexed, "/lib/shelf/book[a='A1'][@lang='en'][2]/t")
     assert names[0] in ("probe[eq]", "probe[eq/parent]")
     assert "predicate[pos]" in names
+
+
+def test_complex_content_carriers_are_walked(generated_engines):
+    """``lib/shelf/book/a`` of the ``shelf`` fixture has an element
+    schema child: its value is not its text children's, so however
+    many contexts there are the predicate walks and builds the string
+    value — also where a ``//`` context reaches a simple-content
+    carrier too."""
+    plain = generated_engines["shelf"][0][0]
+    for path, found in (("/lib/shelf/book[a='A1']/t", 1),
+                        ("//book[a='A1']", 1),
+                        ("//book[a='']/t", 1),
+                        ("//book[a='Joyce']/t", 1)):
+        names, _ = _stage_names(plain, path)
+        assert "predicate[a=…]/walk" in names, path
+        assert len(plain.evaluate(path)) == found, path
+    # The simple-content carrier alone is still swept.
+    names, _ = _stage_names(plain, "/lib/book[a='Joyce']/t")
+    assert "predicate[a=…]/sweep" in names
 
 
 def test_node_visits_follow_the_answer_not_the_document():
@@ -331,6 +434,28 @@ def test_node_visits_follow_the_answer_not_the_document():
     names, visited = _stage_names(queries, "/library/book[@year]/title")
     assert names[-1] == "step[title]/sweep"
     assert visited >= 2000
+
+
+def test_value_predicates_report_what_they_read():
+    """EXPLAIN counts the carriers and texts a child-value predicate
+    read, on either route (a filter used to count nothing, so only the
+    scan and the step showed)."""
+    books = "".join(f"<book><t>T{n}</t><a>A{n % 2}</a></book>"
+                    for n in range(4))
+    _, queries = _setup(
+        f"<lib>{books}<book k='x'><t>T</t>{'<a>A0</a>' * 9}<a>A1</a>"
+        "</book></lib>")
+    # Five contexts, 14 author texts: swept.  5 books + 14 texts + the
+    # 5 titles the step sweeps for 3 survivors.
+    names, visited = _stage_names(queries, "/lib/book[a='A1']/t")
+    assert names == ["scan[lib/book]", "predicate[a=…]/sweep",
+                     "step[t]/sweep"]
+    assert visited == 5 + 14 + 5
+    # One context: walked, ten <a> and their texts read to the match.
+    names, visited = _stage_names(queries, "/lib/book[@k][a='A1']/t")
+    assert names == ["scan[lib/book]", "predicate[@k]",
+                     "predicate[a=…]/walk", "step[t]/sweep"]
+    assert visited == 5 + 2 * 10 + 5
 
 
 def test_corpus_covers_the_interpreter_strategies(shelf_queries):
@@ -472,6 +597,31 @@ class TestMutationParity:
         lib = engine.children(engine.document)[0]
         engine.delete_subtree(engine.children(lib)[0])
         self._assert_all(queries)
+
+    def test_warm_value_sweep_reads_the_live_text_blocks(self, setup):
+        """The semi-join closure is schema-bound: the same warm
+        executor finds a new matching <a>, drops an <a> whose value a
+        second text changed, and forgets a deleted book."""
+        engine, queries = setup
+        path = "/lib/book[a='Joyce']/t"
+        executor = queries.compile(path).executor
+        assert "predicate[a=…]/sweep" in _stage_names(queries, path)[0]
+        lib = engine.children(engine.document)[0]
+        books = [child for child in engine.children(lib)
+                 if child.schema_node.step == "book"]
+        _element(engine, books[1], 1, "a", "Joyce")
+        self._assert_all(queries)
+        assert len(queries.evaluate(path)) == 2
+        joyce = engine.children(books[2])[1]
+        assert engine.string_value(joyce) == "Joyce"
+        engine.insert_child(joyce, 1, text="!")
+        self._assert_all(queries)
+        assert _nids(queries.evaluate(path)) \
+            == _nids(queries.evaluate("/lib/book[2]/t"))
+        engine.delete_subtree(books[1])
+        self._assert_all(queries)
+        assert queries.evaluate(path) == []
+        assert queries.compile(path).executor is executor
 
     def test_attribute_value_update_keeps_parity(self, setup):
         engine, queries = setup

@@ -10,10 +10,11 @@ Three families of guarantees:
   cost structure: scan beats naive on a deep path, a selective
   eq-probe beats scanning, and the planner may override the structural
   first-predicate pick when a later predicate prices cheaper.
-* **Priced as executed** — a suffix child step is charged as the
-  walk or the sweep the executor takes for that context count, and a
-  first positional predicate on a single-node scan as blocks stepped
-  over; EXPLAIN's stage names show the same route.
+* **Priced as executed** — a suffix child step and a child-value
+  predicate are charged as the walk or the sweep the executor takes
+  for that context count, and a first positional predicate on a
+  single-node scan as blocks stepped over; EXPLAIN's stage names show
+  the same route.
 * **Exactly-scoped invalidation** — a statistics-epoch bump re-plans
   only the plans whose *consulted* schema nodes drifted; every other
   plan is restamped in place, keeping its object identity and its
@@ -326,6 +327,47 @@ class TestPricedAsExecuted:
         later = queries.compile("/library/book[@year][7]/title")
         by_strategy = {c.strategy: c for c in later.cost_table}
         assert by_strategy["hybrid"].scan_rows == 40
+
+
+    def test_a_value_predicate_over_every_instance_is_priced_swept(
+            self, setup):
+        engine, queries = setup
+        author = engine.string_value(
+            queries.evaluate_naive("/library/book/author")[0])
+        holders = [engine.schema.find_path(f"library/{kind}/author/#text")
+                   for kind in ("book", "paper")]
+        plan, record = self._explained(
+            queries, f"/library/*[author='{author}']/title")
+        assert plan.strategy == "hybrid"
+        # 52 contexts against some hundred author texts: the texts are
+        # swept once — their rows and blocks, no per-context test.
+        assert plan.cost.residual == 0
+        assert plan.cost.scan_rows == 40 + 12 + sum(
+            holder.descriptor_count for holder in holders)
+        assert plan.cost.blocks >= sum(
+            holder.block_count() for holder in holders)
+        assert [name for name, _ in record.stage_ns][:2] \
+            == ["scan-merge[2]", "predicate[author=…]/sweep"]
+        assert record.nodes_visited >= plan.cost.scan_rows
+
+    def test_a_value_predicate_behind_a_probe_is_priced_walked(
+            self, setup):
+        engine, queries = setup
+        book = queries.evaluate_naive("/library/book[author]")[0]
+        year = engine.string_value(engine.attributes(book)[0])
+        author = engine.string_value(
+            queries.evaluate_naive("/library/book/author")[0])
+        plan, record = self._explained(
+            queries,
+            f"/library/book[@year='{year}'][author='{author}']/title")
+        assert plan.strategy == "index"
+        assert plan.index_used == "value:library/book/@year"
+        # The probe's few survivors walk to their own authors: one
+        # residual test per survivor, no author text swept.
+        assert plan.cost.residual == plan.cost.postings > 0
+        assert plan.cost.scan_rows == 0
+        assert [name for name, _ in record.stage_ns] == [
+            "probe[eq]", "predicate[author=…]/walk", "step[title]/walk"]
 
 
 class TestExactlyScopedInvalidation:
