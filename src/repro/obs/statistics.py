@@ -149,13 +149,18 @@ class StatisticsCollector:
     collector remembers the epoch it last drifted at, so
     :meth:`drifted_since` can answer "did anything this plan priced
     move?" — the exactly-scoped invalidation question — in O(nodes
-    consulted)."""
+    consulted).  A drift also bumps the owning engine's ``plan_epoch``
+    (after :attr:`epoch`), the one integer a cache hit compares."""
 
     def __init__(self) -> None:
         self._stats: Dict["SchemaNode", NodeStats] = {}
         #: Advances when any node's statistics drift past the
         #: threshold; cached plans stamp the epoch they priced under.
         self.epoch = 0
+        #: The engine whose statistics these are (set by the engine
+        #: and by ``persist.finish_load``; None for a :meth:`recount`
+        #: made only to compare).
+        self.engine = None
         # Per node: descriptor count at its last drift stamp, value
         # rewrites since, and the epoch it last drifted at.
         self._basis: Dict["SchemaNode", int] = {}
@@ -178,6 +183,8 @@ class StatisticsCollector:
             self._basis[schema_node] = descriptors
             self._churn.pop(schema_node, None)
             self._drifted_at[schema_node] = self.epoch
+            if self.engine is not None:
+                self.engine.plan_epoch += 1
 
     def drifted_since(self, schema_nodes, epoch: int) -> bool:
         """Did any of *schema_nodes* drift after *epoch*?  The plan

@@ -5,9 +5,13 @@ Two caches keep repeated queries off the slow paths:
 * a process-wide LRU **parse cache** — a path string compiles to a
   :class:`~repro.query.paths.Path` exactly once, because parsing is
   pure (the same text always yields the same frozen ``Path``);
-* a per-engine LRU **plan cache** (used by
+* a per-engine **plan cache** (used by
   :class:`~repro.query.planner.QueryPlanner`) — compiled plans are
-  keyed by ``Path`` and stamped with **three** freshness marks, each
+  keyed by ``Path``, with a plain ``dict`` from path *string* to the
+  same plan in front.  A plan is handed out after **one** compare,
+  ``plan.epoch == engine.plan_epoch``: the engine's plan epoch is a
+  single integer that every source of staleness bumps.  Only when
+  that compare fails are the plan's **three** stamps read, each
   invalidating exactly what it must:
 
   - the descriptive-schema *version*: a grown schema can change what
@@ -23,6 +27,10 @@ Two caches keep repeated queries off the slow paths:
     none of whose priced schema nodes drifted are restamped in place
     without even recompiling; drifted ones are re-priced and kept if
     the cost-based decision stands.
+
+  A hit takes no lock and does not reorder the cache; it sets the
+  plan's ``referenced`` flag instead, and :meth:`LRUCache.put` gives
+  a referenced entry one second chance before evicting it (CLOCK).
 
 Both count through the observability layer's instruments
 (:mod:`repro.obs.metrics`) — one counter mechanism for the whole
@@ -83,6 +91,12 @@ class LRUCache(Generic[K, V]):
     through :meth:`invalidate` when an entry is discarded for being
     stale rather than cold (the plan cache's schema-version check).
 
+    A reader that must not take the lock (the plan cache's hit) cannot
+    ``move_to_end``; it sets ``value.referenced = True`` instead, and
+    ``put`` passes over a coldest entry so marked once — clearing the
+    mark and moving it to the warm end — before evicting (CLOCK's
+    second chance).  Values without the attribute are never spared.
+
     Thread-safe: the session layer shares one engine (and its plan
     cache) across concurrent readers of a snapshot, and the
     process-wide parse cache is hit from every worker thread, so every
@@ -93,11 +107,14 @@ class LRUCache(Generic[K, V]):
     *registry* and *prefix* to register them (``<prefix>.hits`` …) in a
     shared :class:`MetricsRegistry` — done by the process-wide parse
     cache; per-engine plan caches keep private instruments so one
-    engine's hit rate is not another's.
+    engine's hit rate is not another's.  ``hit_counter`` and
+    ``miss_counter`` are public: :meth:`peek` counts nothing, so a
+    caller that decides hit or miss itself (a found-but-stale plan is
+    a miss) bumps them.
     """
 
-    __slots__ = ("capacity", "_entries", "_lock", "_hits", "_misses",
-                 "_invalidations", "_evictions")
+    __slots__ = ("capacity", "_entries", "_lock", "hit_counter",
+                 "miss_counter", "_invalidations", "_evictions")
 
     def __init__(self, capacity: int,
                  registry: Optional[MetricsRegistry] = None,
@@ -109,19 +126,19 @@ class LRUCache(Generic[K, V]):
         self._lock = threading.Lock()
         make = registry.counter if registry is not None \
             else (lambda name: Counter(name))
-        self._hits = make(f"{prefix}.hits")
-        self._misses = make(f"{prefix}.misses")
+        self.hit_counter = make(f"{prefix}.hits")
+        self.miss_counter = make(f"{prefix}.misses")
         self._invalidations = make(f"{prefix}.invalidations")
         self._evictions = make(f"{prefix}.evictions")
 
     # Counter values under the historical attribute names.
     @property
     def hits(self) -> int:
-        return self._hits.value
+        return self.hit_counter.value
 
     @property
     def misses(self) -> int:
-        return self._misses.value
+        return self.miss_counter.value
 
     @property
     def invalidations(self) -> int:
@@ -135,28 +152,41 @@ class LRUCache(Generic[K, V]):
         with self._lock:
             entry = self._entries.get(key, _MISSING)
             if entry is _MISSING:
-                self._misses.inc()
+                self.miss_counter.inc()
                 return None
             self._entries.move_to_end(key)
-            self._hits.inc()
+            self.hit_counter.inc()
             return entry  # type: ignore[return-value]
 
     def peek(self, key: K) -> Optional[V]:
-        """Read without touching recency or the hit/miss counters
-        (used for staleness checks before the counted ``get``)."""
+        """Read without touching recency or the hit/miss counters."""
         with self._lock:
             entry = self._entries.get(key, _MISSING)
             return None if entry is _MISSING else entry  # type: ignore
 
-    def put(self, key: K, value: V) -> None:
+    def put(self, key: K, value: V) -> Optional[V]:
+        """Store *value*; returns the value evicted to make room (None
+        when nothing was)."""
         with self._lock:
             entries = self._entries
             if key in entries:
                 entries.move_to_end(key)
-            entries[key] = value
-            if len(entries) > self.capacity:
-                entries.popitem(last=False)
+                entries[key] = value
+                return None
+            evicted = None
+            if len(entries) >= self.capacity:
+                # At most one rotation: every mark is cleared by then.
+                for _ in range(len(entries)):
+                    coldest = next(iter(entries))
+                    spared = entries[coldest]
+                    if not getattr(spared, "referenced", False):
+                        break
+                    spared.referenced = False
+                    entries.move_to_end(coldest)
+                _, evicted = entries.popitem(last=False)
                 self._evictions.inc()
+            entries[key] = value
+            return evicted
 
     def invalidate(self, key: K) -> None:
         """Drop a stale entry (counted separately from evictions)."""
@@ -169,8 +199,8 @@ class LRUCache(Generic[K, V]):
             self._entries.clear()
 
     def reset_stats(self) -> None:
-        self._hits.reset()
-        self._misses.reset()
+        self.hit_counter.reset()
+        self.miss_counter.reset()
         self._invalidations.reset()
         self._evictions.reset()
 

@@ -333,8 +333,8 @@ class StorageQueryEngine:
         per-node navigation.  This forces the whole of that pipeline on
         every call — fresh parse, candidate enumeration and selection
         under the engine's policy, lowering, execution — where
-        :meth:`evaluate` skips all but the last while the plan's
-        freshness stamps hold.
+        :meth:`evaluate` skips all but the last while the engine's
+        plan epoch has not moved.
         """
         if isinstance(path, str):
             path = parse_path(path)

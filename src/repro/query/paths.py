@@ -94,6 +94,15 @@ class Path:
 
     steps: tuple[Step, ...]
 
+    def __post_init__(self) -> None:
+        # Paths key the plan cache.  The generated ``__hash__`` walks
+        # every step and predicate on every lookup; this walks them
+        # once, here, so each Step is hashed once too.
+        object.__setattr__(self, "_hash", hash(self.steps))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __repr__(self) -> str:
         return "".join(repr(step) for step in self.steps)
 

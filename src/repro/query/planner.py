@@ -6,13 +6,19 @@ nodes.  This module is the planning half of the one query pipeline
 (parse → **enumerate candidates → select by policy** → lower →
 execute): it compiles a path **once** into a :class:`CompiledPlan` —
 the matched schema nodes plus an execution strategy — and caches the
-plan keyed by the path and the schema's growth version.  A plan has
-one way to run, the closure chain :mod:`repro.query.compiled` lowers
-it to (:meth:`CompiledPlan.execute_compiled`).  Because every
+plan keyed by the path (and, in front, by the path string).  A plan
+has one way to run, the closure chain :mod:`repro.query.compiled`
+lowers it to (:meth:`CompiledPlan.execute_compiled`).  Because every
 document path has exactly one schema path (the defining property of
 Section 9.1), a plan stays valid until the schema itself grows: pure
 data inserts add descriptors to existing block lists, which the plan's
 live block scan picks up for free.
+
+That stability is what a cache hit costs: one compare of the plan's
+:attr:`~CompiledPlan.epoch` with the engine's ``plan_epoch``, the
+single integer every source of staleness (schema growth, index DDL,
+statistics drift) bumps.  The stamps described below are read only
+when that compare fails (:meth:`QueryPlanner._revalidate`).
 
 Strategies, from fastest to slowest:
 
@@ -61,6 +67,7 @@ invalidation contract the index epoch established.
 
 from __future__ import annotations
 
+import threading
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -194,7 +201,7 @@ class CompiledPlan:
                  "split", "pruned_schema_nodes", "index_epoch",
                  "probe", "rest_predicates", "index_used", "executor",
                  "not_lowerable_reason", "stats_epoch", "stats_nodes",
-                 "cost", "cost_table")
+                 "cost", "cost_table", "epoch", "text", "referenced")
 
     def __init__(self, path: Path, schema_version: int, strategy: str,
                  scan_nodes: tuple[SchemaNode, ...],
@@ -247,6 +254,17 @@ class CompiledPlan:
         #: Every priced candidate, chosen one flagged — the EXPLAIN
         #: cost table.
         self.cost_table: tuple = ()
+        #: The engine's ``plan_epoch`` at which the three stamps above
+        #: were last known fresh — the one compare of a cache hit
+        #: (-1: not cached yet; the engine's epoch is never negative).
+        self.epoch = -1
+        #: The path string the planner's string table maps to this
+        #: plan (at most one per plan, which bounds the table by the
+        #: cache's capacity).
+        self.text: Optional[str] = None
+        #: Set by a hit; buys one second chance from
+        #: :meth:`~repro.query.cache.LRUCache.put`'s eviction.
+        self.referenced = False
 
     def execute_compiled(self, queries: "StorageQueryEngine"
                          ) -> "list[NodeDescriptor]":
@@ -495,15 +513,36 @@ def _adopt(stale: CompiledPlan, fresh: CompiledPlan,
         stale.executor = None
 
 
-class QueryPlanner:
-    """Per-engine plan compiler with an LRU (path → plan) cache.
+def _describe(context, plan: CompiledPlan, outcome: str) -> None:
+    """The planner's EXPLAIN fields for *plan* (*outcome*: ``hit``,
+    ``miss`` or ``invalidated``)."""
+    context.plan_cache = outcome
+    context.strategy = plan.strategy
+    context.schema_nodes_scanned = len(plan.scan_nodes)
+    context.pruned_schema_nodes = plan.pruned_schema_nodes
+    context.index_used = plan.index_used
+    context.not_lowerable_reason = plan.not_lowerable_reason
+    if plan.cost is not None:
+        context.cost_total = plan.cost.total
+        context.cost_estimated_rows = plan.cost.output_rows
+        context.cost_table = [estimate.as_dict()
+                              for estimate in plan.cost_table]
 
-    A cached plan is handed out only if its schema version still
-    matches; a grown schema invalidates exactly the stale entry (the
-    paper's claim that the descriptive schema is small and *stable*
-    makes invalidations rare in practice).  Two further stamps keep
-    cached decisions honest without over-invalidating: the index
-    (DDL) epoch and the statistics epoch, both handled by
+
+class QueryPlanner:
+    """Per-engine plan compiler with a (path → plan) cache.
+
+    A cached plan is handed out after one compare: its
+    :attr:`~CompiledPlan.epoch` against the engine's ``plan_epoch``,
+    the single integer that schema growth, index DDL and statistics
+    drift all bump.  A path *string* finds its plan in a plain dict
+    (no lock, no parse-cache visit, no ``Path`` hash); a ``Path``
+    through one locked lookup of the LRU behind it; both share the
+    plan.  Only when the compare fails does the exactly-scoped logic
+    run (:meth:`_revalidate`): a grown schema invalidates exactly the
+    stale entry (the paper's claim that the descriptive schema is
+    small and *stable* makes invalidations rare in practice); the
+    index (DDL) epoch and the statistics epoch are handled by
     recompile-and-compare with in-place restamps when the decision
     stands — and the statistics epoch adds an even cheaper short
     circuit first: a plan none of whose priced schema nodes drifted
@@ -519,6 +558,22 @@ class QueryPlanner:
         self.policy = policy
         self._plans: LRUCache[Path, CompiledPlan] = LRUCache(
             capacity, prefix="query.plan_cache")
+        #: path string → the cached plan of its ``Path``.  Every entry
+        #: is some cached plan's :attr:`~CompiledPlan.text`, so the
+        #: table never outgrows the cache.  Read without a lock;
+        #: written under :attr:`_lock`.
+        self._texts: dict[str, CompiledPlan] = {}
+        #: Serializes everything but the hit: lookup by ``Path``,
+        #: revalidation, compile, store and the string table's upkeep.
+        self._lock = threading.Lock()
+        # Held, not looked up per request (obs.reset() zeroes in
+        # place): this cache's own counters and the registry's
+        # aggregate over all engines.
+        self._hits = self._plans.hit_counter
+        self._misses = self._plans.miss_counter
+        self._all_hits = obs.REGISTRY.counter("query.plan_cache.hits")
+        self._all_misses = obs.REGISTRY.counter(
+            "query.plan_cache.misses")
 
     def compile_uncached(self, path: Path) -> CompiledPlan:
         """A fresh plan for *path* under this planner's policy — what
@@ -530,20 +585,83 @@ class QueryPlanner:
                             policy=self.policy)
 
     def compile(self, path: "Path | str") -> CompiledPlan:
-        if isinstance(path, str):
-            path = cached_parse_path(path)
+        plan = (self._texts.get(path) if isinstance(path, str)
+                else self._plans.peek(path))
+        if plan is None or plan.epoch != self._engine.plan_epoch:
+            return self._compile_slow(path)
+        # The prepared hit: no lock, no reordering — the mark is the
+        # recency the cache's eviction reads.
+        plan.referenced = True
+        self._hits.inc()
+        if obs.RECORDING:
+            self._all_hits.inc()
+        if _explain.ACTIVE is not None:
+            _describe(_explain.ACTIVE, plan, "hit")
+        return plan
+
+    def _compile_slow(self, request: "Path | str") -> CompiledPlan:
+        """Everything that is not a prepared hit: an unknown string, a
+        missing plan, or one whose epoch fell behind the engine's."""
+        text, path = None, request
+        if isinstance(request, str):
+            text, path = request, cached_parse_path(request)
         engine = self._engine
-        version = engine.schema.version
-        stats = engine.stats
-        epoch = engine.indexes.epoch
-        stats_epoch = stats.epoch
         invalidated = False
-        fresh: Optional[CompiledPlan] = None
-        stale = self._plans.peek(path)
-        if stale is not None and stale.schema_version != version:
-            self._plans.invalidate(path)
-            invalidated = True
-        elif stale is not None and stale.index_epoch != epoch:
+        with self._lock:
+            # Read before the stamps it summarises: a bump that races
+            # the stamping leaves the plan one epoch behind, and the
+            # next call comes back here.
+            epoch = engine.plan_epoch
+            plan = self._plans.peek(path)
+            fresh: Optional[CompiledPlan] = None
+            if plan is not None and plan.epoch != epoch:
+                fresh = self._revalidate(plan)
+                if fresh is not None:
+                    self._plans.invalidate(path)
+                    self._forget_text(plan)
+                    invalidated = True
+                    plan = None
+            hit = plan is not None
+            if hit:
+                plan.referenced = True
+                self._hits.inc()
+            else:
+                plan = (fresh if fresh is not None
+                        else self.compile_uncached(path))
+                evicted = self._plans.put(path, plan)
+                if evicted is not None:
+                    self._forget_text(evicted)
+                self._misses.inc()
+            plan.epoch = epoch
+            if text is not None and plan.text != text:
+                self._forget_text(plan)
+                plan.text = text
+                self._texts[text] = plan
+        if _explain.ACTIVE is not None:
+            _describe(_explain.ACTIVE, plan,
+                      "hit" if hit else
+                      "invalidated" if invalidated else "miss")
+        if obs.RECORDING:
+            # Aggregate plan-cache counters across all engines (each
+            # cache also keeps its private per-engine instruments).
+            (self._all_hits if hit else self._all_misses).inc()
+            if invalidated:
+                obs.REGISTRY.counter(
+                    "query.plan_cache.invalidations").inc()
+        return plan
+
+    def _revalidate(self, stale: CompiledPlan
+                    ) -> Optional[CompiledPlan]:
+        """The three-stamp logic, reached only once the plan epoch has
+        moved since *stale* was stamped.  None: the plan stands (its
+        stamps are current again); otherwise the plan that replaces
+        it."""
+        engine = self._engine
+        stats = engine.stats
+        path = stale.path
+        if stale.schema_version != engine.schema.version:
+            return self.compile_uncached(path)
+        if stale.index_epoch != engine.indexes.epoch:
             # DDL happened since this plan compiled.  Recompile and
             # compare: an unchanged decision is restamped in place (a
             # hit), a changed one is invalidated — so CREATE/DROP
@@ -551,70 +669,43 @@ class QueryPlanner:
             # closure chain is always dropped: the probe may bind a
             # *new* index object.
             fresh = self.compile_uncached(path)
-            if _same_decision(fresh, stale):
-                _adopt(stale, fresh, drop_executor=True)
-                fresh = None
-            else:
-                self._plans.invalidate(path)
-                invalidated = True
-        elif stale is not None and stale.stats_epoch != stats_epoch:
+            if not _same_decision(fresh, stale):
+                return fresh
+            _adopt(stale, fresh, drop_executor=True)
+        elif stale.stats_epoch != stats.epoch:
             # Statistics drifted somewhere since this plan priced its
             # candidates.  Exactly-scoped: if none of the schema nodes
             # this plan consulted drifted, restamp without recompiling
             # (the pricing inputs are unchanged, so the decision is).
             if not stats.drifted_since(stale.stats_nodes,
                                        stale.stats_epoch):
-                stale.stats_epoch = stats_epoch
+                stale.stats_epoch = stats.epoch
                 if obs.RECORDING:
                     obs.REGISTRY.counter(
                         "query.cost.stats_restamps").inc()
-            else:
-                fresh = self.compile_uncached(path)
-                if obs.RECORDING:
-                    obs.REGISTRY.counter(
-                        "query.cost.stats_replans").inc()
-                if _same_decision(fresh, stale):
-                    # Same decision, same DDL epoch: the probe binds
-                    # the same index objects, so a live closure chain
-                    # stays valid unless the bindings actually moved.
-                    _adopt(stale, fresh, drop_executor=False)
-                    fresh = None
-                else:
-                    self._plans.invalidate(path)
-                    invalidated = True
-        plan = self._plans.get(path)
-        hit = plan is not None
-        if plan is None:
-            plan = fresh if fresh is not None else self.compile_uncached(path)
-            self._plans.put(path, plan)
-        context = _explain.ACTIVE
-        if context is not None:
-            context.plan_cache = ("hit" if hit
-                                  else "invalidated" if invalidated
-                                  else "miss")
-            context.strategy = plan.strategy
-            context.schema_nodes_scanned = len(plan.scan_nodes)
-            context.pruned_schema_nodes = plan.pruned_schema_nodes
-            context.index_used = plan.index_used
-            context.not_lowerable_reason = plan.not_lowerable_reason
-            if plan.cost is not None:
-                context.cost_total = plan.cost.total
-                context.cost_estimated_rows = plan.cost.output_rows
-                context.cost_table = [estimate.as_dict()
-                                      for estimate in plan.cost_table]
-        if obs.RECORDING:
-            # Aggregate plan-cache counters across all engines (each
-            # cache also keeps its private per-engine instruments).
-            registry = obs.REGISTRY
-            registry.counter("query.plan_cache.hits" if hit
-                             else "query.plan_cache.misses").inc()
-            if invalidated:
-                registry.counter("query.plan_cache.invalidations").inc()
-        return plan
+                return None
+            fresh = self.compile_uncached(path)
+            if obs.RECORDING:
+                obs.REGISTRY.counter(
+                    "query.cost.stats_replans").inc()
+            if not _same_decision(fresh, stale):
+                return fresh
+            # Same decision, same DDL epoch: the probe binds the same
+            # index objects, so a live closure chain stays valid
+            # unless the bindings actually moved.
+            _adopt(stale, fresh, drop_executor=False)
+        return None
+
+    def _forget_text(self, plan: CompiledPlan) -> None:
+        if plan.text is not None:
+            del self._texts[plan.text]
+            plan.text = None
 
     def stats(self) -> CacheStats:
         return self._plans.stats()
 
     def clear(self) -> None:
-        self._plans.clear()
+        with self._lock:
+            self._plans.clear()
+            self._texts.clear()
         self._plans.reset_stats()

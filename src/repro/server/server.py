@@ -67,12 +67,19 @@ DEFAULT_WORKERS = 4
 
 
 class PendingRequest:
-    """A submitted request's eventual result (one-shot future)."""
+    """A submitted request's eventual result (one-shot future).
 
-    __slots__ = ("_done", "_result", "_error")
+    The hand-back is one lock, held from construction until the worker
+    finishes: a waiter's timed acquire is the wait, and it releases at
+    once so any later (or concurrent) ``wait`` passes too.
+    """
+
+    __slots__ = ("_pending", "_done", "_result", "_error")
 
     def __init__(self) -> None:
-        self._done = threading.Event()
+        self._pending = threading.Lock()
+        self._pending.acquire()
+        self._done = False
         self._result: object = None
         self._error: Optional[BaseException] = None
 
@@ -80,16 +87,19 @@ class PendingRequest:
                 error: Optional[BaseException]) -> None:
         self._result = result
         self._error = error
-        self._done.set()
+        self._done = True
+        self._pending.release()
 
     def done(self) -> bool:
-        return self._done.is_set()
+        return self._done
 
     def wait(self, timeout: Optional[float] = None):
         """Block for the result; re-raises what the worker raised."""
-        if not self._done.wait(timeout):
+        if not self._pending.acquire(
+                timeout=-1 if timeout is None else max(0.0, timeout)):
             raise SessionExpired(
                 f"request still pending after {timeout}s")
+        self._pending.release()
         if self._error is not None:
             raise self._error
         return self._result
@@ -104,7 +114,9 @@ class RequestLoop:
     def __init__(self, admission: AdmissionController,
                  workers: int = DEFAULT_WORKERS) -> None:
         self.admission = admission
-        self._queue: "queue.Queue[object]" = queue.Queue()
+        #: Unbounded by itself (admission bounds the depth), so the
+        #: hand-off needs no ``queue.Queue`` conditions.
+        self._queue: "queue.SimpleQueue[object]" = queue.SimpleQueue()
         #: Orders submissions against stop(): nothing is enqueued
         #: behind the _STOP sentinels, so a submitted request is
         #: always drained by a live worker — never parked forever.
@@ -221,6 +233,16 @@ class DatabaseServer:
         self._id_lock = threading.Lock()
         self._next_session = 1
         self._live_queries = None
+        # Per-request instruments, held rather than looked up by name
+        # on every request (obs.reset() zeroes them in place).
+        registry = obs.REGISTRY
+        self._requests = registry.counter("server.requests")
+        self._session_latency = registry.histogram(
+            "server.session.latency.ns")
+        self._by_kind = {
+            kind: (registry.counter(f"server.requests.{kind}"),
+                   registry.histogram(f"server.{kind}.latency.ns"))
+            for kind in ("read", "write")}
         self.closed = False
 
     # -- session lifecycle ------------------------------------------------
@@ -318,10 +340,20 @@ class DatabaseServer:
         return result
 
     def query_values(self, session: Session, path: str) -> list[str]:
-        engine = (session.snapshot.engine
-                  if session.mode == "read" else self.engine)
-        return [engine.string_value(descriptor)
-                for descriptor in self.query(session, path)]
+        """String values of :meth:`query`.
+
+        A read session's snapshot is frozen, so the values are built
+        lock-free.  On a write session the query and the extraction
+        share one hold of the live lock: another thread's ``execute``
+        on the same session cannot change the nodes in between."""
+        if session.mode == "read":
+            engine = session.snapshot.engine
+            return [engine.string_value(descriptor)
+                    for descriptor in self.query(session, path)]
+        with self._live_lock:
+            engine = self.engine
+            return [engine.string_value(descriptor)
+                    for descriptor in self.query(session, path)]
 
     def execute(self, session: Session, mutate: Callable, *,
                 timeout: Optional[float] = None):
@@ -418,11 +450,11 @@ class DatabaseServer:
         if not obs.RECORDING:
             return
         elapsed = time.perf_counter_ns() - started
-        registry = obs.REGISTRY
-        registry.counter("server.requests").inc()
-        registry.counter(f"server.requests.{kind}").inc()
-        registry.histogram("server.session.latency.ns").observe(elapsed)
-        registry.histogram(f"server.{kind}.latency.ns").observe(elapsed)
+        requests, latency = self._by_kind[kind]
+        self._requests.inc()
+        requests.inc()
+        self._session_latency.observe(elapsed)
+        latency.observe(elapsed)
 
     def __repr__(self) -> str:
         return (f"DatabaseServer({self.backend.name}, "

@@ -113,12 +113,19 @@ class DescriptiveSchema:
     stay valid across arbitrary data updates and invalidate precisely
     when a new document path — hence a new schema path, by the defining
     property of Section 9.1 — comes into existence.
+
+    Growth also bumps the owning engine's ``plan_epoch`` (after the
+    version, so a reader that sees the new epoch sees the new version):
+    the one integer a cached plan is compared against on a hit.
     """
 
     def __init__(self) -> None:
         self.root = SchemaNode(None, "document", None)
         self._count = 1
         self._version = 0
+        #: The :class:`~repro.storage.engine.StorageEngine` this schema
+        #: describes (set by the engine; None for a bare schema).
+        self.engine = None
 
     @property
     def version(self) -> int:
@@ -140,6 +147,8 @@ class DescriptiveSchema:
         parent.children.append(child)
         self._count += 1
         self._version += 1
+        if self.engine is not None:
+            self.engine.plan_epoch += 1
         return child
 
     def node_count(self) -> int:

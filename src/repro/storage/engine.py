@@ -46,7 +46,15 @@ class StorageEngine:
     """One stored document: descriptive schema + blocks + labels."""
 
     def __init__(self, base: int = 256, block_capacity: int = 64) -> None:
+        #: The one integer a cached query plan is compared against on
+        #: a hit.  Bumped by each source of plan staleness after its
+        #: own stamp moves — schema growth (``schema.version``), index
+        #: DDL (``indexes.epoch``), statistics drift (``stats.epoch``)
+        #: — and by nothing else; it only grows, so no value repeats
+        #: for one engine even when ``stats`` is replaced.
+        self.plan_epoch = 0
         self.schema = DescriptiveSchema()
+        self.schema.engine = self
         self.numbering = NumberingScheme(base)
         self.block_capacity = block_capacity
         self.document: Optional[NodeDescriptor] = None
@@ -68,6 +76,7 @@ class StorageEngine:
         #: engine state like ``descriptor_count``, not optional
         #: instrumentation; the cost model's feed.
         self.stats = StatisticsCollector()
+        self.stats.engine = self
         # Instrumentation.
         self.insert_count = 0
         self.delete_count = 0

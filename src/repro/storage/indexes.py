@@ -408,7 +408,9 @@ class IndexManager:
     ``epoch`` counts DDL events; cached query plans stamp the epoch
     they were compiled under, and the planner re-checks a plan whose
     epoch is stale — so a ``CREATE INDEX`` invalidates exactly the
-    plans whose strategy it changes.
+    plans whose strategy it changes.  Every DDL event also bumps the
+    engine's ``plan_epoch`` (after ``epoch``), which is what sends a
+    cached plan to that re-check.
     """
 
     def __init__(self, engine: "StorageEngine") -> None:
@@ -494,6 +496,7 @@ class IndexManager:
         self._indexes[definition.key] = index
         self._rebuild_tables()
         self.epoch += 1
+        self.engine.plan_epoch += 1
         return index
 
     def uninstall(self, definition: IndexDefinition) -> None:
@@ -501,6 +504,7 @@ class IndexManager:
             raise StorageError(f"{definition!r} is not installed")
         self._rebuild_tables()
         self.epoch += 1
+        self.engine.plan_epoch += 1
 
     def _rebuild_tables(self) -> None:
         self._by_value_node = {

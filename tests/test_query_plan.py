@@ -1,6 +1,7 @@
 """Tests for query plan compilation, caching and invalidation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.xmlio import parse_document
 from repro.xmlio.qname import QName
@@ -264,3 +265,399 @@ class TestEvaluateMatchesOtherEvaluators:
                      "/library/paper/title/text()"):
             assert [d.nid for d in queries.evaluate(path)] == \
                 [d.nid for d in queries.evaluate_naive(path)]
+
+
+# ----------------------------------------------------------------------
+# The prepared hit: one dict lookup and one compare against the
+# engine's plan epoch; the three stamps are read only after it fails.
+
+
+def _scaled(books=12, papers=6, capacity=None):
+    engine = StorageEngine()
+    engine.load_document(make_library_document(
+        books=books, papers=papers, seed=5, year_attrs=True))
+    if capacity is None:
+        return engine, StorageQueryEngine(engine)
+    return engine, StorageQueryEngine(engine,
+                                      plan_cache_capacity=capacity)
+
+
+def _nids(descriptors):
+    return [descriptor.nid for descriptor in descriptors]
+
+
+def _stamps(engine):
+    return (engine.schema.version, engine.indexes.epoch,
+            engine.stats.epoch)
+
+
+class _SlowPathCount:
+    """Counts a planner's trips off the prepared hit."""
+
+    def __init__(self, queries):
+        self.calls = 0
+        planner = queries._planner
+        slow = planner._compile_slow
+
+        def counted(request):
+            self.calls += 1
+            return slow(request)
+
+        planner._compile_slow = counted
+
+
+class TestOnePlanEpoch:
+    """Each source of staleness bumps the one epoch; through the string
+    route the exactly-scoped reaction is what it always was, and the
+    call after it is a prepared hit again."""
+
+    def _next_call_is_a_prepared_hit(self, queries, path):
+        slow = _SlowPathCount(queries)
+        hits = queries.cache_stats()["plan_hits"]
+        plan = queries.compile(path)
+        assert slow.calls == 0
+        assert queries.cache_stats()["plan_hits"] == hits + 1
+        assert plan.epoch == queries.engine.plan_epoch
+        return plan
+
+    def test_schema_growth(self, stored):
+        engine, queries = stored
+        lib = engine.children(engine.document)[0]
+        assert len(queries.evaluate("/lib/*")) == 3
+        self._next_call_is_a_prepared_hit(queries, "/lib/*")
+        epoch = engine.plan_epoch
+        engine.insert_child(lib, 0, name=QName("", "memo"))
+        assert engine.plan_epoch == epoch + 1
+        after = queries.evaluate("/lib/*")
+        assert [d.schema_node.step for d in after][0] == "memo"
+        assert len(after) == 4
+        assert queries.cache_stats()["plan_invalidations"] == 1
+        self._next_call_is_a_prepared_hit(queries, "/lib/*")
+        assert queries.cache_stats()["plan_invalidations"] == 1
+
+    def test_index_ddl(self):
+        engine, queries = _scaled()
+        affected = "/library/book[@year]/title"
+        unaffected = "/library/paper/title"
+        for path in (affected, unaffected):
+            queries.evaluate(path)
+        kept = queries.compile(unaffected)
+        for ddl, strategy in (
+                (lambda: engine.create_index("library/book/@year",
+                                             value_type="integer"),
+                 "index"),
+                (lambda: engine.drop_index("library/book/@year"),
+                 "hybrid")):
+            base = queries.cache_stats()
+            epoch = engine.plan_epoch
+            ddl()
+            assert engine.plan_epoch == epoch + 1
+            assert queries.compile(affected).strategy == strategy
+            assert queries.compile(unaffected) is kept
+            stats = queries.cache_stats()
+            assert stats["plan_invalidations"] \
+                - base["plan_invalidations"] == 1
+            assert stats["plan_hits"] - base["plan_hits"] == 1
+            for path in (affected, unaffected):
+                self._next_call_is_a_prepared_hit(queries, path)
+                assert _nids(queries.evaluate(path)) \
+                    == _nids(queries.evaluate_naive(path))
+
+    def test_statistics_drift(self):
+        from repro import obs
+        engine, queries = _scaled()
+        book_q, paper_q = "/library/book/title", "/library/paper/title"
+        book_plan = queries.compile(book_q)
+        paper_plan = queries.compile(paper_q)
+        epoch, drifts = engine.plan_epoch, engine.stats.epoch
+        for paper in queries.evaluate_naive("/library/paper"):
+            for _ in range(6):
+                engine.insert_child(paper, 0, name=QName("", "author"))
+        assert engine.stats.epoch > drifts
+        assert engine.plan_epoch - epoch == engine.stats.epoch - drifts
+        restamps = obs.REGISTRY.counter("query.cost.stats_restamps")
+        replans = obs.REGISTRY.counter("query.cost.stats_replans")
+        r0, p0 = restamps.value, replans.value
+        assert queries.compile(book_q) is book_plan
+        assert (restamps.value, replans.value) == (r0 + 1, p0)
+        assert queries.compile(paper_q) is paper_plan
+        assert (restamps.value, replans.value) == (r0 + 1, p0 + 1)
+        assert queries.cache_stats()["plan_invalidations"] == 0
+        for path in (book_q, paper_q):
+            self._next_call_is_a_prepared_hit(queries, path)
+        assert (restamps.value, replans.value) == (r0 + 1, p0 + 1)
+
+    def test_data_inserts_leave_the_epoch_alone(self, stored):
+        engine, queries = stored
+        lib = engine.children(engine.document)[0]
+        queries.evaluate("/lib/book")
+        epoch = engine.plan_epoch
+        book = engine.insert_child(lib, 1, name=QName("", "book"))
+        engine.insert_child(book, 0, name=QName("", "t"))
+        assert engine.plan_epoch == epoch
+        self._next_call_is_a_prepared_hit(queries, "/lib/book")
+        assert len(queries.evaluate("/lib/book")) == 3
+
+    def test_path_requests_take_the_same_compare(self, stored):
+        engine, queries = stored
+        path = cached_parse_path("//t")
+        plan = queries.compile("//t")
+        slow = _SlowPathCount(queries)
+        assert queries.compile(path) is plan
+        assert slow.calls == 0
+        lib = engine.children(engine.document)[0]
+        engine.insert_child(lib, 0, name=QName("", "memo"))
+        assert queries.compile(path) is not plan
+        assert slow.calls == 1
+        # The string finds the plan the Path request just compiled.
+        assert queries.compile("//t") is queries.compile(path)
+        assert queries.cache_stats()["plan_misses"] == 2
+
+    def test_replacing_the_collector_never_repeats_an_epoch(self):
+        """``persist.finish_load`` swaps in a recounted collector whose
+        own epoch starts over; the engine's plan epoch does not."""
+        from repro.storage.persist import finish_load
+        engine, queries = _scaled()
+        path = "/library/paper/author"
+        plan = queries.compile(path)
+        old, epoch = engine.stats, engine.plan_epoch
+        descriptors = [engine.document] + queries.evaluate_naive("//*")
+        finish_load(engine, descriptors, [], None, AssertionError)
+        assert engine.stats is not old
+        assert engine.plan_epoch > epoch
+        slow = _SlowPathCount(queries)
+        assert queries.compile(path) is plan  # restamped, not rebuilt
+        assert slow.calls == 1
+        assert plan.stats_epoch == engine.stats.epoch
+        # The new collector reports its drifts to the same engine.
+        epoch = engine.plan_epoch
+        for paper in queries.evaluate_naive("/library/paper"):
+            for _ in range(6):
+                engine.insert_child(paper, 0, name=QName("", "author"))
+        assert engine.plan_epoch > epoch
+        assert _nids(queries.evaluate(path)) \
+            == _nids(queries.evaluate_naive(path))
+
+
+class TestPreparedHitWorkCount:
+    """What a warm ``Session.query(str)`` does, counted — no clock."""
+
+    class _CountingLock:
+        def __init__(self, lock):
+            self.lock = lock
+            self.acquired = 0
+
+        def __enter__(self):
+            self.acquired += 1
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc_info):
+            return self.lock.__exit__(*exc_info)
+
+    def test_warm_session_query(self, monkeypatch):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.query import cache
+        from repro.server import DatabaseServer
+        from repro.storage import MemoryBackend
+
+        server = DatabaseServer(
+            MemoryBackend(),
+            make_library_document(books=6, papers=3, seed=5), workers=1)
+        try:
+            with server.open_session("read") as session:
+                path = "/library/book/title"
+                expected = session.query(path)
+                queries = session.snapshot.queries()
+                planner = queries._planner
+                locks = [self._CountingLock(planner._plans._lock),
+                         self._CountingLock(cache._parse_cache._lock),
+                         self._CountingLock(planner._lock)]
+                planner._plans._lock = locks[0]
+                monkeypatch.setattr(cache._parse_cache, "_lock",
+                                    locks[1])
+                planner._lock = locks[2]
+                lookups = []
+                get_or_create = MetricsRegistry._get_or_create
+                monkeypatch.setattr(
+                    MetricsRegistry, "_get_or_create",
+                    lambda registry, name, cls: (
+                        lookups.append(name),
+                        get_or_create(registry, name, cls))[1])
+                parse_hits = parse_cache_stats().hits
+                plan_hits = queries.cache_stats()["plan_hits"]
+                for _ in range(3):
+                    assert session.query(path) == expected
+                assert parse_cache_stats().hits == parse_hits
+                assert [lock.acquired for lock in locks] == [0, 0, 0]
+                assert lookups == []
+                assert queries.cache_stats()["plan_hits"] \
+                    == plan_hits + 3
+        finally:
+            server.close()
+
+
+class TestSecondChance:
+    def test_a_hot_string_survives_a_stream_of_cold_ones(self):
+        _engine, queries = _scaled(books=40, capacity=4)
+        hot = "/library/paper/title"
+        plan = queries.compile(hot)
+        for index in range(1, 41):
+            queries.evaluate(f"/library/book[{index}]/title")
+            assert queries.compile(hot) is plan
+        stats = queries.cache_stats()
+        assert stats["plan_misses"] == 1 + 40
+        assert stats["plan_hits"] == 40
+        assert stats["plan_evictions"] == 41 - 4
+        assert len(queries._planner._texts) == stats["plan_size"] == 4
+
+    def test_round_robin_past_capacity_misses_every_time(self):
+        _engine, queries = _scaled(capacity=4)
+        paths = [f"/library/book[{index}]/title" for index in range(1, 6)]
+        for _ in range(3):
+            for path in paths:
+                assert _nids(queries.evaluate(path)) \
+                    == _nids(queries.evaluate_naive(path))
+        stats = queries.cache_stats()
+        assert (stats["plan_hits"], stats["plan_misses"]) == (0, 15)
+        assert stats["plan_evictions"] == 15 - 4
+        assert len(queries._planner._texts) == 4
+
+    def test_put_spares_a_referenced_entry_once(self):
+        class Entry:
+            referenced = False
+
+        cache = LRUCache(2)
+        first, second = Entry(), Entry()
+        cache.put("a", first)
+        cache.put("b", second)
+        first.referenced = True
+        assert cache.put("c", Entry()) is second
+        assert "a" in cache and not first.referenced
+        assert cache.put("d", Entry()) is first
+
+    def test_two_spellings_share_a_plan_and_one_table_slot(self):
+        _engine, queries = _scaled()
+        single = "/library/book[@year='1977']/title"
+        double = '/library/book[@year="1977"]/title'
+        plan = queries.compile(single)
+        assert queries.compile(double) is plan
+        assert queries.compile(single) is plan
+        assert queries.cache_stats()["plan_misses"] == 1
+        assert len(queries._planner._texts) == 1
+
+
+# ----------------------------------------------------------------------
+# Generated: the epoch moves exactly when a stamp does, and the cached
+# route never disagrees with the oracle.  CI's crash-matrix step runs
+# these with --hypothesis-profile=crash-matrix --hypothesis-seed=0.
+
+
+def _budget(quick):
+    """The selected hypothesis profile's example budget, or *quick* —
+    what tier-1 can afford — when none was selected."""
+    budget = settings().max_examples
+    if budget == settings.get_profile("default").max_examples:
+        return quick
+    return budget
+
+
+_CORPUS = (
+    "/library/*",
+    "//title",
+    "/library/paper/author",
+    "/library/book[@year]/title",
+    "/library/book[@year='1977']/title",
+    "/library/book[2]/title",
+)
+
+_STEPS = st.lists(
+    st.sampled_from(("tag", "index", "grow", "shrink", "insert",
+                     "reload")),
+    min_size=1, max_size=10)
+
+
+@settings(max_examples=_budget(25), deadline=None)
+@given(steps=_STEPS)
+def test_epoch_moves_iff_a_stamp_moves(steps):
+    from repro.storage.persist import dumps_engine, load_engine
+    engine, queries = _scaled(books=8, papers=3, capacity=4)
+    grown = []
+    for number, step in enumerate(steps):
+        library = engine.children(engine.document)[0]
+        before, epoch = _stamps(engine), engine.plan_epoch
+        if step == "tag":
+            engine.insert_child(library, 0,
+                                name=QName("", f"fresh{number}"))
+        elif step == "index":
+            if engine.indexes.active:
+                engine.drop_index("library/book/@year")
+            else:
+                engine.create_index("library/book/@year",
+                                    value_type="integer")
+        elif step == "grow":
+            paper = queries.evaluate_naive("/library/paper")[0]
+            grown += [engine.insert_child(paper, 0,
+                                          name=QName("", "author"))
+                      for _ in range(20)]
+        elif step == "shrink":
+            while grown:
+                engine.delete_subtree(grown.pop())
+        elif step == "insert":
+            book = engine.insert_child(library, 0,
+                                       name=QName("", "book"))
+            engine.insert_child(book, 0, name=QName("", "title"))
+        else:
+            engine = load_engine(dumps_engine(engine))
+            queries = StorageQueryEngine(engine, plan_cache_capacity=4)
+            grown = []
+            assert engine.stats.engine is engine
+            before, epoch = _stamps(engine), engine.plan_epoch
+        moved = _stamps(engine) != before
+        assert (engine.plan_epoch > epoch) == moved, step
+        assert engine.plan_epoch >= epoch
+        for path in _CORPUS:
+            assert _nids(queries.evaluate(path)) \
+                == _nids(queries.evaluate_naive(path)), (step, path)
+
+
+@settings(max_examples=_budget(10), deadline=None)
+@given(orders=st.lists(
+    st.lists(st.integers(0, 5), min_size=150, max_size=150),
+    min_size=8, max_size=8))
+def test_shared_engine_under_threads(orders):
+    """Eight readers of one snapshot engine, six strings, four plan
+    slots: hits race evictions and string-table upkeep all the way."""
+    import sys
+    import threading
+
+    _engine, queries = _scaled(capacity=4)
+    oracle = [_nids(queries.evaluate_naive(path)) for path in _CORPUS]
+    failures = []
+
+    def reader(order):
+        try:
+            for number in order:
+                if _nids(queries.evaluate(_CORPUS[number])) \
+                        != oracle[number]:
+                    failures.append(_CORPUS[number])
+        except Exception as exc:  # noqa: BLE001 — the regression
+            failures.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(order,))
+               for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    stats = queries.cache_stats()
+    assert stats["plan_size"] <= 4
+    assert len(queries._planner._texts) <= 4
+    used = {number for order in orders for number in order}
+    assert stats["plan_evictions"] >= len(used) - 4

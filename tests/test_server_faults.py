@@ -21,6 +21,7 @@ schedule on a second run.
 """
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -247,7 +248,10 @@ def _interrupt_submit(server, error, monkeypatch, tmp_path):
     """``RequestLoop.submit``: the depth slot taken before the enqueue
     is given back when the enqueue itself dies."""
     with monkeypatch.context() as patch:  # stop() enqueues too
-        patch.setattr(server.loop._queue, "put", _raiser(error))
+        # SimpleQueue.put is read-only; the workers stay parked on the
+        # real queue while the stub stands in for it.
+        patch.setattr(server.loop, "_queue",
+                      SimpleNamespace(put=_raiser(error)))
         with pytest.raises(type(error)) as raised:
             server.loop.submit(lambda: None)
     assert raised.value is error

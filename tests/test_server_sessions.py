@@ -123,6 +123,49 @@ class TestSnapshotIsolation:
                 values = writer.query_values(TITLES)
             assert "MINE" in values
 
+    def test_write_session_values_are_built_under_the_query_lock(self):
+        """Two threads on one write session: an ``execute`` arriving
+        while ``query_values`` is turning its nodes into strings must
+        wait for the whole answer, not slip in between the query and
+        the extraction."""
+        with make_server() as server:
+            writer = server.open_session("write")
+            engine = server.engine
+            extracting = threading.Event()
+            mutated = threading.Event()
+            seen_mutation = []
+            string_value = engine.string_value
+
+            def slow_string_value(descriptor):
+                if not extracting.is_set():
+                    extracting.set()
+                    # Give the other thread every chance to get in.
+                    mutated.wait(timeout=0.3)
+                seen_mutation.append(mutated.is_set())
+                return string_value(descriptor)
+
+            def mutate(live, session):
+                add_book("RACED")(live, session)
+                mutated.set()
+
+            def second_thread():
+                assert extracting.wait(timeout=10.0)
+                writer.execute(mutate)
+
+            engine.string_value = slow_string_value
+            thread = threading.Thread(target=second_thread)
+            thread.start()
+            try:
+                values = writer.query_values(TITLES)
+            finally:
+                thread.join(timeout=10.0)
+                del engine.string_value
+            assert not thread.is_alive() and mutated.is_set()
+            assert len(values) == 5 and "RACED" not in values
+            assert seen_mutation == [False] * 5
+            assert "RACED" in writer.query_values(TITLES)
+            writer.close()
+
 
 class TestPinWriterRaces:
     """The ``recover()`` fallback of a pin — taken here because a
