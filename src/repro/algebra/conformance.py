@@ -88,16 +88,12 @@ class ConformanceChecker:
         self._seen: set = set()
         if root is None:
             root = store.root()
-        if obs.ENABLED:
-            obs.REGISTRY.counter("conformance.documents_checked").inc()
-            with obs.TRACER.span("conformance.check"):
-                self._check_document(root)
-                self._check_no_other_nodes(root)
-            if self._violations:
-                obs.REGISTRY.counter("conformance.documents_failed").inc()
-        else:
+        obs.REGISTRY.counter("conformance.documents_checked").inc()
+        with obs.TRACER.span("conformance.check"):
             self._check_document(root)
             self._check_no_other_nodes(root)
+        if self._violations:
+            obs.REGISTRY.counter("conformance.documents_failed").inc()
         return self._violations
 
     def conforms(self, document: "DocumentNode | NodeStore") -> bool:

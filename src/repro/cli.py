@@ -470,12 +470,8 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     """Rebuild an engine from a backend's snapshot + write-ahead log."""
     schema = parse_schema(_read(args.schema)) if args.schema else None
-    if args.backend == "sqlite":
-        result = recover(_make_backend(args), schema=schema,
-                         strict=args.strict)
-    else:
-        result = recover(args.image, wal_path=args.wal, schema=schema,
-                         strict=args.strict)
+    result = recover(_make_backend(args), schema=schema,
+                     strict=args.strict)
     if args.json:
         print(json.dumps(result.as_dict(), indent=2))
         return 0

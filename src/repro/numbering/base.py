@@ -95,11 +95,10 @@ class NumberingBaseline:
     def __init__(self, tree: SimTree) -> None:
         self.tree = tree
         self.relabel_count = 0
-        if obs.RECORDING:
-            # Materialize the per-scheme relabel counter at zero so a
-            # scheme that never relabels (Proposition 1) still reports
-            # an explicit 0 in every metrics snapshot.
-            obs.REGISTRY.counter(f"numbering.relabels.{self.name}")
+        # Materialize the per-scheme relabel counter at zero so a
+        # scheme that never relabels (Proposition 1) still reports
+        # an explicit 0 in every metrics snapshot.
+        obs.REGISTRY.counter(f"numbering.relabels.{self.name}")
 
     def note_relabels(self, count: int) -> None:
         """Record *count* existing labels changed by one update — the
@@ -107,9 +106,7 @@ class NumberingBaseline:
         if count <= 0:
             return
         self.relabel_count += count
-        if obs.RECORDING:
-            obs.REGISTRY.counter(
-                f"numbering.relabels.{self.name}").inc(count)
+        obs.REGISTRY.counter(f"numbering.relabels.{self.name}").inc(count)
 
     def load(self) -> None:
         """Assign initial labels to the whole tree."""

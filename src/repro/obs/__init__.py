@@ -1,21 +1,21 @@
 """Observability: metrics, events, span tracing and query EXPLAIN.
 
-Zero-dependency and process-local, in **two tiers**:
+Zero-dependency and process-local.  What is recorded when:
 
-* **Telemetry** (:data:`TELEMETRY`, *on by default*) — the production
-  tier: lock-cheap counters and windowed histograms (p50/p95/p99)
-  across WAL appends, transaction commits, checkpoints, recovery
-  replay, index maintenance and compiled-query execution.  It is on
-  in every end-to-end benchmark run, so its cost sits inside the
-  ``ops_per_s`` and ``p50_us`` that ``BENCHMARK.json`` bounds, and it
-  stays on in production — the numbers ``repro metrics --prom`` and
-  ``repro top`` serve.
-* **Diagnostics** (:data:`ENABLED`, off by default) — the deep tier:
-  span tracing, per-query EXPLAIN collection and the explain log.
-  These allocate per operation, so they are for investigations, not
-  steady state.
+* **Always recorded** — lock-cheap counters and windowed histograms
+  (p50/p95/p99) across WAL appends, transaction commits, checkpoints,
+  recovery replay, index maintenance, server requests and
+  compiled-query execution, plus the event log.  There is no switch:
+  the cost sits inside the ``ops_per_s`` and ``p50_us`` that
+  ``BENCHMARK.json`` bounds, and these are the numbers
+  ``repro metrics --prom`` and ``repro top`` serve.
+* **Diagnostics** (:data:`ENABLED`, off by default; :func:`enable` /
+  :func:`disable`) — span tracing, the per-query EXPLAIN log with its
+  ``query.axis_steps``/``nodes_*`` counters, per-requirement
+  conformance counts and FLWOR clause timings.  These allocate per
+  operation, so they are for investigations, not steady state.
 
-Four facilities share the switches:
+Four facilities:
 
 * :data:`REGISTRY` — the process metrics registry
   (:class:`~repro.obs.metrics.MetricsRegistry`): counters, gauges,
@@ -25,17 +25,17 @@ Four facilities share the switches:
   severity and monotonic timestamps — home of the slow-query log;
 * :data:`TRACER` — the span tracer
   (:class:`~repro.obs.tracing.Tracer`): nested wall-time spans with
-  tags, an in-memory recorder, a human dump and Chrome-trace export;
+  tags, an in-memory recorder, a human dump and Chrome-trace export.
+  ``TRACER.enabled`` mirrors :data:`ENABLED`, and a disabled
+  ``TRACER.span`` is a shared null context manager, so call sites
+  wrap in it unconditionally;
 * :data:`EXPLAINS` — the query EXPLAIN log
   (:class:`~repro.obs.explain.ExplainLog`): per-query plan strategy,
   cache hit/miss, axis steps and nodes visited/returned.
 
-Hot-path guards: counter/histogram sites test :data:`RECORDING`
-(true when either tier is on — one attribute test when everything is
-off); span and EXPLAIN sites test :data:`ENABLED` (or the explain
-module's ``ACTIVE is None`` protocol on the innermost kernel).
-Inherent counters (the LRU caches) use registry instruments directly
-because counting is their job, enabled or not.
+Hot-path guards: sites whose body allocates per operation test
+:data:`ENABLED`; EXPLAIN accounting tests the explain module's
+``COLLECTING`` count (one global read when nothing collects).
 
 The **slow-query log** arms through
 :func:`set_slow_query_threshold`: with a threshold set, every
@@ -46,11 +46,11 @@ Typical use::
 
     from repro import obs
 
-    obs.enable()            # diagnostics on top of telemetry
+    obs.enable()            # diagnostics on top of the counters
     ...                     # run queries / updates / checks
     print(obs.REGISTRY.snapshot())
     print(obs.TRACER.dump())
-    obs.disable()           # telemetry stays on
+    obs.disable()           # counters and histograms keep recording
 """
 
 from __future__ import annotations
@@ -80,16 +80,8 @@ from repro.obs.tracing import DEFAULT_SPAN_LIMIT, SpanRecord, Tracer
 
 #: The diagnostics switch (spans + EXPLAIN collection).  Read directly
 #: (``obs.ENABLED``) on hot paths; flip only through
-#: :func:`enable`/:func:`disable` so the derived flags stay in sync.
+#: :func:`enable`/:func:`disable` so ``TRACER.enabled`` follows.
 ENABLED = False
-
-#: The always-on production tier: counters and windowed histograms.
-#: Flip only through :func:`set_telemetry`.
-TELEMETRY = True
-
-#: ``ENABLED or TELEMETRY`` — the one attribute counter sites test.
-#: Derived; never assign it directly.
-RECORDING = True
 
 #: Slow-query threshold in nanoseconds, or ``None`` (disarmed).  Set
 #: through :func:`set_slow_query_threshold`.
@@ -101,40 +93,23 @@ REGISTRY = MetricsRegistry()
 #: The process structured event log (slow queries, checkpoints, …).
 EVENTS = EventLog()
 
-#: The process span tracer (enabled/disabled with diagnostics).
+#: The process span tracer (``enabled`` mirrors :data:`ENABLED`).
 TRACER = Tracer()
 
 #: The process query-EXPLAIN log.
 EXPLAINS = ExplainLog()
 
 
-def _derive() -> None:
-    global RECORDING
-    RECORDING = ENABLED or TELEMETRY
-
-
-def enable(tracing: bool = True) -> None:
-    """Turn diagnostics on (EXPLAIN collection; *tracing* optional)."""
+def enable() -> None:
+    """Turn diagnostics on (span tracing + EXPLAIN collection)."""
     global ENABLED
-    ENABLED = True
-    TRACER.enabled = tracing
-    _derive()
+    ENABLED = TRACER.enabled = True
 
 
 def disable() -> None:
-    """Turn diagnostics off (telemetry keeps its own switch)."""
+    """Turn diagnostics off (counters and histograms keep recording)."""
     global ENABLED
-    ENABLED = False
-    TRACER.enabled = False
-    _derive()
-
-
-def set_telemetry(on: bool) -> None:
-    """Switch the always-on tier (off only for overhead measurement
-    and hermetic zero-count tests)."""
-    global TELEMETRY
-    TELEMETRY = bool(on)
-    _derive()
+    ENABLED = TRACER.enabled = False
 
 
 def set_slow_query_threshold(seconds: Optional[float]) -> None:
@@ -180,12 +155,10 @@ __all__ = [
     "MetricsRegistry",
     "NodeStats",
     "QueryExplain",
-    "RECORDING",
     "REGISTRY",
     "SLOW_QUERY_NS",
     "SpanRecord",
     "StatisticsCollector",
-    "TELEMETRY",
     "TRACER",
     "Tracer",
     "collect",
@@ -195,6 +168,5 @@ __all__ = [
     "render_prometheus",
     "reset",
     "set_slow_query_threshold",
-    "set_telemetry",
     "snapshot",
 ]

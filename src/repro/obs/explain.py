@@ -9,19 +9,23 @@ the node-visit accounting that Koch's complexity results and the
 navigational-expressiveness literature tie evaluation cost to.
 
 The recording protocol is deliberately passive so the hot path stays
-hot: :data:`ACTIVE` is a module global that is ``None`` whenever no
-explain is being collected.  Instrumented sites (the navigation kernel,
-plan execution, the planner) read it once and add to its counters only
-when it is not ``None`` — the disabled cost is one ``is None`` test.
+hot.  The collecting record is **per thread** (the server evaluates on
+several workers, and one request's accounting must not land in
+another's record); :data:`COLLECTING` counts the scopes open on any
+thread.  Instrumented sites (the navigation kernel, plan execution,
+the planner) test that one module global and call :func:`current`
+only when it is non-zero — with nothing collecting the cost is one
+global read per site.
 
-``StorageQueryEngine.evaluate`` opens a collection scope with
-:func:`collect` when observability is enabled and appends the finished
-record to the process :class:`ExplainLog` (``repro explain`` and the
-benchmark harness read it back).
+``StorageQueryEngine.evaluate`` opens a scope with :func:`begin` when
+diagnostics are enabled or the slow-query log is armed, and appends
+the finished record to the process :class:`ExplainLog` under
+diagnostics (``repro explain`` reads it back).
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
@@ -156,36 +160,44 @@ class QueryExplain:
                 f"returned={self.nodes_returned})")
 
 
-#: The explain record currently collecting, or None (the common case).
-#: Hot-path sites read this once per call and test ``is None``.
-ACTIVE: Optional[QueryExplain] = None
+#: How many collection scopes are open, on any thread — derived by
+#: :func:`begin`/:func:`end`, never set.  Hot-path sites test this
+#: once per call and read :func:`current` only when it is non-zero.
+COLLECTING = 0
+
+_scopes = threading.local()
+_count_lock = threading.Lock()
 
 
 def current() -> Optional[QueryExplain]:
-    """The explain record currently collecting, if any."""
-    return ACTIVE
+    """The record the calling thread is collecting into, if any."""
+    return getattr(_scopes, "record", None)
 
 
 def begin(path: str) -> QueryExplain:
-    """Start collecting one query's execution record; pair with
-    :func:`end` in a ``finally`` (or use :func:`collect`).
+    """Start collecting one query's execution record on this thread;
+    pair with :func:`end` in a ``finally`` (or use :func:`collect`).
 
     Nested evaluations (a hybrid plan navigating its suffix calls the
     shared kernel again) accumulate into the same record — that is the
     point: the record totals the whole query.  A nested scope (e.g.
     XQuery evaluating an inner path) stacks and restores.
     """
-    global ACTIVE
+    global COLLECTING
     record = QueryExplain(path)
-    record.outer = ACTIVE
-    ACTIVE = record
+    record.outer = current()
+    _scopes.record = record
+    with _count_lock:
+        COLLECTING += 1
     return record
 
 
 def end(record: QueryExplain) -> None:
     """Stop collecting into *record*; the enclosing scope resumes."""
-    global ACTIVE
-    ACTIVE = record.outer
+    global COLLECTING
+    _scopes.record = record.outer
+    with _count_lock:
+        COLLECTING -= 1
 
 
 @contextmanager

@@ -7,18 +7,10 @@ allocated, conformance violations — does it through a
 aggregate views (``repro stats``, ``repro metrics``) read one
 :meth:`MetricsRegistry.snapshot`.
 
-Two usage modes keep the hot paths honest:
-
-* **inherent counters** (e.g. the LRU caches of ``repro.query.cache``)
-  hold instrument objects directly and bump them unconditionally — an
-  instrument ``inc`` is a plain attribute add, no cheaper mechanism
-  exists;
-* **optional instrumentation** (block splits, axis steps, FLWOR
-  timings) is guarded at the call site by ``repro.obs.RECORDING`` —
-  the derived flag that is true when either the always-on telemetry
-  tier (``repro.obs.TELEMETRY``) or full diagnostics
-  (``repro.obs.ENABLED``) is active — so the disabled path costs one
-  attribute test and nothing else.
+Counting is unconditional everywhere: an instrument ``inc`` is a
+plain attribute add and no cheaper mechanism exists.  Sites on a hot
+path hold their instrument objects (``reset`` zeroes them in place,
+so they stay live); the rest look them up by name per call.
 
 Instrument names are dotted paths (``storage.blocks.split``); the
 registry keeps them unique and type-stable (asking for a counter under

@@ -1,8 +1,9 @@
 """Span tracing: nested wall-time measurements via context managers.
 
 A :class:`Tracer` records :class:`SpanRecord`\\ s into an in-memory
-ring; spans nest (the tracer tracks depth), carry string tags, and are
-timed with an injectable monotonic clock so tests can pin durations
+ring; spans nest (the tracer tracks depth per thread, so concurrent
+workers each record their own roots), carry tags, and are timed
+with an injectable monotonic clock so tests can pin durations
 exactly.  ``event()`` records a zero-duration span — used for discrete
 occurrences that want a site attached (e.g. a conformance violation
 with its location path).
@@ -14,6 +15,7 @@ test and one constant return, with no allocation.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Callable, Iterator, List, Optional
 
@@ -25,16 +27,18 @@ DEFAULT_SPAN_LIMIT = 10_000
 class SpanRecord:
     """One completed (or still-open) span."""
 
-    __slots__ = ("name", "start", "elapsed", "depth", "tags")
+    __slots__ = ("name", "start", "elapsed", "depth", "tags", "tid")
 
     def __init__(self, name: str, start: float, depth: int,
-                 tags: dict) -> None:
+                 tags: dict, tid: int) -> None:
         self.name = name
         self.start = start
         #: Wall-clock seconds; ``None`` while the span is still open.
         self.elapsed: Optional[float] = None
         self.depth = depth
         self.tags = tags
+        #: ``threading.get_ident()`` of the recording thread.
+        self.tid = tid
 
     def as_dict(self) -> dict:
         return {
@@ -100,7 +104,7 @@ class Tracer:
         self.enabled = False
         self.limit = limit
         self.records: List[SpanRecord] = []
-        self._depth = 0
+        self._open_spans = threading.local()  # .depth, per thread
         self.dropped = 0
 
     # -- recording ------------------------------------------------------
@@ -119,8 +123,10 @@ class Tracer:
         self._close(record, 0.0)
 
     def _open(self, name: str, tags: dict) -> SpanRecord:
-        record = SpanRecord(name, self._clock(), self._depth, tags)
-        self._depth += 1
+        depth = getattr(self._open_spans, "depth", 0)
+        record = SpanRecord(name, self._clock(), depth, tags,
+                            threading.get_ident())
+        self._open_spans.depth = depth + 1
         if len(self.records) >= self.limit:
             del self.records[0]
             self.dropped += 1
@@ -128,7 +134,8 @@ class Tracer:
         return record
 
     def _close(self, record: SpanRecord, elapsed: float) -> None:
-        self._depth -= 1
+        # Back to the depth it opened at (holds across a reset()).
+        self._open_spans.depth = record.depth
         record.elapsed = elapsed
 
     # -- inspection -----------------------------------------------------
@@ -144,7 +151,7 @@ class Tracer:
 
     def reset(self) -> None:
         self.records.clear()
-        self._depth = 0
+        self._open_spans = threading.local()
         self.dropped = 0
 
     def chrome_trace(self) -> dict:
@@ -162,7 +169,7 @@ class Tracer:
                 "ts": record.start * 1e6,
                 "dur": (record.elapsed or 0.0) * 1e6,
                 "pid": 1,
-                "tid": 1,
+                "tid": record.tid,
                 "args": {key: str(value)
                          for key, value in record.tags.items()},
             })

@@ -239,7 +239,7 @@ def cached_parse_path(text: str) -> Path:
     Parse errors are not cached (they raise before the ``put``).
     """
     path = _parse_cache.get(text)
-    context = _explain.ACTIVE
+    context = _explain.current() if _explain.COLLECTING else None
     if path is None:
         path = parse_path(text)
         _parse_cache.put(text, path)

@@ -122,7 +122,7 @@ class CompiledExecutor:
             started = time.perf_counter_ns()
             result = stage(result)
             elapsed = time.perf_counter_ns() - started
-            # Specialized step stages bypass the kernel's ACTIVE
+            # Specialized step stages bypass the kernel's EXPLAIN
             # accounting; the fallback stage counts through it.
             step = name.startswith("step")
             if step:
@@ -142,8 +142,9 @@ class CompiledExecutor:
 def _note(suffix: str, visited: int) -> None:
     """Tell the collecting EXPLAIN what only the running stage knows:
     the route it chose for this call (a suffix for its stage name) and
-    how many descriptors it read, when that is not what it returns."""
-    context = _explain.ACTIVE
+    how many descriptors it read, when that is not what it returns.
+    Callers test ``_explain.COLLECTING`` first."""
+    context = _explain.current()
     if context is not None:
         context.stage_note = (suffix, visited)
 
@@ -182,10 +183,9 @@ def lower(plan: CompiledPlan,
     """
     started = time.perf_counter_ns()
     executor = _lower(plan, queries)
-    if obs.RECORDING:
-        obs.REGISTRY.counter("query.compile.ns").inc(
-            time.perf_counter_ns() - started)
-        obs.REGISTRY.counter("query.plans.lowered").inc()
+    obs.REGISTRY.counter("query.compile.ns").inc(
+        time.perf_counter_ns() - started)
+    obs.REGISTRY.counter("query.plans.lowered").inc()
     return executor
 
 
@@ -404,7 +404,7 @@ def _positional_scan_source(schema_node: SchemaNode,
         while block is not None:
             runs.block(block)
             block = block.next_block
-        if _explain.ACTIVE is not None:
+        if _explain.COLLECTING:
             _note("", runs.touched)
         return runs.finish()
 
@@ -575,7 +575,7 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
             elif (text.left_sibling is None
                   and string_value(text.parent) == value):
                 hits.add(text.parent.parent)
-        if _explain.ACTIVE is not None:
+        if _explain.COLLECTING:
             _note("/sweep", len(texts))
         return [descriptor for descriptor in descriptors
                 if descriptor in hits]
@@ -614,7 +614,7 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
                     out.append(descriptor)
                     break
             children.clear()
-        if _explain.ACTIVE is not None:
+        if _explain.COLLECTING:
             # A carrier and the text below it per test.
             _note("/walk", 2 * tested)
         return out
@@ -731,7 +731,7 @@ def _child_step_stage(context_nodes: "list[SchemaNode]",
             out: list = []
             for descriptor in descriptors:
                 _walk(descriptor, targets[descriptor.schema_node], out)
-            if _explain.ACTIVE is not None:
+            if _explain.COLLECTING:
                 _note("/walk", len(out))
         else:
             contexts = set(descriptors)
@@ -740,7 +740,7 @@ def _child_step_stage(context_nodes: "list[SchemaNode]",
                 _sweep_blocks(schema_node, sweep)
             out = [descriptor for descriptor in sweep
                    if descriptor.parent in contexts]
-            if _explain.ACTIVE is not None:
+            if _explain.COLLECTING:
                 _note("/sweep", len(sweep))
         if multi:
             out.sort(key=_doc_order_key)

@@ -81,11 +81,11 @@ def navigate_steps(store: NodeStore, current: list[Ref],
     """Per-step navigation from the *current* context references,
     deduplicated on the store's stable node keys.
 
-    EXPLAIN accounting rides on :data:`repro.obs.explain.ACTIVE` — one
-    ``is None`` test per context node when no explain is collecting,
-    so the kernel stays within the no-op overhead budget.
+    EXPLAIN accounting rides on the calling thread's collecting
+    record — one ``is None`` test per context node when no explain is
+    collecting, so the kernel stays within the no-op overhead budget.
     """
-    context = _explain.ACTIVE
+    context = _explain.current() if _explain.COLLECTING else None
     for step in steps:
         if context is not None:
             context.axis_steps += 1
@@ -200,8 +200,7 @@ class StorageQueryEngine:
         #: policies exist for benchmarks and parity testing.
         self._planner = QueryPlanner(engine, plan_cache_capacity,
                                      policy=planner_policy)
-        # Inherent instruments (see repro.obs.metrics): held directly
-        # so the always-on telemetry path skips the registry lookups.
+        # Held directly so the hot path skips the registry lookups;
         # obs.reset() zeroes instruments in place, so these stay live.
         self._evaluations = obs.REGISTRY.counter("query.evaluations")
         self._latency = obs.REGISTRY.histogram("query.latency.ns")
@@ -224,12 +223,12 @@ class StorageQueryEngine:
     def evaluate(self, path: "Path | str") -> list[NodeDescriptor]:
         """Evaluate through the plan cache — the hot entry point.
 
-        With diagnostics enabled (or the slow-query log armed), every
-        call records a :class:`~repro.obs.explain.QueryExplain` (plan
-        strategy, cache hit/miss, axis steps, nodes visited vs.
-        returned); diagnostics also append it to
-        :data:`repro.obs.EXPLAINS`.  With only telemetry on, the call
-        is timed into the ``query.latency.ns`` histogram and counted —
+        Every call is counted and timed into the ``query.latency.ns``
+        histogram.  With diagnostics enabled (or the slow-query log
+        armed) it also records a
+        :class:`~repro.obs.explain.QueryExplain` (plan strategy, cache
+        hit/miss, axis steps, nodes visited vs. returned), which
+        diagnostics append to :data:`repro.obs.EXPLAINS`; otherwise
         nothing per-query is allocated.
         """
         record = None
@@ -244,11 +243,10 @@ class StorageQueryEngine:
             # collecting) then pays for no context manager.
             if record is not None:
                 _explain.end(record)
+        self._evaluations.inc()
+        self._latency.observe(elapsed_ns)
         if record is not None:
             self._report_explained(record, len(result), elapsed_ns)
-        elif obs.TELEMETRY:
-            self._evaluations.inc()
-            self._latency.observe(elapsed_ns)
         return result
 
     def _report_explained(self, record: _explain.QueryExplain,
@@ -256,9 +254,6 @@ class StorageQueryEngine:
         record.elapsed_s = elapsed_ns / 1e9
         record.nodes_returned = nodes_returned
         registry = obs.REGISTRY
-        if obs.RECORDING:
-            self._evaluations.inc()
-            self._latency.observe(elapsed_ns)
         if obs.ENABLED:
             obs.EXPLAINS.append(record)
             if record.compiled:
@@ -272,12 +267,7 @@ class StorageQueryEngine:
         if threshold is not None and elapsed_ns >= threshold:
             # The complete EXPLAIN rides in the event record — the
             # slow-query log needs no second evaluation to diagnose.
-            # The event fires whenever the threshold is armed (arming
-            # is its own opt-in, independent of the telemetry tier);
-            # the counter is telemetry and honors RECORDING like
-            # every other counter site.
-            if obs.RECORDING:
-                registry.counter("query.slow").inc()
+            registry.counter("query.slow").inc()
             obs.EVENTS.emit("query.slow", severity="warn",
                             **record.as_dict())
 

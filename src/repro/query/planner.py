@@ -68,7 +68,6 @@ invalidation contract the index epoch established.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro import obs
@@ -285,9 +284,10 @@ class CompiledPlan:
         if executor is None:
             from repro.query.compiled import lower
             executor = self.executor = lower(self, queries)
-        context = _explain.ACTIVE
-        if context is not None:
-            return executor.run_explained(queries, context)
+        if _explain.COLLECTING:
+            context = _explain.current()
+            if context is not None:
+                return executor.run_explained(queries, context)
         return executor.run(queries)
 
     def __repr__(self) -> str:
@@ -327,17 +327,14 @@ def compile_plan(path: Path, schema: "DescriptiveSchema",
     :mod:`repro.query.cost` and the cheapest wins, otherwise the
     historical structural precedence applies.
     """
-    with (obs.TRACER.span("query.plan.compile", path=str(path))
-          if obs.ENABLED else nullcontext()):
+    with obs.TRACER.span("query.plan.compile", path=path):
         plan = _select_plan(path, schema, indexes, stats, block_capacity,
                             policy)
-    if obs.RECORDING:
-        obs.REGISTRY.counter("query.plan.compiles").inc()
-        obs.REGISTRY.counter(
-            f"query.plan.strategy.{plan.strategy}").inc()
-        if plan.pruned_schema_nodes:
-            obs.REGISTRY.counter("query.plan.pruned_schema_nodes").inc(
-                plan.pruned_schema_nodes)
+    obs.REGISTRY.counter("query.plan.compiles").inc()
+    obs.REGISTRY.counter(f"query.plan.strategy.{plan.strategy}").inc()
+    if plan.pruned_schema_nodes:
+        obs.REGISTRY.counter("query.plan.pruned_schema_nodes").inc(
+            plan.pruned_schema_nodes)
     return plan
 
 
@@ -478,13 +475,12 @@ def _cheapest(candidates: "list[CompiledPlan]", structural_pick: int,
     table[best].chosen = True
     plan.cost_table = tuple(table)
     plan.stats_nodes = tuple(model.consulted)
-    if obs.RECORDING:
-        registry = obs.REGISTRY
-        registry.counter("query.cost.priced").inc()
-        registry.counter("query.cost.candidates").inc(len(table))
-        registry.counter(f"query.cost.chosen.{plan.strategy}").inc()
-        if best != structural_pick:
-            registry.counter("query.cost.overrides").inc()
+    registry = obs.REGISTRY
+    registry.counter("query.cost.priced").inc()
+    registry.counter("query.cost.candidates").inc(len(table))
+    registry.counter(f"query.cost.chosen.{plan.strategy}").inc()
+    if best != structural_pick:
+        registry.counter("query.cost.overrides").inc()
     return best
 
 
@@ -513,9 +509,13 @@ def _adopt(stale: CompiledPlan, fresh: CompiledPlan,
         stale.executor = None
 
 
-def _describe(context, plan: CompiledPlan, outcome: str) -> None:
+def _describe(plan: CompiledPlan, outcome: str) -> None:
     """The planner's EXPLAIN fields for *plan* (*outcome*: ``hit``,
-    ``miss`` or ``invalidated``)."""
+    ``miss`` or ``invalidated``), into this thread's collecting record
+    if it has one.  Callers test ``_explain.COLLECTING`` first."""
+    context = _explain.current()
+    if context is None:
+        return
     context.plan_cache = outcome
     context.strategy = plan.strategy
     context.schema_nodes_scanned = len(plan.scan_nodes)
@@ -593,10 +593,9 @@ class QueryPlanner:
         # recency the cache's eviction reads.
         plan.referenced = True
         self._hits.inc()
-        if obs.RECORDING:
-            self._all_hits.inc()
-        if _explain.ACTIVE is not None:
-            _describe(_explain.ACTIVE, plan, "hit")
+        self._all_hits.inc()
+        if _explain.COLLECTING:
+            _describe(plan, "hit")
         return plan
 
     def _compile_slow(self, request: "Path | str") -> CompiledPlan:
@@ -637,17 +636,15 @@ class QueryPlanner:
                 self._forget_text(plan)
                 plan.text = text
                 self._texts[text] = plan
-        if _explain.ACTIVE is not None:
-            _describe(_explain.ACTIVE, plan,
+        if _explain.COLLECTING:
+            _describe(plan,
                       "hit" if hit else
                       "invalidated" if invalidated else "miss")
-        if obs.RECORDING:
-            # Aggregate plan-cache counters across all engines (each
-            # cache also keeps its private per-engine instruments).
-            (self._all_hits if hit else self._all_misses).inc()
-            if invalidated:
-                obs.REGISTRY.counter(
-                    "query.plan_cache.invalidations").inc()
+        # Aggregate plan-cache counters across all engines (each
+        # cache also keeps its private per-engine instruments).
+        (self._all_hits if hit else self._all_misses).inc()
+        if invalidated:
+            obs.REGISTRY.counter("query.plan_cache.invalidations").inc()
         return plan
 
     def _revalidate(self, stale: CompiledPlan
@@ -680,14 +677,10 @@ class QueryPlanner:
             if not stats.drifted_since(stale.stats_nodes,
                                        stale.stats_epoch):
                 stale.stats_epoch = stats.epoch
-                if obs.RECORDING:
-                    obs.REGISTRY.counter(
-                        "query.cost.stats_restamps").inc()
+                obs.REGISTRY.counter("query.cost.stats_restamps").inc()
                 return None
             fresh = self.compile_uncached(path)
-            if obs.RECORDING:
-                obs.REGISTRY.counter(
-                    "query.cost.stats_replans").inc()
+            obs.REGISTRY.counter("query.cost.stats_replans").inc()
             if not _same_decision(fresh, stale):
                 return fresh
             # Same decision, same DDL epoch: the probe binds the same

@@ -72,16 +72,12 @@ class AdmissionController:
                            f"{self.active_sessions} open sessions "
                            f"(cap {self.max_sessions})")
             self.active_sessions += 1
-        if obs.RECORDING:
-            obs.REGISTRY.gauge("server.sessions.active").set(
-                self.active_sessions)
+        obs.REGISTRY.gauge("server.sessions.active").set(self.active_sessions)
 
     def release_session(self) -> None:
         with self._lock:
             self.active_sessions = max(0, self.active_sessions - 1)
-        if obs.RECORDING:
-            obs.REGISTRY.gauge("server.sessions.active").set(
-                self.active_sessions)
+        obs.REGISTRY.gauge("server.sessions.active").set(self.active_sessions)
 
     # -- the request gate -------------------------------------------------
 
@@ -98,16 +94,12 @@ class AdmissionController:
                            f"{self.queue_depth} requests in flight "
                            f"(cap {self.max_queue_depth})")
             self.queue_depth += 1
-        if obs.RECORDING:
-            obs.REGISTRY.gauge("server.queue.depth").set(
-                self.queue_depth)
+        obs.REGISTRY.gauge("server.queue.depth").set(self.queue_depth)
 
     def exit_request(self) -> None:
         with self._lock:
             self.queue_depth = max(0, self.queue_depth - 1)
-        if obs.RECORDING:
-            obs.REGISTRY.gauge("server.queue.depth").set(
-                self.queue_depth)
+        obs.REGISTRY.gauge("server.queue.depth").set(self.queue_depth)
 
     @contextmanager
     def request(self) -> Iterator[None]:
@@ -122,14 +114,13 @@ class AdmissionController:
 
     def _shed(self, gate: str, detail: str) -> None:
         """Under the lock: account and raise the typed refusal."""
-        if obs.RECORDING:
-            obs.REGISTRY.counter("server.overloaded").inc()
-            obs.REGISTRY.counter(f"server.overloaded.{gate}").inc()
-            if gate == "sessions":
-                obs.REGISTRY.counter("server.sessions.rejected").inc()
-            obs.EVENTS.emit("server.overloaded", severity="warn",
-                            gate=gate, detail=detail,
-                            retry_after=self.retry_after)
+        obs.REGISTRY.counter("server.overloaded").inc()
+        obs.REGISTRY.counter(f"server.overloaded.{gate}").inc()
+        if gate == "sessions":
+            obs.REGISTRY.counter("server.sessions.rejected").inc()
+        obs.EVENTS.emit("server.overloaded", severity="warn",
+                        gate=gate, detail=detail,
+                        retry_after=self.retry_after)
         raise Overloaded(
             f"overloaded: {detail}; retry after "
             f"{self.retry_after:.3f}s", retry_after=self.retry_after)

@@ -152,10 +152,9 @@ class LeaseManager:
                     self._holder = lease
                     self.grants += 1
                     self._observe_wait(started, attempt, granted=True)
-                    if obs.RECORDING:
-                        obs.EVENTS.emit("lease.granted", owner=owner,
-                                        lease_until=lease.lease_until,
-                                        attempts=attempt)
+                    obs.EVENTS.emit("lease.granted", owner=owner,
+                                    lease_until=lease.lease_until,
+                                    attempts=attempt)
                     return lease
                 if deadline is not None and now >= deadline:
                     self._observe_wait(started, attempt, granted=False)
@@ -201,8 +200,7 @@ class LeaseManager:
                     f"{now - lease.lease_until:.3f}s after expiry")
             lease.lease_until = now + self.ttl
             lease.renewals += 1
-            if obs.RECORDING:
-                obs.REGISTRY.counter("server.lease.renewals").inc()
+            obs.REGISTRY.counter("server.lease.renewals").inc()
             return lease
 
     def check(self, lease: Lease) -> None:
@@ -229,8 +227,7 @@ class LeaseManager:
             if self._holder is lease and not lease.revoked:
                 self._holder = None
                 self._freed.notify_all()
-                if obs.RECORDING:
-                    obs.REGISTRY.counter("server.lease.releases").inc()
+                obs.REGISTRY.counter("server.lease.releases").inc()
 
     def holder(self) -> Optional[Lease]:
         with self._lock:
@@ -259,17 +256,14 @@ class LeaseManager:
                             note=holder.note)
         self.dead_letters.append(letter)
         self._freed.notify_all()
-        if obs.RECORDING:
-            obs.REGISTRY.counter("server.lease.expirations").inc()
-            obs.EVENTS.emit("lease.expired", severity="warn",
-                            **letter.as_dict())
-            obs.EVENTS.emit("lease.dead_letter", severity="warn",
-                            owner=letter.owner, note=letter.note)
+        obs.REGISTRY.counter("server.lease.expirations").inc()
+        obs.EVENTS.emit("lease.expired", severity="warn",
+                        **letter.as_dict())
+        obs.EVENTS.emit("lease.dead_letter", severity="warn",
+                        owner=letter.owner, note=letter.note)
 
     def _observe_wait(self, started_ns: int, attempts: int,
                       granted: bool) -> None:
-        if not obs.RECORDING:
-            return
         obs.REGISTRY.histogram("server.lease.wait.ns").observe(
             time.monotonic_ns() - started_ns)
         if granted:

@@ -290,13 +290,12 @@ class DatabaseServer:
                 faults.fire("session.lease.granted")
                 session = Session(session_id, "write", self,
                                   deadline=cutoff, lease=lease)
-            if obs.RECORDING:
-                obs.REGISTRY.counter("server.sessions.opened").inc()
-                obs.EVENTS.emit(
-                    "session.open", session=session_id, mode=mode,
-                    owner=name,
-                    snapshot=(session.snapshot.version
-                              if session.snapshot else None))
+            obs.REGISTRY.counter("server.sessions.opened").inc()
+            obs.EVENTS.emit(
+                "session.open", session=session_id, mode=mode,
+                owner=name,
+                snapshot=(session.snapshot.version
+                          if session.snapshot else None))
             return session
         except BaseException:
             self.admission.release_session()
@@ -311,12 +310,11 @@ class DatabaseServer:
         if session.lease is not None:
             self.leases.release(session.lease)
         self.admission.release_session()
-        if obs.RECORDING:
-            obs.REGISTRY.counter("server.sessions.closed").inc()
-            obs.EVENTS.emit(
-                "session.close", session=session.session_id,
-                mode=session.mode, requests=session.requests,
-                lifetime_ns=time.monotonic_ns() - session.opened_ns)
+        obs.REGISTRY.counter("server.sessions.closed").inc()
+        obs.EVENTS.emit(
+            "session.close", session=session.session_id,
+            mode=session.mode, requests=session.requests,
+            lifetime_ns=time.monotonic_ns() - session.opened_ns)
 
     # -- requests ---------------------------------------------------------
 
@@ -329,7 +327,7 @@ class DatabaseServer:
         live lock (read-your-writes)."""
         session.check_open()
         session.check_deadline()
-        started = time.perf_counter_ns() if obs.RECORDING else 0
+        started = time.perf_counter_ns()
         if session.mode == "read":
             result = session.snapshot.queries().evaluate(path)
         else:
@@ -375,7 +373,7 @@ class DatabaseServer:
             cutoff = time.monotonic() + timeout
             session.deadline = (cutoff if previous_deadline is None
                                 else min(previous_deadline, cutoff))
-        started = time.perf_counter_ns() if obs.RECORDING else 0
+        started = time.perf_counter_ns()
         try:
             session.check_deadline()
             self.leases.renew(session.lease)  # heartbeat
@@ -418,8 +416,7 @@ class DatabaseServer:
             info = self.backend.checkpoint(self.engine, wal=self.wal)
         if self.snapshots.pinned():
             faults.fire("session.reader.checkpoint")
-        if obs.RECORDING:
-            obs.REGISTRY.counter("server.checkpoints").inc()
+        obs.REGISTRY.counter("server.checkpoints").inc()
         return info
 
     def close(self) -> None:
@@ -447,8 +444,6 @@ class DatabaseServer:
     def _account_request(self, session: Session, kind: str,
                          started: int) -> None:
         session.requests += 1
-        if not obs.RECORDING:
-            return
         elapsed = time.perf_counter_ns() - started
         requests, latency = self._by_kind[kind]
         self._requests.inc()

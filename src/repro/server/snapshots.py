@@ -321,9 +321,7 @@ class SnapshotManager:
             key = self.current_key()
             snapshot = self._cache.get(key)
             if snapshot is not None:
-                if obs.RECORDING:
-                    obs.REGISTRY.counter(
-                        "server.snapshot.cache_hits").inc()
+                obs.REGISTRY.counter("server.snapshot.cache_hits").inc()
             else:
                 snapshot = self._advance(key)
             if snapshot is not None:
@@ -348,8 +346,7 @@ class SnapshotManager:
     def _pinned(self, snapshot: Snapshot) -> Snapshot:
         """Under the lock: count one more pin on *snapshot*."""
         snapshot.pins += 1
-        if obs.RECORDING:
-            self._record_pins()
+        self._record_pins()
         return snapshot
 
     def release(self, snapshot: Snapshot) -> None:
@@ -361,8 +358,7 @@ class SnapshotManager:
                     f"snapshot {snapshot.version} is not pinned")
             snapshot.pins -= 1
             self._evict_stale()
-            if obs.RECORDING:
-                self._record_pins()
+            self._record_pins()
 
     def pinned(self) -> int:
         """Total pins across cached snapshots."""
@@ -413,11 +409,9 @@ class SnapshotManager:
         base.key = key
         self._cache[key] = base
         self._order.append(key)
-        if obs.RECORDING:
-            obs.REGISTRY.counter("server.snapshot.advances").inc()
-            obs.REGISTRY.histogram(
-                "server.snapshot.advance.records").observe(
-                    done.replayed)
+        obs.REGISTRY.counter("server.snapshot.advances").inc()
+        obs.REGISTRY.histogram(
+            "server.snapshot.advance.records").observe(done.replayed)
         return base
 
     def _materialize(self, key: tuple[int, int]) -> Snapshot:
@@ -425,9 +419,7 @@ class SnapshotManager:
         # construction replays only the committed prefix — the two
         # halves of the reader-isolation guarantee.
         result = recover(self.backend)
-        if obs.RECORDING:
-            obs.REGISTRY.counter(
-                "server.snapshot.materializations").inc()
+        obs.REGISTRY.counter("server.snapshot.materializations").inc()
         return Snapshot(key, result.engine, result.relabels)
 
     def _record_pins(self) -> None:

@@ -142,21 +142,19 @@ class StorageBackend(ABC):
         """
         if engine.document is None:
             raise StorageError("cannot checkpoint an empty engine")
-        recording = obs.RECORDING
-        started = time.perf_counter_ns() if recording else 0
+        started = time.perf_counter_ns()
         horizon = wal.last_lsn if wal is not None else 0
         info = self._write_snapshot(engine, horizon)
         if wal is not None:
             wal.reset(checkpoint_lsn=horizon)
         if self.max_snapshots is not None:
             self.evict_snapshots(keep=self.max_snapshots)
-        if recording:
-            registry = obs.REGISTRY
-            registry.counter("recovery.checkpoints").inc()
-            registry.counter("recovery.checkpoint.bytes").inc(info.bytes)
-            registry.counter(f"checkpoint.{info.mode}").inc()
-            registry.histogram(f"checkpoint.{self.name}.ns").observe(
-                time.perf_counter_ns() - started)
+        registry = obs.REGISTRY
+        registry.counter("recovery.checkpoints").inc()
+        registry.counter("recovery.checkpoint.bytes").inc(info.bytes)
+        registry.counter(f"checkpoint.{info.mode}").inc()
+        registry.histogram(f"checkpoint.{self.name}.ns").observe(
+            time.perf_counter_ns() - started)
         return info
 
     @abstractmethod

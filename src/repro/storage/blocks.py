@@ -52,8 +52,7 @@ class Block:
         self._ordered: Optional[list] = None
         self.block_id = Block._next_id
         Block._next_id += 1
-        if obs.RECORDING:
-            obs.REGISTRY.counter("storage.blocks.allocated").inc()
+        obs.REGISTRY.counter("storage.blocks.allocated").inc()
 
     # -- basic bookkeeping ---------------------------------------------------
 

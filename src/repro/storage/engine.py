@@ -83,11 +83,10 @@ class StorageEngine:
         self.split_count = 0
         self.relabel_count = 0  # stays 0: Proposition 1
         self._preserve_whitespace = False
-        if obs.RECORDING:
-            # Materialize the relabel counter at zero: the engine never
-            # increments it (Proposition 1), and an explicit 0 in every
-            # snapshot is the claim being made.
-            obs.REGISTRY.counter("storage.relabels")
+        # Materialize the relabel counter at zero: the engine never
+        # increments it (Proposition 1), and an explicit 0 in every
+        # snapshot is the claim being made.
+        obs.REGISTRY.counter("storage.relabels")
 
     # ==================================================================
     # Loading
@@ -156,8 +155,7 @@ class StorageEngine:
     def _new_descriptor(self, schema_node: SchemaNode, nid: NidLabel,
                         value: str | None = None) -> NodeDescriptor:
         descriptor = NodeDescriptor(schema_node, nid, value=value)
-        if obs.RECORDING:
-            obs.REGISTRY.counter("storage.descriptors.allocated").inc()
+        obs.REGISTRY.counter("storage.descriptors.allocated").inc()
         return descriptor
 
     def _load_children(self, parent_descriptor: NodeDescriptor,
@@ -298,8 +296,7 @@ class StorageEngine:
             # Both halves changed their persisted slot membership.
             self.checkpoints.mark(target)
             self.checkpoints.mark(sibling)
-            if obs.RECORDING:
-                obs.REGISTRY.counter("storage.blocks.split").inc()
+            obs.REGISTRY.counter("storage.blocks.split").inc()
             first_of_sibling = sibling.first_descriptor()
             if (first_of_sibling is not None
                     and before(first_of_sibling.nid, descriptor.nid)):
@@ -519,8 +516,7 @@ class StorageEngine:
         if self.indexes.active:
             self.indexes.note_added(descriptor)
         self.insert_count += 1
-        if obs.RECORDING:
-            obs.REGISTRY.counter("storage.inserts").inc()
+        obs.REGISTRY.counter("storage.inserts").inc()
         if manager is not None and manager.logging:
             manager.applied_insert(descriptor)
         return descriptor
@@ -598,8 +594,7 @@ class StorageEngine:
         if self.indexes.active:
             self.indexes.note_added(descriptor)
         self.insert_count += 1
-        if obs.RECORDING:
-            obs.REGISTRY.counter("storage.inserts").inc()
+        obs.REGISTRY.counter("storage.inserts").inc()
         if logged:
             manager.applied_set_attribute(descriptor, None, created=True)
         return descriptor
@@ -627,8 +622,7 @@ class StorageEngine:
         self._unlink_from_siblings(descriptor)
         self._remove_descriptor(descriptor)
         self.delete_count += 1
-        if obs.RECORDING:
-            obs.REGISTRY.counter("storage.deletes").inc()
+        obs.REGISTRY.counter("storage.deletes").inc()
         return removed + 1
 
     # ==================================================================

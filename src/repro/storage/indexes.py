@@ -256,10 +256,9 @@ class ValueIndex:
 
     def _probed(self, result: "list[NodeDescriptor]"
                 ) -> "list[NodeDescriptor]":
-        if obs.RECORDING:
-            obs.REGISTRY.counter("index.probes").inc()
-            if result:
-                obs.REGISTRY.counter("index.hits").inc()
+        obs.REGISTRY.counter("index.probes").inc()
+        if result:
+            obs.REGISTRY.counter("index.hits").inc()
         return result
 
     def probe_eq(self, key) -> "list[NodeDescriptor]":
@@ -383,10 +382,9 @@ class PathIndex:
     def probe(self) -> "list[NodeDescriptor]":
         """The pre-merged, document-ordered result set."""
         result = list(self._postings)
-        if obs.RECORDING:
-            obs.REGISTRY.counter("index.probes").inc()
-            if result:
-                obs.REGISTRY.counter("index.hits").inc()
+        obs.REGISTRY.counter("index.probes").inc()
+        if result:
+            obs.REGISTRY.counter("index.hits").inc()
         return result
 
     def stats(self) -> dict[str, object]:
@@ -488,11 +486,10 @@ class IndexManager:
             from repro.query.paths import parse_path
             index = PathIndex(self.engine, definition,
                               parse_path(definition.path).steps)
-        start = time.perf_counter_ns() if obs.RECORDING else 0
+        start = time.perf_counter_ns()
         index.build()
-        if obs.RECORDING:
-            obs.REGISTRY.counter("index.maintenance_ns").inc(
-                time.perf_counter_ns() - start)
+        obs.REGISTRY.counter("index.maintenance_ns").inc(
+            time.perf_counter_ns() - start)
         self._indexes[definition.key] = index
         self._rebuild_tables()
         self.epoch += 1
@@ -543,9 +540,6 @@ class IndexManager:
         """A descriptor was linked into the tree (insert, attribute
         creation, or rollback restore)."""
         faults.fire("index.update")
-        if not obs.RECORDING:
-            self._note_added(descriptor)
-            return
         start = time.perf_counter_ns()
         try:
             self._note_added(descriptor)
@@ -586,9 +580,6 @@ class IndexManager:
         called after sibling unlinking, so recomputed string values no
         longer see it."""
         faults.fire("index.update")
-        if not obs.RECORDING:
-            self._note_removed(descriptor)
-            return
         start = time.perf_counter_ns()
         try:
             self._note_removed(descriptor)
@@ -619,9 +610,6 @@ class IndexManager:
         index = self._by_value_node.get(id(descriptor.schema_node))
         if index is None or not index.attribute \
                 or descriptor.parent is None:
-            return
-        if not obs.RECORDING:
-            index.update(descriptor.parent, descriptor.value)
             return
         start = time.perf_counter_ns()
         try:

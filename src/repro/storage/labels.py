@@ -276,8 +276,7 @@ class NumberingScheme:
 
     def root_label(self) -> NidLabel:
         """The label of the document node."""
-        if obs.RECORDING:
-            obs.REGISTRY.counter("numbering.labels.allocated").inc()
+        obs.REGISTRY.counter("numbering.labels.allocated").inc()
         return NidLabel(((self.base // 2,),))
 
     def child_label(self, parent: NidLabel,
@@ -297,13 +296,12 @@ class NumberingScheme:
         low = left.components[-1] if left is not None else None
         high = right.components[-1] if right is not None else None
         component = self.midpoint(low, high)
-        if obs.RECORDING:
-            obs.REGISTRY.counter("numbering.labels.allocated").inc()
+        obs.REGISTRY.counter("numbering.labels.allocated").inc()
         return NidLabel(parent.components + (component,))
 
     def child_labels(self, parent: NidLabel, count: int) -> list[NidLabel]:
         """Evenly spaced labels for *count* children (bulk load)."""
-        if obs.RECORDING and count > 0:
+        if count > 0:
             obs.REGISTRY.counter("numbering.labels.allocated").inc(count)
         return [NidLabel(parent.components + (component,))
                 for component in self.spread(count)]

@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro import obs
@@ -40,7 +39,6 @@ from repro.storage.backends.base import (
 from repro.storage.backends.file import FileBackend
 from repro.storage.engine import StorageEngine
 from repro.storage.labels import equal
-from repro.storage.persist import load_engine
 from repro.storage.wal import (
     COMMIT,
     CREATE_INDEX,
@@ -53,7 +51,6 @@ from repro.storage.wal import (
     WalRecord,
     WalScan,
     WriteAheadLog,
-    read_wal,
     read_wal_store,
 )
 
@@ -165,9 +162,8 @@ def bulk_load(engine: StorageEngine, document,
     wal.append_commit(txn_id)
     horizon = checkpoint(engine, image_path, wal=wal)
     engine.indexes.rebuild_all()
-    if obs.RECORDING:
-        obs.REGISTRY.counter("recovery.bulk_loads").inc()
-        obs.REGISTRY.counter("recovery.bulk_load.nodes").inc(count)
+    obs.REGISTRY.counter("recovery.bulk_loads").inc()
+    obs.REGISTRY.counter("recovery.bulk_load.nodes").inc(count)
     return {"nodes": count, "txn": txn_id, "checkpoint_lsn": horizon,
             "wal_records": 3}
 
@@ -176,67 +172,39 @@ def bulk_load(engine: StorageEngine, document,
 # Recovery.
 
 
-def recover(target: str | os.PathLike | StorageBackend,
-            wal_path: Optional[str | os.PathLike] = None,
+def recover(backend: StorageBackend, *,
             schema: "Optional[DocumentSchema]" = None,
             strict: bool = False) -> RecoveryResult:
-    """Reconstruct an engine from a checkpoint snapshot + WAL.
-
-    *target* is an image path plus optional *wal_path* (the historical
-    call shape) or any :class:`StorageBackend`, whose own WAL medium
-    is scanned (*wal_path* must then be None).
+    """Reconstruct an engine from *backend*'s checkpoint snapshot and
+    its own WAL medium.
 
     With *schema*, §6.2 conformance of the recovered document is
     verified through the typed storage NodeStore and violations raise
     :class:`RecoveryError`.  *strict* additionally asserts global
     document-order monotonicity of every numbering label.
     """
-    if obs.ENABLED:
-        with obs.TRACER.span("recovery.recover"):
-            return _recover(target, wal_path, schema, strict)
-    return _recover(target, wal_path, schema, strict)
+    with obs.TRACER.span("recovery.recover"):
+        return _recover(backend, schema, strict)
 
 
-def _open_target(target, wal_path):
-    """Load the engine and scan the WAL from either call shape."""
-    if isinstance(target, StorageBackend):
-        if wal_path is not None:
-            raise RecoveryError(
-                "pass either a backend or an explicit wal_path, "
-                "not both")
-        try:
-            engine = target.load_engine()
-        except CorruptionError:
-            raise  # damaged state keeps its located error
-        except StorageError as error:
-            raise RecoveryError(str(error)) from error
-        store = target.wal_store()
-        scan = read_wal_store(store) if store is not None else None
-        return (engine, target.describe(),
-                store.describe() if store is not None else None,
-                scan, target.name)
-    path = Path(target)
-    if not path.exists():
-        raise RecoveryError(f"no checkpoint image at {path}")
-    engine = load_engine(path.read_bytes())
-    scan = read_wal(wal_path) if wal_path is not None else None
-    return (engine, str(path),
-            str(wal_path) if wal_path is not None else None,
-            scan, "file")
-
-
-def _recover(target, wal_path, schema, strict) -> RecoveryResult:
-    recover_started = time.perf_counter_ns() if obs.RECORDING else 0
-    engine, image_desc, wal_desc, scan, backend_name = \
-        _open_target(target, wal_path)
-    if obs.RECORDING:
-        # Materialize the Proposition 1 counters at zero: recovery
-        # must never relabel, and the explicit 0 is the claim.
-        obs.REGISTRY.counter("numbering.relabels.sedna")
-        obs.REGISTRY.counter("storage.relabels")
+def _recover(backend, schema, strict) -> RecoveryResult:
+    recover_started = time.perf_counter_ns()
+    try:
+        engine = backend.load_engine()
+    except CorruptionError:
+        raise  # damaged state keeps its located error
+    except StorageError as error:
+        raise RecoveryError(str(error)) from error
+    store = backend.wal_store()
+    scan = read_wal_store(store) if store is not None else None
+    # Materialize the Proposition 1 counters at zero: recovery
+    # must never relabel, and the explicit 0 is the claim.
+    obs.REGISTRY.counter("numbering.relabels.sedna")
+    obs.REGISTRY.counter("storage.relabels")
     result = RecoveryResult(
-        engine=engine, image_path=image_desc, wal_path=wal_desc,
-        checkpoint_lsn=engine.checkpoint_lsn, backend=backend_name,
+        engine=engine, image_path=backend.describe(),
+        wal_path=store.describe() if store is not None else None,
+        checkpoint_lsn=engine.checkpoint_lsn, backend=backend.name,
         # The version of the image this recovery started from —
         # computed before replay, which may change the schema shape.
         snapshot_version=snapshot_version(engine.checkpoint_lsn,
@@ -289,13 +257,12 @@ def _recover(target, wal_path, schema, strict) -> RecoveryResult:
     if schema is not None:
         result.conformance_violations = _verify_conformance(engine,
                                                             schema)
-    if obs.RECORDING:
-        obs.REGISTRY.counter("recovery.replayed").inc(result.replayed)
-        obs.REGISTRY.counter("recovery.discarded").inc(result.discarded)
-        if result.torn_bytes:
-            obs.REGISTRY.counter("recovery.torn_tails").inc()
-        obs.REGISTRY.histogram("recovery.replay.ns").observe(
-            time.perf_counter_ns() - recover_started)
+    obs.REGISTRY.counter("recovery.replayed").inc(result.replayed)
+    obs.REGISTRY.counter("recovery.discarded").inc(result.discarded)
+    if result.torn_bytes:
+        obs.REGISTRY.counter("recovery.torn_tails").inc()
+    obs.REGISTRY.histogram("recovery.replay.ns").observe(
+        time.perf_counter_ns() - recover_started)
     return result
 
 

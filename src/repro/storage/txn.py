@@ -121,8 +121,7 @@ class TransactionManager:
         never durably committed.
         """
         txn = self._require_open()
-        recording = obs.RECORDING
-        started = time.perf_counter_ns() if recording else 0
+        started = time.perf_counter_ns()
         if self.strict:
             try:
                 self.engine.check_invariants()
@@ -132,16 +131,14 @@ class TransactionManager:
         self.wal.append_commit(txn.txn_id)
         txn.state = "committed"
         self.active = None
-        if recording:
-            obs.REGISTRY.counter("txn.commits").inc()
-            obs.REGISTRY.histogram("txn.commit.ns").observe(
-                time.perf_counter_ns() - started)
+        obs.REGISTRY.counter("txn.commits").inc()
+        obs.REGISTRY.histogram("txn.commit.ns").observe(
+            time.perf_counter_ns() - started)
 
     def rollback(self) -> None:
         """Undo the open transaction's in-memory effects, mark ABORT."""
         txn = self._require_open()
-        recording = obs.RECORDING
-        started = time.perf_counter_ns() if recording else 0
+        started = time.perf_counter_ns()
         self._undoing = True
         try:
             for entry in reversed(txn.undo):
@@ -151,10 +148,9 @@ class TransactionManager:
         self.wal.append_abort(txn.txn_id)
         txn.state = "aborted"
         self.active = None
-        if recording:
-            obs.REGISTRY.counter("txn.rollbacks").inc()
-            obs.REGISTRY.histogram("txn.rollback.ns").observe(
-                time.perf_counter_ns() - started)
+        obs.REGISTRY.counter("txn.rollbacks").inc()
+        obs.REGISTRY.histogram("txn.rollback.ns").observe(
+            time.perf_counter_ns() - started)
 
     @contextmanager
     def transaction(self) -> Iterator[Transaction]:

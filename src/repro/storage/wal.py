@@ -412,8 +412,7 @@ class WriteAheadLog:
     def _append(self, kind: int, txn: int, body: bytes) -> int:
         if self._closed:
             raise StorageError("write-ahead log is closed")
-        recording = obs.RECORDING
-        started = time.perf_counter_ns() if recording else 0
+        started = time.perf_counter_ns()
         lsn = self.last_lsn + 1
         payload = _RECORD_HEAD.pack(lsn, kind, txn) + body
         frame = encode_frame(payload)
@@ -425,23 +424,19 @@ class WriteAheadLog:
         self.store.append(frame)
         faults.fire("wal.fsync")
         if self.sync:
-            if recording:
-                sync_started = time.perf_counter_ns()
-                self.store.sync()
-                obs.REGISTRY.histogram("wal.sync.ns").observe(
-                    time.perf_counter_ns() - sync_started)
-            else:
-                self.store.sync()
+            sync_started = time.perf_counter_ns()
+            self.store.sync()
+            obs.REGISTRY.histogram("wal.sync.ns").observe(
+                time.perf_counter_ns() - sync_started)
         self.last_lsn = lsn
         if txn > self.last_txn:
             self.last_txn = txn
         self.appends += 1
-        if recording:
-            registry = obs.REGISTRY
-            registry.counter("wal.appends").inc()
-            registry.counter("wal.bytes").inc(len(frame))
-            registry.histogram("wal.append.ns").observe(
-                time.perf_counter_ns() - started)
+        registry = obs.REGISTRY
+        registry.counter("wal.appends").inc()
+        registry.counter("wal.bytes").inc(len(frame))
+        registry.histogram("wal.append.ns").observe(
+            time.perf_counter_ns() - started)
         return lsn
 
     # -- record constructors --------------------------------------------

@@ -8,6 +8,26 @@ their example budget from the active profile); tier-1 runs the
 hypothesis default.
 """
 
+import pytest
 from hypothesis import settings
 
+from repro import obs
+from repro.query import clear_parse_cache
+
 settings.register_profile("crash-matrix", max_examples=500, deadline=None)
+
+
+def _quiet_obs():
+    obs.disable()
+    obs.set_slow_query_threshold(None)
+    obs.reset()
+    clear_parse_cache()
+
+
+@pytest.fixture
+def clean_obs():
+    """Diagnostics off, slow-query log disarmed, instruments and the
+    parse cache zeroed — before the test and again after it."""
+    _quiet_obs()
+    yield
+    _quiet_obs()

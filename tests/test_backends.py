@@ -266,8 +266,10 @@ class TestRecoverThroughBackends:
 
     def test_recover_rejects_backend_plus_wal_path(self, tmp_path,
                                                    backend):
+        """One call shape: the backend names its own log, and there is
+        no parameter to name another."""
         backend.checkpoint(_engine())
-        with pytest.raises(StorageError, match="not both"):
+        with pytest.raises(TypeError, match="wal_path"):
             recover(backend, wal_path=tmp_path / "other.wal")
 
     def test_corruption_error_is_located(self, tmp_path):

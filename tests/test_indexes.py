@@ -16,6 +16,7 @@ from repro.errors import StorageError, TypeSystemError, UpdateError
 from repro.obs.explain import collect
 from repro.query.engine import StorageQueryEngine
 from repro.storage import (
+    FileBackend,
     StorageEngine,
     TransactionManager,
     WriteAheadLog,
@@ -408,7 +409,7 @@ class TestDurability:
         assert kinds.count(CREATE_INDEX) == 2
         assert kinds.count(DROP_INDEX) == 1
 
-        result = recover(image, wal.path)
+        result = recover(FileBackend(image, wal_path=wal.path))
         assert result.index_definitions == 1
         assert result.indexes_verified == 1
         assert [d.path for d in result.engine.indexes.definitions()] \
@@ -431,7 +432,8 @@ class TestDurability:
         reference.load_document(document)
         assert engine.node_count() == reference.node_count()
 
-        result = recover(tmp_path / "store.img", wal.path)
+        result = recover(FileBackend(tmp_path / "store.img",
+                                     wal_path=wal.path))
         assert result.relabels == 0
         assert result.engine.node_count() == engine.node_count()
 

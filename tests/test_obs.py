@@ -7,6 +7,10 @@ an explicit zero across randomized update workloads, while the Dewey
 and interval baselines' counters do not.
 """
 
+import inspect
+import sys
+import threading
+
 import pytest
 
 from repro import obs
@@ -21,23 +25,14 @@ from repro.obs.explain import collect
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.query import StorageQueryEngine, clear_parse_cache
-from repro.storage import StorageEngine
+from repro.server import DatabaseServer
+from repro.storage import FileBackend, MemoryBackend, StorageEngine
 from repro.workloads import make_library_document
+from repro.xmlio import QName
 from repro.xquery.evaluator import execute_values
 
 
-@pytest.fixture(autouse=True)
-def clean_obs():
-    """Every test starts diagnostics-off with zeroed instruments;
-    telemetry (production default: on) is restored afterwards."""
-    obs.disable()
-    obs.set_slow_query_threshold(None)
-    obs.reset()
-    yield
-    obs.disable()
-    obs.set_telemetry(True)
-    obs.set_slow_query_threshold(None)
-    obs.reset()
+pytestmark = pytest.mark.usefixtures("clean_obs")
 
 
 def _library_queries(books=10):
@@ -178,6 +173,30 @@ class TestTracer:
             pass
         assert tracer.records[0].depth == 0
 
+    def test_depth_and_tid_are_per_thread(self):
+        """Two workers inside their root spans at the same moment:
+        two roots, each under its own thread id."""
+        tracer = Tracer()
+        tracer.enabled = True
+        inside = threading.Barrier(2, timeout=5.0)
+
+        def work(name):
+            with tracer.span(name):
+                inside.wait()
+
+        threads = [threading.Thread(target=work, args=(name,))
+                   for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert sorted(r.name for r in tracer.iter_roots()) == ["a", "b"]
+        tids = {event["tid"]
+                for event in tracer.chrome_trace()["traceEvents"]}
+        assert len(tids) == 2
+        assert all(line[0] != " " for line in tracer.dump().splitlines())
+
 
 # ----------------------------------------------------------------------
 # The master switch
@@ -193,26 +212,19 @@ class TestSwitch:
         assert not obs.is_enabled()
         assert not obs.TRACER.enabled
 
-    def test_enable_without_tracing(self):
-        obs.enable(tracing=False)
-        assert obs.is_enabled()
-        assert not obs.TRACER.enabled
-
-    def test_disabled_paths_do_not_count(self):
-        """With both tiers off, the guarded instrumentation must not
-        bump any registry counter (the <5% overhead budget assumes
-        exactly one attribute test on the disabled path)."""
-        obs.set_telemetry(False)
-        queries = _library_queries()
-        queries.evaluate("/library/book/title")
-        for name in ("storage.descriptors.allocated",
-                     "storage.blocks.allocated",
-                     "numbering.labels.allocated",
-                     "query.evaluations",
-                     "query.plan.compiles"):
-            assert obs.REGISTRY.value(name) == 0
-        assert len(obs.EXPLAINS) == 0
-        assert obs.TRACER.records == []
+    def test_settable_state_is_diagnostics_and_the_slow_threshold(self):
+        switches = {name for name, value in vars(obs).items()
+                    if name.isupper()
+                    and (value is None or isinstance(value, bool))}
+        assert switches == {"ENABLED", "SLOW_QUERY_NS"}
+        setters = {name for name in obs.__all__
+                   if name.startswith(("set_", "enable", "disable"))}
+        assert setters == {"enable", "disable",
+                           "set_slow_query_threshold"}
+        assert not inspect.signature(obs.enable).parameters
+        for flip in (obs.enable, obs.disable, obs.enable, obs.disable):
+            flip()
+            assert obs.TRACER.enabled is obs.ENABLED
 
 
 # ----------------------------------------------------------------------
@@ -286,11 +298,12 @@ class TestInstrumentedPaths:
 
     def test_collect_stacks_and_restores(self):
         with collect("outer") as outer:
-            assert explain.ACTIVE is outer
+            assert explain.current() is outer
             with collect("inner") as inner:
-                assert explain.ACTIVE is inner
-            assert explain.ACTIVE is outer
-        assert explain.ACTIVE is None
+                assert explain.current() is inner
+            assert explain.current() is outer
+        assert explain.current() is None
+        assert explain.COLLECTING == 0
 
     def test_parse_cache_counters_live_in_the_registry(self):
         """Satellite: one counter mechanism — the CacheStats view and
@@ -358,6 +371,128 @@ class TestInstrumentedPaths:
             'for $b in /library/book return $b/title')
         assert len(values) == 10
         assert obs.TRACER.records == []
+
+
+class TestExplainPerThread:
+    """The collecting record belongs to the thread that began it."""
+
+    def test_interleaved_scopes_keep_their_own_record(self):
+        """A begins, B begins, A ends, B ends — the order two server
+        workers produce."""
+        b_began = threading.Event()
+        a_ended = threading.Event()
+        seen = {}
+
+        def worker():
+            with collect("b") as record:
+                b_began.set()
+                assert a_ended.wait(timeout=5.0)
+                seen["b"] = (explain.current(), record)
+
+        thread = threading.Thread(target=worker)
+        with collect("a") as record:
+            thread.start()
+            assert b_began.wait(timeout=5.0)
+            assert explain.current() is record
+            assert explain.COLLECTING == 2
+        a_ended.set()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert seen["b"][0] is seen["b"][1]
+        assert explain.current() is None
+        assert explain.COLLECTING == 0
+
+    def test_slow_log_under_concurrent_sessions(self):
+        """Four threads of armed-slow-log reads: every ``query.slow``
+        event carries the numbers of its own path, and nothing is
+        left collecting once they have joined."""
+        paths = ("/library/book/title", "/library/book[2]/author",
+                 "/library/paper/title", "/library/book/issue/year")
+
+        def facts(event):
+            return tuple(event.fields[key] for key in (
+                "strategy", "nodes_visited", "nodes_returned",
+                "plan_cache"))
+
+        document = make_library_document(books=300, papers=30, seed=7)
+        interval = sys.getswitchinterval()
+        with DatabaseServer(MemoryBackend(), document) as server:
+            obs.set_slow_query_threshold(0.0)
+            expected = {}
+            with server.open_session() as session:
+                for path in paths:
+                    session.query(path)  # cold: plan-cache miss
+                    session.query(path)
+                    expected[path] = facts(obs.EVENTS.last("query.slow"))
+            obs.EVENTS.reset()
+
+            def reader():
+                with server.open_session() as session:
+                    for index in range(240):
+                        session.query(paths[index % len(paths)])
+
+            threads = [threading.Thread(target=reader)
+                       for _ in range(4)]
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        events = obs.EVENTS.find("query.slow")
+        assert len(events) == 4 * 240
+        strangers = [(event.fields["path"], facts(event))
+                     for event in events
+                     if facts(event) != expected[event.fields["path"]]]
+        assert strangers == []
+        assert explain.current() is None
+        assert explain.COLLECTING == 0
+
+
+class TestAlwaysRecorded:
+    def test_a_served_database_fills_every_promised_family(
+            self, tmp_path):
+        """No obs call at all: one read, one write, a checkpoint and
+        a reopen leave every documented instrument family non-zero,
+        and the Proposition 1 counter present at an explicit 0."""
+        backend = FileBackend(tmp_path / "store.img",
+                              wal_path=tmp_path / "store.wal")
+        document = make_library_document(books=5, papers=2, seed=1)
+
+        def add_book(engine, session):
+            engine.create_index("library/book/title")
+            library = engine.children(engine.document)[0]
+            book = engine.insert_child(library, 0,
+                                       name=QName("", "book"))
+            title = engine.insert_child(book, 0,
+                                        name=QName("", "title"))
+            engine.insert_child(title, 0, text="Telemetry")
+
+        with DatabaseServer(backend, document, sync_wal=True) as server:
+            with server.open_session() as session:
+                assert len(session.query("/library/book/title")) == 5
+            with server.open_session("write") as session:
+                session.execute(add_book)
+            server.checkpoint_now()
+        with DatabaseServer(backend) as server:
+            with server.open_session() as session:
+                assert len(session.query("/library/book/title")) == 6
+        snapshot = obs.snapshot()
+        for counter in ("server.requests", "server.requests.read",
+                        "server.requests.write", "txn.commits",
+                        "wal.appends", "recovery.checkpoints"):
+            assert snapshot[counter] > 0, counter
+        for histogram in ("server.read.latency.ns",
+                          "server.write.latency.ns", "query.latency.ns",
+                          "wal.append.ns", "wal.sync.ns",
+                          "txn.commit.ns", "checkpoint.file.ns",
+                          "index.maintenance.ns", "recovery.replay.ns"):
+            assert snapshot[histogram]["count"] > 0, histogram
+        assert snapshot["storage.relabels"] == 0
+        assert len(obs.EXPLAINS) == 0 and obs.TRACER.records == []
 
 
 # ----------------------------------------------------------------------

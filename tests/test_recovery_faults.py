@@ -305,7 +305,7 @@ class TestCheckpointAtomicity:
             checkpoint(engine, image)
         faults.clear()
         assert image.read_bytes() == good  # os.replace never happened
-        recover(image).engine.check_invariants()
+        recover(FileBackend(image)).engine.check_invariants()
 
     def test_crash_before_rename_leaves_old_image(self, tmp_path):
         image = tmp_path / "store.img"
@@ -336,14 +336,15 @@ class TestCheckpointAtomicity:
         shutil.copy(wal_path, stale_wal)
         checkpoint(engine, image, wal=wal)  # image now covers txn A
         # Simulate the crash window: new image, *old* un-reset log.
-        result = recover(image, stale_wal, schema=schema, strict=True)
+        result = recover(FileBackend(image, wal_path=stale_wal),
+                         schema=schema, strict=True)
         assert result.replayed == 0
         assert result.skipped > 0
         assert _titles(result.engine) == expected
 
     def test_recover_missing_image_raises(self, tmp_path):
         with pytest.raises(RecoveryError):
-            recover(tmp_path / "absent.img")
+            recover(FileBackend(tmp_path / "absent.img"))
 
     def test_recover_empty_backend_raises(self, backend):
         with pytest.raises(RecoveryError):
