@@ -133,6 +133,9 @@ class StateAlgebra:
             if any(isinstance(c, ElementNode) for c in children):
                 raise AlgebraError(
                     "the document node already has an element child")
+        if not 0 <= index <= len(children):
+            raise AlgebraError(
+                f"index {index} out of range 0..{len(children)}")
         children.insert(index, child)
         child._parent = parent
         if child._base_uri is None:

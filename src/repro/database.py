@@ -3,12 +3,25 @@
 Section 6.1 motivates the state algebra with "frequent insertion of
 new documents, updating existing documents and deleting obsolete
 documents: a database evolves through different database states".
-This module provides that database layer on top of everything below
-it: each stored document keeps *both* representations — the formal
+Each stored document here keeps *both* representations — the formal
 node tree (Sections 5-6) and the Sedna-style storage (Section 9) —
-applies updates to the two in lockstep, and can re-verify at any time
-that they agree node-for-node and that the tree still conforms to its
-schema.
+updates the two in lockstep, and can re-verify at any time that they
+agree node-for-node and that the tree still conforms to its schema.
+The tree twin is the oracle: ``verify_consistency`` bisimulates two
+structures that were updated independently.  The lock-step rule:
+
+* **Same path on both sides.**  An update names its target by a path,
+  which must select exactly one element on the tree and one in
+  storage.  Nothing remembers which descriptor belongs to which node:
+  a path's semantics is defined on the document alone, so it addresses
+  the same node in either representation (``evaluate ≡ evaluate_tree``).
+* **Storage first.**  The engine validates an update before it changes
+  anything; the tree moves only after storage accepted, so a rejected
+  update changes neither representation.
+* **Typing from the per-schema-node annotations.**  A document path
+  has one descriptive-schema path (§9.1) and the schema types by path
+  (§6.2 item 4), so an inserted element reads its annotation off its
+  descriptor's schema node (``schema_type_annotations``).
 """
 
 from __future__ import annotations
@@ -30,17 +43,9 @@ from repro.mapping.doc_to_tree import (
 )
 from repro.mapping.tree_to_doc import tree_to_document
 from repro.query.engine import StorageQueryEngine, evaluate_tree
-from repro.schema.ast import (
-    ComplexContentType,
-    DocumentSchema,
-    ElementDeclaration as SchemaElementDeclaration,
-    SimpleContentType,
-    TypeName,
-)
-from repro.xdm.node import ANY_TYPE_NAME
-from repro.xsdtypes.base import SimpleType
+from repro.schema.ast import DocumentSchema
 from repro.storage.engine import NodeDescriptor, StorageEngine
-from repro.storage.store import StorageNodeStore
+from repro.storage.store import StorageNodeStore, schema_type_annotations
 
 
 class DatabaseError(ReproError):
@@ -62,10 +67,6 @@ class StoredDocument:
         #: The two accessor-protocol views of this document.
         self.tree_store = TreeNodeStore(tree)
         self.storage_store = StorageNodeStore(self.engine)
-        #: Persistent node↔descriptor correspondence, maintained at
-        #: mutation time (lookups are O(1); no positional re-walks).
-        self._descriptors: dict[Node, NodeDescriptor] = {}
-        self._build_correspondence()
         #: Number of state transitions this document has gone through.
         self.version = 0
 
@@ -91,192 +92,83 @@ class StoredDocument:
         return serialize_document(tree_to_document(self.tree),
                                   indent=indent)
 
-    # -- locating update targets ----------------------------------------
-
-    def _single_element(self, path: str) -> ElementNode:
-        matches = [node for node in self.query(path)
-                   if isinstance(node, ElementNode)]
-        if not matches:
-            raise DatabaseError(f"{path!r} selects no element")
-        if len(matches) > 1:
-            raise DatabaseError(
-                f"{path!r} selects {len(matches)} elements; updates "
-                "need exactly one target")
-        return matches[0]
-
-    def _descriptor_for(self, node: Node) -> NodeDescriptor:
-        """The storage descriptor of a tree node: one dictionary
-        lookup in the persistent correspondence."""
-        try:
-            return self._descriptors[node]
-        except KeyError:
-            raise DatabaseError(
-                "tree and storage have diverged") from None
-
-    def _build_correspondence(self) -> None:
-        """Pair every tree node with its storage descriptor by one
-        parallel walk (element/text children positionally, attributes
-        by name); afterwards the map is maintained incrementally."""
-        document = self.engine.document
-        if document is None:  # pragma: no cover - engine always loaded
-            raise DatabaseError("storage engine holds no document")
-        self._map_subtree(self.tree, document)
-
-    def _map_subtree(self, node: Node,
-                     descriptor: NodeDescriptor) -> None:
-        self._descriptors[node] = descriptor
-        stored_attrs = {self.engine.node_name(d).local: d
-                        for d in self.engine.attributes(descriptor)}
-        for attribute in node.attributes():
-            local = attribute.node_name().head().local
-            stored = stored_attrs.get(local)
-            if stored is None:
-                raise DatabaseError(
-                    f"attribute {local!r} has no storage descriptor")
-            self._descriptors[attribute] = stored
-        node_children = list(node.children())
-        stored_children = self.engine.children(descriptor)
-        if len(node_children) != len(stored_children):
-            raise DatabaseError(
-                f"child count differs under {node!r}")
-        for child, child_descriptor in zip(node_children,
-                                           stored_children):
-            self._map_subtree(child, child_descriptor)
-
-    def _forget_subtree(self, node: Node) -> None:
-        """Drop a deleted subtree's entries from the correspondence."""
-        self._descriptors.pop(node, None)
-        for attribute in node.attributes():
-            self._descriptors.pop(attribute, None)
-        for child in node.children():
-            self._forget_subtree(child)
-
     # -- updates ------------------------------------------------------------
+
+    def _target(self, path: str) -> tuple[ElementNode, NodeDescriptor]:
+        """The single element *path* selects, on both sides."""
+        nodes = [node for node in self.query(path)
+                 if isinstance(node, ElementNode)]
+        if not nodes:
+            raise DatabaseError(f"{path!r} selects no element")
+        if len(nodes) > 1:
+            raise DatabaseError(
+                f"{path!r} selects {len(nodes)} elements; updates "
+                "need exactly one target")
+        descriptors = [d for d in self.query_storage(path)
+                       if d.node_type == "element"]
+        if len(descriptors) != 1:
+            raise DatabaseError("tree and storage have diverged")
+        return nodes[0], descriptors[0]
 
     def insert_element(self, parent_path: str, index: int,
                        name: str) -> ElementNode:
         """Insert an empty element under the (single) element selected
-        by *parent_path*, in both representations."""
-        parent = self._single_element(parent_path)
-        parent_descriptor = self._descriptor_for(parent)
+        by *parent_path*, in both representations, typed as the schema
+        types its path so conformance can be re-checked after updates."""
+        parent, parent_descriptor = self._target(parent_path)
         qname = QName(parent.name.uri, name)
-        element = self.algebra.create_element(qname)
-        self._annotate_new_element(parent, element)
-        self.algebra.insert_child(parent, index, element)
         descriptor = self.engine.insert_child(parent_descriptor, index,
                                               name=qname)
-        self._descriptors[element] = descriptor
+        element = self.algebra.create_element(qname)
+        if self.schema is not None:
+            annotation = schema_type_annotations(
+                self.engine, self.schema).get(descriptor.schema_node)
+            if annotation is not None:
+                self.algebra.annotate_element(
+                    element, annotation.type_name,
+                    simple_type=annotation.simple_type)
+        self.algebra.insert_child(parent, index, element)
         self.version += 1
         return element
-
-    def _declaration_of(self, element: ElementNode
-                        ) -> "SchemaElementDeclaration | None":
-        """The schema declaration governing *element*, found by
-        walking declarations from the root along the element's path."""
-        if self.schema is None:
-            return None
-        names = [element.name.local]
-        for ancestor in element.ancestors():
-            if isinstance(ancestor, ElementNode):
-                names.append(ancestor.name.local)
-        names.reverse()
-        declaration = self.schema.root_element
-        if names[0] != declaration.name:
-            return None
-        for step in names[1:]:
-            resolved = self.schema.resolve(declaration.type)
-            if not isinstance(resolved, ComplexContentType) or \
-                    resolved.group is None:
-                return None
-            declaration = next(
-                (eld for eld in resolved.group.element_declarations()
-                 if eld.name == step), None)
-            if declaration is None:
-                return None
-        return declaration
-
-    def _annotate_new_element(self, parent: ElementNode,
-                              element: ElementNode) -> None:
-        """Give a freshly inserted element the type annotation the
-        schema assigns it (item 4 of Section 6.2), so conformance can
-        be re-checked after updates."""
-        if self.schema is None:
-            return
-        # Temporarily reason as if the element were already attached.
-        names_parent = self._declaration_of(parent)
-        if names_parent is None:
-            return
-        resolved_parent = self.schema.resolve(names_parent.type)
-        if not isinstance(resolved_parent, ComplexContentType) or \
-                resolved_parent.group is None:
-            return
-        declaration = next(
-            (eld for eld in resolved_parent.group.element_declarations()
-             if eld.name == element.name.local), None)
-        if declaration is None:
-            return
-        type_name = (declaration.type.qname
-                     if isinstance(declaration.type, TypeName)
-                     else ANY_TYPE_NAME)
-        resolved = self.schema.resolve(declaration.type)
-        simple = None
-        if isinstance(resolved, SimpleType):
-            simple = resolved
-        elif isinstance(resolved, SimpleContentType):
-            base = self.schema.resolve(resolved.base)
-            if isinstance(base, SimpleType):
-                simple = base
-        self.algebra.annotate_element(element, type_name,
-                                      simple_type=simple)
 
     def insert_text(self, parent_path: str, index: int,
                     text: str) -> TextNode:
         """Insert a text node in both representations."""
-        parent = self._single_element(parent_path)
-        parent_descriptor = self._descriptor_for(parent)
+        parent, parent_descriptor = self._target(parent_path)
+        self.engine.insert_child(parent_descriptor, index, text=text)
         node = self.algebra.create_text(text)
         self.algebra.insert_child(parent, index, node)
-        descriptor = self.engine.insert_child(parent_descriptor, index,
-                                              text=text)
-        self._descriptors[node] = descriptor
         self.version += 1
         return node
 
     def delete(self, path: str) -> int:
         """Delete the (single) element selected by *path* and its
         subtree from both representations; returns nodes removed."""
-        target = self._single_element(path)
+        target, descriptor = self._target(path)
         parent = target.parent_or_none()
-        # Only elements below the root element are deletable: the root
-        # element's parent is the document node, and a document must
-        # keep its single element child (Section 3).
+        # Only elements below the root element are deletable: a
+        # document must keep its single element child (Section 3).
         if not isinstance(parent, ElementNode):
             raise DatabaseError("cannot delete the document root")
-        descriptor = self._descriptor_for(target)
         removed = self.engine.delete_subtree(descriptor)
         self.algebra.remove_child(parent, target)
-        self._forget_subtree(target)
         self.version += 1
         return removed
 
     def set_attribute(self, path: str, name: str, value: str) -> None:
         """Set an attribute in both representations: attach it when
         absent, replace its value in place when already present."""
-        target = self._single_element(path)
-        descriptor = self._descriptor_for(target)
+        target, descriptor = self._target(path)
         qname = QName("", name)
         existing = next((a for a in target.attributes()
                          if a.name == qname), None)
+        self.engine.set_attribute(descriptor, qname, value,
+                                  replace=existing is not None)
         if existing is not None:
             self.algebra.set_attribute_value(existing, value)
-            self.engine.set_attribute(descriptor, qname, value,
-                                      replace=True)
         else:
-            attribute = self.algebra.create_attribute(qname, value)
-            self.algebra.attach_attribute(target, attribute)
-            attr_descriptor = self.engine.set_attribute(descriptor,
-                                                        qname, value)
-            self._descriptors[attribute] = attr_descriptor
+            self.algebra.attach_attribute(
+                target, self.algebra.create_attribute(qname, value))
         self.version += 1
 
     # -- verification ---------------------------------------------------------

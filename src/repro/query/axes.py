@@ -27,9 +27,9 @@ from repro.order.document_order import (
     iter_subtree_elements,
     iter_subtree_elements_reversed,
 )
+from repro.storage.descriptor import NodeDescriptor, doc_order_key
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.storage.descriptor import NodeDescriptor
     from repro.storage.engine import StorageEngine
 
 
@@ -157,10 +157,6 @@ def preceding_axis(node: Node) -> Iterator[Node]:
 # Storage-side following/preceding: pure label comparison (§9.3).
 
 
-def _doc_order_key(descriptor: "NodeDescriptor") -> bytes:
-    return descriptor.nid.sort_key()
-
-
 def _storage_document_stream(engine: "StorageEngine"
                              ) -> Iterator["NodeDescriptor"]:
     """All non-attribute descriptors in document order, as a lazy
@@ -169,7 +165,7 @@ def _storage_document_stream(engine: "StorageEngine"
     streams = [engine.scan_schema_node(schema_node)
                for schema_node in engine.schema.iter_nodes()
                if schema_node.node_type != "attribute"]
-    return heapq.merge(*streams, key=_doc_order_key)
+    return heapq.merge(*streams, key=doc_order_key)
 
 
 def storage_following_axis(engine: "StorageEngine",

@@ -66,7 +66,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro import obs
 from repro.errors import QueryError
 from repro.obs import explain as _explain
-from repro.query.axes import _doc_order_key
 from repro.query.cost import sweep_holders, text_slot, walks
 from repro.query.engine import navigate_steps
 from repro.query.paths import (
@@ -76,12 +75,12 @@ from repro.query.paths import (
     Step,
 )
 from repro.query.planner import CompiledPlan, match_step, predicate_carriers
+from repro.storage.descriptor import NodeDescriptor, doc_order_key
 from repro.storage.dschema import SchemaNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.explain import QueryExplain
     from repro.query.engine import StorageQueryEngine
-    from repro.storage.descriptor import NodeDescriptor
 
 #: Stage signature: descriptor list in, descriptor list out.
 Stage = Callable[[list], list]
@@ -266,7 +265,7 @@ def _scan_source(scan_nodes: "tuple[SchemaNode, ...]"
             if (0 < boundary < size
                     and (out[boundary].nid.sort_key()
                          < out[boundary - 1].nid.sort_key())):
-                out.sort(key=_doc_order_key)
+                out.sort(key=doc_order_key)
                 break
         return out
 
@@ -743,7 +742,7 @@ def _child_step_stage(context_nodes: "list[SchemaNode]",
             if _explain.COLLECTING:
                 _note("/sweep", len(sweep))
         if multi:
-            out.sort(key=_doc_order_key)
+            out.sort(key=doc_order_key)
         return out
 
     return f"step[{step.name or step.kind}]", stage
@@ -788,7 +787,7 @@ def _descendant_step_stage(context_nodes: "list[SchemaNode]",
                 if ancestor is not None and ancestor in contexts:
                     out.append(descriptor)
         if multi:
-            out.sort(key=_doc_order_key)
+            out.sort(key=doc_order_key)
         return out
 
     return f"step[//{step.name or step.kind}]", stage

@@ -45,7 +45,6 @@ from repro.storage.recovery import (
     RecoveryError,
     RecoveryResult,
     bulk_load,
-    checkpoint,
     recover,
 )
 from repro.storage.txn import Transaction, TransactionManager
@@ -56,7 +55,6 @@ from repro.storage.wal import (
     WalScan,
     WalStore,
     WriteAheadLog,
-    read_wal,
     read_wal_store,
     scan_wal,
 )
@@ -120,10 +118,8 @@ __all__ = [
     "schema_type_annotations",
     "snapshot_version",
     "bulk_load",
-    "checkpoint",
     "dumps_engine",
     "load_engine",
-    "read_wal",
     "read_wal_store",
     "recover",
     "scan_wal",

@@ -90,3 +90,9 @@ class NodeDescriptor:
     def __repr__(self) -> str:
         return (f"NodeDescriptor({self.schema_node.step!r}, "
                 f"{self.nid!r})")
+
+
+def doc_order_key(descriptor: NodeDescriptor) -> bytes:
+    """The memoized packed document-order key (§9.3) of a descriptor —
+    the one sort key of the whole storage-side query layer."""
+    return descriptor.nid.sort_key()

@@ -23,7 +23,7 @@ from repro.obs.statistics import StatisticsCollector
 from repro.errors import StorageError, UpdateError
 from repro.xmlio.nodes import XmlDocument, XmlElement, XmlText
 from repro.xmlio.qname import QName
-from repro.xdm.node import DocumentNode, ElementNode, Node, TextNode
+from repro.xdm.node import DocumentNode, ElementNode, TextNode
 from repro.storage import faults
 from repro.storage.blocks import Block
 from repro.storage.checkpoints import CheckpointTracker
@@ -82,7 +82,6 @@ class StorageEngine:
         self.delete_count = 0
         self.split_count = 0
         self.relabel_count = 0  # stays 0: Proposition 1
-        self._preserve_whitespace = False
         # Materialize the relabel counter at zero: the engine never
         # increments it (Proposition 1), and an explicit 0 in every
         # snapshot is the claim being made.
@@ -100,36 +99,47 @@ class StorageEngine:
         descriptive schema the paper draws for Example 8; pass True to
         store every text node verbatim.
         """
-        if self.document is not None:
-            raise StorageError("engine already holds a document")
-        self._preserve_whitespace = preserve_whitespace
-        root_descriptor = self._new_descriptor(
-            self.schema.root, self.numbering.root_label())
-        self._append_to_schema_blocks(root_descriptor)
-        self.document = root_descriptor
-        element = document.root
-        schema_node = self.schema.get_or_add_child(
-            self.schema.root, element.name, "element")
-        (label,) = self.numbering.child_labels(root_descriptor.nid, 1)
-        element_descriptor = self._new_descriptor(schema_node, label)
-        element_descriptor.parent = root_descriptor
-        self._append_to_schema_blocks(element_descriptor)
-        self._register_child_pointer(root_descriptor, element_descriptor)
-        self._load_children(
-            element_descriptor,
-            list(element.attributes.items()),
-            self._raw_children(element))
-        return root_descriptor
+        def expand(element: XmlElement):
+            children: list[object] = []
+            for child in element.children:
+                if not isinstance(child, XmlText):
+                    children.append(child)
+                elif preserve_whitespace or child.text.strip():
+                    children.append(child.text)
+            return list(element.attributes.items()), children
+
+        return self._load(document.root, expand)
 
     def load_tree(self, document: DocumentNode) -> NodeDescriptor:
         """Bulk-load a data-model tree (Section 5 nodes)."""
+        def expand(element: ElementNode):
+            children: list[object] = []
+            for child in element.children():
+                if isinstance(child, TextNode):
+                    children.append(child.string_value())
+                elif isinstance(child, ElementNode):
+                    children.append(child)
+                else:
+                    raise StorageError(
+                        f"unsupported child kind {child.node_kind()!r}")
+            return ([(a.node_name().head(), a.string_value())
+                     for a in element.attributes()], children)
+
+        return self._load(document.document_element(), expand)
+
+    def _load(self, element, expand) -> NodeDescriptor:
+        """The one bulk loader: store the document node and *element*
+        under it, then walk down.  ``expand(element)`` is all a source
+        representation has to say about itself: the ``(QName, value)``
+        attribute pairs and the children, in order — a ``str`` for a
+        text child, else a source element whose ``.name`` is its QName.
+        """
         if self.document is not None:
             raise StorageError("engine already holds a document")
         root_descriptor = self._new_descriptor(
             self.schema.root, self.numbering.root_label())
         self._append_to_schema_blocks(root_descriptor)
         self.document = root_descriptor
-        element = document.document_element()
         schema_node = self.schema.get_or_add_child(
             self.schema.root, element.name, "element")
         (label,) = self.numbering.child_labels(root_descriptor.nid, 1)
@@ -137,20 +147,8 @@ class StorageEngine:
         element_descriptor.parent = root_descriptor
         self._append_to_schema_blocks(element_descriptor)
         self._register_child_pointer(root_descriptor, element_descriptor)
-        self._load_xdm_children(element_descriptor, element)
+        self._load_children(element_descriptor, element, expand)
         return root_descriptor
-
-    def _raw_children(self, element: XmlElement) -> list[object]:
-        out: list[object] = []
-        for child in element.children:
-            if isinstance(child, XmlText):
-                if (not self._preserve_whitespace
-                        and not child.text.strip()):
-                    continue
-                out.append(("text", child.text))
-            else:
-                out.append(child)
-        return out
 
     def _new_descriptor(self, schema_node: SchemaNode, nid: NidLabel,
                         value: str | None = None) -> NodeDescriptor:
@@ -159,9 +157,9 @@ class StorageEngine:
         return descriptor
 
     def _load_children(self, parent_descriptor: NodeDescriptor,
-                       attributes: list[tuple[QName, str]],
-                       children: list[object]) -> None:
+                       element, expand) -> None:
         """Allocate labels and store attributes then children."""
+        attributes, children = expand(element)
         labels = self.numbering.child_labels(
             parent_descriptor.nid, len(attributes) + len(children))
         cursor = 0
@@ -176,23 +174,18 @@ class StorageEngine:
             self._register_child_pointer(parent_descriptor, descriptor)
         previous: Optional[NodeDescriptor] = None
         for child in children:
-            if isinstance(child, tuple):  # ("text", value)
+            is_text = isinstance(child, str)
+            if is_text:
                 schema_node = self.schema.get_or_add_child(
                     parent_descriptor.schema_node, None, "text")
                 descriptor = self._new_descriptor(
-                    schema_node, labels[cursor], value=child[1])
-                cursor += 1
-                grandchildren: list[object] = []
-                grand_attrs: list[tuple[QName, str]] = []
+                    schema_node, labels[cursor], value=child)
             else:
-                element: XmlElement = child  # type: ignore[assignment]
                 schema_node = self.schema.get_or_add_child(
-                    parent_descriptor.schema_node, element.name, "element")
+                    parent_descriptor.schema_node, child.name, "element")
                 descriptor = self._new_descriptor(schema_node,
                                                   labels[cursor])
-                cursor += 1
-                grand_attrs = list(element.attributes.items())
-                grandchildren = self._raw_children(element)
+            cursor += 1
             descriptor.parent = parent_descriptor
             descriptor.left_sibling = previous
             if previous is not None:
@@ -200,53 +193,8 @@ class StorageEngine:
             previous = descriptor
             self._append_to_schema_blocks(descriptor)
             self._register_child_pointer(parent_descriptor, descriptor)
-            if not descriptor.is_text_enabled:
-                self._load_children(descriptor, grand_attrs, grandchildren)
-
-    def _load_xdm_children(self, descriptor: NodeDescriptor,
-                           element: ElementNode) -> None:
-        attributes = [(a.node_name().head(), a.string_value())
-                      for a in element.attributes()]
-        node_children = list(element.children())
-        labels = self.numbering.child_labels(
-            descriptor.nid, len(attributes) + len(node_children))
-        cursor = 0
-        for name, value in attributes:
-            schema_node = self.schema.get_or_add_child(
-                descriptor.schema_node, name, "attribute")
-            attr_descriptor = self._new_descriptor(
-                schema_node, labels[cursor], value=value)
-            cursor += 1
-            attr_descriptor.parent = descriptor
-            self._append_to_schema_blocks(attr_descriptor)
-            self._register_child_pointer(descriptor, attr_descriptor)
-        previous: Optional[NodeDescriptor] = None
-        for child in node_children:
-            if isinstance(child, TextNode):
-                schema_node = self.schema.get_or_add_child(
-                    descriptor.schema_node, None, "text")
-                child_descriptor = self._new_descriptor(
-                    schema_node, labels[cursor],
-                    value=child.string_value())
-                cursor += 1
-            elif isinstance(child, ElementNode):
-                schema_node = self.schema.get_or_add_child(
-                    descriptor.schema_node, child.name, "element")
-                child_descriptor = self._new_descriptor(
-                    schema_node, labels[cursor])
-                cursor += 1
-            else:
-                raise StorageError(
-                    f"unsupported child kind {child.node_kind()!r}")
-            child_descriptor.parent = descriptor
-            child_descriptor.left_sibling = previous
-            if previous is not None:
-                previous.right_sibling = child_descriptor
-            previous = child_descriptor
-            self._append_to_schema_blocks(child_descriptor)
-            self._register_child_pointer(descriptor, child_descriptor)
-            if isinstance(child, ElementNode):
-                self._load_xdm_children(child_descriptor, child)
+            if not is_text:
+                self._load_children(descriptor, child, expand)
 
     # ==================================================================
     # Block placement

@@ -38,11 +38,11 @@ from typing import TYPE_CHECKING, Optional
 from repro import obs
 from repro.errors import StorageError, TypeSystemError, UpdateError
 from repro.storage import faults
+from repro.storage.descriptor import NodeDescriptor, doc_order_key
 from repro.xsdtypes.registry import builtin
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.query.paths import Step
-    from repro.storage.descriptor import NodeDescriptor
     from repro.storage.dschema import SchemaNode
     from repro.storage.engine import StorageEngine
 
@@ -80,20 +80,16 @@ class IndexDefinition:
         return f"IndexDefinition({self.kind}:{self.path}{suffix})"
 
 
-def _doc_order_key(descriptor: "NodeDescriptor") -> bytes:
-    return descriptor.nid.sort_key()
-
-
 def _insert_in_order(postings: "list[NodeDescriptor]",
                      descriptor: "NodeDescriptor") -> None:
-    insort_right(postings, descriptor, key=_doc_order_key)
+    insort_right(postings, descriptor, key=doc_order_key)
 
 
 def _position_in_order(postings: "list[NodeDescriptor]",
                        descriptor: "NodeDescriptor") -> int:
     """Where *descriptor*'s label sits in *postings*, or -1."""
     key = descriptor.nid.sort_key()
-    i = bisect_left(postings, key, key=_doc_order_key)
+    i = bisect_left(postings, key, key=doc_order_key)
     if i < len(postings) and postings[i].nid.sort_key() == key:
         return i
     return -1
@@ -287,7 +283,7 @@ class ValueIndex:
         out: list["NodeDescriptor"] = []
         for key in keys[start:stop]:
             out.extend(self._postings[key])
-        out.sort(key=_doc_order_key)
+        out.sort(key=doc_order_key)
         return self._probed(out)
 
     def probe_exists(self) -> "list[NodeDescriptor]":
@@ -367,7 +363,7 @@ class PathIndex:
         for schema_node in engine.schema.iter_nodes():
             if id(schema_node) in covered:
                 merged.extend(engine.scan_schema_node(schema_node))
-        merged.sort(key=_doc_order_key)
+        merged.sort(key=doc_order_key)
         self._postings = merged
 
     def verify_entry(self, descriptor: "NodeDescriptor") -> None:

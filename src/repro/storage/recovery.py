@@ -3,13 +3,14 @@
 The recovery contract (the Sedna pairing of the §9 layout with
 logging):
 
-* :func:`checkpoint` writes the binary image *atomically* — temp file
-  in the same directory, flush + fsync, then ``os.replace`` — so a
-  crash at any point leaves either the old image or the new one,
-  never a torn hybrid.  The image records the WAL horizon (the last
-  LSN it covers) and the log is reset past it afterwards; a crash in
-  between is harmless because replay skips records at or below the
-  horizon.
+* ``backend.checkpoint(engine, wal=wal)`` (every
+  :class:`StorageBackend`) persists the image *atomically* — for a
+  file, temp file in the same directory, flush + fsync, then
+  ``os.replace`` — so a crash at any point leaves either the old image
+  or the new one, never a torn hybrid.  The image records the WAL
+  horizon (the last LSN it covers) and the log is reset past it
+  afterwards; a crash in between is harmless because replay skips
+  records at or below the horizon.
 * :func:`recover` loads the last checkpoint image, scans the WAL up
   to the first torn or corrupt record, discards every record of a
   transaction without a COMMIT, and replays the committed suffix in
@@ -24,7 +25,6 @@ logging):
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -36,7 +36,6 @@ from repro.storage.backends.base import (
     schema_fingerprint,
     snapshot_version,
 )
-from repro.storage.backends.file import FileBackend
 from repro.storage.engine import StorageEngine
 from repro.storage.labels import equal
 from repro.storage.wal import (
@@ -105,28 +104,10 @@ class RecoveryResult:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint.
+# Bulk load.
 
 
-def checkpoint(engine: StorageEngine,
-               target: str | os.PathLike | StorageBackend,
-               wal: Optional[WriteAheadLog] = None) -> int:
-    """Atomically persist *engine*; returns the LSN horizon the
-    snapshot covers (0 without a log).
-
-    *target* is an image path (wrapped in a
-    :class:`~repro.storage.backends.file.FileBackend`, the historical
-    call shape) or any :class:`StorageBackend`.  Either way the
-    checkpoint records a fingerprinted snapshot version and resets the
-    log past the horizon.
-    """
-    backend = target if isinstance(target, StorageBackend) \
-        else FileBackend(target)
-    return backend.checkpoint(engine, wal=wal).lsn
-
-
-def bulk_load(engine: StorageEngine, document,
-              image_path: str | os.PathLike | StorageBackend,
+def bulk_load(engine: StorageEngine, document, backend: StorageBackend,
               wal: WriteAheadLog,
               preserve_whitespace: bool = False) -> dict:
     """Load *document* into an empty engine with per-op logging off.
@@ -134,7 +115,7 @@ def bulk_load(engine: StorageEngine, document,
     ``load_document`` builds the §9 block lists directly, so the load
     itself costs no WAL traffic.  Durability comes from one logical
     marker — BEGIN / LOAD(node count) / COMMIT — followed immediately
-    by a :func:`checkpoint`, which places the marker at or below the
+    by a checkpoint on *backend*, which places the marker at or below the
     new horizon.  A committed LOAD found *past* the horizon at
     recovery is unrecoverable by construction (its nodes have no
     per-op records) and :func:`recover` refuses it, so the crash
@@ -160,7 +141,7 @@ def bulk_load(engine: StorageEngine, document,
     wal.append_begin(txn_id)
     wal.append_load(txn_id, count)
     wal.append_commit(txn_id)
-    horizon = checkpoint(engine, image_path, wal=wal)
+    horizon = backend.checkpoint(engine, wal=wal).lsn
     engine.indexes.rebuild_all()
     obs.REGISTRY.counter("recovery.bulk_loads").inc()
     obs.REGISTRY.counter("recovery.bulk_load.nodes").inc(count)

@@ -31,15 +31,9 @@ from repro.schema.ast import (
     SimpleContentType,
     TypeName,
 )
-from repro.storage.descriptor import NodeDescriptor
+from repro.storage.descriptor import NodeDescriptor, doc_order_key
 from repro.storage.dschema import SchemaNode
 from repro.storage.engine import StorageEngine
-
-
-def doc_order_key(descriptor: NodeDescriptor) -> bytes:
-    """The memoized packed document-order key (§9.3) of a descriptor —
-    the one sort key of the whole storage-side query layer."""
-    return descriptor.nid.sort_key()
 
 
 class TypeAnnotation:

@@ -29,7 +29,7 @@ nodes bypassed per-op logging (valid only under the very next
 checkpoint's horizon); CHECKPOINT marks a log reset after an image
 checkpoint.
 
-Torn-tail semantics: :func:`read_wal` stops at the first record whose
+Torn-tail semantics: :func:`read_wal_store` stops at the first record whose
 frame is incomplete or whose CRC32 does not match, reporting the valid
 prefix length.  Opening a log for append truncates such a tail first,
 so new records are never written behind garbage.
@@ -348,14 +348,6 @@ def scan_wal(data: bytes, describe: str = "WAL",
     return scan
 
 
-def read_wal(path: str | os.PathLike) -> WalScan:
-    """Scan a log file up to the first torn or corrupt record."""
-    path = Path(path)
-    if not path.exists():
-        return WalScan()
-    return scan_wal(path.read_bytes(), describe=str(path))
-
-
 def read_wal_store(store: WalStore,
                    resume: Optional[WalScan] = None) -> WalScan:
     """Scan any log store up to the first torn or corrupt record
@@ -367,19 +359,14 @@ def read_wal_store(store: WalStore,
 class WriteAheadLog:
     """An append-only log with per-record CRC32 and monotone LSNs.
 
-    *target* is a file path (wrapped in a :class:`FileWalStore`, the
-    historical constructor) or any :class:`WalStore`.  ``sync=False``
+    *store* is the medium, any :class:`WalStore`.  ``sync=False``
     skips the per-record durability barrier (the benchmarks use it to
     separate the logging tax from the disk tax); the bytes still reach
     the store on every append.
     """
 
-    def __init__(self, target: str | os.PathLike | WalStore,
-                 sync: bool = True) -> None:
-        if isinstance(target, WalStore):
-            self.store = target
-        else:
-            self.store = FileWalStore(target)
+    def __init__(self, store: WalStore, sync: bool = True) -> None:
+        self.store = store
         self.sync = sync
         self.last_lsn = 0
         #: Highest transaction id on any record of the log: a manager
@@ -401,11 +388,6 @@ class WriteAheadLog:
                 self.store.truncate(scan.valid_bytes)
         else:
             self.store.reset(_HEADER)
-
-    @property
-    def path(self) -> Optional[Path]:
-        """The log file for file-backed stores (None otherwise)."""
-        return getattr(self.store, "path", None)
 
     # -- the one write path ---------------------------------------------
 

@@ -74,6 +74,20 @@ class TestMutation:
         assert [c.string_value() for c in parent.children()] == \
             ["1", "2", "3"]
 
+    @pytest.mark.parametrize("index", [3, 99, -1])
+    def test_insert_child_index_out_of_range_rejected(self, algebra,
+                                                      index):
+        # list.insert would clamp 99 and count -1 from the end.
+        parent = algebra.create_element(QName("", "p"))
+        algebra.append_child(parent, algebra.create_text("1"))
+        algebra.append_child(parent, algebra.create_text("2"))
+        before = list(parent.children())
+        stray = algebra.create_text("x")
+        with pytest.raises(AlgebraError, match=r"out of range 0\.\.2"):
+            algebra.insert_child(parent, index, stray)
+        assert list(parent.children()) == before
+        assert stray.parent_or_none() is None
+
     def test_remove_child(self, algebra):
         parent = algebra.create_element(QName("", "p"))
         child = algebra.create_text("t")

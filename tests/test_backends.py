@@ -18,7 +18,6 @@ from repro.storage import (
     SqliteBackend,
     StorageEngine,
     TransactionManager,
-    checkpoint,
     recover,
     schema_fingerprint,
     snapshot_version,
@@ -252,7 +251,7 @@ class TestRecoverThroughBackends:
         engine = _engine()
         wal = backend.open_wal()
         manager = TransactionManager(engine, wal)
-        checkpoint(engine, backend, wal=wal)
+        backend.checkpoint(engine, wal=wal)
         library = engine.children(engine.document)[0]
         with manager.transaction():
             paper = engine.insert_child(library, 0,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.database import DatabaseError, StoredDocument, XmlDatabase
+from repro.errors import UpdateError
 from repro.schema import parse_schema
 from repro.workloads.fixtures import (
     EXAMPLE_7_DOCUMENT,
@@ -153,6 +154,39 @@ class TestUpdates:
         library.insert_element("/library/book[1]", 0, "title")
         library.delete("/library/book[1]")
         assert library.version == 3
+
+
+_REJECTED = [
+    lambda doc, path: doc.insert_element(path, 999, "x"),
+    lambda doc, path: doc.insert_element(path, -1, "x"),
+    lambda doc, path: doc.insert_text(path, 999, "t"),
+]
+
+
+class TestRejectedUpdate:
+    """A rejected update changes neither representation: storage
+    validates first, and the tree moves only after it accepted."""
+
+    @pytest.mark.parametrize("call", _REJECTED,
+                             ids=["element-past-end", "element-negative",
+                                  "text-past-end"])
+    @pytest.mark.parametrize("typed", [True, False],
+                             ids=["typed", "untyped"])
+    def test_out_of_range_index_leaves_both_sides_alone(
+            self, database, call, typed):
+        if typed:
+            doc = database.store("d", EXAMPLE_8_DOCUMENT,
+                                 schema=parse_schema(LIBRARY_SCHEMA))
+            path = "/library"
+        else:
+            doc = database.store("d", "<r><a>1</a><b>2</b></r>")
+            path = "/r"
+        before = doc.serialize()
+        with pytest.raises(UpdateError, match="out of range"):
+            call(doc, path)
+        doc.verify_consistency()
+        assert doc.version == 0
+        assert doc.serialize() == before
 
 
 class TestConsistency:

@@ -17,14 +17,16 @@ from repro.obs.explain import collect
 from repro.query.engine import StorageQueryEngine
 from repro.storage import (
     FileBackend,
+    FileWalStore,
     StorageEngine,
     TransactionManager,
     WriteAheadLog,
     bulk_load,
+    read_wal_store,
     recover,
 )
 from repro.storage.indexes import ValueIndex
-from repro.storage.wal import CHECKPOINT, CREATE_INDEX, DROP_INDEX, read_wal
+from repro.storage.wal import CHECKPOINT, CREATE_INDEX, DROP_INDEX
 from repro.workloads.library import make_library_document
 from repro.xmlio.qname import QName
 
@@ -255,7 +257,7 @@ class TestMaintenance:
                                     value_type="integer")
         snapshot = index.snapshot()
         manager = TransactionManager(
-            engine, WriteAheadLog(tmp_path / "wal.log"))
+            engine, WriteAheadLog(FileWalStore(tmp_path / "wal.log")))
         library = engine.children(engine.document)[0]
         with pytest.raises(RuntimeError):
             with manager.transaction():
@@ -270,7 +272,7 @@ class TestMaintenance:
         engine = _engine()
         engine.create_index("library/book/title")
         manager = TransactionManager(
-            engine, WriteAheadLog(tmp_path / "wal.log"))
+            engine, WriteAheadLog(FileWalStore(tmp_path / "wal.log")))
         with pytest.raises(RuntimeError):
             with manager.transaction():
                 engine.create_index("library/book/@year")
@@ -397,19 +399,19 @@ class TestPlannerIntegration:
 class TestDurability:
     def test_ddl_is_logged_and_replayed(self, tmp_path):
         engine = _engine()
-        wal = WriteAheadLog(tmp_path / "wal.log")
+        backend = FileBackend(tmp_path / "store.img",
+                              wal_path=tmp_path / "wal.log")
+        wal = backend.open_wal()
         manager = TransactionManager(engine, wal)
-        image = tmp_path / "store.img"
-        from repro.storage.recovery import checkpoint
-        checkpoint(engine, image, wal=wal)
+        backend.checkpoint(engine, wal=wal)
         engine.create_index("library/book/@year", value_type="integer")
         engine.drop_index("library/book/@year")
         engine.create_index("library/book/title")
-        kinds = [r.kind for r in read_wal(wal.path).records]
+        kinds = [r.kind for r in read_wal_store(wal.store).records]
         assert kinds.count(CREATE_INDEX) == 2
         assert kinds.count(DROP_INDEX) == 1
 
-        result = recover(FileBackend(image, wal_path=wal.path))
+        result = recover(backend)
         assert result.index_definitions == 1
         assert result.indexes_verified == 1
         assert [d.path for d in result.engine.indexes.definitions()] \
@@ -418,37 +420,38 @@ class TestDurability:
     def test_bulk_load_writes_one_logical_record(self, tmp_path):
         document = make_library_document(books=6, papers=3,
                                          year_attrs=True)
-        wal = WriteAheadLog(tmp_path / "wal.log")
+        backend = FileBackend(tmp_path / "store.img",
+                              wal_path=tmp_path / "wal.log")
+        wal = backend.open_wal()
         engine = StorageEngine()
-        summary = bulk_load(engine, document, tmp_path / "store.img",
-                            wal)
+        summary = bulk_load(engine, document, backend, wal)
         assert summary["wal_records"] == 3
         # The implicit checkpoint put the LOAD under the horizon and
         # rotated the log: only the checkpoint marker remains.
-        kinds = [r.kind for r in read_wal(wal.path).records]
+        kinds = [r.kind for r in read_wal_store(wal.store).records]
         assert kinds == [CHECKPOINT]
 
         reference = StorageEngine()
         reference.load_document(document)
         assert engine.node_count() == reference.node_count()
 
-        result = recover(FileBackend(tmp_path / "store.img",
-                                     wal_path=wal.path))
+        result = recover(backend)
         assert result.relabels == 0
         assert result.engine.node_count() == engine.node_count()
 
     def test_bulk_load_requires_an_empty_engine(self, tmp_path):
         engine = _engine()
-        wal = WriteAheadLog(tmp_path / "wal.log")
+        wal = WriteAheadLog(FileWalStore(tmp_path / "wal.log"))
         with pytest.raises(StorageError):
             bulk_load(engine, make_library_document(),
-                      tmp_path / "store.img", wal)
+                      FileBackend(tmp_path / "store.img"), wal)
 
     def test_bulk_load_builds_declared_indexes_once(self, tmp_path):
         document = make_library_document(books=6, year_attrs=True)
         engine = StorageEngine()
-        wal = WriteAheadLog(tmp_path / "wal.log")
-        bulk_load(engine, document, tmp_path / "store.img", wal)
+        wal = WriteAheadLog(FileWalStore(tmp_path / "wal.log"))
+        bulk_load(engine, document,
+                  FileBackend(tmp_path / "store.img"), wal)
         engine.create_index("library/book/@year", value_type="integer")
         assert engine.indexes.verify_consistency() == 1
 

@@ -15,7 +15,7 @@ import pytest
 from repro.database import DatabaseError, StoredDocument, XmlDatabase
 from repro.errors import ModelError, StorageError
 from repro.algebra.conformance import ConformanceChecker
-from repro.mapping import serialize_store, untyped_document_to_tree
+from repro.mapping import serialize_store
 from repro.order import StoreOrderIndex, store_document_order
 from repro.query import evaluate_store
 from repro.schema import parse_schema
@@ -27,7 +27,6 @@ from repro.workloads.fixtures import (
     LIBRARY_SCHEMA,
 )
 from repro.xdm import TREE_STORE, bisimulate, stores_agree
-from repro.xmlio import parse_document
 from repro.xquery import execute_values
 
 
@@ -267,12 +266,6 @@ class TestDeleteRegression:
         untyped_doc.verify_consistency()
         assert untyped_doc.query_values("//publisher") == []
 
-    def test_descriptor_forgotten_after_delete(self, untyped_doc):
-        target = untyped_doc.query("/library/paper[1]")[0]
-        untyped_doc.delete("/library/paper[1]")
-        with pytest.raises(DatabaseError, match="diverged"):
-            untyped_doc._descriptor_for(target)
-
 
 class TestSetAttributeReplace:
     """StoredDocument.set_attribute: second write to the same name
@@ -287,7 +280,7 @@ class TestSetAttributeReplace:
         attributes = list(element.attributes())
         assert len(attributes) == 1
         assert attributes[0].string_value() == "fr"
-        descriptor = doc._descriptor_for(element)
+        (descriptor,) = doc.query_storage("/library/book[1]")
         stored = doc.engine.attributes(descriptor)
         assert len(stored) == 1
         assert stored[0].value == "fr"
@@ -297,36 +290,18 @@ class TestSetAttributeReplace:
         doc.set_attribute("/library/book[1]", "lang", "en")
         (element,) = doc.query("/library/book[1]")
         (attribute,) = element.attributes()
-        descriptor = doc._descriptor_for(attribute)
+        (descriptor,) = doc.query_storage("/library/book[1]/@lang")
         nid = descriptor.nid.symbols()
         doc.set_attribute("/library/book[1]", "lang", "de")
-        assert doc._descriptor_for(attribute) is descriptor
+        (after,) = doc.query_storage("/library/book[1]/@lang")
+        assert after is descriptor
         assert descriptor.nid.symbols() == nid  # no relabeling
         assert attribute.string_value() == "de"
 
     def test_engine_default_still_rejects_duplicates(self, untyped_doc):
         doc = untyped_doc
         doc.set_attribute("/library/book[1]", "lang", "en")
-        (element,) = doc.query("/library/book[1]")
-        descriptor = doc._descriptor_for(element)
+        (descriptor,) = doc.query_storage("/library/book[1]")
         from repro.xmlio.qname import QName
         with pytest.raises(StorageError, match="already present"):
             doc.engine.set_attribute(descriptor, QName("", "lang"), "xx")
-
-
-class TestDescriptorLookup:
-    def test_lookup_is_dictionary_backed(self, untyped_doc):
-        # Every tree node has a mapped descriptor and the map is exactly
-        # the size of the document.
-        doc = untyped_doc
-        refs = list(TREE_STORE.iter_document_order(doc.tree))
-        assert len(doc._descriptors) == len(refs)
-        for node in refs:
-            descriptor = doc._descriptor_for(node)
-            assert doc.engine.node_kind(descriptor) == node.node_kind()
-
-    def test_foreign_node_rejected(self, untyped_doc):
-        other = untyped_document_to_tree(
-            parse_document("<x><y/></x>"))
-        with pytest.raises(DatabaseError, match="diverged"):
-            untyped_doc._descriptor_for(other.document_element())

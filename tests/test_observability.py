@@ -67,9 +67,10 @@ class TestTelemetryTier:
         assert len(obs.EXPLAINS) == 0
 
     def test_wal_and_txn_histograms_record(self, tmp_path):
-        from repro.storage import TransactionManager, WriteAheadLog
+        from repro.storage import (FileWalStore, TransactionManager,
+                                   WriteAheadLog)
         engine = _engine()
-        wal = WriteAheadLog(tmp_path / "t.wal", sync=True)
+        wal = WriteAheadLog(FileWalStore(tmp_path / "t.wal"), sync=True)
         manager = TransactionManager(engine, wal)
         library = engine.children(engine.document)[0]
         with manager.transaction():

@@ -19,13 +19,13 @@ from repro.storage import (
     SESSION_CRASH_POINTS,
     CrashError,
     FileBackend,
+    FileWalStore,
     FaultPlan,
     MemoryBackend,
     SqliteBackend,
     StorageEngine,
     TransactionManager,
     WriteAheadLog,
-    checkpoint,
     recover,
 )
 from repro.storage import faults
@@ -112,7 +112,7 @@ def _run_scenario(backend, plan=None):
     initial = _titles(engine)
     wal = backend.open_wal()
     manager = TransactionManager(engine, wal)
-    checkpoint(engine, backend, wal=wal)
+    backend.checkpoint(engine, wal=wal)
 
     expected = list(initial)
     crashed_at = None
@@ -125,7 +125,7 @@ def _run_scenario(backend, plan=None):
         with manager.transaction():
             engine.delete_subtree(engine.children(store)[0])
         expected.pop(0)
-        checkpoint(engine, backend, wal=wal)
+        backend.checkpoint(engine, wal=wal)
         _add_book(engine, manager, len(expected), "C")
         expected.append("TC")
         engine.create_index("BookStore/Book/ISBN")
@@ -295,28 +295,30 @@ class TestCheckpointAtomicity:
 
     def test_torn_image_write_leaves_old_image_intact(self, tmp_path):
         image = tmp_path / "store.img"
+        backend = FileBackend(image)
         engine = _fresh_engine()
-        checkpoint(engine, image)
+        backend.checkpoint(engine)
         good = image.read_bytes()
         plan = FaultPlan()
         plan.crash_at("persist.write.torn")
         faults.install(plan)
         with pytest.raises(CrashError):
-            checkpoint(engine, image)
+            backend.checkpoint(engine)
         faults.clear()
         assert image.read_bytes() == good  # os.replace never happened
-        recover(FileBackend(image)).engine.check_invariants()
+        recover(backend).engine.check_invariants()
 
     def test_crash_before_rename_leaves_old_image(self, tmp_path):
         image = tmp_path / "store.img"
+        backend = FileBackend(image)
         engine = _fresh_engine()
-        checkpoint(engine, image)
+        backend.checkpoint(engine)
         good = image.read_bytes()
         plan = FaultPlan()
         plan.crash_at("persist.rename")
         faults.install(plan)
         with pytest.raises(CrashError):
-            checkpoint(engine, image)
+            backend.checkpoint(engine)
         faults.clear()
         assert image.read_bytes() == good
 
@@ -326,15 +328,16 @@ class TestCheckpointAtomicity:
         double-apply: records at or below the horizon are skipped."""
         image = tmp_path / "store.img"
         wal_path = tmp_path / "store.wal"
+        backend = FileBackend(image)
         engine = _fresh_engine()
-        wal = WriteAheadLog(wal_path)
+        wal = WriteAheadLog(FileWalStore(wal_path))
         manager = TransactionManager(engine, wal)
-        checkpoint(engine, image, wal=wal)
+        backend.checkpoint(engine, wal=wal)
         _add_book(engine, manager, 2, "A")
         expected = _titles(engine)
         stale_wal = tmp_path / "stale.wal"
         shutil.copy(wal_path, stale_wal)
-        checkpoint(engine, image, wal=wal)  # image now covers txn A
+        backend.checkpoint(engine, wal=wal)  # image now covers txn A
         # Simulate the crash window: new image, *old* un-reset log.
         result = recover(FileBackend(image, wal_path=stale_wal),
                          schema=schema, strict=True)

@@ -14,6 +14,7 @@ from repro.storage import (
     NumberingScheme,
     StorageEngine,
     before,
+    dumps_engine,
 )
 from repro.workloads.fixtures import (
     EXAMPLE_8_DESCRIPTIVE_SCHEMA,
@@ -331,6 +332,31 @@ class TestEngineLoading:
         paths_a = sorted(from_xml.schema.paths())
         paths_b = sorted(from_tree.schema.paths())
         assert paths_a == paths_b
+
+    @pytest.mark.parametrize("document", [
+        make_library_document(books=12, papers=6, year_attrs=True),
+        parse_document(EXAMPLE_8_DOCUMENT),
+        parse_document("<r a='1'>alpha<b> </b>\n  <c x='y'>gamma"
+                       "<d/>\t</c>  </r>"),
+    ], ids=["library", "example-8", "mixed-whitespace"])
+    def test_both_loader_entries_build_the_same_image(self, document):
+        """``load_document`` and ``load_tree`` are one walk behind two
+        ``expand`` functions: same document, byte-identical image."""
+        from_xml = StorageEngine()
+        from_xml.load_document(document, preserve_whitespace=True)
+        from_tree = StorageEngine()
+        from_tree.load_tree(untyped_document_to_tree(document))
+        assert dumps_engine(from_xml) == dumps_engine(from_tree)
+
+    def test_load_tree_rejects_a_foreign_child_kind(self):
+        tree = untyped_document_to_tree(parse_document("<a><b/></a>"))
+        # No algebra operation attaches an attribute as a child; put
+        # one there by hand to stand for a kind the loader cannot store.
+        stray = tree.algebra.create_attribute(QName("", "k"), "v")
+        tree.document_element()._children.append(stray)
+        with pytest.raises(StorageError,
+                           match="unsupported child kind 'attribute'"):
+            StorageEngine().load_tree(tree)
 
     def test_preserve_whitespace_option(self):
         engine = StorageEngine()

@@ -16,7 +16,6 @@ from repro.storage import (
     TransactionManager,
     WriteAheadLog,
     equal,
-    read_wal,
     read_wal_store,
 )
 from repro.storage import wal as walmod
@@ -139,14 +138,14 @@ class TestWalFormat:
         path = tmp_path / "bad.wal"
         path.write_bytes(b"NOTAWAL0\x01")
         with pytest.raises(StorageError):
-            read_wal(path)
+            read_wal_store(FileWalStore(path))
 
     def test_fresh_store_is_an_empty_scan(self, wal_store):
         scan = read_wal_store(wal_store)
         assert scan.records == [] and not scan.torn
 
     def test_missing_file_is_an_empty_scan(self, tmp_path):
-        scan = read_wal(tmp_path / "absent.wal")
+        scan = read_wal_store(FileWalStore(tmp_path / "absent.wal"))
         assert scan.records == [] and not scan.torn
 
 
