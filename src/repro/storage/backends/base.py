@@ -1,13 +1,13 @@
 """The pluggable durability seam: :class:`StorageBackend`.
 
 The §9 engine state (descriptive schema + per-schema-node block lists
-+ numbering labels) used to be durable in exactly one shape — a
-monolithic image file plus a WAL file.  This package
-carves that coupling out: a backend owns *where* checkpoint images,
-WAL frames and snapshot versions live, while the write-ahead rule,
-torn-tail detection and replay semantics stay in
-:mod:`repro.storage.wal` / :mod:`repro.storage.recovery`, written once
-against this protocol.
++ numbering labels) used to be durable in exactly one shape — an
+image file plus a WAL file.  This package carves that coupling out: a
+backend owns *where* block payloads (one image, or rows), WAL frames
+and snapshot versions live, while the block codec
+(:mod:`repro.storage.persist`), the write-ahead rule, torn-tail
+detection and replay semantics (:mod:`repro.storage.wal`,
+:mod:`repro.storage.recovery`) are written once against this protocol.
 
 Snapshot versioning (ADR-004 shape): every checkpoint records a
 version keyed by a **deterministic fingerprint** of the descriptive
@@ -101,9 +101,9 @@ class StorageBackend(ABC):
     """Where one engine's durable state lives.
 
     Concrete backends: :class:`~repro.storage.backends.file.FileBackend`
-    (atomic image file + WAL file — the historical layout, extracted
-    unchanged), :class:`~repro.storage.backends.sqlite.SqliteBackend`
-    (blocks, index definitions and WAL frames as rows, with dirty-block
+    (atomic image file + WAL file — the historical layout),
+    :class:`~repro.storage.backends.sqlite.SqliteBackend` (blocks,
+    index definitions and WAL frames as rows, with dirty-block
     incremental checkpoints) and
     :class:`~repro.storage.backends.memory.MemoryBackend` (hermetic
     tests).

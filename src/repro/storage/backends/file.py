@@ -11,11 +11,11 @@ the seam:
 * the WAL is a sibling file driven through
   :class:`~repro.storage.wal.FileWalStore`.
 
-Snapshot versions are retained as whole-image copies under
-``<image>.snapshots/<version>.img`` — the file backend is monolithic
-by construction, so a version costs one image write.  The copy is
-recorded *after* the atomic rename: a crash while recording a version
-can never damage the recovery image.
+Every checkpoint *writes* the whole image but encodes only the blocks
+a write touched (:func:`repro.storage.persist.block_payload`).
+Snapshot versions are whole-image copies under
+``<image>.snapshots/<version>.img``, recorded *after* the atomic
+rename: a crash while recording one never damages the recovery image.
 """
 
 from __future__ import annotations

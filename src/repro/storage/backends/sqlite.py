@@ -1,17 +1,16 @@
 """Blocks, index definitions and WAL frames as SQLite rows.
 
-Where :class:`FileBackend` rewrites one monolithic image per
-checkpoint, this backend makes durability **block-granular** — the
-unit the §9 layout already updates in: an engine mutation touches one
-block (or splits it), so a checkpoint after a small mutation only has
-to upsert the few rows whose persisted form changed.
+Where :class:`FileBackend` writes one whole image per checkpoint,
+this backend makes durability **block-granular** — the unit the §9
+layout already updates in: an engine mutation touches one block (or
+splits it), so a checkpoint after a small mutation only has to upsert
+the few rows whose persisted form changed.
 
 Layout (one database file):
 
 * ``block_rows(block_id, gen, payload)`` — copy-on-write generations
-  of each block's binary payload (descriptor nids, links-as-nids,
-  values, in the in-block order chain), encoded with the shared
-  :mod:`repro.storage.codec`;
+  of each block's payload, the same bytes the file image is made of
+  (:func:`repro.storage.persist.encode_block`);
 * ``snapshots(version, seq, lsn, fingerprint, manifest, bytes)`` —
   one row per retained checkpoint; the JSON manifest pins the
   descriptive schema (pre-order), index definitions, per-schema-node
@@ -56,12 +55,11 @@ from repro.storage.backends.base import (
     snapshot_version,
 )
 from repro.storage.blocks import Block
-from repro.storage.codec import Reader, Writer
-from repro.storage.descriptor import NodeDescriptor
+from repro.storage.codec import Reader
 from repro.storage.engine import StorageEngine
 from repro.storage.faults import CrashError
 from repro.storage.indexes import KINDS, IndexDefinition
-from repro.storage.persist import finish_load
+from repro.storage.persist import block_payload, finish_load, load_blocks
 from repro.storage.wal import WalStore
 from repro.xmlio.qname import QName
 
@@ -152,47 +150,6 @@ class SqliteWalStore(WalStore):
         return f"{self._describe}#wal_chunks"
 
 
-def _encode_block(block: Block) -> bytes:
-    """The binary payload of one block: descriptor count, then per
-    descriptor (in in-block order) one record — its nid, the
-    parent/left/right links as optional nids, the optional text
-    value."""
-    writer = Writer()
-    ordered: list[NodeDescriptor] = []
-    block.extend_in_order(ordered)
-    writer.u32(len(ordered))
-    for descriptor in ordered:
-        writer.nid(descriptor.nid)
-        for link in (descriptor.parent, descriptor.left_sibling,
-                     descriptor.right_sibling):
-            if link is not None:
-                writer.u8(1)
-                writer.nid(link.nid)
-            else:
-                writer.u8(0)
-        if descriptor.value is not None:
-            writer.u8(1)
-            writer.text(descriptor.value)
-        else:
-            writer.u8(0)
-    return bytes(writer.out)
-
-
-def _decode_block(reader: Reader) -> Iterator[tuple]:
-    """The records of one block payload: per descriptor its label,
-    that label's wire bytes, the parent / left / right links as wire
-    bytes (None = no link) and the value.  Links stay undecoded: they
-    are only ever looked up, and equal labels are equal bytes."""
-    u8, link = reader.u8, reader.nid_bytes
-    for _ in range(reader.u32()):
-        start = reader.pos
-        nid = reader.nid()
-        yield (nid, reader.since(start),
-               link() if u8() else None, link() if u8() else None,
-               link() if u8() else None,
-               reader.text() if u8() else None)
-
-
 class SqliteBackend(StorageBackend):
     """Incremental, row-granular durability in one SQLite file."""
 
@@ -280,24 +237,21 @@ class SqliteBackend(StorageBackend):
         try:
             self._conn.execute("BEGIN IMMEDIATE")
             faults.fire("persist.write")
-            if faults.wants("persist.write.torn"):
-                # Half the rows land, then the process dies; the open
-                # transaction rolls back, so the previous snapshot
-                # stays intact — the row analogue of a torn image
-                # write that never reached the rename.
-                for block in to_write[:len(to_write) // 2]:
-                    self._conn.execute(
-                        "INSERT OR REPLACE INTO block_rows "
-                        "(block_id, gen, payload) VALUES (?, ?, ?)",
-                        (block.block_id, gen, _encode_block(block)))
-                raise CrashError("persist.write.torn")
-            for block in to_write:
-                payload = _encode_block(block)
+            # Torn: half the rows land, then the process dies; the
+            # open transaction rolls back, so the previous snapshot
+            # stays intact — the row analogue of a torn image write
+            # that never reached the rename.
+            torn = faults.wants("persist.write.torn")
+            for block in (to_write[:len(to_write) // 2] if torn
+                          else to_write):
+                payload = block_payload(engine, block)
                 payload_bytes += len(payload)
                 self._conn.execute(
                     "INSERT OR REPLACE INTO block_rows "
                     "(block_id, gen, payload) VALUES (?, ?, ?)",
                     (block.block_id, gen, payload))
+            if torn:
+                raise CrashError("persist.write.torn")
             self._conn.execute(
                 "INSERT OR REPLACE INTO snapshots "
                 "(version, seq, lsn, fingerprint, manifest, bytes) "
@@ -426,80 +380,30 @@ class SqliteBackend(StorageBackend):
                 version, f"manifest {key}") from error
         gens = self._gens(manifest, version)
 
-        capacity = engine.block_capacity
-        by_wire: dict[bytes, NodeDescriptor] = {}
-        all_descriptors: list[NodeDescriptor] = []
-        links: list[tuple] = []
-        max_block_id = -1
-        for schema_node, chain in zip(schema_nodes, chains):
-            previous: Optional[Block] = None
-            for block_id in chain:
-                gen = gens.get(block_id)
-                location = f"block {block_id} gen {gen}"
-                if gen is None:
-                    raise self._corrupt(
-                        f"snapshot manifest references block "
-                        f"{block_id} without a generation", version)
-                row = self._conn.execute(
-                    "SELECT payload FROM block_rows "
-                    "WHERE block_id = ? AND gen = ?",
-                    (block_id, gen)).fetchone()
-                if row is None:
-                    raise self._corrupt(
-                        f"missing block row ({location})", version)
-                block = Block(schema_node, capacity)
-                block.block_id = block_id
-                max_block_id = max(max_block_id, block_id)
-                if previous is None:
-                    schema_node.first_block = block
-                else:
-                    previous.next_block = block
-                    block.prev_block = previous
-                schema_node.last_block = block
-                previous = block
-                reader = Reader(
-                    row[0], backend=self.name,
-                    place=lambda pos, loc=location:
-                        f"{loc} byte {pos}",
-                    what="block payload")
-                last: Optional[NodeDescriptor] = None
-                for nid, wire, parent, left, right, value in \
-                        _decode_block(reader):
-                    descriptor = NodeDescriptor(schema_node, nid,
-                                                value=value)
-                    block.insert_after(descriptor, last)
-                    last = descriptor
-                    by_wire[wire] = descriptor
-                    all_descriptors.append(descriptor)
-                    links.append((descriptor, parent, left, right))
-                schema_node.descriptor_count += block.count
-                if not reader.at_end():
-                    raise self._corrupt(
-                        f"trailing bytes in block payload ({location})",
-                        version)
-        # Stored block ids survive the round trip; keep the global
-        # allocator past them so future splits never collide.
-        if max_block_id >= Block._next_id:
-            Block._next_id = max_block_id + 1
+        def payloads() -> Iterator[tuple]:
+            for schema_node, chain in zip(schema_nodes, chains):
+                for block_id in chain:
+                    gen = gens.get(block_id)
+                    location = f"block {block_id} gen {gen}"
+                    if gen is None:
+                        raise self._corrupt(
+                            f"snapshot manifest references block "
+                            f"{block_id} without a generation", version)
+                    row = self._conn.execute(
+                        "SELECT payload FROM block_rows "
+                        "WHERE block_id = ? AND gen = ?",
+                        (block_id, gen)).fetchone()
+                    if row is None:
+                        raise self._corrupt(
+                            f"missing block row ({location})", version)
+                    yield schema_node, block_id, Reader(
+                        row[0], backend=self.name,
+                        place=lambda pos, loc=location:
+                            f"{loc} byte {pos}",
+                        what="block payload"), len(row[0])
 
-        def resolve(wire, role, owner):
-            if wire is None:
-                return None
-            target = by_wire.get(wire)
-            if target is None:
-                raise self._corrupt(
-                    f"descriptor {owner.nid!r} links to missing "
-                    f"{role} {Reader(wire).nid()!r}", version)
-            return target
-
-        for descriptor, parent, left, right in links:
-            descriptor.parent = resolve(parent, "parent", descriptor)
-            descriptor.left_sibling = resolve(left, "left sibling",
-                                              descriptor)
-            descriptor.right_sibling = resolve(right, "right sibling",
-                                               descriptor)
-
-        finish_load(engine, all_descriptors, definitions, stats,
+        finish_load(engine, load_blocks(engine, payloads()),
+                    definitions, stats,
                     lambda message: self._corrupt(message, version))
         return engine
 

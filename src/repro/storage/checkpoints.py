@@ -17,9 +17,16 @@ whenever someone else (or no one) consumed the previous drain —
 a backend seeing ``full`` must write everything.  ``complete()``
 clears the set only after the checkpoint landed; a crash in between
 leaves the blocks marked, and the next upsert simply rewrites them
-(upserts are idempotent).  Monolithic consumers — the file backend
-rewrites the whole image every time — never take part, so they don't
-invalidate anyone else's diff.
+(upserts are idempotent).
+
+The same marks keep the **payload memo** honest: ``payloads`` maps a
+block id to the block's encoded payload for every block no mark has
+reached since it was encoded.  A payload holds nothing but its own
+block's descriptors (links travel as labels), so ``mark``,
+``mark_descriptor`` and ``drop`` pop the entry and nothing else has
+to; ``begin`` / ``complete`` never look at it.  Every checkpoint reads
+payloads through :func:`repro.storage.persist.block_payload`, so the
+image backends, no part of the handshake, encode only what changed.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ class CheckpointTracker:
         self._dirty: set[int] = set()
         self._dropped: set[int] = set()
         self._consumer: Optional[str] = None
+        self.payloads: dict[int, bytes] = {}  # the payload memo
 
     # -- marking (engine side) ------------------------------------------
 
@@ -46,18 +54,20 @@ class CheckpointTracker:
         """The persisted form of *block* changed."""
         if block is not None:
             self._dirty.add(block.block_id)
+            self.payloads.pop(block.block_id, None)
 
     def mark_descriptor(self, descriptor: "Optional[NodeDescriptor]"
                         ) -> None:
         """A stored field of *descriptor* (value, sibling link)
         changed — its block must be rewritten."""
-        if descriptor is not None and descriptor.block is not None:
-            self._dirty.add(descriptor.block.block_id)
+        if descriptor is not None:
+            self.mark(descriptor.block)
 
     def drop(self, block: "Block") -> None:
         """*block* was unlinked from its chain and holds nothing."""
         self._dirty.discard(block.block_id)
         self._dropped.add(block.block_id)
+        self.payloads.pop(block.block_id, None)
 
     # -- draining (backend side) ----------------------------------------
 

@@ -18,7 +18,7 @@ backends (:mod:`repro.storage.backends`).  The pieces:
   every WAL store;
 * numbering labels (:func:`u16_run` states the digit-exact wire form
   of :class:`~repro.storage.labels.NidLabel`; :func:`pack_nid`,
-  ``Reader.nid``, ``Reader.nid_bytes``).
+  ``Reader.nid``, ``Reader.nid_bytes``, ``Reader.link``).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_unpack_u16 = _U16.unpack_from
 
 _FIELDS = re.compile(r"(\d*)([BHIQ])")  # the codes layouts here use
 
@@ -55,13 +56,19 @@ def u16_run(count: int) -> struct.Struct:
 
 
 def pack_nid(out: bytearray, nid: NidLabel) -> None:
-    """Append the digit-exact wire form of *nid* to *out*."""
-    components = nid.components
-    flat = [len(components)]
-    for component in components:
-        flat.append(len(component))
-        flat.extend(component)
-    out += u16_run(len(flat)).pack(*flat)
+    """Append the digit-exact wire form of *nid* to *out*, memoized
+    on the immutable label like its ``sort_key()`` (a payload writes a
+    label up to four times); decoders do not seed it."""
+    wire = nid._wire
+    if wire is None:
+        components = nid.components
+        flat = [len(components)]
+        for component in components:
+            flat.append(len(component))
+            flat.extend(component)
+        wire = u16_run(len(flat)).pack(*flat)
+        object.__setattr__(nid, "_wire", wire)
+    out += wire
 
 
 def pack_text(out: bytearray, value: str) -> None:
@@ -81,9 +88,6 @@ class Writer:
     def pack(self, layout: struct.Struct, *values: int) -> None:
         """One fixed-width record through its compiled layout."""
         self.out += layout.pack(*values)
-
-    def u8(self, value: int) -> None:
-        self.out += _U8.pack(value)
 
     def u32(self, value: int) -> None:
         self.out += _U32.pack(value)
@@ -236,6 +240,36 @@ class Reader:
         start = self._pos
         self._label(False)
         return self._data[start:self._pos]
+
+    def link(self, stem: bytes = b"", depth: int = 0) -> Optional[bytes]:
+        """An optional label (u8 flag, then the label) as
+        :meth:`nid_bytes` gives it; None for an absent one.  *stem* is
+        the wire form of *depth* components it probably starts with (a
+        record's parent and siblings share all of its components but
+        the last), stepped over in one compare.  Bounds are checked
+        once; a label that fails is read again field by field, for the
+        position of the field that does not fit."""
+        data = self._data
+        start = self._pos + 1
+        try:
+            if not data[start - 1]:
+                self._pos = start
+                return None
+            (count,) = _unpack_u16(data, start)
+            pos = start + 2
+            left = count
+            if count >= depth and data.startswith(stem, pos):
+                pos += len(stem)
+                left -= depth
+            for _ in range(left):
+                pos += 2 + 2 * _unpack_u16(data, pos)[0]
+        except (IndexError, struct.error):
+            count = 0
+        if not count or pos > len(data):
+            self.u8()
+            return self.nid_bytes()
+        self._pos = pos
+        return data[start:pos]
 
     def at_end(self) -> bool:
         return self._pos == len(self._data)

@@ -96,6 +96,16 @@ class SchemaNode:
             yield block
             block = block.next_block
 
+    def append_block(self, block: "Block") -> None:
+        """Link *block* at the tail of the chain."""
+        tail = self.last_block
+        if tail is None:
+            self.first_block = block
+        else:
+            tail.next_block = block
+            block.prev_block = tail
+        self.last_block = block
+
     def block_count(self) -> int:
         return sum(1 for _ in self.blocks())
 

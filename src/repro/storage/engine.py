@@ -204,16 +204,9 @@ class StorageEngine:
         descriptor goes to the tail of its schema node's block list."""
         schema_node = descriptor.schema_node
         block = schema_node.last_block
-        if block is None:
+        if block is None or block.is_full:
             block = Block(schema_node, self.block_capacity)
-            schema_node.first_block = block
-            schema_node.last_block = block
-        elif block.is_full:
-            fresh = Block(schema_node, self.block_capacity)
-            fresh.prev_block = block
-            block.next_block = fresh
-            schema_node.last_block = fresh
-            block = fresh
+            schema_node.append_block(block)
         block.insert_after(descriptor, block.last_descriptor())
         schema_node.descriptor_count += 1
         self.stats.note_added(descriptor)

@@ -59,6 +59,10 @@ class NidLabel:
 
     components: tuple[Component, ...]
 
+    #: The wire form, memoized by :func:`repro.storage.codec.pack_nid`
+    #: (not a field: a class default until a checkpoint writes it).
+    _wire = None
+
     def __post_init__(self) -> None:
         if not self.components:
             raise LabelError("a label needs at least one component")

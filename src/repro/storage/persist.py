@@ -1,36 +1,36 @@
-"""Binary persistence of the storage engine.
+"""Binary persistence of the storage engine, block by block.
 
 Sedna is a disk-based system; this module gives the simulated engine
-the corresponding capability: :func:`dumps_engine` serializes the whole
-Section 9 state — descriptive schema, numbering labels, descriptors,
-and the block assignment with its in-block order chains — into a
-compact binary image, and :func:`load_engine` reconstructs an
-equivalent engine from it.  Labels are stored digit-exactly, so
-document order, ancestry and future gap insertions behave identically
-after a round trip.
+the corresponding capability with the §9.2 block as the unit of
+encoding.  :func:`encode_block` / :func:`decode_block` are the one
+descriptor codec of every durable medium and :func:`load_blocks` the
+one payload → engine builder; :func:`dumps_engine` assembles payloads
+into a binary image and :func:`load_engine` reconstructs an equivalent
+engine from it.  Labels are stored digit-exactly, so document order,
+ancestry and future gap insertions survive a round trip.
 
-Format (little-endian, fixed-width), magic ``SEDNAPY4``::
+A block payload: descriptor count (u32), then per descriptor, in
+in-block chain order, its nid (:func:`repro.storage.codec.u16_run`),
+the parent / left / right links as optional nids (u8 flag, label) and
+the optional value (u8 flag, length-prefixed UTF-8).  It depends on
+nothing outside its block, so :func:`block_payload` remembers it until
+a :class:`~repro.storage.checkpoints.CheckpointTracker` mark arrives.
+
+Image format (little-endian, fixed-width), magic ``SEDNAPY5``::
 
 * header: magic, base (u16), block capacity (u16), checkpoint LSN
   (u64) — the WAL horizon this image covers;
 * index definitions: count (u32), then per declared secondary index
-  its path, kind and value type (length-prefixed UTF-8).  Only the
-  *definitions* persist — index contents are derived state, rebuilt
-  from the block lists on load;
+  its path, kind and value type (length-prefixed UTF-8) — contents
+  are derived state, rebuilt from the block lists on load;
 * schema nodes in pre-order: parent index (u32), type tag (u8),
   name URI and local (length-prefixed UTF-8, only for named kinds);
-* descriptors in document order, one record each: schema node index
-  (u32), the nid (:func:`repro.storage.codec.u16_run`), then parent
-  and sibling ids and the value flag as one fixed head (3 × u32,
-  ``0xFFFFFFFF`` = none, u8), then the optional text value;
-* per schema node: its blocks as lists of descriptor ids in in-block
-  chain (document) order;
+* per schema node, same order: block count (u32), then per block of
+  its chain the payload length (u32) and the payload;
 * statistics digest: the canonical JSON of
   :meth:`~repro.obs.statistics.StatisticsCollector.export`
-  (length-prefixed UTF-8) — per-schema-node descriptor counts, byte
-  sizing and value ranges.  Loads always *recount* from the decoded
-  block lists (decoding bypasses the mutation hooks); the persisted
-  digest is a corruption check against that recount;
+  (length-prefixed UTF-8).  Loads always *recount* from the decoded
+  block lists; the digest is a corruption check against the recount;
 * trailer: CRC32 (u32) of every preceding byte, header included.
 
 This is the only format read: an image under an older magic is
@@ -44,18 +44,19 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
+from repro import obs
 from repro.errors import CorruptionError, ReproError, StorageError
 from repro.obs.statistics import StatisticsCollector
 from repro.storage.blocks import Block
-from repro.storage.codec import Reader, Writer
+from repro.storage.codec import Reader, Writer, pack_nid, pack_text
 from repro.storage.descriptor import NodeDescriptor
 from repro.storage.dschema import SchemaNode
 from repro.storage.engine import StorageEngine
 from repro.storage.indexes import KINDS, IndexDefinition
 
-_MAGIC = b"SEDNAPY4"
+_MAGIC = b"SEDNAPY5"
 _NONE = 0xFFFFFFFF
 
 _TYPE_TAGS = {"document": 0, "element": 1, "attribute": 2, "text": 3}
@@ -63,7 +64,61 @@ _TAG_TYPES = {tag: name for name, tag in _TYPE_TAGS.items()}
 
 _HEADER = struct.Struct("<HHQ")       # base, block capacity, LSN
 _SCHEMA_HEAD = struct.Struct("<IB")   # parent index, type tag
-_LINKS = struct.Struct("<IIIB")       # parent, left, right, has value
+
+_ENCODED = obs.REGISTRY.counter("checkpoint.blocks.encoded")
+_REUSED = obs.REGISTRY.counter("checkpoint.blocks.reused")
+
+
+def encode_block(block: Block) -> bytes:
+    """The binary payload of one block (module docstring)."""
+    ordered: list[NodeDescriptor] = []
+    block.extend_in_order(ordered)
+    out = bytearray(struct.pack("<I", len(ordered)))
+    for descriptor in ordered:
+        pack_nid(out, descriptor.nid)
+        for link in (descriptor.parent, descriptor.left_sibling,
+                     descriptor.right_sibling):
+            if link is None:
+                out += b"\0"
+            else:
+                out += b"\1"
+                pack_nid(out, link.nid)
+        if descriptor.value is None:
+            out += b"\0"
+        else:
+            out += b"\1"
+            pack_text(out, descriptor.value)
+    return bytes(out)
+
+
+def decode_block(reader: Reader) -> Iterator[tuple]:
+    """The records of one block payload: per descriptor where its
+    record starts, its label, that label's wire bytes, the parent /
+    left / right links as wire bytes (None = no link) and the value.
+    Links are only ever looked up, and equal labels are equal bytes."""
+    u8, link = reader.u8, reader.link
+    for _ in range(reader.u32()):
+        start = reader.pos
+        nid = reader.nid()
+        wire = reader.since(start)
+        # A parent and a sibling share every component but the last.
+        depth = len(nid.components) - 1
+        stem = wire[2:-2 - 2 * len(nid.components[-1])]
+        yield (start, nid, wire, link(stem, depth), link(stem, depth),
+               link(stem, depth), reader.text() if u8() else None)
+
+
+def block_payload(engine: StorageEngine, block: Block) -> bytes:
+    """*block*'s payload, encoded only if a mark reached the block
+    since it was last encoded (the tracker's memo)."""
+    memo = engine.checkpoints.payloads
+    payload = memo.get(block.block_id)
+    if payload is None:
+        payload = memo[block.block_id] = encode_block(block)
+        _ENCODED.inc()
+    else:
+        _REUSED.inc()
+    return payload
 
 
 def dumps_engine(engine: StorageEngine, checkpoint_lsn: int = 0) -> bytes:
@@ -97,31 +152,13 @@ def dumps_engine(engine: StorageEngine, checkpoint_lsn: int = 0) -> bytes:
             writer.text(node.name.uri)
             writer.text(node.name.local)
 
-    descriptors = list(engine.iter_document_order())
-    descriptor_index = {id(d): i for i, d in enumerate(descriptors)}
-    descriptor_index[id(None)] = _NONE  # an absent link
-    writer.u32(len(descriptors))
-    for descriptor in descriptors:
-        value = descriptor.value
-        writer.u32(schema_index[id(descriptor.schema_node)])
-        writer.nid(descriptor.nid)
-        writer.pack(_LINKS,
-                    descriptor_index[id(descriptor.parent)],
-                    descriptor_index[id(descriptor.left_sibling)],
-                    descriptor_index[id(descriptor.right_sibling)],
-                    value is not None)
-        if value is not None:
-            writer.text(value)
-
     for node in schema_nodes:
         blocks = list(node.blocks())
         writer.u32(len(blocks))
         for block in blocks:
-            ordered: list[NodeDescriptor] = []
-            block.extend_in_order(ordered)
-            writer.out += struct.pack(
-                f"<{len(ordered) + 1}I", len(ordered),
-                *[descriptor_index[id(d)] for d in ordered])
+            payload = block_payload(engine, block)
+            writer.u32(len(payload))
+            writer.out += payload
 
     writer.text(json.dumps(engine.stats.export(),
                            separators=(",", ":"), sort_keys=True))
@@ -143,10 +180,10 @@ def load_engine(data: bytes, backend: str = "file",
             backend=backend, location="byte 0")
     magic = data[:magic_len]
     if magic != _MAGIC:
-        if magic[:-1] == _MAGIC[:-1] and magic[-1:] in b"123":
+        if magic[:-1] == _MAGIC[:-1] and magic[-1:] in b"1234":
             raise CorruptionError(
                 f"storage image format {magic.decode('latin-1')} is no "
-                "longer read: SEDNAPY1 to SEDNAPY3 images must be "
+                "longer read: SEDNAPY1 to SEDNAPY4 images must be "
                 f"re-checkpointed as {_MAGIC.decode()}",
                 backend=backend, location="byte 0")
         raise CorruptionError("not a storage image (bad magic)",
@@ -218,63 +255,13 @@ def _parse_image(reader: Reader) -> StorageEngine:
         child = engine.schema.get_or_add_child(parent, name, node_type)
         schema_nodes.append(child)
 
-    descriptor_count = reader.u32()
-    descriptors: list[NodeDescriptor] = []
-    links: list[tuple[int, int, int]] = []
-    for _ in range(descriptor_count):
-        schema_ref = reader.u32()
-        if schema_ref >= len(schema_nodes):
-            raise reader.corrupt(
-                f"descriptor schema index {schema_ref} out of range "
-                f"at {reader.location()}")
-        nid = reader.nid()
-        head = reader.unpack(_LINKS)
-        for slot in (0, 1, 2):
-            link_id = head[slot]
-            if link_id >= descriptor_count and link_id != _NONE:
-                where = reader.pos - _LINKS.size + 4 * slot
-                raise reader.corrupt(
-                    f"descriptor link {link_id} out of range at "
-                    f"{reader.location(where)}", pos=where)
-        descriptors.append(NodeDescriptor(
-            schema_nodes[schema_ref], nid,
-            value=reader.text() if head[3] else None))
-        links.append(head)
+    def payloads():
+        for schema_node in schema_nodes:
+            for _ in range(reader.u32()):
+                length = reader.u32()
+                yield schema_node, None, reader, reader.pos + length
 
-    for descriptor, (parent_id, left_id, right_id, _) in zip(descriptors,
-                                                             links):
-        if parent_id != _NONE:
-            descriptor.parent = descriptors[parent_id]
-        if left_id != _NONE:
-            descriptor.left_sibling = descriptors[left_id]
-        if right_id != _NONE:
-            descriptor.right_sibling = descriptors[right_id]
-
-    for schema_node in schema_nodes:
-        previous: Block | None = None
-        for _b in range(reader.u32()):
-            block = Block(schema_node, capacity)
-            if previous is None:
-                schema_node.first_block = block
-            else:
-                previous.next_block = block
-                block.prev_block = previous
-            schema_node.last_block = block
-            previous = block
-            members = reader.unpack(
-                struct.Struct(f"<{reader.u32()}I"))
-            last: NodeDescriptor | None = None
-            for offset, member_id in enumerate(members, start=1):
-                if member_id >= descriptor_count:
-                    where = reader.pos - 4 * (len(members) - offset)
-                    raise reader.corrupt(
-                        f"block member {member_id} out of range "
-                        f"at {reader.location(where)}", pos=where)
-                descriptor = descriptors[member_id]
-                block.insert_after(descriptor, last)
-                last = descriptor
-            schema_node.descriptor_count += len(members)
-
+    descriptors = load_blocks(engine, payloads())
     stats_digest = reader.text()
     if not reader.at_end():
         raise reader.corrupt(
@@ -282,6 +269,64 @@ def _parse_image(reader: Reader) -> StorageEngine:
     finish_load(engine, descriptors, definitions,
                 json.loads(stats_digest), reader.corrupt)
     return engine
+
+
+def load_blocks(engine: StorageEngine,
+                payloads: Iterable[tuple]) -> list[NodeDescriptor]:
+    """Fill *engine*'s block chains from stored payloads — the one
+    builder under both durable media; returns every decoded
+    descriptor, the document node first.
+
+    *payloads* yields ``(schema_node, block_id, reader, end)`` per
+    block, schema nodes in pre-order, a node's blocks in chain order:
+    *reader* stands at the payload and must stand at *end* after its
+    records; *block_id* is the stored id (None: the medium keeps
+    none).  Links are resolved last, by the label's wire bytes."""
+    capacity = engine.block_capacity
+    by_wire: dict[Optional[bytes], Optional[NodeDescriptor]] = {}
+    records: list[tuple] = []
+    max_block_id = -1
+    for schema_node, block_id, reader, end in payloads:
+        block = Block(schema_node, capacity)
+        if block_id is not None:
+            block.block_id = block_id
+            max_block_id = max(max_block_id, block_id)
+        schema_node.append_block(block)
+        last: Optional[NodeDescriptor] = None
+        for start, nid, wire, parent, left, right, value in \
+                decode_block(reader):
+            if wire in by_wire:
+                raise reader.corrupt(
+                    f"label {nid!r} at {reader.location(start)} is "
+                    "already carried by another descriptor", pos=start)
+            descriptor = NodeDescriptor(schema_node, nid, value=value)
+            block.insert_after(descriptor, last)
+            last = descriptor
+            by_wire[wire] = descriptor
+            records.append((descriptor, parent, left, right, reader,
+                            start))
+        schema_node.descriptor_count += block.count
+        if reader.pos != end:
+            raise reader.corrupt(
+                f"block payload ends at {reader.location()}, not at "
+                f"{reader.location(end)} as its length says")
+    # Stored block ids survive the round trip; keep the global
+    # allocator past them so future splits never collide.
+    if max_block_id >= Block._next_id:
+        Block._next_id = max_block_id + 1
+
+    by_wire[None] = None  # an absent link resolves to no descriptor
+    try:
+        for descriptor, parent, left, right, reader, start in records:
+            descriptor.parent = by_wire[parent]
+            descriptor.left_sibling = by_wire[left]
+            descriptor.right_sibling = by_wire[right]
+    except KeyError as missing:
+        raise reader.corrupt(
+            f"descriptor {descriptor.nid!r} at {reader.location(start)} "
+            "links to a label no descriptor carries, "
+            f"{Reader(missing.args[0]).nid()!r}", pos=start) from None
+    return [record[0] for record in records]
 
 
 def finish_load(engine: StorageEngine,

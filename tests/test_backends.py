@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.errors import CorruptionError, StorageError
 from repro.storage import (
     BACKENDS,
@@ -233,6 +234,36 @@ class TestIncrementalCheckpoints:
         finally:
             incremental.close()
 
+    @pytest.mark.parametrize("name", ["file", "memory"])
+    def test_a_small_batch_encodes_a_tenth_of_the_blocks(self, tmp_path,
+                                                         name):
+        """The same point for the image backends, counted as blocks
+        encoded: the image is assembled from block payloads, and a
+        block no write touched keeps the payload it was last encoded
+        to."""
+        engine = StorageEngine()
+        engine.load_document(make_library_document(
+            books=1000, papers=0, seed=1000))
+        backend = make_backend(name, tmp_path)
+        encoded = obs.REGISTRY.counter("checkpoint.blocks.encoded")
+        reused = obs.REGISTRY.counter("checkpoint.blocks.reused")
+        before = encoded.value, reused.value
+        backend.checkpoint(engine)
+        blocks = engine.block_count()
+        assert (encoded.value - before[0], reused.value - before[1]) \
+            == (blocks, 0)
+        library = engine.children(engine.document)[0]
+        for op, book in enumerate(engine.children(library)[:10]):
+            author = engine.insert_child(book, 1,
+                                         name=QName("", "author"))
+            engine.insert_child(author, 0, text=f"Writer {op}")
+        before = encoded.value, reused.value
+        backend.checkpoint(engine)
+        again = encoded.value - before[0]
+        assert 0 < 10 * again <= engine.block_count()
+        assert reused.value - before[1] == engine.block_count() - again
+        assert _snapshot(backend.load_engine()) == _snapshot(engine)
+
     def test_second_sqlite_store_gets_a_full_snapshot(self, tmp_path):
         """A different SQLite database is a different consumer: its
         first checkpoint cannot reuse another store's diff baseline."""
@@ -373,7 +404,7 @@ class TestLegacyImageMatrix:
                                                    seed=7))
         return engine
 
-    @pytest.mark.parametrize("magic", [b"SEDNAPY4"], ids=["SEDNAPY4"])
+    @pytest.mark.parametrize("magic", [b"SEDNAPY5"], ids=["SEDNAPY5"])
     def test_legacy_images_load_and_recover(self, tmp_path, magic,
                                             index_free_engine):
         image = dumps_engine(index_free_engine)
@@ -388,8 +419,9 @@ class TestLegacyImageMatrix:
         assert result.relabels == 0
 
     @pytest.mark.parametrize("magic", [b"SEDNAPY1", b"SEDNAPY2",
-                                       b"SEDNAPY3"],
-                             ids=["SEDNAPY1", "SEDNAPY2", "SEDNAPY3"])
+                                       b"SEDNAPY3", b"SEDNAPY4"],
+                             ids=["SEDNAPY1", "SEDNAPY2", "SEDNAPY3",
+                                  "SEDNAPY4"])
     def test_legacy_images_are_refused(self, tmp_path, magic,
                                        index_free_engine):
         """What used to load and re-serialize as the current format

@@ -8,7 +8,9 @@ opening and closing in any order — a fresh pin must present exactly
 the document ``recover(backend)`` reconstructs: bisimilar stores,
 equal labels, equal index contents, equal statistics, no relabel, and
 the *full* §9 and index checks passing on the advanced engine (the
-advance itself only ran the scoped ones).
+advance itself only ran the scoped ones).  The same rules carry a
+second property: an image assembled through the writer's payload memo
+is the image encoded afresh.
 
 Beside it, the deterministic cases: which path a pin takes (hit,
 advance, ``recover()`` fallback), that a pinned snapshot is never
@@ -44,6 +46,7 @@ from repro.storage import (
     FileBackend,
     MemoryBackend,
     SqliteBackend,
+    dumps_engine,
     faults,
     recover,
 )
@@ -277,6 +280,20 @@ class AdvanceMachine(RuleBasedStateMachine):
     @invariant()
     def fresh_pin_is_what_recover_rebuilds(self):
         self._check_fresh_pin()
+
+    @invariant()
+    def remembered_payloads_are_fresh_payloads(self):
+        """Whatever the rules did since the blocks were last encoded
+        — splits, relinked siblings, replaced values, dropped blocks,
+        undone inserts, checkpoints on this backend — an image through
+        the payload memo is the image with the memo cleared, and what
+        the backend holds recovers to the live document."""
+        engine = self.server.engine
+        memoised = dumps_engine(engine)
+        engine.checkpoints.payloads.clear()
+        assert dumps_engine(engine) == memoised
+        bisimulate(StorageNodeStore(engine),
+                   StorageNodeStore(recover(self.backend).engine))
 
     @invariant()
     def pinned_readers_are_at_their_keys(self):

@@ -1,22 +1,29 @@
 """The storage codec moves records; the bytes and the refusals stay.
 
-Five things are pinned here:
+Six things are pinned here:
 
 * **golden byte identity** — the image, every SQLite block payload and
   the WAL stream of a fixed set of engines hash to SHA-256 values
   recorded at the commit *before* the codec was rewritten to pack and
-  unpack whole records (``python tests/test_storage_codec.py`` prints
-  the table from whatever ``repro`` is on the path);
+  unpack whole records — the image ones again when the image became a
+  container of those block payloads (``SEDNAPY5``), with every
+  ``blocks`` and ``wal`` value unchanged (``python
+  tests/test_storage_codec.py`` prints the table from whatever
+  ``repro`` is on the path);
 * **label round trip** — ``pack_nid`` / ``Reader.nid`` /
-  ``Reader.nid_bytes`` against a per-field reference decoder kept in
-  this file;
+  ``Reader.nid_bytes`` / ``Reader.link`` against a per-field
+  reference decoder kept in this file;
 * **decoder fuzz** — every truncation and every single-bit flip of a
   small image, a block payload and a WAL payload is a located
   :class:`CorruptionError`, never another exception; an image is
   fuzzed twice, once as damaged (the CRC refuses it) and once
   re-signed (the decoder and the invariant checks must);
 * **looping links** — a signed image, or SQLite block rows, whose
-  sibling or in-block chain loops is refused in bounded time;
+  sibling chain loops is refused in bounded time, and a label two
+  payloads carry where the second one starts;
+* **memoised ≡ fresh** — a dump through the payload memo is the dump
+  with the memo cleared, after every mutation step and across
+  alternating file / SQLite checkpoints of one engine;
 * **block fill order** — a hole left by ``remove`` is reused.
 """
 
@@ -33,6 +40,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import CorruptionError
 from repro.storage import (
+    FileBackend,
     MemoryWalStore,
     NidLabel,
     SqliteBackend,
@@ -42,7 +50,6 @@ from repro.storage import (
     dumps_engine,
     load_engine,
 )
-from repro.storage.backends.sqlite import _decode_block, _encode_block
 from repro.storage.blocks import Block
 from repro.storage.codec import (
     FRAME_HEADER_LEN,
@@ -53,7 +60,7 @@ from repro.storage.codec import (
 )
 from repro.storage.descriptor import NodeDescriptor
 from repro.storage.dschema import DescriptiveSchema
-from repro.storage.persist import _LINKS, _NONE
+from repro.storage.persist import decode_block, encode_block
 from repro.storage.wal import _HEADER as WAL_HEADER
 from repro.storage.wal import _decode_payload, scan_wal
 from repro.workloads import make_bookstore_document, make_library_document
@@ -104,9 +111,10 @@ def _block_payloads(db_path) -> bytes:
         conn.close()
 
 
-def _mutate(engine: StorageEngine) -> None:
+def _mutation_steps(engine: StorageEngine):
     """Splitting inserts, an attribute, a replaced attribute and a
-    delete, the same on every fixture."""
+    delete, the same on every fixture; yields after each
+    transaction."""
     root = engine.children(engine.document)[0]
     entries = engine.children(root)
     name = engine.node_name(entries[0])
@@ -117,17 +125,26 @@ def _mutate(engine: StorageEngine) -> None:
             note = engine.insert_child(
                 entry, 0, name=QName(name.uri, "note"))
             engine.insert_child(note, 0, text=f"inserted at {position}")
+    yield
     with manager.transaction():
         engine.set_attribute(entries[0], QName("", "shelf"), "A3")
         engine.set_attribute(entries[0], QName("", "shelf"), "B1",
                              replace=True)
+    yield
     with manager.transaction():
         engine.delete_subtree(entries[-1])
+    yield
     # Gap labels: keep inserting in front of the same sibling until
     # a component needs a second digit.
     with manager.transaction():
         for _ in range(10):
             engine.insert_child(root, 1, name=name)
+    yield
+
+
+def _mutate(engine: StorageEngine) -> None:
+    for _ in _mutation_steps(engine):
+        pass
 
 
 def golden_digests(tmp_path) -> dict[str, str]:
@@ -172,76 +189,77 @@ def golden_digests(tmp_path) -> dict[str, str]:
     return digests
 
 
-#: Recorded at the parent of the record-codec change (4a32132).
+#: Recorded at the parent of the record-codec change (4a32132); the
+#: ``image`` values at the change to ``SEDNAPY5``.
 GOLDEN = {
     "bookstore/load/blocks":
         "db37ac51a6a0fd1aed8ed7175d228816e1ac5a8e100a9dd94cd94b4bcb57c4fa",
     "bookstore/load/image":
-        "4343b9032e9a8275ee4669e0fe7b379a854b46f730cf08cf5b5a1b359763855b",
+        "27ad482a39eed965e0880e119ef92f593b584cc4a4719b04a403018298e2dd23",
     "bookstore/mutated/blocks":
         "2e301c4f2b22c25a6327d974dd7c62334b1d226b534d238f043bc242c1791f34",
     "bookstore/mutated/image":
-        "5700f18d53bf373eea4b99426b91fbb1ddfdc9c962450d24a0f238611abe6531",
+        "a0d4a0507af5a040fe759f44cab8d8868a1357ffa11ec7e8b352f5edab87a6dc",
     "bookstore/mutated/wal":
         "1c7ac88dae7cb3a3dffbc01250bc7bb98964a51300cf4b5d22e5a54ad0a23ea2",
     "library6+idx/load/blocks":
         "a236d9e7d334c5a17e54cff4c1261f324452bb34a1dc51e9df3d7858a292f9fe",
     "library6+idx/load/image":
-        "59e449046724e583aa383d91b88ec8b51d2ee0666f9903d6768e9c0f9d0f3f18",
+        "1bf587a67368a598d28822adde9c72a99f4f2d3b5c777e87e6ce546b4567e5f8",
     "library6+idx/mutated/blocks":
         "e52960a62e63dc21bf3f04be0c938ecc6386bc60ed31dda35463dfddd77fdd68",
     "library6+idx/mutated/image":
-        "cf941568f2947419d1c31829d856771d9c8c9cd06f3d8e5b95aca13fddb7c8c4",
+        "6e444982947e53fb31e5dbaafdd1ff7e0d20e54391af2900ffb278a7fe034ffe",
     "library6+idx/mutated/wal":
         "27bc42ce6bbf789dd30f3922c6eac9c71aaa735154e7f9a78ae400a88070a7ab",
     "library6/load/blocks":
         "a236d9e7d334c5a17e54cff4c1261f324452bb34a1dc51e9df3d7858a292f9fe",
     "library6/load/image":
-        "fd97070ad7af1cb9e001f85cee2814f3e739eb1c763969fdf817c6f2dffa5cfb",
+        "dce6b71f98bcce07f342c809b84cdcb6efde30871dddc09145006473c4f09990",
     "library6/mutated/blocks":
         "e52960a62e63dc21bf3f04be0c938ecc6386bc60ed31dda35463dfddd77fdd68",
     "library6/mutated/image":
-        "bde8e59d061a6e8bf773411a8fc6fc6cde1702008623a47daa168ca079a9e6ac",
+        "412b159115d9adb7a4ca69552e8095701fad23174dceeb3e0f0aab7f2c2ca3c8",
     "library6/mutated/wal":
         "27bc42ce6bbf789dd30f3922c6eac9c71aaa735154e7f9a78ae400a88070a7ab",
     "library60+idx/load/blocks":
         "05659b3544f2e1727a622e7505648a51f874a1b6d61ffc789b19a99063d274cd",
     "library60+idx/load/image":
-        "84b911352e70e7f0b281dc21e2ff10e8bd8cf5fe6f48be7a340b128f5041721e",
+        "7d53c5d5528499412ba557f05d1c6f215ad427a958f837d8e589ec19733c3e1e",
     "library60+idx/mutated/blocks":
         "4c334877a489b4c7698986bf0fdfb92aa0e9ff2559e23dcda8c3d994ce140d54",
     "library60+idx/mutated/image":
-        "26fc455728c15a87aab86065cc9a3c992c78a0d0594693284b59c5a44d7cabf5",
+        "6247704924db2bff69c870d5aac9ae7b4723b26cefd55e583537999e91b14556",
     "library60+idx/mutated/wal":
         "c43746e8be9c8788a4f42aca19a572ce5eebc782fbcb09a3fa56db0ca9897c53",
     "library60/load/blocks":
         "05659b3544f2e1727a622e7505648a51f874a1b6d61ffc789b19a99063d274cd",
     "library60/load/image":
-        "25c7e43f225203ab65896bdaedda131cb9c3013e5c3f7b6eec2e83a4b2ba9928",
+        "251a0f1519e78ce3b747443b3d16cd08d5d6aee6f2f6797b2499f2cdf92332ad",
     "library60/mutated/blocks":
         "4c334877a489b4c7698986bf0fdfb92aa0e9ff2559e23dcda8c3d994ce140d54",
     "library60/mutated/image":
-        "397136ed589efa1ab8ba35e62616208d1a06c9036a65ae3364b211a38157a2a3",
+        "91abf794c57357bae47867d0a8a0e2dbd285fe99f904475836bb06ff495bb283",
     "library60/mutated/wal":
         "c43746e8be9c8788a4f42aca19a572ce5eebc782fbcb09a3fa56db0ca9897c53",
     "shelf+idx/load/blocks":
         "e502ecf14e9d37ebfe1cfac6be7739833b6ae9b9543afd45f0502741ca68864a",
     "shelf+idx/load/image":
-        "5139e943f4f8567373ce2087c04a6bedca9963e9089274b8026e535344145513",
+        "1018f46c971690844e3745dea12ad9ff2a7789a4603fd85e545090a181e06981",
     "shelf+idx/mutated/blocks":
         "1300291cb0c59ab2520bc082bdd0eafaff3dd13195a51ec7687d6445c654b6e8",
     "shelf+idx/mutated/image":
-        "c0a40558ce511f251550a55e568057dd6719005a98bf6595d501dba08cb2f5bb",
+        "54dfad8014ee4631bc5e342ded532684deb86b30ebb28a0e73cb075663f89562",
     "shelf+idx/mutated/wal":
         "7ba8375876f09f2aa7ffa9101b745b6b94d36e5eb225002f0904cb704ccf48e5",
     "shelf/load/blocks":
         "e502ecf14e9d37ebfe1cfac6be7739833b6ae9b9543afd45f0502741ca68864a",
     "shelf/load/image":
-        "fa6d1559dc050888fd4656126750d5dfb5a5c42aec5eb893f618ec9f19d99877",
+        "1e4cda49652ab221f577d5d40e1377c1939b1641d21bb03953e92d882774d89c",
     "shelf/mutated/blocks":
         "1300291cb0c59ab2520bc082bdd0eafaff3dd13195a51ec7687d6445c654b6e8",
     "shelf/mutated/image":
-        "179bfa37026795d5f0a6e6526224cc6ae412f0301dd0ab3ac9fb9d2846de5c32",
+        "e0036c7c7961e54826d946081e772e5fd2514ddb4f9295e217db78330ebe5407",
     "shelf/mutated/wal":
         "7ba8375876f09f2aa7ffa9101b745b6b94d36e5eb225002f0904cb704ccf48e5",
 }
@@ -324,6 +342,22 @@ class TestLabelRoundTrip:
         reader._take(len(before))
         assert reader.nid_bytes() == wire
         assert reader.pos == len(before) + len(wire)
+        # As a link — a flag, then the label — whatever the hint: the
+        # stem a record passes (all components but the last), none,
+        # one that does not match, one deeper than the label.
+        linked = before + b"\x01" + wire + after
+        for shared in (components[:-1], (), ((7, 7),) + components[1:],
+                       components + ((1,),)):
+            stem = b"".join(_reference_pack((component,))[2:]
+                            for component in shared)
+            reader = Reader(linked)
+            reader._take(len(before))
+            assert reader.link(stem, len(shared)) == wire
+            assert reader.pos == len(before) + 1 + len(wire)
+        reader = Reader(before + b"\x00" + after)
+        reader._take(len(before))
+        assert reader.link() is None
+        assert reader.pos == len(before) + 1
 
     @given(_labels(), st.data())
     def test_a_short_label_is_refused_where_the_reference_stops(
@@ -337,6 +371,12 @@ class TestLabelRoundTrip:
                 read(Reader(cut, backend="memory"))
             assert info.value.backend == "memory"
             assert info.value.location == f"byte {expected.value.args[0]}"
+        stem = _reference_pack(components[:-1])[2:]
+        with pytest.raises(CorruptionError) as info:
+            Reader(b"\x01" + cut, backend="memory").link(
+                stem, len(components) - 1)
+        assert info.value.location \
+            == f"byte {expected.value.args[0] + 1}"
 
     def test_a_label_without_components_is_corruption(self):
         for read in (Reader.nid, Reader.nid_bytes):
@@ -345,6 +385,12 @@ class TestLabelRoundTrip:
                 read(Reader(b"\x00\x00\x01\x00", backend="sqlite"))
             assert info.value.as_dict() == {"backend": "sqlite",
                                             "location": "byte 0"}
+        with pytest.raises(CorruptionError, match="components") as info:
+            Reader(b"\x01\x00\x00\x01\x00", backend="sqlite").link()
+        assert info.value.location == "byte 1"
+        with pytest.raises(CorruptionError, match="truncated") as info:
+            Reader(b"", backend="sqlite").link()
+        assert info.value.location == "byte 0"
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +413,7 @@ def _decode_resigned_image(data: bytes):
 
 
 def _decode_block_payload(data: bytes):
-    return list(_decode_block(Reader(
+    return list(decode_block(Reader(
         data, backend="sqlite",
         place=lambda pos: f"{_BLOCK_PLACE} byte {pos}",
         what="block payload")))
@@ -419,7 +465,7 @@ def _fuzz_inputs(mutated: bool) -> dict:
         "image": (image, _decode_image, "memory", False),
         "image-resigned": (image, _decode_resigned_image, "memory",
                            True),
-        "block": (_encode_block(block), _decode_block_payload,
+        "block": (encode_block(block), _decode_block_payload,
                   "sqlite", True),
         "wal-payload": (frame[FRAME_HEADER_LEN:], _decode_wal_payload,
                         "file", True),
@@ -523,51 +569,86 @@ class TestLoopingLinks:
         return engine.children(library)
 
     @staticmethod
-    def _image_ids(engine):
-        """``id(descriptor)`` → its index in the image's records."""
-        return {id(descriptor): index for index, descriptor
-                in enumerate(engine.iter_document_order())}
+    def _section(payload: bytes) -> bytes:
+        """A payload as the image holds it, behind its length."""
+        return struct.pack("<I", len(payload)) + payload
+
+    @staticmethod
+    def _twice_carried(engine):
+        """The two book blocks' payloads, and the second one with its
+        first record replaced by the first block's last: one label
+        carried twice."""
+        first, second = (
+            encode_block(block)
+            for block in TestLoopingLinks._books(engine)[0]
+            .schema_node.blocks())
+
+        def last_record(payload: bytes) -> bytes:
+            starts = [record[0]
+                      for record in decode_block(Reader(payload))]
+            assert len(starts) == 2
+            return payload[starts[1]:]
+
+        return second, second[:4] + last_record(first) \
+            + last_record(second)
 
     def _assert_refused(self, load, backend):
         error = _outcome_within(load)
         assert isinstance(error, CorruptionError), error
         assert error.backend == backend and error.location, error
+        return error
 
     def test_a_sibling_chain_that_loops_in_a_signed_image(self, engine):
-        order = self._image_ids(engine)
         books = self._books(engine)
         last = books[-1]
         image = dumps_engine(engine)
-
-        def links(right):
-            record = bytearray()
-            pack_nid(record, last.nid)
-            return bytes(record) + _LINKS.pack(
-                order[id(last.parent)], order[id(last.left_sibling)],
-                right, False)
-
-        assert image.count(links(_NONE)) == 1
-        looped = _resign(image.replace(links(_NONE),
-                                       links(order[id(books[0])])))
+        intact = self._section(encode_block(last.block))
+        last.right_sibling = books[0]
+        assert image.count(intact) == 1
+        looped = _resign(image.replace(
+            intact, self._section(encode_block(last.block))))
         self._assert_refused(
             lambda: load_engine(looped, backend="memory"), "memory")
 
     def test_an_in_block_chain_that_loops_in_a_signed_image(self,
                                                             engine):
-        """A descriptor listed in two blocks: the second listing
-        re-points its short pointer, and the first block's chain walk
-        then never leaves it."""
-        order = self._image_ids(engine)
-        first, second = ([order[id(d)] for d in block.iter_in_order()]
-                         for block in self._books(engine)[0]
-                         .schema_node.blocks())
+        """A descriptor listed in two blocks used to re-point its
+        short pointer and loop the first block's chain walk; a label
+        is one descriptor's now, and the second payload carrying it
+        is refused where that record starts."""
         image = dumps_engine(engine)
-        members = struct.pack("<3I", 2, *second)
-        assert image.count(members) == 1
-        looped = _resign(image.replace(
-            members, struct.pack("<3I", 2, first[1], second[1])))
-        self._assert_refused(
+        second, twice = self._twice_carried(engine)
+        assert image.count(self._section(second)) == 1
+        looped = _resign(image.replace(self._section(second),
+                                       self._section(twice)))
+        error = self._assert_refused(
             lambda: load_engine(looped, backend="memory"), "memory")
+        assert "already carried" in str(error)
+        assert error.location == \
+            f"byte {image.index(self._section(second)) + 8}"
+
+    def test_a_label_carried_by_two_sqlite_rows(self, tmp_path, engine):
+        """The same refusal from the other medium, located in the row
+        — not a statistics mismatch found once everything is in."""
+        backend = SqliteBackend(tmp_path / "store.db")
+        info = backend.checkpoint(engine)
+        block = self._books(engine)[-1].block
+        backend._conn.execute(
+            "UPDATE block_rows SET payload = ? WHERE block_id = ?",
+            (self._twice_carried(engine)[1], block.block_id))
+        backend.close()
+
+        def restore():
+            reopened = SqliteBackend(tmp_path / "store.db")
+            try:
+                return reopened.restore(info.version)
+            finally:
+                reopened.close()
+
+        error = self._assert_refused(restore, "sqlite")
+        assert "already carried" in str(error)
+        assert error.location == \
+            f"block {block.block_id} gen {info.seq} byte 4"
 
     def test_a_sibling_chain_that_loops_in_sqlite_rows(self, tmp_path,
                                                        engine):
@@ -578,7 +659,7 @@ class TestLoopingLinks:
         block = books[-1].block
         backend._conn.execute(
             "UPDATE block_rows SET payload = ? WHERE block_id = ?",
-            (_encode_block(block), block.block_id))
+            (encode_block(block), block.block_id))
         backend.close()
 
         def restore():  # a connection belongs to the thread it opens in
@@ -592,7 +673,56 @@ class TestLoopingLinks:
 
 
 # ----------------------------------------------------------------------
-# (e) Block fill order.
+# (e) A remembered payload is the payload a fresh encode gives.
+
+def _fresh_dump(engine: StorageEngine) -> bytes:
+    """The image with every block encoded anew."""
+    engine.checkpoints.payloads.clear()
+    return dumps_engine(engine)
+
+
+class TestMemoisedEqualsFresh:
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_after_every_mutation_step(self, tmp_path, fixture):
+        """After each transaction of ``_mutate``: the dump through the
+        memo is the dump with the memo cleared, and checkpoints of the
+        one engine that alternate between a file and a SQLite store —
+        each reusing payloads the other left behind — restore it."""
+        factory, capacity, _ = FIXTURES[fixture]
+        engine = StorageEngine(block_capacity=capacity)
+        engine.load_document(factory())
+        TransactionManager(engine,
+                           WriteAheadLog(MemoryWalStore(), sync=False))
+        stores = [FileBackend(tmp_path / "store.img"),
+                  SqliteBackend(tmp_path / "store.db")]
+        try:
+            for store in stores:
+                store.checkpoint(engine)
+            for step, _ in enumerate(_mutation_steps(engine)):
+                memoised = dumps_engine(engine)
+                assert memoised == _fresh_dump(engine)
+                store = stores[step % 2]
+                store.checkpoint(engine)
+                assert dumps_engine(store.load_engine()) == memoised
+            assert engine.split_count > 0
+            for store in stores:
+                store.checkpoint(engine)
+                assert dumps_engine(store.load_engine()) \
+                    == _fresh_dump(engine)
+        finally:
+            for store in stores:
+                store.close()
+
+    def test_a_reloaded_image_dumps_to_itself(self):
+        for mutated in (False, True):
+            image = _fuzz_inputs(mutated)["image"][0]
+            restored = load_engine(image)
+            assert dumps_engine(
+                restored, checkpoint_lsn=restored.checkpoint_lsn) == image
+
+
+# ----------------------------------------------------------------------
+# (f) Block fill order.
 
 class TestBlockFillOrder:
     def _block(self, capacity: int = 6):

@@ -1,10 +1,14 @@
 """Tests for binary persistence of the storage engine."""
 
+import struct
+import zlib
+
 import pytest
 
 from repro.errors import CorruptionError, StorageError
 from repro.storage import StorageEngine
-from repro.storage.persist import dumps_engine, load_engine
+from repro.storage.codec import pack_nid
+from repro.storage.persist import dumps_engine, encode_block, load_engine
 from repro.xmlio import QName, parse_document
 from repro.workloads import make_library_document
 from repro.workloads.fixtures import EXAMPLE_8_DOCUMENT
@@ -119,20 +123,25 @@ class TestErrors:
 def _resigned(image: bytearray) -> bytes:
     """*image* with a CRC trailer that matches its damaged body, so
     the parser — not the CRC gate — meets the damage."""
-    import struct
-    import zlib
     body = bytes(image[:-4])
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _wire(nid) -> bytes:
+    out = bytearray()
+    pack_nid(out, nid)
+    return bytes(out)
+
+
+def _section(block) -> bytes:
+    """*block* as the image holds it: payload length, payload."""
+    payload = encode_block(block)
+    return struct.pack("<I", len(payload)) + payload
 
 
 class TestDamagePastTheCrcIsLocated:
     """What the parser itself refuses is a corruption error with the
     byte offset, like a short read — not a bare StorageError."""
-
-    #: The document descriptor's record tail: no parent, no siblings,
-    #: no value.  Its label (one one-digit component) and its schema
-    #: index sit in the ten bytes before.
-    DOCUMENT_LINKS = b"\xff" * 12 + b"\x00"
 
     def _refused(self, image: bytearray, match: str) -> int:
         with pytest.raises(CorruptionError, match=match) as info:
@@ -153,19 +162,31 @@ class TestDamagePastTheCrcIsLocated:
         self._refused(image, "malformed schema tree")
 
     def test_descriptor_link_out_of_range(self):
-        image = bytearray(dumps_engine(_engine()))
-        links = image.index(self.DOCUMENT_LINKS)
-        image[links + 4:links + 8] = b"\xff\xff\xff\x7f"
+        """A link names its target by label: one that no descriptor
+        carries is refused where the linking record starts."""
+        engine = _engine()
+        library = engine.children(engine.document)[0]
+        record = _wire(library.nid) + b"\x01" + _wire(engine.document.nid)
+        image = bytearray(dumps_engine(engine))
+        start = image.index(record)
+        image[start + len(record) - 2] ^= 1  # the parent's only digit
         assert self._refused(
-            image, "descriptor link 2147483647 out of range") \
-            == links + 4
+            image, "links to a label no descriptor carries") == start
 
     def test_no_document_node(self):
-        image = bytearray(dumps_engine(_engine()))
-        schema_ref = image.index(self.DOCUMENT_LINKS) - 6 - 4
-        assert image[schema_ref:schema_ref + 4] == b"\0\0\0\0"
-        image[schema_ref] = 1  # the library element's schema node
-        self._refused(image, "no document node")
+        """The document schema node without a block, and the library
+        element without the parent link that would dangle."""
+        engine = _engine()
+        library = engine.children(engine.document)[0]
+        image = dumps_engine(engine)
+        document_blocks = struct.pack("<I", 1) \
+            + _section(engine.document.block)
+        linked = _section(library.block)
+        library.parent = None
+        assert image.count(document_blocks) == image.count(linked) == 1
+        image = image.replace(document_blocks, struct.pack("<I", 0)) \
+            .replace(linked, _section(library.block))
+        self._refused(bytearray(image), "no document node")
 
     def test_unknown_index_kind(self):
         engine = _engine()
@@ -233,21 +254,17 @@ class TestImageFormatV2:
         image = dumps_engine(_engine())
         # Re-sign the truncated image so the CRC gate passes and the
         # parser itself hits the short read.
-        import struct
-        import zlib
         cut = image[:60]
         signed = cut + struct.pack("<I", zlib.crc32(cut))
         with pytest.raises(StorageError, match=r"at byte \d+"):
             load_engine(signed)
 
     @pytest.mark.parametrize("magic", [b"SEDNAPY1", b"SEDNAPY2",
-                                       b"SEDNAPY3"])
+                                       b"SEDNAPY3", b"SEDNAPY4"])
     def test_old_magic_is_refused_by_name(self, magic):
         """Only the current format is read: an image under a retired
         magic is a located corruption error that names it, whatever
         follows the magic (a valid trailer included)."""
-        import struct
-        import zlib
         body = magic + dumps_engine(_engine())[8:-4]
         for image in (body, body + struct.pack("<I", zlib.crc32(body))):
             with pytest.raises(CorruptionError,
@@ -270,8 +287,6 @@ class TestImageFormatV2:
         image = bytearray(dumps_engine(engine))
         # Make some stored text undecodable, then re-sign the CRC so
         # only the UTF-8 decode trips.
-        import struct
-        import zlib
         position = image.find(b"library")
         assert position > 0
         image[position] = 0xFF
