@@ -22,23 +22,21 @@ dies with it) and nulls :attr:`CompiledPlan.executor` when a DDL
 restamp keeps the plan, forcing a re-lower against the fresh probe
 bindings.
 
-Stage specialization falls back — per stage, not per plan — to the
-navigation kernel of the one interpreter
-(:func:`repro.query.engine.navigate_steps`) whenever the specialized
-form could diverge from it:
-
-* positional predicates on suffix steps regroup per context, which a
-  flat sweep cannot reproduce (``navigate-fallback``);
-* parent-filter and ancestor-walk sweeps are only emitted when the
-  *schema-level* context set is ancestor-free, because only then is
-  the interpreted per-context output globally document-ordered and
-  duplicate-free (two ancestor-free descriptors have disjoint
-  subtrees, so their child/descendant results never interleave or
-  overlap);
-* child-axis attribute steps mirror the per-context pointer walk,
-  since ``attributes()`` order is schema-children order, which a
-  label sweep does not reproduce (``//@name`` sweeps like any
-  descendant step: descendant order *is* label order).
+Every source and every stage returns a duplicate-free descriptor list
+in document order — ``<<`` (§7), on storage label order (§9.3) — the
+order of a path result whoever evaluates it; the one interpreter
+(:func:`repro.query.engine.evaluate_store`) is reachable from here only
+as the source of a ``naive`` plan.  What is set-at-a-time is one
+semi-join over a posting list in ``<<``, in two directions:
+:func:`_holders` (the ancestors of the postings: an element-value
+probe's parents, a value sweep's carriers' parents) and
+:func:`_members` (the postings below the contexts: a child step's
+sweep, a ``//`` step), over :func:`repro.storage.blocks.sweep`, the one
+statement of "these schema nodes' instances, in ``<<``"; what is
+gathered some other way (a walk to several destinations, positional
+picks under parents at several depths) is put in ``<<`` by the store's
+:meth:`~repro.xdm.store.NodeStore.in_document_order`, as the
+interpreter's result is.
 
 The stages are *context-driven*: a child step below a few context
 descriptors follows their §9.2 first-child-by-schema pointers and the
@@ -61,13 +59,13 @@ the interpreter's (``evaluate_naive``) for every strategy — is what
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import obs
 from repro.errors import QueryError
 from repro.obs import explain as _explain
 from repro.query.cost import sweep_holders, text_slot, walks
-from repro.query.engine import navigate_steps
 from repro.query.paths import (
     AttributePredicate,
     ChildPredicate,
@@ -75,7 +73,8 @@ from repro.query.paths import (
     Step,
 )
 from repro.query.planner import CompiledPlan, match_step, predicate_carriers
-from repro.storage.descriptor import NodeDescriptor, doc_order_key
+from repro.storage.blocks import sweep
+from repro.storage.descriptor import NodeDescriptor
 from repro.storage.dschema import SchemaNode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -121,8 +120,8 @@ class CompiledExecutor:
             started = time.perf_counter_ns()
             result = stage(result)
             elapsed = time.perf_counter_ns() - started
-            # Specialized step stages bypass the kernel's EXPLAIN
-            # accounting; the fallback stage counts through it.
+            # Step stages run no interpreter, so the axis steps its
+            # kernel would have counted are counted here.
             step = name.startswith("step")
             if step:
                 record.axis_steps += 1
@@ -225,51 +224,50 @@ def _lower(plan: CompiledPlan,
 
 
 # ----------------------------------------------------------------------
+# The semi-join: one operation, two directions, over a posting list in
+# ``<<`` (index postings, a swept block chain).  The path-index probe
+# is its degenerate case — postings that are their own holders.
+
+
+def _holders(postings, hops: int) -> dict:
+    """The deduplicated *hops*-th ancestors of *postings* as the keys
+    of a dict — a set in posting order, which is ``<<`` when the
+    postings are one schema node's (one depth: ancestors at one depth
+    keep their descendants' order)."""
+    for _ in range(hops):
+        postings = [node.parent for node in postings]
+    return dict.fromkeys(postings)
+
+
+def _members(postings, hops: "tuple[int, ...]", contexts: set) -> list:
+    """The *postings* that have a context one of *hops* (ascending)
+    levels up, in posting order.  Duplicate-free and in ``<<`` like the
+    postings whatever the contexts — ancestor-related ones included."""
+    if hops == (1,):
+        return [node for node in postings if node.parent in contexts]
+    out: list = []
+    for node in postings:
+        ancestor, above = node, 0
+        for hop in hops:
+            while above < hop:
+                ancestor = ancestor.parent
+                above += 1
+            if ancestor in contexts:
+                out.append(node)
+                break
+    return out
+
+
+# ----------------------------------------------------------------------
 # Sources.
-
-
-def _sweep_blocks(schema_node: SchemaNode, out: list) -> None:
-    """Append every instance of *schema_node* to *out* in document
-    order, one whole block at a time (the batched navigation kernel)."""
-    block = schema_node.first_block
-    while block is not None:
-        block.extend_in_order(out)
-        block = block.next_block
 
 
 def _scan_source(scan_nodes: "tuple[SchemaNode, ...]"
                  ) -> tuple[str, Callable[[], list]]:
+    source = partial(sweep, scan_nodes)
     if len(scan_nodes) == 1:
-        schema_node = scan_nodes[0]
-
-        def source() -> list:
-            out: list = []
-            _sweep_blocks(schema_node, out)
-            return out
-
-        return f"scan[{schema_node.path or '#document'}]", source
-
-    def merged_source() -> list:
-        out: list = []
-        boundaries: list[int] = []
-        for schema_node in scan_nodes:
-            boundaries.append(len(out))
-            _sweep_blocks(schema_node, out)
-        # Each per-schema-node sweep is a document-order run, so the
-        # concatenation is globally ordered iff every run boundary is:
-        # last-of-run-i <= first-of-run-i+1.  Only when a boundary is
-        # out of order does the merge need a sort (Timsort recognizes
-        # the runs, so even that is one linear galloping merge).
-        size = len(out)
-        for boundary in boundaries[1:]:
-            if (0 < boundary < size
-                    and (out[boundary].nid.sort_key()
-                         < out[boundary - 1].nid.sort_key())):
-                out.sort(key=doc_order_key)
-                break
-        return out
-
-    return f"scan-merge[{len(scan_nodes)}]", merged_source
+        return f"scan[{scan_nodes[0].path or '#document'}]", source
+    return f"scan-merge[{len(scan_nodes)}]", source
 
 
 def _probe_source(plan: CompiledPlan) -> tuple[str, Callable[[], list]]:
@@ -278,30 +276,15 @@ def _probe_source(plan: CompiledPlan) -> tuple[str, Callable[[], list]]:
     if probe[0] == "path":
         return "probe[path]", probe[1].probe
     mode, index, key, via_parent = probe
-    if mode == "eq":
-        def fetch() -> list:
-            return index.probe_eq(key)
-    else:
-        fetch = index.probe_exists
+    fetch = (partial(index.probe_eq, key) if mode == "eq"
+             else index.probe_exists)
     if not via_parent:
         return f"probe[{mode}]", fetch
 
     def parent_source() -> list:
         # An element-value index posts the children; the predicate
-        # selects their parents (deduplicated, document order
-        # preserved — equal-depth paths keep parent order aligned
-        # with child order).
-        seen: set[bytes] = set()
-        out: list = []
-        for owner in fetch():
-            parent = owner.parent
-            if parent is None:  # pragma: no cover - defensive
-                continue
-            parent_key = parent.nid.sort_key()
-            if parent_key not in seen:
-                seen.add(parent_key)
-                out.append(parent)
-        return out
+        # selects their parents.
+        return list(_holders(fetch(), 1))
 
     return f"probe[{mode}/parent]", parent_source
 
@@ -411,11 +394,12 @@ def _positional_scan_source(schema_node: SchemaNode,
             f"[{index or 'last()'}]", source)
 
 
-def _positional_stage(schema_nodes, predicate: PositionPredicate
-                      ) -> tuple[str, Stage]:
+def _positional_stage(queries: "StorageQueryEngine", schema_nodes,
+                      predicate: PositionPredicate) -> tuple[str, Stage]:
     """A positional predicate over a flat, document-ordered selection:
     positions count per parent context (as in XPath)."""
     index = predicate.index
+    in_document_order = queries.store.in_document_order
 
     if len(schema_nodes) == 1:
         def positional_runs(descriptors: list) -> list:
@@ -428,20 +412,17 @@ def _positional_stage(schema_nodes, predicate: PositionPredicate
     def positional(descriptors: list) -> list:
         # Several schema nodes (a wildcard, or one name at several
         # depths): same-parent members need not be adjacent, so the
-        # selection is grouped by the parent's stable packed label;
-        # dicts keep first-seen order, the interpreter's context order.
-        groups: dict[Optional[bytes], list] = {}
+        # selection is grouped by parent, and the picks of parents at
+        # different depths are put back in ``<<``.
+        groups: dict = {}
         for descriptor in descriptors:
-            parent = descriptor.parent
-            key = parent.nid.sort_key() if parent is not None else None
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = []
-            group.append(descriptor)
+            groups.setdefault(descriptor.parent, []).append(descriptor)
         if index is None:
-            return [group[-1] for group in groups.values()]
-        return [group[index - 1] for group in groups.values()
-                if index <= len(group)]
+            picked = [group[-1] for group in groups.values()]
+        else:
+            picked = [group[index - 1] for group in groups.values()
+                      if index <= len(group)]
+        return in_document_order(picked)
 
     return "predicate[pos]", positional
 
@@ -496,7 +477,7 @@ def _predicate_stage(queries: "StorageQueryEngine",
     """One predicate lowered against the schema nodes the descriptors
     are known to instantiate."""
     if isinstance(predicate, PositionPredicate):
-        return _positional_stage(schema_nodes, predicate)
+        return _positional_stage(queries, schema_nodes, predicate)
     if isinstance(predicate, AttributePredicate):
         return _attribute_predicate_stage(predicate)
     if isinstance(predicate, ChildPredicate):
@@ -563,19 +544,21 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
         # child.  A carrier with several texts (update-made) is read
         # whole, once, from its first.  Membership only — order and
         # duplicate-freedom are the input's.
-        texts: list = []
+        matches: list = []
+        rows = 0
         for holder in holders:
-            _sweep_blocks(holder, texts)
-        hits = set()
-        for text in texts:
-            if text.right_sibling is None:
-                if text.value == value and text.left_sibling is None:
-                    hits.add(text.parent.parent)
-            elif (text.left_sibling is None
-                  and string_value(text.parent) == value):
-                hits.add(text.parent.parent)
+            texts = sweep((holder,))
+            rows += len(texts)
+            for text in texts:
+                if text.right_sibling is None:
+                    if text.value == value and text.left_sibling is None:
+                        matches.append(text)
+                elif (text.left_sibling is None
+                      and string_value(text.parent) == value):
+                    matches.append(text)
+        hits = _holders(matches, 2)
         if _explain.COLLECTING:
-            _note("/sweep", len(texts))
+            _note("/sweep", rows)
         return [descriptor for descriptor in descriptors
                 if descriptor in hits]
 
@@ -625,53 +608,22 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
 # Suffix step stages (hybrid / index plans with a split).
 
 
-def _ancestor_free(schema_nodes: "list[SchemaNode]") -> bool:
-    """No member is a schema ancestor of another.  Because a schema
-    node's path is unique (§9.1), descriptor-level ancestor relations
-    imply schema-level ones — so a schema-level ancestor-free set
-    guarantees the instance context sets are ancestor-free too."""
-    members = set(schema_nodes)
-    for schema_node in schema_nodes:
-        ancestor = schema_node.parent
-        while ancestor is not None:
-            if ancestor in members:
-                return False
-            ancestor = ancestor.parent
-    return True
-
-
 def _suffix_stages(queries: "StorageQueryEngine", context_nodes,
                    steps: "tuple[Step, ...]"
                    ) -> "list[tuple[str, Stage]]":
+    # Every stage takes and returns a duplicate-free list in ``<<``,
+    # so a step's predicates — positional ones included: the contexts
+    # of a child step are the parents — are the stages a scan uses.
     stages: list[tuple[str, Stage]] = []
     current: list[SchemaNode] = list(context_nodes)
-    for position, step in enumerate(steps):
+    for step in steps:
         destination = match_step(current, step)
         if not destination:
             stages.append(("step-empty", lambda _descriptors: []))
             return stages
-        positional = any(isinstance(p, PositionPredicate)
-                         for p in step.predicates)
-        if positional or not _ancestor_free(current):
-            # Positional predicates regroup per context node, and
-            # ancestor-related contexts interleave child/descendant
-            # results — both need the per-context navigation kernel.
-            remaining = steps[position:]
-            store = queries.store
-
-            def fallback(descriptors: list,
-                         _remaining=remaining) -> list:
-                return navigate_steps(store, descriptors, _remaining)
-
-            stages.append(("navigate-fallback", fallback))
-            return stages
-        if step.axis != "child":
-            stages.append(_descendant_step_stage(current, destination,
-                                                 step))
-        elif step.kind == "attribute":
-            stages.append(_attribute_step_stage(current, step))
-        else:
-            stages.append(_child_step_stage(current, destination, step))
+        lower_step = (_child_step_stage if step.axis == "child"
+                      else _descendant_step_stage)
+        stages.append(lower_step(queries, current, destination, step))
         for predicate in step.predicates:
             stages.append(_predicate_stage(queries, destination,
                                            predicate))
@@ -679,43 +631,22 @@ def _suffix_stages(queries: "StorageQueryEngine", context_nodes,
     return stages
 
 
-def _attribute_step_stage(context_nodes: "list[SchemaNode]",
-                          step: Step) -> tuple[str, Stage]:
-    # attributes() order is schema-children order, which a label sweep
-    # does not reproduce — mirror the per-context pointer walk with the
-    # matching slots resolved per context schema node.
-    slots: dict[SchemaNode, tuple[int, ...]] = {}
-    for schema_node in context_nodes:
-        slots[schema_node] = tuple(
-            index for index, child in enumerate(schema_node.children)
-            if child.node_type == "attribute"
-            and step.matches_name(child.name.local))
-
-    def stage(descriptors: list) -> list:
-        out: list = []
-        for descriptor in descriptors:
-            lookup = descriptor.children_by_schema.get
-            for index in slots[descriptor.schema_node]:
-                attribute = lookup(index)
-                if attribute is not None:
-                    out.append(attribute)
-        return out
-
-    return f"step[@{step.name or '*'}]", stage
-
-
-def _child_step_stage(context_nodes: "list[SchemaNode]",
+def _child_step_stage(queries: "StorageQueryEngine",
+                      context_nodes: "list[SchemaNode]",
                       destination: "list[SchemaNode]",
                       step: Step) -> tuple[str, Stage]:
     # Two routes to the same rows, chosen per call (cost.walks) from
     # the context count and the destination's descriptor counts: walk
     # each context's first-child pointers, or sweep the destination
     # schema nodes' blocks once and keep the descriptors whose parent
-    # is a context.  Both are order- and duplicate-exact vs. the
-    # per-context kernel because the context set is ancestor-free and
-    # document-ordered.
+    # is a context.  The sweep is in ``<<`` whatever the contexts; the
+    # walk is while there is one destination (its contexts are one
+    # schema node's, so one depth, so their children keep their
+    # order), and merged by label otherwise.  An attribute step is a
+    # child step: the slot holds the one attribute.
     dest_nodes = tuple(destination)
     multi = len(dest_nodes) > 1
+    in_document_order = queries.store.in_document_order
     targets = {schema_node: tuple(
         (slot, child) for slot, child in enumerate(schema_node.children)
         if child in dest_nodes) for schema_node in context_nodes}
@@ -726,68 +657,53 @@ def _child_step_stage(context_nodes: "list[SchemaNode]",
         rows = 0
         for schema_node in dest_nodes:
             rows += schema_node.descriptor_count
-        if walks(len(descriptors), rows):
-            out: list = []
-            for descriptor in descriptors:
-                _walk(descriptor, targets[descriptor.schema_node], out)
+        if not walks(len(descriptors), rows):
             if _explain.COLLECTING:
-                _note("/walk", len(out))
-        else:
-            contexts = set(descriptors)
-            sweep: list = []
-            for schema_node in dest_nodes:
-                _sweep_blocks(schema_node, sweep)
-            out = [descriptor for descriptor in sweep
-                   if descriptor.parent in contexts]
-            if _explain.COLLECTING:
-                _note("/sweep", len(sweep))
-        if multi:
-            out.sort(key=doc_order_key)
-        return out
+                _note("/sweep", rows)
+            return _members(sweep(dest_nodes), (1,), set(descriptors))
+        out: list = []
+        for descriptor in descriptors:
+            _walk(descriptor, targets[descriptor.schema_node], out)
+        if _explain.COLLECTING:
+            _note("/walk", len(out))
+        return in_document_order(out) if multi else out
 
+    if step.kind == "attribute":
+        return f"step[@{step.name or '*'}]", stage
     return f"step[{step.name or step.kind}]", stage
 
 
-def _descendant_step_stage(context_nodes: "list[SchemaNode]",
+def _descendant_step_stage(queries: "StorageQueryEngine",
+                           context_nodes: "list[SchemaNode]",
                            destination: "list[SchemaNode]",
                            step: Step) -> tuple[str, Stage]:
-    # Per destination schema node there is exactly ONE context schema
-    # node on its root path (the context set is ancestor-free), at a
-    # fixed depth distance — so membership under the context set is an
-    # ancestor-pointer walk of pre-computed length, not a label scan.
-    members = set(context_nodes)
-    lowered: list[tuple[SchemaNode, int]] = []
+    # Membership under the context set is an ancestor-pointer walk of
+    # pre-computed lengths, not a label scan: per destination schema
+    # node, the distances at which a context schema node sits on its
+    # root path (0: descendant-or-*self*; several when the contexts
+    # are ancestor-related, as below ``//*``).
+    in_document_order = queries.store.in_document_order
+    context_set = set(context_nodes)
+    multi = len(destination) > 1
+    lowered: list[tuple[tuple[SchemaNode], tuple[int, ...]]] = []
     for schema_node in destination:
-        delta = 0
+        hops = []
         node: Optional[SchemaNode] = schema_node
-        while node is not None and node not in members:
+        hop = 0
+        while node is not None:
+            if node in context_set:
+                hops.append(hop)
             node = node.parent
-            delta += 1
-        lowered.append((schema_node, delta))
-    multi = len(lowered) > 1
+            hop += 1
+        lowered.append(((schema_node,), tuple(hops)))
 
     def stage(descriptors: list) -> list:
         if not descriptors:
             return []
         contexts = set(descriptors)
         out: list = []
-        for schema_node, delta in lowered:
-            sweep: list = []
-            _sweep_blocks(schema_node, sweep)
-            if delta == 0:
-                out.extend(descriptor for descriptor in sweep
-                           if descriptor in contexts)
-                continue
-            for descriptor in sweep:
-                ancestor = descriptor
-                for _ in range(delta):
-                    ancestor = ancestor.parent
-                    if ancestor is None:  # pragma: no cover - defensive
-                        break
-                if ancestor is not None and ancestor in contexts:
-                    out.append(descriptor)
-        if multi:
-            out.sort(key=doc_order_key)
-        return out
+        for chain, hops in lowered:
+            out += _members(sweep(chain), hops, contexts)
+        return in_document_order(out) if multi else out
 
     return f"step[//{step.name or step.kind}]", stage

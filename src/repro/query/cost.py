@@ -315,10 +315,9 @@ class CostModel:
 
     def _text_child(self, schema_node: "SchemaNode"
                     ) -> Optional["SchemaNode"]:
-        for child in schema_node.children:
-            if child.node_type == "text":
-                return child
-        return None
+        slot = text_slot(schema_node)
+        return (schema_node.children[slot]
+                if slot is not None and slot >= 0 else None)
 
     def predicate_selectivity(self, schema_node: "SchemaNode",
                               predicate) -> float:
@@ -366,11 +365,16 @@ class CostModel:
         if holders is not None:
             rows = sum(self.rows(holder) for holder in holders)
             if not walks(context_rows, rows):
-                estimate.scan_rows += rows
-                estimate.blocks += sum(self.blocks(holder)
-                                       for holder in holders)
+                self._swept(estimate, holders, rows)
                 return
         estimate.residual += context_rows
+
+    def _swept(self, estimate: CostEstimate, schema_nodes,
+               rows: float) -> None:
+        """Charge one sweep of the *rows* instances of *schema_nodes*:
+        every row, and the blocks they sit in."""
+        estimate.scan_rows += rows
+        estimate.blocks += sum(self.blocks(node) for node in schema_nodes)
 
     def _sweep(self, estimate: CostEstimate, schema_nodes,
                predicates) -> float:
@@ -378,27 +382,21 @@ class CostModel:
         cascade; returns the estimated surviving rows."""
         fused = (len(schema_nodes) == 1 and predicates
                  and isinstance(predicates[0], PositionPredicate))
-        survivors = []
-        for schema_node in schema_nodes:
-            rows = self.rows(schema_node)
-            blocks = self.blocks(schema_node)
-            estimate.blocks += blocks
-            if fused and blocks:
-                # A first positional predicate on a single-node scan is
-                # fused with the source: a block inside one parent's
-                # run is stepped over — first and last member read —
-                # and only the blocks a run boundary crosses (at most
-                # one per further parent) and the one holding the
-                # position are opened.
-                parent = schema_node.parent
-                runs = self.rows(parent) if parent is not None else 1.0
-                mixed = min(blocks, max(0.0, runs - 1))
-                estimate.scan_rows += min(
-                    rows, 2 * (blocks - mixed)
-                    + (mixed + 1) * rows / blocks)
-            else:
-                estimate.scan_rows += rows
-            survivors.append(rows)
+        survivors = [self.rows(node) for node in schema_nodes]
+        rows = sum(survivors)
+        blocks = self.blocks(schema_nodes[0]) if fused else 0.0
+        if blocks:
+            # A first positional predicate on a single-node scan is
+            # fused with the source: a block inside one parent's run is
+            # stepped over — first and last member read — and only the
+            # blocks a run boundary crosses (at most one per further
+            # parent) and the one holding the position are opened.
+            parent = schema_nodes[0].parent
+            runs = self.rows(parent) if parent is not None else 1.0
+            mixed = min(blocks, max(0.0, runs - 1))
+            rows = min(rows, 2 * (blocks - mixed)
+                       + (mixed + 1) * rows / blocks)
+        self._swept(estimate, schema_nodes, rows)
         # A stage sees the survivors of every schema node at once, and
         # picks its route from their total.
         for position, predicate in enumerate(predicates):
@@ -421,11 +419,8 @@ class CostModel:
         for position, step in enumerate(plan.path.steps[first:], first):
             destination = frontiers[position + 1]
             rows = sum(self.rows(node) for node in destination)
-            if (step.axis == "child" and step.kind != "attribute"
-                    and not walks(context_rows, rows)):
-                estimate.scan_rows += rows
-                estimate.blocks += sum(self.blocks(node)
-                                       for node in destination)
+            if step.axis == "child" and not walks(context_rows, rows):
+                self._swept(estimate, destination, rows)
             else:
                 estimate.navigations += context_rows
             context_rows = rows * fraction

@@ -11,6 +11,12 @@ store interprets the node references:
   :class:`~repro.storage.store.StorageNodeStore` (descriptor chasing):
   the oracle the production route is tested against.
 
+One order.  A path result is a sequence in document order — ``<<``,
+total by §7 — and the interpreter says so once, through the store's
+:meth:`~repro.xdm.store.NodeStore.in_document_order`: the tree, the
+storage oracle and every planner policy return the same list, not just
+the same set.
+
 One production route.  :meth:`StorageQueryEngine.evaluate` is Sedna's
 trick (Section 9.1-9.2) as a pipeline: parse, match the path against
 the *descriptive schema* and enumerate the candidate plans
@@ -21,7 +27,7 @@ Parse and plan are cached; :meth:`StorageQueryEngine.
 evaluate_schema_driven` forces the same pipeline with both caches
 bypassed.
 
-The route agreeing node-for-node with the interpreter is an
+The route agreeing node-for-node, in order, with the interpreter is an
 integration test of the whole Section 9 layer against the Section 5/6
 model; the speed difference is the XP benchmark.
 """
@@ -68,7 +74,8 @@ def evaluate_store(store: NodeStore, path: "Path | str",
     store's document reference).
 
     Predicates are applied per context node, so ``book[2]`` means "the
-    second book child of each parent", as in XPath.
+    second book child of each parent", as in XPath; the result is a
+    sequence in document order (``<<``, §7), whatever the store.
     """
     path = _as_path(path)
     if root is None:
@@ -79,7 +86,8 @@ def evaluate_store(store: NodeStore, path: "Path | str",
 def navigate_steps(store: NodeStore, current: list[Ref],
                    steps: "tuple[Step, ...]") -> list[Ref]:
     """Per-step navigation from the *current* context references,
-    deduplicated on the store's stable node keys.
+    deduplicated on the store's stable node keys; the result is a
+    sequence in ``<<`` (:meth:`NodeStore.in_document_order`).
 
     EXPLAIN accounting rides on the calling thread's collecting
     record — one ``is None`` test per context node when no explain is
@@ -104,7 +112,7 @@ def navigate_steps(store: NodeStore, current: list[Ref],
                     seen.add(key)
                     bucket.append(candidate)
         current = bucket
-    return current
+    return store.in_document_order(current)
 
 
 def apply_step_predicates(store: NodeStore, candidates: list[Ref],

@@ -16,7 +16,11 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro import obs
 from repro.errors import StorageError
-from repro.storage.descriptor import NO_SLOT, NodeDescriptor
+from repro.storage.descriptor import (
+    NO_SLOT,
+    NodeDescriptor,
+    doc_order_key,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.dschema import SchemaNode
@@ -219,3 +223,35 @@ class Block:
     def __repr__(self) -> str:
         return (f"Block#{self.block_id}({self.schema_node.step!r}, "
                 f"{self.count}/{self.capacity})")
+
+
+# ----------------------------------------------------------------------
+# Sweeps: block chains read whole, document order (``<<``, §7) kept.
+
+
+def sweep(schema_nodes) -> list:
+    """Every instance of *schema_nodes* in ``<<`` — the one statement
+    of "sweep several block chains and restore document order".
+
+    A schema node's chain is one document-ordered run (the partial
+    order across blocks, the memoized run inside each), so the
+    concatenation is globally ordered iff every run boundary is:
+    last-of-run-i <= first-of-run-i+1.  Only when a boundary is out of
+    order does the merge need a sort (Timsort recognizes the runs, so
+    even that is one linear galloping merge).
+    """
+    out: list = []
+    ordered = True
+    for schema_node in schema_nodes:
+        boundary = len(out)
+        block = schema_node.first_block
+        while block is not None:
+            block.extend_in_order(out)
+            block = block.next_block
+        if (ordered and 0 < boundary < len(out)
+                and (out[boundary].nid.sort_key()
+                     < out[boundary - 1].nid.sort_key())):
+            ordered = False
+    if not ordered:
+        out.sort(key=doc_order_key)
+    return out

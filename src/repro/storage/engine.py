@@ -34,7 +34,6 @@ from repro.storage.labels import (
     NidLabel,
     NumberingScheme,
     before,
-    is_ancestor,
     is_parent,
 )
 
@@ -366,14 +365,6 @@ class StorageEngine:
         the order inside each block."""
         for block in schema_node.blocks():
             yield from block.iter_in_order()
-
-    def descendants_of(self, ancestor: NodeDescriptor,
-                       schema_node: SchemaNode
-                       ) -> Iterator[NodeDescriptor]:
-        """Instances of *schema_node* below *ancestor*, by label test."""
-        for descriptor in self.scan_schema_node(schema_node):
-            if is_ancestor(ancestor.nid, descriptor.nid):
-                yield descriptor
 
     # ==================================================================
     # Updates

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Optional
 from repro import obs
 from repro.errors import StorageError, TypeSystemError, UpdateError
 from repro.storage import faults
+from repro.storage.blocks import sweep
 from repro.storage.descriptor import NodeDescriptor, doc_order_key
 from repro.xsdtypes.registry import builtin
 
@@ -357,14 +358,10 @@ class PathIndex:
 
     def build(self) -> None:
         faults.fire("index.rebuild")
-        engine = self.engine
         covered = self.covered_ids()
-        merged: list["NodeDescriptor"] = []
-        for schema_node in engine.schema.iter_nodes():
-            if id(schema_node) in covered:
-                merged.extend(engine.scan_schema_node(schema_node))
-        merged.sort(key=doc_order_key)
-        self._postings = merged
+        self._postings = sweep(
+            schema_node for schema_node in self.engine.schema.iter_nodes()
+            if id(schema_node) in covered)
 
     def verify_entry(self, descriptor: "NodeDescriptor") -> None:
         """Assert *descriptor* is posted exactly while it is stored."""
@@ -629,24 +626,16 @@ class IndexManager:
         single-path index would under-report the evaluator's
         local-name semantics.
         """
-        from repro.query.paths import (AttributePredicate,
-                                       ChildPredicate)
-        if isinstance(predicate, AttributePredicate):
-            candidates = [child for child
-                          in schema_node.attribute_children()
-                          if child.name.local == predicate.name]
-            via_parent = False
-        elif isinstance(predicate, ChildPredicate):
-            candidates = [child for child
-                          in schema_node.element_children()
-                          if child.name is not None
-                          and child.name.local == predicate.name]
-            via_parent = True
-        else:
+        from repro.query.paths import PositionPredicate
+        from repro.query.planner import predicate_carriers
+        if isinstance(predicate, PositionPredicate):
             return None
-        if len(candidates) != 1:
+        carriers = predicate_carriers(schema_node, predicate)
+        if len(carriers) != 1:
             return None
-        index = self._by_value_node.get(id(candidates[0]))
+        carrier = carriers[0][1]
+        via_parent = carrier.node_type == "element"
+        index = self._by_value_node.get(id(carrier))
         if index is None or index.attribute is via_parent:
             return None
         if predicate.value is None:

@@ -31,6 +31,7 @@ from repro.schema.ast import (
     SimpleContentType,
     TypeName,
 )
+from repro.storage.blocks import sweep
 from repro.storage.descriptor import NodeDescriptor, doc_order_key
 from repro.storage.dschema import SchemaNode
 from repro.storage.engine import StorageEngine
@@ -221,8 +222,9 @@ class StorageNodeStore(NodeStore):
                        ) -> "list[NodeDescriptor]":
         """Batched ``descendant-or-self``: descriptors are gathered one
         *block* at a time from the schema subtree's block lists and
-        document order is restored by one sort on the packed label
-        keys, instead of per-node generator hops down the tree.
+        document order is restored by the one merge on the packed label
+        keys (:func:`~repro.storage.blocks.sweep`), instead of per-node
+        generator hops down the tree.
 
         From the document root the prefix filter accepts everything, so
         the sweep touches every block exactly once; below the root only
@@ -231,15 +233,13 @@ class StorageNodeStore(NodeStore):
         """
         engine = self._engine
         if ref is engine.document:
-            out: list[NodeDescriptor] = []
-            for schema_node in engine.schema.iter_nodes():
-                block = schema_node.first_block
-                while block is not None:
-                    block.extend_in_order(out)
-                    block = block.next_block
-            out.sort(key=doc_order_key)
-            return out
+            return sweep(engine.schema.iter_nodes())
         return list(engine.iter_document_order(ref))
+
+    def in_document_order(self, refs: "list[NodeDescriptor]"
+                          ) -> "list[NodeDescriptor]":
+        # On storage ``<<`` is label order (§9.3).
+        return sorted(refs, key=doc_order_key)
 
     def before(self, first: NodeDescriptor,
                second: NodeDescriptor) -> bool:

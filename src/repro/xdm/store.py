@@ -16,8 +16,9 @@ and run over either representation:
 
 Beyond the ten accessors the protocol carries the small navigation
 kernel the query layer needs — subtree iteration in document order,
-document-order comparison, and a stable per-node key — so axes and
-deduplication need no representation-specific code either.
+document-order comparison and sorting, and a stable per-node key — so
+axes, result order and deduplication need no representation-specific
+code either.
 
 :func:`bisimulate` is the protocol-level consistency check: two stores
 agree iff a structural bisimulation relates their roots.  The database
@@ -131,6 +132,11 @@ class NodeStore:
         """``first << second`` in document order (§7)."""
         raise NotImplementedError
 
+    def in_document_order(self, refs: list[Ref]) -> list[Ref]:
+        """The duplicate-free *refs* of one document as a sequence in
+        ``<<`` (§7) — the order of every path result."""
+        raise NotImplementedError
+
     def node_key(self, ref: Ref) -> Hashable:
         """A stable per-node identity key (for dedup sets and order
         indexes); unique within one store."""
@@ -213,6 +219,24 @@ class TreeNodeStore(NodeStore):
     def before(self, first: Node, second: Node) -> bool:
         from repro.order.document_order import before as tree_before
         return tree_before(first, second)
+
+    def in_document_order(self, refs: list[Node]) -> list[Node]:
+        if len(refs) < 2:
+            return refs
+        # One position map per call, over the smallest subtree holding
+        # every ref (a structural comparison walks the parent chain and
+        # its sibling lists per pair; the whole document per call is
+        # quadratic under a FLWOR that navigates from each item).
+        chain = [refs[0], *refs[0].ancestors()]
+        height = {node: level for level, node in enumerate(chain)}
+        top = 0
+        for node in refs[1:]:
+            while node not in height:
+                node = node.parent_or_none()
+            top = max(top, height[node])
+        position = {node: index for index, node in enumerate(
+            self.iter_document_order(chain[top]))}
+        return sorted(refs, key=position.__getitem__)
 
     def node_key(self, ref: Node) -> Node:
         # The node itself: equality is identity and the hash covers

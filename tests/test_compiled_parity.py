@@ -23,11 +23,19 @@ from typing import Callable, NamedTuple, Optional
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.mapping.doc_to_tree import untyped_document_to_tree
 from repro.obs.explain import collect
-from repro.query import POLICIES, StorageQueryEngine, evaluate_store
+from repro.query import (
+    POLICIES,
+    StorageQueryEngine,
+    evaluate_store,
+    evaluate_tree,
+)
 from repro.storage import StorageEngine
+from repro.storage.descriptor import doc_order_key
 from repro.workloads import make_library_document
 from repro.xmlio import parse_document, serialize_document
+from repro.xdm.store import TreeNodeStore
 from repro.xmlio.qname import QName
 
 from tests.test_query_parity import (
@@ -228,6 +236,18 @@ _FIXTURES = {
          ("library/book/author", {}),
          ("//author", {"kind": "path"}),
          ("//title", {"kind": "path"}))),
+    # The witness of "one order": ``a`` below ``a`` makes the contexts
+    # of ``//a/x`` ancestor-related (their children interleave), and
+    # the last ``b`` carries its attributes in the other order than the
+    # schema first saw them.
+    "witness": _Fixture(
+        "<r><a><x>1</x><a><x>2</x><b y='5' x='6'/></a><x>3</x></a>"
+        "<b x='1' y='2'/><b y='3' x='4'/></r>",
+        ("r/a/x", "r/a/a/x", "r/a/a/b", "r/b"),
+        ("a", "x", "b", "zzz"), ("x", "y", "zzz"),
+        ("1", "2", "3", "6", "", "zzz"),
+        ("[x='1']", "[x='2']", "[x='3']"),
+        (("r/b/@x", {}), ("r/a/x", {}), ("//x", {"kind": "path"}))),
 }
 
 
@@ -280,11 +300,7 @@ def _paths(draw):
             skipped = True
             continue
         descendant = skipped or draw(st.integers(0, 4)) == 0
-        # ``//*`` selects ancestor-related nodes; a further step below
-        # them is where the oracle's per-context order stops being
-        # document order (ROADMAP, correctness) — keep it last.
-        wild = (draw(st.integers(0, 5)) == 0
-                and (not descendant or last and "text()" not in tail))
+        wild = draw(st.integers(0, 5)) == 0
         text += ("//" if descendant else "/") + ("*" if wild else name)
         text += "".join(draw(st.lists(predicate, max_size=2)))
         skipped = False
@@ -307,6 +323,14 @@ def _paths(draw):
 @example(drawn=("stacks", "/lib/shelf/book[@year='1977'][a='A1']/t"))
 @example(drawn=("shelf", "/lib/shelf/book[a='A1']/t"))
 @example(drawn=("shelf", "//book[a='']/t"))
+# Below ``//*`` the contexts are ancestor-related: a step, a ``text()``
+# and a positional predicate on a suffix step still come out in ``<<``.
+@example(drawn=("stacks", "//*/t"))
+@example(drawn=("stacks", "//*/a/text()"))
+@example(drawn=("shelf", "//*[t]//text()"))
+@example(drawn=("stacks", "//*[t]/a[2]"))
+@example(drawn=("witness", "//*[x]/*[last()]"))
+@example(drawn=("witness", "//*/@*"))
 def test_every_policy_matches_the_oracle_on_generated_paths(
         generated_engines, drawn):
     fixture, path = drawn
@@ -318,6 +342,64 @@ def test_every_policy_matches_the_oracle_on_generated_paths(
             warm = _nids(queries.evaluate(path))
             assert cold == oracle, (policy, path)
             assert warm == oracle, (policy, path)
+
+
+#: ``//a/x`` came back ``1 3 2`` from the tree and the storage
+#: interpreter and ``1 2 3`` from a block scan; ``/r/b/@*`` ``1 2 3 4``
+#: from the tree and ``1 2 4 3`` from the storage interpreter.
+_WITNESS_PATHS = (
+    "//a/x", "//*/x", "//*/x/text()", "//*[x]/x", "//*[x]/x[last()]",
+    "//*[x]/*[1]", "/r/b/@*", "//b/@*", "//b[@x]/@*", "//*/@*",
+    "//*[x]//@*")
+
+
+@pytest.mark.parametrize("path", _WITNESS_PATHS)
+def test_one_order_on_tree_storage_and_every_policy(generated_engines,
+                                                    path):
+    """A path result is a sequence in ``<<`` (§7) whatever evaluates
+    it: the tree, the interpreter over storage and every planner policy
+    (cold and warm, with and without indexes) return the same list."""
+    tree = untyped_document_to_tree(
+        parse_document(_FIXTURES["witness"].text))
+    expected = [node.string_value() for node in evaluate_tree(tree, path)]
+    assert expected, path
+    for engines in generated_engines["witness"]:
+        string_value = engines[0].engine.string_value
+        results = [("oracle", evaluate_store(engines[0].store, path))]
+        for policy, queries in zip(POLICIES, engines):
+            queries.clear_caches()
+            results.append((policy, queries.evaluate(path)))
+            results.append((policy, queries.evaluate(path)))
+        for route, result in results:
+            keys = [doc_order_key(descriptor) for descriptor in result]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (route, path)
+            assert [string_value(descriptor)
+                    for descriptor in result] == expected, (route, path)
+
+
+def test_tree_order_hook_reads_the_subtree_holding_the_results():
+    """Sorting a tree-side result costs one position map over the
+    smallest subtree that holds it — not the document, which would make
+    a FLWOR that navigates from each of its items quadratic."""
+    class Counting(TreeNodeStore):
+        expanded = 0
+
+        def children(self, ref):
+            self.expanded += 1
+            return super().children(ref)
+
+    store = Counting()
+    tree = untyped_document_to_tree(
+        make_library_document(books=200, papers=0, seed=5))
+    books = evaluate_store(store, "/library/book", tree)
+    book = max(books, key=lambda node: len(
+        evaluate_store(store, "/author", node)))
+    store.expanded = 0
+    authors = evaluate_store(store, "/author", book)
+    expanded = store.expanded
+    assert len(authors) > 1
+    subtree = sum(1 for _ in store.iter_document_order(book))
+    assert expanded <= subtree + 1 < len(books)
 
 
 def _stage_names(queries, path):
@@ -434,6 +516,35 @@ def test_node_visits_follow_the_answer_not_the_document():
     names, visited = _stage_names(queries, "/library/book[@year]/title")
     assert names[-1] == "step[title]/sweep"
     assert visited >= 2000
+
+
+def test_suffix_steps_below_any_contexts_are_lowered(generated_engines):
+    """The two shapes that used to be handed to the per-context
+    kernel, counted in descriptors read.  A positional predicate on a
+    suffix step is a run count behind the step's own walk; a step below
+    ancestor-related contexts (``//*``) is the same parent semi-join
+    as below any others."""
+    document = make_library_document(books=1000, papers=10, seed=2,
+                                     year_attrs=True)
+    engine = StorageEngine()
+    engine.load_document(document)
+    engine.create_index("library/book/@year", value_type="integer")
+    queries = StorageQueryEngine(engine)
+    year = engine.string_value(
+        queries.evaluate_naive("/library/book/@year")[0])
+    books = f"/library/book[@year='{year}']"
+    names, visited = _stage_names(queries, books + "/author[1]")
+    assert names == ["probe[eq]", "step[author]/walk", "predicate[pos]"]
+    postings = len(queries.evaluate(books))
+    authors = len(queries.evaluate(books + "/author"))
+    assert 0 < postings < 100 and visited <= postings + authors
+    witness = generated_engines["witness"][0][0]
+    names, visited = _stage_names(witness, "//*[x]/x")
+    assert names[:2] == ["scan-merge[2]", "predicate[x]"]
+    assert names[2:] in (["step[x]/walk"], ["step[x]/sweep"])
+    contexts = len(witness.evaluate("//*[x]"))
+    swept = len(witness.evaluate("//x"))
+    assert visited <= contexts + swept
 
 
 def test_value_predicates_report_what_they_read():
