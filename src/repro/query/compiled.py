@@ -76,6 +76,7 @@ from repro.query.planner import CompiledPlan, match_step, predicate_carriers
 from repro.storage.blocks import sweep
 from repro.storage.descriptor import NodeDescriptor
 from repro.storage.dschema import SchemaNode
+from repro.storage.labels import before
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.explain import QueryExplain
@@ -487,8 +488,8 @@ def _predicate_stage(queries: "StorageQueryEngine",
 
 def _attribute_predicate_stage(predicate: AttributePredicate
                                ) -> tuple[str, Stage]:
-    # The attribute schema-child slots whose local name matches, in
-    # schema-children order — the FIRST slot holding an instance
+    # The attribute schema-child slots whose local name matches (one,
+    # unless namespaces share it): the instance FIRST in label order
     # decides, mirroring predicate_holds over the attributes() order.
     carriers = _Carriers(predicate)
     value = predicate.value
@@ -497,12 +498,15 @@ def _attribute_predicate_stage(predicate: AttributePredicate
         out: list = []
         for descriptor in descriptors:
             lookup = descriptor.children_by_schema.get
+            first = None
             for slot, _child in carriers[descriptor.schema_node]:
                 attribute = lookup(slot)
-                if attribute is not None:
-                    if value is None or (attribute.value or "") == value:
-                        out.append(descriptor)
-                    break
+                if attribute is not None and (
+                        first is None or before(attribute.nid, first.nid)):
+                    first = attribute
+            if first is not None and (
+                    value is None or (first.value or "") == value):
+                out.append(descriptor)
         return out
 
     return f"predicate[@{predicate.name}]", stage

@@ -27,7 +27,7 @@ from repro.xdm.node import DocumentNode, ElementNode, TextNode
 from repro.storage import faults
 from repro.storage.blocks import Block
 from repro.storage.checkpoints import CheckpointTracker
-from repro.storage.descriptor import NodeDescriptor
+from repro.storage.descriptor import NodeDescriptor, doc_order_key
 from repro.storage.dschema import DescriptiveSchema, SchemaNode
 from repro.storage.indexes import IndexManager
 from repro.storage.labels import (
@@ -310,6 +310,8 @@ class StorageEngine:
 
     def attributes(self, descriptor: NodeDescriptor
                    ) -> list[NodeDescriptor]:
+        """The attributes in label order (§7) — not the order the
+        descriptive schema first saw their names in."""
         out: list[NodeDescriptor] = []
         for index, schema_child in enumerate(
                 descriptor.schema_node.children):
@@ -318,6 +320,8 @@ class StorageEngine:
             attribute = descriptor.first_child_for(index)
             if attribute is not None:
                 out.append(attribute)
+        if len(out) > 1:
+            out.sort(key=doc_order_key)
         return out
 
     def string_value(self, descriptor: NodeDescriptor) -> str:
@@ -372,18 +376,28 @@ class StorageEngine:
     # Each public mutation validates its arguments completely before
     # touching any structure (a refused update raises ``UpdateError``
     # and changes nothing), then runs under ``_autocommit``: with a
-    # transaction manager attached, the operation is write-ahead
-    # logged and grouped — into the open transaction if there is one,
-    # into a single-operation autocommit transaction otherwise.
-
-    def _children_of(self, parent: NodeDescriptor) -> list[NodeDescriptor]:
-        return self.children(parent)
+    # transaction manager attached, the operation is grouped — into
+    # the open transaction if there is one, into a single-operation
+    # autocommit transaction otherwise — and says its own logical
+    # update once, around the in-memory change: the WAL record (with
+    # the label the mutation is about to assign) reaches the log
+    # first, the inverse is pushed on the transaction's undo list
+    # only once the change is in memory.
 
     def _autocommit(self):
         manager = self.txn_manager
         if manager is None or not manager.autocommit_needed():
             return nullcontext()
         return manager.transaction()
+
+    def _open_transaction(self):
+        """``(wal, transaction)`` for a mutation to log to and push
+        its inverse on; ``(None, None)`` with no manager attached or
+        while a rollback is running the inverses."""
+        manager = self.txn_manager
+        if manager is not None and manager.logging:
+            return manager.wal, manager.active
+        return None, None
 
     def insert_child(self, parent: NodeDescriptor, index: int,
                      name: QName | None = None,
@@ -400,7 +414,7 @@ class StorageEngine:
             raise UpdateError("text and attribute nodes have no children")
         if parent.block is None:
             raise UpdateError(f"{parent!r} is not stored in this engine")
-        siblings = self._children_of(parent)
+        siblings = self.children(parent)
         if not 0 <= index <= len(siblings):
             raise UpdateError(
                 f"index {index} out of range 0..{len(siblings)}")
@@ -421,20 +435,49 @@ class StorageEngine:
             parent.nid,
             lower.nid if lower is not None else None,
             right.nid if right is not None else None)
-        manager = self.txn_manager
-        if manager is not None and manager.logging:
-            # Write-ahead: the logical record (with the label the
-            # mutation is about to assign) hits the log first.
-            manager.log_insert(parent, index, name, text, nid)
-        if name is not None:
-            schema_node = self.schema.get_or_add_child(
-                parent.schema_node, name, "element")
-            descriptor = self._new_descriptor(schema_node, nid)
-        else:
-            schema_node = self.schema.get_or_add_child(
-                parent.schema_node, None, "text")
-            descriptor = self._new_descriptor(schema_node, nid, value=text)
+        wal, txn = self._open_transaction()
+        if txn is not None:
+            if name is not None:
+                wal.append_insert_element(txn.txn_id, parent.nid, index,
+                                          name, nid)
+            else:
+                wal.append_insert_text(txn.txn_id, parent.nid, index,
+                                       text, nid)
+        schema_node = self.schema.get_or_add_child(
+            parent.schema_node, name,
+            "element" if name is not None else "text")
+        descriptor = self._attach(parent, schema_node, nid, text, left,
+                                  right)
+        self.insert_count += 1
+        obs.REGISTRY.counter("storage.inserts").inc()
+        if txn is not None:
+            txn.undo.append((self._detach, descriptor))
+        return descriptor
+
+    def _last_attribute(self, parent: NodeDescriptor
+                        ) -> NodeDescriptor | None:
+        """*parent*'s attribute with the greatest label, if any."""
+        attributes = self.attributes(parent)
+        return attributes[-1] if attributes else None
+
+    def _attach(self, parent: NodeDescriptor, schema_node: SchemaNode,
+                nid: NidLabel, value: str | None,
+                left: NodeDescriptor | None,
+                right: NodeDescriptor | None) -> NodeDescriptor:
+        """Store a new descriptor at exactly the label *nid* below
+        *parent*, between the siblings *left* and *right* (None at an
+        edge, both None for an attribute) — a live insert and its
+        replay alike."""
+        descriptor = self._new_descriptor(schema_node, nid, value=value)
         descriptor.parent = parent
+        self._link(descriptor, left, right)
+        return descriptor
+
+    def _link(self, descriptor: NodeDescriptor,
+              left: NodeDescriptor | None,
+              right: NodeDescriptor | None) -> None:
+        """Put an unstored *descriptor* in at its label: sibling chain,
+        block slot, first-child pointer, indexes."""
         descriptor.left_sibling = left
         descriptor.right_sibling = right
         if left is not None:
@@ -444,23 +487,15 @@ class StorageEngine:
             right.left_sibling = descriptor
             self.checkpoints.mark_descriptor(right)
         self._place_descriptor(descriptor)
-        self._register_child_pointer(parent, descriptor)
+        self._register_child_pointer(descriptor.parent, descriptor)
         if self.indexes.active:
             self.indexes.note_added(descriptor)
-        self.insert_count += 1
-        obs.REGISTRY.counter("storage.inserts").inc()
-        if manager is not None and manager.logging:
-            manager.applied_insert(descriptor)
-        return descriptor
 
-    def _last_attribute(self, parent: NodeDescriptor
-                        ) -> NodeDescriptor | None:
-        """*parent*'s attribute with the greatest label, if any."""
-        last = None
-        for attribute in self.attributes(parent):
-            if last is None or before(last.nid, attribute.nid):
-                last = attribute
-        return last
+    def _detach(self, descriptor: NodeDescriptor) -> None:
+        """Take one childless descriptor out again — the inverse of
+        :meth:`_link`; it keeps its label, value and parent."""
+        self._unlink_from_siblings(descriptor)
+        self._remove_descriptor(descriptor)
 
     def set_attribute(self, parent: NodeDescriptor, name: QName,
                       value: str,
@@ -481,55 +516,56 @@ class StorageEngine:
             raise UpdateError(f"{parent!r} is not stored in this engine")
         schema_node = self.schema.get_or_add_child(
             parent.schema_node, name, "attribute")
-        index = parent.schema_node.child_index(schema_node)
-        existing = parent.first_child_for(index)
+        existing = parent.first_child_for(
+            parent.schema_node.child_index(schema_node))
         if existing is not None and not replace:
             raise UpdateError(
                 f"attribute {name.lexical} already present")
         with self._autocommit():
             return self._set_attribute(parent, name, value, schema_node,
-                                       index, existing)
+                                       existing)
 
     def _set_attribute(self, parent: NodeDescriptor, name: QName,
-                       value: str, schema_node: SchemaNode, index: int,
+                       value: str, schema_node: SchemaNode,
                        existing: NodeDescriptor | None) -> NodeDescriptor:
-        manager = self.txn_manager
-        logged = manager is not None and manager.logging
+        wal, txn = self._open_transaction()
         if existing is not None:
-            if logged:
-                manager.log_set_attribute(parent, name, value,
-                                          existing.nid, replace=True)
-            old_value = existing.value
-            existing.value = value
-            self.stats.note_value_changed(existing, old_value)
-            self.checkpoints.mark_descriptor(existing)
-            if self.indexes.active:
-                self.indexes.note_value_changed(existing)
-            if logged:
-                manager.applied_set_attribute(existing, old_value,
-                                              created=False)
+            if txn is not None:
+                wal.append_set_attribute(txn.txn_id, parent.nid, name,
+                                         value, existing.nid, True)
+            old_value = self._set_value(existing, value)
+            if txn is not None:
+                txn.undo.append((self._set_value, existing, old_value))
             return existing
-        children = self._children_of(parent)
-        right = children[0] if children else None
         left = self._last_attribute(parent)
+        right = self.first_child(parent)
         nid = self.numbering.child_label(
             parent.nid,
             left.nid if left is not None else None,
             right.nid if right is not None else None)
-        if logged:
-            manager.log_set_attribute(parent, name, value, nid,
-                                      replace=False)
-        descriptor = self._new_descriptor(schema_node, nid, value=value)
-        descriptor.parent = parent
-        self._place_descriptor(descriptor)
-        parent.children_by_schema[index] = descriptor
-        if self.indexes.active:
-            self.indexes.note_added(descriptor)
+        if txn is not None:
+            wal.append_set_attribute(txn.txn_id, parent.nid, name, value,
+                                     nid, False)
+        # An attribute is outside the sibling chain: no neighbours.
+        descriptor = self._attach(parent, schema_node, nid, value, None,
+                                  None)
         self.insert_count += 1
         obs.REGISTRY.counter("storage.inserts").inc()
-        if logged:
-            manager.applied_set_attribute(descriptor, None, created=True)
+        if txn is not None:
+            txn.undo.append((self._detach, descriptor))
         return descriptor
+
+    def _set_value(self, descriptor: NodeDescriptor,
+                   value: str | None) -> str | None:
+        """Overwrite a stored value in place and return the one it
+        replaced — with which the same call is its own inverse."""
+        old_value = descriptor.value
+        descriptor.value = value
+        self.stats.note_value_changed(descriptor, old_value)
+        self.checkpoints.mark_descriptor(descriptor)
+        if self.indexes.active:
+            self.indexes.note_value_changed(descriptor)
+        return old_value
 
     def delete_subtree(self, descriptor: NodeDescriptor) -> int:
         """Remove a node and its whole subtree; returns nodes removed."""
@@ -539,10 +575,14 @@ class StorageEngine:
             raise UpdateError(
                 f"{descriptor!r} is not stored (already deleted?)")
         with self._autocommit():
-            manager = self.txn_manager
-            if manager is not None and manager.logging:
-                manager.log_delete(descriptor)
-            return self._delete_subtree(descriptor)
+            wal, txn = self._open_transaction()
+            if txn is not None:
+                wal.append_delete(txn.txn_id, descriptor.nid)
+                doomed = list(self.iter_document_order(descriptor))
+            removed = self._delete_subtree(descriptor)
+            if txn is not None:
+                txn.undo.append((self._restore_subtree, doomed))
+            return removed
 
     def _delete_subtree(self, descriptor: NodeDescriptor) -> int:
         removed = 0
@@ -551,11 +591,32 @@ class StorageEngine:
             removed += 1
         for child in list(self.children(descriptor)):
             removed += self._delete_subtree(child)
-        self._unlink_from_siblings(descriptor)
-        self._remove_descriptor(descriptor)
+        self._detach(descriptor)
         self.delete_count += 1
         obs.REGISTRY.counter("storage.deletes").inc()
         return removed + 1
+
+    def _restore_subtree(self, doomed: list[NodeDescriptor]) -> None:
+        """Put a deleted subtree back label-exactly, parents first.
+
+        The descriptors themselves go back in — each kept its label,
+        value and parent when it was taken out — so an older inverse
+        of the same transaction that names one of them (the insert
+        that created it, a value it had replaced) still finds it
+        stored.  Sibling positions are recovered from the labels
+        alone — which is exactly why labels make inverse operations
+        cheap.
+        """
+        for descriptor in doomed:
+            left = right = None
+            if descriptor.node_type != "attribute":
+                for sibling in self.children(descriptor.parent):
+                    if before(sibling.nid, descriptor.nid):
+                        left = sibling
+                    else:
+                        right = sibling
+                        break
+            self._link(descriptor, left, right)
 
     # ==================================================================
     # Index DDL
@@ -577,88 +638,28 @@ class StorageEngine:
         """
         definition = self.indexes.validate(path, kind, value_type)
         with self._autocommit():
-            manager = self.txn_manager
-            logged = manager is not None and manager.logging
-            if logged:
-                manager.log_create_index(definition)
+            wal, txn = self._open_transaction()
+            if txn is not None:
+                wal.append_create_index(txn.txn_id, definition.path,
+                                        definition.kind,
+                                        definition.value_type)
             index = self.indexes.install(definition)
-            if logged:
-                manager.applied_create_index(definition)
+            if txn is not None:
+                txn.undo.append((self.indexes.uninstall, definition))
             return index
 
     def drop_index(self, path: str, kind: str = "value"):
         """Drop a declared index; returns its definition."""
         definition = self.indexes.find(path, kind)
         with self._autocommit():
-            manager = self.txn_manager
-            logged = manager is not None and manager.logging
-            if logged:
-                manager.log_drop_index(definition)
+            wal, txn = self._open_transaction()
+            if txn is not None:
+                wal.append_drop_index(txn.txn_id, definition.path,
+                                      definition.kind)
             self.indexes.uninstall(definition)
-            if logged:
-                manager.applied_drop_index(definition)
+            if txn is not None:
+                txn.undo.append((self.indexes.install, definition))
             return definition
-
-    # -- inverse operations (transaction rollback) ----------------------
-
-    def _undo_set_value(self, descriptor: NodeDescriptor,
-                        old_value: str | None) -> None:
-        """Restore an overwritten attribute value (no logging)."""
-        overwritten = descriptor.value
-        descriptor.value = old_value
-        self.stats.note_value_changed(descriptor, overwritten)
-        self.checkpoints.mark_descriptor(descriptor)
-        if self.indexes.active:
-            self.indexes.note_value_changed(descriptor)
-
-    def _undo_insert(self, descriptor: NodeDescriptor) -> None:
-        """Take back a single inserted descriptor (no logging)."""
-        if descriptor.node_type != "attribute":
-            self._unlink_from_siblings(descriptor)
-        self._remove_descriptor(descriptor)
-
-    def _restore_subtree(self, entries: list[tuple]) -> int:
-        """Rebuild a deleted subtree label-exactly from a snapshot.
-
-        *entries* come in document order (parents first); each is
-        ``(schema_node, nid, value, parent_key)`` where *parent_key*
-        is a live descriptor for the subtree root and the nid symbols
-        of an earlier entry below it.  Sibling positions are recovered
-        from the labels alone — which is exactly why labels make
-        inverse operations cheap.
-        """
-        restored: dict[tuple, NodeDescriptor] = {}
-        for schema_node, nid, value, parent_key in entries:
-            if isinstance(parent_key, NodeDescriptor):
-                parent = parent_key
-            else:
-                parent = restored[parent_key]
-            descriptor = self._new_descriptor(schema_node, nid,
-                                              value=value)
-            descriptor.parent = parent
-            if descriptor.node_type != "attribute":
-                left: NodeDescriptor | None = None
-                right: NodeDescriptor | None = None
-                for sibling in self.children(parent):
-                    if before(sibling.nid, nid):
-                        left = sibling
-                    else:
-                        right = sibling
-                        break
-                descriptor.left_sibling = left
-                descriptor.right_sibling = right
-                if left is not None:
-                    left.right_sibling = descriptor
-                    self.checkpoints.mark_descriptor(left)
-                if right is not None:
-                    right.left_sibling = descriptor
-                    self.checkpoints.mark_descriptor(right)
-            self._place_descriptor(descriptor)
-            self._register_child_pointer(parent, descriptor)
-            if self.indexes.active:
-                self.indexes.note_added(descriptor)
-            restored[nid.symbols()] = descriptor
-        return len(restored)
 
     def _unlink_from_siblings(self, descriptor: NodeDescriptor) -> None:
         parent = descriptor.parent

@@ -171,19 +171,6 @@ def compare(x: NidLabel, y: NidLabel) -> int:
     return -1 if sx < sy else 1
 
 
-def is_ancestor_or_self_key(ancestor_key: bytes,
-                            candidate_key: bytes) -> bool:
-    """Ancestor-or-self decided on packed keys alone.
-
-    Every component's symbols end with the separator (Ω_min = 0) and
-    digits are shifted to ≥ 1, so a symbol sequence is a prefix of
-    another iff the component tuples are — which makes the §9.3
-    ancestor test a single ``bytes.startswith`` on the fixed-width
-    packed keys, with no label object in sight.
-    """
-    return candidate_key.startswith(ancestor_key)
-
-
 # ----------------------------------------------------------------------
 # Dense component arithmetic (fractional indexing).
 

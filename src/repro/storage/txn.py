@@ -1,16 +1,19 @@
 """Explicit transactions over the storage engine.
 
-The manager attaches to a :class:`StorageEngine` and turns its three
-mutations into logged, atomic units:
+The manager attaches to a :class:`StorageEngine` and turns its
+mutations into logged, atomic units.  It owns the protocol; what a
+mutation logs and how it is inverted is the engine's, said where the
+mutation is:
 
-* every mutation appends a logical WAL record **before** the in-memory
-  structures change (the write-ahead rule);
+* under an open transaction the engine appends each mutation's logical
+  WAL record **before** the in-memory structures change (the
+  write-ahead rule) and pushes the inverse operation **after** they
+  have;
 * a transaction groups records between BEGIN and COMMIT — recovery
   replays exactly the committed groups;
-* rollback undoes the in-memory effects via inverse operations
-  (inserted descriptors are unlinked, replaced attribute values are
-  restored, deleted subtrees are rebuilt label-exactly) and writes an
-  ABORT marker;
+* rollback runs the pushed inverses newest first (inserted descriptors
+  are unlinked, replaced attribute values are restored, deleted
+  subtrees go back in label-exactly) and writes an ABORT marker;
 * in *strict* mode a commit first re-verifies the §9 block and label
   invariants (``check_invariants``) and rolls back instead of
   committing a corrupt state.
@@ -35,16 +38,15 @@ from repro import obs
 from repro.errors import StorageError, UpdateError
 from repro.storage.faults import CrashError
 from repro.storage.wal import WriteAheadLog
-from repro.xmlio.qname import QName
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.storage.descriptor import NodeDescriptor
     from repro.storage.engine import StorageEngine
-    from repro.storage.labels import NidLabel
 
 
 class Transaction:
-    """One open unit of work: an id, a state and an undo list."""
+    """One open unit of work: an id, a state and an undo list — per
+    applied mutation ``(inverse, *arguments)``, pushed by the engine
+    once the mutation is in memory and run newest first by rollback."""
 
     __slots__ = ("txn_id", "state", "undo")
 
@@ -79,11 +81,12 @@ class TransactionManager:
         """Release the engine (mutations stop being logged)."""
         self.engine.txn_manager = None
 
-    # -- state tests used by the engine hooks ---------------------------
+    # -- state tests used by the engine -----------------------------------
 
     @property
     def logging(self) -> bool:
-        """True when mutations must produce WAL records + undo entries."""
+        """True when mutations must produce WAL records + undo entries
+        (not while a rollback is running the inverses)."""
         return self.active is not None and not self._undoing
 
     def autocommit_needed(self) -> bool:
@@ -141,8 +144,8 @@ class TransactionManager:
         started = time.perf_counter_ns()
         self._undoing = True
         try:
-            for entry in reversed(txn.undo):
-                self._undo_entry(entry)
+            for inverse, *arguments in reversed(txn.undo):
+                inverse(*arguments)
         finally:
             self._undoing = False
         self.wal.append_abort(txn.txn_id)
@@ -169,93 +172,6 @@ class TransactionManager:
             raise
         if self.active is txn:
             self.commit()
-
-    # -- engine hooks (write-ahead logging + undo capture) --------------
-
-    def log_insert(self, parent: "NodeDescriptor", index: int,
-                   name: Optional[QName], text: Optional[str],
-                   nid: "NidLabel") -> None:
-        txn = self._require_open()
-        if name is not None:
-            self.wal.append_insert_element(txn.txn_id, parent.nid, index,
-                                           name, nid)
-        else:
-            self.wal.append_insert_text(txn.txn_id, parent.nid, index,
-                                        text or "", nid)
-
-    def applied_insert(self, descriptor: "NodeDescriptor") -> None:
-        self._require_open().undo.append(("insert", descriptor))
-
-    def log_set_attribute(self, parent: "NodeDescriptor", name: QName,
-                          value: str, nid: "NidLabel",
-                          replace: bool) -> None:
-        txn = self._require_open()
-        self.wal.append_set_attribute(txn.txn_id, parent.nid, name,
-                                      value, nid, replace)
-
-    def applied_set_attribute(self, descriptor: "NodeDescriptor",
-                              old_value: Optional[str],
-                              created: bool) -> None:
-        txn = self._require_open()
-        if created:
-            txn.undo.append(("insert", descriptor))
-        else:
-            txn.undo.append(("value", descriptor, old_value))
-
-    def log_create_index(self, definition) -> None:
-        txn = self._require_open()
-        self.wal.append_create_index(txn.txn_id, definition.path,
-                                     definition.kind,
-                                     definition.value_type)
-
-    def applied_create_index(self, definition) -> None:
-        self._require_open().undo.append(("create_index", definition))
-
-    def log_drop_index(self, definition) -> None:
-        txn = self._require_open()
-        self.wal.append_drop_index(txn.txn_id, definition.path,
-                                   definition.kind)
-
-    def applied_drop_index(self, definition) -> None:
-        self._require_open().undo.append(("drop_index", definition))
-
-    def log_delete(self, descriptor: "NodeDescriptor") -> None:
-        """WAL record plus a label-exact snapshot for the inverse op.
-
-        The snapshot is taken *before* the subtree is dismantled; each
-        entry carries the schema node, the nid, the value and a parent
-        key (a live descriptor for the subtree root, an earlier
-        entry's nid symbols below it), in document order so parents
-        restore before their children.
-        """
-        txn = self._require_open()
-        self.wal.append_delete(txn.txn_id, descriptor.nid)
-        entries: list[tuple] = []
-        for node in self.engine.iter_document_order(descriptor):
-            if node is descriptor:
-                parent_key: object = node.parent
-            else:
-                parent_key = node.parent.nid.symbols()  # type: ignore
-            entries.append((node.schema_node, node.nid, node.value,
-                            parent_key))
-        txn.undo.append(("delete", entries))
-
-    # -- inverse operations ---------------------------------------------
-
-    def _undo_entry(self, entry: tuple) -> None:
-        kind = entry[0]
-        if kind == "insert":
-            self.engine._undo_insert(entry[1])
-        elif kind == "value":
-            self.engine._undo_set_value(entry[1], entry[2])
-        elif kind == "delete":
-            self.engine._restore_subtree(entry[1])
-        elif kind == "create_index":
-            self.engine.indexes.uninstall(entry[1])
-        elif kind == "drop_index":
-            self.engine.indexes.install(entry[1])
-        else:  # pragma: no cover - defensive
-            raise StorageError(f"unknown undo entry {kind!r}")
 
     def __repr__(self) -> str:
         state = repr(self.active) if self.active else "idle"

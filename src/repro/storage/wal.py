@@ -11,7 +11,7 @@ Log layout (little-endian, medium-independent)::
 
     header:  magic "SEDNAWAL", version u16
     record:  payload_len u32, crc32(payload) u32, payload
-    payload: lsn u64, kind u8, txn u64, body (per kind)
+    payload: lsn u64, kind u8, txn u64, body (per kind: ``_BODIES``)
 
 The *medium* is pluggable: :class:`WriteAheadLog` drives a
 :class:`WalStore` — :class:`FileWalStore` (one append-only file, the
@@ -46,7 +46,7 @@ import os
 import struct
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -85,14 +85,6 @@ OP_KINDS = frozenset({INSERT_ELEMENT, INSERT_TEXT, SET_ATTRIBUTE, DELETE})
 #: separately because they mutate definitions, not descriptors.
 DDL_KINDS = frozenset({CREATE_INDEX, DROP_INDEX})
 
-_KIND_NAMES = {
-    BEGIN: "begin", COMMIT: "commit", ABORT: "abort",
-    INSERT_ELEMENT: "insert-element", INSERT_TEXT: "insert-text",
-    SET_ATTRIBUTE: "set-attribute", DELETE: "delete",
-    CHECKPOINT: "checkpoint", CREATE_INDEX: "create-index",
-    DROP_INDEX: "drop-index", LOAD: "load",
-}
-
 
 @dataclass(frozen=True)
 class WalRecord:
@@ -115,10 +107,6 @@ class WalRecord:
     #: Bulk-load marker (LOAD): nodes loaded outside per-op logging.
     node_count: int = 0
 
-    @property
-    def kind_name(self) -> str:
-        return _KIND_NAMES.get(self.kind, f"kind-{self.kind}")
-
 
 @dataclass
 class WalScan:
@@ -138,53 +126,72 @@ class WalScan:
     def committed_txns(self) -> set[int]:
         return {r.txn for r in self.records if r.kind == COMMIT}
 
-    def aborted_txns(self) -> set[int]:
-        return {r.txn for r in self.records if r.kind == ABORT}
-
 
 # ----------------------------------------------------------------------
-# Payload decoding.
+# Record bodies: the one statement of what each kind carries.  A field
+# codec is ``(append the value to a bytearray, read it off a Reader)``.
+
+
+def _fixed(layout: struct.Struct):
+    pack = layout.pack
+    return lambda out, value: out.extend(pack(value))
+
+
+def _pack_qname(out: bytearray, name: QName) -> None:
+    pack_text(out, name.uri)
+    pack_text(out, name.local)
+
+
+_NID = (pack_nid, Reader.nid)
+_TEXT = (pack_text, Reader.text)
+_QNAME = (_pack_qname, Reader.qname)
+_U32 = (_fixed(struct.Struct("<I")), Reader.u32)
+_U64 = (_fixed(struct.Struct("<Q")), Reader.u64)
+_FLAG = ((lambda out, value: out.append(1 if value else 0)),
+         (lambda reader: bool(reader.u8())))
+
+#: kind -> its body: the :class:`WalRecord` fields it fills, in wire
+#: order, each with its codec.  ``WriteAheadLog._append`` packs and
+#: :func:`_decode_payload` reads through this table and nothing else.
+_BODIES = {
+    BEGIN: (),
+    COMMIT: (),
+    ABORT: (),
+    INSERT_ELEMENT: (("parent_nid", _NID), ("index", _U32),
+                     ("name", _QNAME), ("nid", _NID)),
+    INSERT_TEXT: (("parent_nid", _NID), ("index", _U32),
+                  ("text", _TEXT), ("nid", _NID)),
+    SET_ATTRIBUTE: (("parent_nid", _NID), ("name", _QNAME),
+                    ("text", _TEXT), ("replace", _FLAG), ("nid", _NID)),
+    DELETE: (("nid", _NID),),
+    CHECKPOINT: (("checkpoint_lsn", _U64),),
+    CREATE_INDEX: (("index_path", _TEXT), ("index_kind", _TEXT),
+                   ("value_type", _TEXT)),
+    DROP_INDEX: (("index_path", _TEXT), ("index_kind", _TEXT)),
+    LOAD: (("node_count", _U64),),
+}
+
+# Both directions, resolved once at import: per kind the packers in
+# wire order, and the readers with the positional slot each one fills.
+_SLOTS = {f.name: slot for slot, f in enumerate(fields(WalRecord))}
+_BODY_DEFAULTS = tuple(f.default for f in fields(WalRecord))[3:]
+_PACKERS = {kind: tuple(pack for _, (pack, _) in body)
+            for kind, body in _BODIES.items()}
+_READERS = {kind: tuple((_SLOTS[name], read) for name, (_, read) in body)
+            for kind, body in _BODIES.items()}
 
 
 def _decode_payload(payload: bytes, backend: str = "file") -> WalRecord:
     reader = Reader(payload, backend=backend, what="WAL payload")
-    lsn, kind, txn = reader.unpack(_RECORD_HEAD)
-    if kind in (BEGIN, COMMIT, ABORT):
-        return WalRecord(lsn, kind, txn)
-    if kind == INSERT_ELEMENT:
-        parent = reader.nid()
-        index = reader.u32()
-        name = reader.qname()
-        return WalRecord(lsn, kind, txn, parent_nid=parent, index=index,
-                         name=name, nid=reader.nid())
-    if kind == INSERT_TEXT:
-        parent = reader.nid()
-        index = reader.u32()
-        text = reader.text()
-        return WalRecord(lsn, kind, txn, parent_nid=parent, index=index,
-                         text=text, nid=reader.nid())
-    if kind == SET_ATTRIBUTE:
-        parent = reader.nid()
-        name = reader.qname()
-        value = reader.text()
-        replace = bool(reader.u8())
-        return WalRecord(lsn, kind, txn, parent_nid=parent, name=name,
-                         text=value, replace=replace, nid=reader.nid())
-    if kind == DELETE:
-        return WalRecord(lsn, kind, txn, nid=reader.nid())
-    if kind == CHECKPOINT:
-        return WalRecord(lsn, kind, txn, checkpoint_lsn=reader.u64())
-    if kind == CREATE_INDEX:
-        return WalRecord(lsn, kind, txn, index_path=reader.text(),
-                         index_kind=reader.text(),
-                         value_type=reader.text())
-    if kind == DROP_INDEX:
-        return WalRecord(lsn, kind, txn, index_path=reader.text(),
-                         index_kind=reader.text())
-    if kind == LOAD:
-        return WalRecord(lsn, kind, txn, node_count=reader.u64())
-    raise reader.corrupt(f"unknown WAL record kind {kind} at "
-                         f"{reader.location(8)}", pos=8)
+    head = reader.unpack(_RECORD_HEAD)
+    readers = _READERS.get(head[1])
+    if readers is None:
+        raise reader.corrupt(f"unknown WAL record kind {head[1]} at "
+                             f"{reader.location(8)}", pos=8)
+    values = [*head, *_BODY_DEFAULTS]
+    for slot, read in readers:
+        values[slot] = read(reader)
+    return WalRecord(*values)
 
 
 # ----------------------------------------------------------------------
@@ -391,12 +398,16 @@ class WriteAheadLog:
 
     # -- the one write path ---------------------------------------------
 
-    def _append(self, kind: int, txn: int, body: bytes) -> int:
+    def _append(self, kind: int, txn: int, *body) -> int:
+        """Pack (*body*: the kind's fields in the wire order of
+        :data:`_BODIES`), frame and append one record."""
         if self._closed:
             raise StorageError("write-ahead log is closed")
         started = time.perf_counter_ns()
         lsn = self.last_lsn + 1
-        payload = _RECORD_HEAD.pack(lsn, kind, txn) + body
+        payload = bytearray(_RECORD_HEAD.pack(lsn, kind, txn))
+        for pack, value in zip(_PACKERS[kind], body):
+            pack(payload, value)
         frame = encode_frame(payload)
         faults.fire("wal.append")
         if faults.wants("wal.append.torn"):
@@ -424,71 +435,46 @@ class WriteAheadLog:
     # -- record constructors --------------------------------------------
 
     def append_begin(self, txn: int) -> int:
-        return self._append(BEGIN, txn, b"")
+        return self._append(BEGIN, txn)
 
     def append_commit(self, txn: int) -> int:
         faults.fire("wal.commit")
-        return self._append(COMMIT, txn, b"")
+        return self._append(COMMIT, txn)
 
     def append_abort(self, txn: int) -> int:
-        return self._append(ABORT, txn, b"")
+        return self._append(ABORT, txn)
 
     def append_insert_element(self, txn: int, parent_nid: NidLabel,
                               index: int, name: QName,
                               nid: NidLabel) -> int:
-        body = bytearray()
-        pack_nid(body, parent_nid)
-        body += struct.pack("<I", index)
-        pack_text(body, name.uri)
-        pack_text(body, name.local)
-        pack_nid(body, nid)
-        return self._append(INSERT_ELEMENT, txn, bytes(body))
+        return self._append(INSERT_ELEMENT, txn, parent_nid, index, name,
+                            nid)
 
     def append_insert_text(self, txn: int, parent_nid: NidLabel,
                            index: int, text: str, nid: NidLabel) -> int:
-        body = bytearray()
-        pack_nid(body, parent_nid)
-        body += struct.pack("<I", index)
-        pack_text(body, text)
-        pack_nid(body, nid)
-        return self._append(INSERT_TEXT, txn, bytes(body))
+        return self._append(INSERT_TEXT, txn, parent_nid, index, text, nid)
 
     def append_set_attribute(self, txn: int, parent_nid: NidLabel,
                              name: QName, value: str, nid: NidLabel,
                              replace: bool) -> int:
-        body = bytearray()
-        pack_nid(body, parent_nid)
-        pack_text(body, name.uri)
-        pack_text(body, name.local)
-        pack_text(body, value)
-        body += struct.pack("<B", 1 if replace else 0)
-        pack_nid(body, nid)
-        return self._append(SET_ATTRIBUTE, txn, bytes(body))
+        return self._append(SET_ATTRIBUTE, txn, parent_nid, name, value,
+                            replace, nid)
 
     def append_delete(self, txn: int, nid: NidLabel) -> int:
-        body = bytearray()
-        pack_nid(body, nid)
-        return self._append(DELETE, txn, bytes(body))
+        return self._append(DELETE, txn, nid)
 
     def append_create_index(self, txn: int, path: str, kind: str,
                             value_type: str) -> int:
-        body = bytearray()
-        pack_text(body, path)
-        pack_text(body, kind)
-        pack_text(body, value_type)
-        return self._append(CREATE_INDEX, txn, bytes(body))
+        return self._append(CREATE_INDEX, txn, path, kind, value_type)
 
     def append_drop_index(self, txn: int, path: str, kind: str) -> int:
-        body = bytearray()
-        pack_text(body, path)
-        pack_text(body, kind)
-        return self._append(DROP_INDEX, txn, bytes(body))
+        return self._append(DROP_INDEX, txn, path, kind)
 
     def append_load(self, txn: int, node_count: int) -> int:
         """The bulk-load marker: *node_count* nodes entered the engine
         without per-op records; a checkpoint must follow immediately
         (recovery refuses a committed LOAD past the horizon)."""
-        return self._append(LOAD, txn, struct.pack("<Q", node_count))
+        return self._append(LOAD, txn, node_count)
 
     # -- checkpoint reset ------------------------------------------------
 
@@ -500,7 +486,7 @@ class WriteAheadLog:
         in the fresh log is strictly beyond the image's horizon.
         """
         self.store.reset(_HEADER)
-        self._append(CHECKPOINT, 0, struct.pack("<Q", checkpoint_lsn))
+        self._append(CHECKPOINT, 0, checkpoint_lsn)
 
     def close(self) -> None:
         self._closed = True

@@ -350,7 +350,10 @@ def test_every_policy_matches_the_oracle_on_generated_paths(
 _WITNESS_PATHS = (
     "//a/x", "//*/x", "//*/x/text()", "//*[x]/x", "//*[x]/x[last()]",
     "//*[x]/*[1]", "/r/b/@*", "//b/@*", "//b[@x]/@*", "//*/@*",
-    "//*[x]//@*")
+    "//*[x]//@*",
+    # Positions among attributes count along ``<<`` too: the storage
+    # interpreter used to count along the schema's child order.
+    "/r/b/@*[1]", "/r/b/@*[last()]", "//b/@*[2]")
 
 
 @pytest.mark.parametrize("path", _WITNESS_PATHS)
@@ -375,6 +378,29 @@ def test_one_order_on_tree_storage_and_every_policy(generated_engines,
             assert all(a < b for a, b in zip(keys, keys[1:])), (route, path)
             assert [string_value(descriptor)
                     for descriptor in result] == expected, (route, path)
+
+
+@pytest.mark.parametrize("path,expected", [
+    ("/r/e[@x='1']", ["one"]), ("//e[@x='2']", ["two"]),
+    ("/r/e[@x]", ["one", "two"])])
+def test_the_first_attribute_of_a_local_name_is_first_in_label_order(
+        path, expected):
+    """``[@x=…]`` tests the first attribute whose local name is ``x``.
+    Two namespaces share it here and the second ``e`` carries them in
+    the other order than the schema first saw them: first means first
+    in ``<<`` on the tree, the interpreter and every policy (storage
+    used to take the schema's first and answer ``one two`` / nothing)."""
+    text = ('<r xmlns:a="urn:a" xmlns:b="urn:b"><e a:x="1" b:x="2">one'
+            '</e><e b:x="2" a:x="1">two</e></r>')
+    tree = untyped_document_to_tree(parse_document(text))
+    assert [node.string_value()
+            for node in evaluate_tree(tree, path)] == expected
+    engine, queries = _setup(text)
+    routes = [evaluate_store(queries.store, path)] + [
+        StorageQueryEngine(engine, planner_policy=policy).evaluate(path)
+        for policy in POLICIES]
+    for result in routes:
+        assert [engine.string_value(d) for d in result] == expected
 
 
 def test_tree_order_hook_reads_the_subtree_holding_the_results():

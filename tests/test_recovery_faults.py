@@ -35,6 +35,7 @@ from repro.workloads.bookstore import (
     make_bookstore_document,
 )
 from repro.workloads.fixtures import EXAMPLE_7_SCHEMA
+from repro.xmlio.parser import parse_document
 from repro.xmlio.qname import QName
 
 
@@ -352,3 +353,26 @@ class TestCheckpointAtomicity:
     def test_recover_empty_backend_raises(self, backend):
         with pytest.raises(RecoveryError):
             recover(backend)
+
+    def test_strict_recovery_accepts_an_attribute_labelled_after_its_elder(
+            self, backend):
+        """The second ``b`` gains ``@x`` — an older schema node than its
+        ``@y`` — behind it in label order.  The storage walk follows
+        the labels, so strict recovery's order check accepts the
+        committed state (it used to follow the schema's child order
+        and refuse it)."""
+        engine = StorageEngine()
+        engine.load_document(parse_document(
+            '<r><b x="1" y="2"/><b y="3"/></r>'))
+        wal = backend.open_wal()
+        TransactionManager(engine, wal)
+        backend.checkpoint(engine, wal=wal)
+        second = engine.children(engine.children(engine.document)[0])[1]
+        engine.set_attribute(second, QName("", "x"), "9")
+        result = recover(backend, strict=True)
+        assert result.replayed == 1
+        recovered = result.engine.children(
+            result.engine.children(result.engine.document)[0])[1]
+        for walked in (engine.attributes(second),
+                       result.engine.attributes(recovered)):
+            assert [a.value for a in walked] == ["3", "9"]

@@ -75,6 +75,21 @@ ATTRIBUTES = [QName("", name) for name in ("year", "id")]
 TEXTS = st.sampled_from(["", "x", "Ann", "2001", "zz top"])
 PICK = st.integers(min_value=0, max_value=10_000)
 
+#: One logged operation of a transaction that will abort: a write rule
+#: of the machine by name, with the arguments that rule draws.
+OPERATION = st.one_of(
+    st.tuples(st.just("insert_element"), st.fixed_dictionaries(
+        {"parent": PICK, "index": PICK, "name": st.sampled_from(NAMES)})),
+    st.tuples(st.just("insert_text"), st.fixed_dictionaries(
+        {"parent": PICK, "index": PICK, "text": TEXTS})),
+    st.tuples(st.just("set_attribute"), st.fixed_dictionaries(
+        {"pick": PICK, "name": st.sampled_from(ATTRIBUTES),
+         "value": TEXTS})),
+    st.tuples(st.just("delete_subtree"),
+              st.fixed_dictionaries({"pick": PICK})),
+    st.tuples(st.just("toggle_index"), st.fixed_dictionaries(
+        {"which": st.sampled_from(INDEXES)})))
+
 AUTHORS = "/library/book/author"
 
 #: Asked of every fresh pin through its kept, warm plans: the
@@ -234,11 +249,20 @@ class AdvanceMachine(RuleBasedStateMachine):
                 engine.create_index(path, kind)
         self._write(mutate)
 
-    @rule(parent=PICK, index=PICK, text=TEXTS)
-    def rolled_back_transaction(self, parent, index, text):
-        """Logged operations, then ABORT: never visible."""
+    @rule(operations=st.lists(OPERATION, min_size=1, max_size=4))
+    def rolled_back_transaction(self, operations):
+        """Logged operations, then ABORT: never visible — one to four
+        bodies of the write rules above, run inside one transaction
+        (``_write`` is shadowed while it is open), so the engine's
+        pushed inverses undo inserts, new and replaced attributes,
+        deleted subtrees and index DDL, newest first."""
         def mutate(engine, session):
-            self._insert(engine, parent, index, text=text)
+            self._write = lambda body: body(engine, session)
+            try:
+                for name, arguments in operations:
+                    getattr(self, name)(**arguments)
+            finally:
+                del self._write
             raise Abandon()
         with pytest.raises(Abandon):
             self._write(mutate)
@@ -280,6 +304,14 @@ class AdvanceMachine(RuleBasedStateMachine):
     @invariant()
     def fresh_pin_is_what_recover_rebuilds(self):
         self._check_fresh_pin()
+
+    @invariant()
+    def live_engine_is_what_recover_rebuilds(self):
+        """The writer's own engine — after commits and after rollbacks
+        ran their inverses — is the committed state, label for label,
+        with its indexes and statistics."""
+        assert_equivalent(self.server.engine,
+                          recover(self.backend).engine)
 
     @invariant()
     def remembered_payloads_are_fresh_payloads(self):

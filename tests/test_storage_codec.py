@@ -431,10 +431,18 @@ def _decode_wal_frame(data: bytes):
     return scan.records
 
 
+#: The rows of the WAL body table, in the order ``_fuzz_inputs``
+#: appends one record of each.
+_WAL_ROWS = ("checkpoint", "begin", "insert_element", "insert_text",
+             "set_attribute", "delete", "create_index", "drop_index",
+             "load", "abort", "commit")
+
+
 @functools.lru_cache(maxsize=None)
 def _fuzz_inputs(mutated: bool) -> dict:
-    """One small artifact per decoder: ``name -> (bytes, decoder,
-    backend, may a damaged input decode?)``.  A payload has no
+    """One small artifact per decoder, and one WAL payload per record
+    kind: ``name -> (bytes, decoder, backend, may a damaged input
+    decode?)``.  A payload has no
     checksum of its own, so damage can leave a valid one; an image
     and a WAL frame have, so it cannot — unless the image is signed
     again after the damage, which is what reaches the decoder's own
@@ -461,7 +469,28 @@ def _fuzz_inputs(mutated: bool) -> dict:
                  if node.node_type == "text"),
                 key=lambda block: block.count)
     image = dumps_engine(engine, checkpoint_lsn=wal.last_lsn)
+    rows = MemoryWalStore()
+    log = WriteAheadLog(rows, sync=False)
+    label = block.last_descriptor().nid
+    name = QName("urn:x", "shelf")
+    log.reset(wal.last_lsn)
+    log.append_begin(9)
+    log.append_insert_element(9, label, 3, name, label)
+    log.append_insert_text(9, label, 0, "h\u00e9llo", label)
+    log.append_set_attribute(9, label, name, "A3", label, replace=True)
+    log.append_delete(9, label)
+    log.append_create_index(9, "library/book/title", "value", "string")
+    log.append_drop_index(9, "//author", "path")
+    log.append_load(9, engine.node_count())
+    log.append_abort(9)
+    log.append_commit(9)
+    payloads = [payload for payload, _ in iter_frames(rows.load(),
+                                                      len(WAL_HEADER))]
+    assert len(payloads) == len(_WAL_ROWS)
     return {
+        **{f"wal-payload-{row}": (payload, _decode_wal_payload, "file",
+                                  True)
+           for row, payload in zip(_WAL_ROWS, payloads)},
         "image": (image, _decode_image, "memory", False),
         "image-resigned": (image, _decode_resigned_image, "memory",
                            True),
@@ -492,7 +521,9 @@ def _check_damaged(name, damaged: bytes, decoder, backend, may_decode):
 
 class TestDecoderFuzz:
     @pytest.mark.parametrize("name", ["image", "image-resigned", "block",
-                                      "wal-payload", "wal-frame"])
+                                      "wal-payload", "wal-frame",
+                                      *[f"wal-payload-{row}"
+                                        for row in _WAL_ROWS]])
     def test_every_truncation_and_a_flip_at_every_byte(self, name):
         data, decoder, backend, may_decode = _fuzz_inputs(False)[name]
         assert decoder(data)  # intact, it decodes

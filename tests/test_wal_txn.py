@@ -83,6 +83,36 @@ class TestWalFormat:
         assert attribute.text == "2004"
         assert attribute.replace is False
 
+        # The other rows of the body table: index DDL, the bulk-load
+        # marker, and the CHECKPOINT marker a reset starts the log with.
+        wal = WriteAheadLog(wal_store)
+        wal.append_begin(2)
+        wal.append_create_index(2, "library/book/@year", "value",
+                                "integer")
+        wal.append_drop_index(2, "//author", "path")
+        wal.append_load(2, 2 ** 40 + 17)
+        wal.append_set_attribute(2, nid, QName("urn:x", "year"), "",
+                                 nid, replace=True)
+        wal.append_commit(2)
+        create, drop, load, replaced = read_wal_store(
+            wal_store).records[7:11]
+        assert [r.kind for r in (create, drop, load, replaced)] == [
+            walmod.CREATE_INDEX, walmod.DROP_INDEX, walmod.LOAD,
+            walmod.SET_ATTRIBUTE]
+        assert (create.index_path, create.index_kind, create.value_type) \
+            == ("library/book/@year", "value", "integer")
+        assert (drop.index_path, drop.index_kind, drop.value_type) \
+            == ("//author", "path", None)
+        assert (load.txn, load.node_count) == (2, 2 ** 40 + 17)
+        assert (replaced.name, replaced.text, replaced.replace) \
+            == (QName("urn:x", "year"), "", True)
+        assert equal(replaced.parent_nid, nid) and equal(replaced.nid, nid)
+        wal.reset(12)
+        wal.close()
+        (marker,) = read_wal_store(wal_store).records
+        assert (marker.lsn, marker.kind, marker.txn,
+                marker.checkpoint_lsn) == (13, walmod.CHECKPOINT, 0, 12)
+
     def test_reopen_continues_lsns(self, wal_store):
         wal = WriteAheadLog(wal_store)
         wal.append_begin(1)
@@ -205,6 +235,27 @@ class TestTransactions:
                 raise RuntimeError("boom")
         assert _snapshot(engine) == before_image
         engine.check_invariants()
+
+    def test_rollback_of_a_delete_over_earlier_operations(self, wal_store):
+        """The deleted subtree holds a node this transaction inserted
+        and a value it replaced: the rollback puts the same descriptors
+        back, so the older inverses still find them stored (it used to
+        rebuild the subtree from new ones and fail on the insert's)."""
+        engine, wal, manager = _attached(wal_store)
+        book = engine.children(_library(engine))[0]
+        engine.set_attribute(book, QName("", "lang"), "en")
+        before_image = _snapshot(engine)
+        with pytest.raises(RuntimeError, match="boom"):
+            with manager.transaction():
+                engine.insert_child(book, 0, name=QName("", "note"))
+                engine.set_attribute(book, QName("", "lang"), "fr",
+                                     replace=True)
+                engine.delete_subtree(book)
+                raise RuntimeError("boom")
+        assert _snapshot(engine) == before_image
+        assert book.block is not None
+        engine.check_invariants()
+        engine.stats.verify_consistency(engine)
 
     def test_explicit_begin_commit_and_no_nesting(self, wal_store):
         engine, wal, manager = _attached(wal_store)
