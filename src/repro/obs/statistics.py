@@ -52,8 +52,9 @@ STATS_DRIFT_MIN_MUTATIONS = 16
 
 
 def descriptor_bytes(descriptor: "NodeDescriptor") -> int:
-    """The deterministic modeled size of one descriptor."""
-    size = DESCRIPTOR_OVERHEAD + len(descriptor.nid.sort_key())
+    """The deterministic modeled size of one descriptor (the label
+    counts ``len(nid.sort_key())``: one u16 per symbol)."""
+    size = DESCRIPTOR_OVERHEAD + 2 * len(descriptor.nid.symbols())
     if descriptor.value is not None:
         size += len(descriptor.value.encode("utf-8"))
     return size

@@ -40,6 +40,9 @@ from repro.storage.labels import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.txn import TransactionManager
 
+#: Looked up once: a bulk load allocates one descriptor per node.
+_ALLOCATED = obs.REGISTRY.counter("storage.descriptors.allocated")
+
 
 class StorageEngine:
     """One stored document: descriptive schema + blocks + labels."""
@@ -113,16 +116,16 @@ class StorageEngine:
         """Bulk-load a data-model tree (Section 5 nodes)."""
         def expand(element: ElementNode):
             children: list[object] = []
-            for child in element.children():
+            for child in element._children:
                 if isinstance(child, TextNode):
-                    children.append(child.string_value())
+                    children.append(child._value)
                 elif isinstance(child, ElementNode):
                     children.append(child)
                 else:
                     raise StorageError(
-                        f"unsupported child kind {child.node_kind()!r}")
-            return ([(a.node_name().head(), a.string_value())
-                     for a in element.attributes()], children)
+                        f"unsupported child kind {child.kind!r}")
+            return ([(a._name, a._value) for a in element._attributes],
+                    children)
 
         return self._load(document.document_element(), expand)
 
@@ -152,7 +155,7 @@ class StorageEngine:
     def _new_descriptor(self, schema_node: SchemaNode, nid: NidLabel,
                         value: str | None = None) -> NodeDescriptor:
         descriptor = NodeDescriptor(schema_node, nid, value=value)
-        obs.REGISTRY.counter("storage.descriptors.allocated").inc()
+        _ALLOCATED.inc()
         return descriptor
 
     def _load_children(self, parent_descriptor: NodeDescriptor,

@@ -43,6 +43,13 @@ class Node:
 
     kind = "node"
 
+    # Accessor fields a node kind fixes to empty; other kinds use slots.
+    _name: Optional[QName] = None
+    _children: tuple = ()
+    _attributes: tuple = ()
+    _type_name: Optional[QName] = None
+    _nilled: Optional[bool] = None
+
     def __init__(self, algebra: "StateAlgebra", identifier: int) -> None:
         self._algebra = algebra
         self._identifier = identifier
@@ -313,6 +320,8 @@ class TextNode(Node):
     __slots__ = ("_value",)
 
     kind = "text"
+
+    _type_name = UNTYPED_ATOMIC_NAME
 
     def __init__(self, algebra: "StateAlgebra", identifier: int,
                  value: str) -> None:

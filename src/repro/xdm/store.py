@@ -165,9 +165,11 @@ class NodeStore:
 class TreeNodeStore(NodeStore):
     """The state-algebra interpretation: refs are §5 ``Node`` objects.
 
-    The accessors delegate to the node methods, so a ``TreeNodeStore``
-    carries no per-node state — the optional *root* only anchors
-    :meth:`root` for consumers that start from the store itself.
+    The accessors read the node fields the §5 methods wrap in a
+    ``Sequence`` (a field a node kind fixes to the empty sequence is
+    ``None`` or ``()`` on the class), so a ``TreeNodeStore`` carries no
+    per-node state — the optional *root* only anchors :meth:`root` for
+    consumers that start from the store itself.
     """
 
     def __init__(self, root: "Node | None" = None) -> None:
@@ -176,14 +178,13 @@ class TreeNodeStore(NodeStore):
     # -- the ten accessors ---------------------------------------------
 
     def node_kind(self, ref: Node) -> str:
-        return ref.node_kind()
+        return ref.kind
 
     def node_name(self, ref: Node) -> Optional[QName]:
-        names = ref.node_name()
-        return names.head() if names else None
+        return ref._name
 
     def parent(self, ref: Node) -> Optional[Node]:
-        return ref.parent_or_none()
+        return ref._parent
 
     def string_value(self, ref: Node) -> str:
         return ref.string_value()
@@ -192,22 +193,19 @@ class TreeNodeStore(NodeStore):
         return ref.typed_value()
 
     def type_name(self, ref: Node) -> Optional[QName]:
-        types = ref.type()
-        return types.head() if types else None
+        return ref._type_name
 
     def children(self, ref: Node) -> list[Node]:
-        return list(ref.children())
+        return list(ref._children)
 
     def attributes(self, ref: Node) -> list[Node]:
-        return list(ref.attributes())
+        return list(ref._attributes)
 
     def base_uri(self, ref: Node) -> Optional[str]:
-        uris = ref.base_uri()
-        return uris.head() if uris else None
+        return ref._base_uri
 
     def nilled(self, ref: Node) -> Optional[bool]:
-        flags = ref.nilled()
-        return flags.head() if flags else None
+        return ref._nilled
 
     # -- navigation kernel ---------------------------------------------
 

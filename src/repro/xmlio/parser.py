@@ -1,7 +1,10 @@
 """A from-scratch, non-validating XML 1.0 parser.
 
 The parser is a hand-written recursive-descent scanner over the input
-string.  It supports the features a schema-described document can use:
+string, normalized for line ends and checked against production [2]
+``Char`` once on input; it steps by token, one match of a compiled
+character class each.  It supports the features a schema-described
+document can use:
 
 * the XML declaration and a (skipped) DOCTYPE without entity definitions,
 * elements with attributes and self-closing tags,
@@ -17,12 +20,15 @@ with the 1-based line and column of the offending position.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import XmlSyntaxError
 from repro.xmlio.chars import (
-    is_name_char,
-    is_name_start_char,
-    is_whitespace,
+    ILLEGAL_CHAR,
+    NAME,
+    S,
     is_xml_char,
+    replace_whitespace,
 )
 from repro.xmlio.nodes import XmlDocument, XmlElement, XmlText
 from repro.xmlio.qname import XMLNS_NAMESPACE, QName, split_prefixed
@@ -40,6 +46,12 @@ _BUILTIN_BINDINGS = {
     "xml": "http://www.w3.org/XML/1998/namespace",
     "xmlns": XMLNS_NAMESPACE,
 }
+
+#: Production [14] CharData (less ``]]>``) up to markup or a reference.
+_CHAR_DATA = re.compile("[^<&]+")
+
+#: Production [10] up to markup, a reference or the closing quote.
+_ATTRIBUTE_RUN = {'"': re.compile('[^"<&]*'), "'": re.compile("[^'<&]*")}
 
 
 class _Scanner:
@@ -76,18 +88,17 @@ class _Scanner:
     def skip_whitespace(self) -> int:
         """Skip whitespace; return how many characters were skipped."""
         start = self.pos
-        while self.pos < self.length and is_whitespace(self.text[self.pos]):
-            self.pos += 1
+        match = S.match(self.text, start)
+        if match is not None:
+            self.pos = match.end()
         return self.pos - start
 
     def read_name(self) -> str:
-        start = self.pos
-        if self.eof() or not is_name_start_char(self.peek()):
+        match = NAME.match(self.text, self.pos)
+        if match is None:
             raise self.error("expected a name")
-        self.pos += 1
-        while self.pos < self.length and is_name_char(self.text[self.pos]):
-            self.pos += 1
-        return self.text[start:self.pos]
+        self.pos = match.end()
+        return match.group()
 
     def read_until(self, token: str, context: str) -> str:
         end = self.text.find(token, self.pos)
@@ -104,6 +115,9 @@ class XmlParser:
     def __init__(self, text: str, base_uri: str | None = None) -> None:
         if text.startswith("﻿"):
             text = text[1:]
+        # Line-end normalization (XML 1.0 section 2.11), once on input.
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         self._scanner = _Scanner(text)
         self._base_uri = base_uri
         # Namespace environment: list of dicts, innermost last.
@@ -112,6 +126,10 @@ class XmlParser:
     def parse(self) -> XmlDocument:
         """Parse the whole input and return the document."""
         scanner = self._scanner
+        illegal = ILLEGAL_CHAR.search(scanner.text)
+        if illegal is not None:
+            raise scanner.error(f"illegal character U+{ord(illegal[0]):04X}",
+                                illegal.start())
         self._skip_prolog()
         if scanner.eof() or scanner.peek() != "<":
             raise scanner.error("expected the root element")
@@ -138,9 +156,7 @@ class XmlParser:
         # "<?xml" must be followed by whitespace to be the declaration
         # (as opposed to a PI named e.g. "xmlfoo").
         scanner = self._scanner
-        after = scanner.pos + len("<?xml")
-        return (after < scanner.length
-                and is_whitespace(scanner.text[after]))
+        return S.match(scanner.text, scanner.pos + len("<?xml")) is not None
 
     def _skip_doctype(self) -> None:
         scanner = self._scanner
@@ -263,25 +279,26 @@ class XmlParser:
         if quote not in ("'", '"'):
             raise scanner.error("attribute value must be quoted")
         scanner.pos += 1
+        run = _ATTRIBUTE_RUN[quote]
         parts: list[str] = []
         while True:
+            match = run.match(scanner.text, scanner.pos)
+            # Attribute-value normalization: whitespace becomes space.
+            parts.append(replace_whitespace(match.group()))
+            scanner.pos = match.end()
             if scanner.eof():
                 raise scanner.error("unterminated attribute value")
-            ch = scanner.peek()
+            ch = scanner.text[scanner.pos]
             if ch == quote:
                 scanner.pos += 1
                 return "".join(parts)
             if ch == "<":
                 raise scanner.error("'<' is not allowed in attribute values")
-            if ch == "&":
-                parts.append(self._parse_reference())
-            else:
-                # Attribute-value normalization: whitespace becomes space.
-                parts.append(" " if ch in "\t\r\n" else ch)
-                scanner.pos += 1
+            parts.append(self._parse_reference())
 
     def _parse_content(self, element: XmlElement) -> None:
         scanner = self._scanner
+        text = scanner.text
         text_parts: list[str] = []
 
         def flush_text() -> None:
@@ -290,43 +307,33 @@ class XmlParser:
                 text_parts.clear()
 
         while True:
+            match = _CHAR_DATA.match(text, scanner.pos)
+            if match is not None:
+                run = match.group()
+                if "]]>" in run:
+                    raise scanner.error("']]>' is not allowed in content",
+                                        scanner.pos + run.index("]]>"))
+                text_parts.append(run)
+                scanner.pos = match.end()
             if scanner.eof():
                 raise scanner.error(
                     f"unterminated element <{element.name.lexical}>")
-            ch = scanner.peek()
-            if ch == "<":
-                if scanner.startswith("</"):
-                    flush_text()
-                    scanner.pos += 2
-                    return
-                if scanner.startswith("<!--"):
-                    self._skip_comment()
-                elif scanner.startswith("<![CDATA["):
-                    scanner.pos += len("<![CDATA[")
-                    text_parts.append(
-                        scanner.read_until("]]>", "CDATA section"))
-                elif scanner.startswith("<?"):
-                    self._skip_pi()
-                else:
-                    flush_text()
-                    element.append(self._parse_element())
-            elif ch == "&":
+            if text[scanner.pos] == "&":
                 text_parts.append(self._parse_reference())
+            elif scanner.startswith("</"):
+                flush_text()
+                scanner.pos += 2
+                return
+            elif scanner.startswith("<!--"):
+                self._skip_comment()
+            elif scanner.startswith("<![CDATA["):
+                scanner.pos += len("<![CDATA[")
+                text_parts.append(scanner.read_until("]]>", "CDATA section"))
+            elif scanner.startswith("<?"):
+                self._skip_pi()
             else:
-                if ch == "]" and scanner.startswith("]]>"):
-                    raise scanner.error("']]>' is not allowed in content")
-                if not is_xml_char(ch):
-                    raise scanner.error(
-                        f"illegal character U+{ord(ch):04X} in content")
-                # Line-end normalization (XML 1.0 section 2.11).
-                if ch == "\r":
-                    text_parts.append("\n")
-                    scanner.pos += 1
-                    if not scanner.eof() and scanner.peek() == "\n":
-                        scanner.pos += 1
-                else:
-                    text_parts.append(ch)
-                    scanner.pos += 1
+                flush_text()
+                element.append(self._parse_element())
 
     # ------------------------------------------------------------------
     # References and namespaces

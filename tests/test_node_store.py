@@ -16,17 +16,24 @@ from repro.database import DatabaseError, StoredDocument, XmlDatabase
 from repro.errors import ModelError, StorageError
 from repro.algebra.conformance import ConformanceChecker
 from repro.mapping import serialize_store
+from repro.mapping import document_to_tree, tree_to_document
 from repro.order import StoreOrderIndex, store_document_order
 from repro.query import evaluate_store
 from repro.schema import parse_schema
 from repro.storage import StorageNodeStore
+from repro.workloads import make_library_document
 from repro.workloads.fixtures import (
+    EXAMPLE_1_SCHEMA,
+    EXAMPLE_6_SCHEMA,
     EXAMPLE_7_DOCUMENT,
     EXAMPLE_7_SCHEMA,
     EXAMPLE_8_DOCUMENT,
     LIBRARY_SCHEMA,
 )
 from repro.xdm import TREE_STORE, bisimulate, stores_agree
+from repro.xdm.node import UNTYPED_ATOMIC_NAME
+from repro.xmlio import parse_document
+from repro.xsdtypes.sequence import Sequence
 from repro.xquery import execute_values
 
 
@@ -305,3 +312,127 @@ class TestSetAttributeReplace:
         from repro.xmlio.qname import QName
         with pytest.raises(StorageError, match="already present"):
             doc.engine.set_attribute(descriptor, QName("", "lang"), "xx")
+
+
+# ----------------------------------------------------------------------
+# The tree store reads node fields: same answers as §5, no wrapping
+
+
+_NIL_DOCUMENT = (
+    '<Catalogue xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">'
+    '<Remark xsi:nil="true"/><Book>b</Book><Note><Text>t</Text></Note>'
+    "</Catalogue>")
+
+_MIXED_DOCUMENT = (
+    '<Review InStock="true" Reviewer="bob">Great stuff '
+    "<Book><Title>T</Title><Author>A</Author><Date>D</Date>"
+    "<ISBN>I</ISBN><Publisher>P</Publisher></Book> indeed</Review>")
+
+_SECTION_5_TREES = {
+    "bookstore": (EXAMPLE_7_SCHEMA, EXAMPLE_7_DOCUMENT),
+    "library": (LIBRARY_SCHEMA, EXAMPLE_8_DOCUMENT),
+    "nilled": (EXAMPLE_1_SCHEMA, _NIL_DOCUMENT),
+    "mixed": (EXAMPLE_6_SCHEMA, _MIXED_DOCUMENT),
+}
+
+
+def _head(sequence):
+    return sequence.head() if sequence else None
+
+
+def _outcome(read):
+    try:
+        return list(read())
+    except ModelError:
+        return "model-error"
+
+
+#: Each ``TreeNodeStore`` accessor beside the unwrapped §5 method.
+_UNWRAPPED = {
+    "node_kind": lambda n: n.node_kind(),
+    "node_name": lambda n: _head(n.node_name()),
+    "parent": lambda n: _head(n.parent()),
+    "string_value": lambda n: n.string_value(),
+    "typed_value": lambda n: _outcome(n.typed_value),
+    "type_name": lambda n: _head(n.type()),
+    "children": lambda n: list(n.children()),
+    "attributes": lambda n: list(n.attributes()),
+    "base_uri": lambda n: _head(n.base_uri()),
+    "nilled": lambda n: _head(n.nilled()),
+}
+
+
+def _section_5_tree(name):
+    schema_text, text = _SECTION_5_TREES[name]
+    return document_to_tree(parse_document(text, base_uri="urn:doc"),
+                            parse_schema(schema_text))
+
+
+@pytest.fixture(params=sorted(_SECTION_5_TREES))
+def section_5_tree(request):
+    return _section_5_tree(request.param)
+
+
+def _section_5_walk(node):
+    """Every node below *node*, found through the §5 methods alone."""
+    yield node
+    for attribute in node.attributes():
+        yield attribute
+    for child in node.children():
+        yield from _section_5_walk(child)
+
+
+class TestTreeStoreReadsFields:
+    def test_fixture_covers_names_nil_and_mixed_content(self):
+        nodes = [node for name in _SECTION_5_TREES
+                 for node in _section_5_walk(_section_5_tree(name))]
+        assert {n.node_kind() for n in nodes} == {
+            "document", "element", "attribute", "text"}
+        assert any(_head(n.base_uri()) == "urn:doc" for n in nodes)
+        assert any(_head(n.node_name()).uri for n in nodes
+                   if n.node_kind() == "element")
+        assert any(_head(n.nilled()) for n in nodes)
+        assert any({c.node_kind() for c in n.children()}
+                   == {"element", "text"} for n in nodes)
+
+    def test_every_accessor_is_the_unwrapped_section_5_value(
+            self, section_5_tree):
+        for node in _section_5_walk(section_5_tree):
+            for accessor, unwrapped in _UNWRAPPED.items():
+                read = getattr(TREE_STORE, accessor)
+                expected = unwrapped(node)
+                if accessor == "typed_value":
+                    assert _outcome(lambda: read(node)) == expected
+                else:
+                    assert read(node) == expected, (accessor, node)
+
+    def test_kind_fixed_values_are_none_or_empty(self, section_5_tree):
+        document = section_5_tree
+        assert TREE_STORE.node_name(document) is None
+        assert TREE_STORE.type_name(document) is None
+        assert TREE_STORE.nilled(document) is None
+        assert TREE_STORE.attributes(document) == []
+        kinds = {n.node_kind(): n for n in _section_5_walk(document)}
+        text = kinds["text"]
+        assert TREE_STORE.children(text) == []
+        assert TREE_STORE.type_name(text) == UNTYPED_ATOMIC_NAME
+
+    def test_check_and_g_construct_no_sequence(self, monkeypatch):
+        """The work the field reads remove, counted: the §6.2 check
+        and ``g`` over a 100-book library build no ``Sequence``."""
+        schema = parse_schema(LIBRARY_SCHEMA)
+        tree = document_to_tree(
+            make_library_document(books=100, papers=10, seed=100), schema)
+        built = []
+        construct = Sequence.__init__
+
+        def counting(self, items=()):
+            built.append(1)
+            construct(self, items)
+
+        monkeypatch.setattr(Sequence, "__init__", counting)
+        assert ConformanceChecker(schema).check(tree) == []
+        tree_to_document(tree)
+        assert built == []
+        tree.document_element().node_name()
+        assert built == [1]  # the counter is live

@@ -1,9 +1,12 @@
 """Tests for character classification and QName handling."""
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from repro.errors import ConformanceError, LexicalError, XmlSyntaxError
 from repro.xmlio import QName, split_prefixed, xdt, xsd
+from repro.xmlio import parse_document
+from repro.xmlio.chars import _NAME_EXTRA_RANGES, _NAME_START_RANGES
 from repro.xmlio.chars import (
     collapse_whitespace,
     is_name,
@@ -54,6 +57,49 @@ class TestCharClasses:
         assert is_ncname("abc")
         assert not is_ncname("p:local")
         assert not is_ncname("")
+
+
+#: Every range-table endpoint and its two neighbours.
+_ENDPOINTS = sorted({chr(code + step)
+                     for lo, hi in _NAME_START_RANGES + _NAME_EXTRA_RANGES
+                     for code in (lo, hi) for step in (-1, 0, 1)})
+
+_NAME_ALPHABET = st.one_of(
+    st.characters(),
+    st.characters(min_codepoint=0x10000),
+    st.sampled_from(_ENDPOINTS),
+)
+
+#: XML whitespace and the markup characters of a start tag.
+_MARKUP = " \t\r\n<>/='\"&"
+
+
+class TestCompiledClasses:
+    """The compiled ``NAME`` class against the range tables it is
+    built from, and the parser that steps by it."""
+
+    @given(st.text(_NAME_ALPHABET))
+    def test_is_name_matches_the_range_tables(self, text):
+        assert is_name(text) == (bool(text)
+                                 and is_name_start_char(text[0])
+                                 and all(map(is_name_char, text[1:])))
+
+    def test_every_endpoint_neighbour_is_classified_by_the_tables(self):
+        for ch in _ENDPOINTS:
+            assert is_name(ch) == is_name_start_char(ch), hex(ord(ch))
+            assert is_name("_" + ch) == is_name_char(ch), hex(ord(ch))
+
+    @given(st.text(_NAME_ALPHABET.filter(lambda ch: ch not in _MARKUP)))
+    def test_element_name_parses_iff_ncname(self, text):
+        # The two built-in prefixes are bound without a declaration.
+        assume(not text.startswith(("xml:", "xmlns:")))
+        try:
+            parse_document(f"<{text}/>")
+        except XmlSyntaxError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == is_ncname(text)
 
 
 class TestWhitespaceFacetHelpers:

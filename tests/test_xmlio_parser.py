@@ -108,6 +108,16 @@ class TestCharacterData:
         root = parse_element("<a>l1\r\nl2\rl3</a>")
         assert root.text_content() == "l1\nl2\nl3"
 
+    def test_crlf_is_one_line_end_in_attribute_value(self):
+        # Section 2.11 first, then the section 3.3.3 normalization.
+        root = parse_element('<a x="p\r\nq" y="r\rs"/>')
+        assert root.get("x") == "p q"
+        assert root.get("y") == "r s"
+
+    def test_crlf_normalized_in_cdata(self):
+        root = parse_element("<a><![CDATA[p\r\nq\rr]]></a>")
+        assert root.text_content() == "p\nq\nr"
+
     def test_adjacent_text_merged(self):
         root = parse_element("<a>x&amp;y</a>")
         assert len(root.children) == 1
@@ -174,6 +184,19 @@ class TestWellFormednessErrors:
         "<a><?xml bad?></a>",
         '<a xmlns:p=""/>',
         "<a b:c='1'/>",
+        "<a>&#1;</a>",
+        '<a x="\x01"/>',
+        '<a x="\ud800"/>',
+        '<a x="\ufffe"/>',
+        "<a><![CDATA[\x01]]></a>",
+        "<a><![CDATA[\ud800]]></a>",
+        "<a><![CDATA[\ufffe]]></a>",
+        "<a><!-- \x01 --></a>",
+        "<a><!-- \ud800 --></a>",
+        "<a><!-- \ufffe --></a>",
+        "<a><?pi \x01?></a>",
+        "<a><?pi \ud800?></a>",
+        "<a><?pi \ufffe?></a>",
     ])
     def test_rejected(self, text):
         with pytest.raises(XmlSyntaxError):
@@ -183,6 +206,17 @@ class TestWellFormednessErrors:
         with pytest.raises(XmlSyntaxError) as exc_info:
             parse_document("<a>\n  <b></c>\n</a>")
         assert exc_info.value.line == 2
+
+    def test_illegal_character_is_located(self):
+        with pytest.raises(XmlSyntaxError) as exc_info:
+            parse_document('<a>\r\n  <b x="ok"/><!-- \ufffe --></a>')
+        error = exc_info.value
+        assert "U+FFFE" in str(error)
+        assert (error.line, error.column) == (2, 19)
+
+    def test_character_reference_to_illegal_character_refused(self):
+        with pytest.raises(XmlSyntaxError, match="character reference"):
+            parse_document("<a>&#1;</a>")
 
     def test_content_after_root_rejected(self):
         with pytest.raises(XmlSyntaxError):
