@@ -14,7 +14,7 @@ import string
 
 from repro.errors import ReproError
 from repro.xmlio.qname import QName
-from repro.xdm.node import ANY_TYPE_NAME, DocumentNode, ElementNode
+from repro.xdm.node import DocumentNode, ElementNode
 from repro.xsdtypes.base import (
     AtomicType,
     ListType,
@@ -30,14 +30,12 @@ from repro.algebra.state import StateAlgebra
 from repro.schema.ast import (
     AllGroup,
     CombinationFactor,
-    ComplexContentType,
     DocumentSchema,
     ElementDeclaration,
     GroupDefinition,
     RepetitionFactor,
-    SimpleContentType,
-    TypeName,
 )
+from repro.schema.compiled import CompiledType
 
 _WORDS = ("data", "value", "alpha", "beta", "gamma", "delta", "omega",
           "node", "tree", "model", "schema", "algebra")
@@ -191,67 +189,42 @@ class InstanceBuilder:
                        declaration: ElementDeclaration) -> ElementNode:
         element = algebra.create_element(QName(
             self._element_namespace(), declaration.name))
-        resolved = self._schema.resolve(declaration.type)
-        type_name = (declaration.type.qname
-                     if isinstance(declaration.type, TypeName)
-                     else ANY_TYPE_NAME)
-
-        if declaration.nillable and self._rng.random() < \
-                self._nil_probability:
-            simple = resolved if isinstance(resolved, SimpleType) else (
-                self._schema.resolve(resolved.base)
-                if isinstance(resolved, SimpleContentType) else None)
-            algebra.annotate_element(element, type_name,
-                                     simple_type=simple, nilled=True)
-            if isinstance(resolved, (SimpleContentType,
-                                     ComplexContentType)):
-                self._add_attributes(algebra, element, resolved)
+        compiled = self._schema.type_of(declaration)
+        nilled = declaration.nillable and self._rng.random() < \
+            self._nil_probability
+        algebra.annotate_element(element, compiled.type_name,
+                                 simple_type=compiled.simple_type,
+                                 nilled=nilled)
+        self._add_attributes(algebra, element, compiled)
+        if nilled:
             return element
-
-        if isinstance(resolved, SimpleType):
-            algebra.annotate_element(element, type_name,
-                                     simple_type=resolved)
-            algebra.append_child(
-                element,
-                algebra.create_text(self._sampler.sample(resolved)))
-            return element
-
-        if isinstance(resolved, SimpleContentType):
-            base = self._schema.resolve(resolved.base)
-            algebra.annotate_element(element, type_name, simple_type=base)
-            self._add_attributes(algebra, element, resolved)
-            algebra.append_child(
-                element, algebra.create_text(self._sampler.sample(base)))
-            return element
-
-        algebra.annotate_element(element, type_name)
-        self._add_attributes(algebra, element, resolved)
-        self._add_group_content(algebra, element, resolved)
+        if compiled.simple_type is not None:
+            algebra.append_child(element, algebra.create_text(
+                self._sampler.sample(compiled.simple_type)))
+        else:
+            self._add_group_content(algebra, element, compiled)
         return element
 
     def _element_namespace(self) -> str:
         return self._schema.target_namespace
 
     def _add_attributes(self, algebra: StateAlgebra, element: ElementNode,
-                        definition) -> None:
-        for name, type_ref in definition.attributes:
-            simple = self._schema.resolve(type_ref)
+                        compiled: CompiledType) -> None:
+        for name, attribute_type in (compiled.attributes or {}).items():
+            simple = attribute_type.simple_type
             attribute = algebra.create_attribute(
                 QName("", name), self._sampler.sample(simple))
-            attr_type = (type_ref.qname if isinstance(type_ref, TypeName)
-                         else ANY_TYPE_NAME)
-            algebra.annotate_attribute(attribute, attr_type,
+            algebra.annotate_attribute(attribute, attribute_type.type_name,
                                        simple_type=simple)
             algebra.attach_attribute(element, attribute)
 
     def _add_group_content(self, algebra: StateAlgebra,
                            element: ElementNode,
-                           definition: ComplexContentType) -> None:
-        group = definition.group
+                           compiled: CompiledType) -> None:
         elements: list[ElementNode] = []
-        if group is not None and not group.empty_content:
-            elements = self._generate_group(algebra, group)
-        if not definition.mixed:
+        if compiled.model is not None:
+            elements = self._generate_group(algebra, compiled.model.group)
+        if not compiled.mixed:
             for child in elements:
                 algebra.append_child(element, child)
             return

@@ -24,23 +24,11 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.errors import ConformanceError
-from repro.xdm.node import (
-    ANY_TYPE_NAME,
-    UNTYPED_ATOMIC_NAME,
-    DocumentNode,
-    Node,
-)
+from repro.xdm.node import UNTYPED_ATOMIC_NAME, DocumentNode, Node
 from repro.xdm.store import NodeStore, Ref, as_node_store
 from repro.xsdtypes.base import SimpleType
-from repro.content.matcher import ContentModel
-from repro.schema.ast import (
-    ComplexContentType,
-    DocumentSchema,
-    ElementDeclaration,
-    GroupDefinition,
-    SimpleContentType,
-    TypeName,
-)
+from repro.schema.ast import DocumentSchema, ElementDeclaration
+from repro.schema.compiled import CompiledType
 
 
 @dataclass
@@ -65,7 +53,6 @@ class ConformanceChecker:
 
     def __init__(self, schema: DocumentSchema) -> None:
         self._schema = schema
-        self._content_models: dict[int, ContentModel] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -167,7 +154,9 @@ class ConformanceChecker:
         if not self._same_node(store.parent(end), document):
             self._report("3", path, "child's parent accessor is wrong")
         declaration = self._schema.root_element
-        self._check_element(end, declaration, f"/{declaration.name}")
+        self._check_element(end, declaration,
+                            self._schema.type_of(declaration),
+                            f"/{declaration.name}")
 
     def _same_node(self, first: "Ref | None",
                    second: "Ref | None") -> bool:
@@ -177,7 +166,8 @@ class ConformanceChecker:
         return store.node_key(first) == store.node_key(second)
 
     def _check_element(self, element: Ref,
-                       declaration: ElementDeclaration, path: str) -> None:
+                       declaration: ElementDeclaration,
+                       compiled: CompiledType, path: str) -> None:
         store = self._store
         self._count_check("4")
         if store.node_kind(element) != "element":
@@ -191,9 +181,7 @@ class ConformanceChecker:
                 "4", path,
                 f"node-name {name!r} does not match declaration "
                 f"{declaration.name!r}")
-        expected_type = (declaration.type.qname
-                         if isinstance(declaration.type, TypeName)
-                         else ANY_TYPE_NAME)
+        expected_type = compiled.type_name
         type_name = store.type_name(element)
         if type_name != expected_type:
             self._report(
@@ -202,7 +190,6 @@ class ConformanceChecker:
                 f"{expected_type.lexical}")
         self._check_base_uri(element, path, item="4")
 
-        resolved = self._schema.resolve(declaration.type)
         nilled = bool(store.nilled(element))
 
         if not declaration.nillable:
@@ -213,7 +200,7 @@ class ConformanceChecker:
                     "5", path,
                     "nilled is true but the declaration is not nillable")
                 return
-            self._check_content(element, resolved, path)
+            self._check_content(element, compiled, path)
         else:
             # Item 6.
             self._count_check("6")
@@ -221,15 +208,15 @@ class ConformanceChecker:
                 if store.children(element):
                     self._report(
                         "6", path, "a nilled element must have no children")
-                if isinstance(resolved, (SimpleContentType,
-                                         ComplexContentType)):
-                    self._check_attributes(element, resolved, path)
+                if compiled.attributes is not None:
+                    self._check_attributes(element, compiled.attributes,
+                                           path)
                 elif store.attributes(element):
                     self._report(
                         "6.1", path,
                         "a nilled simple-typed element has attributes")
             else:
-                self._check_content(element, resolved, path)
+                self._check_content(element, compiled, path)
 
     def _check_base_uri(self, ref: Ref, path: str, item: str) -> None:
         store = self._store
@@ -243,27 +230,19 @@ class ConformanceChecker:
 
     # -- item 5 dispatch -----------------------------------------------------
 
-    def _check_content(self, element: Ref, resolved: object,
+    def _check_content(self, element: Ref, compiled: CompiledType,
                        path: str) -> None:
-        if isinstance(resolved, SimpleType):
+        if compiled.attributes is None:
             if self._store.attributes(element):
                 self._report(
                     "5.1", path,
                     "a simple-typed element must not have attributes")
-            self._check_simple_value(element, resolved, path)
-        elif isinstance(resolved, SimpleContentType):
-            base = self._schema.resolve(resolved.base)
-            self._check_attributes(element, resolved, path)
-            if isinstance(base, SimpleType):
-                self._check_simple_value(element, base, path)
-            else:
-                self._report("5.2", path,
-                             "simple content base is not a simple type")
-        elif isinstance(resolved, ComplexContentType):
-            self._check_attributes(element, resolved, path)
-            self._check_complex_children(element, resolved, path)
-        else:  # pragma: no cover - resolve() covers all cases
-            self._report("4", path, f"unknown resolved type {resolved!r}")
+        else:
+            self._check_attributes(element, compiled.attributes, path)
+        if compiled.simple_type is not None:
+            self._check_simple_value(element, compiled.simple_type, path)
+        else:
+            self._check_complex_children(element, compiled, path)
 
     # -- item 5.1.1 ---------------------------------------------------------
 
@@ -298,12 +277,10 @@ class ConformanceChecker:
 
     # -- item 5.3.1 ---------------------------------------------------------
 
-    def _check_attributes(
-            self, element: Ref,
-            definition: "SimpleContentType | ComplexContentType",
-            path: str) -> None:
+    def _check_attributes(self, element: Ref,
+                          declared: dict[str, CompiledType],
+                          path: str) -> None:
         store = self._store
-        declared = dict(definition.attributes.items)
         present: dict[str, Ref] = {}
         for attribute in store.attributes(element):
             if store.node_kind(attribute) != "attribute":
@@ -327,23 +304,20 @@ class ConformanceChecker:
                 f"declared {sorted(declared)}")
             return
         for local, attribute in present.items():
-            type_ref = declared[local]
+            attribute_type = declared[local]
             if not self._same_node(store.parent(attribute), element):
                 self._report("5.3.1", path,
                              f"attribute {local!r} has the wrong parent")
             self._check_base_uri(attribute, path, item="5.3.1")
-            expected_type = (type_ref.qname
-                             if isinstance(type_ref, TypeName)
-                             else ANY_TYPE_NAME)
+            expected_type = attribute_type.type_name
             type_name = store.type_name(attribute)
             if type_name != expected_type:
                 self._report(
                     "5.3.1", path,
                     f"attribute {local!r} type accessor must be "
                     f"{expected_type.lexical}")
-            simple = self._schema.resolve(type_ref)
-            if isinstance(simple, SimpleType) and not simple.validate(
-                    store.string_value(attribute)):
+            simple = attribute_type.simple_type
+            if not simple.validate(store.string_value(attribute)):
                 self._report(
                     "5.3.1", path,
                     f"attribute {local}={store.string_value(attribute)!r} "
@@ -351,15 +325,8 @@ class ConformanceChecker:
 
     # -- items 5.4.x ----------------------------------------------------------
 
-    def _content_model(self, group: GroupDefinition) -> ContentModel:
-        model = self._content_models.get(id(group))
-        if model is None:
-            model = ContentModel(group)
-            self._content_models[id(group)] = model
-        return model
-
     def _check_complex_children(self, element: Ref,
-                                definition: ComplexContentType,
+                                compiled: CompiledType,
                                 path: str) -> None:
         store = self._store
         children = store.children(element)
@@ -372,14 +339,14 @@ class ConformanceChecker:
             self._report(
                 "7", path, f"unexpected node {stray!r} among children")
 
-        group = definition.group
-        if group is None or group.empty_content:
+        model = compiled.model
+        if model is None:
             # Item 5.4.1.
             if elements:
                 self._report(
                     "5.4.1", path,
                     "element children where the type has empty content")
-            if definition.mixed:
+            if compiled.mixed:
                 # 5.4.1.1: () or a single text node.
                 if len(texts) > 1:
                     self._report(
@@ -396,7 +363,7 @@ class ConformanceChecker:
             return
 
         # Item 5.4.2: children are roots of a tree sequence.
-        if definition.mixed:
+        if compiled.mixed:
             # 5.4.2.2: no two adjacent text nodes.
             for first, second in zip(children, children[1:]):
                 if store.node_kind(first) == "text" and \
@@ -413,7 +380,6 @@ class ConformanceChecker:
                 "text children where mixed is false")
 
         # Item 5.4.2.3: the ss sequence decomposes per the group.
-        model = self._content_model(group)
         names = [store.local_name(e) for e in elements]
         if not model.matches(names):
             self._report("5.4.2.3", path, model.explain(names))
@@ -424,9 +390,10 @@ class ConformanceChecker:
             child_path = f"{path}/{local}[{counters[local]}]"
             if not model.knows(local):
                 continue  # already reported by matches()
-            declaration = model.declaration_for(local)
+            declaration, child_type = compiled.child(local)
             # Requirements "starting from item 4" apply recursively.
-            self._check_element(child, declaration, child_path)
+            self._check_element(child, declaration, child_type,
+                                child_path)
 
     # -- item 7 ------------------------------------------------------------
 

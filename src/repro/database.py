@@ -18,10 +18,11 @@ structures that were updated independently.  The lock-step rule:
 * **Storage first.**  The engine validates an update before it changes
   anything; the tree moves only after storage accepted, so a rejected
   update changes neither representation.
-* **Typing from the per-schema-node annotations.**  A document path
-  has one descriptive-schema path (§9.1) and the schema types by path
-  (§6.2 item 4), so an inserted element reads its annotation off its
-  descriptor's schema node (``schema_type_annotations``).
+* **Typing by path.**  A document path has one descriptive-schema
+  path (§9.1) and the schema types by path (§6.2 item 4), so an
+  inserted element takes the compiled type its descriptor's schema
+  path names (``DocumentSchema.type_at``, one content-model step per
+  level).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.mapping.tree_to_doc import tree_to_document
 from repro.query.engine import StorageQueryEngine, evaluate_tree
 from repro.schema.ast import DocumentSchema
 from repro.storage.engine import NodeDescriptor, StorageEngine
-from repro.storage.store import StorageNodeStore, schema_type_annotations
+from repro.storage.store import StorageNodeStore
 
 
 class DatabaseError(ReproError):
@@ -121,12 +122,12 @@ class StoredDocument:
                                               name=qname)
         element = self.algebra.create_element(qname)
         if self.schema is not None:
-            annotation = schema_type_annotations(
-                self.engine, self.schema).get(descriptor.schema_node)
-            if annotation is not None:
+            compiled = self.schema.type_at(
+                descriptor.schema_node.path.split("/"))
+            if compiled is not None:
                 self.algebra.annotate_element(
-                    element, annotation.type_name,
-                    simple_type=annotation.simple_type)
+                    element, compiled.type_name,
+                    simple_type=compiled.simple_type)
         self.algebra.insert_child(parent, index, element)
         self.version += 1
         return element

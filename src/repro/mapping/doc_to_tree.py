@@ -27,18 +27,10 @@ from repro.errors import ValidationError
 from repro.xmlio.nodes import XmlDocument, XmlElement, XmlText
 from repro.xmlio.qname import XSI_NAMESPACE, QName
 from repro.xsdtypes.base import SimpleType
-from repro.xdm.node import ANY_TYPE_NAME, DocumentNode, ElementNode
+from repro.xdm.node import DocumentNode, ElementNode
 from repro.algebra.state import StateAlgebra
-from repro.content.matcher import ContentModel
-from repro.schema.ast import (
-    ComplexContentType,
-    DocumentSchema,
-    ElementDeclaration,
-    GroupDefinition,
-    SimpleContentType,
-    TypeName,
-    TypeRef,
-)
+from repro.schema.ast import DocumentSchema, ElementDeclaration
+from repro.schema.compiled import CompiledType
 
 _XSI_NIL = QName(XSI_NAMESPACE, "nil")
 
@@ -48,7 +40,6 @@ class TreeConstructor:
 
     def __init__(self, schema: DocumentSchema) -> None:
         self._schema = schema
-        self._content_models: dict[int, ContentModel] = {}
 
     def convert(self, document: XmlDocument,
                 algebra: StateAlgebra | None = None) -> DocumentNode:
@@ -62,88 +53,51 @@ class TreeConstructor:
                 f"requires {root_decl.name!r} (item 3)")
         doc_node = algebra.create_document(base_uri=document.base_uri)
         element = self._convert_element(
-            algebra, xml_root, root_decl, path=f"/{xml_root.name.local}")
+            algebra, xml_root, root_decl, self._schema.type_of(root_decl),
+            path=f"/{xml_root.name.local}")
         algebra.append_child(doc_node, element)
         return doc_node
 
     # ------------------------------------------------------------------
-
-    def _content_model(self, group: GroupDefinition) -> ContentModel:
-        model = self._content_models.get(id(group))
-        if model is None:
-            model = ContentModel(group)
-            self._content_models[id(group)] = model
-        return model
 
     def _fail(self, item: str, path: str, message: str) -> ValidationError:
         return ValidationError(f"{path}: {message} (item {item})")
 
     def _convert_element(self, algebra: StateAlgebra, source: XmlElement,
                          declaration: ElementDeclaration,
-                         path: str) -> ElementNode:
+                         compiled: CompiledType, path: str) -> ElementNode:
         element = algebra.create_element(source.name)
-        resolved = self._schema.resolve(declaration.type)
-        type_name = self._type_accessor_value(declaration.type)
-
         nil_literal = source.attributes.get(_XSI_NIL)
         nilled = nil_literal in ("true", "1")
         if nilled and not declaration.nillable:
             raise self._fail(
                 "6", path, "xsi:nil on a non-nillable element")
-
-        if isinstance(resolved, SimpleType):
-            algebra.annotate_element(element, type_name,
-                                     simple_type=resolved, nilled=nilled)
-            self._fill_attributes(algebra, element, source, None, path)
-            if nilled:
-                self._require_no_content(source, path, item="6.1")
-            else:
-                self._fill_simple_value(algebra, element, source,
-                                        resolved, path)
-            return element
-
-        if isinstance(resolved, SimpleContentType):
-            base = self._schema.resolve(resolved.base)
-            if not isinstance(base, SimpleType):
-                raise self._fail("5.2", path,
-                                 "simple content base is not simple")
-            algebra.annotate_element(element, type_name,
-                                     simple_type=base, nilled=nilled)
-            self._fill_attributes(algebra, element, source, resolved, path)
-            if nilled:
-                self._require_no_content(source, path, item="6.2")
-            else:
-                self._fill_simple_value(algebra, element, source, base, path)
-            return element
-
-        if isinstance(resolved, ComplexContentType):
-            algebra.annotate_element(element, type_name, nilled=nilled)
-            self._fill_attributes(algebra, element, source, resolved, path)
-            if nilled:
-                self._require_no_content(source, path, item="6.3")
-            else:
-                self._fill_complex_content(algebra, element, source,
-                                           resolved, path)
-            return element
-
-        raise self._fail("4", path, f"unresolvable type {declaration.type!r}")
-
-    def _type_accessor_value(self, ref: TypeRef) -> QName:
-        """Item 4: the ``type`` accessor is the type name for named
-        types and ``xs:anyType`` for anonymous definitions."""
-        if isinstance(ref, TypeName):
-            return ref.qname
-        return ANY_TYPE_NAME
+        algebra.annotate_element(element, compiled.type_name,
+                                 simple_type=compiled.simple_type,
+                                 nilled=nilled)
+        self._fill_attributes(algebra, element, source,
+                              compiled.attributes or {}, path)
+        if nilled:
+            # Item 6.1 (simple type), 6.2 (simple content), 6.3.
+            item = ("6.1" if compiled.attributes is None
+                    else "6.2" if compiled.simple_type is not None
+                    else "6.3")
+            self._require_no_content(source, path, item=item)
+        elif compiled.simple_type is not None:
+            self._fill_simple_value(algebra, element, source,
+                                    compiled.simple_type, path)
+        else:
+            self._fill_complex_content(algebra, element, source,
+                                       compiled, path)
+        return element
 
     # ------------------------------------------------------------------
     # Attributes (item 5.3.1)
 
     def _fill_attributes(self, algebra: StateAlgebra, element: ElementNode,
                          source: XmlElement,
-                         definition: "SimpleContentType | ComplexContentType | None",
+                         declared: dict[str, CompiledType],
                          path: str) -> None:
-        declared = definition.attributes if definition is not None else ()
-        declared_names = {name for name, _ in declared}
         present: dict[str, str] = {}
         for qname, value in source.attributes.items():
             if qname == _XSI_NIL:
@@ -153,21 +107,18 @@ class TreeConstructor:
                     "5.3.1", path,
                     f"namespaced attribute {qname.clark} is outside the "
                     "paper's model")
-            if qname.local not in declared_names:
+            if qname.local not in declared:
                 raise self._fail(
                     "5.3.1", path,
                     f"undeclared attribute {qname.local!r}")
             present[qname.local] = value
-        for name, type_ref in declared:
+        for name, attribute_type in declared.items():
             if name not in present:
                 raise self._fail(
                     "5.3.1", path,
                     f"missing attribute {name!r} (all declared attributes "
                     "are mandatory in the paper's model)")
-            simple = self._schema.resolve(type_ref)
-            if not isinstance(simple, SimpleType):
-                raise self._fail(
-                    "5.3.1", path, f"attribute {name!r} has non-simple type")
+            simple = attribute_type.simple_type
             literal = present[name]
             if not simple.validate(literal):
                 raise self._fail(
@@ -175,11 +126,7 @@ class TreeConstructor:
                     f"attribute {name}={literal!r} is not a valid "
                     f"{simple.type_name}")
             attribute = algebra.create_attribute(QName("", name), literal)
-            if isinstance(type_ref, TypeName):
-                attr_type_name = type_ref.qname
-            else:
-                attr_type_name = ANY_TYPE_NAME
-            algebra.annotate_attribute(attribute, attr_type_name,
+            algebra.annotate_attribute(attribute, attribute_type.type_name,
                                        simple_type=simple)
             algebra.attach_attribute(element, attribute)
 
@@ -213,14 +160,12 @@ class TreeConstructor:
 
     def _fill_complex_content(self, algebra: StateAlgebra,
                               element: ElementNode, source: XmlElement,
-                              definition: ComplexContentType,
-                              path: str) -> None:
-        group = definition.group
-        if group is None or group.empty_content:
+                              compiled: CompiledType, path: str) -> None:
+        model = compiled.model
+        if model is None:
             self._fill_empty_content(algebra, element, source,
-                                     definition.mixed, path)
+                                     compiled.mixed, path)
             return
-        model = self._content_model(group)
         child_elements = source.element_children()
         names = [child.name.local for child in child_elements]
         if not model.matches(names):
@@ -229,7 +174,7 @@ class TreeConstructor:
         counters: dict[str, int] = {}
         for child in source.children:
             if isinstance(child, XmlText):
-                if not definition.mixed:
+                if not compiled.mixed:
                     if child.text.strip():
                         raise self._fail(
                             "5.4.2.1", path,
@@ -241,17 +186,13 @@ class TreeConstructor:
                                          algebra.create_text(child.text))
                 continue
             name = child.name.local
-            if not model.knows(name):
-                raise self._fail(
-                    "5.4.2.3", path,
-                    f"element {name!r} does not occur in the content model")
-            declaration = model.declaration_for(name)
+            declaration, child_type = compiled.child(name)
             counters[name] = counters.get(name, 0) + 1
             child_path = f"{path}/{name}[{counters[name]}]"
             algebra.append_child(
                 element,
                 self._convert_element(algebra, child, declaration,
-                                      child_path))
+                                      child_type, child_path))
 
     def _fill_empty_content(self, algebra: StateAlgebra,
                             element: ElementNode, source: XmlElement,

@@ -29,13 +29,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Union as TypingUnion
+from typing import TYPE_CHECKING, Iterator, Union as TypingUnion
 
 from repro.errors import SchemaError, TypeUsageError
 from repro.xmlio.chars import is_ncname
 from repro.xmlio.qname import XSD_NAMESPACE, QName
 from repro.xsdtypes.base import SimpleType
 from repro.xsdtypes.registry import BUILTINS, TypeRegistry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.schema.compiled import CompiledType
 
 #: The distinguished maximum, ``Union(NatNumber, {"unbounded"})``.
 UNBOUNDED = "unbounded"
@@ -319,7 +322,9 @@ class DocumentSchema:
     A schema has exactly one global element declaration (the paper's
     single-root restriction) and a finite mapping ``ctd`` of complex
     type names to definitions.  ``registry`` resolves simple type
-    names; it defaults to the builtin registry.
+    names; it defaults to the builtin registry.  Construction compiles
+    the schema once (:meth:`check_type_usage`); its readers ask
+    :meth:`type_of` and :meth:`type_at`, never :meth:`resolve`.
     """
 
     def __init__(self, root_element: ElementDeclaration,
@@ -362,31 +367,33 @@ class DocumentSchema:
         """True iff *ref* resolves to a simple type."""
         return isinstance(self.resolve(ref), SimpleType)
 
-    # -- §3 type-usage requirement ----------------------------------------
+    # -- §3 type-usage requirement: the compiled form ---------------------
 
     def check_type_usage(self) -> None:
-        """Verify every type reference in the schema resolves."""
-        for ref in self.iter_type_refs():
-            self.resolve(ref)
+        """Compile the schema, which verifies that every type reference
+        resolves and that attribute types and simple-content bases are
+        simple (:func:`~repro.schema.compiled.compile_types`)."""
+        # Imported here: the compiled form imports this module.
+        from repro.schema.compiled import compile_types
+        self._types = compile_types(self)
 
-    def iter_type_refs(self) -> Iterator[TypeRef]:
-        """Every type reference appearing anywhere in the schema."""
-        yield from self._refs_of(self.root_element.type)
-        for definition in self.complex_types.values():
-            yield from self._refs_of(definition)
+    def type_of(self, declaration: ElementDeclaration) -> "CompiledType":
+        """The compiled type of one of this schema's declarations."""
+        return self._types[id(declaration)]
 
-    def _refs_of(self, ref: TypeRef) -> Iterator[TypeRef]:
-        yield ref
-        if isinstance(ref, SimpleContentType):
-            yield ref.base
-            for _name, attr_ref in ref.attributes:
-                yield attr_ref
-        elif isinstance(ref, ComplexContentType):
-            for _name, attr_ref in ref.attributes:
-                yield attr_ref
-            if ref.group is not None:
-                for eld in ref.group.element_declarations():
-                    yield from self._refs_of(eld.type)
+    def type_at(self, names: list[str]) -> "CompiledType | None":
+        """The compiled type of the element path *names* (local names
+        from the root element down), or ``None`` where no declaration
+        types that path — one content-model step per level."""
+        root = self.root_element
+        if not names or names[0] != root.name:
+            return None
+        compiled = self.type_of(root)
+        for name in names[1:]:
+            if compiled.model is None or not compiled.model.knows(name):
+                return None
+            compiled = compiled.child(name)[1]
+        return compiled
 
     # -- misc ------------------------------------------------------------
 

@@ -58,11 +58,7 @@ from repro.storage.wal import (
     read_wal_store,
     scan_wal,
 )
-from repro.storage.store import (
-    StorageNodeStore,
-    TypeAnnotation,
-    schema_type_annotations,
-)
+from repro.storage.store import StorageNodeStore, schema_type_annotations
 from repro.storage.labels import (
     NidLabel,
     NumberingScheme,
@@ -109,7 +105,6 @@ __all__ = [
     "StorageNodeStore",
     "Transaction",
     "TransactionManager",
-    "TypeAnnotation",
     "WalRecord",
     "WalScan",
     "WalStore",

@@ -7,12 +7,13 @@ the claim of Section 9.2 — by delegating to the
 ``type`` and ``typed-value`` accessors extend the same idea to the
 typed model: a document path determines its schema path (§9.1) and a
 document schema assigns types by path (§2/§6.2 item 4), so one type
-annotation *per descriptive-schema node* — computed once by
-:func:`schema_type_annotations` — types every instance descriptor,
-with no per-node PSVI stored at all.  Without annotations the store
-presents the untyped view (``xs:anyType`` elements,
-``xdt:untypedAtomic`` leaves), which is exactly what an untyped state
-algebra tree of the same document presents.
+annotation *per descriptive-schema node* — the schema's compiled type
+for that path, gathered by :func:`schema_type_annotations` — types
+every instance descriptor, with no per-node PSVI stored at all.
+Without annotations the store presents the untyped view
+(``xs:anyType`` elements, ``xdt:untypedAtomic`` leaves), which is
+exactly what an untyped state algebra tree of the same document
+presents.
 """
 
 from __future__ import annotations
@@ -21,99 +22,49 @@ from typing import Iterator, Optional
 
 from repro.errors import ModelError
 from repro.xmlio.qname import QName
-from repro.xsdtypes.base import AtomicValue, SimpleType, UNTYPED_ATOMIC
+from repro.xsdtypes.base import AtomicValue, UNTYPED_ATOMIC
 from repro.xsdtypes.sequence import Sequence
 from repro.xdm.node import ANY_TYPE_NAME, UNTYPED_ATOMIC_NAME
 from repro.xdm.store import NodeStore
-from repro.schema.ast import (
-    ComplexContentType,
-    DocumentSchema,
-    SimpleContentType,
-    TypeName,
-)
+from repro.schema.ast import DocumentSchema
+from repro.schema.compiled import CompiledType
 from repro.storage.blocks import sweep
 from repro.storage.descriptor import NodeDescriptor, doc_order_key
 from repro.storage.dschema import SchemaNode
 from repro.storage.engine import StorageEngine
 
 
-class TypeAnnotation:
-    """The §6.2 item-4 typing of one descriptive-schema node: the type
-    accessor value plus the simple type (if any) driving typed-value."""
-
-    __slots__ = ("type_name", "simple_type")
-
-    def __init__(self, type_name: QName,
-                 simple_type: "SimpleType | None" = None) -> None:
-        self.type_name = type_name
-        self.simple_type = simple_type
-
-    def __repr__(self) -> str:
-        return f"TypeAnnotation({self.type_name.lexical})"
-
-
 def schema_type_annotations(engine: StorageEngine,
                             schema: DocumentSchema
-                            ) -> dict[SchemaNode, TypeAnnotation]:
+                            ) -> dict[SchemaNode, CompiledType]:
     """Type every descriptive-schema node from the document schema.
 
-    Walks the descriptive schema (one node per document path, §9.1)
-    alongside the schema's declarations (which assign types by path)
-    and returns the annotation map the :class:`StorageNodeStore` uses
-    to answer ``type`` and ``typed-value``.  Paths the schema does not
-    declare stay unannotated and present the untyped view.
+    One walk of the descriptive schema (one node per document path,
+    §9.1) over the compiled types' child and attribute tables (the
+    schema types by path) gives the annotation map the
+    :class:`StorageNodeStore` uses to answer ``type`` and
+    ``typed-value``.  Paths the schema does not declare stay
+    unannotated and present the untyped view.
     """
-    annotations: dict[SchemaNode, TypeAnnotation] = {}
+    annotations: dict[SchemaNode, CompiledType] = {}
     root_declaration = schema.root_element
-    for schema_child in engine.schema.root.element_children():
-        if (schema_child.name is not None
-                and schema_child.name.local == root_declaration.name):
-            _annotate_schema_node(schema_child, root_declaration.type,
-                                  schema, annotations)
+    pending = [(node, schema.type_of(root_declaration))
+               for node in engine.schema.root.element_children()
+               if node.name.local == root_declaration.name]
+    while pending:
+        node, compiled = pending.pop()
+        annotations[node] = compiled
+        for attribute in node.attribute_children():
+            attribute_type = (compiled.attributes or {}).get(
+                attribute.name.local)
+            if attribute_type is not None:
+                annotations[attribute] = attribute_type
+        model = compiled.model
+        if model is not None:
+            pending.extend((child, compiled.child(child.name.local)[1])
+                           for child in node.element_children()
+                           if model.knows(child.name.local))
     return annotations
-
-
-def _annotate_schema_node(node: SchemaNode, type_ref,
-                          schema: DocumentSchema,
-                          annotations: dict[SchemaNode, TypeAnnotation]
-                          ) -> None:
-    type_name = (type_ref.qname if isinstance(type_ref, TypeName)
-                 else ANY_TYPE_NAME)
-    resolved = schema.resolve(type_ref)
-    simple: SimpleType | None = None
-    if isinstance(resolved, SimpleType):
-        simple = resolved
-    elif isinstance(resolved, SimpleContentType):
-        base = schema.resolve(resolved.base)
-        if isinstance(base, SimpleType):
-            simple = base
-    annotations[node] = TypeAnnotation(type_name, simple)
-    if isinstance(resolved, (SimpleContentType, ComplexContentType)):
-        declared_attributes = dict(resolved.attributes.items)
-        for attr_node in node.attribute_children():
-            local = attr_node.name.local if attr_node.name else None
-            attr_ref = declared_attributes.get(local)
-            if attr_ref is None:
-                continue
-            attr_type = (attr_ref.qname
-                         if isinstance(attr_ref, TypeName)
-                         else ANY_TYPE_NAME)
-            attr_simple = schema.resolve(attr_ref)
-            annotations[attr_node] = TypeAnnotation(
-                attr_type,
-                attr_simple if isinstance(attr_simple, SimpleType)
-                else None)
-    if not isinstance(resolved, ComplexContentType) or \
-            resolved.group is None:
-        return
-    declarations = {eld.name: eld
-                    for eld in resolved.group.element_declarations()}
-    for child in node.element_children():
-        local = child.name.local if child.name else None
-        declaration = declarations.get(local)
-        if declaration is not None:
-            _annotate_schema_node(child, declaration.type, schema,
-                                  annotations)
 
 
 class StorageNodeStore(NodeStore):
@@ -122,7 +73,7 @@ class StorageNodeStore(NodeStore):
     """
 
     def __init__(self, engine: StorageEngine,
-                 annotations: "dict[SchemaNode, TypeAnnotation] | None"
+                 annotations: "dict[SchemaNode, CompiledType] | None"
                  = None,
                  document_uri: str | None = None) -> None:
         self._engine = engine
@@ -141,7 +92,7 @@ class StorageNodeStore(NodeStore):
                    document_uri=document_uri)
 
     def _annotation_of(self, ref: NodeDescriptor
-                       ) -> "TypeAnnotation | None":
+                       ) -> "CompiledType | None":
         return self._annotations.get(ref.schema_node)
 
     # -- the ten accessors ---------------------------------------------

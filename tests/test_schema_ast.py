@@ -185,6 +185,22 @@ class TestDocumentSchema:
         with pytest.raises(TypeUsageError):
             DocumentSchema(root_element=ElementDeclaration("R", bad))
 
+    def test_complex_attribute_type_rejected(self):
+        # §3: an attribute declaration maps a name to a simple type.
+        bad = ComplexContentType(attributes=AttributeDeclarations(
+            (("a", TypeName(QName("", "Rich"))),)))
+        with pytest.raises(TypeUsageError, match="attribute 'a'"):
+            DocumentSchema(
+                root_element=ElementDeclaration("R", bad),
+                complex_types={QName("", "Rich"): ComplexContentType()})
+
+    def test_complex_simple_content_base_rejected(self):
+        bad = SimpleContentType(base=TypeName(QName("", "Rich")))
+        with pytest.raises(TypeUsageError, match="simple content base"):
+            DocumentSchema(
+                root_element=ElementDeclaration("R", bad),
+                complex_types={QName("", "Rich"): ComplexContentType()})
+
 
 class TestFormalConstructors:
     def test_nat_number(self):

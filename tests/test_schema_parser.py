@@ -214,6 +214,26 @@ class TestErrors:
             parse_schema(wrap_in_schema(
                 '<xsd:element name="A" type="Nope"/>'))
 
+    def test_complex_attribute_type_rejected(self):
+        # The attribute's own enclosing type: refused while it compiles.
+        with pytest.raises(TypeUsageError, match="attribute 'a'"):
+            parse_schema(wrap_in_schema("""
+              <xsd:complexType name="R">
+                <xsd:attribute name="a" type="R"/>
+              </xsd:complexType>
+              <xsd:element name="A" type="R"/>"""))
+
+    def test_complex_simple_content_base_rejected(self):
+        with pytest.raises(TypeUsageError, match="simple content base"):
+            parse_schema(wrap_in_schema("""
+              <xsd:complexType name="S"><xsd:sequence/></xsd:complexType>
+              <xsd:element name="A">
+                <xsd:complexType>
+                  <xsd:simpleContent><xsd:extension base="S"/>
+                  </xsd:simpleContent>
+                </xsd:complexType>
+              </xsd:element>"""))
+
     def test_type_attribute_and_inline_type_conflict(self):
         with pytest.raises(SchemaSyntaxError):
             parse_schema(wrap_in_schema("""
