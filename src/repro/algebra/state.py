@@ -99,7 +99,7 @@ class StateAlgebra:
 
     # -- structural mutation --------------------------------------------------
 
-    def _check_adoptable(self, parent: Node, child: Node) -> None:
+    def _check_attachable(self, parent: Node, child: Node) -> None:
         if not self.owns(parent) or not self.owns(child):
             raise AlgebraError("nodes belong to a different state algebra")
         if child.parent_or_none() is not None:
@@ -118,7 +118,7 @@ class StateAlgebra:
 
     def insert_child(self, parent: Node, index: int, child: Node) -> None:
         """Attach *child* at *index* among *parent*'s children."""
-        self._check_adoptable(parent, child)
+        self._check_attachable(parent, child)
         if isinstance(child, AttributeNode):
             raise AlgebraError(
                 "attributes are attached with attach_attribute")
@@ -155,7 +155,7 @@ class StateAlgebra:
                          attribute: AttributeNode) -> None:
         """Attach *attribute* to *element* (appended to the attribute
         sequence)."""
-        self._check_adoptable(element, attribute)
+        self._check_attachable(element, attribute)
         if not isinstance(element, ElementNode):
             raise AlgebraError("only elements carry attributes")
         names = {a.name for a in element._attributes}

@@ -40,10 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: node-type tag of Example 10's layout.
 DESCRIPTOR_OVERHEAD = 24
 
-#: A schema node's statistics have *drifted* — and the statistics
+#: A schema node's statistics have *drifted* — and the engine's plan
 #: epoch advances — once the mutations against it since its last
-#: epoch stamp (descriptor count delta plus value rewrites) exceed
-#: both this fraction of the stamped count and
+#: drift (descriptor count delta plus value rewrites) exceed both this
+#: fraction of the count at that drift and
 #: :data:`STATS_DRIFT_MIN_MUTATIONS`.  The relative threshold keeps a
 #: steady trickle of inserts from re-pricing every plan; the absolute
 #: floor keeps tiny nodes from thrashing the epoch on every touch.
@@ -142,33 +142,27 @@ class NodeStats:
 class StatisticsCollector:
     """Schema-node-keyed statistics, maintained at mutation time.
 
-    Beyond the per-node digests, the collector runs the **statistics
-    epoch** — the freshness stamp the plan cache checks alongside the
-    schema version and the index epoch.  :attr:`epoch` advances when
-    any node's statistics drift past :data:`STATS_DRIFT_THRESHOLD`
-    relative to the count stamped at its last drift; per node the
-    collector remembers the epoch it last drifted at, so
-    :meth:`drifted_since` can answer "did anything this plan priced
-    move?" — the exactly-scoped invalidation question — in O(nodes
-    consulted).  A drift also bumps the owning engine's ``plan_epoch``
-    (after :attr:`epoch`), the one integer a cache hit compares."""
+    Beyond the per-node digests, the collector notices **drift**: when
+    any node's statistics move past :data:`STATS_DRIFT_THRESHOLD`
+    relative to its count at its last drift, it bumps the owning
+    engine's ``plan_epoch`` — the one integer a cache hit compares —
+    so every cached plan is priced again on its next use."""
 
     def __init__(self) -> None:
         self._stats: Dict["SchemaNode", NodeStats] = {}
-        #: Advances when any node's statistics drift past the
-        #: threshold; cached plans stamp the epoch they priced under.
+        #: How many drifts this collector has seen (read by tests;
+        #: nothing compares it).
         self.epoch = 0
         #: The engine whose statistics these are (set by the engine
         #: and by ``persist.finish_load``; None for a :meth:`recount`
         #: made only to compare).
         self.engine = None
-        # Per node: descriptor count at its last drift stamp, value
-        # rewrites since, and the epoch it last drifted at.
+        # Per node: descriptor count at its last drift and value
+        # rewrites since.
         self._basis: Dict["SchemaNode", int] = {}
         self._churn: Dict["SchemaNode", int] = {}
-        self._drifted_at: Dict["SchemaNode", int] = {}
 
-    # -- the statistics epoch -------------------------------------------
+    # -- drift ----------------------------------------------------------
 
     def _note_drift(self, schema_node: "SchemaNode",
                     descriptors: int) -> None:
@@ -183,17 +177,8 @@ class StatisticsCollector:
             self.epoch += 1
             self._basis[schema_node] = descriptors
             self._churn.pop(schema_node, None)
-            self._drifted_at[schema_node] = self.epoch
             if self.engine is not None:
                 self.engine.plan_epoch += 1
-
-    def drifted_since(self, schema_nodes, epoch: int) -> bool:
-        """Did any of *schema_nodes* drift after *epoch*?  The plan
-        cache asks this before deciding between a cheap in-place
-        restamp and a re-price."""
-        drifted_at = self._drifted_at
-        return any(drifted_at.get(node, 0) > epoch
-                   for node in schema_nodes)
 
     # -- mutation hooks (engine side) -----------------------------------
 
@@ -264,7 +249,6 @@ class StatisticsCollector:
         self._stats.clear()
         self._basis.clear()
         self._churn.clear()
-        self._drifted_at.clear()
 
     # -- consistency ----------------------------------------------------
 

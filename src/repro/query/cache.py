@@ -10,23 +10,10 @@ Two caches keep repeated queries off the slow paths:
   keyed by ``Path``, with a plain ``dict`` from path *string* to the
   same plan in front.  A plan is handed out after **one** compare,
   ``plan.epoch == engine.plan_epoch``: the engine's plan epoch is a
-  single integer that every source of staleness bumps.  Only when
-  that compare fails are the plan's **three** stamps read, each
-  invalidating exactly what it must:
-
-  - the descriptive-schema *version*: a grown schema can change what
-    a path matches, so the stale plan is dropped (Section 9.1: a new
-    document path means a new schema path; nothing else can change
-    the match);
-  - the index (DDL) *epoch*: CREATE/DROP INDEX triggers a
-    recompile-and-compare — an unchanged decision is restamped in
-    place, a changed one invalidated;
-  - the statistics *epoch*
-    (:class:`~repro.obs.statistics.StatisticsCollector`): when
-    collected statistics drift past the relative threshold, plans
-    none of whose priced schema nodes drifted are restamped in place
-    without even recompiling; drifted ones are re-priced and kept if
-    the cost-based decision stands.
+  single integer that every source of staleness (schema growth,
+  index DDL, statistics drift) bumps, and the plan's only freshness
+  stamp.  When the compare fails the plan is compiled afresh and
+  replaces its entry (:meth:`LRUCache.invalidate`, then a miss).
 
   A hit takes no lock and does not reorder the cache; it sets the
   plan's ``referenced`` flag instead, and :meth:`LRUCache.put` gives
@@ -89,7 +76,7 @@ class LRUCache(Generic[K, V]):
     ``get`` refreshes recency; ``put`` evicts the coldest entry once
     the capacity is exceeded.  ``invalidations`` is bumped by callers
     through :meth:`invalidate` when an entry is discarded for being
-    stale rather than cold (the plan cache's schema-version check).
+    stale rather than cold (the plan cache's epoch check).
 
     A reader that must not take the lock (the plan cache's hit) cannot
     ``move_to_end``; it sets ``value.referenced = True`` instead, and

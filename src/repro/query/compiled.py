@@ -16,11 +16,9 @@ The lowering is *schema-bound, not block-bound*: closures capture
 ``first_block`` chains at run time, so pure data mutations (inserts,
 deletes, value updates, block splits) are picked up for free — the
 same liveness argument the plan cache makes.  Consistency with
-DDL and schema growth rides on the existing plan-cache invalidation:
-the cache drops a plan when the schema version moved (the executor
-dies with it) and nulls :attr:`CompiledPlan.executor` when a DDL
-restamp keeps the plan, forcing a re-lower against the fresh probe
-bindings.
+DDL, schema growth and statistics drift rides on the plan cache: a
+plan whose epoch fell behind the engine's is replaced by a fresh one,
+and its executor dies with it.
 
 Every source and every stage returns a duplicate-free descriptor list
 in document order — ``<<`` (§7), on storage label order (§9.3) — the

@@ -242,13 +242,10 @@ def _in_range(lexical: str, low: str, high: str) -> bool:
 class CostModel:
     """Prices candidate plans from one engine's statistics.
 
-    Every statistics read records the schema node it consulted in
-    :attr:`consulted` — the planner stamps its keys onto the chosen
-    plan so the statistics epoch can re-plan exactly the plans whose
-    pricing inputs drifted (and restamp every other plan in place).
-    The values memoise what pricing asks for over and over — the
-    candidates of one path read the same few schema nodes' descriptor
-    counts some twenty times, their block fan-in a few times.
+    Every statistics read goes through :attr:`consulted`, a memo of
+    what pricing asks for over and over — the candidates of one path
+    read the same few schema nodes' descriptor counts some twenty
+    times, their block fan-in a few times.
     """
 
     def __init__(self, stats: "StatisticsCollector",

@@ -8,6 +8,10 @@ Grammar (absolute paths only)::
     predicate ::= "[" integer "]" | "[last()]"
                 | "[@" name ("=" string)? "]"
                 | "[" name ("=" string)? "]"
+    name      ::= NCName (XML Namespaces; no prefixes)
+
+Anything else is refused with a :class:`~repro.errors.QueryError`
+naming the offending token — never read as a name no node carries.
 
 ``/library/book/title`` selects title elements along child steps,
 ``//author`` selects all author descendants, ``/library/book/@id``
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.errors import QueryError
+from repro.xmlio.chars import is_ncname
 
 
 @dataclass(frozen=True)
@@ -176,18 +181,13 @@ def _parse_predicate(body: str, token: str) -> "Predicate":
         if not body.isdecimal() or int(body) < 1:
             raise QueryError(f"positions are 1-based: [{body}]")
         return PositionPredicate(int(body))
-    if "=" in body:
-        name_part, _, value_part = body.partition("=")
-        name_part = name_part.strip()
-        value = _parse_string_literal(value_part.strip(), token)
-        if name_part.startswith("@"):
-            return AttributePredicate(name_part[1:], value)
-        return ChildPredicate(name_part, value)
-    if body.startswith("@"):
-        return AttributePredicate(body[1:])
-    if any(ch in body for ch in "()<>@"):
-        raise QueryError(f"unsupported predicate {body!r}")
-    return ChildPredicate(body)
+    name, equals, literal = body.partition("=")
+    value = _parse_string_literal(literal.strip(), token) \
+        if equals else None
+    name = name.strip()
+    if name.startswith("@"):
+        return AttributePredicate(_name(name[1:], token), value)
+    return ChildPredicate(_name(name, token), value)
 
 
 def _parse_string_literal(text: str, token: str) -> str:
@@ -196,20 +196,20 @@ def _parse_string_literal(text: str, token: str) -> str:
     raise QueryError(f"predicate value must be quoted in {token!r}")
 
 
+def _name(name: str, token: str) -> str:
+    """*name*, if the grammar's ``name`` derives it (an NCName)."""
+    if not is_ncname(name):
+        raise QueryError(f"{name!r} is not a name, in {token!r}")
+    return name
+
+
 def _parse_step(axis: str, token: str) -> Step:
     test, predicates = _split_predicates(token)
     if test == "text()":
         return Step(axis, "text", None, predicates)
+    kind = "element"
     if test.startswith("@"):
-        name = test[1:]
-        if not name:
-            raise QueryError("attribute step needs a name or *")
-        return Step(axis, "attribute",
-                    None if name == "*" else name, predicates)
+        kind, test = "attribute", test[1:]
     if test == "*":
-        return Step(axis, "element", None, predicates)
-    if any(ch in test for ch in "[]()@"):
-        raise QueryError(f"unsupported step syntax {token!r}")
-    if not test:
-        raise QueryError(f"missing node test in {token!r}")
-    return Step(axis, "element", test, predicates)
+        return Step(axis, kind, None, predicates)
+    return Step(axis, kind, _name(test, token), predicates)

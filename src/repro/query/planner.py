@@ -17,8 +17,9 @@ live block scan picks up for free.
 That stability is what a cache hit costs: one compare of the plan's
 :attr:`~CompiledPlan.epoch` with the engine's ``plan_epoch``, the
 single integer every source of staleness (schema growth, index DDL,
-statistics drift) bumps.  The stamps described below are read only
-when that compare fails (:meth:`QueryPlanner._revalidate`).
+statistics drift) bumps.  It is the only freshness stamp a plan
+carries: a plan whose epoch fell behind is compiled afresh and
+replaces its cache entry.
 
 Strategies, from fastest to slowest:
 
@@ -45,24 +46,13 @@ fifth strategy slots in above ``scan``:
   answered by a path index's pre-merged posting list.  Remaining
   predicates and suffix steps run exactly as in ``scan``/``hybrid``.
 
-Plans additionally stamp the index *epoch* (a DDL counter): when an
-index is created or dropped, a cached plan is recompiled on next use
-and kept (restamped) if its decision did not change — so DDL
-invalidates exactly the affected plans.
-
 The planner enumerates **every** applicable candidate exactly once
 (:func:`_candidate_plans`) — the scan/hybrid baseline, one value-index
 probe per eligible predicate, the path-index probe, and priced-naive —
 and a policy (:data:`POLICIES`) is a selection rule over that list.
 With engine statistics available (the default through
 :class:`QueryPlanner`) the rule is ``cost``: the cheapest under the
-:mod:`repro.query.cost` model.  Plans
-then also stamp the **statistics epoch** and the schema nodes whose
-statistics they priced: when collected statistics drift past the
-relative threshold, exactly the plans whose pricing inputs moved are
-re-priced (and kept when the decision stands); every other plan is
-restamped in place without recompiling — the same exactly-scoped
-invalidation contract the index epoch established.
+:mod:`repro.query.cost` model.
 """
 
 from __future__ import annotations
@@ -194,24 +184,22 @@ def structurally_feasible(schema_node: SchemaNode, predicates) -> bool:
 
 
 class CompiledPlan:
-    """One path compiled against one descriptive-schema version."""
+    """One path compiled against one state of the engine's plan
+    inputs (descriptive schema, indexes, statistics)."""
 
-    __slots__ = ("path", "schema_version", "strategy", "scan_nodes",
-                 "split", "pruned_schema_nodes", "index_epoch",
-                 "probe", "rest_predicates", "index_used", "executor",
-                 "not_lowerable_reason", "stats_epoch", "stats_nodes",
+    __slots__ = ("path", "strategy", "scan_nodes", "split",
+                 "pruned_schema_nodes", "probe", "rest_predicates",
+                 "index_used", "executor", "not_lowerable_reason",
                  "cost", "cost_table", "epoch", "text", "referenced")
 
-    def __init__(self, path: Path, schema_version: int, strategy: str,
+    def __init__(self, path: Path, strategy: str,
                  scan_nodes: tuple[SchemaNode, ...],
                  split: Optional[int],
                  pruned_schema_nodes: int,
-                 index_epoch: int = 0,
                  probe: Optional[tuple] = None,
                  rest_predicates: tuple = (),
                  index_used: str = "") -> None:
         self.path = path
-        self.schema_version = schema_version
         #: "empty" | "index" | "scan" | "hybrid" | "naive".
         self.strategy = strategy
         #: Schema nodes whose block lists the plan scans ("scan": the
@@ -222,9 +210,6 @@ class CompiledPlan:
         self.split = split
         #: Schema nodes discarded by structural predicate pruning.
         self.pruned_schema_nodes = pruned_schema_nodes
-        #: DDL epoch the plan was compiled under (restamped by the
-        #: cache when DDL does not change the plan's decision).
-        self.index_epoch = index_epoch
         #: "index" strategy: ("eq", index, key, via_parent),
         #: ("exists", index, None, via_parent) or ("path", index).
         self.probe = probe
@@ -233,28 +218,19 @@ class CompiledPlan:
         #: "value:<path>" / "path:<path>" (EXPLAIN), "" otherwise.
         self.index_used = index_used
         #: Lazily lowered closure chain (:mod:`repro.query.compiled`);
-        #: built on the first execution, dropped whenever the plan is
-        #: restamped after DDL (the probe bindings may differ).
+        #: built on the first execution, it lives and dies with the plan.
         self.executor = None
         #: "naive" plans: why the path is handed to the navigator
         #: instead of a block scan ("" for every other strategy).
         self.not_lowerable_reason = ""
-        #: Statistics epoch the plan was priced under (restamped in
-        #: place while none of :attr:`stats_nodes` drift).
-        self.stats_epoch = 0
-        #: Schema nodes whose statistics the cost model consulted when
-        #: choosing this plan — the exact re-plan scope of a
-        #: statistics-epoch bump.  Empty for structurally-forced plans
-        #: (their decision never depends on statistics).
-        self.stats_nodes: tuple[SchemaNode, ...] = ()
         #: The chosen candidate's :class:`~repro.query.cost.CostEstimate`
         #: (None when the plan was picked structurally).
         self.cost = None
         #: Every priced candidate, chosen one flagged — the EXPLAIN
         #: cost table.
         self.cost_table: tuple = ()
-        #: The engine's ``plan_epoch`` at which the three stamps above
-        #: were last known fresh — the one compare of a cache hit
+        #: The engine's ``plan_epoch`` read before this plan compiled —
+        #: its only freshness stamp, the one compare of a cache hit
         #: (-1: not cached yet; the engine's epoch is never negative).
         self.epoch = -1
         #: The path string the planner's string table maps to this
@@ -272,13 +248,12 @@ class CompiledPlan:
 
         Lowering happens once, on the first execution, and the
         resulting :class:`~repro.query.compiled.CompiledExecutor` is
-        pinned to the plan: the cache drops the whole plan when the
-        schema grows and nulls :attr:`executor` when a DDL restamp
-        keeps the plan, so a live executor is always consistent with
-        the bindings it closed over.  The block scans are live, so
-        descriptors inserted after compilation are found as long as
-        the schema has not grown (which the plan cache checks before
-        handing out a plan).
+        pinned to the plan: the cache replaces the whole plan once the
+        engine's plan epoch moves, so a live executor is always
+        consistent with the bindings it closed over.  The block scans
+        are live, so descriptors inserted after compilation are found
+        as long as the schema has not grown (which the plan cache
+        checks before handing out a plan).
         """
         executor = self.executor
         if executor is None:
@@ -292,8 +267,7 @@ class CompiledPlan:
 
     def __repr__(self) -> str:
         return (f"CompiledPlan({self.path!r}, {self.strategy}, "
-                f"{len(self.scan_nodes)} schema nodes, "
-                f"v{self.schema_version})")
+                f"{len(self.scan_nodes)} schema nodes)")
 
 
 #: Deterministic tie-break when candidates price equal: the historical
@@ -353,16 +327,11 @@ def _select_plan(path: Path, schema: "DescriptiveSchema", indexes,
         pick = len(candidates) - 1
     else:
         pick = structural_pick
-    plan = candidates[pick]
-    if stats is not None:
-        plan.stats_epoch = stats.epoch
-    return plan
+    return candidates[pick]
 
 
-def _naive_plan(path: Path, version: int, epoch: int,
-                reason: str) -> CompiledPlan:
-    plan = CompiledPlan(path, version, "naive", (), None, 0,
-                        index_epoch=epoch)
+def _naive_plan(path: Path, reason: str) -> CompiledPlan:
+    plan = CompiledPlan(path, "naive", (), None, 0)
     plan.not_lowerable_reason = reason
     return plan
 
@@ -390,16 +359,13 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
     :mod:`repro.query.compiled` lowers.
     """
     steps = path.steps
-    version = schema.version
-    epoch = indexes.epoch if indexes is not None else 0
     frontiers = schema_frontiers(schema.root, steps)
     for step in steps:
         if (step.axis == "descendant-or-self"
                 and any(isinstance(p, PositionPredicate)
                         for p in step.predicates)):
             return [_naive_plan(
-                path, version, epoch,
-                "positional predicate on a descendant step needs "
+                path, "positional predicate on a descendant step needs "
                 "whole-selection navigation")], 0, frontiers
     split: Optional[int] = None
     for index, step in enumerate(steps[:-1]):
@@ -415,12 +381,10 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
         pruned = len(matched) - len(feasible)
         matched = feasible
     if not matched:
-        return [CompiledPlan(path, version, "empty", (), split, pruned,
-                             index_epoch=epoch)], 0, frontiers
-    candidates = [CompiledPlan(path, version,
-                               "scan" if split is None else "hybrid",
-                               tuple(matched), split, pruned,
-                               index_epoch=epoch)]
+        empty = CompiledPlan(path, "empty", (), split, pruned)
+        return [empty], 0, frontiers
+    candidates = [CompiledPlan(path, "scan" if split is None else "hybrid",
+                               tuple(matched), split, pruned)]
     structural_pick = 0
     if indexes is not None and indexes.active:
         if predicates and len(matched) == 1:
@@ -435,9 +399,8 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
                     continue
                 rest = predicates[:position] + predicates[position + 1:]
                 candidates.append(CompiledPlan(
-                    path, version, "index", tuple(matched), split,
-                    pruned, index_epoch=epoch, probe=probe,
-                    rest_predicates=rest,
+                    path, "index", tuple(matched), split, pruned,
+                    probe=probe, rest_predicates=rest,
                     index_used=f"value:{probe[1].definition.path}"))
                 if position == 0:
                     # Structural precedence probed the first predicate.
@@ -446,21 +409,18 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
             path_index = indexes.path_probe(matched)
             if path_index is not None:
                 candidates.append(CompiledPlan(
-                    path, version, "index", tuple(matched), split,
-                    pruned, index_epoch=epoch,
+                    path, "index", tuple(matched), split, pruned,
                     probe=("path", path_index),
                     index_used=f"path:{path_index.definition.path}"))
                 structural_pick = len(candidates) - 1
-    candidates.append(_naive_plan(path, version, epoch,
-                                  "naive candidate navigates"))
+    candidates.append(_naive_plan(path, "naive candidate navigates"))
     return candidates, structural_pick, frontiers
 
 
 def _cheapest(candidates: "list[CompiledPlan]", structural_pick: int,
               frontiers: list, stats, block_capacity: int) -> int:
     """Price every candidate; index of the cheapest (the ``cost``
-    rule).  The winner carries the cost table and the consulted
-    statistics nodes."""
+    rule).  The winner carries the cost table."""
     from repro.query.cost import CostModel
     model = CostModel(stats, block_capacity)
     table = []
@@ -474,7 +434,6 @@ def _cheapest(candidates: "list[CompiledPlan]", structural_pick: int,
     plan = candidates[best]
     table[best].chosen = True
     plan.cost_table = tuple(table)
-    plan.stats_nodes = tuple(model.consulted)
     registry = obs.REGISTRY
     registry.counter("query.cost.priced").inc()
     registry.counter("query.cost.candidates").inc(len(table))
@@ -482,31 +441,6 @@ def _cheapest(candidates: "list[CompiledPlan]", structural_pick: int,
     if best != structural_pick:
         registry.counter("query.cost.overrides").inc()
     return best
-
-
-def _same_decision(fresh: CompiledPlan, stale: CompiledPlan) -> bool:
-    """Did a recompile reach the same strategic decision?  Probe mode
-    participates because two predicates can probe the *same* index
-    differently (eq vs exists)."""
-    return (fresh.strategy == stale.strategy
-            and fresh.index_used == stale.index_used
-            and (fresh.probe[0] if fresh.probe else None)
-            == (stale.probe[0] if stale.probe else None))
-
-
-def _adopt(stale: CompiledPlan, fresh: CompiledPlan,
-           drop_executor: bool) -> None:
-    """Restamp *stale* in place from an equivalent *fresh* compile."""
-    stale.index_epoch = fresh.index_epoch
-    stale.stats_epoch = fresh.stats_epoch
-    stale.stats_nodes = fresh.stats_nodes
-    stale.cost = fresh.cost
-    stale.cost_table = fresh.cost_table
-    if drop_executor or stale.probe != fresh.probe \
-            or stale.rest_predicates != fresh.rest_predicates:
-        stale.probe = fresh.probe
-        stale.rest_predicates = fresh.rest_predicates
-        stale.executor = None
 
 
 def _describe(plan: CompiledPlan, outcome: str) -> None:
@@ -538,15 +472,12 @@ class QueryPlanner:
     drift all bump.  A path *string* finds its plan in a plain dict
     (no lock, no parse-cache visit, no ``Path`` hash); a ``Path``
     through one locked lookup of the LRU behind it; both share the
-    plan.  Only when the compare fails does the exactly-scoped logic
-    run (:meth:`_revalidate`): a grown schema invalidates exactly the
-    stale entry (the paper's claim that the descriptive schema is
-    small and *stable* makes invalidations rare in practice); the
-    index (DDL) epoch and the statistics epoch are handled by
-    recompile-and-compare with in-place restamps when the decision
-    stands — and the statistics epoch adds an even cheaper short
-    circuit first: a plan none of whose priced schema nodes drifted
-    is restamped without recompiling at all.
+    plan.  When the compare fails the plan is stale, whatever moved:
+    it is compiled afresh, replaces its entry and counts one
+    invalidation and one miss.  The paper's claim that the
+    descriptive schema is small and *stable* — and the drift
+    threshold on statistics — keep that rare: no read-only traffic
+    ever reaches it.
     """
 
     def __init__(self, engine, capacity: int = PLAN_CACHE_CAPACITY,
@@ -564,7 +495,7 @@ class QueryPlanner:
         #: written under :attr:`_lock`.
         self._texts: dict[str, CompiledPlan] = {}
         #: Serializes everything but the hit: lookup by ``Path``,
-        #: revalidation, compile, store and the string table's upkeep.
+        #: compile, store and the string table's upkeep.
         self._lock = threading.Lock()
         # Held, not looked up per request (obs.reset() zeroes in
         # place): this cache's own counters and the registry's
@@ -600,94 +531,44 @@ class QueryPlanner:
 
     def _compile_slow(self, request: "Path | str") -> CompiledPlan:
         """Everything that is not a prepared hit: an unknown string, a
-        missing plan, or one whose epoch fell behind the engine's."""
+        missing plan, or one whose epoch fell behind the engine's — a
+        stale plan is compiled afresh and replaces its entry."""
         text, path = None, request
         if isinstance(request, str):
             text, path = request, cached_parse_path(request)
-        engine = self._engine
-        invalidated = False
         with self._lock:
-            # Read before the stamps it summarises: a bump that races
-            # the stamping leaves the plan one epoch behind, and the
-            # next call comes back here.
-            epoch = engine.plan_epoch
+            # Read before compiling: a bump that races the compile
+            # leaves the plan one epoch behind, and the next call comes
+            # back here.
+            epoch = self._engine.plan_epoch
             plan = self._plans.peek(path)
-            fresh: Optional[CompiledPlan] = None
-            if plan is not None and plan.epoch != epoch:
-                fresh = self._revalidate(plan)
-                if fresh is not None:
-                    self._plans.invalidate(path)
-                    self._forget_text(plan)
-                    invalidated = True
-                    plan = None
-            hit = plan is not None
-            if hit:
+            outcome = "miss" if plan is None else \
+                "hit" if plan.epoch == epoch else "invalidated"
+            if outcome == "hit":
                 plan.referenced = True
                 self._hits.inc()
             else:
-                plan = (fresh if fresh is not None
-                        else self.compile_uncached(path))
+                if outcome == "invalidated":
+                    self._plans.invalidate(path)
+                    self._forget_text(plan)
+                plan = self.compile_uncached(path)
+                plan.epoch = epoch
                 evicted = self._plans.put(path, plan)
                 if evicted is not None:
                     self._forget_text(evicted)
                 self._misses.inc()
-            plan.epoch = epoch
             if text is not None and plan.text != text:
                 self._forget_text(plan)
                 plan.text = text
                 self._texts[text] = plan
         if _explain.COLLECTING:
-            _describe(plan,
-                      "hit" if hit else
-                      "invalidated" if invalidated else "miss")
+            _describe(plan, outcome)
         # Aggregate plan-cache counters across all engines (each
         # cache also keeps its private per-engine instruments).
-        (self._all_hits if hit else self._all_misses).inc()
-        if invalidated:
+        (self._all_hits if outcome == "hit" else self._all_misses).inc()
+        if outcome == "invalidated":
             obs.REGISTRY.counter("query.plan_cache.invalidations").inc()
         return plan
-
-    def _revalidate(self, stale: CompiledPlan
-                    ) -> Optional[CompiledPlan]:
-        """The three-stamp logic, reached only once the plan epoch has
-        moved since *stale* was stamped.  None: the plan stands (its
-        stamps are current again); otherwise the plan that replaces
-        it."""
-        engine = self._engine
-        stats = engine.stats
-        path = stale.path
-        if stale.schema_version != engine.schema.version:
-            return self.compile_uncached(path)
-        if stale.index_epoch != engine.indexes.epoch:
-            # DDL happened since this plan compiled.  Recompile and
-            # compare: an unchanged decision is restamped in place (a
-            # hit), a changed one is invalidated — so CREATE/DROP
-            # INDEX invalidates exactly the plans it affects.  The
-            # closure chain is always dropped: the probe may bind a
-            # *new* index object.
-            fresh = self.compile_uncached(path)
-            if not _same_decision(fresh, stale):
-                return fresh
-            _adopt(stale, fresh, drop_executor=True)
-        elif stale.stats_epoch != stats.epoch:
-            # Statistics drifted somewhere since this plan priced its
-            # candidates.  Exactly-scoped: if none of the schema nodes
-            # this plan consulted drifted, restamp without recompiling
-            # (the pricing inputs are unchanged, so the decision is).
-            if not stats.drifted_since(stale.stats_nodes,
-                                       stale.stats_epoch):
-                stale.stats_epoch = stats.epoch
-                obs.REGISTRY.counter("query.cost.stats_restamps").inc()
-                return None
-            fresh = self.compile_uncached(path)
-            obs.REGISTRY.counter("query.cost.stats_replans").inc()
-            if not _same_decision(fresh, stale):
-                return fresh
-            # Same decision, same DDL epoch: the probe binds the same
-            # index objects, so a live closure chain stays valid
-            # unless the bindings actually moved.
-            _adopt(stale, fresh, drop_executor=False)
-        return None
 
     def _forget_text(self, plan: CompiledPlan) -> None:
         if plan.text is not None:

@@ -14,8 +14,13 @@ the seam:
 Every checkpoint *writes* the whole image but encodes only the blocks
 a write touched (:func:`repro.storage.persist.block_payload`).
 Snapshot versions are whole-image copies under
-``<image>.snapshots/<version>.img``, recorded *after* the atomic
+``<image>.snapshots/<seq>_<version>.img``, recorded *after* the atomic
 rename: a crash while recording one never damages the recovery image.
+``seq`` numbers the copies in write order (1, 2, 3, … as the other
+media number theirs), so retention keeps the newest checkpoints even
+when several share an LSN — a version id alone orders them by
+fingerprint, not by time.  Re-recording a version moves it to the
+newest ``seq``.
 """
 
 from __future__ import annotations
@@ -106,14 +111,19 @@ class FileBackend(StorageBackend):
         # a crash from here on loses at worst the *copy*, never the
         # recovery image.
         self.snapshot_dir.mkdir(exist_ok=True)
-        target = self.snapshot_dir / f"{version}.img"
+        snapshots = self.list_snapshots()
+        seq = snapshots[-1].seq + 1 if snapshots else 1
+        for info in snapshots:
+            if info.version == version:
+                self._copy_path(info).unlink(missing_ok=True)
+        info = SnapshotInfo(version=version, lsn=horizon,
+                            fingerprint=fingerprint, seq=seq,
+                            bytes=len(data))
+        target = self._copy_path(info)
         tmp = target.with_name(target.name + ".tmp")
         tmp.write_bytes(data)
         os.replace(tmp, target)
-        return SnapshotInfo(version=version, lsn=horizon,
-                            fingerprint=fingerprint,
-                            seq=len(self.list_snapshots()) - 1,
-                            bytes=len(data))
+        return info
 
     # -- loading ---------------------------------------------------------
 
@@ -125,39 +135,39 @@ class FileBackend(StorageBackend):
                            backend=self.name)
 
     def restore(self, version: str) -> "StorageEngine":
-        target = self.snapshot_dir / f"{version}.img"
-        if not target.exists():
-            raise StorageError(
-                f"unknown snapshot version {version!r} "
-                f"(backend {self.name}, {self.describe()})")
-        return load_engine(
-            target.read_bytes(), backend=self.name,
-            place=lambda pos: f"snapshot {version} byte {pos}")
+        for info in self.list_snapshots():
+            if info.version == version:
+                return load_engine(
+                    self._copy_path(info).read_bytes(), backend=self.name,
+                    place=lambda pos: f"snapshot {version} byte {pos}")
+        raise StorageError(
+            f"unknown snapshot version {version!r} "
+            f"(backend {self.name}, {self.describe()})")
 
     # -- snapshot management ---------------------------------------------
+
+    def _copy_path(self, info: SnapshotInfo) -> Path:
+        return self.snapshot_dir / f"{info.seq:08d}_{info.version}.img"
 
     def list_snapshots(self) -> list[SnapshotInfo]:
         if not self.snapshot_dir.is_dir():
             return []
         infos = []
-        for entry in self.snapshot_dir.glob("*.img"):
-            version = entry.stem
+        for entry in self.snapshot_dir.glob("*_*.img"):
+            seq, _, version = entry.stem.partition("_")
+            if not seq.isdecimal():
+                raise StorageError(f"malformed snapshot copy {entry}")
             lsn, fingerprint = parse_version(version)
             infos.append(SnapshotInfo(
                 version=version, lsn=lsn, fingerprint=fingerprint,
-                seq=0, bytes=entry.stat().st_size))
-        infos.sort(key=lambda info: (info.lsn, info.version))
-        return [SnapshotInfo(version=info.version, lsn=info.lsn,
-                             fingerprint=info.fingerprint, seq=seq,
-                             bytes=info.bytes)
-                for seq, info in enumerate(infos)]
+                seq=int(seq), bytes=entry.stat().st_size))
+        return sorted(infos, key=lambda info: info.seq)
 
     def evict_snapshots(self, keep: int) -> list[str]:
         snapshots = self.list_snapshots()
         evicted = []
         for info in snapshots[:max(0, len(snapshots) - keep)]:
-            (self.snapshot_dir / f"{info.version}.img").unlink(
-                missing_ok=True)
+            self._copy_path(info).unlink(missing_ok=True)
             evicted.append(info.version)
         return evicted
 

@@ -124,9 +124,8 @@ class DescriptiveSchema:
     when a new document path — hence a new schema path, by the defining
     property of Section 9.1 — comes into existence.
 
-    Growth also bumps the owning engine's ``plan_epoch`` (after the
-    version, so a reader that sees the new epoch sees the new version):
-    the one integer a cached plan is compared against on a hit.
+    Growth also bumps the owning engine's ``plan_epoch``, the one
+    integer a cached plan is compared against on a hit.
     """
 
     def __init__(self) -> None:

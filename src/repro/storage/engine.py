@@ -48,12 +48,11 @@ class StorageEngine:
     """One stored document: descriptive schema + blocks + labels."""
 
     def __init__(self, base: int = 256, block_capacity: int = 64) -> None:
-        #: The one integer a cached query plan is compared against on
-        #: a hit.  Bumped by each source of plan staleness after its
-        #: own stamp moves — schema growth (``schema.version``), index
-        #: DDL (``indexes.epoch``), statistics drift (``stats.epoch``)
-        #: — and by nothing else; it only grows, so no value repeats
-        #: for one engine even when ``stats`` is replaced.
+        #: The one freshness stamp of a cached query plan, compared on
+        #: a hit.  Bumped by each source of plan staleness — schema
+        #: growth, index DDL, statistics drift, a reloaded statistics
+        #: collector — and by nothing else; it only grows, so no value
+        #: repeats for one engine.
         self.plan_epoch = 0
         self.schema = DescriptiveSchema()
         self.schema.engine = self

@@ -396,17 +396,13 @@ class PathIndex:
 class IndexManager:
     """All declared indexes of one engine, plus the maintenance hooks.
 
-    ``epoch`` counts DDL events; cached query plans stamp the epoch
-    they were compiled under, and the planner re-checks a plan whose
-    epoch is stale — so a ``CREATE INDEX`` invalidates exactly the
-    plans whose strategy it changes.  Every DDL event also bumps the
-    engine's ``plan_epoch`` (after ``epoch``), which is what sends a
-    cached plan to that re-check.
+    Every DDL event bumps the engine's ``plan_epoch``, so each cached
+    query plan is compiled again, against the new index set, on its
+    next use.
     """
 
     def __init__(self, engine: "StorageEngine") -> None:
         self.engine = engine
-        self.epoch = 0
         #: Cheap guard read by the engine's mutation hot paths.
         self.active = False
         self._indexes: dict[tuple[str, str],
@@ -485,7 +481,6 @@ class IndexManager:
             time.perf_counter_ns() - start)
         self._indexes[definition.key] = index
         self._rebuild_tables()
-        self.epoch += 1
         self.engine.plan_epoch += 1
         return index
 
@@ -493,7 +488,6 @@ class IndexManager:
         if self._indexes.pop(definition.key, None) is None:
             raise StorageError(f"{definition!r} is not installed")
         self._rebuild_tables()
-        self.epoch += 1
         self.engine.plan_epoch += 1
 
     def _rebuild_tables(self) -> None:
@@ -719,5 +713,4 @@ class IndexManager:
         return [index.stats() for index in self._indexes.values()]
 
     def __repr__(self) -> str:
-        return (f"IndexManager({len(self._indexes)} indexes, "
-                f"epoch {self.epoch})")
+        return f"IndexManager({len(self._indexes)} indexes)"

@@ -358,8 +358,7 @@ def finish_load(engine: StorageEngine,
     # Decoding bypassed the mutation hooks, so the statistics are
     # rebuilt from the decoded block lists; a persisted digest must
     # agree with the recount (corruption check).
-    # The new collector counts its epoch from zero again: the bump
-    # keeps the engine's plan epoch from ever naming two states.
+    # Plans priced under the old collector are stale: bump the epoch.
     engine.stats = StatisticsCollector.recount(engine)
     engine.stats.engine = engine
     engine.plan_epoch += 1

@@ -142,6 +142,33 @@ class TestSnapshots:
             with pytest.raises(StorageError):
                 backend.restore(versions[0])
 
+    def test_eviction_keeps_the_newest_when_checkpoints_share_an_lsn(
+            self, tmp_path):
+        """Without a WAL every checkpoint has LSN 0, so only the write
+        order tells the newest apart: the version just returned must
+        stay listed and restorable, and ``seq`` must keep growing."""
+        for name in sorted(BACKENDS):
+            backend = make_backend(name, tmp_path / name)
+            backend.max_snapshots = 2
+            engine = _engine()
+            library = engine.children(engine.document)[0]
+            infos = []
+            for round_ in range(12):
+                engine.insert_child(library, 0,
+                                    name=QName("", f"added{round_}"))
+                info = backend.checkpoint(engine)
+                assert info.lsn == 0
+                infos.append(info)
+                listed = backend.list_snapshots()
+                assert [s.version for s in listed] \
+                    == [i.version for i in infos[-2:]], (name, round_)
+                assert [s.seq for s in listed] \
+                    == [i.seq for i in infos[-2:]], (name, round_)
+                assert _snapshot(backend.restore(info.version)) \
+                    == _snapshot(engine), (name, round_)
+            seqs = [info.seq for info in infos]
+            assert seqs == sorted(set(seqs)), (name, seqs)
+
     def test_restore_unknown_version_raises(self, backend):
         backend.checkpoint(_engine())
         with pytest.raises(StorageError, match="unknown snapshot"):

@@ -657,19 +657,20 @@ class TestIndexStrategyParity:
         assert plan.strategy == "index"
 
     def test_ddl_restamp_drops_the_stale_executor(self, setup):
-        """CREATE INDEX on an unrelated path restamps the plan in
-        place — but the closure chain is dropped and re-lowered, so it
-        can never run against dead probe bindings."""
+        """CREATE INDEX on an unrelated path leaves the plan stale: it
+        is compiled afresh and its closure chain lowered again, so no
+        chain can run against dead probe bindings."""
         engine, queries = setup
         path = "/lib/book[@lang='en']/t"
         plan = queries.compile(path)
         plan.execute_compiled(queries)
         assert plan.executor is not None
         engine.create_index("lib/book/@year")
-        restamped = queries.compile(path)
-        assert restamped is plan  # decision unchanged: kept in place
-        assert plan.executor is None  # ...but the chain was dropped
-        _assert_compiled_parity(queries, path)
+        fresh = queries.compile(path)
+        assert fresh is not plan  # replaced, decision unchanged or not
+        assert fresh.strategy == plan.strategy
+        assert fresh.executor is None  # lowered again on its first run
+        assert _assert_compiled_parity(queries, path) is fresh
 
     def test_create_then_drop_index_keeps_parity(self, setup):
         engine, queries = setup

@@ -15,15 +15,10 @@ Three families of guarantees:
   for that context count, and a first positional predicate on a
   single-node scan as blocks stepped over; EXPLAIN's stage names show
   the same route.
-* **Exactly-scoped invalidation** — a statistics-epoch bump re-plans
-  only the plans whose *consulted* schema nodes drifted; every other
-  plan is restamped in place, keeping its object identity and its
-  lowered executor.
 """
 
 import pytest
 
-from repro import obs
 from repro.obs.explain import collect
 from repro.query import StorageQueryEngine
 from repro.storage import StorageEngine
@@ -211,12 +206,6 @@ class TestPricingSanity:
         plan = queries.compile("/library/book[@year='1492']/title")
         assert plan.cost.output_rows == 0
 
-    def test_every_plan_records_consulted_nodes(self, setup):
-        _, queries = setup
-        for path in ("/library/book/title", "//author", "//book[1]"):
-            plan = queries.compile(path)
-            assert plan.stats_nodes, f"no consulted nodes for {path}"
-
 
 class TestCostBeatsFixed:
     """The cost rule pays for itself, in descriptors read (EXPLAIN
@@ -368,69 +357,3 @@ class TestPricedAsExecuted:
         assert plan.cost.scan_rows == 0
         assert [name for name, _ in record.stage_ns] == [
             "probe[eq]", "predicate[author=…]/walk", "step[title]/walk"]
-
-
-class TestExactlyScopedInvalidation:
-    def test_only_drifted_plans_replan(self):
-        engine = _build_engine()
-        queries = StorageQueryEngine(engine)
-        book_q = "/library/book/title"
-        paper_q = "/library/paper/title"
-        book_plan = queries.compile(book_q)
-        paper_plan = queries.compile(paper_q)
-        # Lower both closure chains so executor survival is observable.
-        queries.evaluate(book_q)
-        queries.evaluate(paper_q)
-        assert book_plan.executor is not None
-        assert paper_plan.executor is not None
-        # The two plans consulted disjoint regions below /library/*:
-        # only the paper query priced the paper's children.
-        book_nodes = {node.path for node in book_plan.stats_nodes}
-        paper_nodes = {node.path for node in paper_plan.stats_nodes}
-        assert "library/paper/author" in paper_nodes
-        assert "library/paper/author" not in book_nodes
-        # Drift exactly library/paper/author: grow it far past the
-        # relative threshold without touching any book statistic.
-        papers = queries.evaluate_naive("/library/paper")
-        epoch_before = engine.stats.epoch
-        for paper in papers:
-            for _ in range(4):
-                engine.insert_child(paper, 0, name=QName("", "author"))
-        assert engine.stats.epoch > epoch_before, \
-            "mutations did not cross the drift threshold"
-        restamps = obs.REGISTRY.counter("query.cost.stats_restamps")
-        replans = obs.REGISTRY.counter("query.cost.stats_replans")
-        r0, p0 = restamps.value, replans.value
-        # Undrifted plan: restamped in place — same object, executor
-        # kept, no recompilation.
-        book_again = queries.compile(book_q)
-        assert book_again is book_plan
-        assert book_again.executor is not None
-        assert restamps.value == r0 + 1
-        assert replans.value == p0
-        # Drifted plan: re-priced.  The decision stands (still a scan),
-        # so the entry is adopted in place rather than invalidated.
-        paper_again = queries.compile(paper_q)
-        assert replans.value == p0 + 1
-        assert restamps.value == r0 + 1
-        assert paper_again is paper_plan
-        # Both queries still answer correctly after the shuffle.
-        assert _nids(queries.evaluate(book_q)) == \
-            _nids(queries.evaluate_naive(book_q))
-        assert _nids(queries.evaluate(paper_q)) == \
-            _nids(queries.evaluate_naive(paper_q))
-
-    def test_restamp_is_idempotent_until_next_drift(self):
-        engine = _build_engine()
-        queries = StorageQueryEngine(engine)
-        plan = queries.compile("/library/book/title")
-        papers = queries.evaluate_naive("/library/paper")
-        epoch_before = engine.stats.epoch
-        for paper in papers:
-            for _ in range(4):
-                engine.insert_child(paper, 0, name=QName("", "author"))
-        assert engine.stats.epoch > epoch_before
-        first = queries.compile("/library/book/title")
-        second = queries.compile("/library/book/title")
-        assert first is plan and second is plan
-        assert plan.stats_epoch == engine.stats.epoch

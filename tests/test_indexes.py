@@ -361,14 +361,22 @@ class TestPlannerIntegration:
         queries.evaluate(affected)
         queries.evaluate(unaffected)
         base = queries.cache_stats()
+        compiles = obs.REGISTRY.counter("query.plan.compiles")
+        before = compiles.value
         engine.create_index("library/book/@year", value_type="integer")
         assert queries.compile(affected).strategy == "index"
         assert queries.compile(unaffected).strategy == "scan"
+        # One stamp: every plan used after the DDL is compiled once,
+        # the unaffected one too (it decides as before).
+        assert compiles.value == before + 2
         stats = queries.cache_stats()
         assert stats["plan_invalidations"] \
-            - base["plan_invalidations"] == 1
-        # The unaffected plan was restamped in place and counts a hit.
-        assert stats["plan_hits"] - base["plan_hits"] == 1
+            - base["plan_invalidations"] == 2
+        assert stats["plan_misses"] - base["plan_misses"] == 2
+        for path in (affected, unaffected):
+            assert queries.evaluate(path) == queries.evaluate_naive(path)
+        assert queries.cache_stats()["plan_hits"] - stats["plan_hits"] == 2
+        assert compiles.value == before + 2
 
     def test_dropping_the_index_falls_back_to_scan(self):
         engine = _engine()

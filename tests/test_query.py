@@ -1,6 +1,9 @@
 """Tests for axes, the path language and the three query evaluators."""
 
+import operator
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import QueryError
 from repro.xmlio import parse_document
@@ -16,6 +19,9 @@ from repro.query.paths import Step
 from repro.storage import StorageEngine
 from repro.workloads import make_library_document
 from repro.workloads.fixtures import EXAMPLE_8_DOCUMENT
+from repro.xmlio.chars import is_name_char
+
+from tests.test_query_plan import _budget
 
 _DOC = '<r i="1"><a><b/><c>x</c></a><d j="2"/><a><b/></a></r>'
 
@@ -130,6 +136,9 @@ class TestPathParser:
     @pytest.mark.parametrize("bad", [
         "relative/path", "/a//", "/", "/a/@", "/a/b[]", "/a/b[0]",
         "/a/b[t=v]", "/a/b[f()]", "/a/b[1", "/a/b[x<2]",
+        # Names the grammar does not derive (not NCNames).
+        "/a b", "/1a", "/a=b", "/a'", "/@1", "/a:b",
+        "/library/book[*]", "/library/book[@*]",
     ])
     def test_rejects(self, bad):
         with pytest.raises(QueryError):
@@ -138,6 +147,78 @@ class TestPathParser:
     def test_repr_round_trip(self):
         for text in ("/a/b", "//x", "/a/@id", "/a/text()", "/a/*"):
             assert repr(parse_path(text)) == text
+
+
+# ----------------------------------------------------------------------
+# Generated: the parser accepts exactly the grammar's names.  CI's
+# crash-matrix step runs this with --hypothesis-profile=crash-matrix
+# --hypothesis-seed=0.
+
+_NAME_START = "abxyzAZ_éΩ"
+_NAMES = st.builds(operator.add, st.sampled_from(_NAME_START),
+                   st.text(_NAME_START + "09-.·", max_size=4))
+_VALUES = st.text(st.characters(blacklist_characters="'",
+                                blacklist_categories=("Cs",)),
+                  max_size=4)
+#: Non-NameChars that spoil a name in place: not ``/`` (it would split
+#: the step into two valid ones), not ``@`` (``[@a]`` is a predicate
+#: form), not a quote (it re-pairs the literal quotes) and not
+#: whitespace (stripped off a predicate's name).
+_SPOILERS = [char for char in map(chr, range(0x21, 0x7F))
+             if not is_name_char(char) and char not in "/@'\""] + ["×"]
+
+
+@st.composite
+def _grammar_paths(draw):
+    """A path from the grammar as pieces: syntax ``str``s and, for each
+    name token, a one-element list holding the name."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        pieces.append(draw(st.sampled_from(("/", "//"))))
+        test = draw(st.sampled_from(("name", "@name", "*", "@*",
+                                     "text()")))
+        if test.endswith("name"):
+            pieces += [test[:-4], [draw(_NAMES)]]
+        else:
+            pieces.append(test)
+        for _ in range(draw(st.integers(0, 3))):
+            form = draw(st.sampled_from(("position", "last()", "name",
+                                         "@name")))
+            if form == "position":
+                pieces.append(f"[{draw(st.integers(1, 99))}]")
+            elif form == "last()":
+                pieces.append("[last()]")
+            else:
+                pieces += ["[" + form[:-4], [draw(_NAMES)]]
+                if draw(st.booleans()):
+                    pieces.append(f"='{draw(_VALUES)}'")
+                pieces.append("]")
+    return pieces
+
+
+def _render(pieces, spoiled=None, at=None):
+    return "".join(piece if isinstance(piece, str)
+                   else spoiled if index == at else piece[0]
+                   for index, piece in enumerate(pieces))
+
+
+@settings(max_examples=_budget(50), deadline=None)
+@given(pieces=_grammar_paths(), data=st.data())
+def test_grammar_paths_round_trip_and_spoiled_names_are_refused(pieces,
+                                                                 data):
+    text = _render(pieces)
+    assert repr(parse_path(text)) == text
+    names = [index for index, piece in enumerate(pieces)
+             if not isinstance(piece, str)]
+    if not names:
+        return
+    at = data.draw(st.sampled_from(names))
+    name = pieces[at][0]
+    cut = data.draw(st.integers(0, len(name)))
+    spoiled = name[:cut] + data.draw(st.sampled_from(_SPOILERS)) \
+        + name[cut:]
+    with pytest.raises(QueryError):
+        parse_path(_render(pieces, spoiled, at))
 
 
 class TestTreeEvaluation:

@@ -70,7 +70,9 @@ class TestPredicateParsing:
             assert repr(parse_path(text)) == text
 
     @pytest.mark.parametrize("bad", ["/a[]", "/a[0]", "/a[-1]",
-                                     "/a[x=y]", "/a[f()]", "/a[x<1]"])
+                                     "/a[x=y]", "/a[f()]", "/a[x<1]",
+                                     "/a[@]", "/a[@='x']", "/a[='x']",
+                                     "/a[b c]", "/a[+1]", "/a[1.5]"])
     def test_bad_predicates(self, bad):
         with pytest.raises(QueryError):
             parse_path(bad)
