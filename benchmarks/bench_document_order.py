@@ -113,7 +113,7 @@ def test_sort_by_symbol_tuples(benchmark, storage_engines, scale):
 @pytest.mark.parametrize("scale", SCALES)
 def test_sort_by_memoized_sort_key(benchmark, storage_engines, scale):
     """The same sort keyed by the memoized big-endian u16 bytes key
-    (``NidLabel.sort_key``) the value/path indexes order postings by.
+    (``NidLabel.sort_key``) the value indexes order postings by.
     Bytewise comparison replaces per-comparison tuple walks; the key is
     packed once per label and cached (labels are immutable, and by
     Proposition 1 never relabelled in place)."""

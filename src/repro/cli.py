@@ -21,8 +21,8 @@ Usage::
                                    [--schema SCHEMA.xsd] [--strict] [--json]
     python -m repro snapshots TARGET [--backend file|sqlite]
                                      [--restore VERSION] [--json]
-    python -m repro index DOCUMENT.xml PATH [--kind value|path]
-                          [--type TYPE] [--eq V | --low L --high H]
+    python -m repro index DOCUMENT.xml PATH [--type TYPE]
+                          [--eq V | --low L --high H]
                           [--query PATH] [--json]
     python -m repro serve DOCUMENT.xml [--readers N] [--writers M]
                           [--requests R] [--max-sessions S]
@@ -82,7 +82,7 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from repro import obs
-from repro.errors import ReproError, StorageError, UpdateError
+from repro.errors import ReproError, StorageError
 from repro.mapping.doc_to_tree import (
     document_to_tree,
     untyped_document_to_tree,
@@ -99,7 +99,6 @@ from repro.server import DatabaseServer, server_report
 from repro.server.session import LeaseTimeout, Overloaded
 from repro.storage import FileBackend, MemoryBackend, SqliteBackend
 from repro.storage.engine import StorageEngine
-from repro.storage.indexes import ValueIndex
 from repro.storage.recovery import recover
 from repro.xmlio.parser import parse_document
 
@@ -526,17 +525,12 @@ def _cmd_index(args: argparse.Namespace) -> int:
     """Declare a secondary index over a loaded document, report its
     statistics, and optionally probe it or EXPLAIN a query through it."""
     engine = _load_engine(args)
-    index = engine.create_index(args.path, kind=args.kind,
-                                value_type=args.type)
+    index = engine.create_index(args.path, value_type=args.type)
     report: dict = {"definition": index.definition.as_dict(),
                     "stats": index.stats()}
     probing = (args.eq is not None or args.low is not None
                or args.high is not None)
     if probing:
-        if not isinstance(index, ValueIndex):
-            raise UpdateError(
-                "--eq/--low/--high probe a value index, not a "
-                "path index")
         if args.eq is not None:
             matches = index.probe_eq(index.parse_key(args.eq))
             report["probe"] = {"mode": "eq", "value": args.eq,
@@ -560,9 +554,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
         print(json.dumps(report, indent=2))
         return 0
     definition = index.definition
-    suffix = (f" ({definition.value_type})"
-              if definition.kind == "value" else "")
-    print(f"index {definition.kind}:{definition.path}{suffix}")
+    print(f"index {definition.kind}:{definition.path} "
+          f"({definition.value_type})")
     for name, value in report["stats"].items():
         if name in ("kind", "path", "value_type"):
             continue
@@ -899,12 +892,9 @@ def build_parser() -> argparse.ArgumentParser:
         "index", help="declare a secondary index and report/probe it")
     index.add_argument("document")
     index.add_argument("path",
-                       help="schema path (value) or query path (path)")
-    index.add_argument("--kind", choices=("value", "path"),
-                       default="value")
+                       help="schema path of an attribute or element")
     index.add_argument("--type", default="string",
-                       help="XML Schema simple type of the keys "
-                            "(value indexes)")
+                       help="XML Schema simple type of the keys")
     index.add_argument("--eq", default=None,
                        help="probe: count owners with this typed value")
     index.add_argument("--low", default=None,

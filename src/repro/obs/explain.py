@@ -52,8 +52,8 @@ class QueryExplain:
         #: "empty" | "index" | "scan" | "hybrid" | "naive"
         #: (set by the planner).
         self.strategy = ""
-        #: "value:<path>" / "path:<path>" when a secondary index
-        #: answered the decisive step, "" otherwise.
+        #: "value:<path>" when a value index answered the decisive
+        #: step, "" otherwise.
         self.index_used = ""
         #: "hit" | "miss" | "invalidated" (stale plan dropped, then miss).
         self.plan_cache = ""

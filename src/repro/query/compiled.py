@@ -224,8 +224,7 @@ def _lower(plan: CompiledPlan,
 
 # ----------------------------------------------------------------------
 # The semi-join: one operation, two directions, over a posting list in
-# ``<<`` (index postings, a swept block chain).  The path-index probe
-# is its degenerate case — postings that are their own holders.
+# ``<<`` (index postings, a swept block chain).
 
 
 def _holders(postings, hops: int) -> dict:
@@ -270,13 +269,13 @@ def _scan_source(scan_nodes: "tuple[SchemaNode, ...]"
 
 
 def _probe_source(plan: CompiledPlan) -> tuple[str, Callable[[], list]]:
-    probe = plan.probe
-    assert probe is not None
-    if probe[0] == "path":
-        return "probe[path]", probe[1].probe
-    mode, index, key, via_parent = probe
-    fetch = (partial(index.probe_eq, key) if mode == "eq"
-             else index.probe_exists)
+    assert plan.probe is not None
+    mode, index, literal, via_parent = plan.probe
+    # ``=`` compares string values: an integer key files '01994' and
+    # ' 1994 ' beside '1994', so an eq probe keeps the literal's own.
+    fetch = (partial(index.probe_lexical, index.parse_key(literal),
+                     literal)
+             if mode == "eq" else index.probe_exists)
     if not via_parent:
         return f"probe[{mode}]", fetch
 

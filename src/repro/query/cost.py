@@ -1,8 +1,8 @@
 """Statistics-driven cost model for candidate query plans.
 
 The planner (:mod:`repro.query.planner`) can answer one compiled path
-several ways — block scan, hybrid scan+navigate, a value- or
-path-index probe, or naive per-descriptor navigation.  PR 5's indexes
+several ways — block scan, hybrid scan+navigate, a value-index
+probe, or naive per-descriptor navigation.  Secondary indexes
 made the wrong pick a 10-129x swing; this module prices every
 candidate from the :class:`~repro.obs.statistics.StatisticsCollector`
 numbers the engine already maintains per descriptive-schema node
@@ -69,7 +69,7 @@ COST_BLOCK = 12.0
 #: Unit cost of sweeping one descriptor inside a scanned block.
 COST_SCAN_ROW = 1.0
 #: Unit cost of reading one posting-list entry (cheaper than a sweep
-#: row: the list is pre-merged and carries no name test).
+#: row: the list is already in ``<<`` and carries no name test).
 COST_POSTING = 0.6
 #: Unit cost of one residual predicate evaluation (attribute walk +
 #: string compare per instance).
@@ -490,22 +490,15 @@ class CostModel:
     def _price_probe(self, estimate: CostEstimate,
                      plan: "CompiledPlan",
                      frontiers: list) -> CostEstimate:
-        probe = plan.probe
-        assert probe is not None
-        if probe[0] == "path":
-            # Pre-merged posting list of the covered schema nodes.
-            postings = sum(self.rows(node) for node in plan.scan_nodes)
-            estimate.postings = postings
-            estimate.output_rows = postings
-            return estimate.finish()
-        mode, index, key, via_parent = probe
+        assert plan.probe is not None
+        mode, index, literal, via_parent = plan.probe
         value_node = index.value_node
         carrier_rows = self.rows(value_node)
         value_holder = value_node if index.attribute \
             else (self._text_child(value_node) or value_node)
         if mode == "eq":
             postings = carrier_rows * self._value_selectivity(
-                value_holder, str(key))
+                value_holder, literal)
         else:  # exists
             postings = carrier_rows
         estimate.postings = postings

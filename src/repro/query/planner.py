@@ -37,19 +37,18 @@ Strategies, from fastest to slowest:
   positional predicates on ``//`` steps, whose whole-selection
   grouping a flat block scan cannot reproduce.
 
-With declared secondary indexes (:mod:`repro.storage.indexes`) a
-fifth strategy slots in above ``scan``:
+With declared value indexes (:mod:`repro.storage.indexes`) one more
+strategy slots in above ``scan``:
 
-* ``index`` — the step's first value predicate is answered by a
-  typed-value index probe (equality or existence) instead of scanning
-  and testing every instance, or the whole predicate-free path is
-  answered by a path index's pre-merged posting list.  Remaining
-  predicates and suffix steps run exactly as in ``scan``/``hybrid``.
+* ``index`` — one value predicate of the decisive step is answered by
+  a typed-value index probe (equality or existence) instead of
+  scanning and testing every instance.  Remaining predicates and
+  suffix steps run exactly as in ``scan``/``hybrid``.
 
 The planner enumerates **every** applicable candidate exactly once
 (:func:`_candidate_plans`) — the scan/hybrid baseline, one value-index
-probe per eligible predicate, the path-index probe, and priced-naive —
-and a policy (:data:`POLICIES`) is a selection rule over that list.
+probe per eligible predicate, and priced-naive — and a policy
+(:data:`POLICIES`) is a selection rule over that list.
 With engine statistics available (the default through
 :class:`QueryPlanner`) the rule is ``cost``: the cheapest under the
 :mod:`repro.query.cost` model.
@@ -61,6 +60,7 @@ import threading
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro import obs
+from repro.errors import TypeSystemError
 from repro.obs import explain as _explain
 from repro.query.cache import (
     LRUCache,
@@ -210,12 +210,12 @@ class CompiledPlan:
         self.split = split
         #: Schema nodes discarded by structural predicate pruning.
         self.pruned_schema_nodes = pruned_schema_nodes
-        #: "index" strategy: ("eq", index, key, via_parent),
-        #: ("exists", index, None, via_parent) or ("path", index).
+        #: "index" strategy: ("eq", index, literal, via_parent) or
+        #: ("exists", index, None, via_parent).
         self.probe = probe
         #: Predicates of the probed step still tested per instance.
         self.rest_predicates = rest_predicates
-        #: "value:<path>" / "path:<path>" (EXPLAIN), "" otherwise.
+        #: "value:<path>" (EXPLAIN), "" otherwise.
         self.index_used = index_used
         #: Lazily lowered closure chain (:mod:`repro.query.compiled`);
         #: built on the first execution, it lives and dies with the plan.
@@ -354,9 +354,8 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
     Otherwise the list holds, in order, the scan/hybrid base, one
     ``index`` candidate per eligible value-index probe (any prefix of
     non-positional predicates may be probed, not just the first — the
-    remaining predicates commute as pure filters), the path-index
-    candidate, and last the priced ``naive`` — all shapes
-    :mod:`repro.query.compiled` lowers.
+    remaining predicates commute as pure filters), and last the priced
+    ``naive`` — all shapes :mod:`repro.query.compiled` lowers.
     """
     steps = path.steps
     frontiers = schema_frontiers(schema.root, steps)
@@ -386,35 +385,58 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
     candidates = [CompiledPlan(path, "scan" if split is None else "hybrid",
                                tuple(matched), split, pruned)]
     structural_pick = 0
-    if indexes is not None and indexes.active:
-        if predicates and len(matched) == 1:
-            for position, predicate in enumerate(predicates):
-                if isinstance(predicate, PositionPredicate):
-                    # A probe answers its predicate *first*; value
-                    # predicates commute around it, positional ones do
-                    # not — stop at the first positional.
-                    break
-                probe = indexes.plan_probe(matched[0], predicate)
-                if probe is None:
-                    continue
-                rest = predicates[:position] + predicates[position + 1:]
-                candidates.append(CompiledPlan(
-                    path, "index", tuple(matched), split, pruned,
-                    probe=probe, rest_predicates=rest,
-                    index_used=f"value:{probe[1].definition.path}"))
-                if position == 0:
-                    # Structural precedence probed the first predicate.
-                    structural_pick = len(candidates) - 1
-        elif not predicates and split is None and len(matched) > 1:
-            path_index = indexes.path_probe(matched)
-            if path_index is not None:
-                candidates.append(CompiledPlan(
-                    path, "index", tuple(matched), split, pruned,
-                    probe=("path", path_index),
-                    index_used=f"path:{path_index.definition.path}"))
+    if indexes is not None and indexes.active and predicates \
+            and len(matched) == 1:
+        for position, predicate in enumerate(predicates):
+            if isinstance(predicate, PositionPredicate):
+                # A probe answers its predicate *first*; value
+                # predicates commute around it, positional ones do not
+                # — stop at the first positional.
+                break
+            probe = _plan_probe(indexes, matched[0], predicate)
+            if probe is None:
+                continue
+            rest = predicates[:position] + predicates[position + 1:]
+            candidates.append(CompiledPlan(
+                path, "index", tuple(matched), split, pruned,
+                probe=probe, rest_predicates=rest,
+                index_used=f"value:{probe[1].definition.path}"))
+            if position == 0:
+                # Structural precedence probed the first predicate.
                 structural_pick = len(candidates) - 1
     candidates.append(_naive_plan(path, "naive candidate navigates"))
     return candidates, structural_pick, frontiers
+
+
+def _plan_probe(indexes, schema_node: SchemaNode, predicate
+                ) -> Optional[tuple]:
+    """A value-index probe answering *predicate* on instances of
+    *schema_node*, or None.
+
+    Returns ``(mode, index, literal, via_parent)`` with *mode* ``"eq"``
+    or ``"exists"``.  The probe is offered only when the predicate's
+    local name resolves to exactly one schema child — with several
+    same-named children (different namespaces) an index on one of them
+    would under-report the evaluator's local-name semantics — and, for
+    ``eq``, only when the literal has a typed value: its key then files
+    every owner whose stored value is the literal, and an untyped
+    literal could still match the untyped owners no key files.
+    """
+    carriers = predicate_carriers(schema_node, predicate)
+    if len(carriers) != 1:
+        return None
+    carrier = carriers[0][1]
+    via_parent = carrier.node_type == "element"
+    index = indexes.index_on(carrier)
+    if index is None or index.attribute is via_parent:
+        return None
+    if predicate.value is None:
+        return ("exists", index, None, via_parent)
+    try:
+        index.parse_key(predicate.value)
+    except TypeSystemError:
+        return None
+    return ("eq", index, predicate.value, via_parent)
 
 
 def _cheapest(candidates: "list[CompiledPlan]", structural_pick: int,

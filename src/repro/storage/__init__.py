@@ -37,7 +37,6 @@ from repro.storage.faults import (
 from repro.storage.indexes import (
     IndexDefinition,
     IndexManager,
-    PathIndex,
     ValueIndex,
 )
 from repro.storage.persist import dumps_engine, load_engine
@@ -87,7 +86,6 @@ __all__ = [
     "MemoryWalStore",
     "IndexDefinition",
     "IndexManager",
-    "PathIndex",
     "ValueIndex",
     "NO_SLOT",
     "NidLabel",

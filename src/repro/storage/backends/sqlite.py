@@ -58,7 +58,7 @@ from repro.storage.blocks import Block
 from repro.storage.codec import Reader
 from repro.storage.engine import StorageEngine
 from repro.storage.faults import CrashError
-from repro.storage.indexes import KINDS, IndexDefinition
+from repro.storage.indexes import decode_definition
 from repro.storage.persist import block_payload, finish_load, load_blocks
 from repro.storage.wal import WalStore
 from repro.xmlio.qname import QName
@@ -366,12 +366,8 @@ class SqliteBackend(StorageBackend):
             chains = [[int(block_id) for block_id in chain]
                       for chain in manifest["chains"]]
             key = "indexes"
-            definitions = [IndexDefinition(*entry)
+            definitions = [decode_definition(*entry)
                            for entry in manifest["indexes"]]
-            for definition in definitions:
-                if definition.kind not in KINDS:
-                    raise ValueError(
-                        f"unknown index kind {definition.kind!r}")
             stats = manifest.get("stats")
         except (KeyError, IndexError, TypeError, ValueError,
                 ReproError) as error:

@@ -629,16 +629,12 @@ class StorageEngine:
     # the in-memory effect.  Index *contents* are derived state — the
     # build is one block-list scan, and recovery re-derives it.
 
-    def create_index(self, path: str, kind: str = "value",
-                     value_type: str = "string"):
-        """Declare a secondary index over the descriptive schema.
-
-        ``kind="value"`` indexes the §4 typed values of one attribute
-        or element schema path (``library/book/@year``); ``kind="path"``
-        materializes the descriptor set of a predicate-free query path
-        (``//author``).  Returns the built index.
+    def create_index(self, path: str, value_type: str = "string"):
+        """Declare a value index: the §4 typed values of one attribute
+        or element schema path (``library/book/@year``) under the
+        simple type *value_type*.  Returns the built index.
         """
-        definition = self.indexes.validate(path, kind, value_type)
+        definition = self.indexes.validate(path, value_type)
         with self._autocommit():
             wal, txn = self._open_transaction()
             if txn is not None:
@@ -650,9 +646,9 @@ class StorageEngine:
                 txn.undo.append((self.indexes.uninstall, definition))
             return index
 
-    def drop_index(self, path: str, kind: str = "value"):
+    def drop_index(self, path: str):
         """Drop a declared index; returns its definition."""
-        definition = self.indexes.find(path, kind)
+        definition = self.indexes.find(path)
         with self._autocommit():
             wal, txn = self._open_transaction()
             if txn is not None:

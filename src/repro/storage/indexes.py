@@ -1,18 +1,18 @@
 """Secondary indexes over the descriptive schema.
 
-Real Sedna layers two families of secondary indexes on top of the §9
-physical design, and this module reproduces both:
+Real Sedna layers typed-value indexes on top of the §9 physical
+design, and this module reproduces them: a **typed-value index** per
+(schema node, attribute-or-text) keys the §4 typed values of the
+indexed attribute (or the string value of the indexed element),
+obtained through the XML Schema simple-type machinery
+(``repro.xsdtypes``); postings are lists of node descriptors kept in
+document order by the memoized binary nid key, maintained with bisect.
+Probes: equality, range, existence.
 
-* a **typed-value index** per (schema node, attribute-or-text): keys
-  are the §4 typed values of the indexed attribute (or the string
-  value of the indexed element), obtained through the XML Schema
-  simple-type machinery (``repro.xsdtypes``); postings are lists of
-  node descriptors kept in document order by the memoized binary nid
-  key, maintained with bisect.  Probes: equality, range, existence.
-* a **path index** materializing the merged, document-ordered
-  descriptor set of every schema node matched by a predicate-free
-  path, so ``//x`` and deep child chains resolve without the
-  concatenate-and-sort step of the scan strategy.
+There is no path index: every document path has one schema path
+(§9.1), so a predicate-free path's answer is its schema nodes' block
+lists, which a ``scan`` plan's :func:`~repro.storage.blocks.sweep`
+already returns in ``<<``.
 
 Index *definitions* are durable state: DDL is write-ahead logged
 (``CREATE_INDEX``/``DROP_INDEX`` records) and checkpoint images persist
@@ -38,18 +38,16 @@ from typing import TYPE_CHECKING, Optional
 from repro import obs
 from repro.errors import StorageError, TypeSystemError, UpdateError
 from repro.storage import faults
-from repro.storage.blocks import sweep
 from repro.storage.descriptor import NodeDescriptor, doc_order_key
 from repro.xsdtypes.registry import builtin
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.query.paths import Step
     from repro.storage.dschema import SchemaNode
     from repro.storage.engine import StorageEngine
 
+#: The one index kind: the text WAL records, images and manifests
+#: carry per definition.
 VALUE = "value"
-PATH = "path"
-KINDS = (VALUE, PATH)
 
 #: Posting-list slot for owners whose lexical value does not parse
 #: under the index's simple type: they stay probe-able by existence
@@ -57,6 +55,8 @@ KINDS = (VALUE, PATH)
 #: match an equality or range probe.
 _UNTYPED = object()
 _MISSING = object()
+#: A typed key whose owners carry more than one lexical form.
+_MIXED = object()
 
 
 @dataclass(frozen=True)
@@ -65,20 +65,29 @@ class IndexDefinition:
     images carry.  Contents are always derivable from the blocks."""
 
     path: str
-    kind: str = VALUE
     value_type: str = "string"
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.kind, self.path)
+    kind = VALUE
 
     def as_dict(self) -> dict[str, str]:
         return {"path": self.path, "kind": self.kind,
                 "value_type": self.value_type}
 
     def __repr__(self) -> str:
-        suffix = f", {self.value_type}" if self.kind == VALUE else ""
-        return f"IndexDefinition({self.kind}:{self.path}{suffix})"
+        return f"IndexDefinition({self.kind}:{self.path}, {self.value_type})"
+
+
+def decode_definition(path: str, kind: str,
+                      value_type: str = "string") -> IndexDefinition:
+    """The definition a decoder read (an image, a snapshot manifest, a
+    WAL DDL record), raising ``StorageError`` for a kind this version
+    does not build; each decoder adds where it read it."""
+    if kind == "path":
+        raise StorageError(
+            f"path index {path!r}: path indexes were removed; drop it "
+            "and checkpoint with the previous version")
+    if kind != VALUE:
+        raise StorageError(f"unknown index kind {kind!r}")
+    return IndexDefinition(path, value_type)
 
 
 def _insert_in_order(postings: "list[NodeDescriptor]",
@@ -114,8 +123,6 @@ class ValueIndex:
     parent probes this index and maps owners to parents.
     """
 
-    kind = VALUE
-
     def __init__(self, engine: "StorageEngine",
                  definition: IndexDefinition,
                  value_node: "SchemaNode") -> None:
@@ -136,6 +143,9 @@ class ValueIndex:
         self._all: list["NodeDescriptor"] = []
         # owner nid key -> its current typed key (or _UNTYPED).
         self._key_of: dict[bytes, object] = {}
+        # typed key -> the lexical form every owner under it carries,
+        # or _MIXED (kept until the posting empties or is rebuilt).
+        self._forms: dict[object, object] = {}
 
     # -- keys -----------------------------------------------------------
 
@@ -168,6 +178,7 @@ class ValueIndex:
                 insort_right(self._keys, key)
             else:
                 _insert_in_order(posting, owner)
+            self._note_form(key, lexical)
 
     def remove(self, owner: "NodeDescriptor") -> None:
         okey = owner.nid.sort_key()
@@ -180,6 +191,7 @@ class ValueIndex:
             _remove_in_order(posting, owner)
             if not posting:
                 del self._postings[key]
+                del self._forms[key]
                 i = bisect_left(self._keys, key)
                 del self._keys[i]
 
@@ -189,11 +201,16 @@ class ValueIndex:
         if self._key_of.get(okey, _MISSING) is _MISSING:
             self.add(owner, lexical)
             return
-        if self._key_of[okey] == self._typed(lexical) \
-                and self._key_of[okey] is not _UNTYPED:
+        key = self._typed(lexical)
+        if key is not _UNTYPED and self._key_of[okey] == key:
+            self._note_form(key, lexical)
             return
         self.remove(owner)
         self.add(owner, lexical)
+
+    def _note_form(self, key, lexical: Optional[str]) -> None:
+        if self._forms.setdefault(key, lexical or "") != (lexical or ""):
+            self._forms[key] = _MIXED
 
     def reindex(self, owner: "NodeDescriptor") -> None:
         """Recompute an element owner's key from its current string
@@ -208,6 +225,7 @@ class ValueIndex:
         self._keys.clear()
         self._all.clear()
         self._key_of.clear()
+        self._forms.clear()
         engine = self.engine
         if self.attribute:
             for attr in engine.scan_schema_node(self.value_node):
@@ -217,17 +235,21 @@ class ValueIndex:
             for owner in engine.scan_schema_node(self.value_node):
                 self.add(owner, engine.string_value(owner))
 
+    def lexical(self, owner: "NodeDescriptor") -> Optional[str]:
+        """The stored lexical value *owner* is keyed by: its indexed
+        attribute's value, or its own string value (None: it carries
+        no such attribute)."""
+        if not self.attribute:
+            return self.engine.string_value(owner)
+        attribute = self.engine.first_child_by_schema(owner,
+                                                      self.value_node)
+        return None if attribute is None else attribute.value or ""
+
     def _built_key(self, owner: "NodeDescriptor"):
         """The key :meth:`build` would file *owner* under from the
         stored data now (``_MISSING``: it would not file it)."""
-        if owner.block is None:
-            return _MISSING
-        if not self.attribute:
-            return self._typed(self.engine.string_value(owner))
-        attribute = self.engine.first_child_by_schema(owner,
-                                                      self.value_node)
-        return _MISSING if attribute is None \
-            else self._typed(attribute.value)
+        lexical = None if owner.block is None else self.lexical(owner)
+        return _MISSING if lexical is None else self._typed(lexical)
 
     def verify_entry(self, owner: "NodeDescriptor") -> None:
         """Assert *owner* is filed exactly as :meth:`build` would."""
@@ -262,6 +284,20 @@ class ValueIndex:
         """Owners whose typed value equals *key* (document order)."""
         return self._probed(list(self._postings.get(key, ())))
 
+    def probe_lexical(self, key, literal: str) -> "list[NodeDescriptor]":
+        """Owners whose stored lexical value is *literal* — the path
+        language's ``=``, which compares string values — given its
+        typed *key*: the key only narrows, to the owners of every
+        lexical form of that value; document order."""
+        form = self._forms.get(key)
+        if form is _MIXED:
+            lexical = self.lexical
+            result = [owner for owner in self._postings[key]
+                      if lexical(owner) == literal]
+        else:
+            result = list(self._postings[key]) if form == literal else []
+        return self._probed(result)
+
     def probe_range(self, low=None, high=None, *,
                     inclusive_low: bool = True,
                     inclusive_high: bool = True
@@ -295,102 +331,25 @@ class ValueIndex:
     # -- introspection --------------------------------------------------
 
     def stats(self) -> dict[str, object]:
-        return {"kind": self.kind, "path": self.definition.path,
+        return {"kind": VALUE, "path": self.definition.path,
                 "value_type": self.definition.value_type,
                 "entries": len(self._all),
                 "distinct_keys": len(self._keys)}
 
     def snapshot(self) -> dict[str, object]:
         """Canonical content for bisimulation checks (recovery)."""
+        # In key order, not by key text: equal keys may print apart
+        # (decimal 0 and -0), and which one files a posting is chance.
         return {
             "all": [d.nid.symbols() for d in self._all],
-            "postings": {
-                str(key): [d.nid.symbols() for d in posting]
-                for key, posting in self._postings.items()},
+            "postings": [[d.nid.symbols() for d in self._postings[key]]
+                         for key in self._keys],
         }
 
     def __repr__(self) -> str:
         return (f"ValueIndex({self.definition.path!r}, "
                 f"{self.definition.value_type}, "
                 f"{len(self._all)} entries)")
-
-
-class PathIndex:
-    """A materialized descriptor set for one predicate-free path.
-
-    The covered schema-node set is re-derived whenever the descriptive
-    schema grows (a new schema node starts empty, so the postings stay
-    complete under incremental maintenance).
-    """
-
-    kind = PATH
-
-    def __init__(self, engine: "StorageEngine",
-                 definition: IndexDefinition,
-                 steps: "tuple[Step, ...]") -> None:
-        self.engine = engine
-        self.definition = definition
-        self.steps = steps
-        self._covered: frozenset[int] = frozenset()
-        self._matched_version = -1
-        self._postings: list["NodeDescriptor"] = []
-
-    def covered_ids(self) -> frozenset[int]:
-        """``id()``s of the schema nodes this path matches, re-matched
-        lazily against the current schema version."""
-        schema = self.engine.schema
-        if self._matched_version != schema.version:
-            from repro.query.planner import match_schema_nodes
-            nodes = match_schema_nodes(schema.root, self.steps)
-            self._covered = frozenset(id(node) for node in nodes)
-            self._matched_version = schema.version
-        return self._covered
-
-    def covers_exactly(self, schema_nodes) -> bool:
-        return self.covered_ids() == frozenset(
-            id(node) for node in schema_nodes)
-
-    def add(self, descriptor: "NodeDescriptor") -> None:
-        _insert_in_order(self._postings, descriptor)
-
-    def remove(self, descriptor: "NodeDescriptor") -> None:
-        _remove_in_order(self._postings, descriptor)
-
-    def build(self) -> None:
-        faults.fire("index.rebuild")
-        covered = self.covered_ids()
-        self._postings = sweep(
-            schema_node for schema_node in self.engine.schema.iter_nodes()
-            if id(schema_node) in covered)
-
-    def verify_entry(self, descriptor: "NodeDescriptor") -> None:
-        """Assert *descriptor* is posted exactly while it is stored."""
-        at = _position_in_order(self._postings, descriptor)
-        posted = at >= 0 and self._postings[at] is descriptor
-        if posted != (descriptor.block is not None):
-            raise StorageError(
-                f"index path:{self.definition.path} holds a stale "
-                f"entry for {descriptor!r}")
-
-    def probe(self) -> "list[NodeDescriptor]":
-        """The pre-merged, document-ordered result set."""
-        result = list(self._postings)
-        obs.REGISTRY.counter("index.probes").inc()
-        if result:
-            obs.REGISTRY.counter("index.hits").inc()
-        return result
-
-    def stats(self) -> dict[str, object]:
-        return {"kind": self.kind, "path": self.definition.path,
-                "entries": len(self._postings),
-                "schema_nodes_covered": len(self.covered_ids())}
-
-    def snapshot(self) -> dict[str, object]:
-        return {"postings": [d.nid.symbols() for d in self._postings]}
-
-    def __repr__(self) -> str:
-        return (f"PathIndex({self.definition.path!r}, "
-                f"{len(self._postings)} entries)")
 
 
 class IndexManager:
@@ -405,113 +364,81 @@ class IndexManager:
         self.engine = engine
         #: Cheap guard read by the engine's mutation hot paths.
         self.active = False
-        self._indexes: dict[tuple[str, str],
-                            ValueIndex | PathIndex] = {}
+        self._indexes: dict[str, ValueIndex] = {}
         self._by_value_node: dict[int, ValueIndex] = {}
-        self._path_indexes: list[PathIndex] = []
 
     # -- DDL ------------------------------------------------------------
 
-    def validate(self, path: str, kind: str = VALUE,
+    def validate(self, path: str,
                  value_type: str = "string") -> IndexDefinition:
         """Resolve and normalize a DDL request, raising ``UpdateError``
         before any state (or the WAL) is touched."""
-        if kind not in KINDS:
-            raise UpdateError(f"unknown index kind {kind!r} "
-                              f"(expected one of {KINDS})")
         normalized = path.strip()
-        if kind == VALUE:
-            if "//" in normalized or "[" in normalized:
-                raise UpdateError(
-                    "a value index covers one exact schema path "
-                    "(no // and no predicates)")
-            normalized = normalized.lstrip("/")
-            node = self.engine.schema.find_path(normalized)
-            if node is None:
-                raise UpdateError(
-                    f"path {path!r} does not resolve in the "
-                    "descriptive schema")
-            if node.node_type not in ("attribute", "element"):
-                raise UpdateError(
-                    "value indexes cover attribute or element paths, "
-                    f"not {node.node_type}")
-            try:
-                builtin(value_type)
-            except TypeSystemError as error:
-                raise UpdateError(str(error)) from error
-            definition = IndexDefinition(normalized, VALUE, value_type)
-        else:
-            if not normalized.startswith("/"):
-                normalized = "/" + normalized
-            from repro.errors import QueryError
-            from repro.query.paths import parse_path
-            try:
-                parsed = parse_path(normalized)
-            except QueryError as error:
-                raise UpdateError(str(error)) from error
-            if any(step.predicates for step in parsed.steps):
-                raise UpdateError(
-                    "path indexes take predicate-free paths")
-            definition = IndexDefinition(normalized, PATH, "")
-        if definition.key in self._indexes:
+        if "//" in normalized or "[" in normalized:
             raise UpdateError(
-                f"index {definition.kind}:{definition.path} "
-                "already declared")
-        return definition
+                "a value index covers one exact schema path "
+                "(no // and no predicates)")
+        normalized = normalized.lstrip("/")
+        node = self.engine.schema.find_path(normalized)
+        if node is None:
+            raise UpdateError(
+                f"path {path!r} does not resolve in the "
+                "descriptive schema")
+        if node.node_type not in ("attribute", "element"):
+            raise UpdateError(
+                "value indexes cover attribute or element paths, "
+                f"not {node.node_type}")
+        try:
+            builtin(value_type)
+        except TypeSystemError as error:
+            raise UpdateError(str(error)) from error
+        if normalized in self._indexes:
+            raise UpdateError(
+                f"index {VALUE}:{normalized} already declared")
+        return IndexDefinition(normalized, value_type)
 
-    def install(self, definition: IndexDefinition
-                ) -> ValueIndex | PathIndex:
+    def install(self, definition: IndexDefinition) -> ValueIndex:
         """Register *definition* and build its contents (one scan)."""
-        if definition.key in self._indexes:
+        if definition.path in self._indexes:
             raise StorageError(f"{definition!r} already installed")
-        if definition.kind == VALUE:
-            node = self.engine.schema.find_path(definition.path)
-            if node is None:
-                raise StorageError(
-                    f"{definition!r} no longer resolves")
-            index: ValueIndex | PathIndex = ValueIndex(
-                self.engine, definition, node)
-        else:
-            from repro.query.paths import parse_path
-            index = PathIndex(self.engine, definition,
-                              parse_path(definition.path).steps)
+        index = self._fresh_instance(definition)
         start = time.perf_counter_ns()
         index.build()
         obs.REGISTRY.counter("index.maintenance_ns").inc(
             time.perf_counter_ns() - start)
-        self._indexes[definition.key] = index
+        self._indexes[definition.path] = index
         self._rebuild_tables()
         self.engine.plan_epoch += 1
         return index
 
     def uninstall(self, definition: IndexDefinition) -> None:
-        if self._indexes.pop(definition.key, None) is None:
+        if self._indexes.pop(definition.path, None) is None:
             raise StorageError(f"{definition!r} is not installed")
         self._rebuild_tables()
         self.engine.plan_epoch += 1
 
     def _rebuild_tables(self) -> None:
-        self._by_value_node = {
-            id(index.value_node): index
-            for index in self._indexes.values()
-            if isinstance(index, ValueIndex)}
-        self._path_indexes = [index for index in self._indexes.values()
-                              if isinstance(index, PathIndex)]
+        self._by_value_node = {id(index.value_node): index
+                               for index in self._indexes.values()}
         self.active = bool(self._indexes)
 
-    def find(self, path: str, kind: str = VALUE) -> IndexDefinition:
+    def find(self, path: str) -> IndexDefinition:
         """The installed definition for a (possibly unnormalized) DDL
         path, raising ``UpdateError`` when absent."""
-        for candidate in (path.strip(), path.strip().lstrip("/"),
-                          "/" + path.strip().lstrip("/")):
-            index = self._indexes.get((kind, candidate))
-            if index is not None:
-                return index.definition
-        raise UpdateError(f"no {kind} index declared on {path!r}")
+        index = self._indexes.get(path.strip().lstrip("/"))
+        if index is None:
+            raise UpdateError(f"no {VALUE} index declared on {path!r}")
+        return index.definition
 
-    def get(self, path: str, kind: str = VALUE
-            ) -> ValueIndex | PathIndex:
-        return self._indexes[self.find(path, kind).key]
+    def get(self, path: str) -> ValueIndex:
+        return self._indexes[self.find(path).path]
+
+    def index_on(self, value_node: "SchemaNode"
+                 ) -> Optional[ValueIndex]:
+        """The index over the values *value_node*'s instances carry,
+        or None — what the query planner asks of each predicate's
+        carrier."""
+        return self._by_value_node.get(id(value_node))
 
     def definitions(self) -> list[IndexDefinition]:
         """Declaration order — what checkpoints persist and recovery
@@ -547,10 +474,6 @@ class IndexManager:
                           self.engine.string_value(descriptor))
         if descriptor.node_type == "text":
             self._reindex_ancestors(descriptor)
-        node_id = id(descriptor.schema_node)
-        for path_index in self._path_indexes:
-            if node_id in path_index.covered_ids():
-                path_index.add(descriptor)
 
     def _reindex_ancestors(self, text: "NodeDescriptor") -> None:
         """A text node came or went: every element above it that an
@@ -586,10 +509,6 @@ class IndexManager:
                 index.remove(descriptor)
         if descriptor.node_type == "text":
             self._reindex_ancestors(descriptor)
-        node_id = id(descriptor.schema_node)
-        for path_index in self._path_indexes:
-            if node_id in path_index.covered_ids():
-                path_index.remove(descriptor)
 
     def note_value_changed(self, descriptor: "NodeDescriptor") -> None:
         """An attribute descriptor's value was overwritten in place."""
@@ -607,50 +526,6 @@ class IndexManager:
             obs.REGISTRY.histogram("index.maintenance.ns").observe(
                 elapsed)
 
-    # -- planner integration --------------------------------------------
-
-    def plan_probe(self, schema_node: "SchemaNode", predicate):
-        """An index probe answering *predicate* on instances of
-        *schema_node*, or None.
-
-        Returns ``(mode, index, typed_key, via_parent)`` with *mode*
-        ``"eq"`` or ``"exists"``.  The probe is offered only when the
-        predicate's local name resolves to exactly one schema child —
-        with several same-named children (different namespaces) the
-        single-path index would under-report the evaluator's
-        local-name semantics.
-        """
-        from repro.query.paths import PositionPredicate
-        from repro.query.planner import predicate_carriers
-        if isinstance(predicate, PositionPredicate):
-            return None
-        carriers = predicate_carriers(schema_node, predicate)
-        if len(carriers) != 1:
-            return None
-        carrier = carriers[0][1]
-        via_parent = carrier.node_type == "element"
-        index = self._by_value_node.get(id(carrier))
-        if index is None or index.attribute is via_parent:
-            return None
-        if predicate.value is None:
-            return ("exists", index, None, via_parent)
-        try:
-            key = index.parse_key(predicate.value)
-        except TypeSystemError:
-            # The literal has no typed value under the index's type:
-            # typed equality can never hold, but the scan route's
-            # untyped string comparison still could — stay off the
-            # index rather than change semantics.
-            return None
-        return ("eq", index, key, via_parent)
-
-    def path_probe(self, schema_nodes) -> Optional[PathIndex]:
-        """A path index covering exactly the plan's matched set."""
-        for path_index in self._path_indexes:
-            if path_index.covers_exactly(schema_nodes):
-                return path_index
-        return None
-
     # -- rebuild / verification ----------------------------------------
 
     def rebuild_all(self) -> None:
@@ -659,16 +534,11 @@ class IndexManager:
         for index in self._indexes.values():
             index.build()
 
-    def _fresh_instance(self, definition: IndexDefinition
-                        ) -> ValueIndex | PathIndex:
-        if definition.kind == VALUE:
-            node = self.engine.schema.find_path(definition.path)
-            if node is None:
-                raise StorageError(f"{definition!r} no longer resolves")
-            return ValueIndex(self.engine, definition, node)
-        from repro.query.paths import parse_path
-        return PathIndex(self.engine, definition,
-                         parse_path(definition.path).steps)
+    def _fresh_instance(self, definition: IndexDefinition) -> ValueIndex:
+        node = self.engine.schema.find_path(definition.path)
+        if node is None:
+            raise StorageError(f"{definition!r} no longer resolves")
+        return ValueIndex(self.engine, definition, node)
 
     def verify_consistency(self, touched=None) -> int:
         """Assert every live index bisimulates a from-scratch rebuild
@@ -684,10 +554,6 @@ class IndexManager:
         if touched is not None:
             owners: set = set()
             for descriptor in touched:
-                node_id = id(descriptor.schema_node)
-                for path_index in self._path_indexes:
-                    if node_id in path_index.covered_ids():
-                        path_index.verify_entry(descriptor)
                 owner = descriptor
                 while owner is not None and owner not in owners:
                     owners.add(owner)  # and with it its ancestors
@@ -696,18 +562,18 @@ class IndexManager:
                             index.verify_entry(owner)
                     owner = owner.parent
             return len(self._indexes)
-        for key, index in self._indexes.items():
+        for path, index in self._indexes.items():
             fresh = self._fresh_instance(index.definition)
             fresh.build()
             if fresh.snapshot() != index.snapshot():
                 raise StorageError(
-                    f"index {key[0]}:{key[1]} diverged from a "
+                    f"index {VALUE}:{path} diverged from a "
                     "from-scratch rebuild")
         return len(self._indexes)
 
     def snapshot(self) -> dict[str, object]:
-        return {f"{kind}:{path}": index.snapshot()
-                for (kind, path), index in self._indexes.items()}
+        return {f"{VALUE}:{path}": index.snapshot()
+                for path, index in self._indexes.items()}
 
     def stats(self) -> list[dict[str, object]]:
         return [index.stats() for index in self._indexes.values()]

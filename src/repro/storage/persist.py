@@ -21,8 +21,9 @@ Image format (little-endian, fixed-width), magic ``SEDNAPY5``::
 * header: magic, base (u16), block capacity (u16), checkpoint LSN
   (u64) — the WAL horizon this image covers;
 * index definitions: count (u32), then per declared secondary index
-  its path, kind and value type (length-prefixed UTF-8) — contents
-  are derived state, rebuilt from the block lists on load;
+  its path, kind (``value``: any other is refused) and value type
+  (length-prefixed UTF-8) — contents are derived state, rebuilt from
+  the block lists on load;
 * schema nodes in pre-order: parent index (u32), type tag (u8),
   name URI and local (length-prefixed UTF-8, only for named kinds);
 * per schema node, same order: block count (u32), then per block of
@@ -54,7 +55,7 @@ from repro.storage.codec import Reader, Writer, pack_nid, pack_text
 from repro.storage.descriptor import NodeDescriptor
 from repro.storage.dschema import SchemaNode
 from repro.storage.engine import StorageEngine
-from repro.storage.indexes import KINDS, IndexDefinition
+from repro.storage.indexes import IndexDefinition, decode_definition
 
 _MAGIC = b"SEDNAPY5"
 _NONE = 0xFFFFFFFF
@@ -221,15 +222,9 @@ def _parse_image(reader: Reader) -> StorageEngine:
     engine = StorageEngine(base=base, block_capacity=capacity)
     engine.checkpoint_lsn = checkpoint_lsn
 
-    definitions: list[IndexDefinition] = []
-    for _ in range(reader.u32()):
-        definition = IndexDefinition(reader.text(), reader.text(),
+    definitions = [decode_definition(reader.text(), reader.text(),
                                      reader.text())
-        if definition.kind not in KINDS:
-            raise reader.corrupt(
-                f"unknown index kind {definition.kind!r} in storage "
-                f"image before {reader.location()}")
-        definitions.append(definition)
+                   for _ in range(reader.u32())]
 
     schema_count = reader.u32()
     schema_nodes: list[SchemaNode] = []

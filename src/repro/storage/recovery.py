@@ -30,13 +30,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro import obs
-from repro.errors import CorruptionError, StorageError, UpdateError
+from repro.errors import CorruptionError, StorageError
 from repro.storage.backends.base import (
     StorageBackend,
     schema_fingerprint,
     snapshot_version,
 )
 from repro.storage.engine import StorageEngine
+from repro.storage.indexes import VALUE, decode_definition
 from repro.storage.labels import equal
 from repro.storage.wal import (
     COMMIT,
@@ -363,14 +364,14 @@ def _apply_ddl(engine: StorageEngine, record: WalRecord) -> None:
     contents are rebuilt from the replayed block lists.
     """
     try:
+        definition = decode_definition(record.index_path or "",
+                                       record.index_kind or VALUE,
+                                       record.value_type or "string")
         if record.kind == CREATE_INDEX:
-            engine.create_index(record.index_path or "",
-                                record.index_kind or "value",
-                                value_type=record.value_type or "string")
+            engine.create_index(definition.path, definition.value_type)
         else:
-            engine.drop_index(record.index_path or "",
-                              record.index_kind or "value")
-    except UpdateError as error:
+            engine.drop_index(definition.path)
+    except StorageError as error:
         raise RecoveryError(
             f"WAL record {record.lsn}: index DDL replay failed: "
             f"{error}") from error

@@ -209,8 +209,7 @@ _FIXTURES = {
         ("book", "t", "a", "zzz"), ("lang", "year", "zzz"),
         ("en", "ru", "1977", "A1", "T1", "", "zzz"),
         ("[a='A1']", "[a='A2']", "[a='']", "[t='T2']"),
-        (("lib/shelf/book/@lang", {}), ("lib/shelf/book/a", {}),
-         ("//a", {"kind": "path"})),
+        (("lib/shelf/book/@lang", {}), ("lib/shelf/book/a", {})),
         {"block_capacity": 4}, _churn_stacks),
     "shelf": _Fixture(
         _SHELF_DOC,
@@ -220,8 +219,7 @@ _FIXTURES = {
         ("en", "fr", "1977", "Joyce", "Molloy", "A1", "", "zzz"),
         ("[a='A1']", "[a='Joyce']", "[a='']", "[t='Molloy']"),
         (("lib/book/@lang", {}), ("lib/book/a", {}),
-         ("lib/shelf/book/@lang", {}),
-         ("//a", {"kind": "path"}), ("//book", {"kind": "path"})),
+         ("lib/shelf/book/@lang", {})),
         churn=_churn_shelf),
     "library": _Fixture(
         _LIBRARY_DOC,
@@ -233,9 +231,7 @@ _FIXTURES = {
         ("1973", "1980", "1987", "Codd", "zzz"),
         ("[author='Codd']", "[author='Gray']", "[year='1980']"),
         (("library/book/@year", {"value_type": "integer"}),
-         ("library/book/author", {}),
-         ("//author", {"kind": "path"}),
-         ("//title", {"kind": "path"}))),
+         ("library/book/author", {}))),
     # The witness of "one order": ``a`` below ``a`` makes the contexts
     # of ``//a/x`` ancestor-related (their children interleave), and
     # the last ``b`` carries its attributes in the other order than the
@@ -247,7 +243,7 @@ _FIXTURES = {
         ("a", "x", "b", "zzz"), ("x", "y", "zzz"),
         ("1", "2", "3", "6", "", "zzz"),
         ("[x='1']", "[x='2']", "[x='3']"),
-        (("r/b/@x", {}), ("r/a/x", {}), ("//x", {"kind": "path"}))),
+        (("r/b/@x", {}), ("r/a/x", {}))),
 }
 
 
@@ -649,12 +645,6 @@ class TestIndexStrategyParity:
         assert queries.compile(path).executor is executor
         assert len(_assert_compiled_parity(queries, path)
                    .execute_compiled(queries)) == 1
-
-    def test_path_index_probe_parity(self, setup):
-        engine, queries = setup
-        engine.create_index("//a", kind="path")
-        plan = _assert_compiled_parity(queries, "//a")
-        assert plan.strategy == "index"
 
     def test_ddl_restamp_drops_the_stale_executor(self, setup):
         """CREATE INDEX on an unrelated path leaves the plan stale: it

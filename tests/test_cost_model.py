@@ -31,7 +31,7 @@ FORCED_POLICIES = ("structural", "scan", "naive")
 
 #: Query shapes over the library workload covering every strategy the
 #: planner emits: scans, hybrids, positional naive fallbacks, multi-
-#: schema merges, value probes (eq and exists) and path probes.
+#: schema merges and value probes (eq and exists).
 LIBRARY_CORPUS = (
     "/library/book/title",
     "/library/paper/title",
@@ -105,19 +105,16 @@ class TestCorpusParity:
         engine = _build_engine()
         queries = StorageQueryEngine(engine)
         corpus = LIBRARY_CORPUS + _value_corpus(engine, queries)
-        engine.create_index("library/book/@year", kind="value",
-                            value_type="integer")
-        engine.create_index("//author", kind="path")
+        engine.create_index("library/book/@year", value_type="integer")
         _assert_parity(engine, corpus)
-        engine.drop_index("library/book/@year", kind="value")
+        engine.drop_index("library/book/@year")
         _assert_parity(engine, corpus)
 
     def test_parity_survives_stat_shifting_mutations(self):
         engine = _build_engine()
         queries = StorageQueryEngine(engine)
         corpus = LIBRARY_CORPUS + _value_corpus(engine, queries)
-        engine.create_index("library/book/@year", kind="value",
-                            value_type="integer")
+        engine.create_index("library/book/@year", value_type="integer")
         cost, forced = _assert_parity(engine, corpus)
         # Shift the distribution the model priced: rewrite half the
         # @year values (churn) and grow the paper population past the
@@ -145,9 +142,7 @@ class TestPricingSanity:
     @pytest.fixture(scope="class")
     def setup(self):
         engine = _build_engine()
-        engine.create_index("library/book/@year", kind="value",
-                            value_type="integer")
-        engine.create_index("//author", kind="path")
+        engine.create_index("library/book/@year", value_type="integer")
         return engine, StorageQueryEngine(engine)
 
     def test_scan_prices_below_naive(self, setup):
@@ -167,12 +162,6 @@ class TestPricingSanity:
         assert plan.index_used == "value:library/book/@year"
         totals = [c.total for c in plan.cost_table]
         assert plan.cost.total == min(totals)
-
-    def test_path_probe_chosen_for_descendant_merge(self, setup):
-        _, queries = setup
-        plan = queries.compile("//author")
-        assert plan.strategy == "index"
-        assert plan.index_used == "path://author"
 
     def test_cost_overrides_structural_first_predicate(self, setup):
         """The showcase: structural precedence probes the first
@@ -213,9 +202,10 @@ class TestCostBeatsFixed:
     the structural precedence it replaced, and strictly less than
     every fixed policy where a later predicate is the selective one."""
 
-    #: Scans, a path-index merge, an exists-probe, an eq-probe and the
-    #: two-predicate showcase: ``structural`` probes the first,
-    #: unselective ``[@year]``; ``cost`` prices the second far cheaper.
+    #: Scans (``//author`` merges two schema nodes' block lists), an
+    #: exists-probe, an eq-probe and the two-predicate showcase:
+    #: ``structural`` probes the first, unselective ``[@year]``;
+    #: ``cost`` prices the second far cheaper.
     PATHS = (
         "/library/book/title",
         "//author",
@@ -229,7 +219,6 @@ class TestCostBeatsFixed:
         engine.load_document(make_library_document(
             books=100, papers=100, seed=100, year_attrs=True))
         engine.create_index("library/book/@year", value_type="integer")
-        engine.create_index("//author", kind="path")
         policies = {
             policy: StorageQueryEngine(engine, planner_policy=policy)
             for policy in ("cost",) + FORCED_POLICIES}
@@ -261,8 +250,7 @@ class TestPricedAsExecuted:
                                   year_attrs=True))
         engine = StorageEngine(block_capacity=8)
         engine.load_document(parse_document(text))
-        engine.create_index("library/book/@year", kind="value",
-                            value_type="integer")
+        engine.create_index("library/book/@year", value_type="integer")
         return engine, StorageQueryEngine(engine)
 
     @staticmethod

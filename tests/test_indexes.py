@@ -1,34 +1,52 @@
 """Secondary indexes: DDL, typed probes, maintenance, planner, WAL.
 
-The tentpole contract under test: a typed-value index keyed by the §4
-value space and a path index materializing a descriptive-schema match
-set, declared through ``engine.create_index``, kept current by the
+The contract under test: a typed-value index keyed by the §4 value
+space, declared through ``engine.create_index``, kept current by the
 mutation paths, consulted by the plan compiler (with index-epoch cache
-invalidation), persisted as *definitions* (contents are derived state
-rebuilt on load), and replayed/reconciled through the WAL on recovery.
+invalidation) without ever changing a query's answer, persisted as
+*definitions* (contents are derived state rebuilt on load), and
+replayed/reconciled through the WAL on recovery.  The one kind is
+``value``: a definition of any other kind is refused by every decoder.
 """
 
+import json
+import struct
+import zlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.cli import main as cli_main
-from repro.errors import StorageError, TypeSystemError, UpdateError
+from repro.errors import (
+    CorruptionError,
+    StorageError,
+    TypeSystemError,
+    UpdateError,
+)
 from repro.obs.explain import collect
+from repro.query import POLICIES, evaluate_store
 from repro.query.engine import StorageQueryEngine
 from repro.storage import (
     FileBackend,
     FileWalStore,
+    RecoveryError,
+    SqliteBackend,
     StorageEngine,
     TransactionManager,
     WriteAheadLog,
     bulk_load,
+    dumps_engine,
+    load_engine,
     read_wal_store,
     recover,
 )
 from repro.storage.indexes import ValueIndex
 from repro.storage.wal import CHECKPOINT, CREATE_INDEX, DROP_INDEX
 from repro.workloads.library import make_library_document
+from repro.xmlio import parse_document
 from repro.xmlio.qname import QName
+from tests.test_query_plan import _budget
 
 
 def _engine(books=8, papers=4, **kwargs) -> StorageEngine:
@@ -56,11 +74,6 @@ def _year(engine, book):
 
 
 class TestDdlValidation:
-    def test_unknown_kind_rejected(self):
-        engine = _engine()
-        with pytest.raises(UpdateError, match="unknown index kind"):
-            engine.create_index("library/book/@year", kind="btree")
-
     def test_value_index_rejects_descendant_and_predicates(self):
         engine = _engine()
         with pytest.raises(UpdateError, match="exact schema path"):
@@ -78,11 +91,6 @@ class TestDdlValidation:
         with pytest.raises(UpdateError):
             engine.create_index("library/book/@year",
                                 value_type="no-such-type")
-
-    def test_path_index_rejects_predicates(self):
-        engine = _engine()
-        with pytest.raises(UpdateError, match="predicate-free"):
-            engine.create_index("/library/book[@year]", kind="path")
 
     def test_duplicate_declaration_rejected(self):
         engine = _engine()
@@ -185,34 +193,6 @@ class TestValueProbes:
 
 
 # ---------------------------------------------------------------------------
-# Path index
-
-
-class TestPathIndex:
-    def test_probe_merges_descriptor_sets_in_document_order(self):
-        engine = _engine(books=6, papers=6)
-        index = engine.create_index("//author", kind="path")
-        queries = StorageQueryEngine(engine)
-        assert index.probe() == queries.evaluate_naive("//author")
-        assert index.stats()["schema_nodes_covered"] >= 2
-
-    def test_survives_schema_growth(self):
-        engine = _engine(books=4, papers=2)
-        index = engine.create_index("//author", kind="path")
-        before = len(index.probe())
-        # A brand-new schema path matching //author appears later.
-        library = engine.children(engine.document)[0]
-        journal = engine.insert_child(library, len(_books(engine)),
-                                      name=QName("", "journal"))
-        author = engine.insert_child(journal, 0,
-                                     name=QName("", "author"))
-        engine.insert_child(author, 0, text="Nobody")
-        queries = StorageQueryEngine(engine)
-        assert len(index.probe()) == before + 1
-        assert index.probe() == queries.evaluate_naive("//author")
-
-
-# ---------------------------------------------------------------------------
 # Incremental maintenance
 
 
@@ -221,21 +201,20 @@ class TestMaintenance:
         engine = _engine()
         engine.create_index("library/book/@year", value_type="integer")
         engine.create_index("library/book/title")
-        engine.create_index("//author", kind="path")
         library = engine.children(engine.document)[0]
 
         book = engine.insert_child(library, 0, name=QName("", "book"))
         engine.set_attribute(book, QName("", "year"), "2001")
         title = engine.insert_child(book, 0, name=QName("", "title"))
         engine.insert_child(title, 0, text="New Book")
-        assert engine.indexes.verify_consistency() == 3
+        assert engine.indexes.verify_consistency() == 2
 
         engine.set_attribute(book, QName("", "year"), "2002",
                              replace=True)
-        assert engine.indexes.verify_consistency() == 3
+        assert engine.indexes.verify_consistency() == 2
 
         engine.delete_subtree(book)
-        assert engine.indexes.verify_consistency() == 3
+        assert engine.indexes.verify_consistency() == 2
 
     def test_eq_probe_tracks_value_updates(self):
         engine = _engine()
@@ -303,7 +282,6 @@ class TestPlannerIntegration:
         expected = queries.evaluate_naive(path)
         assert queries.evaluate(path) == expected
         engine.create_index("library/book/@year", value_type="integer")
-        engine.create_index("//author", kind="path")
         assert queries.evaluate(path) == expected
 
     def test_explain_reports_the_index_strategy(self):
@@ -401,6 +379,143 @@ class TestPlannerIntegration:
 
 
 # ---------------------------------------------------------------------------
+# An index never changes an answer: ``=`` compares string values
+
+
+_YEARS_DOC = ("<library>"
+              "<book year='1994'><title>A</title></book>"
+              "<book year='01994'><title>B</title></book>"
+              "<book year=' 1994 '><title>C</title></book>"
+              "</library>")
+
+_TITLES_DOC = ("<library><book><title>007</title></book>"
+               "<book><title>7</title></book></library>")
+
+
+def _loaded(text: str) -> StorageEngine:
+    engine = StorageEngine()
+    engine.load_document(parse_document(text))
+    return engine
+
+
+class TestLexicalEquality:
+    """A typed key files every lexical form of one value together; the
+    path language's ``=`` tells them apart, so the key may only narrow
+    the owners the probe hands on."""
+
+    @pytest.mark.parametrize("document,target,value_type,path,expected", [
+        (_YEARS_DOC, "library/book/@year", "integer",
+         "/library/book[@year='1994']/title", ["A"]),
+        (_YEARS_DOC, "library/book/@year", "integer",
+         "/library/book[@year='01994']/title", ["B"]),
+        (_YEARS_DOC, "library/book/@year", "integer",
+         "/library/book[@year='+1994']/title", []),
+        (_YEARS_DOC, "library/book/@year", "token",
+         "/library/book[@year='1994']/title", ["A"]),
+        (_TITLES_DOC, "library/book/title", "integer",
+         "/library/book[title='7']/title", ["7"]),
+    ], ids=["canonical", "leading-zero", "plus-sign", "token-space",
+            "element-value"])
+    def test_every_policy_returns_the_oracle_rows(
+            self, document, target, value_type, path, expected):
+        engine = _loaded(document)
+        engine.create_index(target, value_type=value_type)
+        self._assert_oracle_rows(engine, path, expected)
+
+    def test_a_rewrite_to_another_form_of_the_same_key(self):
+        """``1994`` → ``01994`` keeps the integer key and its posting:
+        the probe must still see which form the owner carries now."""
+        engine = _loaded("<library><book year='1994'><title>A</title>"
+                         "</book></library>")
+        engine.create_index("library/book/@year", value_type="integer")
+        engine.set_attribute(_books(engine)[0], QName("", "year"),
+                             "01994", replace=True)
+        self._assert_oracle_rows(
+            engine, "/library/book[@year='1994']/title", [])
+        self._assert_oracle_rows(
+            engine, "/library/book[@year='01994']/title", ["A"])
+
+    @staticmethod
+    def _assert_oracle_rows(engine, path, expected):
+        oracle = evaluate_store(StorageQueryEngine(engine).store, path)
+        assert [engine.string_value(d) for d in oracle] == expected
+        for policy in POLICIES:
+            queries = StorageQueryEngine(engine, planner_policy=policy)
+            assert queries.evaluate(path) == oracle, policy
+        # The probe itself answered: structural precedence takes it.
+        structural = StorageQueryEngine(engine,
+                                        planner_policy="structural")
+        assert structural.compile(path).strategy == "index"
+
+
+#: Lexical forms of a few values: canonical, leading zeros, a sign,
+#: surrounding whitespace, a fraction, and forms no number parses.
+_LEXICALS = ("1994", "01994", "+1994", " 1994 ", "1994 ", "2001",
+             "19.5", "19.50", "-0", "0", "x", "a  b", "")
+
+
+@st.composite
+def _lexical_libraries(draw):
+    """(document text, index path, value type, rewrites after the
+    index is declared, query paths)."""
+    value = st.sampled_from(_LEXICALS)
+    books = draw(st.lists(st.tuples(value, value), min_size=1,
+                          max_size=6))
+    rewrites = draw(st.lists(st.tuples(
+        st.integers(0, len(books) - 1), st.sampled_from(("year", "title")),
+        value), max_size=4))
+    text = "<library>" + "".join(
+        f"<book year='{year}'><title>{title}</title></book>"
+        for year, title in books) + "</library>"
+    target = draw(st.sampled_from(("library/book/@year",
+                                   "library/book/title")))
+    value_type = draw(st.sampled_from(("string", "token", "integer",
+                                       "decimal")))
+    literals = draw(st.lists(value, min_size=1, max_size=4))
+    paths = [f"/library/book[{test}='{literal}']{leaf}"
+             for literal in literals
+             for test, leaf in (("@year", "/title"), ("title", ""))]
+    return text, target, value_type, rewrites, paths
+
+
+def _rewrite(engine, book, field, value) -> None:
+    """Give *book*'s ``@year`` or its title's text the value *value*
+    through the mutation paths the index maintenance hangs off."""
+    if field == "year":
+        engine.set_attribute(book, QName("", "year"), value,
+                             replace=True)
+        return
+    title = engine.children(book)[0]
+    for text in engine.children(title):
+        engine.delete_subtree(text)
+    if value:
+        engine.insert_child(title, 0, text=value)
+
+
+@settings(max_examples=_budget(40), deadline=None)
+@given(case=_lexical_libraries())
+def test_a_typed_value_index_returns_the_oracle_rows(case):
+    """Every policy ≡ ``evaluate_store``, through a cold plan cache and
+    again through the warm one, whatever lexical forms the data and
+    the literal take under whichever type the index keys by — also
+    after values are rewritten under the declared index."""
+    text, target, value_type, rewrites, paths = case
+    engine = _loaded(text)
+    engine.create_index(target, value_type=value_type)
+    for position, field, value in rewrites:
+        _rewrite(engine, _books(engine)[position], field, value)
+    assert engine.indexes.verify_consistency() == 1
+    engines = [StorageQueryEngine(engine, planner_policy=policy)
+               for policy in POLICIES]
+    for path in paths:
+        oracle = evaluate_store(engines[0].store, path)
+        for policy, queries in zip(POLICIES, engines):
+            for temperature in ("cold", "warm"):
+                assert queries.evaluate(path) == oracle, \
+                    (policy, temperature, path)
+
+
+# ---------------------------------------------------------------------------
 # WAL + bulk load
 
 
@@ -465,6 +580,71 @@ class TestDurability:
 
 
 # ---------------------------------------------------------------------------
+# The removed path kind: every decoder refuses it by name
+
+
+def _text(value: str) -> bytes:
+    data = value.encode()
+    return struct.pack("<I", len(data)) + data
+
+
+class TestRemovedPathKind:
+    """An image, a snapshot manifest or a WAL record written with a
+    ``path`` index definition is refused where it was read, never
+    loaded with the index silently missing."""
+
+    MESSAGE = "path indexes were removed"
+
+    def _indexed(self) -> StorageEngine:
+        engine = _engine(books=3, papers=2)
+        engine.create_index("library/book/title")
+        return engine
+
+    def test_image(self):
+        image = dumps_engine(self._indexed())
+        value = (_text("library/book/title") + _text("value")
+                 + _text("string"))
+        assert image.count(value) == 1
+        body = image.replace(value, _text("//title") + _text("path")
+                             + _text(""))[:-4]
+        with pytest.raises(CorruptionError, match=self.MESSAGE) as info:
+            load_engine(body + struct.pack("<I", zlib.crc32(body)),
+                        backend="memory")
+        assert info.value.location.startswith("byte ")
+
+    def test_sqlite_manifest(self, tmp_path):
+        backend = SqliteBackend(tmp_path / "store.db")
+        try:
+            info = backend.checkpoint(self._indexed())
+            (text,) = backend._conn.execute(
+                "SELECT manifest FROM snapshots").fetchone()
+            manifest = dict(json.loads(text),
+                            indexes=[["//title", "path", ""]])
+            backend._conn.execute("UPDATE snapshots SET manifest = ?",
+                                  (json.dumps(manifest),))
+            with pytest.raises(CorruptionError,
+                               match=self.MESSAGE) as refusal:
+                backend.load_engine()
+            assert refusal.value.as_dict() == {
+                "backend": "sqlite",
+                "location": f"snapshot {info.version} manifest indexes"}
+        finally:
+            backend.close()
+
+    def test_wal_create_index(self, tmp_path):
+        backend = FileBackend(tmp_path / "store.img",
+                              wal_path=tmp_path / "wal.log")
+        wal = backend.open_wal()
+        backend.checkpoint(_engine(books=3, papers=2), wal=wal)
+        wal.append_begin(7)
+        lsn = wal.append_create_index(7, "//title", "path", "")
+        wal.append_commit(7)
+        with pytest.raises(RecoveryError, match=self.MESSAGE) as info:
+            recover(backend)
+        assert str(info.value).startswith(f"WAL record {lsn}: ")
+
+
+# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -504,11 +684,6 @@ class TestCli:
         assert report["stats"]["entries"] == 2
         assert report["query"]["count"] == 1
         assert report["query"]["explain"]["strategy"] == "index"
-
-    def test_path_index_rejects_value_probes(self, doc, capsys):
-        code = cli_main(["index", doc, "//author", "--kind", "path",
-                         "--eq", "x"])
-        assert code == 2
 
     def test_range_probe(self, doc, capsys):
         code = cli_main(["index", doc, "library/book/@year",

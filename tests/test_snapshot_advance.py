@@ -63,12 +63,10 @@ LIBRARY = (
     '<paper><title>Gamma</title></paper>'
     '</library>')
 
-#: (path, kind) of the indexes the DDL rule toggles: an attribute
-#: value index, an element value index (keyed by string value, so
-#: text below it re-keys it) and a path index.
-INDEXES = (("library/book/@year", "value"),
-           ("library/book/title", "value"),
-           ("//author", "path"))
+#: The indexes the DDL rule toggles: an attribute value index and an
+#: element value index (keyed by string value, so text below it
+#: re-keys it).
+INDEXES = ("library/book/@year", "library/book/title")
 
 NAMES = [QName("", name) for name in ("book", "author", "title", "note")]
 ATTRIBUTES = [QName("", name) for name in ("year", "id")]
@@ -237,16 +235,12 @@ class AdvanceMachine(RuleBasedStateMachine):
 
     @rule(which=st.sampled_from(INDEXES))
     def toggle_index(self, which):
-        path, kind = which
-
         def mutate(engine, session):
-            declared = {(d.path.lstrip("/"), d.kind)
-                        for d in engine.indexes.definitions()}
-            if (path.lstrip("/"), kind) in declared:
-                engine.drop_index(path, kind)
-            elif kind == "path" or \
-                    engine.schema.find_path(path) is not None:
-                engine.create_index(path, kind)
+            declared = {d.path for d in engine.indexes.definitions()}
+            if which in declared:
+                engine.drop_index(which)
+            elif engine.schema.find_path(which) is not None:
+                engine.create_index(which)
         self._write(mutate)
 
     @rule(operations=st.lists(OPERATION, min_size=1, max_size=4))
