@@ -88,7 +88,7 @@ def _typed_order(values) -> list:
 class NodeStats:
     """The running statistics of one schema node."""
 
-    __slots__ = ("descriptors", "byte_size", "value_counts")
+    __slots__ = ("descriptors", "byte_size", "value_counts", "_range")
 
     def __init__(self) -> None:
         self.descriptors = 0
@@ -96,13 +96,19 @@ class NodeStats:
         #: Multiset of the live values under this node (the multiset —
         #: not a set — so removals keep ``distinct`` exact).
         self.value_counts: Dict[str, int] = {}
+        #: :meth:`value_range` of the current value set; ``False`` =
+        #: not computed since the set last changed.
+        self._range: "Optional[tuple[str, str]] | bool" = False
 
     @property
     def distinct_values(self) -> int:
         return len(self.value_counts)
 
     def add_value(self, value: str) -> None:
-        self.value_counts[value] = self.value_counts.get(value, 0) + 1
+        count = self.value_counts.get(value, 0)
+        if not count:
+            self._range = False
+        self.value_counts[value] = count + 1
 
     def remove_value(self, value: str) -> None:
         count = self.value_counts.get(value, 0) - 1
@@ -110,27 +116,33 @@ class NodeStats:
             self.value_counts[value] = count
         elif value in self.value_counts:
             del self.value_counts[value]
+            self._range = False
 
     def value_range(self) -> "Optional[tuple[str, str]]":
         """The collected ``(min, max)`` value pair in the typed order,
         or None when the node carries no values — what the cost
-        model's range check prices eq-probe keys against."""
-        if not self.value_counts:
-            return None
-        ordered = _typed_order(self.value_counts)
-        return (ordered[0], ordered[-1])
+        model's range check prices eq-probe keys against.  A pure
+        function of the value *set*, so it is memoized until a value
+        enters or leaves it."""
+        value_range = self._range
+        if value_range is False:
+            value_range = None
+            if self.value_counts:
+                ordered = _typed_order(self.value_counts)
+                value_range = (ordered[0], ordered[-1])
+            self._range = value_range
+        return value_range
 
     def as_dict(self) -> dict:
         """The digest the snapshot image persists and EXPLAIN/cost
         models consume (no raw multiset — bounded size per node)."""
-        ordered = _typed_order(self.value_counts) \
-            if self.value_counts else []
+        low, high = self.value_range() or (None, None)
         return {
             "descriptors": self.descriptors,
             "bytes": self.byte_size,
             "distinct_values": self.distinct_values,
-            "min_value": ordered[0] if ordered else None,
-            "max_value": ordered[-1] if ordered else None,
+            "min_value": low,
+            "max_value": high,
         }
 
     def __repr__(self) -> str:

@@ -40,9 +40,14 @@ nid index, secondary indexes, statistics and query engine (plan cache
 included) are kept and maintained incrementally.  An unpinned version
 is a spare, not garbage: a long-lived reader costs one extra
 ``recover()``, after which every released engine is the next base.
-The advance costs O(delta) engine work (plus one pass over the
-decoded log records held in memory) and runs under the manager lock,
-so two readers arriving at one new horizon build it once.
+The advance runs under the manager lock, so two readers arriving at
+one new horizon build it once.  Its cost is one pass over the decoded
+log records held in memory, the replayed records (each placed by
+packed label key: a compare per block of its schema node and a
+bisection inside the target block), and the scoped check: the changed
+blocks × their capacity (a block whose chain did not change keeps its
+verdict and is not walked), one boundary compare per block of each
+touched schema node, and the touched parents' child lists.
 
 A snapshot engine is therefore **never written while pinned** (it has
 no transaction manager and no writer ever sees it); between pins it
@@ -238,6 +243,11 @@ class SnapshotManager:
         #: Keys, least recently built or advanced first, for eviction.
         self._order: list[tuple[int, int]] = []
         self._log = _LogView()
+        #: Pins across the cached snapshots (a pinned one is never
+        #: evicted or advanced, so no pin leaves the cache uncounted).
+        self._pins = 0
+        self._pinned_gauge = obs.REGISTRY.gauge("server.snapshot.pinned")
+        self._cached_gauge = obs.REGISTRY.gauge("server.snapshot.cached")
 
     # -- the version key --------------------------------------------------
 
@@ -346,6 +356,7 @@ class SnapshotManager:
     def _pinned(self, snapshot: Snapshot) -> Snapshot:
         """Under the lock: count one more pin on *snapshot*."""
         snapshot.pins += 1
+        self._pins += 1
         self._record_pins()
         return snapshot
 
@@ -357,13 +368,13 @@ class SnapshotManager:
                 raise SessionError(
                     f"snapshot {snapshot.version} is not pinned")
             snapshot.pins -= 1
+            self._pins -= 1
             self._evict_stale()
             self._record_pins()
 
     def pinned(self) -> int:
         """Total pins across cached snapshots."""
-        with self._lock:
-            return sum(s.pins for s in self._cache.values())
+        return self._pins
 
     def cached(self) -> int:
         with self._lock:
@@ -423,10 +434,8 @@ class SnapshotManager:
         return Snapshot(key, result.engine, result.relabels)
 
     def _record_pins(self) -> None:
-        obs.REGISTRY.gauge("server.snapshot.pinned").set(
-            sum(s.pins for s in self._cache.values()))
-        obs.REGISTRY.gauge("server.snapshot.cached").set(
-            len(self._cache))
+        self._pinned_gauge.set(self._pins)
+        self._cached_gauge.set(len(self._cache))
 
     def _evict_stale(self) -> None:
         """Under the lock: drop old unpinned versions past the bound

@@ -12,6 +12,8 @@ touches one block (or splits it), never shifts neighbours.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro import obs
@@ -35,7 +37,7 @@ class Block:
 
     __slots__ = ("schema_node", "capacity", "slots", "count",
                  "next_block", "prev_block", "first_slot", "last_slot",
-                 "block_id", "_ordered")
+                 "block_id", "_ordered", "verified")
 
     _next_id = 0
 
@@ -54,6 +56,10 @@ class Block:
         # Materialized document-order run of this block, rebuilt lazily
         # by extend_in_order after any structural change; None = dirty.
         self._ordered: Optional[list] = None
+        #: The verdict memo: the in-block invariants (:meth:`verify`)
+        #: held when last checked, and the chain has not changed since.
+        #: Reset with ``_ordered``, by the three chain changes.
+        self.verified = False
         self.block_id = Block._next_id
         Block._next_id += 1
         obs.REGISTRY.counter("storage.blocks.allocated").inc()
@@ -101,6 +107,11 @@ class Block:
         single ``list.extend`` per block.
         """
         ordered = self._ordered
+        out.extend(ordered if ordered is not None else self._run())
+
+    def _run(self) -> list:
+        """The memoized document-order run (built on first use)."""
+        ordered = self._ordered
         if ordered is None:
             slots = self.slots
             slot = self.first_slot
@@ -114,7 +125,45 @@ class Block:
                 append(descriptor)
                 slot = descriptor.next_in_block
             self._ordered = ordered
-        out.extend(ordered)
+        return ordered
+
+    def predecessor(self, key: bytes) -> Optional[NodeDescriptor]:
+        """The last descriptor of this block whose label orders before
+        the packed label *key* (None: *key* goes first) — a bisection
+        of the memoized run, O(log capacity) key reads."""
+        run = self._run()
+        position = bisect_left(run, key, key=doc_order_key)
+        return run[position - 1] if position else None
+
+    def verify(self) -> None:
+        """The in-block invariants, walked from scratch: the order
+        chain holds exactly ``count`` descriptors and ends at
+        ``last_slot``, its labels strictly increase (compared on packed
+        ``sort_key`` bytes), and each descriptor belongs to this
+        block's schema node.  Raises ``StorageError``; on success
+        records the verdict and keeps the walked chain as the
+        memoized run, so the next sweep does not walk it again."""
+        ordered = list(islice(self.iter_in_order(), self.count + 1))
+        if len(ordered) != self.count:
+            raise StorageError(
+                f"{self!r}: the order chain does not hold "
+                f"exactly its count of {self.count} descriptors")
+        if ordered and ordered[-1].slot != self.last_slot:
+            raise StorageError(
+                f"{self!r}: the order chain does not end at its last "
+                "slot")
+        owner = self.schema_node
+        previous = b""
+        for descriptor in ordered:
+            key = descriptor.nid.sort_key()
+            if key <= previous:
+                raise StorageError(f"{self!r}: in-block chain out of order")
+            previous = key
+            if descriptor.schema_node is not owner:
+                raise StorageError(
+                    f"{descriptor!r} stored under the wrong schema node")
+        self._ordered = ordered
+        self.verified = True
 
     def first_descriptor(self) -> Optional[NodeDescriptor]:
         if self.first_slot == NO_SLOT:
@@ -137,6 +186,7 @@ class Block:
         if predecessor is not None and predecessor.block is not self:
             raise StorageError("predecessor lives in a different block")
         self._ordered = None
+        self.verified = False
         slot = self._free_slot()
         self.slots[slot] = descriptor
         descriptor.block = self
@@ -164,6 +214,7 @@ class Block:
         if descriptor.block is not self:
             raise StorageError("descriptor lives in a different block")
         self._ordered = None
+        self.verified = False
         prev_slot = descriptor.prev_in_block
         next_slot = descriptor.next_in_block
         if prev_slot != NO_SLOT:
@@ -185,26 +236,15 @@ class Block:
         """Move the upper half of the order chain into a new block
         linked right after this one; returns the new block."""
         ordered = list(self.iter_in_order())
-        keep = ordered[:len(ordered) // 2]
-        move = ordered[len(ordered) // 2:]
+        half = len(ordered) // 2
         sibling = Block(self.schema_node, self.capacity)
         # Rebuild this block with the kept half.
         for descriptor in ordered:
             self.slots[descriptor.slot] = None
-        self.count = 0
-        self.first_slot = NO_SLOT
-        self.last_slot = NO_SLOT
         self._ordered = None
-        previous: Optional[NodeDescriptor] = None
-        for descriptor in keep:
-            descriptor.block = None
-            self.insert_after(descriptor, previous)
-            previous = descriptor
-        previous = None
-        for descriptor in move:
-            descriptor.block = None
-            sibling.insert_after(descriptor, previous)
-            previous = descriptor
+        self.verified = False
+        self._lay_out(ordered[:half])
+        sibling._lay_out(ordered[half:])
         # Link the sibling into the chain.
         sibling.next_block = self.next_block
         sibling.prev_block = self
@@ -214,6 +254,21 @@ class Block:
         if self.schema_node.last_block is self:
             self.schema_node.last_block = sibling
         return sibling
+
+    def _lay_out(self, run: list) -> None:
+        """Store the document-ordered *run* in slots ``0 ..`` of this
+        emptied block, chained in that order — the slots a load fills."""
+        slots = self.slots
+        last = len(run) - 1
+        for slot, descriptor in enumerate(run):
+            slots[slot] = descriptor
+            descriptor.block = self
+            descriptor.slot = slot
+            descriptor.prev_in_block = slot - 1 if slot else NO_SLOT
+            descriptor.next_in_block = slot + 1 if slot < last else NO_SLOT
+        self.count = len(run)
+        self.first_slot = 0 if run else NO_SLOT
+        self.last_slot = last if run else NO_SLOT
 
     def size_bytes(self) -> int:
         """Modelled block footprint: header + descriptor payloads."""

@@ -15,7 +15,6 @@ benchmark harness.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro import obs
@@ -216,19 +215,22 @@ class StorageEngine:
     def _place_descriptor(self, descriptor: NodeDescriptor) -> None:
         """Update-path placement: find the document-order position among
         the schema node's existing descriptors, splitting a full block
-        when needed.  Only the target block is touched."""
-        schema_node = descriptor.schema_node
-        if schema_node.first_block is None:
-            self._append_to_schema_blocks(descriptor)
-            return
-        target: Block | None = None
-        for block in schema_node.blocks():
-            last = block.last_descriptor()
-            if last is None or before(descriptor.nid, last.nid):
-                target = block
+        when needed.  Only the target block is touched.
+
+        The position is found by packed label key: one ``sort_key``
+        compare per block down the chain to the first block whose last
+        descriptor orders after the new one, then a bisection of that
+        block's memoized run for the predecessor."""
+        key = descriptor.nid.sort_key()
+        target = descriptor.schema_node.first_block
+        while target is not None:
+            last = target.last_descriptor()
+            if last is None or key < last.nid.sort_key():
                 break
+            target = target.next_block
         if target is None:
-            # Belongs after everything: append at the tail.
+            # Belongs after everything (or the chain is empty): append
+            # at the tail.
             self._append_to_schema_blocks(descriptor)
             return
         if target.is_full:
@@ -241,16 +243,10 @@ class StorageEngine:
             obs.REGISTRY.counter("storage.blocks.split").inc()
             first_of_sibling = sibling.first_descriptor()
             if (first_of_sibling is not None
-                    and before(first_of_sibling.nid, descriptor.nid)):
+                    and first_of_sibling.nid.sort_key() < key):
                 target = sibling
-        predecessor: Optional[NodeDescriptor] = None
-        for candidate in target.iter_in_order():
-            if before(candidate.nid, descriptor.nid):
-                predecessor = candidate
-            else:
-                break
-        target.insert_after(descriptor, predecessor)
-        schema_node.descriptor_count += 1
+        target.insert_after(descriptor, target.predecessor(key))
+        descriptor.schema_node.descriptor_count += 1
         self.stats.note_added(descriptor)
         self.checkpoints.mark(target)
 
@@ -753,12 +749,18 @@ class StorageEngine:
 
     def check_invariants(self, touched=None) -> None:
         """Re-verify the §9 invariants (used heavily by the tests):
-        every block chain and every child list.
+        every block chain and every child list.  Every block is walked
+        afresh (:meth:`Block.verify`), which refreshes its verdict.
 
         With *touched* — the descriptors a replay inserted, overwrote
         or deleted — only the block chains of their schema nodes and
         the child lists of their still-stored parents are checked:
         the same two checks over what a local change can have broken.
+        Inside those chains a block whose verdict stands (its chain
+        has not changed since it last passed) is not walked again;
+        every block boundary still is compared.  The cost is the
+        changed blocks × capacity plus the blocks of the touched
+        schema nodes plus the touched parents' child lists.
 
         Every chain walk is bounded — an in-block chain by the block's
         count, a sibling chain by the stored descriptor count — so
@@ -767,7 +769,7 @@ class StorageEngine:
         limit = self.node_count()
         if touched is not None:
             for schema_node in {d.schema_node for d in touched}:
-                self._check_block_chain(schema_node)
+                self._check_block_chain(schema_node, scoped=True)
             for parent in {d.parent for d in touched}:
                 if parent is not None and parent.block is not None:
                     self._check_children(parent, limit)
@@ -780,33 +782,26 @@ class StorageEngine:
                 pending.extend(
                     self._check_children(pending.pop(), limit))
 
-    def _check_block_chain(self, schema_node: SchemaNode) -> None:
-        """One schema node's block list: chain lengths, document order
-        inside each block and across blocks, and ownership."""
-        previous_block_last: NodeDescriptor | None = None
+    def _check_block_chain(self, schema_node: SchemaNode,
+                           scoped: bool = False) -> None:
+        """One schema node's block list: each block's own invariants
+        (:meth:`Block.verify`; *scoped* skips a block whose verdict
+        stands) and document order across every block boundary, on
+        packed label keys."""
+        previous_last = b""
         for block in schema_node.blocks():
-            ordered = list(islice(block.iter_in_order(),
-                                  block.count + 1))
-            if len(ordered) != block.count:
+            if block.schema_node is not schema_node:
                 raise StorageError(
-                    f"{block!r}: the order chain does not hold "
-                    f"exactly its count of {block.count} descriptors")
-            for a, b in zip(ordered, ordered[1:]):
-                if not before(a.nid, b.nid):
-                    raise StorageError(
-                        f"{block!r}: in-block chain out of order")
-            if ordered and previous_block_last is not None:
-                if not before(previous_block_last.nid, ordered[0].nid):
-                    raise StorageError(
-                        f"{block!r}: partial order across blocks "
-                        "violated")
-            if ordered:
-                previous_block_last = ordered[-1]
-            for descriptor in ordered:
-                if descriptor.schema_node is not schema_node:
-                    raise StorageError(
-                        f"{descriptor!r} stored under the wrong "
-                        "schema node")
+                    f"{block!r} stored under the wrong schema node")
+            if not (scoped and block.verified):
+                block.verify()
+            first = block.first_descriptor()
+            if first is None:
+                continue
+            if first.nid.sort_key() <= previous_last:
+                raise StorageError(
+                    f"{block!r}: partial order across blocks violated")
+            previous_last = block.last_descriptor().nid.sort_key()
 
     def _check_children(self, descriptor: NodeDescriptor,
                         limit: int) -> list[NodeDescriptor]:

@@ -324,6 +324,27 @@ class TestStatisticsCollector:
         assert digest["min_value"] == "1"
         assert digest["max_value"] == "nan"
 
+    def test_value_range_memo_follows_the_value_set(self):
+        """The memoized ``(min, max)`` is always the one computed
+        afresh from the current multiset, through adds and removes
+        that do and do not change the set of distinct values."""
+        import random
+        from repro.obs.statistics import NodeStats
+        rng = random.Random(3)
+        pool = ["9", "0009", "10", "1.5", "-2", "nan", "abc", "Zed"]
+        stats, live = NodeStats(), []
+        for _ in range(400):
+            if live and rng.random() < 0.45:
+                stats.remove_value(live.pop(rng.randrange(len(live))))
+            else:
+                live.append(rng.choice(pool))
+                stats.add_value(live[-1])
+            fresh = NodeStats()
+            for value in live:
+                fresh.add_value(value)
+            assert stats.value_range() == fresh.value_range()
+            assert stats.as_dict() == fresh.as_dict()
+
     def test_digest_is_stable_across_mutation_order(self):
         engine = _engine()
         library = engine.children(engine.document)[0]

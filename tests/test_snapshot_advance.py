@@ -22,6 +22,7 @@ registered in ``conftest.py``).
 """
 
 import os
+import random
 import shutil
 import sys
 import tempfile
@@ -43,14 +44,18 @@ from repro.errors import StorageError
 from repro.server import DatabaseServer, SnapshotManager
 from repro.server import snapshots as snapshots_module
 from repro.storage import (
+    Block,
     FileBackend,
     MemoryBackend,
     SqliteBackend,
+    StorageEngine,
     dumps_engine,
     faults,
     recover,
 )
+from repro.storage.descriptor import NO_SLOT
 from repro.storage.store import StorageNodeStore
+from repro.workloads import make_library_document
 from repro.xdm.store import bisimulate
 from repro.xmlio.parser import parse_document
 from repro.xmlio.qname import QName
@@ -134,6 +139,25 @@ def assert_equivalent(advanced, recovered):
     advanced.check_invariants()
     advanced.indexes.verify_consistency()
     advanced.stats.verify_consistency(advanced)
+
+
+def in_block_invariants_hold(block):
+    """The in-block invariants walked from scratch, independently of
+    ``Block.verify``: the order chain holds exactly ``count``
+    descriptors of this block's schema node, stored here, in strictly
+    increasing label order."""
+    chain, slot = [], block.first_slot
+    while slot != NO_SLOT and len(chain) <= block.count:
+        descriptor = block.slots[slot]
+        if descriptor is None:
+            return False
+        chain.append(descriptor)
+        slot = descriptor.next_in_block
+    keys = [d.nid.sort_key() for d in chain]
+    return (len(chain) == block.count
+            and keys == sorted(set(keys))
+            and all(d.schema_node is block.schema_node
+                    and d.block is block for d in chain))
 
 
 class Abandon(Exception):
@@ -320,6 +344,22 @@ class AdvanceMachine(RuleBasedStateMachine):
         assert dumps_engine(engine) == memoised
         bisimulate(StorageNodeStore(engine),
                    StorageNodeStore(recover(self.backend).engine))
+
+    @invariant()
+    def remembered_verdicts_are_fresh_verdicts(self):
+        """Whatever the rules did since a block last passed the chain
+        check — inserts, deletes, splits, undone writes, advances — a
+        block whose verdict stands, on the writer's engine and on every
+        cached snapshot (pinned or spare), passes the in-block check
+        walked from scratch."""
+        engines = [self.server.engine] + [
+            snapshot.engine
+            for snapshot in self.server.snapshots._cache.values()]
+        for engine in engines:
+            for schema_node in engine.schema.iter_nodes():
+                for block in schema_node.blocks():
+                    if block.verified:
+                        assert in_block_invariants_hold(block), block
 
     @invariant()
     def pinned_readers_are_at_their_keys(self):
@@ -552,6 +592,161 @@ class TestWhichPathAPinTakes:
         assert report["advances"] == 1
         assert report["advance_records"]["count"] == 1
         assert report["advance_records"]["max"] == 2
+
+
+def swap_first_two(block):
+    """Exchange the first two descriptors of *block*'s order chain by
+    relinking their short pointers — behind the block's back, as a
+    stray write would: count and owners stay right, the order breaks."""
+    first = block.slots[block.first_slot]
+    second = block.slots[first.next_in_block]
+    after = second.next_in_block
+    block.first_slot = second.slot
+    second.prev_in_block, second.next_in_block = NO_SLOT, first.slot
+    first.prev_in_block, first.next_in_block = second.slot, after
+    if after == NO_SLOT:
+        block.last_slot = first.slot
+    else:
+        block.slots[after].prev_in_block = first.slot
+
+
+def add_author_to(book_number, index, name):
+    """Insert an author named *name* at child *index* of the
+    *book_number*-th book."""
+    def mutate(engine, session):
+        library = engine.children(engine.document)[0]
+        book = engine.children(library)[book_number]
+        author = engine.insert_child(book, index, name=QName("", "author"))
+        engine.insert_child(author, 0, text=name)
+    return mutate
+
+
+def delete_first_author_of(book_number):
+    def mutate(engine, session):
+        library = engine.children(engine.document)[0]
+        book = engine.children(library)[book_number]
+        engine.delete_subtree(engine.children(book)[1])
+    return mutate
+
+
+class TestAdvanceCost:
+    """The advance re-checks what its records changed: a block whose
+    chain did not change keeps its verdict and is not walked again."""
+
+    def test_one_insert_walks_only_the_blocks_it_changed(
+            self, monkeypatch):
+        """On a 300-book library a walk of every block of the touched
+        schema nodes reads 1,186 descriptors here; the bound (278) is
+        the changed blocks' capacity plus one per block."""
+        document = make_library_document(books=300, papers=0, seed=7)
+        with DatabaseServer(MemoryBackend(), document,
+                            workers=1) as server:
+            server.open_session("read").close()
+            commit(server, "Dee")
+            real_walk = Block.iter_in_order
+            real_check = StorageEngine.check_invariants
+            scopes, reads = [], []
+
+            def walk(block):
+                for descriptor in real_walk(block):
+                    if scopes and scopes[-1] is not None:
+                        reads.append(descriptor)
+                    yield descriptor
+
+            def check(engine, touched=None):
+                scopes.append(touched)
+                try:
+                    real_check(engine, touched)
+                finally:
+                    scopes.pop()
+            monkeypatch.setattr(Block, "iter_in_order", walk)
+            monkeypatch.setattr(StorageEngine, "check_invariants", check)
+            with server.open_session("read") as reader:
+                assert "Dee" in reader.query_values(AUTHORS)
+                engine = reader.snapshot.engine
+            assert counter("advances") == 1
+            touched = [d for d in engine.iter_document_order()
+                       if engine.string_value(d) == "Dee"]
+            schema_nodes = {d.schema_node for d in touched}
+            assert len(touched) == len(schema_nodes) == 2
+            changed = len({d.block for d in touched}) + engine.split_count
+            blocks = sum(node.block_count() for node in schema_nodes)
+            assert blocks >= 10
+            assert 0 < len(reads) <= \
+                engine.block_capacity * changed + blocks
+
+    @pytest.mark.parametrize("change", ["insert", "delete", "split"])
+    def test_a_changed_block_broken_before_the_check_refuses_the_advance(
+            self, monkeypatch, change):
+        """Between replay and check, the order inside one block the
+        replay changed is broken: the advance must see it, drop the
+        spare and leave the pin to recover().  Four descriptors to a
+        block: the authors Ann (first book), Bob and Cy (second book)
+        share one.  *insert* adds to it, *delete* takes Bob out,
+        *split* inserts between Bob and Cy once Dee has filled the
+        block — the new author lands in the new half, and the broken
+        block is the old half, which only the split changed."""
+        backend = MemoryBackend()
+        with DatabaseServer(backend, parse_document(LIBRARY), workers=1,
+                            block_capacity=4) as server:
+            server.open_session("read").close()
+            if change == "split":
+                commit(server, "Dee")
+                server.open_session("read").close()
+            mutate = {"insert": add_author_to(0, 2, "Eve"),
+                      "delete": delete_first_author_of(1),
+                      "split": add_author_to(1, 2, "Eve")}[change]
+            with server.open_session("write") as writer:
+                writer.execute(mutate)
+            advances = counter("advances")
+            materializations = counter("materializations")
+            real = snapshots_module.replay
+
+            def breaking(engine, *args):
+                done = real(engine, *args)
+                authors = engine.schema.find_path("library/book/author")
+                if change == "split":
+                    assert authors.block_count() == 2
+                swap_first_two(authors.first_block)
+                return done
+            monkeypatch.setattr(snapshots_module, "replay", breaking)
+            with server.open_session("read") as reader:
+                values = reader.query_values(AUTHORS)
+                assert ("Bob" in values) == (change != "delete")
+                assert ("Eve" in values) == (change != "delete")
+                assert_equivalent(reader.snapshot.engine,
+                                  recover(backend).engine)
+            assert counter("advances") == advances
+            assert counter("materializations") == materializations + 1
+
+
+class TestPinGauges:
+    def test_the_gauges_are_the_summed_pins(self):
+        """After every step of a random pin / release / commit
+        sequence, the pinned gauge is the pins summed over the cached
+        snapshots and the cached gauge their number."""
+        rng = random.Random(11)
+        with DatabaseServer(MemoryBackend(), parse_document(LIBRARY),
+                            workers=1) as server:
+            manager = server.snapshots
+            held = []
+            for step in range(200):
+                roll = rng.random()
+                if roll < 0.1:
+                    commit(server, f"W{step}")
+                elif roll < 0.55 or not held:
+                    held.append(manager.pin())
+                else:
+                    manager.release(held.pop(rng.randrange(len(held))))
+                pins = sum(s.pins for s in manager._cache.values())
+                assert pins == len(held) == manager.pinned()
+                assert obs.REGISTRY.value("server.snapshot.pinned") == pins
+                assert obs.REGISTRY.value(
+                    "server.snapshot.cached") == manager.cached()
+            for snapshot in held:
+                manager.release(snapshot)
+            assert manager.pinned() == 0
+            assert obs.REGISTRY.value("server.snapshot.pinned") == 0
 
 
 class TestIncrementalKey:

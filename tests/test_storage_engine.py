@@ -288,6 +288,81 @@ class TestUpdates:
         pointer = engine.first_child_by_schema(library, schema_book)
         assert pointer is books[1]
 
+    @staticmethod
+    def _walk_place(engine, descriptor):
+        """The placement by ``before()`` walks — block by block down
+        the chain, then slot by slot inside the target — that the
+        keyed placement replaced; kept as its oracle."""
+        schema_node = descriptor.schema_node
+        target = None
+        for block in schema_node.blocks():
+            last = block.last_descriptor()
+            if last is None or before(descriptor.nid, last.nid):
+                target = block
+                break
+        if target is None:
+            engine._append_to_schema_blocks(descriptor)
+            return
+        if target.is_full:
+            sibling = target.split()
+            engine.split_count += 1
+            first = sibling.first_descriptor()
+            if first is not None and before(first.nid, descriptor.nid):
+                target = sibling
+        predecessor = None
+        for candidate in target.iter_in_order():
+            if not before(candidate.nid, descriptor.nid):
+                break
+            predecessor = candidate
+        target.insert_after(descriptor, predecessor)
+        schema_node.descriptor_count += 1
+        engine.stats.note_added(descriptor)
+
+    @staticmethod
+    def _layout(engine, path):
+        """Per block of *path*'s chain: its labels in chain order."""
+        return [[d.nid.symbols() for d in block.iter_in_order()]
+                for block in engine.schema.find_path(path).blocks()]
+
+    @pytest.mark.parametrize("index", range(11))
+    def test_keyed_placement_is_the_walked_placement(self, monkeypatch,
+                                                     index):
+        """Ten books, four to a block: [0-3] [4-7] [8 9].  Inserting a
+        book at every index hits the head, middle and tail of a full
+        block (which splits) and of a non-full one; the keyed placement
+        puts it in the same block after the same predecessor as the
+        walk did, and leaves every block holding the same labels."""
+        engines = []
+        for walked in (False, True):
+            engine = StorageEngine(block_capacity=4)
+            engine.load_document(
+                make_library_document(books=10, papers=0, seed=2))
+            assert [len(run) for run in
+                    self._layout(engine, "library/book")] == [4, 4, 2]
+            if walked:
+                monkeypatch.setattr(
+                    engine, "_place_descriptor",
+                    lambda d, engine=engine: self._walk_place(engine, d))
+            library = engine.children(engine.document)[0]
+            inserted = engine.insert_child(library, index,
+                                           name=QName("", "book"))
+            engine.check_invariants()
+            predecessor = (None if inserted.prev_in_block == -1 else
+                           inserted.block.slots[inserted.prev_in_block])
+            engines.append((engine, inserted, predecessor))
+        (keyed, mine, mine_before), (walked, theirs, theirs_before) = \
+            engines
+        blocks = list(keyed.schema.find_path("library/book").blocks())
+        walked_blocks = list(
+            walked.schema.find_path("library/book").blocks())
+        assert blocks.index(mine.block) == \
+            walked_blocks.index(theirs.block)
+        assert (mine_before and mine_before.nid) == \
+            (theirs_before and theirs_before.nid)
+        assert self._layout(keyed, "library/book") == \
+            self._layout(walked, "library/book")
+        assert keyed.split_count == walked.split_count
+
     def test_randomized_update_storm(self):
         """Many random inserts/deletes keep every invariant."""
         engine = StorageEngine(block_capacity=4, base=16)
