@@ -223,7 +223,8 @@ class DatabaseServer:
         #: writer takes it (see SnapshotManager.pin).
         self._live_lock = threading.RLock()
         self.snapshots = SnapshotManager(backend,
-                                         write_latch=self._live_lock)
+                                         write_latch=self._live_lock,
+                                         wal=wal)
         self.leases = LeaseManager(ttl=lease_ttl, seed=seed)
         self.admission = AdmissionController(
             max_sessions=max_sessions,

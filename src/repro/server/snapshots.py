@@ -6,9 +6,11 @@ durability layer already provides is exactly enough:
 
 * the backend's checkpoint image is immutable once published (atomic
   rename / COMMIT-barrier publish), and
-* the WAL scan (:func:`repro.storage.wal.read_wal_store`) yields the
-  durable record sequence with torn tails discarded, and a record
-  counts only once its transaction's COMMIT landed.
+* the WAL yields the durable record sequence — the writer publishes
+  each record on :attr:`~repro.storage.wal.WriteAheadLog.scan` only
+  after its durability barrier, and a scan of the store
+  (:func:`repro.storage.wal.read_wal_store`) discards torn tails — and
+  a record counts only once its transaction's COMMIT landed.
 
 So a **snapshot key** is the pair ``(checkpoint_lsn, horizon)``:
 *checkpoint_lsn* is what the log's CHECKPOINT marker says the image
@@ -20,12 +22,16 @@ construction, every numbering label is re-derived on replay and
 compared with the logged one (relabels == 0, Proposition 1), and the
 §9 invariants are re-checked.
 
-**One scan per pin.**  The manager keeps its scan of the log between
-pins (:class:`_LogView`) and decodes only the frames appended since,
-so the key — and on a miss the records to apply — come from a single
-read of a single medium: what a snapshot contains is what its key
-says by construction, and a pin *hit* costs one read of the log's
-bytes plus a dictionary lookup, however long the log has grown.
+**The log is followed, not re-read.**  The manager of a server
+follows the writer's published records in memory (:class:`_LogView`):
+under its lock it copies the records published since the last key and
+folds them, so the key — and on a miss the records to apply — come
+from one copy nothing else appends to.  A record the writer publishes
+meanwhile reaches neither a key nor an advance that did not fold it.
+A pin *hit* costs a length compare plus a dictionary lookup; no store
+is read and no frame decoded, however long the log has grown.  A
+manager with no log to follow (standalone, or a writer elsewhere)
+scans the backend's store afresh for every key.
 
 **A miss advances a spare.**  A committed transaction is a local
 change (§9.2: an insertion touches one block; Proposition 1: nothing
@@ -41,8 +47,8 @@ included) are kept and maintained incrementally.  An unpinned version
 is a spare, not garbage: a long-lived reader costs one extra
 ``recover()``, after which every released engine is the next base.
 The advance runs under the manager lock, so two readers arriving at
-one new horizon build it once.  Its cost is one pass over the decoded
-log records held in memory, the replayed records (each placed by
+one new horizon build it once.  Its cost is one pass over the log
+records the view holds, the replayed records (each placed by
 packed label key: a compare per block of its schema node and a
 bisection inside the target block), and the scoped check: the changed
 blocks × their capacity (a block whose chain did not change keeps its
@@ -58,26 +64,27 @@ that session is open, not longer.
 pin, a miss with no eligible base (every cached snapshot pinned, or
 older than the log's checkpoint), and a base whose advance failed
 (it is dropped; recovery decides whether the log or the spare was at
-fault).  Only there are image and log two reads, so a commit or
-checkpoint can land between them — a checkpoint's image-publish +
-WAL-reset pair can even show the old image against the reset log.
-That path alone is closed *optimistically*: the key is re-derived
-after recovering and the snapshot published only when the two match;
-after :data:`PIN_OPTIMISTIC_ATTEMPTS` lost races the pin serializes
-with the writer through the *write latch* the owning server shares
-with its commit/checkpoint path.  The advance needs neither: it reads
-nothing but the scan its key came from.
+fault).  Only there are image and log read from the backend, in two
+reads, so a commit or checkpoint can land between them — a
+checkpoint's image-publish + WAL-reset pair can even show the old
+image against the reset log — and the store may already hold a COMMIT
+the writer has not published yet.  That path alone is closed
+*optimistically*: the snapshot is keyed from the log ``recover()``
+itself read, and published only when that key is both the key the pin
+started from and the key derived again afterwards; after
+:data:`PIN_OPTIMISTIC_ATTEMPTS` lost races the pin serializes with the
+writer through the *write latch* the owning server shares with its
+commit/checkpoint path.  The advance needs neither: it reads nothing
+but the records its key came from.
 
 The writer never takes part on the fast path: it appends to the WAL
 and mutates the live engine while readers pin, query and release.
-The WAL's CRC framing makes a concurrent half-appended record
-indistinguishable from a torn tail; it is read again by the next pin.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import obs
 from repro.errors import StorageError
@@ -96,7 +103,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.query.engine import StorageQueryEngine
     from repro.storage.backends.base import StorageBackend
     from repro.storage.engine import StorageEngine
-    from repro.storage.wal import WalStore
+    from repro.storage.wal import WriteAheadLog
 
 #: Distinct snapshot versions kept around by default (the newest is
 #: never evicted while unpinned; pinned versions are never evicted).
@@ -158,26 +165,29 @@ class Snapshot:
 
 
 class _LogView:
-    """The manager's scan of the backend's WAL, kept between pins.
+    """The manager's copy of the log, and what it says about pins.
 
-    :meth:`refresh` decodes what was appended since the last call and
-    folds each new record into the three facts a pin needs: the
+    :meth:`follow` copies the records a published scan holds beyond
+    the copy and folds each into the three facts a pin needs: the
     CHECKPOINT marker, the committed horizon, and the *floor* below
     which interleaved transactions make a cached snapshot's horizon
     an unsafe place to resume replay from (0 in a serial log).  A
-    reset log (new marker) starts the view over.
+    different scan object — the writer's log was reset, or a fresh
+    read of the store — starts the view over.
     """
 
-    __slots__ = ("scan", "folded", "marker", "horizon", "floor",
+    __slots__ = ("source", "scan", "marker", "horizon", "floor",
                  "committed", "unresolved")
 
     def __init__(self) -> None:
-        self._start_over(WalScan())
+        self._start_over(None)
 
-    def _start_over(self, scan: WalScan) -> None:
-        self.scan = scan
-        #: Records of ``scan`` already folded into the fields below.
-        self.folded = 0
+    def _start_over(self, source: Optional[WalScan]) -> None:
+        #: The scan being followed; ``scan`` is the view's own copy of
+        #: its records, so a record appended concurrently reaches
+        #: neither a key nor an advance before it is folded.
+        self.source = source
+        self.scan = WalScan()
         #: What the CHECKPOINT marker says the image covers (None: a
         #: log that was never reset carries no marker).
         self.marker: Optional[int] = None
@@ -190,11 +200,14 @@ class _LogView:
         #: of their first such record.
         self.unresolved: dict[int, int] = {}
 
-    def refresh(self, store: "WalStore") -> None:
-        scan = read_wal_store(store, resume=self.scan)
-        if scan is not self.scan:
-            self._start_over(scan)
-        for record in scan.records[self.folded:]:
+    def follow(self, published: WalScan) -> None:
+        if published is not self.source:
+            self._start_over(published)
+        records, mine = published.records, self.scan.records
+        if len(records) == len(mine):
+            return
+        for record in records[len(mine):]:
+            mine.append(record)
             if record.kind == CHECKPOINT:
                 # Everything at or below the marker is in the image,
                 # not in this log.  The marker itself carries no work,
@@ -217,7 +230,13 @@ class _LogView:
                 self.horizon = record.lsn
             elif record.kind in OP_KINDS or record.kind in DDL_KINDS:
                 self.unresolved.setdefault(record.txn, record.lsn)
-        self.folded = len(scan.records)
+
+    def key(self, image_lsn: Callable[[], int]) -> tuple[int, int]:
+        """``(checkpoint_lsn, horizon)``; *image_lsn* — the published
+        image's LSN — is asked only of a log without a marker."""
+        checkpoint_lsn = (self.marker if self.marker is not None
+                          else image_lsn())
+        return (checkpoint_lsn, max(checkpoint_lsn, self.horizon))
 
 
 class SnapshotManager:
@@ -225,7 +244,8 @@ class SnapshotManager:
 
     def __init__(self, backend: "StorageBackend",
                  max_cached: int = DEFAULT_MAX_CACHED,
-                 write_latch: Optional[threading.Lock] = None) -> None:
+                 write_latch: Optional[threading.Lock] = None,
+                 wal: "Optional[WriteAheadLog]" = None) -> None:
         self.backend = backend
         self.max_cached = max_cached
         #: Lock the owning server holds across every commit and
@@ -235,6 +255,10 @@ class SnapshotManager:
         #: respect to horizon moves.  ``None`` (standalone use, no
         #: concurrent writer) disables that.
         self._write_latch = write_latch
+        #: The writer's log, followed in memory (its ``scan``); None —
+        #: standalone, or a writer elsewhere — reads the backend's
+        #: store afresh for every key.
+        self._wal = wal
         #: Guards the cache and the log view, and is held across an
         #: advance.  Re-entrant: ``pin`` derives its key through the
         #: public ``current_key`` while holding it.
@@ -259,19 +283,21 @@ class SnapshotManager:
         was never reset); ``horizon`` is the greatest LSN of any
         committed record in the durable WAL — the marker's own LSN
         while the log holds no committed work yet — together: "image
-        plus committed log prefix".  Only the frames appended since
-        the previous call are decoded.
+        plus committed log prefix".  Following the writer's log, only
+        the records published since the previous call are folded.
         """
         with self._lock:
-            store = self.backend.wal_store()
-            if store is None:
-                image_lsn = self._image_lsn()
-                return (image_lsn, image_lsn)
+            if self._wal is not None:
+                published = self._wal.scan
+            else:
+                store = self.backend.wal_store()
+                if store is None:
+                    image_lsn = self._image_lsn()
+                    return (image_lsn, image_lsn)
+                published = read_wal_store(store)
             log = self._log
-            log.refresh(store)
-            checkpoint_lsn = (log.marker if log.marker is not None
-                              else self._image_lsn())
-            return (checkpoint_lsn, max(checkpoint_lsn, log.horizon))
+            log.follow(published)
+            return log.key(self._image_lsn)
 
     def _image_lsn(self) -> int:
         # The snapshot list is cheaper than loading the engine, and its
@@ -285,20 +311,22 @@ class SnapshotManager:
         """A snapshot of the current committed state, frozen until
         released.
 
-        Under the lock, from one scan of the log: a cache hit is O(1);
-        a miss advances the newest unpinned cached snapshot the log
-        still reaches (:meth:`_advance`, O(delta)).  Key and contents
-        come from the same scan there, so nothing can move between
-        them and nothing is re-verified.
+        Under the lock, from the view's copy of the log: a cache hit
+        is O(1); a miss advances the newest unpinned cached snapshot
+        the log still reaches (:meth:`_advance`, O(delta)).  Key and
+        contents come from the same records there, so nothing can
+        move between them and nothing is re-verified.
 
         Only when no cached snapshot can be advanced does the pin fall
         back to :func:`~repro.storage.recovery.recover`, outside the
         lock (readers at cached horizons are not blocked).  Image and
-        log are two reads there: a commit or checkpoint that lands
-        in between leaves contents the key does not claim, or has
-        recover() read a half-advanced image/log pair.  So that path —
-        and only that path — re-derives the key afterwards, publishes
-        on a match and otherwise starts the pin over; after
+        log are two reads of the backend there: a commit or
+        checkpoint that lands in between leaves contents the key does
+        not claim, or has recover() read a half-advanced image/log
+        pair, and the store may hold a COMMIT not yet published.  So
+        that path — and only that path — keys the snapshot from the
+        log recover() read, publishes it when that key is the key
+        before and after, and otherwise starts the pin over; after
         :data:`PIN_OPTIMISTIC_ATTEMPTS` lost races it runs once more
         holding the write latch the writer commits under.
         """
@@ -342,6 +370,8 @@ class SnapshotManager:
             if self.current_key() == key:
                 raise  # stable horizon: a genuine recovery failure
             return None  # a checkpoint raced recover(); re-derive
+        if materialized is None:
+            return None  # recover() read a log the key did not see
         with self._lock:
             if self.current_key() != key:
                 return None  # horizon moved: contents may exceed key
@@ -383,7 +413,7 @@ class SnapshotManager:
     # -- internals --------------------------------------------------------
 
     def _advance(self, key: tuple[int, int]) -> Optional[Snapshot]:
-        """Under the lock, right after the scan *key* came from: move
+        """Under the lock, right after the fold *key* came from: move
         the newest unpinned cached snapshot the log still reaches
         forward to *key*.  None when there is no such snapshot, or
         when it could not be advanced (it is dropped then)."""
@@ -425,12 +455,20 @@ class SnapshotManager:
             "server.snapshot.advance.records").observe(done.replayed)
         return base
 
-    def _materialize(self, key: tuple[int, int]) -> Snapshot:
+    def _materialize(self, key: tuple[int, int]) -> Optional[Snapshot]:
+        """recover(), keyed from the log recover() itself read: None
+        when that key is not *key* — the store held a COMMIT not yet
+        published, or a commit or checkpoint landed since *key*."""
         # recover() asserts relabels == 0 and the §9 invariants, and by
         # construction replays only the committed prefix — the two
         # halves of the reader-isolation guarantee.
         result = recover(self.backend)
         obs.REGISTRY.counter("server.snapshot.materializations").inc()
+        log = _LogView()
+        if result.scan is not None:
+            log.follow(result.scan)
+        if log.key(lambda: result.checkpoint_lsn) != key:
+            return None
         return Snapshot(key, result.engine, result.relabels)
 
     def _record_pins(self) -> None:

@@ -763,17 +763,21 @@ class StorageEngine:
         schema nodes plus the touched parents' child lists.
 
         Every chain walk is bounded — an in-block chain by the block's
-        count, a sibling chain by the stored descriptor count — so
-        links that loop (a crafted image) are reported, not followed.
+        count, a sibling chain by the stored descriptor count (scoped:
+        the descriptors stored under the parent's schema children, so
+        no walk of the whole descriptive schema) — so links that loop
+        (a crafted image) are reported, not followed.
         """
-        limit = self.node_count()
         if touched is not None:
             for schema_node in {d.schema_node for d in touched}:
                 self._check_block_chain(schema_node, scoped=True)
             for parent in {d.parent for d in touched}:
                 if parent is not None and parent.block is not None:
-                    self._check_children(parent, limit)
+                    self._check_children(parent, sum(
+                        child.descriptor_count
+                        for child in parent.schema_node.children))
             return
+        limit = self.node_count()
         for schema_node in self.schema.iter_nodes():
             self._check_block_chain(schema_node)
         if self.document is not None:

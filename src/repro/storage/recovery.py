@@ -82,6 +82,8 @@ class RecoveryResult:
     indexes_verified: int = 0   # indexes bisimulation-checked vs rebuild
     backend: str = "file"       # which StorageBackend held the state
     snapshot_version: Optional[str] = None  # version id of the image
+    #: The log as this recovery read it (None without a WAL medium).
+    scan: Optional[WalScan] = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -190,7 +192,8 @@ def _recover(backend, schema, strict) -> RecoveryResult:
         # The version of the image this recovery started from —
         # computed before replay, which may change the schema shape.
         snapshot_version=snapshot_version(engine.checkpoint_lsn,
-                                          schema_fingerprint(engine)))
+                                          schema_fingerprint(engine)),
+        scan=scan)
 
     if scan is not None:
         result.torn_bytes = scan.torn_bytes

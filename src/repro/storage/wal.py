@@ -34,6 +34,12 @@ frame is incomplete or whose CRC32 does not match, reporting the valid
 prefix length.  Opening a log for append truncates such a tail first,
 so new records are never written behind garbage.
 
+The writer also keeps what it wrote: :attr:`WriteAheadLog.scan` holds
+every record since the last reset, each published after its
+durability barrier, so between appends it is what
+:func:`read_wal_store` reads back from the store.  A crash inside an
+append publishes nothing (and the crash model discards the writer).
+
 LSNs are monotone across the life of the log, *including* checkpoint
 resets — the checkpoint image stores the LSN it covers, and recovery
 replays only records beyond it, which makes the
@@ -46,9 +52,10 @@ import os
 import struct
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro import obs
 from repro.errors import StorageError
@@ -86,9 +93,13 @@ OP_KINDS = frozenset({INSERT_ELEMENT, INSERT_TEXT, SET_ATTRIBUTE, DELETE})
 DDL_KINDS = frozenset({CREATE_INDEX, DROP_INDEX})
 
 
-@dataclass(frozen=True)
-class WalRecord:
-    """One decoded log record (fields unused by the kind stay None)."""
+class WalRecord(NamedTuple):
+    """One log record (fields unused by the kind stay None).
+
+    A tuple, not a frozen dataclass: the writer builds one per append
+    to publish (:attr:`WriteAheadLog.scan`) and the scanner one per
+    decoded frame, so construction is on the write path.
+    """
 
     lsn: int
     kind: int
@@ -115,9 +126,6 @@ class WalScan:
     records: list[WalRecord] = field(default_factory=list)
     valid_bytes: int = 0
     torn_bytes: int = 0
-    #: The first frame's bytes: what tells this log from the one a
-    #: checkpoint reset starts (whose first frame is a new marker).
-    first_frame: bytes = b""
 
     @property
     def torn(self) -> bool:
@@ -173,12 +181,27 @@ _BODIES = {
 
 # Both directions, resolved once at import: per kind the packers in
 # wire order, and the readers with the positional slot each one fills.
-_SLOTS = {f.name: slot for slot, f in enumerate(fields(WalRecord))}
-_BODY_DEFAULTS = tuple(f.default for f in fields(WalRecord))[3:]
+_SLOTS = {name: slot for slot, name in enumerate(WalRecord._fields)}
+_BODY_DEFAULTS = tuple(WalRecord._field_defaults[name]
+                       for name in WalRecord._fields[3:])
 _PACKERS = {kind: tuple(pack for _, (pack, _) in body)
             for kind, body in _BODIES.items()}
 _READERS = {kind: tuple((_SLOTS[name], read) for name, (_, read) in body)
             for kind, body in _BODIES.items()}
+
+
+def _body_picker(slots: tuple[int, ...]):
+    """How the writer builds the record it publishes from the values
+    it packed: the record's fields after the head, picked out of
+    ``body + _BODY_DEFAULTS`` — a field the kind carries from *body*
+    (*slots* lists them in wire order), any other its default."""
+    return itemgetter(*(slots.index(slot) if slot in slots
+                        else len(slots) + slot - 3
+                        for slot in range(3, len(WalRecord._fields))))
+
+
+_PICK_BODY = {kind: _body_picker(tuple(slot for slot, _ in readers))
+              for kind, readers in _READERS.items()}
 
 
 def _decode_payload(payload: bytes, backend: str = "file") -> WalRecord:
@@ -321,17 +344,8 @@ class MemoryWalStore(WalStore):
 
 
 def scan_wal(data: bytes, describe: str = "WAL",
-             backend: str = "file",
-             resume: Optional[WalScan] = None) -> WalScan:
-    """Scan one log byte stream up to the first torn/corrupt record.
-
-    With *resume* — an earlier scan of the same log — only the frames
-    appended since are decoded, into *resume* itself, which is
-    returned; a tail frame that was half-appended last time is simply
-    read again.  A log that was reset in between (shorter than the
-    earlier scan reached, or starting with a different first frame)
-    is scanned from its start into a new :class:`WalScan`.
-    """
+             backend: str = "file") -> WalScan:
+    """Scan one log byte stream up to the first torn/corrupt record."""
     if not data:
         return WalScan()
     if len(data) < _HEADER_LEN or data[:len(_MAGIC)] != _MAGIC:
@@ -340,27 +354,18 @@ def scan_wal(data: bytes, describe: str = "WAL",
     version = struct.unpack_from("<H", data, len(_MAGIC))[0]
     if version != _VERSION:
         raise StorageError(f"unsupported WAL version {version}")
-    if (resume is not None
-            and _HEADER_LEN <= resume.valid_bytes <= len(data)
-            and data.startswith(resume.first_frame, _HEADER_LEN)):
-        scan = resume
-    else:
-        scan = WalScan(valid_bytes=_HEADER_LEN)
-    for payload, end in iter_frames(data, start=scan.valid_bytes):
-        if not scan.records:
-            scan.first_frame = data[_HEADER_LEN:end]
+    scan = WalScan(valid_bytes=_HEADER_LEN)
+    for payload, end in iter_frames(data, start=_HEADER_LEN):
         scan.records.append(_decode_payload(payload, backend=backend))
         scan.valid_bytes = end
     scan.torn_bytes = len(data) - scan.valid_bytes
     return scan
 
 
-def read_wal_store(store: WalStore,
-                   resume: Optional[WalScan] = None) -> WalScan:
-    """Scan any log store up to the first torn or corrupt record
-    (*resume*: continue an earlier scan, see :func:`scan_wal`)."""
+def read_wal_store(store: WalStore) -> WalScan:
+    """Scan any log store up to the first torn or corrupt record."""
     return scan_wal(store.load(), describe=store.describe(),
-                    backend=store.backend, resume=resume)
+                    backend=store.backend)
 
 
 class WriteAheadLog:
@@ -370,6 +375,13 @@ class WriteAheadLog:
     skips the per-record durability barrier (the benchmarks use it to
     separate the logging tax from the disk tax); the bytes still reach
     the store on every append.
+
+    :attr:`scan` is the log as :func:`read_wal_store` would read it
+    back, kept in memory: the records since the last reset, each
+    published only *after* its durability barrier — ``store.sync()``,
+    or ``store.append`` without ``sync`` — so a torn append or a crash
+    before the barrier publishes nothing.  A reader follows it instead
+    of re-reading the store (see :mod:`repro.server.snapshots`).
     """
 
     def __init__(self, store: WalStore, sync: bool = True) -> None:
@@ -393,14 +405,20 @@ class WriteAheadLog:
             if scan.torn:
                 # Never append behind garbage: drop the torn tail.
                 self.store.truncate(scan.valid_bytes)
+                scan.torn_bytes = 0
         else:
             self.store.reset(_HEADER)
+            scan = WalScan(valid_bytes=_HEADER_LEN)
+        #: The durable records since the last reset (a new object per
+        #: reset): appended to, never rewritten.
+        self.scan = scan
 
     # -- the one write path ---------------------------------------------
 
     def _append(self, kind: int, txn: int, *body) -> int:
         """Pack (*body*: the kind's fields in the wire order of
-        :data:`_BODIES`), frame and append one record."""
+        :data:`_BODIES`), frame and append one record, then publish it
+        on :attr:`scan`."""
         if self._closed:
             raise StorageError("write-ahead log is closed")
         started = time.perf_counter_ns()
@@ -425,6 +443,10 @@ class WriteAheadLog:
         if txn > self.last_txn:
             self.last_txn = txn
         self.appends += 1
+        scan = self.scan
+        scan.valid_bytes += len(frame)
+        scan.records.append(WalRecord._make(
+            (lsn, kind, txn) + _PICK_BODY[kind](body + _BODY_DEFAULTS)))
         registry = obs.REGISTRY
         registry.counter("wal.appends").inc()
         registry.counter("wal.bytes").inc(len(frame))
@@ -481,11 +503,13 @@ class WriteAheadLog:
     def reset(self, checkpoint_lsn: int) -> None:
         """Start a fresh log after a checkpoint covering *checkpoint_lsn*.
 
-        The store is restarted with just the header; the first record
-        is a CHECKPOINT marker.  LSNs keep counting up, so every record
+        The store is restarted with just the header, and :attr:`scan`
+        with a new, empty object; the first record is a CHECKPOINT
+        marker.  LSNs keep counting up, so every record
         in the fresh log is strictly beyond the image's horizon.
         """
         self.store.reset(_HEADER)
+        self.scan = WalScan(valid_bytes=_HEADER_LEN)
         self._append(CHECKPOINT, 0, checkpoint_lsn)
 
     def close(self) -> None:

@@ -10,7 +10,9 @@ equal labels, equal index contents, equal statistics, no relabel, and
 the *full* §9 and index checks passing on the advanced engine (the
 advance itself only ran the scoped ones).  The same rules carry a
 second property: an image assembled through the writer's payload memo
-is the image encoded afresh.
+is the image encoded afresh; and a third: the records the writer
+published in memory — all a key or an advance ever folds — are the
+records its store holds.
 
 Beside it, the deterministic cases: which path a pin takes (hit,
 advance, ``recover()`` fallback), that a pinned snapshot is never
@@ -51,6 +53,7 @@ from repro.storage import (
     StorageEngine,
     dumps_engine,
     faults,
+    read_wal_store,
     recover,
 )
 from repro.storage.descriptor import NO_SLOT
@@ -360,6 +363,18 @@ class AdvanceMachine(RuleBasedStateMachine):
                 for block in schema_node.blocks():
                     if block.verified:
                         assert in_block_invariants_hold(block), block
+
+    @invariant()
+    def published_log_is_the_durable_log(self):
+        """What the writer published — all the manager ever folds — is
+        what its store holds: the same records, field by field, up to
+        the same byte."""
+        published = self.server.wal.scan
+        durable = read_wal_store(self.backend.wal_store())
+        assert len(published.records) == len(durable.records)
+        for mine, theirs in zip(published.records, durable.records):
+            assert mine._asdict() == theirs._asdict()
+        assert published.valid_bytes == durable.valid_bytes
 
     @invariant()
     def pinned_readers_are_at_their_keys(self):
@@ -719,6 +734,25 @@ class TestAdvanceCost:
             assert counter("advances") == advances
             assert counter("materializations") == materializations + 1
 
+    def test_a_looping_sibling_chain_under_a_touched_parent(
+            self, monkeypatch):
+        """The scoped check bounds a touched parent's sibling chain by
+        the descriptors of its schema children, not by a walk of the
+        whole descriptive schema — and a chain that loops is still
+        refused within that bound."""
+        engine = StorageEngine(block_capacity=4)
+        engine.load_document(parse_document(LIBRARY))
+        library = engine.children(engine.document)[0]
+        first, *_, last = engine.children(library)
+
+        def forbidden(self):
+            raise AssertionError("node_count() walked the schema")
+        monkeypatch.setattr(StorageEngine, "node_count", forbidden)
+        engine.check_invariants([last])
+        last.right_sibling = first
+        with pytest.raises(StorageError, match="does not end within"):
+            engine.check_invariants([last])
+
 
 class TestPinGauges:
     def test_the_gauges_are_the_summed_pins(self):
@@ -752,25 +786,32 @@ class TestPinGauges:
 class TestIncrementalKey:
     def test_key_follows_the_log_without_rescanning_it(self, server,
                                                        monkeypatch):
+        """The server's manager follows the records the writer
+        published: once the first pin has recovered, a pin hit, a
+        commit and an advance neither load the log's store nor scan
+        it.  A standalone manager, which scans the store for every
+        key, agrees."""
         manager = server.snapshots
-        manager.current_key()
-        decoded = []
-        real = snapshots_module.read_wal_store
+        manager.release(manager.pin())  # the first pin: recover()
 
-        def counting(store, resume=None):
-            before = len(resume.records) if resume is not None else 0
-            scan = real(store, resume=resume)
-            decoded.append(len(scan.records) - before
-                           if scan is resume else len(scan.records))
-            return scan
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the log was read back")
+        monkeypatch.setattr(type(server.backend.wal_store()), "load",
+                            forbidden)
         monkeypatch.setattr(snapshots_module, "read_wal_store",
-                            counting)
-        manager.current_key()
+                            forbidden)
+        manager.release(manager.pin())
+        assert counter("cache_hits") == 1
         commit(server, "Dee")   # BEGIN, 2 inserts, COMMIT
+        snapshot = manager.pin()
+        assert counter("advances") == 1
+        assert counter("materializations") == 1
         key = manager.current_key()
-        manager.current_key()
-        assert decoded == [0, 4, 0]
-        # A fresh manager, scanning from the start, agrees.
+        assert snapshot.key == key
+        assert "Dee" in [snapshot.engine.string_value(d) for d
+                         in snapshot.engine.iter_document_order()]
+        manager.release(snapshot)
+        monkeypatch.undo()
         assert SnapshotManager(server.backend).current_key() == key
 
     def test_a_reset_log_starts_the_scan_over(self, server):
@@ -941,6 +982,37 @@ class TestAdvanceRaces:
                               recover(server.backend).engine)
         assert counter("materializations") == 1
         assert counter("advances") == 2
+
+
+class TestFallbackRace:
+    def test_a_commit_stored_but_unpublished_is_not_keyed_below(
+            self, server, monkeypatch):
+        """Held at the ``wal.fsync`` point of its COMMIT, the writer has
+        put the frame in the store and not yet published it.  A pin
+        that must recover() reads that COMMIT from the store: keyed
+        from the manager's view it would hold the transaction under
+        the older key.  It starts over instead."""
+        manager = server.snapshots
+        real_fire = faults.fire
+        held = []
+
+        def fire(point):
+            real_fire(point)
+            if point == "wal.commit":
+                held.append(point)
+            elif point == "wal.fsync" and held == ["wal.commit"]:
+                held.append(manager.current_key())
+                held.append(manager._pin_once())
+        monkeypatch.setattr(faults, "fire", fire)
+        commit(server, "Dee")
+        monkeypatch.undo()
+        _, before, pinned = held
+        assert pinned is None
+        assert counter("materializations") == 1
+        assert manager.cached() == 0
+        with server.open_session("read") as reader:
+            assert "Dee" in reader.query_values(AUTHORS)
+            assert reader.snapshot.key == manager.current_key() != before
 
 
 class TestAdvanceUnderThreads:

@@ -8,17 +8,22 @@ import pytest
 
 from repro.errors import ReproError, StorageError, UpdateError
 from repro.storage import (
+    CrashError,
+    FaultPlan,
     FileWalStore,
     MemoryWalStore,
     SqliteBackend,
     StorageEngine,
     Transaction,
     TransactionManager,
+    WalRecord,
     WriteAheadLog,
     equal,
+    faults,
     read_wal_store,
 )
 from repro.storage import wal as walmod
+from repro.storage.codec import iter_frames
 from repro.xmlio import QName, parse_document
 from repro.workloads.fixtures import EXAMPLE_8_DOCUMENT
 
@@ -124,6 +129,63 @@ class TestWalFormat:
         wal.close()
         assert [r.lsn for r in read_wal_store(wal_store).records] \
             == [1, 2, 3]
+
+    def test_published_records_are_the_decoded_frames(self, wal_store):
+        """One record of every kind: what the writer publishes on
+        ``wal.scan`` is what ``_decode_payload`` makes of the frame it
+        wrote — the same type, field by field — and the body table's
+        two resolved directions still cover every kind."""
+        assert set(walmod._READERS) == set(walmod._PACKERS) \
+            == set(walmod._BODIES)
+        wal = WriteAheadLog(wal_store)
+        nid = _engine().document.nid
+        wal.append_begin(1)
+        wal.append_insert_element(1, nid, 3, QName("urn:x", "book"), nid)
+        wal.append_insert_text(1, nid, 0, "hello", nid)
+        wal.append_set_attribute(1, nid, QName("", "year"), "2004", nid,
+                                 replace=True)
+        wal.append_delete(1, nid)
+        wal.append_create_index(1, "library/book/@year", "value",
+                                "integer")
+        wal.append_drop_index(1, "library/book/@year", "value")
+        wal.append_load(1, 2 ** 40 + 17)
+        wal.append_abort(1)
+        wal.append_commit(2)
+        published = list(wal.scan.records)
+        data = wal_store.load()
+        wal.reset(10)
+        published += wal.scan.records
+        data += wal_store.load()[len(walmod._HEADER):]
+        wal.close()
+        decoded = [walmod._decode_payload(payload)
+                   for payload, _ in iter_frames(data,
+                                                 start=len(walmod._HEADER))]
+        assert {r.kind for r in published} == set(walmod._BODIES)
+        assert len(published) == len(decoded) == len(walmod._BODIES)
+        for mine, theirs in zip(published, decoded):
+            assert type(mine) is type(theirs) is WalRecord
+            assert mine._asdict() == theirs._asdict()
+
+    @pytest.mark.parametrize("point", ["wal.append.torn", "wal.fsync"])
+    def test_a_crash_inside_an_append_publishes_nothing(self, wal_store,
+                                                        point):
+        """A torn append, or a crash before the durability barrier,
+        leaves the published scan as it was; a log reopened on that
+        store adopts the scan taken at open, torn tail truncated."""
+        wal = WriteAheadLog(wal_store)
+        wal.append_begin(1)
+        before = list(wal.scan.records), wal.scan.valid_bytes
+        with faults.injected(FaultPlan().crash_at(point)):
+            with pytest.raises(CrashError):
+                wal.append_commit(1)
+        assert (wal.scan.records, wal.scan.valid_bytes) == before
+        reopened = WriteAheadLog(wal_store)
+        durable = read_wal_store(wal_store)
+        assert not durable.torn and not reopened.scan.torn
+        assert reopened.scan.records == durable.records
+        assert reopened.scan.valid_bytes == durable.valid_bytes
+        assert len(durable.records) == (1 if point == "wal.append.torn"
+                                        else 2)
 
     def test_crc_corruption_drops_the_tail(self, wal_store):
         wal = WriteAheadLog(wal_store)
