@@ -8,7 +8,7 @@ Zero-dependency and process-local.  What is recorded when:
   compiled-query execution, plus the event log.  There is no switch:
   the cost sits inside the ``ops_per_s`` and ``p50_us`` that
   ``BENCHMARK.json`` bounds, and these are the numbers
-  ``repro metrics --prom`` and ``repro top`` serve.
+  ``repro metrics`` serves.
 * **Diagnostics** (:data:`ENABLED`, off by default; :func:`enable` /
   :func:`disable`) — span tracing, the per-query EXPLAIN log with its
   ``query.axis_steps``/``nodes_*`` counters, per-requirement

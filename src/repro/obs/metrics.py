@@ -4,7 +4,7 @@ The registry is the **one counter mechanism** of the repository: every
 subsystem that counts something — cache hits, block splits, labels
 allocated, conformance violations — does it through a
 :class:`Counter`/:class:`Gauge`/:class:`Histogram` instrument, and
-aggregate views (``repro stats``, ``repro metrics``) read one
+aggregate views (``repro metrics``) read one
 :meth:`MetricsRegistry.snapshot`.
 
 Counting is unconditional everywhere: an instrument ``inc`` is a
@@ -78,7 +78,7 @@ class Histogram:
     preallocated ring of the most recent :data:`DEFAULT_WINDOW`
     observations.  Percentiles (p50/p95/p99, nearest-rank) are computed
     over that window only when asked — the sort cost sits on the
-    reader (``repro stats`` / ``repro metrics``), never the hot path.
+    reader (``repro metrics``), never the hot path.
     Full bucketing stays deliberately omitted; a recent window is what
     an operator watching latency actually wants.
     """
@@ -209,7 +209,7 @@ class MetricsRegistry:
     def structured(self) -> dict:
         """Instruments grouped by kind: counters and gauges as plain
         name→value maps, histograms expanded to their full summary
-        (count/sum/min/max/mean plus p50/p95/p99) — the ``repro stats
+        (count/sum/min/max/mean plus p50/p95/p99) — the ``repro metrics
         --json`` payload shape."""
         out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
         for name in sorted(self._instruments):

@@ -245,12 +245,9 @@ class StatisticsCollector:
     def total_descriptors(self) -> int:
         return sum(s.descriptors for s in self._stats.values())
 
-    def total_bytes(self) -> int:
-        return sum(s.byte_size for s in self._stats.values())
-
     def export(self) -> dict:
         """The full digest keyed by schema path, path-sorted — the
-        snapshot payload and the ``repro stats``/CLI surface.  The
+        snapshot payload and ``repro inspect``'s table.  The
         document root's empty path renders as ``#document``."""
         out: dict = {}
         for schema_node, stats in self._stats.items():

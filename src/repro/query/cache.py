@@ -211,7 +211,7 @@ class LRUCache(Generic[K, V]):
 
 # ----------------------------------------------------------------------
 # The process-wide parse cache.  One per process, so its counters live
-# in the global metrics registry (they show up in `repro stats` and the
+# in the global metrics registry (they show up in `repro metrics` and the
 # benchmark reports as `query.parse_cache.*`).
 
 _parse_cache: LRUCache[str, Path] = LRUCache(

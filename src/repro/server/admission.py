@@ -125,18 +125,6 @@ class AdmissionController:
             f"overloaded: {detail}; retry after "
             f"{self.retry_after:.3f}s", retry_after=self.retry_after)
 
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "active_sessions": self.active_sessions,
-                "queue_depth": self.queue_depth,
-                "max_sessions": self.max_sessions,
-                "max_queue_depth": self.max_queue_depth,
-                "rejected_sessions": self.rejected_sessions,
-                "rejected_requests": self.rejected_requests,
-                "retry_after": self.retry_after,
-            }
-
     def __repr__(self) -> str:
         return (f"AdmissionController(sessions="
                 f"{self.active_sessions}/{self.max_sessions}, "

@@ -458,9 +458,8 @@ class DatabaseServer:
 
 
 def server_report(registry=None) -> dict:
-    """The ``server`` telemetry section (``repro serve --json`` and
-    ``repro top``): session/lease/request/snapshot counters plus the
-    lease-wait and per-mode latency histograms."""
+    """The ``server`` telemetry section: session/lease/request/snapshot
+    counters plus the lease-wait and per-mode latency histograms."""
     registry = registry if registry is not None else obs.REGISTRY
 
     def histogram(name: str) -> dict:

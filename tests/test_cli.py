@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import re
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.workloads.fixtures import (
     EXAMPLE_7_DOCUMENT,
@@ -36,6 +39,14 @@ def files(tmp_path):
         path.write_text(content, encoding="utf-8")
         paths[name] = str(path)
     return paths
+
+
+def test_usage_lists_exactly_the_subcommands():
+    usage = cli.__doc__.split("Usage::", 1)[1].split("\n\n", 2)[1]
+    documented = set(re.findall(r"python -m repro (\w+)", usage))
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert documented == set(subparsers.choices)
 
 
 class TestValidate:
@@ -147,26 +158,28 @@ class TestInspect:
         assert "library/book/title" in paths
 
 
-class TestStats:
+class TestMetrics:
     def test_prints_metrics_sections(self, files, capsys):
-        assert main(["stats", files["valid.xml"],
+        assert main(["metrics", files["valid.xml"],
                      "--path", "/library/book/title"]) == 0
         out = capsys.readouterr().out
-        assert "[storage]" in out
+        assert "[counters]" in out
         assert "storage.descriptors.allocated" in out
         assert "storage.relabels" in out
         assert "query.evaluations" in out
 
     def test_json_output(self, files, capsys):
-        assert main(["stats", files["valid.xml"], "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        metrics = report["metrics"]
-        assert metrics["storage.descriptors.allocated"] > 0
-        assert metrics["storage.relabels"] == 0
+        assert main(["metrics", files["valid.xml"],
+                     "--path", "/library/book/title", "--json"]) == 0
+        counters = json.loads(capsys.readouterr().out)["counters"]
+        assert counters["storage.descriptors.allocated"] > 0
+        assert counters["storage.relabels"] == 0
+        # Diagnostics are on, so the EXPLAIN-gated counters are there.
+        assert counters["query.nodes_returned"] == 1
 
     def test_leaves_observability_disabled(self, files, capsys):
         from repro import obs
-        main(["stats", files["valid.xml"]])
+        main(["metrics", files["valid.xml"]])
         capsys.readouterr()
         assert not obs.is_enabled()
 
@@ -328,6 +341,23 @@ class TestJsonErrorSurface:
         # The lexical failure surfaces through the validator's wrapper.
         assert report["error"]["type"] == "ValidationError"
         assert "'abc' is not a valid xs:int" in report["error"]["message"]
+
+    def test_directory_as_document_exits_2(self, files, tmp_path,
+                                           capsys):
+        assert main(["validate", files["lib.xsd"], str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        schema = tmp_path / "latin1.xsd"
+        schema.write_bytes(b"<xsd:schema>\xff</xsd:schema>")
+        assert main(["lint", str(schema)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_file_as_json(self, capsys):
+        assert main(["query", "/nonexistent.xml", "/a", "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"]["kind"] == "io"
+        assert report["error"]["type"] == "FileNotFoundError"
 
     def test_error_without_json_goes_to_stderr(self, tmp_path, capsys):
         bad = tmp_path / "bad.xml"

@@ -411,19 +411,20 @@ class TestOperatorCli:
         path.write_text(EXAMPLE_8_DOCUMENT)
         return str(path)
 
-    def test_stats_json_has_instruments_and_statistics(self, tmp_path,
-                                                       capsys):
-        assert cli_main(["stats", self._doc(tmp_path),
+    def test_metrics_json_has_histograms(self, tmp_path, capsys):
+        assert cli_main(["metrics", self._doc(tmp_path),
                          "--path", "/library/book/title",
                          "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        histograms = report["instruments"]["histograms"]
-        assert "query.latency.ns" in histograms
-        assert histograms["query.latency.ns"]["p95"] > 0
-        assert report["instruments"]["counters"][
-            "storage.descriptors.allocated"] > 0
-        assert report["statistics"]["library/book/title"][
-            "descriptors"] == 2
+        assert report["histograms"]["query.latency.ns"]["p95"] > 0
+        assert report["counters"]["storage.descriptors.allocated"] > 0
+
+    def test_inspect_json_has_statistics(self, tmp_path, capsys):
+        assert cli_main(["inspect", self._doc(tmp_path), "--json"]) == 0
+        rows = {row["path"]: row for row in
+                json.loads(capsys.readouterr().out)["descriptive_schema"]}
+        assert rows["library/book/title"]["descriptors"] == 2
+        assert rows["library/book/author/#text"]["distinct_values"] == 4
 
     def test_metrics_prom_exposition(self, tmp_path, capsys):
         assert cli_main(["metrics", self._doc(tmp_path),
@@ -434,26 +435,12 @@ class TestOperatorCli:
         assert 'repro_query_latency_ns{quantile="0.99"}' in text
         assert "repro_storage_descriptors_allocated" in text
 
-    def test_top_json_aggregates_and_slow_events(self, tmp_path,
-                                                 capsys):
-        assert cli_main(["top", self._doc(tmp_path),
-                         "--path", "/library/book/title",
-                         "--repeat", "7", "--slow-ms", "0",
-                         "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["queries"]["evaluations"] == 7
-        assert report["queries"]["latency_ns"]["count"] == 7
-        assert report["caches"]["plan_hits"] == 6
-        assert len(report["slow_events"]) == 7
-        assert report["slow_events"][0]["strategy"] == "scan"
-        # The CLI disarms the threshold on the way out.
-        assert obs.SLOW_QUERY_NS is None
-
-    def test_trace_writes_chrome_json(self, tmp_path, capsys):
+    def test_explain_trace_writes_chrome_json(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
-        assert cli_main(["trace", self._doc(tmp_path),
+        assert cli_main(["explain", self._doc(tmp_path),
                          "/library/book/title",
-                         "--out", str(out)]) == 0
+                         "--trace", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(f"span(s) to {out}\n")
         trace = json.loads(out.read_text())
         assert trace["traceEvents"]
         assert trace["traceEvents"][0]["ph"] == "X"

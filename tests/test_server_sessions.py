@@ -449,6 +449,9 @@ class TestTelemetry:
             assert "session.open" in kinds
             assert "session.close" in kinds
             assert "lease.granted" in kinds
+            text = obs.render_prometheus(obs.REGISTRY)
+            assert "repro_server_lease_grants_total" in text
+            assert "repro_server_requests_total" in text
 
     def test_lease_wait_histogram_records_contention(self):
         with make_server() as server:
@@ -550,6 +553,8 @@ class TestSeededFaultPlans:
 
 
 class TestServeCli:
+    """``repro session``, the CLI's one entry to the server layer."""
+
     @pytest.fixture
     def document(self, tmp_path):
         path = tmp_path / "books.xml"
@@ -561,38 +566,6 @@ class TestServeCli:
                       for i in range(3))
             + "</BookStore>", encoding="utf-8")
         return str(path)
-
-    def test_serve_reports_healthy_json(self, document, capsys):
-        code = main(["serve", document, "--readers", "2",
-                     "--writers", "1", "--requests", "3", "--json"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["healthy"] is True
-        assert report["results"]["torn_reads"] == 0
-        assert report["results"]["errors"] == 0
-        assert report["recovery"]["relabels"] == 0
-        assert report["results"]["writes"] == 3
-        assert report["server"]["lease"]["grants"] == 3
-        # The fresh-read probe after the closing checkpoint saw the
-        # live state, and got there by advancing a cached snapshot.
-        assert report["fresh_read_current"] is True
-        assert report["server"]["snapshots"]["advances"] >= 1
-
-    def test_serve_text_mode(self, document, capsys):
-        code = main(["serve", document, "--readers", "1",
-                     "--writers", "1", "--requests", "2"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "healthy:      True" in out
-        assert "advanced" in out and "recovered" in out
-
-    def test_serve_prom_exposes_server_metrics(self, document, capsys):
-        code = main(["serve", document, "--readers", "1",
-                     "--writers", "1", "--requests", "2", "--prom"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "repro_server_lease_grants_total" in out
-        assert "repro_server_requests_total" in out
 
     def test_session_verb_json(self, document, capsys):
         code = main(["session", document, TITLES, "--json"])
