@@ -4,8 +4,8 @@ A workload is a reproducible random sequence of subtree insertions and
 deletions applied to one :class:`~repro.numbering.base.SimTree` that
 every scheme labels independently.  After each operation the runner
 cross-checks a sample of label-derived relations against the structural
-ground truth, then reports the metrics the NID benchmark prints:
-relabels per operation and label-size growth.
+ground truth, then reports the metrics the NID claims assert
+(``tests/test_paper_claims.py``): relabels and label-size growth.
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ bypassed.
 
 The route agreeing node-for-node, in order, with the interpreter is an
 integration test of the whole Section 9 layer against the Section 5/6
-model; the speed difference is the XP benchmark.
+model; how many fewer descriptors it visits is the XP claim of
+``tests/test_paper_claims.py``.
 """
 
 from __future__ import annotations
@@ -306,8 +307,7 @@ class StorageQueryEngine:
         interpreter, kept as the oracle the pipeline is tested against
         (and what a ``naive`` plan runs).  Parses afresh: it models the
         engine *without* the caching layer and must not borrow its
-        parse cache (the XP benchmark compares it against
-        :meth:`evaluate`)."""
+        parse cache."""
         if isinstance(path, str):
             path = parse_path(path)
         if self._engine.document is None:

@@ -111,11 +111,16 @@ class SchemaLinter:
                 "error", location,
                 f"content model violates Unique Particle Attribution: "
                 f"competing particles for {names}"))
+        self._check_members(group, location)
+
+    def _check_members(self, group: GroupDefinition, location: str) -> None:
+        # UPA is decided once, on the type's whole group; a nested
+        # group's conflict is already one of its conflicts.
         for member in group.members:
             if isinstance(member, ElementDeclaration):
                 self._check_element(member, f"{location}/{member.name}")
             else:
-                self._check_group(member, location)
+                self._check_members(member, location)
 
 
 def lint_schema(schema: DocumentSchema) -> list[SchemaIssue]:

@@ -290,22 +290,6 @@ class StorageEngine:
         index = descriptor.schema_node.child_index(schema_child)
         return descriptor.first_child_for(index)
 
-    def children_via_schema_pointer(
-            self, descriptor: NodeDescriptor,
-            schema_child: SchemaNode) -> list[NodeDescriptor]:
-        """All children attributed to *schema_child*: jump to the first
-        via the stored pointer, then follow the sibling chain while the
-        schema node matches (children of one schema node are contiguous
-        only for element-recurring content; in general we filter)."""
-        first = self.first_child_by_schema(descriptor, schema_child)
-        out: list[NodeDescriptor] = []
-        node = first
-        while node is not None:
-            if node.schema_node is schema_child:
-                out.append(node)
-            node = node.right_sibling
-        return out
-
     def attributes(self, descriptor: NodeDescriptor
                    ) -> list[NodeDescriptor]:
         """The attributes in label order (§7) — not the order the

@@ -68,6 +68,30 @@ class TestUpaDetection:
           </xsd:complexType></xsd:element>"""))
         assert lint_schema(schema) == []
 
+    def test_nested_conflict_reported_once(self):
+        # The conflict sits in the inner choice; the enclosing sequence
+        # must not report it a second time at the same location.
+        schema = parse_schema(wrap_in_schema("""
+          <xsd:element name="R"><xsd:complexType>
+            <xsd:sequence>
+              <xsd:element name="X" type="xsd:string"/>
+              <xsd:choice>
+                <xsd:sequence>
+                  <xsd:element name="A" type="xsd:string"/>
+                  <xsd:element name="B" type="xsd:string"/>
+                </xsd:sequence>
+                <xsd:sequence>
+                  <xsd:element name="A" type="xsd:string"/>
+                  <xsd:element name="C" type="xsd:string"/>
+                </xsd:sequence>
+              </xsd:choice>
+            </xsd:sequence>
+          </xsd:complexType></xsd:element>"""))
+        errors = [issue for issue in lint_schema(schema)
+                  if issue.severity == "error"]
+        assert len(errors) == 1
+        assert "['A']" in errors[0].message
+
 
 class TestWarnings:
     def test_max_occurs_zero(self):
