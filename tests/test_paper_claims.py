@@ -13,6 +13,7 @@ a gate that fails when the claim breaks.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -70,6 +71,27 @@ def trees(documents, schema):
 
 
 @pytest.fixture(scope="module")
+def path_counts(trees):
+    """How many nodes of each scale's f(X) lie on each path."""
+    counts = {}
+    for scale, tree in trees.items():
+        store, paths = TreeNodeStore(tree), {}
+        counts[scale] = counter = Counter()
+        for node in store.iter_document_order():
+            parent = store.parent(node)
+            if parent is None:
+                continue
+            step = store.local_name(node) \
+                if store.node_kind(node) == "element" \
+                else "#" + store.node_kind(node)
+            prefix = paths.get(store.node_key(parent))
+            path = paths[store.node_key(node)] = \
+                step if prefix is None else f"{prefix}/{step}"
+            counter[path] += 1
+    return counts
+
+
+@pytest.fixture(scope="module")
 def engines(documents):
     engines = {}
     for scale, document in documents.items():
@@ -111,6 +133,14 @@ class TestDescriptiveSchema:
             sorted(EXAMPLE_8_DESCRIPTIVE_SCHEMA)
         assert engine.schema.node_count() == 17
         assert engine.node_count() == DOCUMENT_NODES[scale]
+
+    @pytest.mark.parametrize(
+        "path", [path for path, _kind in EXAMPLE_8_DESCRIPTIVE_SCHEMA])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_schema_node_holds_every_node_on_its_path(
+            self, engines, path_counts, scale, path):
+        found = engines[scale].schema.find_path(path)
+        assert found.descriptor_count == path_counts[scale][path] > 0
 
     @pytest.mark.parametrize("nodes", [100, 1000])
     def test_one_schema_node_per_irregular_element(self, nodes):
@@ -157,23 +187,37 @@ class TestNodeDescriptors:
         assert not hasattr(descriptor, "__dict__")
         assert not hasattr(descriptor.schema_node, "__dict__")
 
-    def test_every_accessor_from_storage_equals_the_tree(self, trees,
-                                                          schema):
-        engine = StorageEngine()
-        engine.load_tree(trees[10])
-        stored = StorageNodeStore.typed(engine, schema)
-        model = TreeNodeStore(trees[10])
+    @pytest.mark.parametrize("accessor", [
+        "node_kind", "node_name", "string_value", "typed_value",
+        "type_name", "base_uri", "nilled", "parent", "children",
+        "attributes"])
+    @pytest.mark.parametrize("scale", [10, 100])
+    def test_every_accessor_from_storage_equals_the_tree(
+            self, stores, scale, accessor):
+        (stored, stored_at), (model, model_at) = stores[scale]
         pairs = list(zip(stored.iter_document_order(),
                          model.iter_document_order()))
-        assert len(pairs) == engine.node_count() == DOCUMENT_NODES[10]
-        stored_at = {stored.node_key(a): i for i, (a, _b) in enumerate(pairs)}
-        model_at = {model.node_key(b): i for i, (_a, b) in enumerate(pairs)}
+        assert len(pairs) == len(stored_at) == len(model_at) == \
+            DOCUMENT_NODES[scale]
         for a, b in pairs:
-            for accessor in ("node_kind", "node_name", "string_value",
-                             "typed_value", "type_name", "base_uri",
-                             "nilled", "parent", "children", "attributes"):
-                assert _read(stored, accessor, a, stored_at) == \
-                    _read(model, accessor, b, model_at), accessor
+            assert _read(stored, accessor, a, stored_at) == \
+                _read(model, accessor, b, model_at)
+
+
+@pytest.fixture(scope="module")
+def stores(trees, schema):
+    """Scale -> the storage and the tree view of f(X), each with its
+    nodes' document-order positions."""
+    views = {}
+    for scale in (10, 100):
+        engine = StorageEngine()
+        engine.load_tree(trees[scale])
+        views[scale] = [
+            (store, {store.node_key(node): i for i, node
+                     in enumerate(store.iter_document_order())})
+            for store in (StorageNodeStore.typed(engine, schema),
+                          TreeNodeStore(trees[scale]))]
+    return views
 
 
 def _read(store, accessor, ref, position):
@@ -198,6 +242,17 @@ class TestRoundTripTheorem:
     def test_g_of_f_is_content_equal(self, documents, trees, scale):
         assert content_equal(tree_to_document(trees[scale]),
                              documents[scale])
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_f_maps_every_node(self, trees, scale):
+        nodes = TreeNodeStore(trees[scale]).iter_document_order()
+        assert sum(1 for _ in nodes) == DOCUMENT_NODES[scale]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_serialize_parse_is_content_equal(self, documents, scale):
+        # The XML substrate below f and g loses nothing either.
+        text = serialize_document(documents[scale])
+        assert content_equal(parse_document(text), documents[scale])
 
 
 class TestDocumentOrder:
@@ -237,26 +292,26 @@ class TestProposition1:
     """NID: Sedna labels survive updates with zero relabels; the
     ordinal baselines pay for every insertion in front of a node."""
 
-    def test_random_updates(self):
-        workload = UpdateWorkload(operations=400, seed=13,
-                                  insert_bias=0.75)
-        stats = {scheme.__name__: workload.run(scheme, verify=False)
-                 for scheme in (SednaAdapter, DeweyBaseline,
-                                IntervalBaseline)}
-        assert {name: (run.relabels, run.max_label_bytes)
-                for name, run in stats.items()} == {
-            "SednaAdapter": (0, 16), "DeweyBaseline": (1594, 28),
-            "IntervalBaseline": (14994, 8)}
+    @pytest.mark.parametrize("operations, scheme, relabels, max_bytes", [
+        (100, SednaAdapter, 0, 14), (100, DeweyBaseline, 263, 24),
+        (100, IntervalBaseline, 3927, 8), (400, SednaAdapter, 0, 16),
+        (400, DeweyBaseline, 1594, 28), (400, IntervalBaseline, 14994, 8)])
+    def test_random_updates(self, operations, scheme, relabels, max_bytes):
+        run = UpdateWorkload(operations=operations, seed=13,
+                             insert_bias=0.75).run(scheme, verify=False)
+        assert (run.relabels, run.max_label_bytes) == (relabels, max_bytes)
 
-    @pytest.mark.parametrize("scheme, relabels",
-                             [(SednaAdapter, 0), (DeweyBaseline, 1770)])
+    @pytest.mark.parametrize("scheme, relabels", [
+        (SednaAdapter, 0), (DeweyBaseline, 1770), (IntervalBaseline, 1830)])
     def test_front_insertion(self, scheme, relabels):
         tree = SimTree()
         labelled = scheme(tree)
         labelled.load()
         for _ in range(60):
             labelled.on_insert(tree.insert(tree.root, 0))
-        assert labelled.relabel_count == relabels  # Dewey: sum(range(60))
+        # Dewey renumbers every older sibling: sum(range(60)); intervals
+        # also move the parent's end: sum(range(1, 61)).
+        assert labelled.relabel_count == relabels
 
     def test_label_growth_over_long_run(self):
         # 30 bytes is the ceiling the midpoint allocation reaches today;
@@ -316,16 +371,32 @@ class TestSchemaDrivenPaths:
         ("/library/book/title", 1000, 3001), ("//author", 2985, 5970)])
     def test_scan_visits_what_it_returns(self, engines, path, returned,
                                          naive):
-        visited, nids = {}, {}
-        for policy in ("scan", "naive"):
-            queries = StorageQueryEngine(engines[1000],
-                                         planner_policy=policy)
-            with explain.collect(path) as record:
-                nids[policy] = [d.nid for d in queries.evaluate(path)]
-            visited[policy] = record.nodes_visited
-        assert nids["scan"] == nids["naive"]
-        assert visited == {"scan": returned, "naive": naive}
-        assert visited["scan"] == len(nids["scan"]) < visited["naive"]
+        nids, visited = _visit(engines[1000], path, "scan")
+        naive_nids, naive_visited = _visit(engines[1000], path, "naive")
+        assert nids == naive_nids
+        assert (len(nids), visited, naive_visited) == \
+            (returned, returned, naive)
+
+    @pytest.mark.parametrize("policy", ["cost", "structural", "scan"])
+    @pytest.mark.parametrize("path", [
+        "/library/book/title", "//author", "/library/paper/title/text()",
+        "/library/book/issue/year"])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_every_plan_visits_what_it_returns(self, engines, scale, path,
+                                               policy):
+        nids, visited = _visit(engines[scale], path, policy)
+        naive, naive_visited = _visit(engines[scale], path, "naive")
+        assert nids == naive
+        assert visited == len(nids) < naive_visited
+
+
+def _visit(engine, path, policy):
+    """The nids ``path`` returns under ``policy``, and how many
+    descriptors the evaluation visited."""
+    queries = StorageQueryEngine(engine, planner_policy=policy)
+    with explain.collect(path) as record:
+        nids = [d.nid for d in queries.evaluate(path)]
+    return nids, record.nodes_visited
 
 
 def _counted_group(max_occurs):
@@ -360,24 +431,12 @@ class TestAblations:
         assert stats.max_label_bytes == max_bytes
 
 
-_FILTER = """
-for $b in /library/book
-where $b/issue/year > 1985
-return $b/title
-"""
-
-_ORDER_BY = """
-for $b in /library/book
-let $authors := $b/author
-where count($authors) > 1
-order by $b/title
-return $b/title
-"""
-
-_CONSTRUCT = """
-for $b in /library/book
-return <entry><t>{$b/title}</t><n>{count($b/author)}</n></entry>
-"""
+_FILTER = ("for $b in /library/book where $b/issue/year > 1985 "
+           "return $b/title")
+_ORDER_BY = ("for $b in /library/book let $authors := $b/author "
+             "where count($authors) > 1 order by $b/title return $b/title")
+_CONSTRUCT = ("for $b in /library/book return "
+              "<entry><t>{$b/title}</t><n>{count($b/author)}</n></entry>")
 
 
 def _named(element, name):
