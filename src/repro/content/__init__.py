@@ -1,13 +1,12 @@
 """Content-model matching for complex types (Section 6.2, item 5.4.2.3).
 
-Two independent engines — Brzozowski derivatives with counters and a
-Glushkov position automaton — matched against each other by the test
-suite.  :class:`ContentModel` is the facade the validator and the
-conformance checker use.
+Repetition factors stay counters: Brzozowski derivatives match child
+sequences (:class:`ContentModel` is the validator's and the checker's
+facade) and :func:`competing_names` decides Unique Particle
+Attribution; the tests check both against Glushkov on the expansion.
 """
 
 from repro.content.derivatives import DerivativeMatcher, derive
-from repro.content.glushkov import GlushkovAutomaton
 from repro.content.matcher import ContentModel
 from repro.content.particles import (
     AllParticle,
@@ -18,8 +17,8 @@ from repro.content.particles import (
     RepeatParticle,
     SequenceParticle,
     compile_group,
-    expand_particle,
 )
+from repro.content.upa import competing_names
 
 __all__ = [
     "AllParticle",
@@ -27,12 +26,11 @@ __all__ = [
     "ContentModel",
     "DerivativeMatcher",
     "EmptyParticle",
-    "GlushkovAutomaton",
     "NameParticle",
     "Particle",
     "RepeatParticle",
     "SequenceParticle",
     "compile_group",
+    "competing_names",
     "derive",
-    "expand_particle",
 ]

@@ -1,9 +1,8 @@
 """The public content-model matching facade.
 
 ``ContentModel`` wraps a group definition and answers whether a
-sequence of child-element names is permitted.  Internally it uses the
-derivative matcher (counter-based, no expansion); the Glushkov
-automaton is available for cross-checking and the UPA diagnostic.
+sequence of child-element names is permitted, with the derivative
+matcher (counter-based, no expansion).
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.content.derivatives import DerivativeMatcher
-from repro.content.glushkov import GlushkovAutomaton
 from repro.content.particles import Particle, compile_group
 from repro.schema.ast import ElementDeclaration, GroupDefinition
 
@@ -25,7 +23,6 @@ class ContentModel:
         self._matcher = DerivativeMatcher(self.particle)
         self._declarations: dict[str, ElementDeclaration] = {
             eld.name: eld for eld in group.element_declarations()}
-        self._automaton: GlushkovAutomaton | None = None
 
     # -- matching ----------------------------------------------------------
 
@@ -43,18 +40,6 @@ class ContentModel:
 
     def knows(self, name: str) -> bool:
         return name in self._declarations
-
-    # -- diagnostics --------------------------------------------------------
-
-    def automaton(self) -> GlushkovAutomaton:
-        """The (lazily built) Glushkov automaton of the model."""
-        if self._automaton is None:
-            self._automaton = GlushkovAutomaton(self.particle)
-        return self._automaton
-
-    def is_deterministic(self) -> bool:
-        """The Unique Particle Attribution check."""
-        return self.automaton().is_deterministic()
 
     def __repr__(self) -> str:
         return f"ContentModel({self.particle!r})"

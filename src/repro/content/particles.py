@@ -11,8 +11,8 @@ regular-expression-like tree over element names:
 * :class:`EmptyParticle` — the empty content model (matches only the
   empty word).
 
-The two matchers in :mod:`repro.content.derivatives` and
-:mod:`repro.content.glushkov` both work on this normal form.
+The derivative matcher and the UPA check (:mod:`repro.content.upa`)
+both work on this normal form, repetition factors unexpanded.
 """
 
 from __future__ import annotations
@@ -183,77 +183,3 @@ def compile_group(group: "GroupDefinition | AllGroup") -> Particle:
     else:
         inner = ChoiceParticle(tuple(children))
     return _wrap_repetition(inner, group.repetition)
-
-
-def expand_particle(particle: Particle, limit: int = 100_000) -> Particle:
-    """Rewrite bounded repetition into explicit copies.
-
-    ``R{m,n}`` becomes ``R^m (R?)^(n-m)`` and ``R{m,∞}`` becomes
-    ``R^(m-1) R+``-style ``R^m R*``.  The Glushkov construction needs
-    this expanded form; *limit* bounds the blow-up.
-    """
-    count = _expansion_size(particle)
-    if count > limit:
-        raise ContentModelError(
-            f"content model expands to {count} positions (> limit {limit})")
-    return _expand(particle)
-
-
-def _expansion_size(particle: Particle) -> int:
-    if isinstance(particle, (EmptyParticle, NameParticle)):
-        return 1
-    if isinstance(particle, AllParticle):
-        import math
-        count = len(particle.items)
-        return math.factorial(count) * count if count else 1
-    if isinstance(particle, (SequenceParticle, ChoiceParticle)):
-        return sum(_expansion_size(c) for c in particle.children)
-    if isinstance(particle, RepeatParticle):
-        copies = (particle.minimum if particle.maximum is None
-                  else particle.maximum)
-        return max(copies, 1) * _expansion_size(particle.child)
-    raise ContentModelError(f"unknown particle {particle!r}")
-
-
-def _expand(particle: Particle) -> Particle:
-    if isinstance(particle, (EmptyParticle, NameParticle)):
-        return particle
-    if isinstance(particle, AllParticle):
-        # Interleave as the choice over all member permutations; only
-        # viable for small groups (the expansion limit guards this).
-        import itertools
-        alternatives = []
-        for permutation in itertools.permutations(particle.items):
-            parts = []
-            for name, required in permutation:
-                leaf = NameParticle(name)
-                parts.append(leaf if required
-                             else RepeatParticle(leaf, 0, 1))
-            alternatives.append(
-                SequenceParticle(tuple(parts)) if len(parts) != 1
-                else parts[0])
-        if not alternatives:
-            return EmptyParticle()
-        return ChoiceParticle(tuple(alternatives))
-    if isinstance(particle, SequenceParticle):
-        return SequenceParticle(
-            tuple(_expand(c) for c in particle.children))
-    if isinstance(particle, ChoiceParticle):
-        return ChoiceParticle(tuple(_expand(c) for c in particle.children))
-    if isinstance(particle, RepeatParticle):
-        child = _expand(particle.child)
-        required = [child] * particle.minimum
-        if particle.maximum is None:
-            # R{m,∞} = R^m R*  (star encoded as Repeat(0, None), which
-            # the Glushkov construction handles natively).
-            star = RepeatParticle(child, 0, None)
-            return SequenceParticle(tuple(required + [star]))
-        optional = [RepeatParticle(child, 0, 1)
-                    ] * (particle.maximum - particle.minimum)
-        parts = required + optional
-        if not parts:
-            return EmptyParticle()
-        if len(parts) == 1:
-            return parts[0]
-        return SequenceParticle(tuple(parts))
-    raise ContentModelError(f"unknown particle {particle!r}")

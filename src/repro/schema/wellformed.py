@@ -5,8 +5,8 @@ names per group, the §3 type-usage requirement), this module reports
 the *soft* problems a schema author would want flagged:
 
 * UPA violations — content models that are not 1-unambiguous
-  (detected with the Glushkov automaton of :mod:`repro.content`);
-* unreachable particles — ``maxOccurs="0"`` declarations;
+  (:func:`repro.content.competing_names`, ``maxOccurs`` unexpanded);
+* unreachable particles — ``maxOccurs="0"`` declarations and groups;
 * degenerate groups — empty content with a meaningless combination or
   repetition factor (the paper notes these "do not make sense");
 * unused named complex types.
@@ -53,26 +53,30 @@ class SchemaLinter:
         self._check_element(self._schema.root_element,
                             self._schema.root_element.name)
         for qname, definition in self._schema.complex_types.items():
+            self._check_type(definition, qname.lexical)
+        for qname in self._schema.complex_types:
             if qname.local not in self._used_types:
                 self._issues.append(SchemaIssue(
                     "warning", qname.lexical,
                     "named complex type is never used"))
-            self._check_type(definition, qname.lexical)
         return self._issues
 
     # ------------------------------------------------------------------
 
     def _check_element(self, declaration: ElementDeclaration,
                        location: str) -> None:
-        repetition = declaration.repetition
-        if repetition.maximum == 0:
-            self._issues.append(SchemaIssue(
-                "warning", location,
-                "maxOccurs=0 makes this declaration unusable"))
+        self._check_reachable(declaration, location, "declaration")
         if isinstance(declaration.type, TypeName):
             self._used_types.add(declaration.type.qname.local)
             return  # named types are checked once, at the top level
         self._check_type(declaration.type, location)
+
+    def _check_reachable(self, item: ElementDeclaration | GroupDefinition,
+                         location: str, what: str) -> None:
+        if item.repetition.maximum == 0:
+            self._issues.append(SchemaIssue(
+                "warning", location,
+                f"maxOccurs=0 makes this {what} unusable"))
 
     def _check_type(self, definition: TypeRef, location: str) -> None:
         if id(definition) in self._visited:
@@ -101,12 +105,9 @@ class SchemaLinter:
     def _check_group(self, group: GroupDefinition, location: str) -> None:
         # Imported here: repro.content itself imports the schema AST,
         # so a module-level import would be circular.
-        from repro.content.matcher import ContentModel
-        model = ContentModel(group)
-        automaton = model.automaton()
-        if not automaton.is_deterministic():
-            conflicts = automaton.competing_positions()
-            names = sorted({name for name, _a, _b in conflicts})
+        from repro.content import compile_group, competing_names
+        names = competing_names(compile_group(group))
+        if names:
             self._issues.append(SchemaIssue(
                 "error", location,
                 f"content model violates Unique Particle Attribution: "
@@ -116,6 +117,8 @@ class SchemaLinter:
     def _check_members(self, group: GroupDefinition, location: str) -> None:
         # UPA is decided once, on the type's whole group; a nested
         # group's conflict is already one of its conflicts.
+        self._check_reachable(group, location,
+                              f"{group.combination.value} group")
         for member in group.members:
             if isinstance(member, ElementDeclaration):
                 self._check_element(member, f"{location}/{member.name}")

@@ -3,9 +3,10 @@
 ``--hypothesis-profile=crash-matrix`` is what the CI crash-matrix step
 runs the generated properties under (``tests/test_snapshot_advance.py``,
 the every-policy ≡ oracle properties of ``tests/test_compiled_parity.py``
-and ``tests/test_indexes.py`` and the plan-epoch properties of
-``tests/test_query_plan.py`` take their example budget from the active
-profile); tier-1 runs the hypothesis default.
+and ``tests/test_indexes.py``, the plan-epoch properties of
+``tests/test_query_plan.py`` and the UPA and matcher ≡ Glushkov
+properties of ``tests/test_content_models.py`` take their example
+budget from the active profile); tier-1 runs the hypothesis default.
 """
 
 import pytest

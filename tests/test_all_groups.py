@@ -10,7 +10,6 @@ from repro.content import (
     AllParticle,
     ContentModel,
     DerivativeMatcher,
-    GlushkovAutomaton,
     compile_group,
 )
 from repro.errors import SchemaError, ValidationError
@@ -25,6 +24,7 @@ from repro.schema import (
 )
 from repro.xmlio import parse_document, serialize_document, xsd
 from repro.workloads.fixtures import wrap_in_schema
+from tests.glushkov import GlushkovAutomaton
 
 ALL_SCHEMA = wrap_in_schema("""
   <xsd:element name="Address"><xsd:complexType>

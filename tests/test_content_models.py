@@ -1,4 +1,6 @@
-"""Tests for content-model compilation and the two matchers."""
+"""Tests for content-model compilation, the derivative matcher and the
+UPA check, with the Glushkov automaton of :mod:`tests.glushkov` as the
+oracle of both."""
 
 import itertools
 import random
@@ -11,13 +13,12 @@ from repro.content import (
     ContentModel,
     DerivativeMatcher,
     EmptyParticle,
-    GlushkovAutomaton,
     NameParticle,
     RepeatParticle,
     SequenceParticle,
     compile_group,
+    competing_names,
 )
-from repro.errors import ContentModelError
 from repro.schema import (
     CombinationFactor,
     ElementDeclaration,
@@ -27,6 +28,8 @@ from repro.schema import (
     UNBOUNDED,
 )
 from repro.xmlio import xsd
+from tests.glushkov import GlushkovAutomaton
+from tests.test_query_plan import _budget
 
 
 def _eld(name: str, minimum: int = 1, maximum=1) -> ElementDeclaration:
@@ -162,31 +165,63 @@ class TestDeclarationAttribution:
         assert not model.knows("Z")
 
 
+def _oracle_names(particle):
+    """The names Glushkov on the expansion finds competing."""
+    conflicts = GlushkovAutomaton(particle).competing_positions()
+    return sorted({name for name, _, _ in conflicts})
+
+
+def _a(name="a"):
+    return NameParticle(name)
+
+
+def _ab():
+    """``a? b``, a fresh pair of leaves."""
+    return SequenceParticle((RepeatParticle(_a(), 0, 1), _a("b")))
+
+
 class TestDeterminism:
     def test_flat_groups_are_deterministic(self):
-        model = ContentModel(_group([_eld("A"), _eld("B", 0, 9)]))
-        assert model.is_deterministic()
+        particle = compile_group(_group([_eld("A"), _eld("B", 0, 9)]))
+        assert competing_names(particle) == _oracle_names(particle) == []
 
     def test_competing_names_detected(self):
         # (A, B) | (A, C): the two A positions compete — a UPA violation.
         left = _group([_eld("A"), _eld("B")])
         right = _group([_eld("A"), _eld("C")])
-        model = ContentModel(_group([left, right],
-                                    CombinationFactor.CHOICE))
-        assert not model.is_deterministic()
-        conflicts = model.automaton().competing_positions()
-        assert any(name == "A" for name, _, _ in conflicts)
+        particle = compile_group(
+            _group([left, right], CombinationFactor.CHOICE))
+        assert competing_names(particle) == _oracle_names(particle) == ["A"]
 
-    def test_expansion_limit_enforced(self):
-        group = _group([_eld("A", 0, 10**9)])
-        with pytest.raises(ContentModelError):
-            GlushkovAutomaton(compile_group(group), expansion_limit=100)
+    @pytest.mark.parametrize("particle, names", [
+        # a{1,2} a: after the first a, a second copy or the last a.
+        (SequenceParticle((RepeatParticle(_a(), 1, 2), _a())), ["a"]),
+        # (a? b){2,∞} a: after b, another round's a or the last a.
+        (SequenceParticle((RepeatParticle(_ab(), 2, None), _a())), ["a"]),
+        # a{2,2} a: the first copy must repeat, the last one must end.
+        (SequenceParticle((RepeatParticle(_a(), 2, 2), _a())), []),
+        # (a? b){2} a: likewise; the copies' a never meets the last a.
+        (SequenceParticle((RepeatParticle(_ab(), 2, 2), _a())), []),
+    ], ids=["a{1,2} a", "(a? b){2,inf} a", "a{2,2} a", "(a? b){2} a"])
+    def test_named_cases_agree_with_the_oracle(self, particle, names):
+        assert competing_names(particle) == names
+        assert _oracle_names(particle) == names
+
+    @pytest.mark.parametrize("bound", [200_000, 10**6])
+    def test_bounds_are_never_expanded(self, bound):
+        # The verdict at a bound no expansion could reach: exactly n
+        # copies keep each a apart; up to n copies do not.
+        exact = SequenceParticle((RepeatParticle(_ab(), bound, bound), _a()))
+        assert competing_names(exact) == []
+        upto = SequenceParticle((RepeatParticle(_ab(), 2, bound), _a()))
+        assert competing_names(upto) == ["a"]
 
 
 # ----------------------------------------------------------------------
-# Cross-checking the two matchers against each other and brute force.
+# Cross-checking the derivative matcher and the UPA check against the
+# Glushkov oracle, and the matchers against brute force.
 
-_random_group = st.deferred(lambda: st.one_of(_leaf_group, _nested_group))
+_random_group = st.deferred(lambda: st.one_of(_leaf_group, _nested_group()))
 
 _names = st.sampled_from(["a", "b", "c"])
 
@@ -219,16 +254,29 @@ _leaf_group = st.builds(
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=2, max_value=3))
 
-_nested_group = st.builds(
-    _group,
-    _distinct_members(st.one_of(_leaf_member, _leaf_group)),
-    st.sampled_from([CombinationFactor.SEQUENCE, CombinationFactor.CHOICE]),
-    st.integers(min_value=0, max_value=1),
-    st.integers(min_value=1, max_value=2))
+@st.composite
+def _nested_group(draw):
+    # minOccurs up to 3 on an outer group: a copy that must repeat.
+    minimum = draw(st.integers(min_value=0, max_value=3))
+    return _group(
+        draw(_distinct_members(st.one_of(_leaf_member, _leaf_group))),
+        draw(st.sampled_from([CombinationFactor.SEQUENCE,
+                              CombinationFactor.CHOICE])),
+        minimum,
+        draw(st.one_of(st.integers(min_value=max(minimum, 1), max_value=3),
+                       st.just(UNBOUNDED))))
+
+
+class TestUpaCrossCheck:
+    @settings(max_examples=_budget(150), deadline=None)
+    @given(_random_group)
+    def test_competing_names_agree_with_glushkov(self, group):
+        particle = compile_group(group)
+        assert competing_names(particle) == _oracle_names(particle)
 
 
 class TestMatcherCrossCheck:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=_budget(150), deadline=None)
     @given(_random_group, st.lists(_names, max_size=6))
     def test_derivative_agrees_with_glushkov(self, group, word):
         particle = compile_group(group)

@@ -19,8 +19,7 @@ import pytest
 
 from repro import obs
 from repro.algebra import ConformanceChecker, InstanceBuilder
-from repro.content import DerivativeMatcher, GlushkovAutomaton, \
-    compile_group
+from repro.content import DerivativeMatcher, compile_group
 from repro.errors import ModelError
 from repro.mapping import content_equal, document_to_tree, \
     tree_to_document, untyped_document_to_tree
@@ -42,6 +41,7 @@ from repro.workloads.fixtures import EXAMPLE_1_SCHEMA, EXAMPLE_5_SCHEMA, \
 from repro.xdm import TreeNodeStore
 from repro.xmlio import parse_document, serialize_document, xsd
 from repro.xquery import XQueryEvaluator
+from tests.glushkov import GlushkovAutomaton
 
 SCALES = (10, 100, 1000)
 

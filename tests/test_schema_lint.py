@@ -1,5 +1,7 @@
 """Tests for the static schema diagnostics."""
 
+import pytest
+
 from repro.schema import lint_schema, parse_schema
 from repro.workloads.fixtures import (
     EXAMPLE_6_SCHEMA,
@@ -68,6 +70,34 @@ class TestUpaDetection:
           </xsd:complexType></xsd:element>"""))
         assert lint_schema(schema) == []
 
+    @pytest.mark.parametrize("max_occurs", [200_000, 10**6])
+    def test_huge_max_occurs_is_never_expanded(self, max_occurs):
+        # Valid at any bound; expanding the copies could not finish.
+        schema = parse_schema(wrap_in_schema(f"""
+          <xsd:element name="R"><xsd:complexType>
+            <xsd:sequence>
+              <xsd:element name="a" type="xsd:string"
+                           maxOccurs="{max_occurs}"/>
+              <xsd:element name="b" type="xsd:string" minOccurs="0"/>
+            </xsd:sequence>
+          </xsd:complexType></xsd:element>"""))
+        assert lint_schema(schema) == []
+
+    def test_counted_conflict_flagged(self):
+        # a{1,2} a: after one a, a second copy competes with the last a.
+        schema = parse_schema(wrap_in_schema("""
+          <xsd:element name="R"><xsd:complexType>
+            <xsd:sequence>
+              <xsd:sequence maxOccurs="2">
+                <xsd:element name="a" type="xsd:string"/>
+              </xsd:sequence>
+              <xsd:element name="a" type="xsd:string"/>
+            </xsd:sequence>
+          </xsd:complexType></xsd:element>"""))
+        assert _messages(lint_schema(schema)) == [
+            "content model violates Unique Particle Attribution: "
+            "competing particles for ['a']"]
+
     def test_nested_conflict_reported_once(self):
         # The conflict sits in the inner choice; the enclosing sequence
         # must not report it a second time at the same location.
@@ -116,6 +146,35 @@ class TestWarnings:
           <xsd:element name="R" type="xsd:string"/>"""))
         issues = lint_schema(schema)
         assert any("never used" in m for m in _messages(issues))
+
+    def test_max_occurs_zero_on_a_nested_group(self):
+        schema = parse_schema(wrap_in_schema("""
+          <xsd:element name="R"><xsd:complexType>
+            <xsd:sequence>
+              <xsd:choice minOccurs="0" maxOccurs="0">
+                <xsd:element name="Gone" type="xsd:string"/>
+              </xsd:choice>
+              <xsd:element name="Kept" type="xsd:string"/>
+            </xsd:sequence>
+          </xsd:complexType></xsd:element>"""))
+        assert _messages(lint_schema(schema)) == [
+            "maxOccurs=0 makes this choice group unusable"]
+
+    def test_type_used_by_a_later_type_is_used(self):
+        # Inner is used by Outer, declared after it: no warning.
+        schema = parse_schema(wrap_in_schema("""
+          <xsd:complexType name="Inner">
+            <xsd:sequence>
+              <xsd:element name="X" type="xsd:string"/>
+            </xsd:sequence>
+          </xsd:complexType>
+          <xsd:complexType name="Outer">
+            <xsd:sequence>
+              <xsd:element name="I" type="Inner"/>
+            </xsd:sequence>
+          </xsd:complexType>
+          <xsd:element name="r" type="Outer"/>"""))
+        assert lint_schema(schema) == []
 
     def test_errors_sort_before_warnings(self):
         schema = parse_schema(wrap_in_schema("""
