@@ -37,13 +37,15 @@ picks under parents at several depths) is put in ``<<`` by the store's
 interpreter's result is.
 
 The stages are *context-driven*: a child step below a few context
-descriptors follows their §9.2 first-child-by-schema pointers and the
-sibling chain (:func:`_walk`) instead of sweeping every instance of
-the destination schema node — the sweep stays for large context sets,
-chosen per call by :func:`repro.query.cost.walks`; a child-value
-predicate has the same two routes — walk to each context's carriers
-and compare their stored text in place, or sweep the carriers' text
-blocks once for the literal and go up two parent pointers (a
+descriptors follows their §9.2 first-child-by-schema pointers and,
+from there, the destination schema node's own chain (:func:`_walk`:
+it reads what it returns plus one per context) instead of sweeping
+every instance of the destination schema node — the sweep stays for
+large context sets, chosen per call by
+:func:`repro.query.cost.walks`; a child-value predicate has the same
+two routes — walk to every context's carriers and read their values
+in one pass (``StorageEngine.string_values``), or sweep the carriers'
+text blocks once for the literal and go up two parent pointers (a
 semi-join from the value side, :func:`repro.query.cost.sweep_holders`)
 — and a positional predicate counts contiguous same-parent runs,
 stepping over whole blocks when it is fused with the scan source
@@ -58,12 +60,14 @@ from __future__ import annotations
 
 import time
 from functools import partial
+from itertools import groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import obs
 from repro.errors import QueryError
 from repro.obs import explain as _explain
-from repro.query.cost import sweep_holders, text_slot, walks
+from repro.query.cost import sweep_holders, walks
 from repro.query.paths import (
     AttributePredicate,
     ChildPredicate,
@@ -72,8 +76,8 @@ from repro.query.paths import (
 )
 from repro.query.planner import CompiledPlan, match_step, predicate_carriers
 from repro.storage.blocks import sweep
-from repro.storage.descriptor import NodeDescriptor
-from repro.storage.dschema import SchemaNode
+from repro.storage.descriptor import NO_SLOT
+from repro.storage.dschema import SchemaNode, text_slot
 from repro.storage.labels import before
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -429,45 +433,151 @@ def _positional_stage(queries: "StorageQueryEngine", schema_nodes,
 # The §9.2 walk and the value predicates built on it.
 
 
-def _walk(descriptor: "NodeDescriptor", targets, out: list) -> None:
-    """Append to *out* the children of *descriptor* attributed to the
-    ``(slot, schema child)`` *targets*: jump to the first through the
-    stored first-child-by-schema pointer, then follow the sibling chain
-    (children of one schema node are contiguous only for recurring
-    content, so the chain is filtered).  The one statement of the walk
-    in the query layer."""
-    lookup = descriptor.children_by_schema.get
-    for slot, child_schema in targets:
-        node = lookup(slot)
+def _walk(slot: int, descriptors, out: list) -> None:
+    """Append to *out* the children in schema-child *slot* of every
+    descriptor of *descriptors*, context by context: jump to the first
+    through the stored first-child-by-schema pointer, then follow the
+    destination schema node's own chain (the in-block short pointers,
+    then the next block) while the parent is the context.  That is
+    exact and reads one descriptor past the run: one schema node's
+    instances sit at one depth, so one parent's children of it are one
+    contiguous stretch of its document-ordered chain (§9.1, §9.2).  A
+    child step's walk; :func:`_value_walk` is the same loop fused with
+    a compare."""
+    append = out.append
+    for descriptor in descriptors:
+        node = descriptor.children_by_schema.get(slot)
         while node is not None:
-            if node.schema_node is child_schema:
-                out.append(node)
-            node = node.right_sibling
+            append(node)
+            following = node.next_in_block
+            if following != NO_SLOT:
+                node = node.block.slots[following]
+            else:
+                block = node.block.next_block
+                if block is None:
+                    break
+                node = block.slots[block.first_slot]
+            if node.parent is not descriptor:
+                break
 
 
-class _Carriers(dict):
-    """Schema node → the ``(slot, schema child)`` pairs carrying one
-    value predicate, in schema-children order, resolved on first
-    sight: a probe's owners and a scan's instances are lowered the same
-    way, whether or not the planner pinned their schema node."""
+def _value_walk(slot: int, text_at: Optional[int], value: str,
+                string_value) -> Callable[[list, list], int]:
+    """The loop of :func:`_walk` fused with a child-value compare: a
+    ``(descriptors, out)`` function appending to *out* every context
+    with a child in *slot* whose string value is *value*, testing a
+    context's children in order up to its first match, and returning
+    how many it tested.  A carrier with simple content (*text_at*: its
+    :func:`~repro.storage.dschema.text_slot`) has its one text child
+    compared in place; only several texts or complex content (*text_at*
+    None) build a string."""
+    def walk(descriptors, out: list) -> int:
+        tested = 0
+        for descriptor in descriptors:
+            node = descriptor.children_by_schema.get(slot)
+            while node is not None:
+                tested += 1
+                if text_at is None:
+                    found = string_value(node)
+                else:
+                    text = node.children_by_schema.get(text_at)
+                    if text is None:
+                        found = ""
+                    elif text.right_sibling is None:
+                        found = text.value or ""
+                    else:
+                        found = string_value(node)
+                if found == value:
+                    out.append(descriptor)
+                    break
+                following = node.next_in_block
+                if following != NO_SLOT:
+                    node = node.block.slots[following]
+                else:
+                    block = node.block.next_block
+                    if block is None:
+                        break
+                    node = block.slots[block.first_slot]
+                if node.parent is not descriptor:
+                    break
+        return tested
 
-    def __init__(self, predicate) -> None:
+    return walk
+
+
+class _Lowered(dict):
+    """Context schema node → what a stage runs below its instances,
+    made by *lower* on first sight: a probe's owners and a scan's
+    instances are lowered the same way, whether or not the planner
+    pinned their schema node."""
+
+    def __init__(self, lower: Callable[[SchemaNode], tuple]) -> None:
         super().__init__()
-        self.predicate = predicate
+        self.lower = lower
 
     def __missing__(self, schema_node: SchemaNode) -> tuple:
-        found = self[schema_node] = tuple(
-            predicate_carriers(schema_node, self.predicate))
+        found = self[schema_node] = self.lower(schema_node)
         return found
 
 
-class _TextSlots(dict):
-    """Carrier schema node → :func:`repro.query.cost.text_slot`,
-    resolved on first sight like :class:`_Carriers`."""
+def _carriers(predicate) -> _Lowered:
+    """The slots of the schema children carrying a value *predicate*,
+    in schema-children order."""
+    return _Lowered(lambda schema_node: tuple(
+        slot for slot, _carrier
+        in predicate_carriers(schema_node, predicate)))
 
-    def __missing__(self, carrier: SchemaNode) -> Optional[int]:
-        slot = self[carrier] = text_slot(carrier)
-        return slot
+
+def _per_run(schema_nodes, lowered: _Lowered, run_each
+             ) -> Callable[[list, list], int]:
+    """A stage's walk below its contexts, lowered: a ``(descriptors,
+    out)`` function.  With one context schema node lowered to one walk
+    (a probe's owners, a scan of one node, a step to one destination)
+    it is that walk — one loop over the whole list, with no call or
+    lookup per context; otherwise it hands each run of one schema
+    node's contexts and that node's walks to *run_each*, and returns
+    the sum of what that returns (the carriers a value walk tested)."""
+    if len(schema_nodes) == 1 and len(lowered[schema_nodes[0]]) == 1:
+        return lowered[schema_nodes[0]][0]
+
+    def runs(descriptors: list, out: list) -> int:
+        count = 0
+        for schema_node, run in groupby(descriptors, _schema_node_of):
+            count += run_each(lowered[schema_node], run, out)
+        return count
+
+    return runs
+
+
+_schema_node_of = attrgetter("schema_node")
+
+
+def _walk_run(walks: tuple, run, out: list) -> int:
+    """Each of *walks* below a run of one schema node's contexts
+    (several: a step to several destinations, whose output is put in
+    ``<<`` after).  It counts nothing: a step's visits are its
+    output."""
+    if len(walks) != 1:
+        run = list(run)
+    for walk in walks:
+        walk(run, out)
+    return 0
+
+
+def _value_walk_run(walks: tuple, run, out: list) -> int:
+    """:func:`_value_walk` below a run of one schema node's contexts;
+    with several carrier slots (one local name in several namespaces),
+    a context's slots are tried in order up to its first match."""
+    if len(walks) == 1:
+        return walks[0](run, out)
+    tested = 0
+    for descriptor in run:
+        for walk in walks:
+            kept = len(out)
+            tested += walk((descriptor,), out)
+            if len(out) > kept:
+                break
+    return tested
 
 
 def _predicate_stage(queries: "StorageQueryEngine",
@@ -488,7 +598,7 @@ def _attribute_predicate_stage(predicate: AttributePredicate
     # The attribute schema-child slots whose local name matches (one,
     # unless namespaces share it): the instance FIRST in label order
     # decides, mirroring predicate_holds over the attributes() order.
-    carriers = _Carriers(predicate)
+    carriers = _carriers(predicate)
     value = predicate.value
 
     def stage(descriptors: list) -> list:
@@ -496,7 +606,7 @@ def _attribute_predicate_stage(predicate: AttributePredicate
         for descriptor in descriptors:
             lookup = descriptor.children_by_schema.get
             first = None
-            for slot, _child in carriers[descriptor.schema_node]:
+            for slot in carriers[descriptor.schema_node]:
                 attribute = lookup(slot)
                 if attribute is not None and (
                         first is None or before(attribute.nid, first.nid)):
@@ -517,7 +627,7 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
     # has the two routes of a child step, chosen per call by the same
     # rule (cost.walks) from the context count and the value holders'
     # descriptor counts.
-    carriers = _Carriers(predicate)
+    carriers = _carriers(predicate)
     value = predicate.value
     string_value = queries.engine.string_value
 
@@ -526,7 +636,7 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
             out: list = []
             for descriptor in descriptors:
                 lookup = descriptor.children_by_schema.get
-                for slot, _child in carriers[descriptor.schema_node]:
+                for slot in carriers[descriptor.schema_node]:
                     if lookup(slot) is not None:
                         out.append(descriptor)
                         break
@@ -534,7 +644,10 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
         return f"predicate[{predicate.name}]", exists_stage
 
     holders = sweep_holders(schema_nodes, predicate)
-    text_slots = _TextSlots()
+    walked = _per_run(schema_nodes, _Lowered(lambda schema_node: tuple(
+        _value_walk(slot, text_slot(schema_node.children[slot]), value,
+                    string_value)
+        for slot in carriers[schema_node])), _value_walk_run)
 
     def swept(descriptors: list) -> list:
         # A semi-join from the value side.  The predicate is a per-node
@@ -572,31 +685,8 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
                 rows += holder.descriptor_count
             if not walks(len(descriptors), rows):
                 return swept(descriptors)
-        # Walk: compare the stored value of a simple-content carrier's
-        # one text child in place; only several texts or complex
-        # content build a string.
         out: list = []
-        children: list = []
-        tested = 0
-        for descriptor in descriptors:
-            _walk(descriptor, carriers[descriptor.schema_node], children)
-            for child in children:
-                tested += 1
-                slot = text_slots[child.schema_node]
-                if slot is None:
-                    found = string_value(child)
-                else:
-                    text = child.children_by_schema.get(slot)
-                    if text is None:
-                        found = ""
-                    elif text.right_sibling is None:
-                        found = text.value or ""
-                    else:
-                        found = string_value(child)
-                if found == value:
-                    out.append(descriptor)
-                    break
-            children.clear()
+        tested = walked(descriptors, out)
         if _explain.COLLECTING:
             # A carrier and the text below it per test.
             _note("/walk", 2 * tested)
@@ -648,9 +738,10 @@ def _child_step_stage(queries: "StorageQueryEngine",
     dest_nodes = tuple(destination)
     multi = len(dest_nodes) > 1
     in_document_order = queries.store.in_document_order
-    targets = {schema_node: tuple(
-        (slot, child) for slot, child in enumerate(schema_node.children)
-        if child in dest_nodes) for schema_node in context_nodes}
+    walk = _per_run(context_nodes, _Lowered(lambda schema_node: tuple(
+        partial(_walk, slot)
+        for slot, child in enumerate(schema_node.children)
+        if child in dest_nodes)), _walk_run)
 
     def stage(descriptors: list) -> list:
         if not descriptors:
@@ -663,8 +754,7 @@ def _child_step_stage(queries: "StorageQueryEngine",
                 _note("/sweep", rows)
             return _members(sweep(dest_nodes), (1,), set(descriptors))
         out: list = []
-        for descriptor in descriptors:
-            _walk(descriptor, targets[descriptor.schema_node], out)
+        walk(descriptors, out)
         if _explain.COLLECTING:
             _note("/walk", len(out))
         return in_document_order(out) if multi else out

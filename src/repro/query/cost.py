@@ -52,6 +52,7 @@ from repro.query.paths import (
     PositionPredicate,
 )
 from repro.query.planner import predicate_carriers
+from repro.storage.dschema import text_slot
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.statistics import NodeStats, StatisticsCollector
@@ -75,7 +76,7 @@ COST_POSTING = 0.6
 #: string compare per instance).
 COST_RESIDUAL = 2.5
 #: Unit cost of navigating one context node across one axis step: the
-#: §9.2 first-child pointer plus the sibling chain behind it.
+#: §9.2 first-child pointer plus the destination's chain behind it.
 COST_NAVIGATE = 4.0
 #: Unit cost of emitting one result row (append + order-merge share).
 COST_OUTPUT = 0.2
@@ -87,32 +88,36 @@ DEFAULT_EQ_SELECTIVITY = 0.1
 
 
 #: Swept destination rows that cost what one walked context costs —
-#: the walk/sweep crossover of a suffix child step.  Measured on the
-#: 1,000-book library with ``/library/book/title`` as the step (1,000
-#: destination rows, about five siblings behind each first-child
-#: pointer), µs per call:
+#: the walk/sweep crossover of a suffix child step, set where the two
+#: met while a walk read each context's whole sibling chain (0.22 µs
+#: per context).  Measured with the walk along the destination schema
+#: node's own chain, on the 1,000-book library with
+#: ``/library/book/title`` as the step (1,000 destination rows, one
+#: behind each first-child pointer), CPU time, best of 25, µs per
+#: call:
 #:
 #:     contexts     1    28   100   200   300   600  1000
-#:     walk       0.5   6.3    23    44    66   132   223
-#:     sweep       28    30    32    36    42    49    62
+#:     walk       0.8   3.6    11    20    29    56    90
+#:     sweep       32    34    37    41    46    57    69
 #:
-#: i.e. 0.22 µs per walked context against 0.028 µs per swept row plus
-#: 0.034 µs per context for the parent set: they meet near 150
-#: contexts, one per seven rows.
+#: i.e. 0.09 µs per walked context against 0.03 µs per swept row plus
+#: 0.037 µs per context for the parent set: they meet near 600
+#: contexts, one per 1.7 rows.
 #:
 #: A child-value predicate has the same two routes and takes the same
 #: constant.  ``[author='A']`` on ``/library/*`` of the 1,000-book,
-#: 1,000-paper library (2,991 author texts in the value holders, one
+#: 1,000-paper library (2,997 author texts in the value holders, one
 #: or two authors behind each context), µs per call:
 #:
 #:     contexts     1    28   100   200   300   600  1000  2000
-#:     walk       0.7  12.7    44    90   133   301   584  1138
-#:     sweep      112   113   117   120   123   140   159   184
+#:     walk       1.2   8.8    26    50    72   146   290   639
+#:     sweep      122   123   126   137   136   140   154   194
 #:
-#: i.e. 0.45 µs per walked context against 0.037 µs per swept text
-#: plus 0.036 µs per context for the intersection: they meet near 270
-#: contexts, one per eleven rows — within a factor of two of the
-#: step's one per seven, so there is one rule, not two constants.
+#: i.e. 0.24–0.32 µs per walked context against 0.04 µs per swept
+#: text plus 0.036 µs per context for the intersection: they meet
+#: near 570 contexts, one per five rows.  Both meet points lie on the
+#: walk's side of the constant; moving it moves routes, which is a
+#: change measured on its own.
 WALK_SWEEP_ROWS = 7.0
 
 
@@ -133,25 +138,6 @@ def walks(context_rows: float, destination_rows: float) -> bool:
     return context_rows * WALK_SWEEP_ROWS < destination_rows
 
 
-def text_slot(carrier: "SchemaNode") -> Optional[int]:
-    """The slot of the ``#text`` schema child of a *carrier* with
-    simple content, -1 when it has no text child either (every
-    instance is empty), None for complex content.
-
-    Simple content is a schema fact: with no element schema child, no
-    instance anywhere has an element child (§9.1: the node→schema-node
-    mapping is surjective), so an instance's sibling chain holds text
-    nodes only and its string value is exactly their concatenation.
-    """
-    slot = -1
-    for index, child in enumerate(carrier.children):
-        if child.node_type == "element":
-            return None
-        if child.node_type == "text":
-            slot = index
-    return slot
-
-
 def sweep_holders(schema_nodes, predicate
                   ) -> "Optional[list[SchemaNode]]":
     """The ``#text`` schema nodes whose blocks answer *predicate* on
@@ -160,9 +146,10 @@ def sweep_holders(schema_nodes, predicate
     — or None when only the per-context walk can: not a child-value
     predicate, the literal ``''`` (an element with no text child has
     that string value and no row in any text block), or a carrier with
-    complex content (:func:`text_slot`).  Shared, like :func:`walks`,
-    by the executor (``compiled._child_predicate_stage``) and the
-    model, which put the holders' rows to that rule."""
+    complex content (:func:`~repro.storage.dschema.text_slot`).
+    Shared, like :func:`walks`, by the executor
+    (``compiled._child_predicate_stage``) and the model, which put the
+    holders' rows to that rule."""
     if not (isinstance(predicate, ChildPredicate) and predicate.value):
         return None
     holders = []

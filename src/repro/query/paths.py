@@ -9,6 +9,8 @@ Grammar (absolute paths only)::
                 | "[@" name ("=" string)? "]"
                 | "[" name ("=" string)? "]"
     name      ::= NCName (XML Namespaces; no prefixes)
+    integer   ::= [0-9]+
+    string    ::= "'" [^']* "'" | '"' [^"]* '"'
 
 Anything else is refused with a :class:`~repro.errors.QueryError`
 naming the offending token — never read as a name no node carries.
@@ -28,6 +30,13 @@ from typing import Union
 
 from repro.errors import QueryError
 from repro.xmlio.chars import is_ncname
+
+
+def _literal(value: str) -> str:
+    """*value* as the grammar's ``string``: between ``'`` unless it
+    holds one, then between ``"`` (a literal holds at most the other
+    kind; there is no escape)."""
+    return f'"{value}"' if "'" in value else f"'{value}'"
 
 
 @dataclass(frozen=True)
@@ -50,7 +59,7 @@ class AttributePredicate:
     def __repr__(self) -> str:
         if self.value is None:
             return f"[@{self.name}]"
-        return f"[@{self.name}='{self.value}']"
+        return f"[@{self.name}={_literal(self.value)}]"
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,7 @@ class ChildPredicate:
     def __repr__(self) -> str:
         if self.value is None:
             return f"[{self.name}]"
-        return f"[{self.name}='{self.value}']"
+        return f"[{self.name}={_literal(self.value)}]"
 
 
 Predicate = Union[PositionPredicate, AttributePredicate, ChildPredicate]
@@ -176,9 +185,14 @@ def _parse_predicate(body: str, token: str) -> "Predicate":
         raise QueryError(f"empty predicate in {token!r}")
     if body == "last()":
         return PositionPredicate(None)
-    if body.lstrip("-").isdigit():
-        # isdecimal: exactly the digit strings int() accepts.
-        if not body.isdecimal() or int(body) < 1:
+    digits = body.lstrip("-")
+    if digits.isdigit():
+        # The grammar's integer is ASCII digits; int() would also read
+        # the digits of other scripts ('１').
+        if not (digits.isascii() and digits.isdecimal()):
+            raise QueryError(
+                f"a position is ASCII digits: [{body}] in {token!r}")
+        if digits != body or int(body) < 1:
             raise QueryError(f"positions are 1-based: [{body}]")
         return PositionPredicate(int(body))
     name, equals, literal = body.partition("=")
@@ -192,6 +206,10 @@ def _parse_predicate(body: str, token: str) -> "Predicate":
 
 def _parse_string_literal(text: str, token: str) -> str:
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
+        if text[0] in text[1:-1]:
+            raise QueryError(
+                f"a literal cannot hold its own quote: {text} in "
+                f"{token!r}")
         return text[1:-1]
     raise QueryError(f"predicate value must be quoted in {token!r}")
 

@@ -346,13 +346,10 @@ class DatabaseServer:
         share one hold of the live lock: another thread's ``execute``
         on the same session cannot change the nodes in between."""
         if session.mode == "read":
-            engine = session.snapshot.engine
-            return [engine.string_value(descriptor)
-                    for descriptor in self.query(session, path)]
+            return session.snapshot.engine.string_values(
+                self.query(session, path))
         with self._live_lock:
-            engine = self.engine
-            return [engine.string_value(descriptor)
-                    for descriptor in self.query(session, path)]
+            return self.engine.string_values(self.query(session, path))
 
     def execute(self, session: Session, mutate: Callable, *,
                 timeout: Optional[float] = None):

@@ -113,13 +113,33 @@ class SchemaNode:
         return f"SchemaNode({self.step!r}, {self.descriptor_count} nodes)"
 
 
+def text_slot(carrier: SchemaNode) -> Optional[int]:
+    """The slot of the ``#text`` schema child of an element *carrier*
+    with simple content, -1 when it has no text child either (every
+    instance is empty), None for complex content.
+
+    Simple content is a schema fact: with no element schema child, no
+    instance anywhere has an element child (§9.1: the node→schema-node
+    mapping is surjective), so an instance's child sequence holds text
+    nodes only and its string value is exactly their concatenation —
+    its first text child's value when that text has no right sibling.
+    """
+    slot = -1
+    for index, child in enumerate(carrier.children):
+        if child.node_type == "element":
+            return None
+        if child.node_type == "text":
+            slot = index
+    return slot
+
+
 class DescriptiveSchema:
     """The schema tree with get-or-create path extension.
 
     The schema carries a :attr:`version` counter that is bumped exactly
     when the tree *grows* (a new (name, type) path appears).  Pure data
     inserts reuse existing schema nodes and leave the version alone, so
-    query plans compiled against the schema (`repro.query.planner`)
+    query plans compiled against the schema (the query layer's planner)
     stay valid across arbitrary data updates and invalidate precisely
     when a new document path — hence a new schema path, by the defining
     property of Section 9.1 — comes into existence.

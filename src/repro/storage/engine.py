@@ -27,7 +27,7 @@ from repro.storage import faults
 from repro.storage.blocks import Block
 from repro.storage.checkpoints import CheckpointTracker
 from repro.storage.descriptor import NodeDescriptor, doc_order_key
-from repro.storage.dschema import DescriptiveSchema, SchemaNode
+from repro.storage.dschema import DescriptiveSchema, SchemaNode, text_slot
 from repro.storage.indexes import IndexManager
 from repro.storage.labels import (
     NidLabel,
@@ -327,6 +327,38 @@ class StorageEngine:
                 parts.append(self.string_value(node))
             node = node.right_sibling
         return "".join(parts)
+
+    def string_values(self, descriptors) -> list[str]:
+        """``[string_value(d) for d in descriptors]`` in one pass.
+
+        A path result is mostly runs of one schema node, so the text
+        slot (:func:`~repro.storage.dschema.text_slot`) is resolved
+        once per run: an element with simple content reads its first
+        text child's value through the §9.2 pointer when that text is
+        its only child, and one without a text child (slot -1 holds
+        none) reads ``""``.  Everything else
+        — texts, attributes, the document, complex content, several
+        texts — is :meth:`string_value`'s."""
+        out: list[str] = []
+        append = out.append
+        string_value = self.string_value
+        schema_node = slot = None
+        for descriptor in descriptors:
+            if descriptor.schema_node is not schema_node:
+                schema_node = descriptor.schema_node
+                slot = (text_slot(schema_node)
+                        if schema_node.node_type == "element" else None)
+            if slot is None:
+                append(string_value(descriptor))
+            else:
+                text = descriptor.children_by_schema.get(slot)
+                if text is None:
+                    append("")
+                elif text.right_sibling is None:
+                    append(text.value or "")
+                else:
+                    append(string_value(descriptor))
+        return out
 
     # ==================================================================
     # Scans

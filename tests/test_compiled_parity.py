@@ -31,7 +31,9 @@ from repro.query import (
     evaluate_store,
     evaluate_tree,
 )
+from repro.query.compiled import _walk
 from repro.storage import StorageEngine
+from repro.storage.blocks import sweep
 from repro.storage.descriptor import doc_order_key
 from repro.workloads import make_library_document
 from repro.xmlio import parse_document, serialize_document
@@ -589,6 +591,183 @@ def test_value_predicates_report_what_they_read():
     assert names == ["scan[lib/book]", "predicate[@k]",
                      "predicate[a=…]/walk", "step[t]/sweep"]
     assert visited == 5 + 2 * 10 + 5
+
+
+# ---------------------------------------------------------------------------
+# The §9.2 walk reads the destination schema node's own chain, and
+# simple-content values leave in one pass: both must hold on whatever
+# layout updates leave behind — same-named children no longer adjacent
+# in the sibling chain, mixed-content texts split by an element, blocks
+# split by inserts and half-emptied by deletes.
+
+_WALK_NAMES = ("a", "b", "c")
+
+
+@st.composite
+def _walk_element(draw, depth=0):
+    """A small element over three names, two attribute names and two
+    texts (adjacent texts parse into one)."""
+    name = draw(st.sampled_from(_WALK_NAMES))
+    attributes = "".join(f' {attribute}="{attribute}{depth}"'
+                         for attribute in draw(st.sets(
+                             st.sampled_from("xy"))))
+    parts = []
+    if depth < 3:
+        for _ in range(draw(st.integers(0, 4))):
+            if draw(st.booleans()):
+                parts.append(draw(_walk_element(depth + 1)))
+            else:
+                parts.append(draw(st.sampled_from(("t", "u", ""))))
+    return f"<{name}{attributes}>{''.join(parts)}</{name}>"
+
+
+#: One update, resolved against the engine as it stands: (kind, which
+#: element, which child position, name or text).
+_WALK_UPDATES = st.tuples(
+    st.sampled_from(("element", "element", "text", "delete",
+                     "attribute")),
+    st.integers(0, 63), st.integers(0, 7),
+    st.sampled_from(_WALK_NAMES + ("t", "u")))
+
+
+def _apply_walk_updates(engine, updates):
+    for kind, which, position, payload in updates:
+        elements = [descriptor for descriptor
+                    in engine.iter_document_order()
+                    if descriptor.node_type == "element"]
+        target = elements[which % len(elements)]
+        index = position % (len(engine.children(target)) + 1)
+        if kind == "delete":
+            if target.parent is not engine.document:
+                engine.delete_subtree(target)
+        elif kind == "attribute":
+            engine.set_attribute(target, QName("", "xy"[which % 2]),
+                                 payload, replace=True)
+        elif kind == "text" or payload not in _WALK_NAMES:
+            engine.insert_child(target, index, text=payload)
+        else:
+            engine.insert_child(target, index, name=QName("", payload))
+    engine.check_invariants()
+
+
+def _stored(engine):
+    """Every stored descriptor, chain by chain."""
+    return [descriptor for schema_node in engine.schema.iter_nodes()
+            for descriptor in sweep((schema_node,))]
+
+
+def _assert_walk_and_values(engine, order=None):
+    """The walk of every stored descriptor to every schema child is
+    that child's run of the child sequence (the attributes, for an
+    attribute schema child), one context at a time and all instances
+    of a schema node at once; and ``string_values`` of any list is
+    ``string_value`` of each member."""
+    for schema_node in engine.schema.iter_nodes():
+        contexts = sweep((schema_node,))
+        for slot, child in enumerate(schema_node.children):
+            expected_all = []
+            for context in contexts:
+                nodes = (engine.attributes(context)
+                         if child.node_type == "attribute"
+                         else engine.children(context))
+                expected = [node for node in nodes
+                            if node.schema_node is child]
+                walked = []
+                _walk(slot, (context,), walked)
+                assert walked == expected, (context, child)
+                expected_all += expected
+            walked = []
+            _walk(slot, contexts, walked)
+            assert walked == expected_all, (schema_node, child)
+    stored = _stored(engine)
+    lists = [stored, stored[::-1], [engine.document]]
+    if order is not None:
+        lists.append([stored[index % len(stored)] for index in order])
+    for descriptors in lists:
+        assert engine.string_values(descriptors) == [
+            engine.string_value(descriptor) for descriptor in descriptors]
+
+
+#: Paths whose child steps and child-value predicates walk or sweep
+#: whatever the updates did.
+_WALK_PATHS = ("/*/*", "/*/a/b", "//a/b", "//b/text()", "//*/@x",
+               "//a[b='t']", "//*[c='u']/a", "//a[b='']/c", "//*[a='tu']")
+
+
+@settings(max_examples=max(150, settings().max_examples), deadline=None)
+@given(document=_walk_element(), capacity=st.sampled_from((2, 3, 4)),
+       updates=st.lists(_WALK_UPDATES, max_size=12),
+       order=st.lists(st.integers(0, 255), max_size=20))
+def test_walk_and_values_hold_on_update_made_layouts(document, capacity,
+                                                     updates, order):
+    engine, queries = _setup(f"<r>{document}</r>", block_capacity=capacity)
+    _apply_walk_updates(engine, updates)
+    _assert_walk_and_values(engine, order)
+    for path in _WALK_PATHS:
+        oracle = _nids(evaluate_store(queries.store, path))
+        assert _nids(queries.evaluate(path)) == oracle, path
+
+
+@pytest.mark.parametrize("text,step", [
+    # The second author follows the issue: not adjacent to the first
+    # in the sibling chain, adjacent in the author chain.
+    ("<book><author/><issue/><author/></book>", "author"),
+    # Mixed content: the element splits p's texts in the sibling chain.
+    ("<p>a<b/>c</p>", "#text"),
+])
+def test_walk_and_values_regressions(text, step):
+    engine, _ = _setup(text, block_capacity=2)
+    _assert_walk_and_values(engine)
+    root = engine.children(engine.document)[0]
+    slot = [child.step for child in root.schema_node.children].index(step)
+    walked = []
+    _walk(slot, (root,), walked)
+    assert walked == [child for child in engine.children(root)
+                      if child.schema_node.step == step]
+    assert len(walked) == 2
+
+
+def test_walk_reads_the_author_chain_after_updates():
+    """An author inserted after the issue, and authors inserted into a
+    split block: each book's authors are still one run of the author
+    chain, in document order, and nothing else."""
+    books = "".join(f"<book><title>T{n}</title><author>A{n}</author>"
+                    f"<issue>I{n}</issue></book>" for n in range(6))
+    engine, queries = _setup(f"<lib>{books}</lib>", block_capacity=2)
+    splits = engine.split_count
+    lib = engine.children(engine.document)[0]
+    for number, book in enumerate(engine.children(lib)):
+        _element(engine, book, 3, "author", f"B{number}")
+        _element(engine, book, 1, "author", f"C{number}")
+    assert engine.split_count > splits
+    engine.check_invariants()
+    _assert_walk_and_values(engine)
+    assert [engine.string_value(author) for author in queries.evaluate(
+        "/lib/book[3]/author")] == ["C2", "A2", "B2"]
+    assert len(queries.evaluate("/lib/book[author='B4']/title")) == 1
+
+
+@pytest.mark.parametrize("path,found", [
+    ("/lib/book[@k][a='A1']", 1), ("/lib/book[@k][a='A']", 0),
+    ("/lib/*[@k][a='A1']", 2), ("/lib/*[@k][a='A']", 0),
+])
+def test_value_walk_reads_a_value_split_over_texts(path, found):
+    """Behind a selective filter the value predicate walks — one loop
+    over the contexts of one schema node (``book``), one per run of
+    each below ``*`` (``book`` and ``box``) — and a carrier whose value
+    an insert split over two texts is read whole on either; a context
+    with two matching carriers is kept once."""
+    rows = "".join("<book><a>X</a></book><box><a>X</a></box>"
+                   for _ in range(10))
+    engine, queries = _setup(
+        f"<lib>{rows}<book k='1'><a>A</a><a>A1</a></book>"
+        "<box k='1'><a>A</a></box></lib>")
+    for carrier in queries.evaluate_naive("/lib/*[@k]/a[1]"):
+        engine.insert_child(carrier, 1, text="1")
+    names, _ = _stage_names(queries, path)
+    assert "predicate[a=…]/walk" in names
+    _assert_compiled_parity(queries, path)
+    assert len(queries.evaluate(path)) == found
 
 
 def test_corpus_covers_the_interpreter_strategies(shelf_queries):

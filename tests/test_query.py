@@ -139,6 +139,12 @@ class TestPathParser:
         # Names the grammar does not derive (not NCNames).
         "/a b", "/1a", "/a=b", "/a'", "/@1", "/a:b",
         "/library/book[*]", "/library/book[@*]",
+        # A literal holds no quote of its own kind (XPath's Literal).
+        pytest.param("/a[b='x'='y']", id="literal-holds-its-quote"),
+        pytest.param('/a[@b="x"="y"]', id="attr-literal-holds-its-quote"),
+        # A position is ASCII digits, not another script's.
+        pytest.param("/a[\uff11]", id="fullwidth-digit-position"),
+        pytest.param("/a[\u0661]", id="arabic-indic-digit-position"),
     ])
     def test_rejects(self, bad):
         with pytest.raises(QueryError):
@@ -147,6 +153,13 @@ class TestPathParser:
     def test_repr_round_trip(self):
         for text in ("/a/b", "//x", "/a/@id", "/a/text()", "/a/*"):
             assert repr(parse_path(text)) == text
+
+    @pytest.mark.parametrize("text", [
+        """/a[b="it's"]""", """/a[@b="it's"]""", """/a[b='say "hi"']""",
+    ])
+    def test_repr_quotes_a_value_holding_a_quote(self, text):
+        assert repr(parse_path(text)) == text
+        assert parse_path(repr(parse_path(text))) == parse_path(text)
 
 
 # ----------------------------------------------------------------------
@@ -157,9 +170,12 @@ class TestPathParser:
 _NAME_START = "abxyzAZ_éΩ"
 _NAMES = st.builds(operator.add, st.sampled_from(_NAME_START),
                    st.text(_NAME_START + "09-.·", max_size=4))
-_VALUES = st.text(st.characters(blacklist_characters="'",
-                                blacklist_categories=("Cs",)),
-                  max_size=4)
+#: Literal values: each holds at most one kind of quote, and is
+#: rendered between the other (:func:`_quoted`).
+_VALUES = st.one_of(*(
+    st.text(st.characters(blacklist_characters=quote,
+                          blacklist_categories=("Cs",)), max_size=4)
+    for quote in "'\""))
 #: Non-NameChars that spoil a name in place: not ``/`` (it would split
 #: the step into two valid ones), not ``@`` (``[@a]`` is a predicate
 #: form), not a quote (it re-pairs the literal quotes) and not
@@ -191,9 +207,14 @@ def _grammar_paths(draw):
             else:
                 pieces += ["[" + form[:-4], [draw(_NAMES)]]
                 if draw(st.booleans()):
-                    pieces.append(f"='{draw(_VALUES)}'")
+                    pieces.append(f"={_quoted(draw(_VALUES))}")
                 pieces.append("]")
     return pieces
+
+
+def _quoted(value):
+    """*value* between the quotes ``repr(Path)`` prints it in."""
+    return f'"{value}"' if "'" in value else f"'{value}'"
 
 
 def _render(pieces, spoiled=None, at=None):

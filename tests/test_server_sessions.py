@@ -134,15 +134,15 @@ class TestSnapshotIsolation:
             extracting = threading.Event()
             mutated = threading.Event()
             seen_mutation = []
-            string_value = engine.string_value
+            string_values = engine.string_values
 
-            def slow_string_value(descriptor):
+            def slow_string_values(descriptors):
                 if not extracting.is_set():
                     extracting.set()
                     # Give the other thread every chance to get in.
                     mutated.wait(timeout=0.3)
-                seen_mutation.append(mutated.is_set())
-                return string_value(descriptor)
+                seen_mutation.extend([mutated.is_set()] * len(descriptors))
+                return string_values(descriptors)
 
             def mutate(live, session):
                 add_book("RACED")(live, session)
@@ -152,14 +152,14 @@ class TestSnapshotIsolation:
                 assert extracting.wait(timeout=10.0)
                 writer.execute(mutate)
 
-            engine.string_value = slow_string_value
+            engine.string_values = slow_string_values
             thread = threading.Thread(target=second_thread)
             thread.start()
             try:
                 values = writer.query_values(TITLES)
             finally:
                 thread.join(timeout=10.0)
-                del engine.string_value
+                del engine.string_values
             assert not thread.is_alive() and mutated.is_set()
             assert len(values) == 5 and "RACED" not in values
             assert seen_mutation == [False] * 5
