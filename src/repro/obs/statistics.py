@@ -26,7 +26,7 @@ digest and recovery verify it against a from-scratch
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.errors import StorageError
 
@@ -53,8 +53,8 @@ STATS_DRIFT_MIN_MUTATIONS = 16
 
 def descriptor_bytes(descriptor: "NodeDescriptor") -> int:
     """The deterministic modeled size of one descriptor (the label
-    counts ``len(nid.sort_key())``: one u16 per symbol)."""
-    size = DESCRIPTOR_OVERHEAD + 2 * len(descriptor.nid.symbols())
+    counts its own bytes: one u16 per symbol)."""
+    size = DESCRIPTOR_OVERHEAD + bytes.__len__(descriptor.nid)
     if descriptor.value is not None:
         size += len(descriptor.value.encode("utf-8"))
     return size
@@ -71,18 +71,28 @@ def _numeric_key(value: str) -> tuple:
     return (0, number, value)
 
 
-def _typed_order(values) -> list:
-    """Values sorted in the typed space: numerically when every value
-    parses as a number (lexically distinct ``"9"``/``"0009"`` compare
-    by value, ties broken lexicographically), lexicographically
+def _typed_order(values) -> tuple[list, Callable]:
+    """Values sorted in the typed space, and its key: numerically when
+    every value parses as a number (lexically distinct ``"9"``/``"0009"``
+    compare by value, ties broken lexicographically), by ``str``
     otherwise.  The order is a pure function of the value *set* —
     never of insertion order — because the persisted digest must equal
     a from-scratch recount that saw the same values in document order."""
     values = list(values)
     try:
-        return sorted(values, key=_numeric_key)
+        return sorted(values, key=_numeric_key), _numeric_key
     except ValueError:
-        return sorted(values)
+        return sorted(values), str
+
+
+def _in_typed_range(lexical: str, low: str, high: str, key) -> bool:
+    """Is *lexical* within ``[low, high]`` in the order (*key*)
+    :func:`_typed_order` built that range in?  Every value of the set
+    is; a literal that is no number is in no numeric range."""
+    try:
+        return key(low) <= key(lexical) <= key(high)
+    except ValueError:
+        return False
 
 
 class NodeStats:
@@ -96,9 +106,9 @@ class NodeStats:
         #: Multiset of the live values under this node (the multiset —
         #: not a set — so removals keep ``distinct`` exact).
         self.value_counts: Dict[str, int] = {}
-        #: :meth:`value_range` of the current value set; ``False`` =
-        #: not computed since the set last changed.
-        self._range: "Optional[tuple[str, str]] | bool" = False
+        #: ``(min, max, sort key)`` of the current value set (None: no
+        #: values); ``False`` = not computed since the set changed.
+        self._range: "Optional[tuple] | bool" = False
 
     @property
     def distinct_values(self) -> int:
@@ -118,20 +128,29 @@ class NodeStats:
             del self.value_counts[value]
             self._range = False
 
+    def _typed_range(self) -> "Optional[tuple]":
+        """A pure function of the value *set*, so it is memoized until
+        a value enters or leaves it."""
+        if self._range is False:
+            self._range = None
+            if self.value_counts:
+                ordered, key = _typed_order(self.value_counts)
+                self._range = (ordered[0], ordered[-1], key)
+        return self._range
+
     def value_range(self) -> "Optional[tuple[str, str]]":
         """The collected ``(min, max)`` value pair in the typed order,
-        or None when the node carries no values — what the cost
-        model's range check prices eq-probe keys against.  A pure
-        function of the value *set*, so it is memoized until a value
-        enters or leaves it."""
-        value_range = self._range
-        if value_range is False:
-            value_range = None
-            if self.value_counts:
-                ordered = _typed_order(self.value_counts)
-                value_range = (ordered[0], ordered[-1])
-            self._range = value_range
-        return value_range
+        or None when the node carries no values."""
+        value_range = self._typed_range()
+        return value_range and value_range[:2]
+
+    def may_hold(self, lexical: str) -> bool:
+        """False only when *lexical* lies outside the value range in
+        the order the range was built in — what the cost model prices
+        an eq-probe key against.  A stored value never does."""
+        value_range = self._typed_range()
+        return value_range is None or _in_typed_range(lexical,
+                                                      *value_range)
 
     def as_dict(self) -> dict:
         """The digest the snapshot image persists and EXPLAIN/cost

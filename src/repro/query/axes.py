@@ -161,7 +161,7 @@ def _storage_document_stream(engine: "StorageEngine"
                              ) -> Iterator["NodeDescriptor"]:
     """All non-attribute descriptors in document order, as a lazy
     k-way merge of the per-schema-node block scans keyed on the
-    memoized packed labels."""
+    labels."""
     streams = [engine.scan_schema_node(schema_node)
                for schema_node in engine.schema.iter_nodes()
                if schema_node.node_type != "attribute"]
@@ -175,9 +175,9 @@ def storage_following_axis(engine: "StorageEngine",
     alone: a bytewise ``<`` places x after the context and a prefix
     test (``startswith``) excludes its descendants — each test is one
     C-level bytes operation, with no navigation and no node sets."""
-    context_key = descriptor.nid.sort_key()
+    context_key = descriptor.nid
     for candidate in _storage_document_stream(engine):
-        candidate_key = candidate.nid.sort_key()
+        candidate_key = candidate.nid
         if not context_key < candidate_key:
             continue  # at or before the context node
         if candidate_key.startswith(context_key):
@@ -194,10 +194,10 @@ def storage_preceding_axis(engine: "StorageEngine",
     materialized, because the axis is reversed) result list is
     buffered — ancestors are excluded by a key prefix test, not by set
     membership."""
-    context_key = descriptor.nid.sort_key()
+    context_key = descriptor.nid
     out: list["NodeDescriptor"] = []
     for candidate in _storage_document_stream(engine):
-        candidate_key = candidate.nid.sort_key()
+        candidate_key = candidate.nid
         if not candidate_key < context_key:
             break  # reached the context: nothing later can precede it
         if context_key.startswith(candidate_key):

@@ -78,7 +78,6 @@ from repro.query.planner import CompiledPlan, match_step, predicate_carriers
 from repro.storage.blocks import sweep
 from repro.storage.descriptor import NO_SLOT
 from repro.storage.dschema import SchemaNode, text_slot
-from repro.storage.labels import before
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.explain import QueryExplain
@@ -609,7 +608,7 @@ def _attribute_predicate_stage(predicate: AttributePredicate
             for slot in carriers[descriptor.schema_node]:
                 attribute = lookup(slot)
                 if attribute is not None and (
-                        first is None or before(attribute.nid, first.nid)):
+                        first is None or attribute.nid < first.nid):
                     first = attribute
             if first is not None and (
                     value is None or (first.value or "") == value):

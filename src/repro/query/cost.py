@@ -216,16 +216,6 @@ class CostEstimate:
                 f"out={self.output_rows:.1f})")
 
 
-def _in_range(lexical: str, low: str, high: str) -> bool:
-    """Is *lexical* within the collected value range?  Compared in the
-    numeric space when all three parse as numbers (mirroring the typed
-    ordering of the statistics digest), lexically otherwise."""
-    try:
-        return float(low) <= float(lexical) <= float(high)
-    except ValueError:
-        return low <= lexical <= high
-
-
 class CostModel:
     """Prices candidate plans from one engine's statistics.
 
@@ -291,9 +281,7 @@ class CostModel:
         stats = self.node_stats(value_node)
         if stats is None or stats.descriptors <= 0:
             return DEFAULT_EQ_SELECTIVITY
-        value_range = stats.value_range()
-        if value_range is not None \
-                and not _in_range(lexical, *value_range):
+        if not stats.may_hold(lexical):
             return 0.0
         return 1.0 / max(1, stats.distinct_values)
 

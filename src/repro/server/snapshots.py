@@ -132,7 +132,7 @@ class Snapshot:
         #: Relabels while building and advancing it — always 0
         #: (Proposition 1); recorded so sessions can assert it.
         self.relabels = relabels
-        #: ``nid.symbols()`` -> descriptor, filled by the first advance
+        #: label -> descriptor, filled by the first advance
         #: and kept current by every later one (see ``replay``).
         self.nid_index: dict = {}
         self._queries: "Optional[StorageQueryEngine]" = None

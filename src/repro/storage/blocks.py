@@ -138,9 +138,9 @@ class Block:
     def verify(self) -> None:
         """The in-block invariants, walked from scratch: the order
         chain holds exactly ``count`` descriptors and ends at
-        ``last_slot``, its labels strictly increase (compared on packed
-        ``sort_key`` bytes), and each descriptor belongs to this
-        block's schema node.  Raises ``StorageError``; on success
+        ``last_slot``, its labels strictly increase (compared as
+        bytes), and each descriptor belongs to this block's schema
+        node.  Raises ``StorageError``; on success
         records the verdict and keeps the walked chain as the
         memoized run, so the next sweep does not walk it again."""
         ordered = list(islice(self.iter_in_order(), self.count + 1))
@@ -155,7 +155,7 @@ class Block:
         owner = self.schema_node
         previous = b""
         for descriptor in ordered:
-            key = descriptor.nid.sort_key()
+            key = descriptor.nid
             if key <= previous:
                 raise StorageError(f"{self!r}: in-block chain out of order")
             previous = key
@@ -304,8 +304,7 @@ def sweep(schema_nodes) -> list:
             block.extend_in_order(out)
             block = block.next_block
         if (ordered and 0 < boundary < len(out)
-                and (out[boundary].nid.sort_key()
-                     < out[boundary - 1].nid.sort_key())):
+                and out[boundary].nid < out[boundary - 1].nid):
             ordered = False
     if not ordered:
         out.sort(key=doc_order_key)

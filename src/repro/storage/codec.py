@@ -16,9 +16,11 @@ backends (:mod:`repro.storage.backends`).  The pieces:
 * u32-length + CRC32 record framing (:func:`encode_frame` /
   :func:`iter_frames`) — the WAL's torn-tail detection, shared by
   every WAL store;
-* numbering labels (:func:`u16_run` states the digit-exact wire form
-  of :class:`~repro.storage.labels.NidLabel`; :func:`pack_nid`,
-  ``Reader.nid``, ``Reader.nid_bytes``, ``Reader.link``).
+* numbering labels: a :class:`~repro.storage.labels.NidLabel` is
+  bytes already, and travels as its byte length (u16) followed by
+  those bytes (:func:`pack_nid`).  ``Reader.nid`` refuses what is not
+  a label (:func:`~repro.storage.labels.key_fault`); ``Reader.link``
+  reads an optional label that is only looked up, unvalidated.
 """
 
 from __future__ import annotations
@@ -26,49 +28,25 @@ from __future__ import annotations
 import re
 import struct
 import zlib
-from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NoReturn, Optional
 
 from repro.errors import CorruptionError, XmlSyntaxError
-from repro.storage.labels import NidLabel
+from repro.storage.labels import MAX_BASE, NidLabel, from_key, key_fault
 from repro.xmlio.qname import QName
 
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_unpack_u16 = _U16.unpack_from
 
 _FIELDS = re.compile(r"(\d*)([BHIQ])")  # the codes layouts here use
 
 
-@lru_cache(maxsize=256)
-def u16_run(count: int) -> struct.Struct:
-    """*count* little-endian u16 in a row — the label wire form.
-
-    A numbering label travels as one such run: the component count,
-    then per component its length followed by its digits.  Writers
-    pack a whole label through one run (:func:`pack_nid`); a reader
-    takes each component's digits through a run of the length it has
-    just read (``Reader.nid``) or steps over it (``Reader.nid_bytes``).
-    """
-    return struct.Struct(f"<{count}H")
-
-
 def pack_nid(out: bytearray, nid: NidLabel) -> None:
-    """Append the digit-exact wire form of *nid* to *out*, memoized
-    on the immutable label like its ``sort_key()`` (a payload writes a
-    label up to four times); decoders do not seed it."""
-    wire = nid._wire
-    if wire is None:
-        components = nid.components
-        flat = [len(components)]
-        for component in components:
-            flat.append(len(component))
-            flat.extend(component)
-        wire = u16_run(len(flat)).pack(*flat)
-        object.__setattr__(nid, "_wire", wire)
-    out += wire
+    """Append the wire form of *nid* to *out*: its byte length (u16),
+    then the label's own bytes."""
+    out += _U16.pack(bytes.__len__(nid))
+    out += nid
 
 
 def pack_text(out: bytearray, value: str) -> None:
@@ -94,9 +72,6 @@ class Writer:
 
     def text(self, value: str) -> None:
         pack_text(self.out, value)
-
-    def nid(self, nid: NidLabel) -> None:
-        pack_nid(self.out, nid)
 
     def trailer(self) -> None:
         """The CRC32 of everything written so far (not self-included)."""
@@ -197,79 +172,49 @@ class Reader:
                 f"corrupt name in {self.what} at {self.location(start)}: "
                 f"{error}", pos=start) from error
 
-    def since(self, start: int) -> bytes:
-        """The bytes read since position *start*."""
-        return self._data[start:self._pos]
-
-    def _label(self, decode: bool) -> list:
-        """Step over one label — per component one bounds check and,
-        to *decode*, one unpack of its digits."""
+    def nid(self, base: int = MAX_BASE) -> NidLabel:
+        """One label, refused where it starts unless it is a label
+        over *base* digits."""
         data = self._data
-        size = len(data)
-        pos = self._pos
-        if pos + 2 > size:
-            self._truncated(_U16, pos)
-        (count,) = _U16.unpack_from(data, pos)
-        if not count:
-            raise self.corrupt(
-                f"label without components in {self.what} at "
-                f"{self.location()}")
-        pos += 2
-        components = []
-        for _ in range(count):
-            if pos + 2 > size:
-                self._truncated(_U16, pos)
-            (length,) = _U16.unpack_from(data, pos)
-            pos += 2
-            end = pos + 2 * length
-            if end > size:
-                self._truncated(u16_run(length), pos)
-            if decode:
-                components.append(u16_run(length).unpack_from(data, pos))
-            pos = end
-        self._pos = pos
-        return components
-
-    def nid(self) -> NidLabel:
-        return NidLabel(tuple(self._label(True)))
-
-    def nid_bytes(self) -> bytes:
-        """The wire bytes of one label, bounds-checked like
-        :meth:`nid` with no digit unpacked.  Labels are digit-exact on
-        the wire, so equal bytes are equal labels."""
         start = self._pos
-        self._label(False)
-        return self._data[start:self._pos]
+        end = start + 2
+        if end <= len(data):
+            end += data[start] | data[start + 1] << 8
+        if end > len(data):
+            self._short_label()
+        key = data[start + 2:end]
+        fault = key_fault(key, base)
+        if fault is not None:
+            raise self.corrupt(
+                f"label {fault} in {self.what} at "
+                f"{self.location(start)}", pos=start)
+        self._pos = end
+        return from_key(key)
 
-    def link(self, stem: bytes = b"", depth: int = 0) -> Optional[bytes]:
-        """An optional label (u8 flag, then the label) as
-        :meth:`nid_bytes` gives it; None for an absent one.  *stem* is
-        the wire form of *depth* components it probably starts with (a
-        record's parent and siblings share all of its components but
-        the last), stepped over in one compare.  Bounds are checked
-        once; a label that fails is read again field by field, for the
-        position of the field that does not fit."""
+    def link(self) -> Optional[bytes]:
+        """An optional label (u8 flag, then the label) as its bytes;
+        None for an absent one.  A link is only ever looked up among
+        labels :meth:`nid` accepted, so it is not validated."""
         data = self._data
-        start = self._pos + 1
-        try:
-            if not data[start - 1]:
-                self._pos = start
+        flag = self._pos
+        end = flag + 3
+        if end <= len(data):
+            if not data[flag]:
+                self._pos = flag + 1
                 return None
-            (count,) = _unpack_u16(data, start)
-            pos = start + 2
-            left = count
-            if count >= depth and data.startswith(stem, pos):
-                pos += len(stem)
-                left -= depth
-            for _ in range(left):
-                pos += 2 + 2 * _unpack_u16(data, pos)[0]
-        except (IndexError, struct.error):
-            count = 0
-        if not count or pos > len(data):
-            self.u8()
-            return self.nid_bytes()
-        self._pos = pos
-        return data[start:pos]
+            end += data[flag + 1] | data[flag + 2] << 8
+            if end <= len(data):
+                self._pos = end
+                return data[flag + 3:end]
+        if self.u8():
+            self._short_label()
+        return None
+
+    def _short_label(self) -> NoReturn:
+        """A label that does not fit: fail at its first field that
+        does not."""
+        self._take(self.unpack(_U16)[0])
+        raise AssertionError("the label fits")  # pragma: no cover
 
     def at_end(self) -> bool:
         return self._pos == len(self._data)

@@ -18,6 +18,7 @@ explicitly so the benchmarks can report bytes.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from repro.storage.labels import NidLabel
@@ -92,7 +93,6 @@ class NodeDescriptor:
                 f"{self.nid!r})")
 
 
-def doc_order_key(descriptor: NodeDescriptor) -> bytes:
-    """The memoized packed document-order key (§9.3) of a descriptor —
-    the one sort key of the whole storage-side query layer."""
-    return descriptor.nid.sort_key()
+#: The document-order key (§9.3) of a descriptor, its label — the one
+#: sort key of the whole storage-side query layer.
+doc_order_key = attrgetter("nid")

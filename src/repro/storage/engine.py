@@ -29,12 +29,7 @@ from repro.storage.checkpoints import CheckpointTracker
 from repro.storage.descriptor import NodeDescriptor, doc_order_key
 from repro.storage.dschema import DescriptiveSchema, SchemaNode, text_slot
 from repro.storage.indexes import IndexManager
-from repro.storage.labels import (
-    NidLabel,
-    NumberingScheme,
-    before,
-    is_parent,
-)
+from repro.storage.labels import NidLabel, NumberingScheme, is_parent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.txn import TransactionManager
@@ -217,15 +212,15 @@ class StorageEngine:
         the schema node's existing descriptors, splitting a full block
         when needed.  Only the target block is touched.
 
-        The position is found by packed label key: one ``sort_key``
-        compare per block down the chain to the first block whose last
-        descriptor orders after the new one, then a bisection of that
-        block's memoized run for the predecessor."""
-        key = descriptor.nid.sort_key()
+        The position is found by label, a bytes key: one compare per
+        block down the chain to the first block whose last descriptor
+        orders after the new one, then a bisection of that block's
+        memoized run for the predecessor."""
+        key = descriptor.nid
         target = descriptor.schema_node.first_block
         while target is not None:
             last = target.last_descriptor()
-            if last is None or key < last.nid.sort_key():
+            if last is None or key < last.nid:
                 break
             target = target.next_block
         if target is None:
@@ -243,7 +238,7 @@ class StorageEngine:
             obs.REGISTRY.counter("storage.blocks.split").inc()
             first_of_sibling = sibling.first_descriptor()
             if (first_of_sibling is not None
-                    and first_of_sibling.nid.sort_key() < key):
+                    and first_of_sibling.nid < key):
                 target = sibling
         target.insert_after(descriptor, target.predecessor(key))
         descriptor.schema_node.descriptor_count += 1
@@ -625,7 +620,7 @@ class StorageEngine:
             left = right = None
             if descriptor.node_type != "attribute":
                 for sibling in self.children(descriptor.parent):
-                    if before(sibling.nid, descriptor.nid):
+                    if sibling.nid < descriptor.nid:
                         left = sibling
                     else:
                         right = sibling
@@ -739,7 +734,7 @@ class StorageEngine:
         """Maintain the first-child-by-schema pointer of §9.2."""
         index = parent.schema_node.child_index(child.schema_node)
         current = parent.first_child_for(index)
-        if current is None or before(child.nid, current.nid):
+        if current is None or child.nid < current.nid:
             parent.children_by_schema[index] = child
 
     # ==================================================================
@@ -807,7 +802,7 @@ class StorageEngine:
         """One schema node's block list: each block's own invariants
         (:meth:`Block.verify`; *scoped* skips a block whose verdict
         stands) and document order across every block boundary, on
-        packed label keys."""
+        labels."""
         previous_last = b""
         for block in schema_node.blocks():
             if block.schema_node is not schema_node:
@@ -818,10 +813,10 @@ class StorageEngine:
             first = block.first_descriptor()
             if first is None:
                 continue
-            if first.nid.sort_key() <= previous_last:
+            if first.nid <= previous_last:
                 raise StorageError(
                     f"{block!r}: partial order across blocks violated")
-            previous_last = block.last_descriptor().nid.sort_key()
+            previous_last = block.last_descriptor().nid
 
     def _check_children(self, descriptor: NodeDescriptor,
                         limit: int) -> list[NodeDescriptor]:
@@ -849,11 +844,11 @@ class StorageEngine:
                 raise StorageError(f"{child!r} has the wrong parent")
         if children:
             for attribute in attributes:
-                if not before(attribute.nid, children[0].nid):
+                if attribute.nid >= children[0].nid:
                     raise StorageError(
                         f"{attribute!r} is labelled after a child")
         for previous, child in zip(children, children[1:]):
-            if not before(previous.nid, child.nid):
+            if previous.nid >= child.nid:
                 raise StorageError("sibling labels out of order")
         return children
 

@@ -98,9 +98,9 @@ def _insert_in_order(postings: "list[NodeDescriptor]",
 def _position_in_order(postings: "list[NodeDescriptor]",
                        descriptor: "NodeDescriptor") -> int:
     """Where *descriptor*'s label sits in *postings*, or -1."""
-    key = descriptor.nid.sort_key()
+    key = descriptor.nid
     i = bisect_left(postings, key, key=doc_order_key)
-    if i < len(postings) and postings[i].nid.sort_key() == key:
+    if i < len(postings) and postings[i].nid == key:
         return i
     return -1
 
@@ -164,7 +164,7 @@ class ValueIndex:
 
     def add(self, owner: "NodeDescriptor",
             lexical: Optional[str]) -> None:
-        okey = owner.nid.sort_key()
+        okey = owner.nid
         if okey in self._key_of:
             self.update(owner, lexical)
             return
@@ -181,7 +181,7 @@ class ValueIndex:
             self._note_form(key, lexical)
 
     def remove(self, owner: "NodeDescriptor") -> None:
-        okey = owner.nid.sort_key()
+        okey = owner.nid
         key = self._key_of.pop(okey, _MISSING)
         if key is _MISSING:
             return
@@ -197,7 +197,7 @@ class ValueIndex:
 
     def update(self, owner: "NodeDescriptor",
                lexical: Optional[str]) -> None:
-        okey = owner.nid.sort_key()
+        okey = owner.nid
         if self._key_of.get(okey, _MISSING) is _MISSING:
             self.add(owner, lexical)
             return
@@ -253,7 +253,7 @@ class ValueIndex:
 
     def verify_entry(self, owner: "NodeDescriptor") -> None:
         """Assert *owner* is filed exactly as :meth:`build` would."""
-        label = owner.nid.sort_key()
+        label = owner.nid
         at = _position_in_order(self._all, owner)
         listed = at >= 0 and self._all[at] is owner
         expected = self._built_key(owner)
@@ -341,8 +341,8 @@ class ValueIndex:
         # In key order, not by key text: equal keys may print apart
         # (decimal 0 and -0), and which one files a posting is chance.
         return {
-            "all": [d.nid.symbols() for d in self._all],
-            "postings": [[d.nid.symbols() for d in self._postings[key]]
+            "all": [d.nid for d in self._all],
+            "postings": [[d.nid for d in self._postings[key]]
                          for key in self._keys],
         }
 

@@ -3,22 +3,30 @@
 A numbering label is a finite sequence of symbols from a linearly
 ordered alphabet Ω.  Labels encode the position of a node so that the
 structural relations of the paper are answered by symbol comparison
-alone:
+alone: document order is lexicographic order, equality is sequence
+equality, and parent/ancestor are prefix tests.
 
-* *document order* — lexicographic comparison of the symbol sequences
-  (the paper's first rule);
-* *equality* — sequence equality;
-* *parent/ancestor* — prefix tests (the paper's third rule).
+The encoding: a label is a sequence of *components*, one per tree
+level (Dewey style, after [19]).  Each component is a non-empty digit
+string over ``0 .. base-1`` that never ends in digit ``0``; in the
+symbol sequence each digit ``d`` is the symbol ``d + 1`` and every
+component is terminated by the separator symbol 0, which is Ω_min.
+Because the separator is minimal, lexicographic comparison of symbol
+sequences is exactly document order, and because digit strings are
+dense (between any two there is a third), **insertions never relabel
+existing nodes** — Proposition 1, which the test suite verifies with
+randomized update workloads.
 
-The concrete encoding: a label is a sequence of *components*, one per
-tree level (Dewey style, after [19]).  Each component is a non-empty
-digit string over ``0 .. base-1`` that never ends in digit ``0``; in
-the flattened symbol sequence every component is terminated by the
-separator symbol, which is Ω_min.  Because the separator is minimal,
-lexicographic comparison of flattened labels is exactly document order,
-and because digit strings are dense (between any two there is a third),
-**insertions never relabel existing nodes** — Proposition 1, which the
-test suite verifies with randomized update workloads.
+A :class:`NidLabel` *is* that symbol sequence, stored once: an
+immutable ``bytes`` of big-endian u16 symbols.  Fixed-width
+big-endian symbols make bytewise order equal symbol order, so the
+label is its own document-order key and its own wire form (ORDPATH,
+O'Neil et al., SIGMOD 2004, is the precedent), and the three relations
+below are C-level ``bytes`` operations.  Only the allocator
+(:class:`NumberingScheme`) decodes a component; ``components``,
+``symbols()``, ``depth``, ``sort_key()`` and ``len()`` decode for the
+tests and the numbering models.  :func:`key_fault` states which byte
+strings are labels, for the decoders of stored ones.
 
 The dense midpoint construction follows the classic fractional-indexing
 algorithm generalized to an arbitrary base.
@@ -27,16 +35,168 @@ algorithm generalized to an arbitrary base.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional
 
 from repro import obs
 from repro.errors import LabelError
 
-#: The separator symbol Ω_min used in flattened label sequences.
+#: The separator symbol Ω_min.
 SEPARATOR = 0
 
+#: The largest base whose symbols (digit + 1) fit a u16.
+MAX_BASE = 0xFFFF
+
 Component = tuple[int, ...]
+
+_SEP = b"\0\0"
+_size = bytes.__len__
+
+
+def _encode(component: Component) -> bytes:
+    """One component's symbols, separator included."""
+    return struct.pack(f">{len(component) + 1}H",
+                       *[digit + 1 for digit in component], SEPARATOR)
+
+
+def _digits(key: bytes) -> Component:
+    """The digits of *key*, symbols without a separator."""
+    return tuple(symbol - 1 for symbol
+                 in struct.unpack(f">{_size(key) >> 1}H", key))
+
+
+def _next_separator(key: bytes, start: int) -> int:
+    """The offset of the first separator at or after the even offset
+    *start*.  A ``00 00`` at an odd offset straddles two symbols —
+    digit 255 is ``0x0100`` and a following digit 0 ``0x0001`` — and
+    is stepped over."""
+    at = key.find(_SEP, start)
+    while at > 0 and at & 1:
+        at = key.find(_SEP, at + 1)
+    return at
+
+
+class NidLabel(bytes):
+    """A numbering label: big-endian u16 symbols, each component ended
+    by the separator.  ``NidLabel(components)`` builds one from digit
+    strings; the decoding accessors are slow by design."""
+
+    __slots__ = ()
+
+    def __new__(cls, components) -> "NidLabel":
+        if not components:
+            raise LabelError("a label needs at least one component")
+        return bytes.__new__(cls, b"".join(map(_encode, components)))
+
+    def __getnewargs__(self) -> tuple:
+        return (self.components,)
+
+    @property
+    def components(self) -> tuple[Component, ...]:
+        out, start = [], 0
+        while start < _size(self):
+            end = _next_separator(self, start)
+            out.append(_digits(self[start:end]))
+            start = end + 2
+        return tuple(out)
+
+    @property
+    def depth(self) -> int:
+        return len(self.components)
+
+    def symbols(self) -> tuple[int, ...]:
+        """The symbol sequence over Ω (digits shifted by +1, so the
+        separator 0 is strictly smaller than every digit)."""
+        return struct.unpack(f">{_size(self) >> 1}H", self)
+
+    def sort_key(self) -> bytes:
+        """The document-order key: the label's own bytes."""
+        return bytes(self)
+
+    def parent_label(self) -> "NidLabel":
+        """The label without its last component."""
+        at = self.rfind(_SEP, 0, _size(self) - 2)
+        while at > 0 and at & 1:
+            at = self.rfind(_SEP, 0, at + 1)
+        if at < 0:
+            raise LabelError("a root label has no parent")
+        return from_key(self[:at + 2])
+
+    def __len__(self) -> int:
+        """Label length in symbols — the size metric of the benchmarks."""
+        return _size(self) >> 1
+
+    def __repr__(self) -> str:
+        text = ".".join("_".join(map(str, component))
+                        for component in self.components)
+        return f"NidLabel({text})"
+
+    __str__ = __repr__
+
+
+#: The label whose bytes are *key*, a string :func:`key_fault` accepts.
+from_key = partial(bytes.__new__, NidLabel)
+
+
+def key_fault(key: bytes, base: int = MAX_BASE) -> Optional[str]:
+    """Why *key* is not a label over *base* digits, or None: an odd
+    length, a digit ≥ *base*, no final separator, an empty component
+    or a component ending in digit 0."""
+    size = _size(key)
+    if size & 1 or not size:
+        return f"of odd length {size}" if size else "without components"
+    if max(key[::2]):  # digit 255 or more: decode, then 0 / 1 / more
+        decoded = struct.unpack(f">{size >> 1}H", key)
+        symbols = bytes(min(symbol, 2) for symbol in decoded)
+    else:  # every symbol is its low byte
+        decoded = symbols = key[1::2]
+    if max(decoded) > base:
+        return f"with digit {max(decoded) - 1} out of range 0..{base - 1}"
+    if symbols[-1] != SEPARATOR:
+        return "without a final separator"
+    if symbols[0] == SEPARATOR or b"\0\0" in symbols:
+        return "with an empty component"
+    if b"\1\0" in symbols:
+        return "with a component ending in digit 0"
+    return None
+
+
+# ----------------------------------------------------------------------
+# The three relations of Section 9.3, as bytes operations.  Their
+# statement on symbol sequences is the tests' oracle.
+
+
+def before(x: NidLabel, y: NidLabel) -> bool:
+    """``x << y`` in document order: one bytes compare."""
+    return x < y
+
+
+def equal(x: NidLabel, y: NidLabel) -> bool:
+    """Equality in document order: identical labels."""
+    return x == y
+
+
+def is_ancestor(x: NidLabel, y: NidLabel) -> bool:
+    """x is a strict ancestor of y.  A prefix of y that ends in a
+    separator at an even offset, as x does, is a component prefix."""
+    return _size(x) < _size(y) and y.startswith(x)
+
+
+def is_parent(x: NidLabel, y: NidLabel) -> bool:
+    """x is the parent of y: an ancestor, and y's first separator past
+    x is its last."""
+    size = _size(y)
+    return (_size(x) < size and y.startswith(x)
+            and _next_separator(y, _size(x)) == size - 2)
+
+
+def compare(x: NidLabel, y: NidLabel) -> int:
+    """-1/0/1 in document order."""
+    return (x > y) - (x < y)
+
+
+# ----------------------------------------------------------------------
+# Dense component arithmetic (fractional indexing).
 
 
 def _validate_component(component: Component, base: int) -> None:
@@ -51,128 +211,6 @@ def _validate_component(component: Component, base: int) -> None:
         if not 0 <= digit < base:
             raise LabelError(
                 f"digit {digit} out of range 0..{base - 1}")
-
-
-@dataclass(frozen=True)
-class NidLabel:
-    """A numbering label: one digit-string component per tree level."""
-
-    components: tuple[Component, ...]
-
-    #: The wire form, memoized by :func:`repro.storage.codec.pack_nid`
-    #: (not a field: a class default until a checkpoint writes it).
-    _wire = None
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise LabelError("a label needs at least one component")
-        # Labels are immutable, so the flattened symbol sequence is
-        # computed once; it is on the hot path of every comparison.
-        out: list[int] = []
-        append = out.append
-        for component in self.components:
-            for digit in component:
-                append(digit + 1)
-            append(SEPARATOR)
-        object.__setattr__(self, "_symbols", tuple(out))
-        # The binary comparison key is built lazily: most labels are
-        # only ever compared pairwise via symbols(), and the bytes key
-        # pays off on bulk document-order sorts (index result sets).
-        object.__setattr__(self, "_sort_key", None)
-
-    @property
-    def depth(self) -> int:
-        return len(self.components)
-
-    def symbols(self) -> tuple[int, ...]:
-        """The flattened symbol sequence over Ω.
-
-        Digits are shifted by +1 so that the separator (Ω_min = 0)
-        is strictly smaller than every digit.
-        """
-        return self._symbols
-
-    def sort_key(self) -> bytes:
-        """Memoized binary document-order key.
-
-        Each symbol is packed as a big-endian u16, so bytewise
-        lexicographic order on the keys equals tuple order on
-        :meth:`symbols` — sorting a large result set by ``sort_key()``
-        is document order without per-comparison tuple walks.  (Symbols
-        are digits shifted by +1, and the WAL already fixes u16 as the
-        digit width, so the packing is exact for every usable base.)
-
-        Labels are immutable and — Proposition 1 — never relabelled in
-        place: a relabel, were one ever to happen, mints a *new*
-        ``NidLabel`` whose key is recomputed on first use, so the cache
-        can never go stale.
-        """
-        key = self._sort_key
-        if key is None:
-            symbols = self._symbols
-            key = struct.pack(f">{len(symbols)}H", *symbols)
-            object.__setattr__(self, "_sort_key", key)
-        return key
-
-    def parent_label(self) -> "NidLabel":
-        if len(self.components) == 1:
-            raise LabelError("a root label has no parent")
-        return NidLabel(self.components[:-1])
-
-    def __len__(self) -> int:
-        """Label length in symbols — the size metric of the benchmarks."""
-        return len(self.symbols())
-
-    def __repr__(self) -> str:
-        text = ".".join(
-            "_".join(str(d) for d in component)
-            for component in self.components)
-        return f"NidLabel({text})"
-
-
-# ----------------------------------------------------------------------
-# The three relations of Section 9.3.
-
-
-def before(x: NidLabel, y: NidLabel) -> bool:
-    """``x << y`` in document order.
-
-    Symbols are packed big-endian u16, so bytewise comparison of the
-    memoized :meth:`NidLabel.sort_key` equals lexicographic comparison
-    of the symbol sequences — one C-level ``bytes`` compare instead of
-    a Python tuple walk.
-    """
-    return x.sort_key() < y.sort_key()
-
-
-def equal(x: NidLabel, y: NidLabel) -> bool:
-    """Equality in document order: identical symbol sequences."""
-    return x.sort_key() == y.sort_key()
-
-
-def is_parent(x: NidLabel, y: NidLabel) -> bool:
-    """x is the parent of y: x's sequence is a proper prefix of y's and
-    y has exactly one more component."""
-    return (len(y.components) == len(x.components) + 1
-            and y.components[:len(x.components)] == x.components)
-
-
-def is_ancestor(x: NidLabel, y: NidLabel) -> bool:
-    """x is a strict ancestor of y: component-prefix relation."""
-    return (len(x.components) < len(y.components)
-            and y.components[:len(x.components)] == x.components)
-
-
-def compare(x: NidLabel, y: NidLabel) -> int:
-    """-1/0/1 in document order."""
-    sx, sy = x.sort_key(), y.sort_key()
-    if sx == sy:
-        return 0
-    return -1 if sx < sy else 1
-
-
-# ----------------------------------------------------------------------
-# Dense component arithmetic (fractional indexing).
 
 
 class NumberingScheme:
@@ -279,22 +317,26 @@ class NumberingScheme:
         No existing label changes — this is the whole point of the
         scheme (Proposition 1).
         """
+        start = _size(parent)
+        bounds = []
         for sibling, side in ((left, "left"), (right, "right")):
-            if sibling is not None and not is_parent(parent, sibling):
+            if sibling is None:
+                bounds.append(None)
+            elif is_parent(parent, sibling):
+                bounds.append(_digits(sibling[start:-2]))
+            else:
                 raise LabelError(
                     f"{side} sibling {sibling!r} is not a child of "
                     f"{parent!r}")
-        low = left.components[-1] if left is not None else None
-        high = right.components[-1] if right is not None else None
-        component = self.midpoint(low, high)
+        component = self.midpoint(*bounds)
         obs.REGISTRY.counter("numbering.labels.allocated").inc()
-        return NidLabel(parent.components + (component,))
+        return from_key(parent + _encode(component))
 
     def child_labels(self, parent: NidLabel, count: int) -> list[NidLabel]:
         """Evenly spaced labels for *count* children (bulk load)."""
         if count > 0:
             obs.REGISTRY.counter("numbering.labels.allocated").inc(count)
-        return [NidLabel(parent.components + (component,))
+        return [from_key(parent + _encode(component))
                 for component in self.spread(count)]
 
     def __repr__(self) -> str:

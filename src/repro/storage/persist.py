@@ -6,17 +6,21 @@ encoding.  :func:`encode_block` / :func:`decode_block` are the one
 descriptor codec of every durable medium and :func:`load_blocks` the
 one payload → engine builder; :func:`dumps_engine` assembles payloads
 into a binary image and :func:`load_engine` reconstructs an equivalent
-engine from it.  Labels are stored digit-exactly, so document order,
-ancestry and future gap insertions survive a round trip.
+engine from it.  A label is stored as its own bytes, so document
+order, ancestry and future gap insertions survive a round trip.
 
 A block payload: descriptor count (u32), then per descriptor, in
-in-block chain order, its nid (:func:`repro.storage.codec.u16_run`),
-the parent / left / right links as optional nids (u8 flag, label) and
-the optional value (u8 flag, length-prefixed UTF-8).  It depends on
-nothing outside its block, so :func:`block_payload` remembers it until
-a :class:`~repro.storage.checkpoints.CheckpointTracker` mark arrives.
+in-block chain order, its nid (:func:`repro.storage.codec.pack_nid`:
+byte length u16, then the label's big-endian symbols), the parent /
+left / right links as optional nids (u8 flag, label) and the optional
+value (u8 flag, length-prefixed UTF-8).  A record's nid must be a
+label over the header's base; a link must be some record's nid.  A
+payload depends on nothing outside its block, so :func:`block_payload`
+remembers it until a :class:`~repro.storage.checkpoints.CheckpointTracker`
+mark arrives.
 
-Image format (little-endian, fixed-width), magic ``SEDNAPY5``::
+Image format (little-endian, fixed-width, labels aside), magic
+``SEDNAPY6``::
 
 * header: magic, base (u16), block capacity (u16), checkpoint LSN
   (u64) — the WAL horizon this image covers;
@@ -34,7 +38,8 @@ Image format (little-endian, fixed-width), magic ``SEDNAPY5``::
   block lists; the digest is a corruption check against the recount;
 * trailer: CRC32 (u32) of every preceding byte, header included.
 
-This is the only format read: an image under an older magic is
+This is the only format read: an image under an older magic
+(``SEDNAPY1`` to ``SEDNAPY5``, whose labels were component lists) is
 refused by name.  Any truncated or garbled input surfaces as
 :class:`CorruptionError` with the byte offset of the damage — never a
 raw ``struct.error``.
@@ -56,8 +61,9 @@ from repro.storage.descriptor import NodeDescriptor
 from repro.storage.dschema import SchemaNode
 from repro.storage.engine import StorageEngine
 from repro.storage.indexes import IndexDefinition, decode_definition
+from repro.storage.labels import MAX_BASE
 
-_MAGIC = b"SEDNAPY5"
+_MAGIC = b"SEDNAPY6"
 _NONE = 0xFFFFFFFF
 
 _TYPE_TAGS = {"document": 0, "element": 1, "attribute": 2, "text": 3}
@@ -92,21 +98,15 @@ def encode_block(block: Block) -> bytes:
     return bytes(out)
 
 
-def decode_block(reader: Reader) -> Iterator[tuple]:
+def decode_block(reader: Reader, base: int = MAX_BASE) -> Iterator[tuple]:
     """The records of one block payload: per descriptor where its
-    record starts, its label, that label's wire bytes, the parent /
-    left / right links as wire bytes (None = no link) and the value.
-    Links are only ever looked up, and equal labels are equal bytes."""
-    u8, link = reader.u8, reader.link
+    record starts, its label (digits below *base*), the parent / left /
+    right links as label bytes (None = no link) and the value.  Links
+    are only ever looked up, and equal bytes are equal labels."""
+    u8, nid, link = reader.u8, reader.nid, reader.link
     for _ in range(reader.u32()):
-        start = reader.pos
-        nid = reader.nid()
-        wire = reader.since(start)
-        # A parent and a sibling share every component but the last.
-        depth = len(nid.components) - 1
-        stem = wire[2:-2 - 2 * len(nid.components[-1])]
-        yield (start, nid, wire, link(stem, depth), link(stem, depth),
-               link(stem, depth), reader.text() if u8() else None)
+        yield (reader.pos, nid(base), link(), link(), link(),
+               reader.text() if u8() else None)
 
 
 def block_payload(engine: StorageEngine, block: Block) -> bytes:
@@ -181,10 +181,10 @@ def load_engine(data: bytes, backend: str = "file",
             backend=backend, location="byte 0")
     magic = data[:magic_len]
     if magic != _MAGIC:
-        if magic[:-1] == _MAGIC[:-1] and magic[-1:] in b"1234":
+        if magic[:-1] == _MAGIC[:-1] and magic[-1:] in b"12345":
             raise CorruptionError(
                 f"storage image format {magic.decode('latin-1')} is no "
-                "longer read: SEDNAPY1 to SEDNAPY4 images must be "
+                "longer read: SEDNAPY1 to SEDNAPY5 images must be "
                 f"re-checkpointed as {_MAGIC.decode()}",
                 backend=backend, location="byte 0")
         raise CorruptionError("not a storage image (bad magic)",
@@ -276,9 +276,10 @@ def load_blocks(engine: StorageEngine,
     block, schema nodes in pre-order, a node's blocks in chain order:
     *reader* stands at the payload and must stand at *end* after its
     records; *block_id* is the stored id (None: the medium keeps
-    none).  Links are resolved last, by the label's wire bytes."""
+    none).  Links are resolved last, by label."""
     capacity = engine.block_capacity
-    by_wire: dict[Optional[bytes], Optional[NodeDescriptor]] = {}
+    base = engine.numbering.base
+    by_nid: dict[Optional[bytes], Optional[NodeDescriptor]] = {}
     records: list[tuple] = []
     max_block_id = -1
     for schema_node, block_id, reader, end in payloads:
@@ -288,16 +289,16 @@ def load_blocks(engine: StorageEngine,
             max_block_id = max(max_block_id, block_id)
         schema_node.append_block(block)
         last: Optional[NodeDescriptor] = None
-        for start, nid, wire, parent, left, right, value in \
-                decode_block(reader):
-            if wire in by_wire:
+        for start, nid, parent, left, right, value in \
+                decode_block(reader, base):
+            if nid in by_nid:
                 raise reader.corrupt(
                     f"label {nid!r} at {reader.location(start)} is "
                     "already carried by another descriptor", pos=start)
             descriptor = NodeDescriptor(schema_node, nid, value=value)
             block.insert_after(descriptor, last)
             last = descriptor
-            by_wire[wire] = descriptor
+            by_nid[nid] = descriptor
             records.append((descriptor, parent, left, right, reader,
                             start))
         schema_node.descriptor_count += block.count
@@ -310,17 +311,17 @@ def load_blocks(engine: StorageEngine,
     if max_block_id >= Block._next_id:
         Block._next_id = max_block_id + 1
 
-    by_wire[None] = None  # an absent link resolves to no descriptor
+    by_nid[None] = None  # an absent link resolves to no descriptor
     try:
         for descriptor, parent, left, right, reader, start in records:
-            descriptor.parent = by_wire[parent]
-            descriptor.left_sibling = by_wire[left]
-            descriptor.right_sibling = by_wire[right]
+            descriptor.parent = by_nid[parent]
+            descriptor.left_sibling = by_nid[left]
+            descriptor.right_sibling = by_nid[right]
     except KeyError as missing:
         raise reader.corrupt(
             f"descriptor {descriptor.nid!r} at {reader.location(start)} "
             "links to a label no descriptor carries, "
-            f"{Reader(missing.args[0]).nid()!r}", pos=start) from None
+            f"0x{missing.args[0].hex()}", pos=start) from None
     return [record[0] for record in records]
 
 
@@ -345,8 +346,7 @@ def finish_load(engine: StorageEngine,
             continue
         index = parent.schema_node.child_index(descriptor.schema_node)
         current = parent.children_by_schema.get(index)
-        if current is None or descriptor.nid.symbols() < \
-                current.nid.symbols():
+        if current is None or descriptor.nid < current.nid:
             parent.children_by_schema[index] = descriptor
     engine.check_invariants()
 

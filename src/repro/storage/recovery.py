@@ -38,7 +38,6 @@ from repro.storage.backends.base import (
 )
 from repro.storage.engine import StorageEngine
 from repro.storage.indexes import VALUE, decode_definition
-from repro.storage.labels import equal
 from repro.storage.wal import (
     COMMIT,
     CREATE_INDEX,
@@ -274,7 +273,7 @@ def replay(engine: StorageEngine, nid_index: dict, scan: WalScan,
     checkpoint LSN), a reader snapshot on the engine it already holds
     (*after_lsn* the horizon it is at).
 
-    *nid_index* maps ``nid.symbols()`` to the stored descriptor.  The
+    *nid_index* maps a label to the descriptor that carries it.  The
     caller owns it; an empty one is filled from *engine* when the
     first record has to be applied (O(document), so a pass that
     applies nothing does not pay it), and every applied record keeps
@@ -309,7 +308,7 @@ def replay(engine: StorageEngine, nid_index: dict, scan: WalScan,
             _apply_ddl(engine, record)
         else:
             if not nid_index:
-                nid_index.update((d.nid.symbols(), d) for d
+                nid_index.update((d.nid, d) for d
                                  in engine.iter_document_order())
             _apply(engine, nid_index, record, done.touched)
         done.replayed += 1
@@ -325,7 +324,7 @@ def _apply(engine: StorageEngine, index: dict, record: WalRecord,
     replay relabeled — a Proposition 1 violation — and raises.
     """
     if record.kind == DELETE:
-        descriptor = index.get(record.nid.symbols())
+        descriptor = index.get(record.nid)
         if descriptor is None:
             raise RecoveryError(
                 f"WAL record {record.lsn}: delete target "
@@ -333,10 +332,10 @@ def _apply(engine: StorageEngine, index: dict, record: WalRecord,
         doomed = list(engine.iter_document_order(descriptor))
         engine.delete_subtree(descriptor)
         for gone in doomed:
-            index.pop(gone.nid.symbols(), None)
+            index.pop(gone.nid, None)
         touched.extend(doomed)
         return
-    parent = index.get(record.parent_nid.symbols())
+    parent = index.get(record.parent_nid)
     if parent is None:
         raise RecoveryError(
             f"WAL record {record.lsn}: parent {record.parent_nid!r} "
@@ -351,11 +350,11 @@ def _apply(engine: StorageEngine, index: dict, record: WalRecord,
         descriptor = engine.set_attribute(parent, record.name,
                                           record.text or "",
                                           replace=record.replace)
-    if not equal(descriptor.nid, record.nid):
+    if descriptor.nid != record.nid:
         raise RecoveryError(
             f"WAL record {record.lsn}: replay produced label "
             f"{descriptor.nid!r}, log says {record.nid!r}")
-    index[descriptor.nid.symbols()] = descriptor
+    index[descriptor.nid] = descriptor
     touched.append(descriptor)
 
 
@@ -382,11 +381,9 @@ def _apply_ddl(engine: StorageEngine, record: WalRecord) -> None:
 
 def _verify_label_order(engine: StorageEngine) -> None:
     """Strict mode: every label strictly grows along document order."""
-    from repro.storage.labels import before
     previous = None
     for descriptor in engine.iter_document_order():
-        if previous is not None and not before(previous.nid,
-                                               descriptor.nid):
+        if previous is not None and previous.nid >= descriptor.nid:
             raise RecoveryError(
                 f"document order broken between {previous!r} and "
                 f"{descriptor!r}")

@@ -194,12 +194,12 @@ class StorageNodeStore(NodeStore):
 
     def before(self, first: NodeDescriptor,
                second: NodeDescriptor) -> bool:
-        return first.nid.sort_key() < second.nid.sort_key()
+        return first.nid < second.nid
 
     def node_key(self, ref: NodeDescriptor) -> bytes:
-        # The packed label key: memoized per label, so repeated dedup
-        # hashing re-uses both the bytes object and its cached hash.
-        return ref.nid.sort_key()
+        # The label is bytes: repeated dedup hashing re-uses its
+        # cached hash.
+        return ref.nid
 
     def owns_ref(self, obj: object) -> bool:
         return isinstance(obj, NodeDescriptor)

@@ -9,9 +9,12 @@ leaves a log that replays to exactly the committed state.
 
 Log layout (little-endian, medium-independent)::
 
-    header:  magic "SEDNAWAL", version u16
+    header:  magic "SEDNAWAL", version u16 (2)
     record:  payload_len u32, crc32(payload) u32, payload
     payload: lsn u64, kind u8, txn u64, body (per kind: ``_BODIES``)
+
+A label travels as its own bytes (:func:`repro.storage.codec.pack_nid`);
+a version-1 log, with labels as component lists, is refused by name.
 
 The *medium* is pluggable: :class:`WriteAheadLog` drives a
 :class:`WalStore` — :class:`FileWalStore` (one append-only file, the
@@ -67,7 +70,7 @@ from repro.storage.labels import NidLabel
 from repro.xmlio.qname import QName
 
 _MAGIC = b"SEDNAWAL"
-_VERSION = 1
+_VERSION = 2
 _HEADER = _MAGIC + struct.pack("<H", _VERSION)
 _HEADER_LEN = len(_HEADER)
 _RECORD_HEAD = struct.Struct("<QBQ")  # lsn, kind, txn
@@ -352,6 +355,10 @@ def scan_wal(data: bytes, describe: str = "WAL",
         raise StorageError(
             f"{describe} is not a write-ahead log (bad magic)")
     version = struct.unpack_from("<H", data, len(_MAGIC))[0]
+    if version == 1:
+        raise StorageError(
+            f"{describe} is WAL version 1, which is no longer read: "
+            "recover and checkpoint it with a release that reads it")
     if version != _VERSION:
         raise StorageError(f"unsupported WAL version {version}")
     scan = WalScan(valid_bytes=_HEADER_LEN)

@@ -431,7 +431,7 @@ class TestLegacyImageMatrix:
                                                    seed=7))
         return engine
 
-    @pytest.mark.parametrize("magic", [b"SEDNAPY5"], ids=["SEDNAPY5"])
+    @pytest.mark.parametrize("magic", [b"SEDNAPY6"], ids=["SEDNAPY6"])
     def test_legacy_images_load_and_recover(self, tmp_path, magic,
                                             index_free_engine):
         image = dumps_engine(index_free_engine)
@@ -446,9 +446,10 @@ class TestLegacyImageMatrix:
         assert result.relabels == 0
 
     @pytest.mark.parametrize("magic", [b"SEDNAPY1", b"SEDNAPY2",
-                                       b"SEDNAPY3", b"SEDNAPY4"],
+                                       b"SEDNAPY3", b"SEDNAPY4",
+                                       b"SEDNAPY5"],
                              ids=["SEDNAPY1", "SEDNAPY2", "SEDNAPY3",
-                                  "SEDNAPY4"])
+                                  "SEDNAPY4", "SEDNAPY5"])
     def test_legacy_images_are_refused(self, tmp_path, magic,
                                        index_free_engine):
         """What used to load and re-serialize as the current format

@@ -9,7 +9,9 @@ Three families of guarantees:
 * **Pricing sanity** — the model's orderings match the engine's real
   cost structure: scan beats naive on a deep path, a selective
   eq-probe beats scanning, and the planner may override the structural
-  first-predicate pick when a later predicate prices cheaper.
+  first-predicate pick when a later predicate prices cheaper; a value
+  range is checked in the typed order it was built in, so a stored
+  value never prices to zero rows.
 * **Priced as executed** — a suffix child step and a child-value
   predicate are charged as the walk or the sweep the executor takes
   for that context count, and a first positional predicate on a
@@ -18,8 +20,10 @@ Three families of guarantees:
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.obs.explain import collect
+from repro.obs.statistics import NodeStats
 from repro.query import StorageQueryEngine
 from repro.storage import StorageEngine
 from repro.workloads import make_library_document
@@ -194,6 +198,52 @@ class TestPricingSanity:
         _, queries = setup
         plan = queries.compile("/library/book[@year='1492']/title")
         assert plan.cost.output_rows == 0
+
+
+class TestStoredValuesAreInRange:
+    """The value range is checked in the order it was built in: a
+    stored value never prices to zero rows, an absent literal outside
+    the range still does."""
+
+    @staticmethod
+    def _priced(values, literal):
+        document = "<r>" + "".join(f'<m v="{value}"/>' for value in values)
+        engine = StorageEngine()
+        engine.load_document(parse_document(document + "</r>"))
+        queries = StorageQueryEngine(engine)
+        path = f"/r/m[@v='{literal}']"
+        return (queries.compile(path).cost.output_rows,
+                len(queries.evaluate(path)))
+
+    def test_a_stored_value_beside_nan(self):
+        # NaN sorts after every number: the range is '1'..'NaN'.
+        rows, matched = self._priced(["1"] * 4 + ["2", "NaN"], "1")
+        assert matched == 4 and rows > 0
+
+    def test_a_stored_number_in_a_lexically_ordered_set(self):
+        # '1a' is no number, so the range is the lexical '10'..'9'.
+        rows, matched = self._priced(["9"] * 4 + ["10", "1a"], "9")
+        assert matched == 4 and rows > 0
+
+    @pytest.mark.parametrize("values, literal", [
+        (["1", "2", "3"], "9"),
+        (["1", "2", "3"], "abc"),
+        (["10", "9", "1a"], "zz"),
+        (["1", "2", "NaN"], "-5"),
+    ], ids=["above-numeric", "no-number-in-numeric", "above-lexical",
+            "below-numeric-with-nan"])
+    def test_an_absent_out_of_range_literal_prices_zero(self, values,
+                                                        literal):
+        assert self._priced(values, literal) == (0, 0)
+
+    @given(st.lists(st.sampled_from(
+        ["1", "2", "9", "10", "0009", "1.0", "-0", " 3 ", "1e3", "NaN",
+         "nan", "inf", "-inf", "1a", "abc", "Zed", ""]), min_size=1))
+    def test_every_stored_value_may_be_held(self, values):
+        stats = NodeStats()
+        for value in values:
+            stats.add_value(value)
+        assert all(stats.may_hold(value) for value in values)
 
 
 class TestCostBeatsFixed:

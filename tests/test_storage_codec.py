@@ -3,16 +3,16 @@
 Six things are pinned here:
 
 * **golden byte identity** — the image, every SQLite block payload and
-  the WAL stream of a fixed set of engines hash to SHA-256 values
-  recorded at the commit *before* the codec was rewritten to pack and
-  unpack whole records — the image ones again when the image became a
-  container of those block payloads (``SEDNAPY5``), with every
-  ``blocks`` and ``wal`` value unchanged (``python
-  tests/test_storage_codec.py`` prints the table from whatever
-  ``repro`` is on the path);
-* **label round trip** — ``pack_nid`` / ``Reader.nid`` /
-  ``Reader.nid_bytes`` / ``Reader.link`` against a per-field
-  reference decoder kept in this file;
+  the WAL stream of a fixed set of engines hash to recorded SHA-256
+  values, last recorded when a label became its own bytes
+  (``SEDNAPY6``, WAL version 2; ``python tests/test_storage_codec.py``
+  prints the table from whatever ``repro`` is on the path);
+* **labels** — ``pack_nid`` / ``Reader.nid`` / ``Reader.link``
+  against a per-field reference decoder kept in this file, and the
+  labels ``Reader.nid`` refuses by §9.3 (a component ending in digit
+  0, an empty one, a digit at or above the base, an odd length, no
+  final separator), with the retired ``SEDNAPY5`` image and version-1
+  WAL refused by name;
 * **decoder fuzz** — every truncation and every single-bit flip of a
   small image, a block payload and a WAL payload is a located
   :class:`CorruptionError`, never another exception; an image is
@@ -38,7 +38,7 @@ import zlib
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, StorageError
 from repro.storage import (
     FileBackend,
     MemoryWalStore,
@@ -54,7 +54,6 @@ from repro.storage.blocks import Block
 from repro.storage.codec import (
     FRAME_HEADER_LEN,
     Reader,
-    Writer,
     iter_frames,
     pack_nid,
 )
@@ -188,81 +187,79 @@ def golden_digests(tmp_path) -> dict[str, str]:
     return digests
 
 
-#: Recorded at the parent of the record-codec change (4a32132); the
-#: ``image`` values at the change to ``SEDNAPY5``, the six ``+idx``
-#: ones again at the parent of the path index's removal, with only
-#: the value index declared.
+#: Recorded when a label became its own bytes (``SEDNAPY6``, WAL
+#: version 2): every key moved, and no artifact changed length.
 GOLDEN = {
     "bookstore/load/blocks":
-        "db37ac51a6a0fd1aed8ed7175d228816e1ac5a8e100a9dd94cd94b4bcb57c4fa",
+        "96e89500bb72aeff5f487f57e92a8b6221fdfa16aed106a3daba64685fab44cb",
     "bookstore/load/image":
-        "27ad482a39eed965e0880e119ef92f593b584cc4a4719b04a403018298e2dd23",
+        "e7eea0f6919f0c2efad7767743c3d41d1ac4d51675707f79b820c63b9a743e92",
     "bookstore/mutated/blocks":
-        "2e301c4f2b22c25a6327d974dd7c62334b1d226b534d238f043bc242c1791f34",
+        "77fcdb77e14c4f6c21a00deaa6661ea4239c903eb5163444d088fe04b90bcd2e",
     "bookstore/mutated/image":
-        "a0d4a0507af5a040fe759f44cab8d8868a1357ffa11ec7e8b352f5edab87a6dc",
+        "d6a4e343aff09191c965f175cf2645acb2f41235bb4bc5661642464ac1588fe3",
     "bookstore/mutated/wal":
-        "1c7ac88dae7cb3a3dffbc01250bc7bb98964a51300cf4b5d22e5a54ad0a23ea2",
+        "1afd27703963a47db90796a84c17589696fac9d45274938047a1e2919191e3c3",
     "library6+idx/load/blocks":
-        "a236d9e7d334c5a17e54cff4c1261f324452bb34a1dc51e9df3d7858a292f9fe",
+        "5bd266e5fcdfcf7bc7f9b33523ecb4e3f3374b48831703f739d708979e4e5563",
     "library6+idx/load/image":
-        "0d8d94918ad97901481564e3f64867fbc20d59855d80800db29ae49faead57ba",
+        "9d5c223f179e84c27bc36e90a02778ebf72ec62719b028a877d48f65babee855",
     "library6+idx/mutated/blocks":
-        "e52960a62e63dc21bf3f04be0c938ecc6386bc60ed31dda35463dfddd77fdd68",
+        "ae32a475618f751d56ef5952ba3e935714f9af6519ae14e3ac16f37a6edde360",
     "library6+idx/mutated/image":
-        "9bb42fd8e82b3a6155975bc4f36017093bd0b0fd72e79c5caa633a629ecfd3a7",
+        "d31f8546dd979c9fc726f187558fc02ff85f0ea9fe06b98a95bb94906a19cd14",
     "library6+idx/mutated/wal":
-        "27bc42ce6bbf789dd30f3922c6eac9c71aaa735154e7f9a78ae400a88070a7ab",
+        "8605ecf1ba390450e8d6fc75c5fddafe0e61653d20c3bc9bd87778f7f77f2361",
     "library6/load/blocks":
-        "a236d9e7d334c5a17e54cff4c1261f324452bb34a1dc51e9df3d7858a292f9fe",
+        "5bd266e5fcdfcf7bc7f9b33523ecb4e3f3374b48831703f739d708979e4e5563",
     "library6/load/image":
-        "dce6b71f98bcce07f342c809b84cdcb6efde30871dddc09145006473c4f09990",
+        "e2b7ec64ccb06c95dcf8fa3abad84a1a48c35171815061a6375ba0f8f7a8236d",
     "library6/mutated/blocks":
-        "e52960a62e63dc21bf3f04be0c938ecc6386bc60ed31dda35463dfddd77fdd68",
+        "ae32a475618f751d56ef5952ba3e935714f9af6519ae14e3ac16f37a6edde360",
     "library6/mutated/image":
-        "412b159115d9adb7a4ca69552e8095701fad23174dceeb3e0f0aab7f2c2ca3c8",
+        "17da9afc03bfe23b35c8fbbd7f7665bd143d711c8a2fdf433a9b1c703032d8cf",
     "library6/mutated/wal":
-        "27bc42ce6bbf789dd30f3922c6eac9c71aaa735154e7f9a78ae400a88070a7ab",
+        "8605ecf1ba390450e8d6fc75c5fddafe0e61653d20c3bc9bd87778f7f77f2361",
     "library60+idx/load/blocks":
-        "05659b3544f2e1727a622e7505648a51f874a1b6d61ffc789b19a99063d274cd",
+        "67fdcec9c6b4f7eb8408d5de58d18cd7aa07cf04b0489a8d6845916a751f842c",
     "library60+idx/load/image":
-        "099e84af7b4aa353bab533a2761a41b3d08a9ace580b168f42e7ad0fd5c0b1e1",
+        "175f3c209dbce0ba93942d1c90a4fe4ea824a9fb16b488edf39910a15feaaea2",
     "library60+idx/mutated/blocks":
-        "4c334877a489b4c7698986bf0fdfb92aa0e9ff2559e23dcda8c3d994ce140d54",
+        "12022127eb0e00bb675e0717d381cbf877e0f0623e3ad910abdd9c7a2c92fe89",
     "library60+idx/mutated/image":
-        "65d46701b6eff09791ce040ba925c9d7a60ab30be1628989fc96c5839f318ac1",
+        "f4e81053bcf649ab4c3ddd3731fdff6fffdd5af1265602c424aa8b4f4c504e41",
     "library60+idx/mutated/wal":
-        "c43746e8be9c8788a4f42aca19a572ce5eebc782fbcb09a3fa56db0ca9897c53",
+        "31b307a70fdf33ac951e404a645d768d3669a6897256c0152dad4f6708b70df0",
     "library60/load/blocks":
-        "05659b3544f2e1727a622e7505648a51f874a1b6d61ffc789b19a99063d274cd",
+        "67fdcec9c6b4f7eb8408d5de58d18cd7aa07cf04b0489a8d6845916a751f842c",
     "library60/load/image":
-        "251a0f1519e78ce3b747443b3d16cd08d5d6aee6f2f6797b2499f2cdf92332ad",
+        "95cff811898832d5d4b4e4800f2941563611341b0a49bafebe7e935df085e7b3",
     "library60/mutated/blocks":
-        "4c334877a489b4c7698986bf0fdfb92aa0e9ff2559e23dcda8c3d994ce140d54",
+        "12022127eb0e00bb675e0717d381cbf877e0f0623e3ad910abdd9c7a2c92fe89",
     "library60/mutated/image":
-        "91abf794c57357bae47867d0a8a0e2dbd285fe99f904475836bb06ff495bb283",
+        "f4637f448b7586c232f9fc57da5116cb4d4b0e19373af125cc1ec2306a2aff25",
     "library60/mutated/wal":
-        "c43746e8be9c8788a4f42aca19a572ce5eebc782fbcb09a3fa56db0ca9897c53",
+        "31b307a70fdf33ac951e404a645d768d3669a6897256c0152dad4f6708b70df0",
     "shelf+idx/load/blocks":
-        "e502ecf14e9d37ebfe1cfac6be7739833b6ae9b9543afd45f0502741ca68864a",
+        "791ccc27a36148b107d608f97e68ceb7d53d9e29e5b65458bdcce9fa60af33cd",
     "shelf+idx/load/image":
-        "102478a471369a4e8a04e3c6c02936ed24e85220ac9741d23b3f16b16623daec",
+        "9a79966c776e86ad0b5a7fea76f726d471fc8321dcf3e59b99dc4bb5687b45ac",
     "shelf+idx/mutated/blocks":
-        "1300291cb0c59ab2520bc082bdd0eafaff3dd13195a51ec7687d6445c654b6e8",
+        "a7d1385e05d0a3c85d27c42b9b4df4fa33c943286c12c860e008a3e2ba7bd980",
     "shelf+idx/mutated/image":
-        "6ff4fd4ed238ad98f444fd05d4de43fef457e6cea6c2536aae5e1dc42db3b5aa",
+        "76a6106efc07eaec17771bb66c0d9cd398ace85e3a2580e82d41573925b2c36b",
     "shelf+idx/mutated/wal":
-        "7ba8375876f09f2aa7ffa9101b745b6b94d36e5eb225002f0904cb704ccf48e5",
+        "b548eca11387176348eadc9579bae2e73897c391d0d52c3bbfd40a7d5a4e9961",
     "shelf/load/blocks":
-        "e502ecf14e9d37ebfe1cfac6be7739833b6ae9b9543afd45f0502741ca68864a",
+        "791ccc27a36148b107d608f97e68ceb7d53d9e29e5b65458bdcce9fa60af33cd",
     "shelf/load/image":
-        "1e4cda49652ab221f577d5d40e1377c1939b1641d21bb03953e92d882774d89c",
+        "b045301dec85090869e3f60c800efff977cb71c43ff99c5e1befdff2ec05f0c6",
     "shelf/mutated/blocks":
-        "1300291cb0c59ab2520bc082bdd0eafaff3dd13195a51ec7687d6445c654b6e8",
+        "a7d1385e05d0a3c85d27c42b9b4df4fa33c943286c12c860e008a3e2ba7bd980",
     "shelf/mutated/image":
-        "e0036c7c7961e54826d946081e772e5fd2514ddb4f9295e217db78330ebe5407",
+        "14152bfd2ad8147804e46c4de97c26dbf224097ce23da527433fe69f68039ed7",
     "shelf/mutated/wal":
-        "7ba8375876f09f2aa7ffa9101b745b6b94d36e5eb225002f0904cb704ccf48e5",
+        "b548eca11387176348eadc9579bae2e73897c391d0d52c3bbfd40a7d5a4e9961",
 }
 
 
@@ -277,13 +274,12 @@ def test_image_blocks_and_wal_are_byte_identical(tmp_path):
 # (b) Labels: the record codec against a per-field reference.
 
 def _reference_pack(components) -> bytes:
-    """The label wire form, one field at a time."""
-    out = struct.pack("<H", len(components))
-    for component in components:
-        out += struct.pack("<H", len(component))
-        for digit in component:
-            out += struct.pack("<H", digit)
-    return out
+    """The label wire form, one field at a time: the byte length, then
+    per component its digits + 1 and the separator 0, big-endian u16
+    each.  Nothing is validated, so it also packs what §9.3 forbids."""
+    body = b"".join(struct.pack(">H", digit + 1) for component
+                    in components for digit in component + (-1,))
+    return struct.pack("<H", len(body)) + body
 
 
 class _ReferenceShort(Exception):
@@ -291,19 +287,22 @@ class _ReferenceShort(Exception):
 
 
 def _reference_unpack(data: bytes, pos: int):
-    """``(components, end)`` read u16 by u16; a field that does not
-    fit raises with the position of that field."""
-    def u16():
-        nonlocal pos
-        if pos + 2 > len(data):
-            raise _ReferenceShort(pos)
-        (value,) = struct.unpack("<H", data[pos:pos + 2])
-        pos += 2
-        return value
-    components = []
-    for _ in range(u16()):
-        components.append(tuple(u16() for _ in range(u16())))
-    return tuple(components), pos
+    """``(components, end)`` read field by field — the length, then the
+    body; a field that does not fit raises with its position."""
+    if pos + 2 > len(data):
+        raise _ReferenceShort(pos)
+    (length,) = struct.unpack("<H", data[pos:pos + 2])
+    if pos + 2 + length > len(data):
+        raise _ReferenceShort(pos + 2)
+    components, digits = [], []
+    for at in range(pos + 2, pos + 2 + length, 2):
+        (symbol,) = struct.unpack(">H", data[at:at + 2])
+        if symbol:
+            digits.append(symbol - 1)
+        else:
+            components.append(tuple(digits))
+            digits = []
+    return tuple(components), pos + 2 + length
 
 
 @st.composite
@@ -322,12 +321,10 @@ class TestLabelRoundTrip:
             self, components, before, after):
         label = NidLabel(components)
         wire = _reference_pack(components)
+        assert wire[2:] == label  # the label is its own wire body
         packed = bytearray()
         pack_nid(packed, label)
         assert bytes(packed) == wire
-        writer = Writer()
-        writer.nid(label)
-        assert bytes(writer.out) == wire
 
         data = before + wire + after
         assert _reference_unpack(data, len(before)) \
@@ -335,26 +332,15 @@ class TestLabelRoundTrip:
         reader = Reader(data)
         reader._take(len(before))
         decoded = reader.nid()
+        assert isinstance(decoded, NidLabel)
         assert decoded.components == components
         assert decoded.symbols() == label.symbols()
         assert reader.pos == len(before) + len(wire)
-        assert reader.since(len(before)) == wire
-        reader = Reader(data)
+        # As a link — a flag, then the label — it is the label's bytes.
+        reader = Reader(before + b"\x01" + wire + after)
         reader._take(len(before))
-        assert reader.nid_bytes() == wire
-        assert reader.pos == len(before) + len(wire)
-        # As a link — a flag, then the label — whatever the hint: the
-        # stem a record passes (all components but the last), none,
-        # one that does not match, one deeper than the label.
-        linked = before + b"\x01" + wire + after
-        for shared in (components[:-1], (), ((7, 7),) + components[1:],
-                       components + ((1,),)):
-            stem = b"".join(_reference_pack((component,))[2:]
-                            for component in shared)
-            reader = Reader(linked)
-            reader._take(len(before))
-            assert reader.link(stem, len(shared)) == wire
-            assert reader.pos == len(before) + 1 + len(wire)
+        assert reader.link() == label
+        assert reader.pos == len(before) + 1 + len(wire)
         reader = Reader(before + b"\x00" + after)
         reader._take(len(before))
         assert reader.link() is None
@@ -367,31 +353,101 @@ class TestLabelRoundTrip:
         cut = wire[:data.draw(st.integers(0, len(wire) - 1))]
         with pytest.raises(_ReferenceShort) as expected:
             _reference_unpack(cut, 0)
-        for read in (Reader.nid, Reader.nid_bytes):
-            with pytest.raises(CorruptionError) as info:
-                read(Reader(cut, backend="memory"))
-            assert info.value.backend == "memory"
-            assert info.value.location == f"byte {expected.value.args[0]}"
-        stem = _reference_pack(components[:-1])[2:]
         with pytest.raises(CorruptionError) as info:
-            Reader(b"\x01" + cut, backend="memory").link(
-                stem, len(components) - 1)
+            Reader(cut, backend="memory").nid()
+        assert info.value.backend == "memory"
+        assert info.value.location == f"byte {expected.value.args[0]}"
+        with pytest.raises(CorruptionError) as info:
+            Reader(b"\x01" + cut, backend="memory").link()
         assert info.value.location \
             == f"byte {expected.value.args[0] + 1}"
 
     def test_a_label_without_components_is_corruption(self):
-        for read in (Reader.nid, Reader.nid_bytes):
-            with pytest.raises(CorruptionError, match="components") \
-                    as info:
-                read(Reader(b"\x00\x00\x01\x00", backend="sqlite"))
-            assert info.value.as_dict() == {"backend": "sqlite",
-                                            "location": "byte 0"}
         with pytest.raises(CorruptionError, match="components") as info:
-            Reader(b"\x01\x00\x00\x01\x00", backend="sqlite").link()
-        assert info.value.location == "byte 1"
+            Reader(b"\x00\x00\x01\x00", backend="sqlite").nid()
+        assert info.value.as_dict() == {"backend": "sqlite",
+                                        "location": "byte 0"}
+        with pytest.raises(CorruptionError, match="truncated") as info:
+            Reader(b"\x01\x02\x00\x00", backend="sqlite").link()
+        assert info.value.location == "byte 3"
         with pytest.raises(CorruptionError, match="truncated") as info:
             Reader(b"", backend="sqlite").link()
         assert info.value.location == "byte 0"
+
+
+class TestLabelRefusals:
+    """``Reader.nid`` accepts only what §9.3 allows: each refusal is a
+    located corruption error at the label's first byte."""
+
+    @staticmethod
+    def _refused(wire: bytes, match: str, base: int = 256) -> None:
+        data = b"\x07" + wire  # one byte of something before it
+        reader = Reader(data, backend="memory")
+        reader._take(1)
+        with pytest.raises(CorruptionError, match=match) as info:
+            reader.nid(base)
+        assert info.value.as_dict() == {"backend": "memory",
+                                        "location": "byte 1"}
+
+    def test_a_component_ending_in_digit_zero(self):
+        self._refused(_reference_pack(((1, 0),)), "ending in digit 0")
+
+    def test_an_empty_component(self):
+        self._refused(_reference_pack(((3,), ())), "empty component")
+        self._refused(_reference_pack(((), (3,))), "empty component")
+
+    def test_a_digit_at_or_above_the_base(self):
+        self._refused(_reference_pack(((300,),)), "digit 300 out of range")
+        self._refused(_reference_pack(((7, 16),)), "digit 16 out of range",
+                      base=16)
+        reader = Reader(_reference_pack(((300,),)))
+        assert reader.nid().components == ((300,),)  # a u16 base: fine
+
+    def test_an_odd_length(self):
+        self._refused(b"\x03\x00\x00\x81\x00", "odd length 3")
+
+    def test_a_missing_final_separator(self):
+        self._refused(b"\x04\x00\x00\x81\x00\x05", "final separator")
+
+    def test_a_separator_straddling_two_symbols_is_not_one(self):
+        """Digit 255 then digit 0 is ``01 00 00 01``: the ``00 00`` at
+        an odd offset separates nothing."""
+        wire = _reference_pack(((255, 0, 1),))
+        assert b"\x00\x00" in wire[2:-2]
+        label = Reader(wire).nid(256)
+        assert label.components == ((255, 0, 1),)
+
+    def test_a_digit_out_of_the_image_base_is_refused_in_an_image(self):
+        """Through the image decoder, the base is the header's."""
+        engine = StorageEngine(base=16)
+        engine.load_document(make_library_document(2, 0, seed=1))
+        image = bytearray(dumps_engine(engine))
+        root = engine.document.nid  # one component, digit 8
+        assert root == NidLabel(((8,),))
+        at = image.index(b"\x04\x00" + root)  # the document's record
+        image[at + 3] = 17  # digit 16, which base 16 has not
+        with pytest.raises(CorruptionError, match="digit 16") as info:
+            load_engine(_resign(bytes(image)), backend="memory")
+        assert info.value.location == f"byte {at}"
+
+    def test_a_sednapy5_image_is_refused_by_name(self):
+        engine = StorageEngine()
+        engine.load_document(make_library_document(2, 0, seed=1))
+        body = b"SEDNAPY5" + dumps_engine(engine)[8:-4]
+        image = body + struct.pack("<I", zlib.crc32(body))
+        with pytest.raises(CorruptionError, match="SEDNAPY5") as info:
+            load_engine(image, backend="memory")
+        assert info.value.location == "byte 0"
+
+    def test_a_version_1_wal_is_refused_by_name(self):
+        old = WAL_HEADER[:-2] + struct.pack("<H", 1)
+        assert struct.unpack("<H", WAL_HEADER[-2:]) == (2,)
+        with pytest.raises(StorageError, match="WAL version 1"):
+            scan_wal(old, backend="memory")
+        store = MemoryWalStore()
+        store.append(old)
+        with pytest.raises(StorageError, match="WAL version 1"):
+            WriteAheadLog(store)
 
 
 # ----------------------------------------------------------------------

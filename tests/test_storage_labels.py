@@ -1,4 +1,9 @@
-"""Tests for the Section 9.3 numbering scheme."""
+"""Tests for the Section 9.3 numbering scheme.
+
+The bytes relations of :mod:`repro.storage.labels` are checked against
+the rules on symbol sequences in :mod:`tests.label_rules`
+(``TestRulesOracle``, whose example budget is the selected hypothesis
+profile's)."""
 
 import random
 
@@ -16,6 +21,9 @@ from repro.storage import (
     is_parent,
     label_length_stats,
 )
+from repro.storage.labels import key_fault
+from tests import label_rules as rules
+from tests.test_query_plan import _budget
 
 
 @pytest.fixture
@@ -251,3 +259,93 @@ class TestSpreadProperties:
         assert max(len(c) for c in scheme.spread(100)) == 1
         assert max(len(c) for c in scheme.spread(5000)) == 2
         assert max(len(c) for c in scheme.spread(30000)) == 2
+
+
+# ----------------------------------------------------------------------
+# The bytes relations against the §9.3 rules on symbol sequences.
+
+
+def _deep_midpoint(scheme: NumberingScheme, steps: int, seed: int):
+    """A component *steps* midpoints deep, narrowing from either side."""
+    rng = random.Random(seed)
+    low = high = None
+    mid = scheme.midpoint(low, high)
+    for _ in range(steps):
+        if rng.random() < 0.5:
+            low = mid
+        else:
+            high = mid
+        mid = scheme.midpoint(low, high)
+    return mid
+
+
+@st.composite
+def _label_pairs(draw):
+    """``(base, x, y)``: two labels as digit strings, often related
+    (y shares a prefix of x's components), built from arbitrary
+    components — digits 0, 1 and base - 1 favoured, so digit 255
+    before digit 0 straddles a ``00 00`` at base 256 — from
+    ``spread`` and from deep midpoints."""
+    base = draw(st.sampled_from([3, 16, 256]))
+    scheme = NumberingScheme(base)
+    digit = st.one_of(st.sampled_from([0, 1, base - 1]),
+                      st.integers(0, base - 1))
+    last = st.one_of(st.sampled_from([1, base - 1]),
+                     st.integers(1, base - 1))
+    component = st.one_of(
+        st.builds(lambda head, tail: tuple(head) + (tail,),
+                  st.lists(digit, max_size=4), last),
+        st.builds(lambda count, index: scheme.spread(count)[index % count],
+                  st.integers(1, 600), st.integers(0, 599)),
+        st.builds(lambda steps, seed: _deep_midpoint(scheme, steps, seed),
+                  st.integers(0, 40), st.integers(0, 2**16)))
+    x = draw(st.lists(component, min_size=1, max_size=5))
+    shared = draw(st.integers(0, len(x)))
+    y = x[:shared] + draw(st.lists(component, min_size=0 if shared else 1,
+                                   max_size=4))
+    if draw(st.booleans()):
+        x, y = y, x
+    return base, tuple(x), tuple(y)
+
+
+class TestRulesOracle:
+    @settings(max_examples=_budget(200), deadline=None)
+    @given(_label_pairs())
+    def test_bytes_relations_agree_with_the_rules(self, pair):
+        base, cx, cy = pair
+        x, y = NidLabel(cx), NidLabel(cy)
+        sx, sy = rules.symbols(cx), rules.symbols(cy)
+        for label, components, symbols in ((x, cx, sx), (y, cy, sy)):
+            assert label.symbols() == symbols
+            assert label.components == components
+            assert len(label) == len(symbols)
+            assert key_fault(label, base) is None
+            if len(components) > 1:
+                assert label.parent_label().components == components[:-1]
+        assert before(x, y) == rules.before(sx, sy)
+        assert before(y, x) == rules.before(sy, sx)
+        assert equal(x, y) == rules.equal(sx, sy)
+        assert compare(x, y) == (rules.before(sy, sx)
+                                 - rules.before(sx, sy))
+        assert is_ancestor(x, y) == rules.is_ancestor(sx, sy)
+        assert is_parent(x, y) == rules.is_parent(sx, sy)
+        assert is_parent(y, x) == rules.is_parent(sy, sx)
+
+    @settings(max_examples=_budget(100), deadline=None)
+    @given(_label_pairs(), st.data())
+    def test_allocated_labels_obey_the_rules(self, pair, data):
+        """A child allocated between two siblings is, by the rules, a
+        child of its parent ordered between them."""
+        base, cx, _ = pair
+        scheme = NumberingScheme(base)
+        parent = NidLabel(cx)
+        siblings = scheme.child_labels(parent, data.draw(
+            st.integers(2, 300)))
+        at = data.draw(st.integers(0, len(siblings) - 2))
+        left, right = siblings[at], siblings[at + 1]
+        child = scheme.child_label(parent, left, right)
+        sp, sl, sc, sr = (rules.symbols(label.components)
+                          for label in (parent, left, child, right))
+        assert rules.is_parent(sp, sc)
+        assert rules.before(sl, sc) and rules.before(sc, sr)
+        assert child.parent_label() == parent

@@ -169,7 +169,7 @@ class TestDamagePastTheCrcIsLocated:
         record = _wire(library.nid) + b"\x01" + _wire(engine.document.nid)
         image = bytearray(dumps_engine(engine))
         start = image.index(record)
-        image[start + len(record) - 2] ^= 1  # the parent's only digit
+        image[start + len(record) - 3] ^= 1  # the parent's only digit
         assert self._refused(
             image, "links to a label no descriptor carries") == start
 
@@ -260,7 +260,8 @@ class TestImageFormatV2:
             load_engine(signed)
 
     @pytest.mark.parametrize("magic", [b"SEDNAPY1", b"SEDNAPY2",
-                                       b"SEDNAPY3", b"SEDNAPY4"])
+                                       b"SEDNAPY3", b"SEDNAPY4",
+                                       b"SEDNAPY5"])
     def test_old_magic_is_refused_by_name(self, magic):
         """Only the current format is read: an image under a retired
         magic is a located corruption error that names it, whatever

@@ -1,0 +1,105 @@
+"""Work counts on the path a user drives, asserted exactly.
+
+Every count here is read from ``obs.REGISTRY`` or from the store, never
+from a clock, so it cannot drift with the machine.  A change that
+removes work lowers its bound here in the same change; a bound that
+goes up is a regression, and the change that raises it names it.
+
+* **A commit** — one fixed three-operation transaction (insert an
+  ``author``, insert its text, set ``@year``) through
+  :class:`DatabaseServer` on a :class:`FileBackend` with a synced WAL:
+  WAL appends, syncs and bytes per commit, the bytes as the registry
+  and as the log file count them.
+* **A label** — at library ×1000, a §9.3 label is one ``bytes``: its
+  mean size is at most 80 B and it refers to no other object.
+"""
+
+import gc
+import sys
+
+import pytest
+
+from repro import obs
+from repro.server import DatabaseServer
+from repro.storage import FileBackend, NidLabel, StorageEngine
+from repro.workloads import make_library_document
+from repro.xmlio import QName
+
+#: BEGIN, three operations, COMMIT.
+APPENDS_PER_COMMIT = 5
+#: One durability barrier per record (ROADMAP item 4 lowers it to 1).
+SYNCS_PER_COMMIT = 5
+#: The framed records of one commit: five frame and record heads
+#: (125 B), then 160 B of bodies — six labels of 14 to 22 B with their
+#: lengths, the names ``author`` and ``year``, the 9-byte text, the
+#: 4-byte year, an index and a flag.
+WAL_BYTES_PER_COMMIT = 285
+
+
+def _add_author(book_index: int):
+    """The fixed transaction, on the *book_index*-th book: texts of
+    one length, so every commit logs the same bytes."""
+    def mutate(engine, session):
+        library = engine.children(engine.document)[0]
+        book = engine.children(library)[book_index]
+        author = engine.insert_child(book, 1, name=QName("", "author"))
+        engine.insert_child(author, 0, text=f"Writer {book_index:02d}")
+        engine.set_attribute(book, QName("", "year"), "1999",
+                             replace=True)
+    return mutate
+
+
+class TestCommitWork:
+    @pytest.fixture
+    def server(self, tmp_path, clean_obs):
+        backend = FileBackend(tmp_path / "store.img",
+                              wal_path=tmp_path / "store.wal")
+        with DatabaseServer(backend,
+                            make_library_document(books=6, papers=2,
+                                                  seed=1),
+                            sync_wal=True) as server:
+            yield server
+
+    def test_appends_syncs_and_bytes_per_commit(self, server):
+        registry = obs.REGISTRY
+        wal_file = server.backend.wal_path
+        with server.open_session("write") as session:
+            for book_index in range(4):
+                before = (registry.value("wal.appends"),
+                          registry.value("wal.sync.ns"),
+                          registry.value("wal.bytes"),
+                          wal_file.stat().st_size)
+                session.execute(_add_author(book_index))
+                after = (registry.value("wal.appends"),
+                         registry.value("wal.sync.ns"),
+                         registry.value("wal.bytes"),
+                         wal_file.stat().st_size)
+                assert [b - a for a, b in zip(before, after)] == [
+                    APPENDS_PER_COMMIT, SYNCS_PER_COMMIT,
+                    WAL_BYTES_PER_COMMIT, WAL_BYTES_PER_COMMIT]
+        assert registry.value("txn.commits") == 4
+
+
+def _deep_size(obj, seen: set) -> int:
+    """``sys.getsizeof`` of *obj* and of every object it reaches,
+    classes aside, each counted once."""
+    if id(obj) in seen or isinstance(obj, type):
+        return 0
+    seen.add(id(obj))
+    return sys.getsizeof(obj) + sum(_deep_size(referent, seen)
+                                    for referent in gc.get_referents(obj))
+
+
+class TestLabelFootprint:
+    def test_a_label_is_one_bytes_object(self):
+        engine = StorageEngine()
+        engine.load_document(make_library_document(books=1000,
+                                                   papers=1000, seed=1000))
+        labels = [d.nid for d in engine.iter_document_order()]
+        assert len(labels) == 14472
+        assert sum(_deep_size(label, set()) for label in labels) \
+            <= 80 * len(labels)
+        for label in labels:
+            # Nothing but its class, which every instance of a class
+            # written in Python refers to.
+            assert gc.get_referents(label) == [NidLabel]
