@@ -19,7 +19,6 @@ from repro.storage.backends import (
     snapshot_version,
 )
 from repro.storage.blocks import BLOCK_HEADER_BYTES, Block
-from repro.storage.checkpoints import CheckpointTracker
 from repro.storage.descriptor import (
     NO_SLOT,
     POINTER_BYTES,
@@ -75,7 +74,6 @@ __all__ = [
     "Block",
     "CRASH_POINTS",
     "SESSION_CRASH_POINTS",
-    "CheckpointTracker",
     "CrashError",
     "DEFAULT_MAX_SNAPSHOTS",
     "DescriptiveSchema",

@@ -4,10 +4,14 @@ The §9 engine state (descriptive schema + per-schema-node block lists
 + numbering labels) used to be durable in exactly one shape — an
 image file plus a WAL file.  This package carves that coupling out: a
 backend owns *where* block payloads (one image, or rows), WAL frames
-and snapshot versions live, while the block codec
-(:mod:`repro.storage.persist`), the write-ahead rule, torn-tail
-detection and replay semantics (:mod:`repro.storage.wal`,
-:mod:`repro.storage.recovery`) are written once against this protocol.
+and snapshot versions live, while the codec
+(:mod:`repro.storage.persist`: the block payloads and the one head —
+schema, index definitions, statistics digest — an image inlines the
+payloads behind and a SQLite manifest references rows behind), the
+record of what changed since a checkpoint (the engine's payload memo),
+the write-ahead rule, torn-tail detection and replay semantics
+(:mod:`repro.storage.wal`, :mod:`repro.storage.recovery`) are written
+once against this protocol.
 
 Snapshot versioning (ADR-004 shape): every checkpoint records a
 version keyed by a **deterministic fingerprint** of the descriptive
@@ -23,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro import obs
@@ -84,17 +88,10 @@ class SnapshotInfo:
     fingerprint: str      # full schema fingerprint (hex)
     seq: int              # retention order (monotone per backend)
     bytes: int = 0        # persisted payload size (best effort)
-    mode: str = "full"    # "full" | "incremental" (dirty blocks only)
+    mode: str = "full"    # "full" | "incremental" (changed blocks only)
 
     def as_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "lsn": self.lsn,
-            "fingerprint": self.fingerprint,
-            "seq": self.seq,
-            "bytes": self.bytes,
-            "mode": self.mode,
-        }
+        return asdict(self)
 
 
 class StorageBackend(ABC):
@@ -102,9 +99,9 @@ class StorageBackend(ABC):
 
     Concrete backends: :class:`~repro.storage.backends.file.FileBackend`
     (atomic image file + WAL file — the historical layout),
-    :class:`~repro.storage.backends.sqlite.SqliteBackend` (blocks,
-    index definitions and WAL frames as rows, with dirty-block
-    incremental checkpoints) and
+    :class:`~repro.storage.backends.sqlite.SqliteBackend` (block
+    payloads, snapshot manifests and WAL frames as rows, with
+    incremental checkpoints that write changed blocks only) and
     :class:`~repro.storage.backends.memory.MemoryBackend` (hermetic
     tests).
 

@@ -14,7 +14,9 @@ the seam:
 Every checkpoint *writes* the whole image but encodes only the blocks
 a write touched (:func:`repro.storage.persist.block_payload`).
 Snapshot versions are whole-image copies under
-``<image>.snapshots/<seq>_<version>.img``, recorded *after* the atomic
+``<image>.snapshots/<seq>_<lsn>-<fingerprint>.img`` (the whole schema
+fingerprint; a copy named ``<seq>_<version>.img`` still lists, under
+the fingerprint prefix its name has), recorded *after* the atomic
 rename: a crash while recording one never damages the recovery image.
 ``seq`` numbers the copies in write order (1, 2, 3, … as the other
 media number theirs), so retention keeps the newest checkpoints even
@@ -147,20 +149,24 @@ class FileBackend(StorageBackend):
     # -- snapshot management ---------------------------------------------
 
     def _copy_path(self, info: SnapshotInfo) -> Path:
-        return self.snapshot_dir / f"{info.seq:08d}_{info.version}.img"
+        return self.snapshot_dir / (
+            f"{info.seq:08d}_{info.lsn:010d}-{info.fingerprint}.img")
 
     def list_snapshots(self) -> list[SnapshotInfo]:
         if not self.snapshot_dir.is_dir():
             return []
         infos = []
         for entry in self.snapshot_dir.glob("*_*.img"):
-            seq, _, version = entry.stem.partition("_")
+            seq, _, name = entry.stem.partition("_")
             if not seq.isdecimal():
                 raise StorageError(f"malformed snapshot copy {entry}")
-            lsn, fingerprint = parse_version(version)
+            # A copy is named by its LSN and whole fingerprint; one
+            # named by its version (the 12-digit prefix) lists as such.
+            lsn, fingerprint = parse_version(name)
             infos.append(SnapshotInfo(
-                version=version, lsn=lsn, fingerprint=fingerprint,
-                seq=int(seq), bytes=entry.stat().st_size))
+                version=snapshot_version(lsn, fingerprint), lsn=lsn,
+                fingerprint=fingerprint, seq=int(seq),
+                bytes=entry.stat().st_size))
         return sorted(infos, key=lambda info: info.seq)
 
     def evict_snapshots(self, keep: int) -> list[str]:

@@ -40,7 +40,7 @@ class MemoryBackend(StorageBackend):
                  ) -> None:
         super().__init__(max_snapshots=max_snapshots)
         self._current: Optional[bytes] = None
-        self._snapshots: dict[str, tuple[int, bytes]] = {}
+        self._snapshots: dict[str, tuple[SnapshotInfo, bytes]] = {}
         self._seq = 0
         self._wal = MemoryWalStore()
 
@@ -57,13 +57,15 @@ class MemoryBackend(StorageBackend):
         self._current = data
         fingerprint = schema_fingerprint(engine)
         version = snapshot_version(horizon, fingerprint)
-        if version not in self._snapshots:
+        previous = self._snapshots.get(version)
+        if previous is None:
             self._seq += 1
-        seq = self._snapshots.get(version, (self._seq,))[0]
-        self._snapshots[version] = (seq, data)
-        return SnapshotInfo(version=version, lsn=horizon,
+        seq = self._seq if previous is None else previous[0].seq
+        info = SnapshotInfo(version=version, lsn=horizon,
                             fingerprint=fingerprint, seq=seq,
                             bytes=len(data))
+        self._snapshots[version] = (info, data)
+        return info
 
     # -- loading ---------------------------------------------------------
 
@@ -86,15 +88,8 @@ class MemoryBackend(StorageBackend):
     # -- snapshot management ---------------------------------------------
 
     def list_snapshots(self) -> list[SnapshotInfo]:
-        infos = []
-        for version, (seq, data) in sorted(self._snapshots.items(),
-                                           key=lambda kv: kv[1][0]):
-            lsn = int(version.partition("-")[0])
-            infos.append(SnapshotInfo(
-                version=version, lsn=lsn,
-                fingerprint=version.partition("-")[2], seq=seq,
-                bytes=len(data)))
-        return infos
+        return sorted((info for info, _ in self._snapshots.values()),
+                      key=lambda info: info.seq)
 
     def evict_snapshots(self, keep: int) -> list[str]:
         snapshots = self.list_snapshots()

@@ -8,8 +8,11 @@ Section 9.2), and updates insert or delete descriptors **without ever
 relabeling** existing nodes (Proposition 1) and without shifting
 descriptors inside blocks (the unordered-block design).
 
-Instrumentation counters (splits, inserts, relabels) feed the
-benchmark harness.
+Every write that changes what a block would persist as drops that
+block's entry from the payload memo (:attr:`StorageEngine.payloads`),
+so a checkpoint on any backend re-encodes exactly the blocks written
+since their last encoding.  Instrumentation counters (splits, inserts,
+relabels) feed the benchmark harness.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from repro.xmlio.qname import QName
 from repro.xdm.node import DocumentNode, ElementNode, TextNode
 from repro.storage import faults
 from repro.storage.blocks import Block
-from repro.storage.checkpoints import CheckpointTracker
 from repro.storage.descriptor import NodeDescriptor, doc_order_key
 from repro.storage.dschema import DescriptiveSchema, SchemaNode, text_slot
 from repro.storage.indexes import IndexManager
@@ -63,9 +65,11 @@ class StorageEngine:
         #: Declared secondary indexes (checkpoints persist the
         #: definitions; contents are rebuilt from the blocks).
         self.indexes = IndexManager(self)
-        #: Dirty-block accounting: which blocks a backend must rewrite
-        #: on the next incremental checkpoint.
-        self.checkpoints = CheckpointTracker()
+        #: The payload memo, ``block_id → encoded payload``, for every
+        #: block no write has reached since it was encoded
+        #: (:func:`repro.storage.persist.block_payload`): the one record
+        #: of what changed since a checkpoint, which every backend reads.
+        self.payloads: dict[int, bytes] = {}
         #: Per-schema-node statistics (descriptor counts, byte sizing,
         #: distinct values) maintained incrementally at mutation time —
         #: engine state like ``descriptor_count``, not optional
@@ -194,6 +198,13 @@ class StorageEngine:
     # ==================================================================
     # Block placement
 
+    def _changed(self, block: Optional[Block]) -> None:
+        """*block*'s persisted form changed (slot membership, in-block
+        order, a descriptor's value or links): its memoized payload is
+        stale."""
+        if block is not None:
+            self.payloads.pop(block.block_id, None)
+
     def _append_to_schema_blocks(self, descriptor: NodeDescriptor) -> None:
         """Bulk-load placement: document order equals load order, so the
         descriptor goes to the tail of its schema node's block list."""
@@ -205,7 +216,7 @@ class StorageEngine:
         block.insert_after(descriptor, block.last_descriptor())
         schema_node.descriptor_count += 1
         self.stats.note_added(descriptor)
-        self.checkpoints.mark(block)
+        self._changed(block)
 
     def _place_descriptor(self, descriptor: NodeDescriptor) -> None:
         """Update-path placement: find the document-order position among
@@ -233,8 +244,8 @@ class StorageEngine:
             faults.fire("block.split")
             self.split_count += 1
             # Both halves changed their persisted slot membership.
-            self.checkpoints.mark(target)
-            self.checkpoints.mark(sibling)
+            self._changed(target)
+            self._changed(sibling)
             obs.REGISTRY.counter("storage.blocks.split").inc()
             first_of_sibling = sibling.first_descriptor()
             if (first_of_sibling is not None
@@ -243,7 +254,7 @@ class StorageEngine:
         target.insert_after(descriptor, target.predecessor(key))
         descriptor.schema_node.descriptor_count += 1
         self.stats.note_added(descriptor)
-        self.checkpoints.mark(target)
+        self._changed(target)
 
     # ==================================================================
     # Accessor evaluation (descriptor + schema node only, §9.2)
@@ -491,10 +502,10 @@ class StorageEngine:
         descriptor.right_sibling = right
         if left is not None:
             left.right_sibling = descriptor
-            self.checkpoints.mark_descriptor(left)
+            self._changed(left.block)
         if right is not None:
             right.left_sibling = descriptor
-            self.checkpoints.mark_descriptor(right)
+            self._changed(right.block)
         self._place_descriptor(descriptor)
         self._register_child_pointer(descriptor.parent, descriptor)
         if self.indexes.active:
@@ -571,7 +582,7 @@ class StorageEngine:
         old_value = descriptor.value
         descriptor.value = value
         self.stats.note_value_changed(descriptor, old_value)
-        self.checkpoints.mark_descriptor(descriptor)
+        self._changed(descriptor.block)
         if self.indexes.active:
             self.indexes.note_value_changed(descriptor)
         return old_value
@@ -671,10 +682,10 @@ class StorageEngine:
         left, right = descriptor.left_sibling, descriptor.right_sibling
         if left is not None:
             left.right_sibling = right
-            self.checkpoints.mark_descriptor(left)
+            self._changed(left.block)
         if right is not None:
             right.left_sibling = left
-            self.checkpoints.mark_descriptor(right)
+            self._changed(right.block)
         if parent is not None:
             schema_node = descriptor.schema_node
             index = parent.schema_node.child_index(schema_node)
@@ -714,9 +725,7 @@ class StorageEngine:
         self.stats.note_removed(descriptor)
         if block.is_empty:
             self._unlink_block(block)
-            self.checkpoints.drop(block)
-        else:
-            self.checkpoints.mark(block)
+        self._changed(block)
 
     def _unlink_block(self, block: Block) -> None:
         schema_node = block.schema_node

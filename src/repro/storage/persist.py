@@ -2,12 +2,15 @@
 
 Sedna is a disk-based system; this module gives the simulated engine
 the corresponding capability with the §9.2 block as the unit of
-encoding.  :func:`encode_block` / :func:`decode_block` are the one
+encoding, and it is the only module that encodes or decodes durable
+engine state.  :func:`encode_block` / :func:`decode_block` are the one
 descriptor codec of every durable medium and :func:`load_blocks` the
 one payload → engine builder; :func:`dumps_engine` assembles payloads
 into a binary image and :func:`load_engine` reconstructs an equivalent
-engine from it.  A label is stored as its own bytes, so document
-order, ancestry and future gap insertions survive a round trip.
+engine from it; :func:`dumps_manifest` / :func:`load_manifest` do the
+same for a SQLite snapshot row, whose payloads live in rows of their
+own.  A label is stored as its own bytes, so document order, ancestry
+and future gap insertions survive a round trip.
 
 A block payload: descriptor count (u32), then per descriptor, in
 in-block chain order, its nid (:func:`repro.storage.codec.pack_nid`:
@@ -16,8 +19,9 @@ left / right links as optional nids (u8 flag, label) and the optional
 value (u8 flag, length-prefixed UTF-8).  A record's nid must be a
 label over the header's base; a link must be some record's nid.  A
 payload depends on nothing outside its block, so :func:`block_payload`
-remembers it until a :class:`~repro.storage.checkpoints.CheckpointTracker`
-mark arrives.
+remembers it in the engine's payload memo until a write reaches the
+block; the memo is the only record of what changed since a
+checkpoint.
 
 Image format (little-endian, fixed-width, labels aside), magic
 ``SEDNAPY6``::
@@ -38,11 +42,15 @@ Image format (little-endian, fixed-width, labels aside), magic
   block lists; the digest is a corruption check against the recount;
 * trailer: CRC32 (u32) of every preceding byte, header included.
 
-This is the only format read: an image under an older magic
-(``SEDNAPY1`` to ``SEDNAPY5``, whose labels were component lists) is
-refused by name.  Any truncated or garbled input surfaces as
-:class:`CorruptionError` with the byte offset of the damage — never a
-raw ``struct.error``.
+A snapshot manifest is the same bytes under the magic ``SEDNAMF1``,
+except that a block is the reference to the row holding its payload,
+block id (u32) and generation (u32), in place of the inline payload.
+
+These are the only formats read: an image under an older magic
+(``SEDNAPY1`` to ``SEDNAPY5``, whose labels were component lists) and
+a manifest written as JSON (before ``SEDNAMF1``) are refused by name.
+Any truncated or garbled input surfaces as :class:`CorruptionError`
+with the byte offset of the damage — never a raw ``struct.error``.
 """
 
 from __future__ import annotations
@@ -64,6 +72,8 @@ from repro.storage.indexes import IndexDefinition, decode_definition
 from repro.storage.labels import MAX_BASE
 
 _MAGIC = b"SEDNAPY6"
+#: The head of a SQLite snapshot row: the image with row references.
+_MANIFEST_MAGIC = b"SEDNAMF1"
 _NONE = 0xFFFFFFFF
 
 _TYPE_TAGS = {"document": 0, "element": 1, "attribute": 2, "text": 3}
@@ -71,6 +81,7 @@ _TAG_TYPES = {tag: name for name, tag in _TYPE_TAGS.items()}
 
 _HEADER = struct.Struct("<HHQ")       # base, block capacity, LSN
 _SCHEMA_HEAD = struct.Struct("<IB")   # parent index, type tag
+_REFERENCE = struct.Struct("<II")     # block id, row generation
 
 _ENCODED = obs.REGISTRY.counter("checkpoint.blocks.encoded")
 _REUSED = obs.REGISTRY.counter("checkpoint.blocks.reused")
@@ -110,9 +121,9 @@ def decode_block(reader: Reader, base: int = MAX_BASE) -> Iterator[tuple]:
 
 
 def block_payload(engine: StorageEngine, block: Block) -> bytes:
-    """*block*'s payload, encoded only if a mark reached the block
-    since it was last encoded (the tracker's memo)."""
-    memo = engine.checkpoints.payloads
+    """*block*'s payload, encoded only if a write reached the block
+    since it was last encoded (the engine's payload memo)."""
+    memo = engine.payloads
     payload = memo.get(block.block_id)
     if payload is None:
         payload = memo[block.block_id] = encode_block(block)
@@ -122,16 +133,14 @@ def block_payload(engine: StorageEngine, block: Block) -> bytes:
     return payload
 
 
-def dumps_engine(engine: StorageEngine, checkpoint_lsn: int = 0) -> bytes:
-    """Serialize *engine* to a bytes image.
-
-    *checkpoint_lsn* is the WAL horizon the image covers — recovery
-    replays only log records strictly beyond it.
-    """
+def _dump(engine: StorageEngine, checkpoint_lsn: int, magic: bytes,
+          put_block: Callable[[Writer, Block], None]) -> bytes:
+    """The head every durable form shares, with *put_block* writing
+    each block's section (module docstring)."""
     if engine.document is None:
         raise StorageError("cannot dump an empty engine")
     writer = Writer()
-    writer.out += _MAGIC
+    writer.out += magic
     writer.pack(_HEADER, engine.numbering.base, engine.block_capacity,
                 checkpoint_lsn)
 
@@ -157,14 +166,91 @@ def dumps_engine(engine: StorageEngine, checkpoint_lsn: int = 0) -> bytes:
         blocks = list(node.blocks())
         writer.u32(len(blocks))
         for block in blocks:
-            payload = block_payload(engine, block)
-            writer.u32(len(payload))
-            writer.out += payload
+            put_block(writer, block)
 
     writer.text(json.dumps(engine.stats.export(),
                            separators=(",", ":"), sort_keys=True))
     writer.trailer()
     return bytes(writer.out)
+
+
+def dumps_engine(engine: StorageEngine, checkpoint_lsn: int = 0) -> bytes:
+    """Serialize *engine* to a bytes image.
+
+    *checkpoint_lsn* is the WAL horizon the image covers — recovery
+    replays only log records strictly beyond it.
+    """
+    def inline(writer: Writer, block: Block) -> None:
+        payload = block_payload(engine, block)
+        writer.u32(len(payload))
+        writer.out += payload
+
+    return _dump(engine, checkpoint_lsn, _MAGIC, inline)
+
+
+def dumps_manifest(engine: StorageEngine, checkpoint_lsn: int,
+                   generation: Callable[[Block], int]) -> bytes:
+    """*engine*'s head as a snapshot manifest: each block is the
+    reference ``(block id, generation(block))`` to the row holding its
+    payload."""
+    return _dump(engine, checkpoint_lsn, _MANIFEST_MAGIC,
+                 lambda writer, block: writer.pack(
+                     _REFERENCE, block.block_id, generation(block)))
+
+
+#: Formats no longer read, by their first bytes, and what to do.
+_RETIRED_IMAGES = {
+    b"SEDNAPY%d" % n: f"storage image format SEDNAPY{n} is no longer "
+    "read: SEDNAPY1 to SEDNAPY5 images must be re-checkpointed as "
+    + _MAGIC.decode() for n in range(1, 6)}
+_RETIRED_MANIFESTS = {
+    b"{": "snapshot manifest is JSON, a format no longer read: SQLite "
+    f"stores written before the binary {_MANIFEST_MAGIC.decode()} "
+    "manifest must be re-checkpointed"}
+
+
+def _signed(data: bytes, magic: bytes, retired: dict[bytes, str],
+            backend: str, head: str, trailer: str, place, what: str
+            ) -> Reader:
+    """A reader past *magic* over *data* less its CRC trailer, once
+    both check out; a wrong magic is refused at *head* (by name when
+    *retired* knows it), a failing CRC at *trailer*."""
+    if not data.startswith(magic):
+        message = next((message for prefix, message in retired.items()
+                        if data.startswith(prefix)),
+                       f"not a {what} (bad magic)")
+        raise CorruptionError(message, backend=backend, location=head)
+    if len(data) < len(magic) + 4:
+        raise CorruptionError(
+            f"truncated {what} (no room for the CRC trailer)",
+            backend=backend, location=trailer)
+    (expected,) = struct.unpack_from("<I", data, len(data) - 4)
+    actual = zlib.crc32(memoryview(data)[:-4])
+    if actual != expected:
+        raise CorruptionError(
+            f"{what} CRC mismatch: trailer says {expected:#010x}, "
+            f"content hashes to {actual:#010x} (torn or corrupted "
+            f"{what})", backend=backend, location=trailer)
+    reader = Reader(data[:-4], backend=backend, place=place, what=what)
+    reader._take(len(magic))
+    return reader
+
+
+def _parsed(reader: Reader, parse: Callable[[Reader], object]):
+    """``parse(reader)``, with whatever the engine or the decoder
+    raises on damaged input turned into a located
+    :class:`CorruptionError`."""
+    try:
+        return parse(reader)
+    except CorruptionError:
+        raise
+    except (ReproError, struct.error, ValueError, IndexError,
+            OverflowError, MemoryError) as error:
+        # Signed bytes the engine refuses — a full block overfilled,
+        # an invariant broken, an index that no longer resolves.
+        raise reader.corrupt(
+            f"corrupt {reader.what} at {reader.location()}: "
+            f"{error}") from error
 
 
 def load_engine(data: bytes, backend: str = "file",
@@ -174,50 +260,66 @@ def load_engine(data: bytes, backend: str = "file",
     *backend* and *place* label corruption errors with the medium the
     bytes came from (see :class:`repro.storage.codec.Reader`).
     """
-    magic_len = len(_MAGIC)
-    if len(data) < magic_len:
-        raise CorruptionError(
-            "not a storage image (shorter than the magic)",
-            backend=backend, location="byte 0")
-    magic = data[:magic_len]
-    if magic != _MAGIC:
-        if magic[:-1] == _MAGIC[:-1] and magic[-1:] in b"12345":
-            raise CorruptionError(
-                f"storage image format {magic.decode('latin-1')} is no "
-                "longer read: SEDNAPY1 to SEDNAPY5 images must be "
-                f"re-checkpointed as {_MAGIC.decode()}",
-                backend=backend, location="byte 0")
-        raise CorruptionError("not a storage image (bad magic)",
-                              backend=backend, location="byte 0")
-    if len(data) < magic_len + 4:
-        raise CorruptionError(
-            "truncated storage image (no room for the CRC trailer)",
-            backend=backend, location="trailer")
-    (expected,) = struct.unpack_from("<I", data, len(data) - 4)
-    actual = zlib.crc32(memoryview(data)[:-4])
-    if actual != expected:
-        raise CorruptionError(
-            f"storage image CRC mismatch: trailer says "
-            f"{expected:#010x}, content hashes to {actual:#010x} "
-            "(torn or corrupted image)",
-            backend=backend, location="trailer")
+    def inline(reader: Reader) -> tuple:
+        length = reader.u32()
+        return None, reader, reader.pos + length
 
-    reader = Reader(data[:-4], backend=backend, place=place)
-    reader._take(magic_len)
-    try:
-        return _parse_image(reader)
-    except CorruptionError:
-        raise
-    except (ReproError, struct.error, ValueError, IndexError,
-            OverflowError, MemoryError) as error:
-        # Signed bytes the engine refuses — a full block overfilled,
-        # an invariant broken, an index that no longer resolves.
-        raise reader.corrupt(
-            f"corrupt storage image at {reader.location()}: "
-            f"{error}") from error
+    reader = _signed(data, _MAGIC, _RETIRED_IMAGES, backend,
+                     head="byte 0", trailer="trailer", place=place,
+                     what="storage image")
+    return _parsed(reader, lambda reader: _parse(reader, inline))
 
 
-def _parse_image(reader: Reader) -> StorageEngine:
+def _manifest(data: bytes, backend: str, where: str) -> Reader:
+    return _signed(data, _MANIFEST_MAGIC, _RETIRED_MANIFESTS, backend,
+                   head=where, trailer=f"{where} trailer",
+                   place=lambda pos: f"{where} byte {pos}",
+                   what="snapshot manifest")
+
+
+def load_manifest(data: bytes, row: Callable[[int, int], Optional[bytes]],
+                  backend: str, where: str) -> StorageEngine:
+    """Reconstruct an engine from a snapshot manifest whose referenced
+    payloads ``row(block_id, generation)`` returns (None: no such
+    row).  *where* locates the manifest in its medium; its bytes are
+    ``{where} byte N``, a row's ``block B gen G byte N``."""
+    def fetch(reader: Reader) -> tuple:
+        start = reader.pos
+        block_id, gen = reader.unpack(_REFERENCE)
+        payload = row(block_id, gen)
+        if payload is None:
+            raise reader.corrupt(
+                f"missing block row (block {block_id} gen {gen})",
+                pos=start)
+        return block_id, Reader(
+            payload, backend=backend,
+            place=lambda pos: f"block {block_id} gen {gen} byte {pos}",
+            what="block payload"), len(payload)
+
+    return _parsed(_manifest(data, backend, where),
+                   lambda reader: _parse(reader, fetch))
+
+
+def manifest_chains(data: bytes, backend: str,
+                    where: str) -> list[list[tuple[int, int]]]:
+    """The row references of a snapshot manifest: per schema node, in
+    pre-order, its chain's ``(block_id, generation)`` pairs."""
+    def references(reader: Reader) -> list[list[tuple[int, int]]]:
+        _, _, schema_nodes = _parse_head(reader)
+        chains = [[reader.unpack(_REFERENCE)
+                   for _ in range(reader.u32())]
+                  for _ in schema_nodes]
+        _parse_digest(reader)
+        return chains
+
+    return _parsed(_manifest(data, backend, where), references)
+
+
+def _parse_head(reader: Reader) -> tuple[StorageEngine,
+                                         list[IndexDefinition],
+                                         list[SchemaNode]]:
+    """Header, index definitions and schema tree: an engine with the
+    schema built and no blocks yet."""
     base, capacity, checkpoint_lsn = reader.unpack(_HEADER)
     engine = StorageEngine(base=base, block_capacity=capacity)
     engine.checkpoint_lsn = checkpoint_lsn
@@ -229,6 +331,7 @@ def _parse_image(reader: Reader) -> StorageEngine:
     schema_count = reader.u32()
     schema_nodes: list[SchemaNode] = []
     for index in range(schema_count):
+        start = reader.pos
         parent_index, tag = reader.unpack(_SCHEMA_HEAD)
         node_type = _TAG_TYPES.get(tag)
         if node_type is None:
@@ -245,24 +348,37 @@ def _parse_image(reader: Reader) -> StorageEngine:
         if parent_index >= len(schema_nodes):
             raise reader.corrupt(
                 f"schema parent index {parent_index} out of range "
-                f"at {reader.location()}")
+                f"at {reader.location(start)}", pos=start)
         parent = schema_nodes[parent_index]
         child = engine.schema.get_or_add_child(parent, name, node_type)
         schema_nodes.append(child)
+    return engine, definitions, schema_nodes
+
+
+def _parse_digest(reader: Reader) -> dict:
+    """The statistics digest, the last field before the trailer."""
+    digest = reader.text()
+    if not reader.at_end():
+        raise reader.corrupt(
+            f"trailing bytes in {reader.what} after {reader.location()}")
+    return json.loads(digest)
+
+
+def _parse(reader: Reader, block: Callable[[Reader], tuple]
+           ) -> StorageEngine:
+    """The engine an image or a manifest describes; ``block(reader)``
+    reads one block's section and returns ``(block_id, payload reader,
+    payload end)``."""
+    engine, definitions, schema_nodes = _parse_head(reader)
 
     def payloads():
         for schema_node in schema_nodes:
             for _ in range(reader.u32()):
-                length = reader.u32()
-                yield schema_node, None, reader, reader.pos + length
+                yield (schema_node, *block(reader))
 
     descriptors = load_blocks(engine, payloads())
-    stats_digest = reader.text()
-    if not reader.at_end():
-        raise reader.corrupt(
-            f"trailing bytes in storage image after {reader.location()}")
-    finish_load(engine, descriptors, definitions,
-                json.loads(stats_digest), reader.corrupt)
+    finish_load(engine, descriptors, definitions, _parse_digest(reader),
+                reader.corrupt)
     return engine
 
 
@@ -328,13 +444,13 @@ def load_blocks(engine: StorageEngine,
 def finish_load(engine: StorageEngine,
                 descriptors: list[NodeDescriptor],
                 definitions: list[IndexDefinition],
-                stats: Optional[dict],
+                stats: dict,
                 corrupt: Callable[[str], CorruptionError]) -> None:
     """The tail every loader shares, once descriptors, links and
     blocks are decoded.  *descriptors* holds every decoded descriptor,
     the document node first; *stats* is the persisted statistics
-    digest (None: a SQLite manifest from before there was one);
-    *corrupt* builds the loader's located error for a message."""
+    digest; *corrupt* builds the loader's located error for a
+    message."""
     if not descriptors or descriptors[0].node_type != "document":
         raise corrupt("the stored data holds no document node")
     engine.document = descriptors[0]
@@ -357,7 +473,7 @@ def finish_load(engine: StorageEngine,
     engine.stats = StatisticsCollector.recount(engine)
     engine.stats.engine = engine
     engine.plan_epoch += 1
-    if stats is not None and stats != engine.stats.export():
+    if stats != engine.stats.export():
         raise corrupt("persisted statistics digest does not match the "
                       "recount of the stored data")
 

@@ -7,6 +7,8 @@ through the file backend.
 """
 
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -169,6 +171,34 @@ class TestSnapshots:
             seqs = [info.seq for info in infos]
             assert seqs == sorted(set(seqs)), (name, seqs)
 
+    def test_listed_fingerprint_is_the_checkpoint_fingerprint(
+            self, backend):
+        """Every medium lists the full schema fingerprint it returned
+        from ``checkpoint``, not the version's 12-digit prefix."""
+        info = backend.checkpoint(_engine())
+        assert len(info.fingerprint) == 64
+        assert [s.fingerprint for s in backend.list_snapshots()] \
+            == [info.fingerprint]
+
+    def test_a_copy_named_by_the_version_still_lists(self, tmp_path):
+        """A file-backend copy named before it carried the whole
+        fingerprint lists under its version, with the prefix it
+        has."""
+        backend = make_backend("file", tmp_path)
+        engine = _engine()
+        info = backend.checkpoint(engine)
+        (copy,) = backend.snapshot_dir.iterdir()
+        copy.rename(copy.with_name(f"{info.seq:08d}_{info.version}.img"))
+        (listed,) = backend.list_snapshots()
+        assert (listed.version, listed.seq, listed.fingerprint) == \
+            (info.version, info.seq, info.fingerprint[:12])
+        assert _snapshot(backend.restore(info.version)) == \
+            _snapshot(engine)
+        backend.max_snapshots = 1
+        backend.checkpoint(engine, wal=None)
+        assert [s.fingerprint for s in backend.list_snapshots()] \
+            == [info.fingerprint]
+
     def test_restore_unknown_version_raises(self, backend):
         backend.checkpoint(_engine())
         with pytest.raises(StorageError, match="unknown snapshot"):
@@ -251,10 +281,12 @@ class TestIncrementalCheckpoints:
                 author = engine.insert_child(book, 1,
                                              name=QName("", "author"))
                 engine.insert_child(author, 0, text=f"Writer {op}")
-            dirty = engine.checkpoints.dirty_count
-            assert 0 < dirty < engine.block_count()
             written = incremental.checkpoint(engine)
             assert written.mode == "incremental"
+            (rows,) = incremental._conn.execute(
+                "SELECT COUNT(*) FROM block_rows WHERE gen = ?",
+                (written.seq,)).fetchone()
+            assert 0 < rows < engine.block_count()
             monolithic = FileBackend(
                 tmp_path / "store.img").checkpoint(engine)
             assert 0 < 10 * written.bytes <= monolithic.bytes
@@ -341,41 +373,77 @@ class TestRecoverThroughBackends:
         assert info.value.as_dict()["backend"] == "file"
 
 
+def _resigned(manifest: bytes) -> bytes:
+    """*manifest* with its CRC trailer recomputed over the body."""
+    return manifest[:-4] + struct.pack("<I", zlib.crc32(manifest[:-4]))
+
+
+def _text(value: str) -> bytes:
+    data = value.encode()
+    return struct.pack("<I", len(data)) + data
+
+
+def _schema_parent_99(manifest: bytes) -> bytes:
+    """The second schema node's parent index (after the header, the
+    index definitions and the schema count) set to 99."""
+    at = 8 + 12 + 4 + 4
+    assert manifest[at:at + 4] == struct.pack("<I", 0xFFFFFFFF)
+    at += 5  # the document node: parent index, type tag
+    assert manifest[at:at + 4] == struct.pack("<I", 0)
+    return _resigned(manifest[:at] + struct.pack("<I", 99)
+                     + manifest[at + 4:])
+
+
+def _missing_row(manifest: bytes, backend) -> bytes:
+    """*manifest* with its last row reference pointing at a
+    generation no row has."""
+    block_id, gen = backend._conn.execute(
+        "SELECT block_id, gen FROM block_rows "
+        "ORDER BY block_id DESC LIMIT 1").fetchone()
+    reference = struct.pack("<II", block_id, gen)
+    assert manifest.count(reference) == 1
+    return _resigned(manifest.replace(
+        reference, struct.pack("<II", block_id, gen + 7)))
+
+
+def _parent_style(manifest: bytes) -> str:
+    """A manifest row as the JSON-writing versions stored it."""
+    return json.dumps({"base": 256, "capacity": 4, "lsn": 0,
+                       "schema": [[None, "document", None, None]],
+                       "indexes": [], "chains": [[1]],
+                       "gens": {"1": 1}}, separators=(",", ":"))
+
+
 class TestDamagedSqliteManifest:
     """A snapshot manifest that is not what a checkpoint wrote is a
-    located corruption error, whichever key the damage is at."""
+    located corruption error; a manifest in a retired format is
+    refused by name."""
 
-    @pytest.mark.parametrize("damage,where", [
-        (lambda manifest: "{not json", "manifest"),
-        (lambda manifest: json.dumps(
-            {k: v for k, v in manifest.items() if k != "chains"}),
-         "manifest chains"),
-        (lambda manifest: json.dumps(dict(
-            manifest, schema=manifest["schema"][:1]
-            + [[99] + manifest["schema"][1][1:]]
-            + manifest["schema"][2:])),
-         "manifest schema[1]"),
-        (lambda manifest: json.dumps(dict(
-            manifest, indexes=[["library/book/title", "hash",
-                                "string"]])),
-         "manifest indexes"),
-        (lambda manifest: json.dumps(dict(manifest, gens=[1, 2])),
-         "manifest[gens]"),
-    ], ids=["not-json", "no-chains", "schema-parent-99",
-            "index-kind", "gens-a-list"])
+    @pytest.mark.parametrize("damage,where,match", [
+        (_parent_style, "manifest",
+         "JSON, a format no longer read"),
+        (lambda manifest: b"SEDNAPY6" + manifest[8:], "manifest",
+         "bad magic"),
+        (lambda manifest: manifest[:-1] + bytes([manifest[-1] ^ 1]),
+         "manifest trailer", "CRC mismatch"),
+        (_schema_parent_99, "manifest byte 33",
+         "schema parent index 99 out of range"),
+    ], ids=["parent-json", "image-magic", "crc-mismatch",
+            "schema-parent-99"])
     def test_restore_refuses_with_a_location(self, tmp_path, damage,
-                                             where):
+                                             where, match):
         backend = SqliteBackend(tmp_path / "store.db")
         try:
             info = backend.checkpoint(_engine())
-            (text,) = backend._conn.execute(
+            (manifest,) = backend._conn.execute(
                 "SELECT manifest FROM snapshots").fetchone()
             backend._conn.execute("UPDATE snapshots SET manifest = ?",
-                                  (damage(json.loads(text)),))
+                                  (damage(manifest),))
             for attempt in (backend.load_engine,
                             lambda: backend.restore(info.version),
                             lambda: recover(backend)):
-                with pytest.raises(CorruptionError) as refusal:
+                with pytest.raises(CorruptionError,
+                                   match=match) as refusal:
                     attempt()
                 assert refusal.value.as_dict() == {
                     "backend": "sqlite",
@@ -383,38 +451,46 @@ class TestDamagedSqliteManifest:
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("site", ["incremental-checkpoint",
-                                      "generation-gc"])
-    def test_the_gens_map_is_read_guarded_at_every_site(self, tmp_path,
-                                                        site):
-        """The two readers of ``gens`` besides restore: the next
-        incremental checkpoint starts from the previous map, and
-        eviction's garbage collection reads every retained one."""
+    def test_a_reference_to_a_missing_row(self, tmp_path):
+        """Located at the reference, in the manifest."""
+        backend = SqliteBackend(tmp_path / "store.db")
+        try:
+            info = backend.checkpoint(_engine())
+            (manifest,) = backend._conn.execute(
+                "SELECT manifest FROM snapshots").fetchone()
+            damaged = _missing_row(manifest, backend)
+            backend._conn.execute("UPDATE snapshots SET manifest = ?",
+                                  (damaged,))
+            at = next(i for i in range(len(manifest))
+                      if manifest[i] != damaged[i]) - 4
+            with pytest.raises(CorruptionError,
+                               match="missing block row") as refusal:
+                backend.restore(info.version)
+            assert refusal.value.location == \
+                f"snapshot {info.version} manifest byte {at}"
+        finally:
+            backend.close()
+
+    def test_generation_gc_reads_every_retained_manifest(self,
+                                                         tmp_path):
+        """Eviction's garbage collection decodes each retained
+        manifest's row references, and a damaged one stops it before
+        any row is collected."""
         backend = SqliteBackend(tmp_path / "store.db", max_snapshots=1)
         engine = _engine()
         try:
             info = backend.checkpoint(engine)
-            (text,) = backend._conn.execute(
+            (manifest,) = backend._conn.execute(
                 "SELECT manifest FROM snapshots").fetchone()
-            manifest = json.loads(text)
-            del manifest["gens"]
             backend._conn.execute("UPDATE snapshots SET manifest = ?",
-                                  (json.dumps(manifest),))
-            library = engine.children(engine.document)[0]
-            engine.insert_child(library, 0, name=QName("", "paper"))
+                                  (manifest[:-1],))
             rows = "SELECT COUNT(*) FROM block_rows"
             (stored,) = backend._conn.execute(rows).fetchone()
             with pytest.raises(CorruptionError) as refusal:
-                if site == "incremental-checkpoint":
-                    backend.checkpoint(engine)
-                else:
-                    backend._gc_generations()
+                backend._gc_generations()
             assert refusal.value.as_dict() == {
                 "backend": "sqlite",
-                "location": f"snapshot {info.version} manifest[gens]"}
-            # Refused before anything was written or collected.
-            assert [s.version for s in backend.list_snapshots()] \
-                == [info.version]
+                "location": f"snapshot {info.version} manifest trailer"}
             assert backend._conn.execute(rows).fetchone() == (stored,)
         finally:
             backend.close()

@@ -9,7 +9,6 @@ replayed/reconciled through the WAL on recovery.  The one kind is
 ``value``: a definition of any other kind is refused by every decoder.
 """
 
-import json
 import struct
 import zlib
 
@@ -616,18 +615,22 @@ class TestRemovedPathKind:
         backend = SqliteBackend(tmp_path / "store.db")
         try:
             info = backend.checkpoint(self._indexed())
-            (text,) = backend._conn.execute(
+            (manifest,) = backend._conn.execute(
                 "SELECT manifest FROM snapshots").fetchone()
-            manifest = dict(json.loads(text),
-                            indexes=[["//title", "path", ""]])
-            backend._conn.execute("UPDATE snapshots SET manifest = ?",
-                                  (json.dumps(manifest),))
+            value = (_text("library/book/title") + _text("value")
+                     + _text("string"))
+            assert manifest.count(value) == 1
+            body = manifest.replace(value, _text("//title")
+                                    + _text("path") + _text(""))[:-4]
+            backend._conn.execute(
+                "UPDATE snapshots SET manifest = ?",
+                (body + struct.pack("<I", zlib.crc32(body)),))
             with pytest.raises(CorruptionError,
                                match=self.MESSAGE) as refusal:
                 backend.load_engine()
-            assert refusal.value.as_dict() == {
-                "backend": "sqlite",
-                "location": f"snapshot {info.version} manifest indexes"}
+            assert refusal.value.backend == "sqlite"
+            assert refusal.value.location.startswith(
+                f"snapshot {info.version} manifest byte ")
         finally:
             backend.close()
 

@@ -437,7 +437,8 @@ class TestOnePlanEpoch:
         plan = queries.compile(path)
         old, epoch = engine.stats, engine.plan_epoch
         descriptors = [engine.document] + queries.evaluate_naive("//*")
-        finish_load(engine, descriptors, [], None, AssertionError)
+        finish_load(engine, descriptors, [], old.export(),
+                    AssertionError)
         assert engine.stats is not old
         assert engine.plan_epoch > epoch
         plan = self._compiled_once(queries, path, plan)

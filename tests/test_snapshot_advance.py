@@ -343,7 +343,7 @@ class AdvanceMachine(RuleBasedStateMachine):
         the backend holds recovers to the live document."""
         engine = self.server.engine
         memoised = dumps_engine(engine)
-        engine.checkpoints.payloads.clear()
+        engine.payloads.clear()
         assert dumps_engine(engine) == memoised
         bisimulate(StorageNodeStore(engine),
                    StorageNodeStore(recover(self.backend).engine))

@@ -14,7 +14,8 @@ Six things are pinned here:
   final separator), with the retired ``SEDNAPY5`` image and version-1
   WAL refused by name;
 * **decoder fuzz** — every truncation and every single-bit flip of a
-  small image, a block payload and a WAL payload is a located
+  small image, a block payload, a WAL payload and a SQLite snapshot
+  manifest (restored through a real row) is a located
   :class:`CorruptionError`, never another exception; an image is
   fuzzed twice, once as damaged (the CRC refuses it) and once
   re-signed (the decoder and the invariant checks must);
@@ -29,7 +30,7 @@ Six things are pinned here:
 
 import functools
 import hashlib
-import json
+import re
 import sqlite3
 import struct
 import threading
@@ -59,7 +60,11 @@ from repro.storage.codec import (
 )
 from repro.storage.descriptor import NodeDescriptor
 from repro.storage.dschema import DescriptiveSchema
-from repro.storage.persist import decode_block, encode_block
+from repro.storage.persist import (
+    decode_block,
+    encode_block,
+    manifest_chains,
+)
 from repro.storage.wal import _HEADER as WAL_HEADER
 from repro.storage.wal import _decode_payload, scan_wal
 from repro.workloads import make_bookstore_document, make_library_document
@@ -92,18 +97,17 @@ def _block_payloads(db_path) -> bytes:
         version = conn.execute(
             "SELECT value FROM meta WHERE key = 'current_version'"
         ).fetchone()[0]
-        manifest = json.loads(conn.execute(
+        (manifest,) = conn.execute(
             "SELECT manifest FROM snapshots WHERE version = ?",
-            (version,)).fetchone()[0])
+            (version,)).fetchone()
         out = bytearray()
-        for chain in manifest["chains"]:
+        for chain in manifest_chains(manifest, "sqlite", version):
             out += struct.pack("<I", len(chain))
-            for block_id in chain:
+            for block_id, gen in chain:
                 (payload,) = conn.execute(
                     "SELECT payload FROM block_rows "
                     "WHERE block_id = ? AND gen = ?",
-                    (block_id, manifest["gens"][str(block_id)])
-                ).fetchone()
+                    (block_id, gen)).fetchone()
                 out += struct.pack("<I", len(payload)) + payload
         return bytes(out)
     finally:
@@ -476,6 +480,28 @@ def _decode_block_payload(data: bytes):
         what="block payload")))
 
 
+#: Where a damaged manifest is refused: the manifest as a whole (its
+#: magic), its CRC trailer, or one of its bytes.
+_MANIFEST_PLACE = re.compile(
+    r"snapshot \d{10}-[0-9a-f]{12} manifest( trailer| byte (\d+))?")
+
+
+def _sqlite_manifest(engine: StorageEngine):
+    """*engine*'s snapshot manifest and a decoder that restores from
+    it through a real SQLite row (the payload rows stay intact)."""
+    backend = SqliteBackend(":memory:")
+    version = backend.checkpoint(engine).version
+    (manifest,) = backend._conn.execute(
+        "SELECT manifest FROM snapshots").fetchone()
+
+    def decode(data: bytes):
+        backend._conn.execute("UPDATE snapshots SET manifest = ?",
+                              (data,))
+        return backend.restore(version)
+
+    return manifest, decode
+
+
 def _decode_wal_payload(data: bytes):
     return _decode_payload(data, backend="file")
 
@@ -526,6 +552,7 @@ def _fuzz_inputs(mutated: bool) -> dict:
                  if node.node_type == "text"),
                 key=lambda block: block.count)
     image = dumps_engine(engine, checkpoint_lsn=wal.last_lsn)
+    manifest, decode_manifest = _sqlite_manifest(engine)
     rows = MemoryWalStore()
     log = WriteAheadLog(rows, sync=False)
     label = block.last_descriptor().nid
@@ -556,6 +583,7 @@ def _fuzz_inputs(mutated: bool) -> dict:
         "wal-payload": (frame[FRAME_HEADER_LEN:], _decode_wal_payload,
                         "file", True),
         "wal-frame": (frame, _decode_wal_frame, "memory", False),
+        "sqlite-manifest": (manifest, decode_manifest, "sqlite", False),
     }
 
 
@@ -564,6 +592,11 @@ def _check_damaged(name, damaged: bytes, decoder, backend, may_decode):
         decoded = decoder(damaged)
     except CorruptionError as error:
         assert error.backend == backend, (name, error)
+        if name == "sqlite-manifest":
+            where = _MANIFEST_PLACE.fullmatch(error.location)
+            assert where, (name, error)
+            assert 0 <= int(where[2] or 0) <= len(damaged), (name, error)
+            return
         where = error.location.rpartition("byte ")
         if where[1]:
             assert 0 <= int(where[2]) <= len(damaged), (name, error)
@@ -579,6 +612,7 @@ def _check_damaged(name, damaged: bytes, decoder, backend, may_decode):
 class TestDecoderFuzz:
     @pytest.mark.parametrize("name", ["image", "image-resigned", "block",
                                       "wal-payload", "wal-frame",
+                                      "sqlite-manifest",
                                       *[f"wal-payload-{row}"
                                         for row in _WAL_ROWS]])
     def test_every_truncation_and_a_flip_at_every_byte(self, name):
@@ -765,7 +799,7 @@ class TestLoopingLinks:
 
 def _fresh_dump(engine: StorageEngine) -> bytes:
     """The image with every block encoded anew."""
-    engine.checkpoints.payloads.clear()
+    engine.payloads.clear()
     return dumps_engine(engine)
 
 

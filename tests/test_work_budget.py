@@ -12,6 +12,10 @@ goes up is a regression, and the change that raises it names it.
   and as the log file count them.
 * **A label** — at library ×1000, a §9.3 label is one ``bytes``: its
   mean size is at most 80 B and it refers to no other object.
+* **A checkpoint** — at library ×1000 on a :class:`SqliteBackend`:
+  blocks encoded, rows written and payload bytes of the first (full)
+  checkpoint and of an incremental one after ten inserts, and the
+  blocks a :class:`FileBackend` checkpoint encodes right after.
 """
 
 import gc
@@ -21,7 +25,12 @@ import pytest
 
 from repro import obs
 from repro.server import DatabaseServer
-from repro.storage import FileBackend, NidLabel, StorageEngine
+from repro.storage import (
+    FileBackend,
+    NidLabel,
+    SqliteBackend,
+    StorageEngine,
+)
 from repro.workloads import make_library_document
 from repro.xmlio import QName
 
@@ -103,3 +112,52 @@ class TestLabelFootprint:
             # Nothing but its class, which every instance of a class
             # written in Python refers to.
             assert gc.get_referents(label) == [NidLabel]
+
+
+#: Library ×1000 (``books=1000, papers=0, seed=1000``) at the default
+#: block capacity.
+BLOCKS_AT_LIBRARY_1000 = 154
+#: Ten ``author`` + text inserts reach five blocks: the rows an
+#: incremental SQLite checkpoint writes, with their payload bytes.
+ROWS_AFTER_TEN_INSERTS = 5
+PAYLOAD_BYTES_AFTER_TEN_INSERTS = 13714
+
+
+class TestCheckpointWork:
+    def test_blocks_encoded_and_rows_written(self, tmp_path):
+        encoded = obs.REGISTRY.counter("checkpoint.blocks.encoded")
+        engine = StorageEngine()
+        engine.load_document(make_library_document(
+            books=1000, papers=0, seed=1000))
+        backend = SqliteBackend(tmp_path / "store.db")
+
+        def checkpoint(store):
+            before = encoded.value
+            info = store.checkpoint(engine)
+            return info, encoded.value - before
+
+        def rows(info) -> int:
+            return backend._conn.execute(
+                "SELECT COUNT(*) FROM block_rows WHERE gen = ?",
+                (info.seq,)).fetchone()[0]
+
+        try:
+            info, blocks = checkpoint(backend)
+            assert (info.mode, blocks, rows(info)) == (
+                "full", BLOCKS_AT_LIBRARY_1000, BLOCKS_AT_LIBRARY_1000)
+            assert engine.block_count() == BLOCKS_AT_LIBRARY_1000
+
+            library = engine.children(engine.document)[0]
+            for op, book in enumerate(engine.children(library)[:10]):
+                author = engine.insert_child(book, 1,
+                                             name=QName("", "author"))
+                engine.insert_child(author, 0, text=f"Writer {op}")
+            info, blocks = checkpoint(backend)
+            assert (info.mode, rows(info), info.bytes, blocks) == (
+                "incremental", ROWS_AFTER_TEN_INSERTS,
+                PAYLOAD_BYTES_AFTER_TEN_INSERTS, ROWS_AFTER_TEN_INSERTS)
+
+            _, blocks = checkpoint(FileBackend(tmp_path / "store.img"))
+            assert blocks == 0
+        finally:
+            backend.close()
