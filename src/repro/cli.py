@@ -55,12 +55,15 @@ Input errors (a missing, unreadable or non-UTF-8 file) exit 2 like
 every other failure.  With ``--json``, every command reports failures
 as ``{"error": {"type", "kind", "message", ...}}`` where ``kind`` is
 the stable machine-readable discriminator (``io`` for input errors).
+A reader that closes the output early (``| head``) ends the command
+quietly with exit status 141, as SIGPIPE would.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Sequence
@@ -639,7 +642,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        # A reader that went away shows here, not in the flush at exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # ``| head``: the reader has all it wants.  Write nothing more,
+        # to stdout (whose exit flush goes to the null device) or to
+        # stderr, and exit as a process killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (OSError, UnicodeDecodeError) as error:
         return _fail(args, error, "io")
     except ReproError as error:

@@ -56,6 +56,8 @@ class AdmissionController:
         self.max_queue_depth = max_queue_depth
         self.retry_after = retry_after
         self._lock = threading.Lock()
+        #: Notified whenever the request depth returns to zero.
+        self._idle = threading.Condition(self._lock)
         self.active_sessions = 0
         self.queue_depth = 0
         self.rejected_sessions = 0
@@ -85,7 +87,8 @@ class AdmissionController:
         """Count a request in, or shed with :class:`Overloaded`.
 
         Split from :meth:`exit_request` because the request loop
-        admits at submit time and releases on a worker thread.
+        admits at submit time and releases on whichever thread ran
+        the request — its waiter's or a worker's.
         """
         with self._lock:
             if self.queue_depth >= self.max_queue_depth:
@@ -94,12 +97,22 @@ class AdmissionController:
                            f"{self.queue_depth} requests in flight "
                            f"(cap {self.max_queue_depth})")
             self.queue_depth += 1
-        obs.REGISTRY.gauge("server.queue.depth").set(self.queue_depth)
+            # Under the lock, so the last set is the live depth.
+            obs.REGISTRY.gauge("server.queue.depth").set(self.queue_depth)
 
     def exit_request(self) -> None:
         with self._lock:
             self.queue_depth = max(0, self.queue_depth - 1)
-        obs.REGISTRY.gauge("server.queue.depth").set(self.queue_depth)
+            obs.REGISTRY.gauge("server.queue.depth").set(self.queue_depth)
+            if not self.queue_depth:
+                self._idle.notify_all()
+
+    def wait_idle(self, timeout: float) -> bool:
+        """Block until no admitted request is unfinished; False if
+        *timeout* seconds pass first."""
+        with self._idle:
+            return self._idle.wait_for(lambda: not self.queue_depth,
+                                       timeout)
 
     @contextmanager
     def request(self) -> Iterator[None]:

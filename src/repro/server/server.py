@@ -15,11 +15,13 @@ at the front door.  Sessions open in two modes:
   heartbeat-renewed, lease-checked transaction on the live engine.
 
 The **request loop** (:class:`RequestLoop`) is the concurrency
-surface: worker threads drain a queue of submitted thunks, admission
-gates the queue depth at submit, and each submission hands back a
-:class:`PendingRequest` the client awaits.  Clients may equally call
-session methods directly (in-process embedding); the loop adds the
-bounded queue and the thread pool, not different semantics.
+surface: admission gates the depth at submit, each submission is
+queued and handed back as a :class:`PendingRequest`, and whoever
+claims it first runs it — the client that waits for it, on its own
+thread, or else one of the worker threads draining the queue.  Clients
+may equally call session methods directly (in-process embedding); the
+loop adds the bounded queue and the thread pool, not different
+semantics.
 
 Crash points (``session.lease.granted``, ``session.txn.mid``,
 ``session.reader.checkpoint``) are threaded through the write path
@@ -67,21 +69,42 @@ DEFAULT_WORKERS = 4
 
 
 class PendingRequest:
-    """A submitted request's eventual result (one-shot future).
+    """A submitted request: its thunk, a one-shot claim and the
+    eventual result.
 
-    The hand-back is one lock, held from construction until the worker
-    finishes: a waiter's timed acquire is the wait, and it releases at
-    once so any later (or concurrent) ``wait`` passes too.
+    Whoever takes the claim (a non-blocking lock acquire) first runs
+    the thunk through :meth:`_run`: the client inside :meth:`wait`, or
+    a worker that dequeues it; a worker skips a claimed request.  A
+    waiter that runs its own request saves the two thread wake-ups of
+    the hand-off.  The result is handed back through a second lock,
+    held from construction until :meth:`_finish`: a waiter that lost
+    the claim waits with a timed acquire and releases at once, so any
+    later (or concurrent) ``wait`` passes too.
     """
 
-    __slots__ = ("_pending", "_done", "_result", "_error")
+    __slots__ = ("_loop", "_fn", "_claim", "_pending", "_done",
+                 "_result", "_error")
 
-    def __init__(self) -> None:
+    def __init__(self, loop: "RequestLoop",
+                 fn: Callable[[], object]) -> None:
+        self._loop = loop
+        self._fn = fn
+        self._claim = threading.Lock()
         self._pending = threading.Lock()
         self._pending.acquire()
         self._done = False
         self._result: object = None
         self._error: Optional[BaseException] = None
+
+    def _run(self) -> None:
+        """Run the thunk; only the claim's holder calls this."""
+        try:
+            result, error = self._fn(), None
+        except BaseException as exc:  # delivered to every waiter
+            result, error = None, exc
+        finally:
+            self._loop.admission.exit_request()
+        self._finish(result, error)
 
     def _finish(self, result: object,
                 error: Optional[BaseException]) -> None:
@@ -94,12 +117,24 @@ class PendingRequest:
         return self._done
 
     def wait(self, timeout: Optional[float] = None):
-        """Block for the result; re-raises what the worker raised."""
-        if not self._pending.acquire(
+        """The result; re-raises what the thunk raised.
+
+        ``wait()`` and ``wait(t)`` with ``t > 0`` run an unclaimed
+        request on the calling thread: *timeout* bounds only the wait
+        for another thread's run, and a running request is bounded by
+        its session deadline.  ``wait(t)`` with ``t <= 0`` is a poll
+        and never runs the request.
+        """
+        if (timeout is None or timeout > 0) \
+                and self._claim.acquire(False):
+            self._loop.inline.inc()
+            self._run()
+        elif self._pending.acquire(
                 timeout=-1 if timeout is None else max(0.0, timeout)):
+            self._pending.release()
+        else:
             raise SessionExpired(
                 f"request still pending after {timeout}s")
-        self._pending.release()
         if self._error is not None:
             raise self._error
         return self._result
@@ -107,19 +142,27 @@ class PendingRequest:
 
 _STOP = object()
 
+#: Bound (seconds) on each of stop()'s two waits: the worker joins,
+#: then the requests their waiters still run.
+_STOP_TIMEOUT = 5.0
+
 
 class RequestLoop:
-    """Worker threads draining a depth-gated queue of thunks."""
+    """A depth-gated queue of requests, run by their waiters or else
+    by worker threads."""
 
     def __init__(self, admission: AdmissionController,
                  workers: int = DEFAULT_WORKERS) -> None:
         self.admission = admission
+        #: Requests run by their waiter (held rather than looked up).
+        self.inline = obs.REGISTRY.counter("server.loop.inline")
         #: Unbounded by itself (admission bounds the depth), so the
         #: hand-off needs no ``queue.Queue`` conditions.
         self._queue: "queue.SimpleQueue[object]" = queue.SimpleQueue()
         #: Orders submissions against stop(): nothing is enqueued
         #: behind the _STOP sentinels, so a submitted request is
-        #: always drained by a live worker — never parked forever.
+        #: always claimed — by its waiter or by a live worker — never
+        #: parked forever.
         self._stop_lock = threading.Lock()
         self.stopped = False
         self._threads = [
@@ -132,10 +175,11 @@ class RequestLoop:
     def submit(self, fn: Callable[[], object]) -> PendingRequest:
         """Enqueue *fn*; sheds with ``Overloaded`` past the depth cap.
 
-        The depth slot is held from submit until the worker finishes,
-        so the cap bounds queued *plus* executing work.  A stopped
-        loop refuses with :class:`SessionError` — its workers have
-        exited, so an enqueued request would otherwise wait forever.
+        The depth slot is held from submit until the thunk finishes,
+        on whichever thread runs it, so the cap bounds queued *plus*
+        executing work.  A stopped loop refuses with
+        :class:`SessionError` — its workers have exited, so a request
+        nobody waits on would otherwise never run.
         """
         if self.stopped:
             raise SessionError(
@@ -146,8 +190,8 @@ class RequestLoop:
                 if self.stopped:
                     raise SessionError(
                         "request loop is stopped; cannot submit")
-                pending = PendingRequest()
-                self._queue.put((pending, fn))
+                pending = PendingRequest(self, fn)
+                self._queue.put(pending)
                 return pending
         except BaseException:
             self.admission.exit_request()
@@ -155,30 +199,31 @@ class RequestLoop:
 
     def _run(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is _STOP:
+            pending = self._queue.get()
+            if pending is _STOP:
                 return
-            pending, fn = item  # type: ignore[misc]
-            try:
-                result, error = fn(), None
-            except BaseException as exc:  # delivered to the waiter
-                result, error = None, exc
-            finally:
-                self.admission.exit_request()
-            pending._finish(result, error)
+            if pending._claim.acquire(False):  # type: ignore[union-attr]
+                pending._run()  # type: ignore[union-attr]
 
     def stop(self) -> None:
+        """Refuse new submissions, then wait (each wait bounded by
+        :data:`_STOP_TIMEOUT`) until every submitted request is done:
+        the workers drain the queue and exit, and a request its waiter
+        claimed finishes on the waiter's thread."""
         with self._stop_lock:
             if self.stopped:
                 return
             self.stopped = True
             # Under the lock: every already-submitted request sits
-            # ahead of the sentinels and will be finished by a worker
-            # before it exits; every later submit() is refused.
+            # ahead of the sentinels and is claimed before the last
+            # worker exits; every later submit() is refused.
             for _ in self._threads:
                 self._queue.put(_STOP)
         for thread in self._threads:
-            thread.join(timeout=5.0)
+            thread.join(timeout=_STOP_TIMEOUT)
+        # Every request is claimed by now; the depth counts those
+        # still running on their waiters' threads.
+        self.admission.wait_idle(_STOP_TIMEOUT)
 
 
 class DatabaseServer:

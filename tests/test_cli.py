@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,28 @@ class TestQuery:
         report = json.loads(capsys.readouterr().out)
         assert report == {"path": "/library/book/title",
                           "count": 1, "values": ["T"]}
+
+    def test_reader_closing_the_pipe_ends_quietly(self, tmp_path):
+        # ``| head -1``: 1 MB of answer, far more than a pipe buffers,
+        # so the command is still writing when the reader goes away.
+        document = tmp_path / "long.xml"
+        document.write_text("<library>" + "".join(
+            f"<book><title>{'t' * 500}{i}</title></book>"
+            for i in range(2000)) + "</library>", encoding="utf-8")
+        src = Path(cli.__file__).resolve().parents[1]
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "query", str(document),
+             "/library/book/title", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        try:
+            assert process.stdout.readline() == b"{\n"
+            process.stdout.close()
+            assert process.wait(timeout=60) == 141  # 128 + SIGPIPE
+            assert process.stderr.read() == b""
+        finally:
+            process.kill()
+            process.stderr.close()
 
 
 class TestXQuery:

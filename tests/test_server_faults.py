@@ -20,6 +20,7 @@ installed thread-locally, replays the identical per-thread crash
 schedule on a second run.
 """
 
+import threading
 import time
 from types import SimpleNamespace
 
@@ -237,6 +238,8 @@ def test_session_points_are_registered():
 # ---------------------------------------------------------------------------
 # The five ``except BaseException`` sites: cleanup, then the same
 # exception again — an interrupt or a simulated crash is never eaten.
+# ``PendingRequest._run`` is one site on two paths, a worker's and the
+# waiter's own thread, so it has two cases.
 
 def _raiser(error):
     def fail(*args, **kwargs):
@@ -258,16 +261,59 @@ def _interrupt_submit(server, error, monkeypatch, tmp_path):
     assert server.admission.queue_depth == 0
 
 
+def _delivered_everywhere(pending, error):
+    """Every waiter, and every later wait or poll, raises *error*
+    itself."""
+    for timeout in (10.0, None, 0):
+        with pytest.raises(type(error)) as raised:
+            pending.wait(timeout)
+        assert raised.value is error
+
+
+def _done_by_a_worker(pending):
+    """Poll, never wait: a wait would run the request itself."""
+    deadline = time.monotonic() + 10.0
+    while not pending.done():
+        assert time.monotonic() < deadline, "no worker ran the request"
+        time.sleep(0.001)
+
+
 def _interrupt_worker(server, error, monkeypatch, tmp_path):
-    """``RequestLoop._run``: what the thunk raised is delivered to the
-    waiter, the slot released, and the worker lives on."""
+    """``RequestLoop._run``: what the thunk raised on a worker is
+    delivered to the waiter, the slot released, and the worker lives
+    on."""
+    inline = server.loop.inline.value
     pending = server.loop.submit(_raiser(error))
-    with pytest.raises(type(error)) as raised:
-        pending.wait(timeout=10.0)
-    assert raised.value is error
+    _done_by_a_worker(pending)
+    _delivered_everywhere(pending, error)
     assert server.admission.queue_depth == 0
-    assert server.loop.submit(lambda: "alive").wait(timeout=10.0) \
-        == "alive"
+    alive = server.loop.submit(lambda: "alive")
+    _done_by_a_worker(alive)
+    assert alive.wait(10.0) == "alive"
+    assert server.loop.inline.value == inline
+
+
+def _interrupt_inline(server, error, monkeypatch, tmp_path):
+    """``PendingRequest.wait``: what the thunk raised on the thread of
+    the waiter that claimed it is delivered to every waiter, the slot
+    released, and the loop lives on."""
+    gate = threading.Event()
+    try:
+        # Every worker is held ahead of the request, so only its
+        # waiter can claim it.
+        held = [server.loop.submit(gate.wait)
+                for _ in server.loop._threads]
+        inline = server.loop.inline.value
+        pending = server.loop.submit(_raiser(error))
+        _delivered_everywhere(pending, error)
+        assert server.loop.inline.value == inline + 1
+        assert server.admission.queue_depth == len(held)
+    finally:
+        gate.set()
+    for request in held:
+        request.wait(10.0)
+    assert server.admission.queue_depth == 0
+    assert server.loop.submit(lambda: "alive").wait(10.0) == "alive"
 
 
 def _interrupt_open_session(server, error, monkeypatch, tmp_path):
@@ -323,7 +369,8 @@ def _interrupt_transaction(server, error, monkeypatch, tmp_path):
                                    CrashError("test.point")],
                          ids=["KeyboardInterrupt", "CrashError"])
 @pytest.mark.parametrize("site", [
-    _interrupt_submit, _interrupt_worker, _interrupt_open_session,
+    _interrupt_submit, _interrupt_worker, _interrupt_inline,
+    _interrupt_open_session,
     _interrupt_sqlite_checkpoint, _interrupt_transaction],
     ids=lambda site: site.__name__.removeprefix("_interrupt_"))
 def test_base_exception_sites_clean_up_and_reraise(site, error,

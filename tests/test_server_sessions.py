@@ -14,6 +14,7 @@ The invariants under test are the PR's acceptance bullets:
 """
 
 import json
+import sys
 import threading
 
 import pytest
@@ -427,6 +428,131 @@ class TestConcurrentStorm:
                     for r in range(self.ROUNDS)}
         assert expected <= titles  # every commit survived
         server.close()
+
+
+class TestRequestLoopExactlyOnce:
+    """A request is run exactly once, by its waiter or by a worker,
+    whichever claims it first — and close() waits for both."""
+
+    CLIENTS, REQUESTS = 4, 200
+
+    @pytest.fixture(autouse=True)
+    def _fine_switching(self):
+        # Thread switches every 10 us: the claim races as often as it
+        # can.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        yield
+        sys.setswitchinterval(previous)
+
+    def test_every_thunk_runs_once_and_every_request_resolves(self):
+        server = make_server(
+            max_queue_depth=self.CLIENTS * self.REQUESTS)
+        ran = []  # one entry per thunk call (list.append is atomic)
+        resolved = []
+        unwaited = []
+        errors = []
+
+        def thunk(key):
+            def run():
+                ran.append(key)
+                return key
+            return run
+
+        def client(index):
+            mine, later, never = [], [], []
+            try:
+                for number in range(self.REQUESTS):
+                    key = (index, number)
+                    pending = server.submit(thunk(key))
+                    if number % 3 == 0:  # submit().wait()
+                        mine.append((key, pending.wait()))
+                    elif number % 3 == 1:  # waited on later
+                        later.append((key, pending))
+                    else:  # nobody waits: a worker must run it
+                        never.append((key, pending))
+                    if len(later) == 10 or number == self.REQUESTS - 1:
+                        mine += [(key, pending.wait(30.0))
+                                 for key, pending in later]
+                        later.clear()
+            except Exception as exc:  # noqa: BLE001 — report, don't hang
+                errors.append(exc)
+            resolved.extend(mine)
+            unwaited.extend(never)
+
+        threads = [threading.Thread(target=client, args=(i,),
+                                    daemon=True)
+                   for i in range(self.CLIENTS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        server.close()  # drains what nobody waited on
+        assert not errors
+        keys = {(i, n) for i in range(self.CLIENTS)
+                for n in range(self.REQUESTS)}
+        assert len(ran) == len(keys) and set(ran) == keys
+        assert all(key == result for key, result in resolved)
+        assert all(pending.done() and pending.wait(0) == key
+                   for key, pending in unwaited)
+        assert len(resolved) + len(unwaited) == len(keys)
+        assert obs.REGISTRY.value("server.queue.depth") == 0
+        assert server.admission.queue_depth == 0
+
+    def test_close_lets_an_inline_write_commit_first(self):
+        server = make_server()
+        writer = server.open_session("write")
+        hold = threading.Event()  # keeps both workers busy
+        held = [server.submit(hold.wait) for _ in range(2)]
+        inside, proceed = threading.Event(), threading.Event()
+
+        def mutate(engine, session):
+            add_book("late")(engine, session)
+            inside.set()
+            assert proceed.wait(10.0)
+
+        outcome = []
+        client = threading.Thread(target=lambda: outcome.append(
+            server.submit(lambda: writer.execute(mutate)).wait()),
+            daemon=True)
+        client.start()
+        try:
+            assert inside.wait(10.0)  # running on the client's thread
+            assert obs.REGISTRY.value("server.loop.inline") == 1
+            closer = threading.Thread(target=server.close)
+            closer.start()
+            hold.set()  # the workers drain the queue and exit
+            closer.join(0.3)
+            assert closer.is_alive()  # still waiting for the write
+        finally:
+            hold.set()
+            proceed.set()
+        client.join(10.0)
+        closer.join(10.0)
+        assert not client.is_alive() and not closer.is_alive()
+        assert outcome == [None]  # committed: the WAL was still open
+        assert all(request.done() for request in held)
+        engine = recover(server.backend).engine
+        store = engine.children(engine.document)[0]
+        assert "late" in {engine.string_value(engine.children(book)[0])
+                          for book in engine.children(store)}
+
+    def test_a_poll_never_runs_the_request(self):
+        with make_server() as server:
+            hold = threading.Event()
+            held = [server.submit(hold.wait) for _ in range(2)]
+            ran = []
+            pending = server.submit(lambda: ran.append(1))
+            for timeout in (0, -1.0):
+                with pytest.raises(SessionExpired):
+                    pending.wait(timeout)
+            assert ran == [] and not pending.done()
+            hold.set()
+            pending.wait()
+            for request in held:
+                request.wait(10.0)
+            assert ran == [1]
 
 
 class TestTelemetry:

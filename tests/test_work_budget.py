@@ -16,10 +16,14 @@ goes up is a regression, and the change that raises it names it.
   blocks encoded, rows written and payload bytes of the first (full)
   checkpoint and of an incremental one after ten inserts, and the
   blocks a :class:`FileBackend` checkpoint encodes right after.
+* **A request hand-off** — with every worker held, each
+  ``submit(...).wait()`` is run by its waiter: one inline run and one
+  request per call, and the depth back to what the workers hold.
 """
 
 import gc
 import sys
+import threading
 
 import pytest
 
@@ -27,6 +31,7 @@ from repro import obs
 from repro.server import DatabaseServer
 from repro.storage import (
     FileBackend,
+    MemoryBackend,
     NidLabel,
     SqliteBackend,
     StorageEngine,
@@ -161,3 +166,45 @@ class TestCheckpointWork:
             assert blocks == 0
         finally:
             backend.close()
+
+
+#: ``submit(...).wait()`` calls made while both workers are held.
+HAND_OFFS = 8
+
+
+class TestRequestHandOff:
+    def test_a_waiter_runs_its_own_request(self, clean_obs):
+        registry = obs.REGISTRY
+        with DatabaseServer(MemoryBackend(),
+                            make_library_document(books=6, papers=2,
+                                                  seed=1),
+                            workers=2) as server:
+            gate, running = threading.Event(), threading.Semaphore(0)
+
+            def hold():
+                running.release()
+                gate.wait()
+
+            held = [server.submit(hold) for _ in range(2)]
+            try:
+                # Both workers are inside hold() before any request
+                # below is submitted.
+                for _ in held:
+                    assert running.acquire(timeout=10.0)
+                with server.open_session("read") as reader:
+                    for _ in range(HAND_OFFS):
+                        # The timeout only bounds waiting for another
+                        # thread; a claimed request runs here at once.
+                        server.submit(lambda: reader.query_values(
+                            "/library/book/title")).wait(10.0)
+                assert registry.value("server.loop.inline") == HAND_OFFS
+                assert registry.value("server.requests.read") \
+                    == HAND_OFFS
+                assert registry.value("server.queue.depth") == len(held)
+            finally:
+                gate.set()
+            for request in held:
+                request.wait(10.0)
+            assert registry.value("server.queue.depth") == 0
+            # The held requests were the workers'.
+            assert registry.value("server.loop.inline") == HAND_OFFS
