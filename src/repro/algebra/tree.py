@@ -13,7 +13,9 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from repro.errors import AlgebraError
+from repro.order.document_order import iter_subtree_elements
 from repro.xdm.node import AttributeNode, DocumentNode, ElementNode, Node
+from repro.xdm.store import TREE_STORE
 from repro.xsdtypes.sequence import Sequence
 
 
@@ -35,19 +37,17 @@ class Tree:
         """All nodes of the tree in document order (Section 7):
         each element before its attributes, attributes before the
         element's children."""
-        yield from _walk(self._root)
+        return TREE_STORE.iter_document_order(self._root)
 
     def size(self) -> int:
         return sum(1 for _ in self.nodes())
 
     def depth(self) -> int:
         """Length of the longest root-to-leaf path (root alone = 1)."""
-        def measure(node: Node) -> int:
-            children = list(node.children())
-            if not children:
-                return 1
-            return 1 + max(measure(child) for child in children)
-        return measure(self._root)
+        level: dict[Node, int] = {}
+        for node in iter_subtree_elements(self._root):
+            level[node] = level.get(node.parent_or_none(), 0) + 1
+        return max(level.values())
 
     def __iter__(self) -> Iterator[Node]:
         return self.nodes()
@@ -62,14 +62,6 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree({self._root!r})"
-
-
-def _walk(node: Node) -> Iterator[Node]:
-    yield node
-    for attribute in node.attributes():
-        yield attribute
-    for child in node.children():
-        yield from _walk(child)
 
 
 def root(tree: Tree) -> Node:
@@ -92,29 +84,25 @@ def is_well_formed_tree(tree: Tree) -> bool:
     """Re-check the inductive tree conditions of Section 6.1.
 
     Every child's ``parent`` accessor must point back at its parent,
-    ditto for attributes, and no node may be reachable twice.
+    ditto for attributes, and no node may be reachable twice.  Not
+    the §7 walk: a node reached twice (a cycle) must stop the check,
+    not loop it.
     """
     seen: set[int] = set()
-
-    def check(node: Node) -> bool:
-        key = node.identifier
-        if key in seen:
-            return False
-        seen.add(key)
+    stack = [tree.root_node]
+    while stack:
+        node = stack.pop()
+        for member in (node, *node.attributes()):
+            if member.identifier in seen:
+                return False
+            seen.add(member.identifier)
+            if member is not node and member.parent_or_none() is not node:
+                return False
         for child in node.children():
             if child.parent_or_none() is not node:
                 return False
-            if not check(child):
-                return False
-        for attribute in node.attributes():
-            if attribute.parent_or_none() is not node:
-                return False
-            if attribute.identifier in seen:
-                return False
-            seen.add(attribute.identifier)
-        return True
-
-    return check(tree.root_node)
+            stack.append(child)
+    return True
 
 
 def pretty(tree: Tree, label: "Callable[[Node], str] | None" = None) -> str:
@@ -130,15 +118,10 @@ def pretty(tree: Tree, label: "Callable[[Node], str] | None" = None) -> str:
 
     label = label or default_label
     lines: list[str] = []
-
-    def emit(node: Node, indent: int) -> None:
-        lines.append("  " * indent + label(node))
-        for attribute in node.attributes():
-            lines.append("  " * (indent + 1) + label(attribute))
-        for child in node.children():
-            emit(child, indent + 1)
-
-    emit(tree.root_node, 0)
+    indent: dict[Node, int] = {}
+    for node in tree.nodes():
+        indent[node] = indent.get(node.parent_or_none(), -1) + 1
+        lines.append("  " * indent[node] + label(node))
     return "\n".join(lines)
 
 

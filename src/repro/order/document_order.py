@@ -82,22 +82,32 @@ def document_order(root: Node) -> list[Node]:
 def iter_subtree_elements(root: Node) -> Iterator[Node]:
     """The subtree of *root* in document order, attributes skipped.
 
-    This is the building block of the ``following`` axis: XPath's
-    ``following`` excludes attribute nodes, so axes built from this
-    iterator never materialize node sets just to filter them out
+    This is the building block of the ``descendant`` and ``following``
+    axes: XPath excludes attribute nodes from both, so axes built from
+    this iterator never materialize node sets just to filter them out
     again.
     """
-    yield root
-    for child in root.children():
-        yield from iter_subtree_elements(child)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        # list(): a Sequence indexes from 1, which reversed() misreads.
+        stack.extend(reversed(list(node.children())))
 
 
 def iter_subtree_elements_reversed(root: Node) -> Iterator[Node]:
     """The subtree of *root* in **reverse** document order, attributes
-    skipped — the building block of the ``preceding`` axis."""
-    for child in reversed(list(root.children())):
-        yield from iter_subtree_elements_reversed(child)
-    yield root
+    skipped — the building block of the ``preceding`` axis.  A node
+    is pushed once to be expanded and once more, below its children,
+    to be yielded after them."""
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children())
 
 
 def _order_path(node: Node) -> tuple[tuple[int, int], ...]:

@@ -20,6 +20,7 @@ O(label length) with no tree navigation at all.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
 from repro.xdm.node import AttributeNode, Node
@@ -59,14 +60,11 @@ def ancestor_or_self_axis(node: Node) -> Iterator[Node]:
 
 
 def descendant_axis(node: Node) -> Iterator[Node]:
-    for child in node.children():
-        yield child
-        yield from descendant_axis(child)
+    return islice(iter_subtree_elements(node), 1, None)
 
 
 def descendant_or_self_axis(node: Node) -> Iterator[Node]:
-    yield node
-    yield from descendant_axis(node)
+    return iter_subtree_elements(node)
 
 
 def following_sibling_axis(node: Node) -> Iterator[Node]:

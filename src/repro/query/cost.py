@@ -428,10 +428,7 @@ class CostModel:
         return estimate.finish()
 
     def _subtree_rows(self, schema_node: "SchemaNode") -> float:
-        total = self.rows(schema_node)
-        for child in schema_node.children:
-            total += self._subtree_rows(child)
-        return total
+        return sum(map(self.rows, schema_node.subtree()))
 
     def _price_naive(self, estimate: CostEstimate,
                      plan: "CompiledPlan",

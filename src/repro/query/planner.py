@@ -57,7 +57,7 @@ With engine statistics available (the default through
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro import obs
 from repro.errors import TypeSystemError
@@ -88,15 +88,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def _schema_candidates(schema_node: SchemaNode,
-                       step: Step) -> Iterator[SchemaNode]:
+                       step: Step) -> Iterable[SchemaNode]:
     if step.axis == "child":
-        yield from schema_node.children
-    else:
-        def walk(node: SchemaNode) -> Iterator[SchemaNode]:
-            yield node
-            for child in node.children:
-                yield from walk(child)
-        yield from walk(schema_node)
+        return schema_node.children
+    return schema_node.subtree()
 
 
 def _schema_accepts(schema_node: SchemaNode, step: Step) -> bool:

@@ -88,6 +88,16 @@ class SchemaNode:
     def attribute_children(self) -> list["SchemaNode"]:
         return [c for c in self.children if c.node_type == "attribute"]
 
+    def subtree(self) -> Iterator["SchemaNode"]:
+        """This node and its descendants in pre-order — the one walk
+        of the descriptive schema.  An explicit stack: a schema is as
+        deep as its deepest document path."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
     # -- block chain -------------------------------------------------------
 
     def blocks(self) -> Iterator["Block"]:
@@ -185,11 +195,7 @@ class DescriptiveSchema:
 
     def iter_nodes(self) -> Iterator[SchemaNode]:
         """Pre-order traversal of the schema tree."""
-        def walk(node: SchemaNode) -> Iterator[SchemaNode]:
-            yield node
-            for child in node.children:
-                yield from walk(child)
-        return walk(self.root)
+        return self.root.subtree()
 
     def paths(self) -> list[tuple[str, str]]:
         """All (path, node type) pairs — the figure of Example 8."""

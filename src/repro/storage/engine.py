@@ -26,6 +26,7 @@ from repro.errors import StorageError, UpdateError
 from repro.xmlio.nodes import XmlDocument, XmlElement, XmlText
 from repro.xmlio.qname import QName
 from repro.xdm.node import DocumentNode, ElementNode, TextNode
+from repro.xdm.store import walk_document_order
 from repro.storage import faults
 from repro.storage.blocks import Block
 from repro.storage.descriptor import NodeDescriptor, doc_order_key
@@ -139,14 +140,8 @@ class StorageEngine:
             self.schema.root, self.numbering.root_label())
         self._append_to_schema_blocks(root_descriptor)
         self.document = root_descriptor
-        schema_node = self.schema.get_or_add_child(
-            self.schema.root, element.name, "element")
         (label,) = self.numbering.child_labels(root_descriptor.nid, 1)
-        element_descriptor = self._new_descriptor(schema_node, label)
-        element_descriptor.parent = root_descriptor
-        self._append_to_schema_blocks(element_descriptor)
-        self._register_child_pointer(root_descriptor, element_descriptor)
-        self._load_children(element_descriptor, element, expand)
+        self._load_children(root_descriptor, [(label, element)], expand)
         return root_descriptor
 
     def _new_descriptor(self, schema_node: SchemaNode, nid: NidLabel,
@@ -155,45 +150,55 @@ class StorageEngine:
         _ALLOCATED.inc()
         return descriptor
 
-    def _load_children(self, parent_descriptor: NodeDescriptor,
-                       element, expand) -> None:
-        """Allocate labels and store attributes then children."""
+    def _load_children(self, parent: NodeDescriptor, pending,
+                       expand) -> None:
+        """Store the ``(label, child)`` pairs *pending* below *parent*
+        and every child element's subtree, in document order — each
+        element's attributes, then its children, a child's subtree
+        before its next sibling — with an explicit stack of frames
+        ``[parent, its pairs still to store, its last child stored]``.
+        """
+        stack = [[parent, iter(pending), None]]
+        while stack:
+            frame = stack[-1]
+            parent, pending, previous = frame
+            for label, child in pending:
+                is_text = isinstance(child, str)
+                schema_node = self.schema.get_or_add_child(
+                    parent.schema_node, None if is_text else child.name,
+                    "text" if is_text else "element")
+                descriptor = self._new_descriptor(
+                    schema_node, label, value=child if is_text else None)
+                descriptor.parent = parent
+                descriptor.left_sibling = previous
+                if previous is not None:
+                    previous.right_sibling = descriptor
+                frame[2] = previous = descriptor
+                self._append_to_schema_blocks(descriptor)
+                self._register_child_pointer(parent, descriptor)
+                if not is_text:
+                    stack.append([descriptor, self._load_attributes(
+                        descriptor, child, expand), None])
+                    break
+            else:
+                stack.pop()
+
+    def _load_attributes(self, parent: NodeDescriptor, element, expand):
+        """Label *element*'s attributes and children, store the
+        attributes and return the children's ``(label, child)`` pairs.
+        """
         attributes, children = expand(element)
         labels = self.numbering.child_labels(
-            parent_descriptor.nid, len(attributes) + len(children))
-        cursor = 0
-        for name, value in attributes:
+            parent.nid, len(attributes) + len(children))
+        for label, (name, value) in zip(labels, attributes):
             schema_node = self.schema.get_or_add_child(
-                parent_descriptor.schema_node, name, "attribute")
-            descriptor = self._new_descriptor(schema_node, labels[cursor],
+                parent.schema_node, name, "attribute")
+            descriptor = self._new_descriptor(schema_node, label,
                                               value=value)
-            cursor += 1
-            descriptor.parent = parent_descriptor
+            descriptor.parent = parent
             self._append_to_schema_blocks(descriptor)
-            self._register_child_pointer(parent_descriptor, descriptor)
-        previous: Optional[NodeDescriptor] = None
-        for child in children:
-            is_text = isinstance(child, str)
-            if is_text:
-                schema_node = self.schema.get_or_add_child(
-                    parent_descriptor.schema_node, None, "text")
-                descriptor = self._new_descriptor(
-                    schema_node, labels[cursor], value=child)
-            else:
-                schema_node = self.schema.get_or_add_child(
-                    parent_descriptor.schema_node, child.name, "element")
-                descriptor = self._new_descriptor(schema_node,
-                                                  labels[cursor])
-            cursor += 1
-            descriptor.parent = parent_descriptor
-            descriptor.left_sibling = previous
-            if previous is not None:
-                previous.right_sibling = descriptor
-            previous = descriptor
-            self._append_to_schema_blocks(descriptor)
-            self._register_child_pointer(parent_descriptor, descriptor)
-            if not is_text:
-                self._load_children(descriptor, child, expand)
+            self._register_child_pointer(parent, descriptor)
+        return zip(labels[len(attributes):], children)
 
     # ==================================================================
     # Block placement
@@ -324,15 +329,9 @@ class StorageEngine:
         if node.right_sibling is None and node.node_type == "text":
             # The common leaf element: one text child.
             return node.value or ""
-        parts: list[str] = []
-        while node is not None:
-            node_type = node.node_type
-            if node_type == "text":
-                parts.append(node.value or "")
-            elif node_type == "element":
-                parts.append(self.string_value(node))
-            node = node.right_sibling
-        return "".join(parts)
+        return "".join(node.value or ""
+                       for node in self.iter_document_order(descriptor)
+                       if node.node_type == "text")
 
     def string_values(self, descriptors) -> list[str]:
         """``[string_value(d) for d in descriptors]`` in one pass.
@@ -371,16 +370,15 @@ class StorageEngine:
 
     def iter_document_order(self, descriptor: NodeDescriptor | None = None
                             ) -> Iterator[NodeDescriptor]:
-        """Whole-(sub)tree scan in document order (Section 7 rules)."""
+        """Whole-(sub)tree scan in document order (Section 7 rules):
+        :func:`~repro.xdm.store.walk_document_order` over this
+        engine's accessors."""
         if descriptor is None:
-            if self.document is None:
-                return
             descriptor = self.document
-        yield descriptor
-        for attribute in self.attributes(descriptor):
-            yield attribute
-        for child in self.children(descriptor):
-            yield from self.iter_document_order(child)
+            if descriptor is None:
+                return iter(())
+        return walk_document_order(descriptor, self.attributes,
+                                   self.children)
 
     def scan_schema_node(self, schema_node: SchemaNode
                          ) -> Iterator[NodeDescriptor]:
@@ -598,23 +596,24 @@ class StorageEngine:
             wal, txn = self._open_transaction()
             if txn is not None:
                 wal.append_delete(txn.txn_id, descriptor.nid)
-                doomed = list(self.iter_document_order(descriptor))
-            removed = self._delete_subtree(descriptor)
+            doomed = list(self.iter_document_order(descriptor))
+            self._delete_subtree(doomed)
             if txn is not None:
                 txn.undo.append((self._restore_subtree, doomed))
-            return removed
+            return len(doomed)
 
-    def _delete_subtree(self, descriptor: NodeDescriptor) -> int:
-        removed = 0
-        for attribute in list(self.attributes(descriptor)):
-            self._remove_descriptor(attribute)
-            removed += 1
-        for child in list(self.children(descriptor)):
-            removed += self._delete_subtree(child)
-        self._detach(descriptor)
-        self.delete_count += 1
-        obs.REGISTRY.counter("storage.deletes").inc()
-        return removed + 1
+    def _delete_subtree(self, doomed: list[NodeDescriptor]) -> None:
+        """Take out a subtree listed in document order, last node
+        first: every node leaves after its descendants, so each
+        element or text is childless when it is detached."""
+        deletes = obs.REGISTRY.counter("storage.deletes")
+        for descriptor in reversed(doomed):
+            if descriptor.node_type == "attribute":
+                self._remove_descriptor(descriptor)
+                continue
+            self._detach(descriptor)
+            self.delete_count += 1
+            deletes.inc()
 
     def _restore_subtree(self, doomed: list[NodeDescriptor]) -> None:
         """Put a deleted subtree back label-exactly, parents first.

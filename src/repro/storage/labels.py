@@ -241,29 +241,36 @@ class NumberingScheme:
         return result
 
     def _mid(self, a: Component, b: Component) -> Component:
+        """The digits strictly between *a* and *b*, one digit position
+        per loop step (a component's length is data, not stack)."""
         base = self.base
-        if b:
-            # Strip the common prefix.
-            n = 0
-            while n < len(b) and (a[n] if n < len(a) else -1) == b[n]:
-                n += 1
-            if n > 0:
-                return b[:n] + self._mid(a[n:], b[n:])
-        digit_a = a[0] if a else 0
-        digit_b = b[0] if b else base
-        if digit_b - digit_a > 1:
-            mid = (digit_a + digit_b) // 2
-            if mid == 0:
-                mid = 1  # never produce the bare zero digit string
-            return (mid,)
-        if digit_a == digit_b:
-            # Only possible when a is empty and b starts with digit 0:
-            # descend into b's tail below that zero.
-            return (0,) + self._mid((), b[1:])
-        # Adjacent digits: recurse into a's tail with an open upper bound.
-        if len(a) <= 1:
-            return (digit_a,) + self._mid((), ())
-        return (digit_a,) + self._mid(a[1:], ())
+        out: list[int] = []
+        while True:
+            if b:
+                # Strip the common prefix.
+                n = 0
+                while n < len(b) and (a[n] if n < len(a) else -1) == b[n]:
+                    n += 1
+                if n > 0:
+                    out.extend(b[:n])
+                    a, b = a[n:], b[n:]
+                    continue
+            digit_a = a[0] if a else 0
+            digit_b = b[0] if b else base
+            if digit_b - digit_a > 1:
+                # Never produce the bare zero digit string.
+                out.append((digit_a + digit_b) // 2 or 1)
+                return tuple(out)
+            if digit_a == digit_b:
+                # Only possible when a is empty and b starts with digit
+                # 0: descend into b's tail below that zero.
+                out.append(0)
+                b = b[1:]
+            else:
+                # Adjacent digits: descend into a's tail with an open
+                # upper bound.
+                out.append(digit_a)
+                a, b = a[1:], ()
 
     def spread(self, count: int) -> list[Component]:
         """*count* evenly spaced sibling components for bulk loading.

@@ -18,7 +18,7 @@ presents.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import ModelError
 from repro.xmlio.qname import QName
@@ -164,11 +164,6 @@ class StorageNodeStore(NodeStore):
             raise ModelError("storage engine holds no document")
         return document
 
-    def iter_document_order(self, ref: "NodeDescriptor | None" = None
-                            ) -> Iterator[NodeDescriptor]:
-        yield from self._engine.iter_document_order(
-            ref if ref is not None else self.root())
-
     def descendants_of(self, ref: NodeDescriptor
                        ) -> "list[NodeDescriptor]":
         """Batched ``descendant-or-self``: descriptors are gathered one
@@ -179,8 +174,9 @@ class StorageNodeStore(NodeStore):
 
         From the document root the prefix filter accepts everything, so
         the sweep touches every block exactly once; below the root only
-        subtrees big enough to amortize the block sweep win, so small
-        contexts keep the recursive walk.
+        subtrees big enough to amortize the block sweep win, so a
+        smaller context walks its subtree
+        (:meth:`~repro.storage.engine.StorageEngine.iter_document_order`).
         """
         engine = self._engine
         if ref is engine.document:

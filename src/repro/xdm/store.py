@@ -42,6 +42,27 @@ from repro.xdm.node import Node
 Ref = Any
 
 
+def walk_document_order(ref: Ref, attributes, children
+                        ) -> Iterator[Ref]:
+    """The subtree at *ref* in §7 document order — node, then its
+    attributes, then its child subtrees — through one model's two
+    accessors: every §7 walk of a tree or of the storage.
+
+    An explicit stack: each node costs one loop step (a recursive
+    generator pays a frame resumption per ancestor per node) and depth
+    is data, not interpreter stack.
+    """
+    stack = [ref]
+    pop = stack.pop
+    while stack:
+        node = pop()
+        yield node
+        yield from attributes(node)
+        kids = children(node)
+        if kids:
+            stack.extend(reversed(kids))
+
+
 class NodeStore:
     """Abstract signature: the ten §5 accessors + navigation kernel.
 
@@ -103,23 +124,10 @@ class NodeStore:
     def iter_document_order(self, ref: Optional[Ref] = None
                             ) -> Iterator[Ref]:
         """The (sub)tree at *ref* (default: the root) in §7 document
-        order: node, then attributes, then child subtrees.
-
-        Iterative (explicit stack) so each node costs one loop step —
-        a recursive generator pays one frame resumption per ancestor
-        per yielded node, which the query kernel cannot afford.
-        """
-        if ref is None:
-            ref = self.root()
-        stack = [ref]
-        pop = stack.pop
-        while stack:
-            node = pop()
-            yield node
-            yield from self.attributes(node)
-            children = self.children(node)
-            if children:
-                stack.extend(reversed(children))
+        order: :func:`walk_document_order` over this store's
+        accessors."""
+        return walk_document_order(self.root() if ref is None else ref,
+                                   self.attributes, self.children)
 
     def descendants_of(self, ref: Ref) -> "Iterator[Ref] | list[Ref]":
         """``descendant-or-self`` incl. attributes — the ``//`` axis

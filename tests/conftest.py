@@ -5,8 +5,9 @@ runs the generated properties under (``tests/test_snapshot_advance.py``,
 the every-policy ≡ oracle properties of ``tests/test_compiled_parity.py``
 and ``tests/test_indexes.py``, the plan-epoch properties of
 ``tests/test_query_plan.py``, the UPA and matcher ≡ Glushkov
-properties of ``tests/test_content_models.py`` and the label ≡ §9.3
-rules properties of ``tests/test_storage_labels.py`` take their
+properties of ``tests/test_content_models.py``, the label ≡ §9.3
+rules properties of ``tests/test_storage_labels.py`` and the walk ≡
+recursive oracle properties of ``tests/test_walks.py`` take their
 example budget from the active profile); tier-1 runs the hypothesis
 default.
 """

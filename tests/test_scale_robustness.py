@@ -1,5 +1,7 @@
 """Scale and robustness checks: deep, wide and large documents."""
 
+import sys
+
 import pytest
 
 from repro.mapping import (
@@ -9,8 +11,15 @@ from repro.mapping import (
 )
 from repro.order import document_order
 from repro.query import evaluate_tree
-from repro.storage import StorageEngine
-from repro.xmlio import parse_document, serialize_document
+from repro.server import DatabaseServer
+from repro.storage import (
+    FileBackend,
+    MemoryBackend,
+    SqliteBackend,
+    StorageEngine,
+    recover,
+)
+from repro.xmlio import QName, parse_document, serialize_document
 from repro.workloads import make_library_document
 
 
@@ -47,6 +56,79 @@ class TestDeepDocuments:
         document = parse_document(_deep_document(self.DEPTH))
         tree = untyped_document_to_tree(document)
         assert content_equal(tree_to_document(tree), document)
+
+    # A chain deeper than the interpreter's recursion limit, committed
+    # by one transaction: every durable and query step after it walks
+    # with its own stack, so the committed store stays usable.
+
+    CHAIN = 1200
+
+    @pytest.fixture(params=["memory", "file", "sqlite"])
+    def chain_server(self, request, tmp_path):
+        assert sys.getrecursionlimit() < self.CHAIN
+        backend = {
+            "memory": MemoryBackend,
+            "file": lambda: FileBackend(tmp_path / "deep.img",
+                                        wal_path=tmp_path / "deep.wal"),
+            "sqlite": lambda: SqliteBackend(tmp_path / "deep.db"),
+        }[request.param]()
+        server = DatabaseServer(backend, parse_document("<a/>"),
+                                workers=1, lease_ttl=60.0)
+
+        def insert_chain(engine, session):
+            node = engine.children(engine.document)[0]
+            for _ in range(self.CHAIN):
+                node = engine.insert_child(node, 0, name=QName("", "a"))
+            engine.insert_child(node, 0, text="leaf")
+
+        with server.open_session("write") as writer:
+            writer.execute(insert_chain)
+        yield server
+        server.close()
+
+    @staticmethod
+    def _chain_top(engine):
+        """The first ``a`` the transaction inserted."""
+        return engine.children(engine.children(engine.document)[0])[0]
+
+    def _assert_chain(self, engine):
+        assert engine.node_count() == self.CHAIN + 3
+        assert engine.string_value(self._chain_top(engine)) == "leaf"
+        engine.check_invariants()
+
+    def test_deep_chain_checkpoints(self, chain_server):
+        chain_server.checkpoint_now()
+        self._assert_chain(recover(chain_server.backend).engine)
+
+    def test_deep_chain_recovers(self, chain_server):
+        result = recover(chain_server.backend)
+        assert result.replayed == self.CHAIN + 1
+        self._assert_chain(result.engine)
+
+    def test_deep_chain_reopens(self, chain_server):
+        chain_server.checkpoint_now()
+        chain_server.close()
+        with DatabaseServer(chain_server.backend, workers=1) as reopened:
+            self._assert_chain(reopened.engine)
+
+    def test_deep_chain_pinned_reader(self, chain_server):
+        with chain_server.open_session("read") as reader:
+            assert len(reader.query("//a")) == self.CHAIN + 1
+
+    def test_deep_chain_string_value(self, chain_server):
+        engine = chain_server.engine
+        assert engine.string_value(self._chain_top(engine)) == "leaf"
+        assert engine.string_value(engine.document) == "leaf"
+
+    def test_deep_chain_deletes_and_recovers(self, chain_server):
+        with chain_server.open_session("write") as writer:
+            removed = writer.execute(lambda engine, session:
+                                     engine.delete_subtree(
+                                         self._chain_top(engine)))
+        assert removed == self.CHAIN + 1
+        engine = recover(chain_server.backend).engine
+        assert engine.node_count() == 2
+        engine.check_invariants()
 
 
 class TestWideDocuments:

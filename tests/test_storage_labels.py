@@ -6,6 +6,7 @@ the rules on symbol sequences in :mod:`tests.label_rules`
 profile's)."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +136,53 @@ class TestMidpoint:
     def test_tiny_alphabet_rejected(self):
         with pytest.raises(LabelError):
             NumberingScheme(base=2)
+
+    def test_long_component_needs_no_stack(self):
+        """A component grows about one digit per eight appends at one
+        end, so its length is data: the midpoint descends one digit
+        per loop step.  The recursive descent answered this only under
+        a raised recursion limit."""
+        low = (255,) * 1500 + (1,)
+        assert len(low) > sys.getrecursionlimit()
+        assert NumberingScheme().midpoint(low, None) == \
+            (255,) * 1500 + (128,)
+
+    @settings(max_examples=_budget(200), deadline=None)
+    @given(base=st.sampled_from((3, 4, 16, 256)), data=st.data())
+    def test_loop_returns_the_recursive_digits(self, base, data):
+        scheme = NumberingScheme(base=base)
+        digits = st.lists(st.sampled_from((0, 1, base // 2, base - 1)),
+                          max_size=6).map(_trim)
+        low, high = sorted((data.draw(digits), data.draw(digits)))
+        if low == high:
+            high = ()
+        assert scheme._mid(low, high) == _recursive_mid(base, low, high)
+
+
+def _trim(digits):
+    """A stored component never ends in digit 0."""
+    digits = list(digits)
+    while digits and digits[-1] == 0:
+        digits.pop()
+    return tuple(digits)
+
+
+def _recursive_mid(base, a, b):
+    """The midpoint descent as it was written before it became a loop:
+    one call per digit position."""
+    if b:
+        n = 0
+        while n < len(b) and (a[n] if n < len(a) else -1) == b[n]:
+            n += 1
+        if n > 0:
+            return b[:n] + _recursive_mid(base, a[n:], b[n:])
+    digit_a = a[0] if a else 0
+    digit_b = b[0] if b else base
+    if digit_b - digit_a > 1:
+        return (max((digit_a + digit_b) // 2, 1),)
+    if digit_a == digit_b:
+        return (0,) + _recursive_mid(base, (), b[1:])
+    return (digit_a,) + _recursive_mid(base, a[1:], ())
 
 
 class TestChildLabels:
