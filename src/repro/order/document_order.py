@@ -91,8 +91,7 @@ def iter_subtree_elements(root: Node) -> Iterator[Node]:
     while stack:
         node = stack.pop()
         yield node
-        # list(): a Sequence indexes from 1, which reversed() misreads.
-        stack.extend(reversed(list(node.children())))
+        stack.extend(reversed(node.children()))
 
 
 def iter_subtree_elements_reversed(root: Node) -> Iterator[Node]:

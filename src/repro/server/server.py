@@ -262,10 +262,10 @@ class DatabaseServer:
             # Publish version zero so readers can pin immediately.
             backend.checkpoint(engine, wal=wal)
         #: Serializes live-engine reads (write-session queries) with
-        #: the writer's mutations; reader sessions never touch it on
-        #: a pin hit or a snapshot advance — only a pin that had to
-        #: fall back to recover() and kept losing races against the
-        #: writer takes it (see SnapshotManager.pin).
+        #: the writer's mutations, commits and checkpoints; reader
+        #: sessions never touch it on a pin hit or a snapshot advance
+        #: — only a pin that falls back to recover() holds it, for
+        #: that one recovery (see SnapshotManager.pin).
         self._live_lock = threading.RLock()
         self.snapshots = SnapshotManager(backend,
                                          write_latch=self._live_lock,

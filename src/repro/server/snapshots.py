@@ -30,8 +30,8 @@ from one copy nothing else appends to.  A record the writer publishes
 meanwhile reaches neither a key nor an advance that did not fold it.
 A pin *hit* costs a length compare plus a dictionary lookup; no store
 is read and no frame decoded, however long the log has grown.  A
-manager with no log to follow (standalone, or a writer elsewhere)
-scans the backend's store afresh for every key.
+standalone manager (no log to follow, no concurrent writer) scans
+the backend's store afresh for every key.
 
 **A miss advances a spare.**  A committed transaction is a local
 change (§9.2: an insertion touches one block; Proposition 1: nothing
@@ -65,17 +65,13 @@ pin, a miss with no eligible base (every cached snapshot pinned, or
 older than the log's checkpoint), and a base whose advance failed
 (it is dropped; recovery decides whether the log or the spare was at
 fault).  Only there are image and log read from the backend, in two
-reads, so a commit or checkpoint can land between them — a
-checkpoint's image-publish + WAL-reset pair can even show the old
-image against the reset log — and the store may already hold a COMMIT
-the writer has not published yet.  That path alone is closed
-*optimistically*: the snapshot is keyed from the log ``recover()``
-itself read, and published only when that key is both the key the pin
-started from and the key derived again afterwards; after
-:data:`PIN_OPTIMISTIC_ATTEMPTS` lost races the pin serializes with the
-writer through the *write latch* the owning server shares with its
-commit/checkpoint path.  The advance needs neither: it reads nothing
-but the records its key came from.
+reads, so the pin holds the *write latch* the owning server commits
+and checkpoints under for one ``recover()``: no commit or checkpoint
+lands between the two reads, and the snapshot is keyed from the log
+``recover()`` itself read, so key and contents agree even over a
+COMMIT the store holds and the writer has not published yet.
+Nothing is checked afterwards or retried.  A standalone manager has
+no latch and assumes no concurrent writer.
 
 The writer never takes part on the fast path: it appends to the WAL
 and mutates the live engine while readers pin, query and release.
@@ -84,6 +80,7 @@ and mutates the live engine while readers pin, query and release.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import obs
@@ -108,10 +105,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Distinct snapshot versions kept around by default (the newest is
 #: never evicted while unpinned; pinned versions are never evicted).
 DEFAULT_MAX_CACHED = 4
-
-#: Optimistic key-verify rounds of the ``recover()`` fallback before a
-#: pin serializes with the writer through the shared write latch.
-PIN_OPTIMISTIC_ATTEMPTS = 3
 
 
 class Snapshot:
@@ -249,15 +242,15 @@ class SnapshotManager:
         self.backend = backend
         self.max_cached = max_cached
         #: Lock the owning server holds across every commit and
-        #: checkpoint.  The ``recover()`` fallback takes it when
-        #: optimistic key-verification keeps losing races against the
-        #: writer; holding it makes image read + log read atomic with
-        #: respect to horizon moves.  ``None`` (standalone use, no
-        #: concurrent writer) disables that.
-        self._write_latch = write_latch
-        #: The writer's log, followed in memory (its ``scan``); None —
-        #: standalone, or a writer elsewhere — reads the backend's
-        #: store afresh for every key.
+        #: checkpoint; the ``recover()`` fallback holds it so image
+        #: and log are read with no commit or checkpoint in between.
+        #: Taken before the manager lock, never while holding it.
+        #: ``None``: standalone, no concurrent writer, nothing to take.
+        self._write_latch = (nullcontext() if write_latch is None
+                             else write_latch)
+        #: The writer's log, followed in memory (its ``scan``); None
+        #: (standalone) reads the backend's store afresh for every
+        #: key.
         self._wal = wal
         #: Guards the cache and the log view, and is held across an
         #: advance.  Re-entrant: ``pin`` derives its key through the
@@ -319,42 +312,11 @@ class SnapshotManager:
 
         Only when no cached snapshot can be advanced does the pin fall
         back to :func:`~repro.storage.recovery.recover`, outside the
-        lock (readers at cached horizons are not blocked).  Image and
-        log are two reads of the backend there: a commit or
-        checkpoint that lands in between leaves contents the key does
-        not claim, or has recover() read a half-advanced image/log
-        pair, and the store may hold a COMMIT not yet published.  So
-        that path — and only that path — keys the snapshot from the
-        log recover() read, publishes it when that key is the key
-        before and after, and otherwise starts the pin over; after
-        :data:`PIN_OPTIMISTIC_ATTEMPTS` lost races it runs once more
-        holding the write latch the writer commits under.
+        manager lock (readers at cached horizons are not blocked) and
+        holding the write latch, so commits and checkpoints wait for
+        that one ``recover()``.  The snapshot is keyed from the log
+        recover() read, and a cached one at that key is reused.
         """
-        for _ in range(PIN_OPTIMISTIC_ATTEMPTS):
-            snapshot = self._pin_once()
-            if snapshot is not None:
-                return snapshot
-        # Sustained contention: the writer keeps moving the horizon
-        # under recover().  Take the latch it holds across
-        # commit/checkpoint so image + log are read atomically.
-        if self._write_latch is None:
-            raise SessionError(
-                "could not pin a stable snapshot: the committed "
-                f"horizon moved {PIN_OPTIMISTIC_ATTEMPTS} times "
-                "during recovery and no write latch is configured "
-                "to serialize with the writer")
-        with self._write_latch:
-            snapshot = self._pin_once()
-        if snapshot is None:
-            raise SessionError(
-                "could not pin a stable snapshot: the committed "
-                "horizon moved during recovery even under the write "
-                "latch (a writer that does not hold it?)")
-        return snapshot
-
-    def _pin_once(self) -> Optional[Snapshot]:
-        """One round of :meth:`pin`; None when recover() lost a race
-        against the writer and the pin must start over."""
         with self._lock:
             key = self.current_key()
             snapshot = self._cache.get(key)
@@ -364,24 +326,25 @@ class SnapshotManager:
                 snapshot = self._advance(key)
             if snapshot is not None:
                 return self._pinned(snapshot)
-        try:
-            materialized = self._materialize(key)
-        except StorageError:
-            if self.current_key() == key:
-                raise  # stable horizon: a genuine recovery failure
-            return None  # a checkpoint raced recover(); re-derive
-        if materialized is None:
-            return None  # recover() read a log the key did not see
-        with self._lock:
-            if self.current_key() != key:
-                return None  # horizon moved: contents may exceed key
-            snapshot = self._cache.get(key)
-            if snapshot is None:  # else: another reader built it first
-                snapshot = materialized
-                self._cache[key] = snapshot
-                self._order.append(key)
-                self._evict_stale()
-            return self._pinned(snapshot)
+        with self._write_latch:
+            # recover() asserts relabels == 0 and the §9 invariants,
+            # and by construction replays only the committed prefix —
+            # the two halves of the reader-isolation guarantee.
+            result = recover(self.backend)
+            obs.REGISTRY.counter("server.snapshot.materializations").inc()
+            log = _LogView()
+            if result.scan is not None:
+                log.follow(result.scan)
+            key = log.key(lambda: result.checkpoint_lsn)
+            with self._lock:
+                snapshot = self._cache.get(key)
+                if snapshot is None:
+                    snapshot = Snapshot(key, result.engine,
+                                        result.relabels)
+                    self._cache[key] = snapshot
+                    self._order.append(key)
+                    self._evict_stale()
+                return self._pinned(snapshot)
 
     def _pinned(self, snapshot: Snapshot) -> Snapshot:
         """Under the lock: count one more pin on *snapshot*."""
@@ -454,22 +417,6 @@ class SnapshotManager:
         obs.REGISTRY.histogram(
             "server.snapshot.advance.records").observe(done.replayed)
         return base
-
-    def _materialize(self, key: tuple[int, int]) -> Optional[Snapshot]:
-        """recover(), keyed from the log recover() itself read: None
-        when that key is not *key* — the store held a COMMIT not yet
-        published, or a commit or checkpoint landed since *key*."""
-        # recover() asserts relabels == 0 and the §9 invariants, and by
-        # construction replays only the committed prefix — the two
-        # halves of the reader-isolation guarantee.
-        result = recover(self.backend)
-        obs.REGISTRY.counter("server.snapshot.materializations").inc()
-        log = _LogView()
-        if result.scan is not None:
-            log.follow(result.scan)
-        if log.key(lambda: result.checkpoint_lsn) != key:
-            return None
-        return Snapshot(key, result.engine, result.relabels)
 
     def _record_pins(self) -> None:
         self._pinned_gauge.set(self._pins)

@@ -27,7 +27,7 @@ class SchemaNode:
     tree structure and the entry point to its block list (Section 9.2)."""
 
     __slots__ = ("name", "node_type", "parent", "children",
-                 "first_block", "last_block", "descriptor_count")
+                 "first_block", "last_block", "descriptor_count", "path")
 
     def __init__(self, name: Optional[QName], node_type: str,
                  parent: "SchemaNode | None") -> None:
@@ -44,6 +44,12 @@ class SchemaNode:
         self.first_block: "Block | None" = None
         self.last_block: "Block | None" = None
         self.descriptor_count = 0
+        #: Slash-separated root-to-here path (document step omitted),
+        #: fixed here: a schema node never moves or renames.
+        self.path = (
+            "" if node_type == "document"
+            else self.step if parent is None or not parent.path
+            else f"{parent.path}/{self.step}")
 
     # -- structure --------------------------------------------------------
 
@@ -57,17 +63,6 @@ class SchemaNode:
             return "#text"
         prefix = "@" if self.node_type == "attribute" else ""
         return f"{prefix}{self.name.local}"
-
-    @property
-    def path(self) -> str:
-        """Slash-separated root-to-here path (document step omitted)."""
-        steps: list[str] = []
-        node: SchemaNode | None = self
-        while node is not None and node.node_type != "document":
-            steps.append(node.step)
-            node = node.parent
-        steps.reverse()
-        return "/".join(steps)
 
     def child_index(self, child: "SchemaNode") -> int:
         for index, candidate in enumerate(self.children):

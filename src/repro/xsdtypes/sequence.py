@@ -49,6 +49,11 @@ class Sequence(Generic[T]):
     def __iter__(self) -> Iterator[T]:
         return iter(self._items)
 
+    def __reversed__(self) -> Iterator[T]:
+        # Without it, reversed() would index 0-based through the
+        # 1-based __getitem__ and stop early.
+        return reversed(self._items)
+
     def __bool__(self) -> bool:
         return bool(self._items)
 

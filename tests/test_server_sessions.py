@@ -27,10 +27,9 @@ from repro.server import (
     SessionClosed,
     SessionError,
     SessionExpired,
-    SnapshotManager,
     server_report,
+    snapshots,
 )
-from repro.server.snapshots import PIN_OPTIMISTIC_ATTEMPTS
 from repro.storage import FileBackend, MemoryBackend, faults, recover
 from repro.storage.faults import FaultPlan, derive_seed
 from repro.workloads.bookstore import (
@@ -171,100 +170,97 @@ class TestSnapshotIsolation:
 class TestPinWriterRaces:
     """The ``recover()`` fallback of a pin — taken here because a
     server's first pin has no cached snapshot to advance — reads image
-    and log separately, so a commit or checkpoint can land between
-    the two: it must not publish contents beyond its declared key
-    (nor fail on the half-advanced image/log pair a checkpoint leaves
-    mid-flight).  The advance path reads one scan and has no such
-    window; its races are in ``test_snapshot_advance.py``."""
+    and log separately, so it holds the write latch for that one
+    recovery: a commit or checkpoint from another thread waits for it
+    and lands after, and the snapshot holds the state it was keyed
+    at.  The advance path reads one scan and takes no latch; its races
+    are in ``test_snapshot_advance.py``."""
 
-    def test_pin_retries_when_a_commit_races_materialization(self):
+    def _race_the_fallback(self, server, monkeypatch, write):
+        """Pin on one thread while *write* runs on another, started
+        once the pin's recover() is under way; checks that *write*
+        finished only after recover() returned, and returns the
+        pinned snapshot."""
+        entered, release, written = (threading.Event(),
+                                     threading.Event(),
+                                     threading.Event())
+        real = snapshots.recover
+        finished, pinned = [], []
+
+        def held(backend):
+            entered.set()
+            assert release.wait(10.0)
+            result = real(backend)
+            finished.append("recover")
+            return result
+
+        def write_then_mark():
+            write()
+            finished.append("write")
+            written.set()
+
+        monkeypatch.setattr(snapshots, "recover", held)
+        reader = threading.Thread(
+            target=lambda: pinned.append(server.snapshots.pin()))
+        writer = threading.Thread(target=write_then_mark)
+        reader.start()
+        try:
+            assert entered.wait(10.0)
+            writer.start()
+            # The writer must wait for the latch the fallback holds.
+            assert not written.wait(0.2)
+        finally:
+            release.set()
+            reader.join(10.0)
+            if writer.ident is not None:
+                writer.join(10.0)
+        monkeypatch.undo()
+        assert not reader.is_alive() and not writer.is_alive()
+        assert finished == ["recover", "write"]
+        return pinned[0]
+
+    def _assert_the_next_pin_advances(self, server):
+        with server.open_session("read") as reader:
+            values = reader.query_values(TITLES)
+            assert reader.snapshot.key == server.snapshots.current_key()
+            assert reader.snapshot.relabels == 0
+        assert obs.REGISTRY.value(
+            "server.snapshot.materializations") == 1
+        assert obs.REGISTRY.value("server.snapshot.advances") == 1
+        return values
+
+    def test_a_commit_from_another_thread_waits_for_the_fallback(
+            self, monkeypatch):
         with make_server() as server:
             manager = server.snapshots
-            real = manager._materialize
-            raced = {"commits": 0}
+            before = manager.current_key()
 
-            def racing(key):
-                if raced["commits"] == 0:
-                    raced["commits"] += 1
-                    with server.open_session("write") as writer:
-                        writer.execute(add_book("RACER"))
-                return real(key)
+            def write():
+                with server.open_session("write") as writer:
+                    writer.execute(add_book("RACER"))
 
-            manager._materialize = racing
-            with server.open_session("read") as reader:
-                values = reader.query_values(TITLES)
-                # The first key was derived before the racing commit,
-                # so the first materialization exceeded it; the pin
-                # must have re-derived and published under the
-                # post-commit key — key and contents agree.
-                assert reader.snapshot.key == manager.current_key()
-                assert len(values) == 6 and "RACER" in values
-            assert raced["commits"] == 1
-            # Both rounds went through recover(); nothing was cached
-            # in between for the second one to advance.
-            assert obs.REGISTRY.value(
-                "server.snapshot.materializations") == 2
-            assert obs.REGISTRY.value("server.snapshot.advances") == 0
+            snapshot = self._race_the_fallback(server, monkeypatch, write)
+            assert snapshot.key == before != manager.current_key()
+            assert len(snapshot.engine.string_values(
+                snapshot.queries().evaluate(TITLES))) == 5
+            manager.release(snapshot)
+            values = self._assert_the_next_pin_advances(server)
+            assert len(values) == 6 and "RACER" in values
 
-    def test_pin_retries_when_a_checkpoint_races_materialization(self):
+    def test_a_checkpoint_from_another_thread_waits_for_the_fallback(
+            self, monkeypatch):
         with make_server() as server:
             with server.open_session("write") as writer:
                 writer.execute(add_book("PRE"))
             manager = server.snapshots
-            real = manager._materialize
-            raced = {"checkpoints": 0}
-
-            def racing(key):
-                if raced["checkpoints"] == 0:
-                    raced["checkpoints"] += 1
-                    # Publishes a new image and resets the WAL under
-                    # the materializing reader's feet.
-                    server.checkpoint_now()
-                return real(key)
-
-            manager._materialize = racing
-            with server.open_session("read") as reader:
-                assert len(reader.query_values(TITLES)) == 6
-                assert reader.snapshot.key == manager.current_key()
-                assert reader.snapshot.relabels == 0
-
-
-    def _race_every_recover(self, server, manager, rounds):
-        real = manager._materialize
-        raced = []
-
-        def racing(key):
-            if len(raced) < rounds:
-                raced.append(key)
-                with server.open_session("write") as writer:
-                    writer.execute(add_book(f"RACER{len(raced)}"))
-            return real(key)
-
-        manager._materialize = racing
-        return raced
-
-    def test_pin_takes_the_write_latch_after_repeated_lost_races(self):
-        with make_server() as server:
-            raced = self._race_every_recover(
-                server, server.snapshots, PIN_OPTIMISTIC_ATTEMPTS)
-            with server.open_session("read") as reader:
-                assert len(reader.query_values(TITLES)) \
-                    == 5 + PIN_OPTIMISTIC_ATTEMPTS
-                assert reader.snapshot.key \
-                    == server.snapshots.current_key()
-            assert len(raced) == PIN_OPTIMISTIC_ATTEMPTS
-            assert obs.REGISTRY.value(
-                "server.snapshot.materializations") \
-                == PIN_OPTIMISTIC_ATTEMPTS + 1
-
-    def test_pin_without_a_latch_gives_up_with_a_typed_error(self):
-        with make_server() as server:
-            standalone = SnapshotManager(server.backend)
-            self._race_every_recover(server, standalone,
-                                     PIN_OPTIMISTIC_ATTEMPTS)
-            with pytest.raises(SessionError):
-                standalone.pin()
-            assert standalone.cached() == 0
+            before = manager.current_key()
+            snapshot = self._race_the_fallback(server, monkeypatch,
+                                               server.checkpoint_now)
+            assert snapshot.key == before != manager.current_key()
+            assert len(snapshot.engine.string_values(
+                snapshot.queries().evaluate(TITLES))) == 6
+            manager.release(snapshot)
+            assert len(self._assert_the_next_pin_advances(server)) == 6
 
 
 class TestSessionLifecycle:

@@ -16,7 +16,7 @@ records its store holds.
 
 Beside it, the deterministic cases: which path a pin takes (hit,
 advance, ``recover()`` fallback), that a pinned snapshot is never
-touched, and the races the fallback's key re-derivation closes.
+touched, and the race the fallback's keying closes.
 
 The example budget is the active hypothesis profile's; the CI
 crash-matrix step raises it (``--hypothesis-profile=crash-matrix``,
@@ -989,9 +989,11 @@ class TestFallbackRace:
             self, server, monkeypatch):
         """Held at the ``wal.fsync`` point of its COMMIT, the writer has
         put the frame in the store and not yet published it.  A pin
-        that must recover() reads that COMMIT from the store: keyed
+        that must recover() on the writer's own thread (the write
+        latch is re-entrant) reads that COMMIT from the store: keyed
         from the manager's view it would hold the transaction under
-        the older key.  It starts over instead."""
+        the older key.  Keyed from the log recover() read, it holds
+        the commit under the key the writer is about to publish."""
         manager = server.snapshots
         real_fire = faults.fire
         held = []
@@ -1002,17 +1004,21 @@ class TestFallbackRace:
                 held.append(point)
             elif point == "wal.fsync" and held == ["wal.commit"]:
                 held.append(manager.current_key())
-                held.append(manager._pin_once())
+                held.append(manager.pin())
         monkeypatch.setattr(faults, "fire", fire)
         commit(server, "Dee")
         monkeypatch.undo()
         _, before, pinned = held
-        assert pinned is None
         assert counter("materializations") == 1
-        assert manager.cached() == 0
+        assert "Dee" in pinned.engine.string_values(
+            pinned.queries().evaluate(AUTHORS))
+        assert pinned.key == manager.current_key() != before
+        manager.release(pinned)
         with server.open_session("read") as reader:
+            assert reader.snapshot is pinned
             assert "Dee" in reader.query_values(AUTHORS)
-            assert reader.snapshot.key == manager.current_key() != before
+        assert counter("cache_hits") == 1
+        assert counter("materializations") == 1
 
 
 class TestAdvanceUnderThreads:

@@ -19,6 +19,8 @@ goes up is a regression, and the change that raises it names it.
 * **A request hand-off** — with every worker held, each
   ``submit(...).wait()`` is run by its waiter: one inline run and one
   request per call, and the depth back to what the workers hold.
+* **A fallback pin** — with every cached snapshot pinned, a pin runs
+  one ``recover()`` and counts one materialization: no retry.
 """
 
 import gc
@@ -28,7 +30,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.server import DatabaseServer
+from repro.server import DatabaseServer, snapshots
 from repro.storage import (
     FileBackend,
     MemoryBackend,
@@ -208,3 +210,34 @@ class TestRequestHandOff:
             assert registry.value("server.queue.depth") == 0
             # The held requests were the workers'.
             assert registry.value("server.loop.inline") == HAND_OFFS
+
+
+class TestFallbackPinWork:
+    def test_a_pin_with_every_snapshot_pinned_recovers_once(
+            self, clean_obs, monkeypatch):
+        registry = obs.REGISTRY
+        recovered = []
+        real = snapshots.recover
+
+        def counted(backend):
+            recovered.append(backend)
+            return real(backend)
+
+        with DatabaseServer(MemoryBackend(),
+                            make_library_document(books=6, papers=2,
+                                                  seed=1),
+                            workers=1) as server:
+            with server.open_session("read") as first:
+                with server.open_session("write") as writer:
+                    writer.execute(_add_author(0))
+                materialized = registry.value(
+                    "server.snapshot.materializations")
+                # The only cached snapshot is pinned: nothing to advance.
+                monkeypatch.setattr(snapshots, "recover", counted)
+                with server.open_session("read") as second:
+                    assert second.snapshot is not first.snapshot
+                monkeypatch.undo()
+            assert len(recovered) == 1
+            assert registry.value("server.snapshot.materializations") \
+                == materialized + 1
+            assert registry.value("server.snapshot.advances") == 0

@@ -33,6 +33,11 @@ class TestOperations:
         with pytest.raises(TypeError):
             seq("a")["x"]
 
+    @pytest.mark.parametrize("items", [("a",), ("a", "b"),
+                                       ("a", "b", "c")])
+    def test_reversed_yields_every_item(self, items):
+        assert list(reversed(seq(*items))) == list(reversed(items))
+
 
 class TestFlattening:
     def test_nested_sequences_flatten(self):
