@@ -261,9 +261,6 @@ class StatisticsCollector:
                   ) -> Optional[NodeStats]:
         return self._stats.get(schema_node)
 
-    def total_descriptors(self) -> int:
-        return sum(s.descriptors for s in self._stats.values())
-
     def export(self) -> dict:
         """The full digest keyed by schema path, path-sorted — the
         snapshot payload and ``repro inspect``'s table.  The

@@ -1,39 +1,40 @@
 """Caches for the query layer: parsed paths and compiled plans.
 
-Two caches keep repeated queries off the slow paths:
+Two caches keep repeated queries off the slow paths, one
+:class:`LRUCache` each:
 
-* a process-wide LRU **parse cache** — a path string compiles to a
+* a process-wide **parse cache** — a path string compiles to a
   :class:`~repro.query.paths.Path` exactly once, because parsing is
   pure (the same text always yields the same frozen ``Path``);
-* a per-engine **plan cache** (used by
-  :class:`~repro.query.planner.QueryPlanner`) — compiled plans are
-  keyed by ``Path``, with a plain ``dict`` from path *string* to the
-  same plan in front.  A plan is handed out after **one** compare,
+* a per-engine **plan cache** (owned by
+  :class:`~repro.query.planner.QueryPlanner`) — compiled plans keyed
+  by the request exactly as the caller passed it, a string or a
+  ``Path``.  A plan is handed out after **one** compare,
   ``plan.epoch == engine.plan_epoch``: the engine's plan epoch is a
   single integer that every source of staleness (schema growth,
   index DDL, statistics drift) bumps, and the plan's only freshness
   stamp.  When the compare fails the plan is compiled afresh and
-  replaces its entry (:meth:`LRUCache.invalidate`, then a miss).
+  replaces its entry.
 
-  A hit takes no lock and does not reorder the cache; it sets the
-  plan's ``referenced`` flag instead, and :meth:`LRUCache.put` gives
-  a referenced entry one second chance before evicting it (CLOCK).
-
-Both count through the observability layer's instruments
-(:mod:`repro.obs.metrics`) — one counter mechanism for the whole
-repository.  :class:`CacheStats` and :func:`parse_cache_stats` remain
-as thin snapshot views over those instruments; the process-wide parse
-cache additionally registers its counters in the global
-:data:`repro.obs.REGISTRY` (under ``query.parse_cache.*``) so they
-appear in every metrics snapshot.
+A hit on either takes no lock: :meth:`LRUCache.get` stamps the entry
+it finds, and :meth:`LRUCache.put` evicts the oldest stamp.  The
+owners decide what a hit, a miss and an invalidation are (a
+found-but-stale plan is a miss) and count them into the cache's
+:class:`~repro.obs.metrics.Counter` instruments; the cache counts only
+its evictions.  :class:`CacheStats` and :func:`parse_cache_stats` are
+snapshot views over those instruments, and the process-wide parse
+cache registers its counters in the global :data:`repro.obs.REGISTRY`
+(under ``query.parse_cache.*``) so they appear in every metrics
+snapshot.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Generic, Hashable, Iterator, Optional, TypeVar
+from typing import Generic, Hashable, Optional, TypeVar
 
 from repro import obs
 from repro.obs import explain as _explain
@@ -48,9 +49,6 @@ PARSE_CACHE_CAPACITY = 512
 
 #: Default capacity of a per-engine plan cache.
 PLAN_CACHE_CAPACITY = 256
-
-#: Sentinel distinguishing "missing" from a cached None.
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -71,37 +69,30 @@ class CacheStats:
 
 
 class LRUCache(Generic[K, V]):
-    """A counting least-recently-used map.
+    """A bounded map that evicts the least recently used entry.
 
-    ``get`` refreshes recency; ``put`` evicts the coldest entry once
-    the capacity is exceeded.  ``invalidations`` is bumped by callers
-    through :meth:`invalidate` when an entry is discarded for being
-    stale rather than cold (the plan cache's epoch check).
+    Each entry is ``[value, stamp]``, the stamp a tick of the cache's
+    own clock taken at the entry's last use.  :meth:`get` is one
+    ``dict`` read under the GIL: it takes no lock, counts nothing and
+    restamps the entry it finds.  :meth:`put` runs under the lock.  A
+    known key has its value replaced in place; a new one, once the
+    cache is full, evicts the entry with the oldest stamp.  The
+    eviction queue is a heap of ``(stamp, key)`` as each key was queued;
+    a popped key whose entry has been used since is queued again under
+    its newer stamp, so a hit costs the reader one stamp and the next
+    evicting writer at most one heap push.  A ``get`` racing an
+    eviction returns the evicted value or None, never an error.
 
-    A reader that must not take the lock (the plan cache's hit) cannot
-    ``move_to_end``; it sets ``value.referenced = True`` instead, and
-    ``put`` passes over a coldest entry so marked once — clearing the
-    mark and moving it to the warm end — before evicting (CLOCK's
-    second chance).  Values without the attribute are never spared.
-
-    Thread-safe: the session layer shares one engine (and its plan
-    cache) across concurrent readers of a snapshot, and the
-    process-wide parse cache is hit from every worker thread, so every
-    entry operation runs under an internal lock — a lookup can no
-    longer race an eviction into a ``KeyError`` on ``move_to_end``.
-
-    Counters are :class:`~repro.obs.metrics.Counter` instruments.  Pass
-    *registry* and *prefix* to register them (``<prefix>.hits`` …) in a
-    shared :class:`MetricsRegistry` — done by the process-wide parse
-    cache; per-engine plan caches keep private instruments so one
-    engine's hit rate is not another's.  ``hit_counter`` and
-    ``miss_counter`` are public: :meth:`peek` counts nothing, so a
-    caller that decides hit or miss itself (a found-but-stale plan is
-    a miss) bumps them.
+    The owner bumps ``hit_counter``, ``miss_counter`` and
+    ``invalidation_counter``.  Pass *registry* and *prefix* to register
+    them (``<prefix>.hits`` …) in a shared :class:`MetricsRegistry` —
+    done by the process-wide parse cache; per-engine plan caches keep
+    private instruments so one engine's hit rate is not another's.
     """
 
-    __slots__ = ("capacity", "_entries", "_lock", "hit_counter",
-                 "miss_counter", "_invalidations", "_evictions")
+    __slots__ = ("capacity", "_entries", "_queue", "_clock", "_lock",
+                 "hit_counter", "miss_counter", "invalidation_counter",
+                 "_evictions")
 
     def __init__(self, capacity: int,
                  registry: Optional[MetricsRegistry] = None,
@@ -109,92 +100,59 @@ class LRUCache(Generic[K, V]):
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        self._entries: "OrderedDict[K, V]" = OrderedDict()
+        self._entries: "dict[K, list]" = {}
+        self._queue: "list[tuple[int, K]]" = []
+        #: ``next()`` on it is atomic under the GIL: stamps never repeat.
+        self._clock = itertools.count()
         self._lock = threading.Lock()
         make = registry.counter if registry is not None \
             else (lambda name: Counter(name))
         self.hit_counter = make(f"{prefix}.hits")
         self.miss_counter = make(f"{prefix}.misses")
-        self._invalidations = make(f"{prefix}.invalidations")
+        self.invalidation_counter = make(f"{prefix}.invalidations")
         self._evictions = make(f"{prefix}.evictions")
 
-    # Counter values under the historical attribute names.
-    @property
-    def hits(self) -> int:
-        return self.hit_counter.value
-
-    @property
-    def misses(self) -> int:
-        return self.miss_counter.value
-
-    @property
-    def invalidations(self) -> int:
-        return self._invalidations.value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
     def get(self, key: K) -> Optional[V]:
-        with self._lock:
-            entry = self._entries.get(key, _MISSING)
-            if entry is _MISSING:
-                self.miss_counter.inc()
-                return None
-            self._entries.move_to_end(key)
-            self.hit_counter.inc()
-            return entry  # type: ignore[return-value]
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        entry[1] = next(self._clock)
+        return entry[0]
 
-    def peek(self, key: K) -> Optional[V]:
-        """Read without touching recency or the hit/miss counters."""
+    def put(self, key: K, value: V) -> None:
         with self._lock:
-            entry = self._entries.get(key, _MISSING)
-            return None if entry is _MISSING else entry  # type: ignore
-
-    def put(self, key: K, value: V) -> Optional[V]:
-        """Store *value*; returns the value evicted to make room (None
-        when nothing was)."""
-        with self._lock:
-            entries = self._entries
-            if key in entries:
-                entries.move_to_end(key)
-                entries[key] = value
-                return None
-            evicted = None
+            entries, queue = self._entries, self._queue
+            entry = entries.get(key)
+            if entry is not None:
+                entry[0] = value
+                return
             if len(entries) >= self.capacity:
-                # At most one rotation: every mark is cleared by then.
-                for _ in range(len(entries)):
-                    coldest = next(iter(entries))
-                    spared = entries[coldest]
-                    if not getattr(spared, "referenced", False):
+                while True:
+                    queued, victim = heapq.heappop(queue)
+                    used = entries[victim][1]
+                    if used == queued:
                         break
-                    spared.referenced = False
-                    entries.move_to_end(coldest)
-                _, evicted = entries.popitem(last=False)
+                    heapq.heappush(queue, (used, victim))
+                del entries[victim]
                 self._evictions.inc()
-            entries[key] = value
-            return evicted
-
-    def invalidate(self, key: K) -> None:
-        """Drop a stale entry (counted separately from evictions)."""
-        with self._lock:
-            if self._entries.pop(key, _MISSING) is not _MISSING:
-                self._invalidations.inc()
+            stamp = next(self._clock)
+            entries[key] = [value, stamp]
+            heapq.heappush(queue, (stamp, key))
 
     def clear(self) -> None:
+        """Empty the cache and zero its counters."""
         with self._lock:
             self._entries.clear()
-
-    def reset_stats(self) -> None:
-        self.hit_counter.reset()
-        self.miss_counter.reset()
-        self._invalidations.reset()
-        self._evictions.reset()
+            self._queue.clear()
+        for counter in (self.hit_counter, self.miss_counter,
+                        self.invalidation_counter, self._evictions):
+            counter.reset()
 
     def stats(self) -> CacheStats:
-        return CacheStats(hits=self.hits, misses=self.misses,
-                          invalidations=self.invalidations,
-                          evictions=self.evictions,
+        return CacheStats(hits=self.hit_counter.value,
+                          misses=self.miss_counter.value,
+                          invalidations=self.invalidation_counter.value,
+                          evictions=self._evictions.value,
                           size=len(self._entries),
                           capacity=self.capacity)
 
@@ -203,10 +161,6 @@ class LRUCache(Generic[K, V]):
 
     def __contains__(self, key: K) -> bool:
         return key in self._entries
-
-    def __iter__(self) -> Iterator[K]:
-        with self._lock:
-            return iter(list(self._entries))
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +174,7 @@ _parse_cache: LRUCache[str, Path] = LRUCache(
 
 
 def cached_parse_path(text: str) -> Path:
-    """:func:`~repro.query.paths.parse_path` through the LRU cache.
+    """:func:`~repro.query.paths.parse_path` through the parse cache.
 
     Parsing is pure, so one cache serves every engine in the process.
     Parse errors are not cached (they raise before the ``put``).
@@ -230,10 +184,13 @@ def cached_parse_path(text: str) -> Path:
     if path is None:
         path = parse_path(text)
         _parse_cache.put(text, path)
+        _parse_cache.miss_counter.inc()
         if context is not None:
             context.parse_cache = "miss"
-    elif context is not None:
-        context.parse_cache = "hit"
+    else:
+        _parse_cache.hit_counter.inc()
+        if context is not None:
+            context.parse_cache = "hit"
     return path
 
 
@@ -245,4 +202,3 @@ def parse_cache_stats() -> CacheStats:
 def clear_parse_cache() -> None:
     """Empty the parse cache and zero its counters (test isolation)."""
     _parse_cache.clear()
-    _parse_cache.reset_stats()

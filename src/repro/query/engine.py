@@ -23,7 +23,10 @@ the *descriptive schema* and enumerate the candidate plans
 (:mod:`repro.query.planner`), select one by policy, lower it to a
 closure chain (:mod:`repro.query.compiled`) and run that — scanning
 the blocks of only the matching schema nodes, in document order.
-Parse and plan are cached; :meth:`StorageQueryEngine.
+Plans are cached by the request as the caller sent it, so a repeated
+string is one lock-free lookup and never parses; only a miss visits
+the parse cache, and both caches evict the least recently used entry
+(:mod:`repro.query.cache`).  :meth:`StorageQueryEngine.
 evaluate_schema_driven` forces the same pipeline with both caches
 bypassed.
 

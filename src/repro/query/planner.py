@@ -6,9 +6,9 @@ nodes.  This module is the planning half of the one query pipeline
 (parse → **enumerate candidates → select by policy** → lower →
 execute): it compiles a path **once** into a :class:`CompiledPlan` —
 the matched schema nodes plus an execution strategy — and caches the
-plan keyed by the path (and, in front, by the path string).  A plan
-has one way to run, the closure chain :mod:`repro.query.compiled`
-lowers it to (:meth:`CompiledPlan.execute_compiled`).  Because every
+plan keyed by the request as the caller passed it.  A plan has one
+way to run, the closure chain :mod:`repro.query.compiled` lowers it
+to (:meth:`CompiledPlan.execute_compiled`).  Because every
 document path has exactly one schema path (the defining property of
 Section 9.1), a plan stays valid until the schema itself grows: pure
 data inserts add descriptors to existing block lists, which the plan's
@@ -185,7 +185,7 @@ class CompiledPlan:
     __slots__ = ("path", "strategy", "scan_nodes", "split",
                  "pruned_schema_nodes", "probe", "rest_predicates",
                  "index_used", "executor", "not_lowerable_reason",
-                 "cost", "cost_table", "epoch", "text", "referenced")
+                 "cost", "cost_table", "epoch")
 
     def __init__(self, path: Path, strategy: str,
                  scan_nodes: tuple[SchemaNode, ...],
@@ -228,13 +228,6 @@ class CompiledPlan:
         #: its only freshness stamp, the one compare of a cache hit
         #: (-1: not cached yet; the engine's epoch is never negative).
         self.epoch = -1
-        #: The path string the planner's string table maps to this
-        #: plan (at most one per plan, which bounds the table by the
-        #: cache's capacity).
-        self.text: Optional[str] = None
-        #: Set by a hit; buys one second chance from
-        #: :meth:`~repro.query.cache.LRUCache.put`'s eviction.
-        self.referenced = False
 
     def execute_compiled(self, queries: "StorageQueryEngine"
                          ) -> "list[NodeDescriptor]":
@@ -481,20 +474,21 @@ def _describe(plan: CompiledPlan, outcome: str) -> None:
 
 
 class QueryPlanner:
-    """Per-engine plan compiler with a (path → plan) cache.
+    """Per-engine plan compiler with a (request → plan) cache.
 
-    A cached plan is handed out after one compare: its
+    The cache is keyed by the request exactly as the caller passed it,
+    a path string or a ``Path``: a string that hits takes no lock,
+    visits no parse cache and hashes no ``Path``.  Two spellings of one
+    path, or a string and its ``Path``, are two entries with one
+    answer.  A cached plan is handed out after one compare: its
     :attr:`~CompiledPlan.epoch` against the engine's ``plan_epoch``,
     the single integer that schema growth, index DDL and statistics
-    drift all bump.  A path *string* finds its plan in a plain dict
-    (no lock, no parse-cache visit, no ``Path`` hash); a ``Path``
-    through one locked lookup of the LRU behind it; both share the
-    plan.  When the compare fails the plan is stale, whatever moved:
-    it is compiled afresh, replaces its entry and counts one
-    invalidation and one miss.  The paper's claim that the
-    descriptive schema is small and *stable* — and the drift
-    threshold on statistics — keep that rare: no read-only traffic
-    ever reaches it.
+    drift all bump.  When the compare fails the plan is stale, whatever
+    moved: it is compiled afresh from its own ``Path`` (no parse),
+    replaces its entry and counts one invalidation and one miss.  The
+    paper's claim that the descriptive schema is small and *stable* —
+    and the drift threshold on statistics — keep that rare: no
+    read-only traffic ever reaches it.
     """
 
     def __init__(self, engine, capacity: int = PLAN_CACHE_CAPACITY,
@@ -504,24 +498,19 @@ class QueryPlanner:
                              f"(expected one of {POLICIES})")
         self._engine = engine
         self.policy = policy
-        self._plans: LRUCache[Path, CompiledPlan] = LRUCache(
+        self._plans: "LRUCache[Path | str, CompiledPlan]" = LRUCache(
             capacity, prefix="query.plan_cache")
-        #: path string → the cached plan of its ``Path``.  Every entry
-        #: is some cached plan's :attr:`~CompiledPlan.text`, so the
-        #: table never outgrows the cache.  Read without a lock;
-        #: written under :attr:`_lock`.
-        self._texts: dict[str, CompiledPlan] = {}
-        #: Serializes everything but the hit: lookup by ``Path``,
-        #: compile, store and the string table's upkeep.
+        #: Serializes everything but the hit: compile and store.
         self._lock = threading.Lock()
         # Held, not looked up per request (obs.reset() zeroes in
         # place): this cache's own counters and the registry's
         # aggregate over all engines.
         self._hits = self._plans.hit_counter
-        self._misses = self._plans.miss_counter
         self._all_hits = obs.REGISTRY.counter("query.plan_cache.hits")
         self._all_misses = obs.REGISTRY.counter(
             "query.plan_cache.misses")
+        self._all_invalidations = obs.REGISTRY.counter(
+            "query.plan_cache.invalidations")
 
     def compile_uncached(self, path: Path) -> CompiledPlan:
         """A fresh plan for *path* under this planner's policy — what
@@ -532,14 +521,11 @@ class QueryPlanner:
                             block_capacity=engine.block_capacity,
                             policy=self.policy)
 
-    def compile(self, path: "Path | str") -> CompiledPlan:
-        plan = (self._texts.get(path) if isinstance(path, str)
-                else self._plans.peek(path))
+    def compile(self, request: "Path | str") -> CompiledPlan:
+        plan = self._plans.get(request)
         if plan is None or plan.epoch != self._engine.plan_epoch:
-            return self._compile_slow(path)
-        # The prepared hit: no lock, no reordering — the mark is the
-        # recency the cache's eviction reads.
-        plan.referenced = True
+            return self._compile_slow(request)
+        # The prepared hit: no lock, no parse.
         self._hits.inc()
         self._all_hits.inc()
         if _explain.COLLECTING:
@@ -547,50 +533,39 @@ class QueryPlanner:
         return plan
 
     def _compile_slow(self, request: "Path | str") -> CompiledPlan:
-        """Everything that is not a prepared hit: an unknown string, a
-        missing plan, or one whose epoch fell behind the engine's — a
-        stale plan is compiled afresh and replaces its entry."""
-        text, path = None, request
-        if isinstance(request, str):
-            text, path = request, cached_parse_path(request)
+        """Everything that is not a prepared hit: an unknown request,
+        or a plan whose epoch fell behind the engine's — a stale plan
+        is compiled afresh and replaces its entry."""
         with self._lock:
             # Read before compiling: a bump that races the compile
             # leaves the plan one epoch behind, and the next call comes
             # back here.
             epoch = self._engine.plan_epoch
-            plan = self._plans.peek(path)
-            outcome = "miss" if plan is None else \
-                "hit" if plan.epoch == epoch else "invalidated"
-            if outcome == "hit":
-                plan.referenced = True
+            plan = self._plans.get(request)
+            if plan is not None and plan.epoch == epoch:
+                outcome = "hit"
                 self._hits.inc()
             else:
-                if outcome == "invalidated":
-                    self._plans.invalidate(path)
-                    self._forget_text(plan)
+                stale = plan
+                path = request if stale is None else stale.path
+                if isinstance(path, str):
+                    path = cached_parse_path(path)
                 plan = self.compile_uncached(path)
                 plan.epoch = epoch
-                evicted = self._plans.put(path, plan)
-                if evicted is not None:
-                    self._forget_text(evicted)
-                self._misses.inc()
-            if text is not None and plan.text != text:
-                self._forget_text(plan)
-                plan.text = text
-                self._texts[text] = plan
+                self._plans.put(request, plan)
+                self._plans.miss_counter.inc()
+                outcome = "miss"
+                if stale is not None:
+                    outcome = "invalidated"
+                    self._plans.invalidation_counter.inc()
         if _explain.COLLECTING:
             _describe(plan, outcome)
         # Aggregate plan-cache counters across all engines (each
         # cache also keeps its private per-engine instruments).
         (self._all_hits if outcome == "hit" else self._all_misses).inc()
         if outcome == "invalidated":
-            obs.REGISTRY.counter("query.plan_cache.invalidations").inc()
+            self._all_invalidations.inc()
         return plan
-
-    def _forget_text(self, plan: CompiledPlan) -> None:
-        if plan.text is not None:
-            del self._texts[plan.text]
-            plan.text = None
 
     def stats(self) -> CacheStats:
         return self._plans.stats()
@@ -598,5 +573,3 @@ class QueryPlanner:
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()
-            self._texts.clear()
-        self._plans.reset_stats()

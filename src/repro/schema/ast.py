@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Iterator, Union as TypingUnion
 
 from repro.errors import SchemaError, TypeUsageError
 from repro.xmlio.chars import is_ncname
-from repro.xmlio.qname import XSD_NAMESPACE, QName
+from repro.xmlio.qname import QName
 from repro.xsdtypes.base import SimpleType
 from repro.xsdtypes.registry import BUILTINS, TypeRegistry
 
@@ -98,10 +98,6 @@ class TypeName:
     """A reference to a named (simple or complex) type."""
 
     qname: QName
-
-    @property
-    def is_xsd_builtin(self) -> bool:
-        return self.qname.uri == XSD_NAMESPACE
 
     def __repr__(self) -> str:
         return f"TypeName({self.qname.lexical})"
@@ -302,10 +298,6 @@ class ComplexContentType:
     group: "GroupDefinition | AllGroup | None" = None
     attributes: AttributeDeclarations = NO_ATTRIBUTES
 
-    @property
-    def has_element_content(self) -> bool:
-        return self.group is not None and not self.group.empty_content
-
     def __repr__(self) -> str:
         return (f"ComplexContentType(mixed={self.mixed}, "
                 f"group={self.group!r}, attributes={self.attributes!r})")
@@ -394,12 +386,6 @@ class DocumentSchema:
                 return None
             compiled = compiled.child(name)[1]
         return compiled
-
-    # -- misc ------------------------------------------------------------
-
-    def type_qname(self, local: str) -> QName:
-        """The QName of a schema-defined type named *local*."""
-        return QName(self.target_namespace, local)
 
     def __repr__(self) -> str:
         return (f"DocumentSchema(root={self.root_element.name!r}, "

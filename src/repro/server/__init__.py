@@ -28,7 +28,6 @@ from repro.server.server import (
     DatabaseServer,
     PendingRequest,
     RequestLoop,
-    server_report,
 )
 from repro.server.session import (
     LeaseExpired,
@@ -71,5 +70,4 @@ __all__ = [
     "SessionExpired",
     "Snapshot",
     "SnapshotManager",
-    "server_report",
 ]

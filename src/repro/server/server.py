@@ -498,57 +498,3 @@ class DatabaseServer:
         return (f"DatabaseServer({self.backend.name}, "
                 f"{self.admission.active_sessions} sessions)")
 
-
-def server_report(registry=None) -> dict:
-    """The ``server`` telemetry section: session/lease/request/snapshot
-    counters plus the lease-wait and per-mode latency histograms."""
-    registry = registry if registry is not None else obs.REGISTRY
-
-    def histogram(name: str) -> dict:
-        instrument = registry.get(name)
-        return instrument.summary() if instrument is not None else \
-            {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
-             "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-    return {
-        "sessions": {
-            "opened": registry.value("server.sessions.opened"),
-            "closed": registry.value("server.sessions.closed"),
-            "rejected": registry.value("server.sessions.rejected"),
-            "active": registry.value("server.sessions.active"),
-        },
-        "lease": {
-            "grants": registry.value("server.lease.grants"),
-            "renewals": registry.value("server.lease.renewals"),
-            "releases": registry.value("server.lease.releases"),
-            "expirations": registry.value("server.lease.expirations"),
-            "timeouts": registry.value("server.lease.timeouts"),
-            "contended": registry.value("server.lease.contended"),
-            "wait_ns": histogram("server.lease.wait.ns"),
-        },
-        "requests": {
-            "total": registry.value("server.requests"),
-            "reads": registry.value("server.requests.read"),
-            "writes": registry.value("server.requests.write"),
-            "overloaded": registry.value("server.overloaded"),
-            "queue_depth": registry.value("server.queue.depth"),
-            "read_latency_ns": histogram("server.read.latency.ns"),
-            "write_latency_ns": histogram("server.write.latency.ns"),
-            "session_latency_ns":
-                histogram("server.session.latency.ns"),
-        },
-        "snapshots": {
-            # A pin is a cache hit, an advance of a cached snapshot by
-            # the committed WAL delta, or a recover() from the image.
-            "materializations":
-                registry.value("server.snapshot.materializations"),
-            "advances":
-                registry.value("server.snapshot.advances"),
-            "advance_records":
-                histogram("server.snapshot.advance.records"),
-            "cache_hits":
-                registry.value("server.snapshot.cache_hits"),
-            "pinned": registry.value("server.snapshot.pinned"),
-            "cached": registry.value("server.snapshot.cached"),
-        },
-    }

@@ -67,10 +67,6 @@ class TypeRegistry:
             raise TypeSystemError(f"{name.lexical} is not a simple type")
         return type_
 
-    def lookup_local(self, local: str) -> TypeDefinition:
-        """Look up a builtin by its local name in the XSD namespace."""
-        return self.lookup(QName(XSD_NAMESPACE, local))
-
     def simple(self, local: str) -> SimpleType:
         """Shorthand: the builtin simple type ``xs:<local>``."""
         return self.lookup_simple(QName(XSD_NAMESPACE, local))
@@ -80,19 +76,6 @@ class TypeRegistry:
 
     def __len__(self) -> int:
         return len(self._types)
-
-    # -- hierarchy queries ---------------------------------------------------
-
-    @staticmethod
-    def common_ancestor(a: TypeDefinition,
-                        b: TypeDefinition) -> TypeDefinition:
-        """The most derived type both *a* and *b* derive from."""
-        ancestors = set(id(t) for t in a.ancestry())
-        for candidate in b.ancestry():
-            if id(candidate) in ancestors:
-                return candidate
-        raise TypeSystemError(
-            "types share no ancestor (foreign hierarchy?)")
 
 
 def builtin_registry() -> TypeRegistry:

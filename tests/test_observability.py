@@ -402,7 +402,6 @@ class TestStatisticsCollector:
         engine = _engine()
         engine.stats.reset()
         assert engine.stats.export() == {}
-        assert engine.stats.total_descriptors() == 0
 
 
 class TestOperatorCli:

@@ -39,40 +39,45 @@ def library():
 
 
 class TestLRUCache:
-    def test_hit_miss_counting(self):
+    def test_get_marks_and_counts_nothing(self):
+        """Hits and misses are the owner's to count; a ``get`` only
+        marks the entry it finds."""
         cache = LRUCache(4)
         assert cache.get("a") is None
         cache.put("a", 1)
         assert cache.get("a") == 1
         stats = cache.stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-        assert stats.hit_rate == 0.5
+        assert (stats.hits, stats.misses, stats.invalidations,
+                stats.evictions) == (0, 0, 0, 0)
+        assert stats.hit_rate == 0.0
 
     def test_eviction_order_is_lru(self):
         cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.get("a")          # refresh a; b is now coldest
+        cache.get("a")          # use a; b is now the oldest
         cache.put("c", 3)
         assert "b" not in cache
         assert "a" in cache and "c" in cache
         assert cache.stats().evictions == 1
 
-    def test_peek_does_not_count(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        assert cache.peek("a") == 1
-        assert cache.peek("zzz") is None
-        stats = cache.stats()
-        assert stats.hits == 0 and stats.misses == 0
-
-    def test_invalidate_counts_separately(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.invalidate("a")
-        cache.invalidate("a")   # absent: no double count
-        stats = cache.stats()
-        assert stats.invalidations == 1 and stats.evictions == 0
+    def test_a_cycle_past_capacity_misses_even_after_a_hit(self):
+        """``read_cold``'s shape: a hit just before a round-robin over
+        more keys than the cache holds buys nothing (a one-bit CLOCK
+        mark would keep key 3 a lap longer, and the cycle would hit
+        it)."""
+        cache = LRUCache(4)
+        for key in range(4):
+            cache.put(key, key)
+        assert cache.get(3) == 3
+        hits = 0
+        for key in [4, 5, 0, 1, 2, 3] * 3:
+            if cache.get(key) is None:
+                cache.put(key, key)
+            else:
+                hits += 1
+        assert hits == 0
+        assert cache.stats().evictions == 18
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -80,8 +85,8 @@ class TestLRUCache:
 
     def test_concurrent_get_put_is_safe(self):
         """The session layer shares plan/parse caches across worker
-        threads: a get() racing an eviction must be a miss, never a
-        KeyError out of move_to_end."""
+        threads: a lock-free get() racing an eviction must return a
+        value or a miss, never raise, and the cache keeps its bound."""
         import threading
 
         cache = LRUCache(8)  # far smaller than the key space: evicts
@@ -122,6 +127,18 @@ class TestParseCache:
             with pytest.raises(QueryError):
                 cached_parse_path("relative/path")
         assert parse_cache_stats().size == 0
+
+    def test_a_hit_takes_no_lock(self, monkeypatch):
+        from repro.query import cache
+        lock = TestPreparedHitWorkCount._CountingLock(
+            cache._parse_cache._lock)
+        cached_parse_path("/lib/book/t")
+        monkeypatch.setattr(cache._parse_cache, "_lock", lock)
+        hits = parse_cache_stats().hits
+        for _ in range(3):
+            cached_parse_path("/lib/book/t")
+        assert lock.acquired == 0
+        assert parse_cache_stats().hits == hits + 3
 
 
 class TestPlanStrategies:
@@ -182,11 +199,16 @@ class TestPlanCache:
         assert stats["plan_hits"] == 4
         assert stats["plan_invalidations"] == 0
 
-    def test_string_and_path_keys_share_entries(self, stored):
+    def test_a_string_and_its_path_are_separate_entries(self, stored):
+        """A plan is found by the request as the caller sent it."""
         _engine, queries = stored
-        queries.evaluate("//t")
-        queries.evaluate(cached_parse_path("//t"))
-        assert queries.cache_stats()["plan_misses"] == 1
+        requests = ("//t", cached_parse_path("//t"))
+        rows = [_nids(queries.evaluate(request)) for request in requests]
+        assert queries.cache_stats()["plan_misses"] == 2
+        rows += [_nids(queries.evaluate(request)) for request in requests]
+        stats = queries.cache_stats()
+        assert (stats["plan_hits"], stats["plan_misses"]) == (2, 2)
+        assert rows[1:] == rows[:1] * 3
 
     def test_capacity_evicts_cold_plans(self, stored):
         _engine, queries = stored
@@ -415,17 +437,22 @@ class TestOnePlanEpoch:
     def test_path_requests_take_the_same_compare(self, stored):
         engine, queries = stored
         path = cached_parse_path("//t")
-        plan = queries.compile("//t")
+        plan = queries.compile(path)
         slow = _SlowPathCount(queries)
         assert queries.compile(path) is plan
         assert slow.calls == 0
         lib = engine.children(engine.document)[0]
         engine.insert_child(lib, 0, name=QName("", "memo"))
-        assert queries.compile(path) is not plan
+        fresh = queries.compile(path)
+        assert fresh is not plan
         assert slow.calls == 1
-        # The string finds the plan the Path request just compiled.
-        assert queries.compile("//t") is queries.compile(path)
-        assert queries.cache_stats()["plan_misses"] == 2
+        # Each key compiles once per epoch: the string its own plan.
+        text = queries.compile("//t")
+        assert slow.calls == 2
+        assert queries.compile("//t") is text
+        assert queries.compile(path) is fresh
+        assert slow.calls == 2
+        assert queries.cache_stats()["plan_misses"] == 3
 
     def test_replacing_the_collector_never_repeats_an_epoch(self):
         """``persist.finish_load`` swaps in a recounted collector whose
@@ -520,7 +547,7 @@ class TestSecondChance:
         assert stats["plan_misses"] == 1 + 40
         assert stats["plan_hits"] == 40
         assert stats["plan_evictions"] == 41 - 4
-        assert len(queries._planner._texts) == stats["plan_size"] == 4
+        assert stats["plan_size"] == 4
 
     def test_round_robin_past_capacity_misses_every_time(self):
         _engine, queries = _scaled(capacity=4)
@@ -532,30 +559,31 @@ class TestSecondChance:
         stats = queries.cache_stats()
         assert (stats["plan_hits"], stats["plan_misses"]) == (0, 15)
         assert stats["plan_evictions"] == 15 - 4
-        assert len(queries._planner._texts) == 4
+        assert stats["plan_size"] == 4
 
     def test_put_spares_a_referenced_entry_once(self):
-        class Entry:
-            referenced = False
-
         cache = LRUCache(2)
-        first, second = Entry(), Entry()
-        cache.put("a", first)
-        cache.put("b", second)
-        first.referenced = True
-        assert cache.put("c", Entry()) is second
-        assert "a" in cache and not first.referenced
-        assert cache.put("d", Entry()) is first
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.get("a")
+        cache.put("c", 3)
+        assert "a" in cache and "b" not in cache
+        cache.put("d", 4)       # a's mark was spent on c's put
+        assert "a" not in cache
+        assert "c" in cache and "d" in cache
+        assert cache.stats().evictions == 2
 
-    def test_two_spellings_share_a_plan_and_one_table_slot(self):
+    def test_two_spellings_are_two_entries_with_one_answer(self):
         _engine, queries = _scaled()
         single = "/library/book[@year='1977']/title"
         double = '/library/book[@year="1977"]/title'
-        plan = queries.compile(single)
-        assert queries.compile(double) is plan
-        assert queries.compile(single) is plan
-        assert queries.cache_stats()["plan_misses"] == 1
-        assert len(queries._planner._texts) == 1
+        plans = [queries.compile(single), queries.compile(double)]
+        assert [queries.compile(single), queries.compile(double)] == plans
+        stats = queries.cache_stats()
+        assert (stats["plan_hits"], stats["plan_misses"]) == (2, 2)
+        assert _nids(queries.evaluate(single)) \
+            == _nids(queries.evaluate(double)) \
+            == _nids(queries.evaluate_naive(single))
 
 
 # ----------------------------------------------------------------------
@@ -638,7 +666,7 @@ def test_epoch_moves_iff_a_stamp_moves(steps):
     min_size=8, max_size=8))
 def test_shared_engine_under_threads(orders):
     """Eight readers of one snapshot engine, six strings, four plan
-    slots: hits race evictions and string-table upkeep all the way."""
+    slots: lock-free hits race evictions all the way."""
     import sys
     import threading
 
@@ -670,6 +698,5 @@ def test_shared_engine_under_threads(orders):
     assert failures == []
     stats = queries.cache_stats()
     assert stats["plan_size"] <= 4
-    assert len(queries._planner._texts) <= 4
     used = {number for order in orders for number in order}
     assert stats["plan_evictions"] >= len(used) - 4

@@ -27,7 +27,6 @@ from repro.server import (
     SessionClosed,
     SessionError,
     SessionExpired,
-    server_report,
     snapshots,
 )
 from repro.storage import FileBackend, MemoryBackend, faults, recover
@@ -558,15 +557,16 @@ class TestTelemetry:
                 reader.query(TITLES)
             with server.open_session("write") as writer:
                 writer.execute(add_book("T"))
-            report = server_report()
-            assert report["sessions"]["opened"] == 2
-            assert report["sessions"]["closed"] == 2
-            assert report["lease"]["grants"] == 1
-            assert report["lease"]["renewals"] == 1
-            assert report["requests"]["reads"] == 1
-            assert report["requests"]["writes"] == 1
-            assert report["requests"]["read_latency_ns"]["count"] == 1
-            assert report["requests"]["session_latency_ns"]["p99"] > 0
+            registry = obs.REGISTRY
+            assert registry.value("server.sessions.opened") == 2
+            assert registry.value("server.sessions.closed") == 2
+            assert registry.value("server.lease.grants") == 1
+            assert registry.value("server.lease.renewals") == 1
+            assert registry.value("server.requests.read") == 1
+            assert registry.value("server.requests.write") == 1
+            assert registry.value("server.read.latency.ns") == 1
+            assert registry.histogram(
+                "server.session.latency.ns").summary()["p99"] > 0
             kinds = [e.kind for e in obs.EVENTS]
             assert "session.open" in kinds
             assert "session.close" in kinds

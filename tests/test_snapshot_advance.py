@@ -598,15 +598,15 @@ class TestWhichPathAPinTakes:
         assert server.snapshots.cached() == 1
 
     def test_session_report_shows_both_paths(self, server):
-        from repro.server import server_report
         server.open_session("read").close()
         commit(server, "Dee")
         server.open_session("read").close()
-        report = server_report()["snapshots"]
-        assert report["materializations"] == 1
-        assert report["advances"] == 1
-        assert report["advance_records"]["count"] == 1
-        assert report["advance_records"]["max"] == 2
+        assert counter("materializations") == 1
+        assert counter("advances") == 1
+        records = obs.REGISTRY.histogram(
+            "server.snapshot.advance.records").summary()
+        assert records["count"] == 1
+        assert records["max"] == 2
 
 
 def swap_first_two(block):

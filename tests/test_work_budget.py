@@ -21,6 +21,10 @@ goes up is a regression, and the change that raises it names it.
   request per call, and the depth back to what the workers hold.
 * **A fallback pin** — with every cached snapshot pinned, a pin runs
   one ``recover()`` and counts one materialization: no retry.
+* **A repeated query** — on :class:`MemoryBackend` and
+  :class:`FileBackend`: one compile and one parse for eight
+  ``Session.query`` calls of one string, and after schema growth one
+  compile and one invalidation, with no parse.
 """
 
 import gc
@@ -241,3 +245,52 @@ class TestFallbackPinWork:
             assert registry.value("server.snapshot.materializations") \
                 == materialized + 1
             assert registry.value("server.snapshot.advances") == 0
+
+
+#: ``Session.query`` calls of one path string on a read session.
+REPEATS = 8
+
+
+class TestPlanWork:
+    @pytest.fixture(params=["memory", "file"])
+    def server(self, request, tmp_path, clean_obs):
+        backend = MemoryBackend() if request.param == "memory" else \
+            FileBackend(tmp_path / "store.img",
+                        wal_path=tmp_path / "store.wal")
+        with DatabaseServer(backend,
+                            make_library_document(books=6, papers=2,
+                                                  seed=1),
+                            workers=1) as server:
+            yield server
+
+    @staticmethod
+    def _counts():
+        return [obs.REGISTRY.value(name) for name in (
+            "query.plan.compiles", "query.plan_cache.hits",
+            "query.plan_cache.invalidations", "query.parse_cache.misses",
+            "query.parse_cache.hits")]
+
+    @staticmethod
+    def _delta(before):
+        return [after - then for after, then in
+                zip(TestPlanWork._counts(), before)]
+
+    def test_one_compile_and_one_parse_per_repeated_string(self, server):
+        with server.open_session("read") as reader:
+            before = self._counts()
+            for _ in range(REPEATS):
+                reader.query("/library/book/title")
+        # compiles, plan hits, invalidations, parse misses, parse hits.
+        assert self._delta(before) == [1, REPEATS - 1, 0, 1, 0]
+
+    def test_schema_growth_recompiles_once_without_a_parse(self, server):
+        def grow(engine, session):
+            library = engine.children(engine.document)[0]
+            engine.insert_child(library, 0, name=QName("", "memo"))
+
+        with server.open_session("write") as writer:
+            writer.query("/library/*")
+            before = self._counts()
+            writer.execute(grow)
+            assert len(writer.query("/library/*")) == 9
+        assert self._delta(before) == [1, 0, 1, 0, 0]
