@@ -74,7 +74,6 @@ from repro.mapping.doc_to_tree import (
     document_to_tree,
     untyped_document_to_tree,
 )
-from repro.obs.statistics import NodeStats
 from repro.query.engine import StorageQueryEngine, evaluate_tree
 from repro.xquery.evaluator import execute as xquery_execute
 from repro.xdm.node import Node
@@ -180,8 +179,7 @@ def _schema_table(engine: StorageEngine) -> list[dict]:
     """One row per descriptive-schema node: the Example 8 listing
     joined with the statistics the cost-based planner prices from."""
     return [{"path": node.path or "#document", "type": node.node_type,
-             **(engine.stats.stats_for(node) or NodeStats()).as_dict(),
-             "descriptors": node.descriptor_count}
+             **node.statistics()}
             for node in engine.schema.iter_nodes()]
 
 

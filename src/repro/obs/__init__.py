@@ -33,6 +33,10 @@ Four facilities:
   (:class:`~repro.obs.explain.ExplainLog`): per-query plan strategy,
   cache hit/miss, axis steps and nodes visited/returned.
 
+The data statistics the cost-based planner prices from are engine
+state, not instrumentation, and are not kept here: each
+descriptive-schema node keeps its own (:mod:`repro.storage.dschema`).
+
 Hot-path guards: sites whose body allocates per operation test
 :data:`ENABLED`; EXPLAIN accounting tests the explain module's
 ``COLLECTING`` count (one global read when nothing collects).
@@ -75,7 +79,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     render_prometheus,
 )
-from repro.obs.statistics import NodeStats, StatisticsCollector
 from repro.obs.tracing import DEFAULT_SPAN_LIMIT, SpanRecord, Tracer
 
 #: The diagnostics switch (spans + EXPLAIN collection).  Read directly
@@ -153,12 +156,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NodeStats",
     "QueryExplain",
     "REGISTRY",
     "SLOW_QUERY_NS",
     "SpanRecord",
-    "StatisticsCollector",
     "TRACER",
     "Tracer",
     "collect",

@@ -4,11 +4,11 @@ The planner (:mod:`repro.query.planner`) can answer one compiled path
 several ways — block scan, hybrid scan+navigate, a value-index
 probe, or naive per-descriptor navigation.  Secondary indexes
 made the wrong pick a 10-129x swing; this module prices every
-candidate from the :class:`~repro.obs.statistics.StatisticsCollector`
-numbers the engine already maintains per descriptive-schema node
-(descriptor counts, distinct typed values, min/max, byte sizing) so
-the planner can take the cheapest instead of applying fixed
-structural precedence.
+candidate from the statistics each descriptive-schema node keeps of
+itself (:class:`~repro.storage.dschema.SchemaNode`: descriptor
+counts, distinct typed values, min/max, byte sizing) so the planner
+can take the cheapest instead of applying fixed structural
+precedence.
 
 Each :class:`CostEstimate` decomposes a candidate into the quantities
 the §9 physical design actually spends:
@@ -55,7 +55,6 @@ from repro.query.planner import predicate_carriers
 from repro.storage.dschema import text_slot
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.statistics import NodeStats, StatisticsCollector
     from repro.query.planner import CompiledPlan
     from repro.storage.dschema import SchemaNode
 
@@ -83,7 +82,7 @@ COST_OUTPUT = 0.2
 #: Fixed cost of one index probe (hash/bisect lookup).
 COST_PROBE = 8.0
 
-#: Fallback when a node has no collected statistics yet.
+#: Fallback when a node holds no descriptor yet.
 DEFAULT_EQ_SELECTIVITY = 0.1
 
 
@@ -217,58 +216,30 @@ class CostEstimate:
 
 
 class CostModel:
-    """Prices candidate plans from one engine's statistics.
+    """Prices candidate plans from the statistics of the schema nodes
+    they read."""
 
-    Every statistics read goes through :attr:`consulted`, a memo of
-    what pricing asks for over and over — the candidates of one path
-    read the same few schema nodes' descriptor counts some twenty
-    times, their block fan-in a few times.
-    """
-
-    def __init__(self, stats: "StatisticsCollector",
-                 block_capacity: int = 64) -> None:
-        self._stats = stats
+    def __init__(self, block_capacity: int = 64) -> None:
         self._capacity = max(1, block_capacity)
-        #: Schema node → ``[rows, blocks or None, NodeStats or None]``.
-        self.consulted: dict = {}
 
-    # -- statistics reads (every read records the consulted node) ------
+    # -- statistics reads ----------------------------------------------
 
-    def _consult(self, schema_node: "SchemaNode") -> list:
-        stats = self._stats.stats_for(schema_node)
-        entry = self.consulted[schema_node] = [
-            float(stats.descriptors) if stats is not None else 0.0,
-            None, stats]
-        return entry
-
-    def node_stats(self, schema_node: "SchemaNode"
-                   ) -> Optional["NodeStats"]:
-        entry = self.consulted.get(schema_node)
-        return (entry or self._consult(schema_node))[2]
-
-    def rows(self, schema_node: "SchemaNode") -> float:
-        entry = self.consulted.get(schema_node)
-        return (entry or self._consult(schema_node))[0]
+    @staticmethod
+    def rows(schema_node: "SchemaNode") -> float:
+        return float(schema_node.descriptor_count)
 
     def blocks(self, schema_node: "SchemaNode") -> float:
         """Modeled block fan-in: descriptor count over rows-per-block,
         where rows-per-block is the byte-derived fan-in capped by the
         engine's per-block descriptor capacity."""
-        entry = self.consulted.get(schema_node) \
-            or self._consult(schema_node)
-        blocks = entry[1]
-        if blocks is None:
-            stats = entry[2]
-            if stats is None or stats.descriptors <= 0:
-                blocks = 0.0
-            else:
-                avg_bytes = stats.byte_size / stats.descriptors
-                per_block = min(self._capacity,
-                                max(1, int(BLOCK_TARGET_BYTES
-                                           // max(1.0, avg_bytes))))
-                blocks = float(-(-stats.descriptors // per_block))
-            entry[1] = blocks
-        return blocks
+        count = schema_node.descriptor_count
+        if count <= 0:
+            return 0.0
+        avg_bytes = schema_node.byte_size / count
+        per_block = min(self._capacity,
+                        max(1, int(BLOCK_TARGET_BYTES
+                                   // max(1.0, avg_bytes))))
+        return float(-(-count // per_block))
 
     # -- selectivity ---------------------------------------------------
 
@@ -278,12 +249,11 @@ class CostModel:
         *lexical*, under the uniform-distinct assumption with a
         min/max range check (an out-of-range literal estimates to
         zero)."""
-        stats = self.node_stats(value_node)
-        if stats is None or stats.descriptors <= 0:
+        if value_node.descriptor_count <= 0:
             return DEFAULT_EQ_SELECTIVITY
-        if not stats.may_hold(lexical):
+        if not value_node.may_hold(lexical):
             return 0.0
-        return 1.0 / max(1, stats.distinct_values)
+        return 1.0 / max(1, value_node.distinct_values)
 
     def _text_child(self, schema_node: "SchemaNode"
                     ) -> Optional["SchemaNode"]:

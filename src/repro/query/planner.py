@@ -48,10 +48,9 @@ strategy slots in above ``scan``:
 The planner enumerates **every** applicable candidate exactly once
 (:func:`_candidate_plans`) — the scan/hybrid baseline, one value-index
 probe per eligible predicate, and priced-naive — and a policy
-(:data:`POLICIES`) is a selection rule over that list.
-With engine statistics available (the default through
-:class:`QueryPlanner`) the rule is ``cost``: the cheapest under the
-:mod:`repro.query.cost` model.
+(:data:`POLICIES`) is a selection rule over that list.  The default
+rule is ``cost``: the cheapest under the :mod:`repro.query.cost`
+model, priced from the schema nodes' own statistics.
 """
 
 from __future__ import annotations
@@ -265,8 +264,8 @@ _STRATEGY_RANK = {"empty": 0, "index": 1, "scan": 2, "hybrid": 3,
 
 #: Planner policies — four selection rules over the one candidate
 #: enumeration (:func:`_candidate_plans`): ``cost`` prices every
-#: candidate and takes the cheapest (``structural`` without
-#: statistics); ``structural`` takes the historical fixed precedence
+#: candidate and takes the cheapest; ``structural`` takes the
+#: historical fixed precedence
 #: (a probe on the first predicate > scan/hybrid); ``scan`` takes the
 #: scan/hybrid base candidate and never probes an index; ``naive``
 #: takes the navigating candidate.  Where the enumeration has a single
@@ -278,19 +277,16 @@ POLICIES = ("cost", "structural", "scan", "naive")
 
 
 def compile_plan(path: Path, schema: "DescriptiveSchema",
-                 indexes=None, stats=None, block_capacity: int = 64,
+                 indexes=None, block_capacity: int = 64,
                  policy: str = "cost") -> CompiledPlan:
     """Compile *path* against the current schema (no caching here).
 
     *indexes* is the engine's :class:`IndexManager` (or None: no probe
-    candidates).  *stats* is the engine's
-    :class:`~repro.obs.statistics.StatisticsCollector`; when given
-    (and *policy* is ``cost``) every candidate is priced under
-    :mod:`repro.query.cost` and the cheapest wins, otherwise the
-    historical structural precedence applies.
+    candidates).  Under the ``cost`` *policy* every candidate is
+    priced under :mod:`repro.query.cost` and the cheapest wins.
     """
     with obs.TRACER.span("query.plan.compile", path=path):
-        plan = _select_plan(path, schema, indexes, stats, block_capacity,
+        plan = _select_plan(path, schema, indexes, block_capacity,
                             policy)
     obs.REGISTRY.counter("query.plan.compiles").inc()
     obs.REGISTRY.counter(f"query.plan.strategy.{plan.strategy}").inc()
@@ -301,13 +297,12 @@ def compile_plan(path: Path, schema: "DescriptiveSchema",
 
 
 def _select_plan(path: Path, schema: "DescriptiveSchema", indexes,
-                 stats, block_capacity: int,
-                 policy: str) -> CompiledPlan:
+                 block_capacity: int, policy: str) -> CompiledPlan:
     """Enumerate the candidates once, then apply *policy*'s rule."""
     candidates, structural_pick, frontiers = _candidate_plans(
         path, schema, indexes)
-    if policy == "cost" and stats is not None:
-        pick = _cheapest(candidates, structural_pick, frontiers, stats,
+    if policy == "cost":
+        pick = _cheapest(candidates, structural_pick, frontiers,
                          block_capacity)
     elif policy == "scan":
         pick = 0
@@ -428,11 +423,11 @@ def _plan_probe(indexes, schema_node: SchemaNode, predicate
 
 
 def _cheapest(candidates: "list[CompiledPlan]", structural_pick: int,
-              frontiers: list, stats, block_capacity: int) -> int:
+              frontiers: list, block_capacity: int) -> int:
     """Price every candidate; index of the cheapest (the ``cost``
     rule).  The winner carries the cost table."""
     from repro.query.cost import CostModel
-    model = CostModel(stats, block_capacity)
+    model = CostModel(block_capacity)
     table = []
     for candidate in candidates:
         candidate.cost = model.price(candidate, frontiers)
@@ -517,7 +512,6 @@ class QueryPlanner:
         :meth:`compile` computes on a miss, bypassing the cache."""
         engine = self._engine
         return compile_plan(path, engine.schema, engine.indexes,
-                            stats=engine.stats,
                             block_capacity=engine.block_capacity,
                             policy=self.policy)
 

@@ -119,11 +119,8 @@ class LeaseManager:
         ``delay = min(base * 2**attempt, max_backoff)`` — bounded
         below (never a zero-sleep hot spin) and above (the cap).
         """
-        delay = min(self.base_backoff * (2 ** attempt),
-                    self.max_backoff)
         with self._lock:
-            fraction = self._rng.random()
-        return delay * (0.5 + 0.5 * fraction)
+            return self.backoff_delay_locked(attempt)
 
     # -- the claim protocol ----------------------------------------------
 

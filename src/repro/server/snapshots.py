@@ -102,8 +102,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.engine import StorageEngine
     from repro.storage.wal import WriteAheadLog
 
-#: Distinct snapshot versions kept around by default (the newest is
-#: never evicted while unpinned; pinned versions are never evicted).
+#: Distinct snapshot versions kept around (the newest is never evicted
+#: while unpinned; pinned versions are never evicted).
 DEFAULT_MAX_CACHED = 4
 
 
@@ -236,11 +236,9 @@ class SnapshotManager:
     """Pin-counted cache of snapshots over one backend."""
 
     def __init__(self, backend: "StorageBackend",
-                 max_cached: int = DEFAULT_MAX_CACHED,
                  write_latch: Optional[threading.Lock] = None,
                  wal: "Optional[WriteAheadLog]" = None) -> None:
         self.backend = backend
-        self.max_cached = max_cached
         #: Lock the owning server holds across every commit and
         #: checkpoint; the ``recover()`` fallback holds it so image
         #: and log are read with no commit or checkpoint in between.
@@ -426,7 +424,7 @@ class SnapshotManager:
         """Under the lock: drop old unpinned versions past the bound
         (the newest version survives even unpinned — it is the next
         reader's cache hit, or the base of its advance)."""
-        while len(self._order) > self.max_cached:
+        while len(self._order) > DEFAULT_MAX_CACHED:
             for key in list(self._order[:-1]):
                 snapshot = self._cache[key]
                 if snapshot.pins == 0:

@@ -42,7 +42,6 @@ from repro.storage.persist import dumps_engine, load_engine
 from repro.storage.recovery import (
     RecoveryError,
     RecoveryResult,
-    bulk_load,
     recover,
 )
 from repro.storage.txn import Transaction, TransactionManager
@@ -108,7 +107,6 @@ __all__ = [
     "schema_fingerprint",
     "schema_type_annotations",
     "snapshot_version",
-    "bulk_load",
     "dumps_engine",
     "load_engine",
     "read_wal_store",

@@ -21,7 +21,6 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro import obs
-from repro.obs.statistics import StatisticsCollector
 from repro.errors import StorageError, UpdateError
 from repro.xmlio.nodes import XmlDocument, XmlElement, XmlText
 from repro.xmlio.qname import QName
@@ -47,9 +46,8 @@ class StorageEngine:
     def __init__(self, base: int = 256, block_capacity: int = 64) -> None:
         #: The one freshness stamp of a cached query plan, compared on
         #: a hit.  Bumped by each source of plan staleness — schema
-        #: growth, index DDL, statistics drift, a reloaded statistics
-        #: collector — and by nothing else; it only grows, so no value
-        #: repeats for one engine.
+        #: growth, index DDL, statistics drift, a load — and by nothing
+        #: else; it only grows, so no value repeats for one engine.
         self.plan_epoch = 0
         self.schema = DescriptiveSchema()
         self.schema.engine = self
@@ -71,12 +69,6 @@ class StorageEngine:
         #: (:func:`repro.storage.persist.block_payload`): the one record
         #: of what changed since a checkpoint, which every backend reads.
         self.payloads: dict[int, bytes] = {}
-        #: Per-schema-node statistics (descriptor counts, byte sizing,
-        #: distinct values) maintained incrementally at mutation time —
-        #: engine state like ``descriptor_count``, not optional
-        #: instrumentation; the cost model's feed.
-        self.stats = StatisticsCollector()
-        self.stats.engine = self
         # Instrumentation.
         self.insert_count = 0
         self.delete_count = 0
@@ -219,8 +211,8 @@ class StorageEngine:
             block = Block(schema_node, self.block_capacity)
             schema_node.append_block(block)
         block.insert_after(descriptor, block.last_descriptor())
-        schema_node.descriptor_count += 1
-        self.stats.note_added(descriptor)
+        if schema_node.note_added(descriptor):
+            self.plan_epoch += 1
         self._changed(block)
 
     def _place_descriptor(self, descriptor: NodeDescriptor) -> None:
@@ -257,8 +249,8 @@ class StorageEngine:
                     and first_of_sibling.nid < key):
                 target = sibling
         target.insert_after(descriptor, target.predecessor(key))
-        descriptor.schema_node.descriptor_count += 1
-        self.stats.note_added(descriptor)
+        if descriptor.schema_node.note_added(descriptor):
+            self.plan_epoch += 1
         self._changed(target)
 
     # ==================================================================
@@ -579,7 +571,9 @@ class StorageEngine:
         replaced — with which the same call is its own inverse."""
         old_value = descriptor.value
         descriptor.value = value
-        self.stats.note_value_changed(descriptor, old_value)
+        if descriptor.schema_node.note_value_changed(descriptor,
+                                                     old_value):
+            self.plan_epoch += 1
         self._changed(descriptor.block)
         if self.indexes.active:
             self.indexes.note_value_changed(descriptor)
@@ -720,8 +714,8 @@ class StorageEngine:
             if descriptor.parent.first_child_for(index) is descriptor:
                 descriptor.parent.children_by_schema.pop(index, None)
         block.remove(descriptor)
-        schema_node.descriptor_count -= 1
-        self.stats.note_removed(descriptor)
+        if schema_node.note_removed(descriptor):
+            self.plan_epoch += 1
         if block.is_empty:
             self._unlink_block(block)
         self._changed(block)

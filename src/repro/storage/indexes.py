@@ -529,8 +529,7 @@ class IndexManager:
     # -- rebuild / verification ----------------------------------------
 
     def rebuild_all(self) -> None:
-        """Repopulate every index from the block lists (bulk load,
-        image load)."""
+        """Repopulate every index from the block lists."""
         for index in self._indexes.values():
             index.build()
 

@@ -37,9 +37,10 @@ Image format (little-endian, fixed-width, labels aside), magic
 * per schema node, same order: block count (u32), then per block of
   its chain the payload length (u32) and the payload;
 * statistics digest: the canonical JSON of
-  :meth:`~repro.obs.statistics.StatisticsCollector.export`
-  (length-prefixed UTF-8).  Loads always *recount* from the decoded
-  block lists; the digest is a corruption check against the recount;
+  :meth:`~repro.storage.dschema.DescriptiveSchema.statistics`
+  (length-prefixed UTF-8).  A load counts each descriptor into its
+  schema node's statistics as it decodes it; the digest is a
+  corruption check against what the decode built;
 * trailer: CRC32 (u32) of every preceding byte, header included.
 
 A snapshot manifest is the same bytes under the magic ``SEDNAMF1``,
@@ -62,7 +63,6 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from repro import obs
 from repro.errors import CorruptionError, ReproError, StorageError
-from repro.obs.statistics import StatisticsCollector
 from repro.storage.blocks import Block
 from repro.storage.codec import Reader, Writer, pack_nid, pack_text
 from repro.storage.descriptor import NodeDescriptor
@@ -168,7 +168,7 @@ def _dump(engine: StorageEngine, checkpoint_lsn: int, magic: bytes,
         for block in blocks:
             put_block(writer, block)
 
-    writer.text(json.dumps(engine.stats.export(),
+    writer.text(json.dumps(engine.schema.statistics(),
                            separators=(",", ":"), sort_keys=True))
     writer.trailer()
     return bytes(writer.out)
@@ -413,11 +413,11 @@ def load_blocks(engine: StorageEngine,
                     "already carried by another descriptor", pos=start)
             descriptor = NodeDescriptor(schema_node, nid, value=value)
             block.insert_after(descriptor, last)
+            schema_node.note_added(descriptor)
             last = descriptor
             by_nid[nid] = descriptor
             records.append((descriptor, parent, left, right, reader,
                             start))
-        schema_node.descriptor_count += block.count
         if reader.pos != end:
             raise reader.corrupt(
                 f"block payload ends at {reader.location()}, not at "
@@ -466,16 +466,13 @@ def finish_load(engine: StorageEngine,
             parent.children_by_schema[index] = descriptor
     engine.check_invariants()
 
-    # Decoding bypassed the mutation hooks, so the statistics are
-    # rebuilt from the decoded block lists; a persisted digest must
-    # agree with the recount (corruption check).
-    # Plans priced under the old collector are stale: bump the epoch.
-    engine.stats = StatisticsCollector.recount(engine)
-    engine.stats.engine = engine
+    # The decode counted every descriptor into its schema node's
+    # statistics; the persisted digest must agree (corruption check).
+    # Plans priced before the load are stale: bump the epoch.
     engine.plan_epoch += 1
-    if stats != engine.stats.export():
+    if stats != engine.schema.statistics():
         raise corrupt("persisted statistics digest does not match the "
-                      "recount of the stored data")
+                      "stored data")
 
     # Re-install the declared indexes last: their contents are derived
     # state, rebuilt here by one block-list scan per index.

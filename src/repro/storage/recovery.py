@@ -45,11 +45,9 @@ from repro.storage.wal import (
     DELETE,
     INSERT_ELEMENT,
     INSERT_TEXT,
-    LOAD,
     OP_KINDS,
     WalRecord,
     WalScan,
-    WriteAheadLog,
     read_wal_store,
 )
 
@@ -103,52 +101,6 @@ class RecoveryResult:
             "index_definitions": self.index_definitions,
             "indexes_verified": self.indexes_verified,
         }
-
-
-# ----------------------------------------------------------------------
-# Bulk load.
-
-
-def bulk_load(engine: StorageEngine, document, backend: StorageBackend,
-              wal: WriteAheadLog,
-              preserve_whitespace: bool = False) -> dict:
-    """Load *document* into an empty engine with per-op logging off.
-
-    ``load_document`` builds the §9 block lists directly, so the load
-    itself costs no WAL traffic.  Durability comes from one logical
-    marker — BEGIN / LOAD(node count) / COMMIT — followed immediately
-    by a checkpoint on *backend*, which places the marker at or below the
-    new horizon.  A committed LOAD found *past* the horizon at
-    recovery is unrecoverable by construction (its nodes have no
-    per-op records) and :func:`recover` refuses it, so the crash
-    window between COMMIT and checkpoint behaves like a crash before
-    the load started: the operator re-runs the load.
-
-    Declared secondary indexes are populated once, after the load, in
-    a single build pass per index instead of per-node maintenance.
-    Returns a stats dict (node count, txn id, horizon, WAL records).
-    """
-    if engine.document is not None:
-        raise StorageError("bulk_load requires an empty engine")
-    was_active = engine.indexes.active
-    engine.indexes.active = False  # defer maintenance to one rebuild
-    try:
-        engine.load_document(document,
-                             preserve_whitespace=preserve_whitespace)
-    finally:
-        engine.indexes.active = was_active
-    manager = engine.txn_manager
-    txn_id = manager.claim_txn_id() if manager is not None else 1
-    count = engine.node_count()
-    wal.append_begin(txn_id)
-    wal.append_load(txn_id, count)
-    wal.append_commit(txn_id)
-    horizon = backend.checkpoint(engine, wal=wal).lsn
-    engine.indexes.rebuild_all()
-    obs.REGISTRY.counter("recovery.bulk_loads").inc()
-    obs.REGISTRY.counter("recovery.bulk_load.nodes").inc(count)
-    return {"nodes": count, "txn": txn_id, "checkpoint_lsn": horizon,
-            "wal_records": 3}
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +185,7 @@ def _recover(backend, schema, strict) -> RecoveryResult:
         # hooks as live traffic; in strict mode the digest must match
         # a from-scratch recount of the recovered block lists.
         try:
-            engine.stats.verify_consistency(engine)
+            engine.schema.verify_statistics()
         except StorageError as error:
             raise RecoveryError(
                 f"recovered statistics are inconsistent: {error}") \
@@ -285,11 +237,9 @@ def replay(engine: StorageEngine, nid_index: dict, scan: WalScan,
         kind = record.kind
         if kind == COMMIT and record.txn not in done.committed_txns:
             done.committed_txns.append(record.txn)
-        if not (kind in OP_KINDS or kind in DDL_KINDS or kind == LOAD):
+        if not (kind in OP_KINDS or kind in DDL_KINDS):
             continue  # framing: BEGIN / COMMIT / ABORT / CHECKPOINT
         if record.lsn <= after_lsn:
-            # For a LOAD the normal case: the bulk-load protocol
-            # checkpoints right after the marker.
             done.skipped += 1
             continue
         if record.txn not in committed:
@@ -297,13 +247,6 @@ def replay(engine: StorageEngine, nid_index: dict, scan: WalScan,
             if record.txn not in done.discarded_txns:
                 done.discarded_txns.append(record.txn)
             continue
-        if kind == LOAD:
-            raise RecoveryError(
-                f"WAL record {record.lsn}: a committed bulk "
-                f"LOAD of {record.node_count} nodes was never "
-                "checkpointed — its nodes have no per-op "
-                "records and cannot be replayed; re-run the "
-                "load")
         if kind in DDL_KINDS:
             _apply_ddl(engine, record)
         else:

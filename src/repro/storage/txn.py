@@ -92,13 +92,6 @@ class TransactionManager:
     def autocommit_needed(self) -> bool:
         return self.active is None and not self._undoing
 
-    def claim_txn_id(self) -> int:
-        """Reserve a fresh transaction id without opening a
-        transaction (used by the bulk-load LOAD marker)."""
-        txn_id = self._next_txn
-        self._next_txn += 1
-        return txn_id
-
     # -- the transaction protocol ---------------------------------------
 
     def begin(self) -> Transaction:

@@ -27,10 +27,9 @@ all of them.
 Record kinds: BEGIN / COMMIT / ABORT frame transactions;
 INSERT_ELEMENT / INSERT_TEXT / SET_ATTRIBUTE / DELETE are the logical
 updates; CREATE_INDEX / DROP_INDEX log secondary-index DDL (contents
-are derived state and never logged); LOAD marks a bulk load whose
-nodes bypassed per-op logging (valid only under the very next
-checkpoint's horizon); CHECKPOINT marks a log reset after an image
-checkpoint.
+are derived state and never logged); CHECKPOINT marks a log reset
+after an image checkpoint.  Kind 11, the bulk-load marker LOAD of
+earlier logs, stays reserved: its frame is refused by name.
 
 Torn-tail semantics: :func:`read_wal_store` stops at the first record whose
 frame is incomplete or whose CRC32 does not match, reporting the valid
@@ -86,6 +85,7 @@ DELETE = 7
 CHECKPOINT = 8
 CREATE_INDEX = 9
 DROP_INDEX = 10
+#: Reserved: the bulk-load marker of earlier logs, refused by name.
 LOAD = 11
 
 #: The kinds recovery replays (everything else is framing).
@@ -118,8 +118,6 @@ class WalRecord(NamedTuple):
     index_path: Optional[str] = None
     index_kind: Optional[str] = None
     value_type: Optional[str] = None
-    #: Bulk-load marker (LOAD): nodes loaded outside per-op logging.
-    node_count: int = 0
 
 
 @dataclass
@@ -179,7 +177,6 @@ _BODIES = {
     CREATE_INDEX: (("index_path", _TEXT), ("index_kind", _TEXT),
                    ("value_type", _TEXT)),
     DROP_INDEX: (("index_path", _TEXT), ("index_kind", _TEXT)),
-    LOAD: (("node_count", _U64),),
 }
 
 # Both directions, resolved once at import: per kind the packers in
@@ -211,6 +208,11 @@ def _decode_payload(payload: bytes, backend: str = "file") -> WalRecord:
     reader = Reader(payload, backend=backend, what="WAL payload")
     head = reader.unpack(_RECORD_HEAD)
     readers = _READERS.get(head[1])
+    if head[1] == LOAD:
+        raise reader.corrupt(
+            f"WAL record kind {LOAD} at {reader.location(8)} is a bulk "
+            "LOAD marker: bulk loads were removed; recover and "
+            "checkpoint this log with a release that reads it", pos=8)
     if readers is None:
         raise reader.corrupt(f"unknown WAL record kind {head[1]} at "
                              f"{reader.location(8)}", pos=8)
@@ -500,10 +502,11 @@ class WriteAheadLog:
         return self._append(DROP_INDEX, txn, path, kind)
 
     def append_load(self, txn: int, node_count: int) -> int:
-        """The bulk-load marker: *node_count* nodes entered the engine
-        without per-op records; a checkpoint must follow immediately
-        (recovery refuses a committed LOAD past the horizon)."""
-        return self._append(LOAD, txn, node_count)
+        """Refused: bulk LOAD markers were removed.  The name stays
+        while ``benchmarks/e2e/trace.py`` hooks every ``append_*``
+        entry point by name."""
+        raise StorageError("bulk LOAD markers were removed: load with "
+                           "load_document, then checkpoint")
 
     # -- checkpoint reset ------------------------------------------------
 

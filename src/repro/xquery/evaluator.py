@@ -143,30 +143,9 @@ class XQueryEvaluator:
     # -- FLWOR -----------------------------------------------------------
 
     def _flwor(self, flwor: Flwor, bindings: Bindings) -> list[Item]:
-        if obs.ENABLED:
-            return self._flwor_traced(flwor, bindings)
-        tuples = self._bind(flwor.clauses, 0, dict(bindings))
-        if flwor.where is not None:
-            tuples = (env for env in tuples
-                      if self._boolean(self._eval(flwor.where, env)))
-        materialized = list(tuples)
-        if flwor.order is not None:
-            spec = flwor.order
-
-            def key(env: Bindings):
-                return self._order_key(self._eval(spec.key, env))
-
-            materialized.sort(key=key, reverse=spec.descending)
-        out: list[Item] = []
-        for env in materialized:
-            out.extend(self._eval(flwor.body, env))
-        return out
-
-    def _flwor_traced(self, flwor: Flwor,
-                      bindings: Bindings) -> list[Item]:
-        """The instrumented FLWOR: each clause runs under its own span,
-        which requires materializing the tuple stream per phase (the
-        untraced path above keeps ``where`` lazy instead)."""
+        """Each clause runs under its own span (a disabled tracer's
+        span is a shared null context), over the tuple stream
+        materialized per phase."""
         tracer = obs.TRACER
         with tracer.span("xquery.flwor"):
             with tracer.span("xquery.flwor.bind"):

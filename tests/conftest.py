@@ -6,10 +6,11 @@ the every-policy ≡ oracle properties of ``tests/test_compiled_parity.py``
 and ``tests/test_indexes.py``, the plan-epoch properties of
 ``tests/test_query_plan.py``, the UPA and matcher ≡ Glushkov
 properties of ``tests/test_content_models.py``, the label ≡ §9.3
-rules properties of ``tests/test_storage_labels.py`` and the walk ≡
-recursive oracle properties of ``tests/test_walks.py`` take their
-example budget from the active profile); tier-1 runs the hypothesis
-default.
+rules properties of ``tests/test_storage_labels.py``, the walk ≡
+recursive oracle properties of ``tests/test_walks.py`` and the
+statistics ≡ recount property of ``tests/test_storage_engine.py``
+take their example budget from the active profile); tier-1 runs the
+hypothesis default.
 """
 
 import pytest

@@ -19,7 +19,6 @@ from repro import obs
 from repro.cli import main as cli_main
 from repro.errors import (
     CorruptionError,
-    StorageError,
     TypeSystemError,
     UpdateError,
 )
@@ -34,14 +33,13 @@ from repro.storage import (
     StorageEngine,
     TransactionManager,
     WriteAheadLog,
-    bulk_load,
     dumps_engine,
     load_engine,
     read_wal_store,
     recover,
 )
 from repro.storage.indexes import ValueIndex
-from repro.storage.wal import CHECKPOINT, CREATE_INDEX, DROP_INDEX
+from repro.storage.wal import CREATE_INDEX, DROP_INDEX
 from repro.workloads.library import make_library_document
 from repro.xmlio import parse_document
 from repro.xmlio.qname import QName
@@ -538,44 +536,6 @@ class TestDurability:
         assert result.indexes_verified == 1
         assert [d.path for d in result.engine.indexes.definitions()] \
             == ["library/book/title"]
-
-    def test_bulk_load_writes_one_logical_record(self, tmp_path):
-        document = make_library_document(books=6, papers=3,
-                                         year_attrs=True)
-        backend = FileBackend(tmp_path / "store.img",
-                              wal_path=tmp_path / "wal.log")
-        wal = backend.open_wal()
-        engine = StorageEngine()
-        summary = bulk_load(engine, document, backend, wal)
-        assert summary["wal_records"] == 3
-        # The implicit checkpoint put the LOAD under the horizon and
-        # rotated the log: only the checkpoint marker remains.
-        kinds = [r.kind for r in read_wal_store(wal.store).records]
-        assert kinds == [CHECKPOINT]
-
-        reference = StorageEngine()
-        reference.load_document(document)
-        assert engine.node_count() == reference.node_count()
-
-        result = recover(backend)
-        assert result.relabels == 0
-        assert result.engine.node_count() == engine.node_count()
-
-    def test_bulk_load_requires_an_empty_engine(self, tmp_path):
-        engine = _engine()
-        wal = WriteAheadLog(FileWalStore(tmp_path / "wal.log"))
-        with pytest.raises(StorageError):
-            bulk_load(engine, make_library_document(),
-                      FileBackend(tmp_path / "store.img"), wal)
-
-    def test_bulk_load_builds_declared_indexes_once(self, tmp_path):
-        document = make_library_document(books=6, year_attrs=True)
-        engine = StorageEngine()
-        wal = WriteAheadLog(FileWalStore(tmp_path / "wal.log"))
-        bulk_load(engine, document,
-                  FileBackend(tmp_path / "store.img"), wal)
-        engine.create_index("library/book/@year", value_type="integer")
-        assert engine.indexes.verify_consistency() == 1
 
 
 # ---------------------------------------------------------------------------

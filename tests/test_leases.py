@@ -184,6 +184,21 @@ class TestBackoffJitter:
         assert seq_a == seq_b
         assert seq_a != seq_c
 
+    def test_both_entries_draw_one_sequence(self):
+        """``backoff_delay`` is ``backoff_delay_locked`` under the lock:
+        alternating the two entries replays one manager's jitter."""
+        one = LeaseManager(base_backoff=0.005, max_backoff=0.1, seed=9)
+        both = LeaseManager(base_backoff=0.005, max_backoff=0.1, seed=9)
+        expected = [one.backoff_delay(i % 6) for i in range(20)]
+        drawn = []
+        for i in range(20):
+            if i % 2:
+                with both._lock:
+                    drawn.append(both.backoff_delay_locked(i % 6))
+            else:
+                drawn.append(both.backoff_delay(i % 6))
+        assert drawn == expected
+
 
 class TestExpiryDuringCommit:
     def test_lapsed_holder_rolls_back_instead_of_publishing(self):

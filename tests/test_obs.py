@@ -371,6 +371,8 @@ class TestInstrumentedPaths:
             'for $b in /library/book return $b/title')
         assert len(values) == 10
         assert obs.TRACER.records == []
+        assert (obs.REGISTRY.value("xquery.flwor.evaluations"),
+                obs.REGISTRY.value("xquery.flwor.tuples")) == (1, 10)
 
 
 class TestExplainPerThread:

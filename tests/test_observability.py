@@ -1,8 +1,8 @@
 """Tests for the production observability layer (PR 8).
 
 The always-recorded instruments, the structured event + slow-query
-log, windowed histograms, per-schema-node statistics collectors (and their
-persistence through checkpoint/recover) and the operator CLI
+log, windowed histograms, the statistics each schema node keeps (and
+their persistence through checkpoint/recover) and the operator CLI
 surfaces.
 """
 
@@ -17,7 +17,6 @@ from repro.errors import QueryError, StorageError
 from repro.obs.events import EventLog
 from repro.obs.metrics import Histogram, MetricsRegistry, \
     render_prometheus
-from repro.obs.statistics import StatisticsCollector
 from repro.query import StorageQueryEngine
 from repro.storage import (
     FileBackend,
@@ -27,6 +26,7 @@ from repro.storage import (
     load_engine,
     recover,
 )
+from repro.storage.dschema import SchemaNode
 from repro.storage.persist import dumps_engine
 from repro.workloads import make_library_document
 from repro.xmlio import QName, parse_document
@@ -264,6 +264,11 @@ class TestNotLowerableReason:
             queries.evaluate("/library/book/title")
 
 
+def _bare_node() -> SchemaNode:
+    """A text schema node outside any schema, for its value statistics."""
+    return SchemaNode(None, "text", None)
+
+
 class TestStatisticsCollector:
     def _mutate(self, engine):
         library = engine.children(engine.document)[0]
@@ -278,13 +283,13 @@ class TestStatisticsCollector:
     def test_incremental_stats_match_a_recount(self):
         engine = _engine(block_capacity=4)
         self._mutate(engine)
-        assert engine.stats.export() == \
-            StatisticsCollector.recount(engine).export()
-        engine.stats.verify_consistency(engine)
+        assert engine.schema.statistics() == \
+            engine.schema.recount_statistics()
+        engine.schema.verify_statistics()
 
     def test_export_digest_shape(self):
         engine = _engine()
-        digest = engine.stats.export()
+        digest = engine.schema.statistics()
         assert "#document" in digest
         title = digest["library/book/title"]
         assert title["descriptors"] == 2
@@ -302,23 +307,22 @@ class TestStatisticsCollector:
         engine.set_attribute(book, QName("", "lang"), "en")
         engine.set_attribute(book, QName("", "lang"), "de",
                              replace=True)
-        stats = engine.stats.export()["library/book/@lang"]
+        stats = engine.schema.statistics()["library/book/@lang"]
         assert stats["descriptors"] == 1
         assert stats["distinct_values"] == 1
         assert stats["min_value"] == "de"
-        assert engine.stats.export() == \
-            StatisticsCollector.recount(engine).export()
+        assert engine.schema.statistics() == \
+            engine.schema.recount_statistics()
 
     def test_typed_order_ties_ignore_insertion_order(self):
-        from repro.obs.statistics import NodeStats
         values = ["9", "0009", "1.0", "1", "nan"]
-        forward, backward = NodeStats(), NodeStats()
+        forward, backward = _bare_node(), _bare_node()
         for value in values:
             forward.add_value(value)
         for value in reversed(values):
             backward.add_value(value)
-        digest = forward.as_dict()
-        assert digest == backward.as_dict()
+        digest = forward.statistics()
+        assert digest == backward.statistics()
         # Numeric ties break lexicographically; nan sorts after
         # every number.
         assert digest["min_value"] == "1"
@@ -329,21 +333,20 @@ class TestStatisticsCollector:
         afresh from the current multiset, through adds and removes
         that do and do not change the set of distinct values."""
         import random
-        from repro.obs.statistics import NodeStats
         rng = random.Random(3)
         pool = ["9", "0009", "10", "1.5", "-2", "nan", "abc", "Zed"]
-        stats, live = NodeStats(), []
+        stats, live = _bare_node(), []
         for _ in range(400):
             if live and rng.random() < 0.45:
                 stats.remove_value(live.pop(rng.randrange(len(live))))
             else:
                 live.append(rng.choice(pool))
                 stats.add_value(live[-1])
-            fresh = NodeStats()
+            fresh = _bare_node()
             for value in live:
                 fresh.add_value(value)
             assert stats.value_range() == fresh.value_range()
-            assert stats.as_dict() == fresh.as_dict()
+            assert stats.statistics() == fresh.statistics()
 
     def test_digest_is_stable_across_mutation_order(self):
         engine = _engine()
@@ -354,10 +357,10 @@ class TestStatisticsCollector:
         # identically either way.
         engine.set_attribute(books[1], QName("", "rank"), "9")
         engine.set_attribute(books[0], QName("", "rank"), "0009")
-        stats = engine.stats.export()["library/book/@rank"]
+        stats = engine.schema.statistics()["library/book/@rank"]
         assert stats["min_value"] == "0009"
         assert stats["max_value"] == "9"
-        engine.stats.verify_consistency(engine)
+        engine.schema.verify_statistics()
 
     @pytest.mark.parametrize("backend_factory", [
         lambda tmp: FileBackend(tmp / "s.img", wal_path=tmp / "s.wal"),
@@ -373,16 +376,16 @@ class TestStatisticsCollector:
         backend.checkpoint(engine)
         result = recover(backend, strict=True)
         recovered = result.engine
-        assert recovered.stats.export() == engine.stats.export()
-        assert recovered.stats.export() == \
-            StatisticsCollector.recount(recovered).export()
+        assert recovered.schema.statistics() == engine.schema.statistics()
+        assert recovered.schema.statistics() == \
+            recovered.schema.recount_statistics()
 
     def test_tampered_digest_is_detected(self):
         import struct
         import zlib
         engine = _engine()
         image = dumps_engine(engine)
-        digest = json.dumps(engine.stats.export(),
+        digest = json.dumps(engine.schema.statistics(),
                             separators=(",", ":"),
                             sort_keys=True).encode("utf-8")
         body = image[:-4]
@@ -397,11 +400,6 @@ class TestStatisticsCollector:
         with pytest.raises(StorageError,
                            match="statistics digest"):
             load_engine(body + struct.pack("<I", zlib.crc32(body)))
-
-    def test_reset_zeroes_everything(self):
-        engine = _engine()
-        engine.stats.reset()
-        assert engine.stats.export() == {}
 
 
 class TestOperatorCli:

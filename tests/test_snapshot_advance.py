@@ -58,6 +58,7 @@ from repro.storage import (
 )
 from repro.storage.descriptor import NO_SLOT
 from repro.storage.store import StorageNodeStore
+from repro.storage.wal import BEGIN
 from repro.workloads import make_library_document
 from repro.xdm.store import bisimulate
 from repro.xmlio.parser import parse_document
@@ -137,11 +138,11 @@ def assert_equivalent(advanced, recovered):
     assert [d.nid.symbols() for d in advanced.iter_document_order()] \
         == [d.nid.symbols() for d in recovered.iter_document_order()]
     assert advanced.indexes.snapshot() == recovered.indexes.snapshot()
-    assert advanced.stats.export() == recovered.stats.export()
+    assert advanced.schema.statistics() == recovered.schema.statistics()
     assert advanced.relabel_count == 0
     advanced.check_invariants()
     advanced.indexes.verify_consistency()
-    advanced.stats.verify_consistency(advanced)
+    advanced.schema.verify_statistics()
 
 
 def in_block_invariants_hold(block):
@@ -899,11 +900,13 @@ class TestReopenWithoutACheckpoint:
             with DatabaseServer(backend, workers=1) as server:
                 with server.open_session("read") as reader:
                     assert "Dee" in reader.query_values(AUTHORS)
-                assert server.txns.claim_txn_id() == logged + 1
                 with server.open_session("write") as writer:
                     # An open transaction's records share no id with a
-                    # committed one: invisible before their COMMIT ...
+                    # committed one (its BEGIN carries the log's next
+                    # id): invisible before their COMMIT ...
                     def check_then_add(engine, session):
+                        assert [r.txn for r in server.wal.scan.records
+                                if r.kind == BEGIN][-1] == logged + 1
                         add_author("Eve")(engine, session)
                         assert "Eve" not in [
                             engine.string_value(d) for d in

@@ -55,6 +55,7 @@ from repro.storage.blocks import Block
 from repro.storage.codec import (
     FRAME_HEADER_LEN,
     Reader,
+    encode_frame,
     iter_frames,
     pack_nid,
 )
@@ -453,6 +454,30 @@ class TestLabelRefusals:
         with pytest.raises(StorageError, match="WAL version 1"):
             WriteAheadLog(store)
 
+    def test_a_bulk_load_record_is_refused_by_name(self):
+        """Kind 11 stays reserved for the removed bulk-load marker: a
+        log holding one is refused at its kind byte, never replayed."""
+        payload = struct.pack("<QBQQ", 8, 11, 2, 40)  # lsn, kind, txn
+        with pytest.raises(CorruptionError, match="bulk LOAD") as info:
+            _decode_wal_payload(payload)
+        assert info.value.location == "byte 8"
+        store = MemoryWalStore()
+        store.append(WAL_HEADER + encode_frame(payload))
+        with pytest.raises(CorruptionError, match="bulk LOAD") as info:
+            WriteAheadLog(store)
+        assert info.value.location.endswith("byte 8")
+
+    def test_a_bulk_load_record_cannot_be_appended(self):
+        """``append_load`` keeps its name but refuses, and the log it
+        was called on stays as it was."""
+        log = WriteAheadLog(MemoryWalStore())
+        log.append_begin(3)
+        before = log.store.load()
+        with pytest.raises(StorageError, match="bulk LOAD"):
+            log.append_load(3, 17)
+        assert log.store.load() == before
+        assert log.append_commit(3) == 2
+
 
 # ----------------------------------------------------------------------
 # (c) Decoder fuzz: damage is a located CorruptionError, nothing else.
@@ -518,7 +543,7 @@ def _decode_wal_frame(data: bytes):
 #: appends one record of each.
 _WAL_ROWS = ("checkpoint", "begin", "insert_element", "insert_text",
              "set_attribute", "delete", "create_index", "drop_index",
-             "load", "abort", "commit")
+             "abort", "commit")
 
 
 @functools.lru_cache(maxsize=None)
@@ -565,7 +590,6 @@ def _fuzz_inputs(mutated: bool) -> dict:
     log.append_delete(9, label)
     log.append_create_index(9, "library/book/title", "value", "string")
     log.append_drop_index(9, "//author", "path")
-    log.append_load(9, engine.node_count())
     log.append_abort(9)
     log.append_commit(9)
     payloads = [payload for payload, _ in iter_frames(rows.load(),

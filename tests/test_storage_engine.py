@@ -1,8 +1,11 @@
 """Tests for the descriptive schema, blocks and the storage engine."""
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.xmlio import QName, parse_document
@@ -12,9 +15,13 @@ from repro.storage import (
     DescriptiveSchema,
     NodeDescriptor,
     NumberingScheme,
+    FileBackend,
+    MemoryBackend,
+    SqliteBackend,
     StorageEngine,
     before,
     dumps_engine,
+    recover,
 )
 from repro.workloads.fixtures import (
     EXAMPLE_8_DESCRIPTIVE_SCHEMA,
@@ -22,6 +29,7 @@ from repro.workloads.fixtures import (
     EXAMPLE_10_DESCRIPTOR_FIELDS,
 )
 from repro.workloads import make_library_document, make_irregular_document
+from tests.test_query_plan import _budget
 
 
 @pytest.fixture
@@ -315,8 +323,8 @@ class TestUpdates:
                 break
             predecessor = candidate
         target.insert_after(descriptor, predecessor)
-        schema_node.descriptor_count += 1
-        engine.stats.note_added(descriptor)
+        if schema_node.note_added(descriptor):
+            engine.plan_epoch += 1
 
     @staticmethod
     def _layout(engine, path):
@@ -455,3 +463,79 @@ class TestEngineLoading:
         irregular = StorageEngine()
         irregular.load_document(make_irregular_document(200, seed=1))
         assert irregular.schema.node_count() == 201
+
+
+# ----------------------------------------------------------------------
+# The statistics each schema node keeps equal a from-scratch recount of
+# its blocks after every write, and survive checkpoint + recover.  CI's
+# crash-matrix step runs this with --hypothesis-profile=crash-matrix
+# --hypothesis-seed=0.
+
+_VALUES = st.sampled_from(["1", "09", "9", "1.5", "nan", "abc", ""])
+_WRITES = st.lists(st.one_of(
+    st.tuples(st.just("element"), st.integers(0, 99),
+              st.sampled_from(["book", "title", "note"])),
+    st.tuples(st.just("text"), st.integers(0, 99), _VALUES),
+    st.tuples(st.just("attribute"), st.integers(0, 99),
+              st.sampled_from(["year", "lang"]), _VALUES),
+    st.tuples(st.just("delete"), st.integers(0, 99)),
+    st.tuples(st.just("index"))), max_size=20)
+
+_INDEXED = "library/book/@year"
+
+
+def _write(engine, write) -> None:
+    kind, *args = write
+    if kind == "index":
+        if engine.indexes.active:
+            engine.drop_index(_INDEXED)
+        else:
+            engine.create_index(_INDEXED)
+        return
+    stored = list(engine.iter_document_order())
+    pick = args[0]
+    if kind == "delete":
+        # Anything below the document element.
+        doomed = [d for d in stored if d.parent is not None
+                  and d.parent is not engine.document]
+        if doomed:
+            engine.delete_subtree(doomed[pick % len(doomed)])
+        return
+    elements = [d for d in stored if d.node_type == "element"]
+    parent = elements[pick % len(elements)]
+    if kind == "attribute":
+        # New where *parent* has no such attribute, else replacing.
+        engine.set_attribute(parent, QName("", args[1]), args[2],
+                             replace=True)
+        return
+    index = pick % (len(engine.children(parent)) + 1)
+    if kind == "element":
+        engine.insert_child(parent, index, name=QName("", args[1]))
+    else:
+        engine.insert_child(parent, index, text=args[1])
+
+
+@settings(max_examples=_budget(25), deadline=None)
+@given(books=st.integers(1, 4), papers=st.integers(0, 2),
+       writes=_WRITES)
+def test_statistics_are_a_recount(books, papers, writes):
+    engine = StorageEngine(block_capacity=4)
+    engine.load_document(make_library_document(
+        books=books, papers=papers, seed=books + papers, year_attrs=True))
+    schema = engine.schema
+    assert schema.statistics() == schema.recount_statistics()
+    for write in writes:
+        _write(engine, write)
+        assert schema.statistics() == schema.recount_statistics(), write
+    live = schema.statistics()
+    with tempfile.TemporaryDirectory() as directory:
+        for backend in (MemoryBackend(),
+                        FileBackend(Path(directory) / "store.img",
+                                    wal_path=Path(directory) / "wal.log"),
+                        SqliteBackend(Path(directory) / "store.db")):
+            try:
+                backend.checkpoint(engine)
+                recovered = recover(backend, strict=True).engine
+                assert recovered.schema.statistics() == live, backend.name
+            finally:
+                backend.close()

@@ -88,35 +88,31 @@ class TestWalFormat:
         assert attribute.text == "2004"
         assert attribute.replace is False
 
-        # The other rows of the body table: index DDL, the bulk-load
-        # marker, and the CHECKPOINT marker a reset starts the log with.
+        # The other rows of the body table: index DDL and the
+        # CHECKPOINT marker a reset starts the log with.
         wal = WriteAheadLog(wal_store)
         wal.append_begin(2)
         wal.append_create_index(2, "library/book/@year", "value",
                                 "integer")
         wal.append_drop_index(2, "//author", "path")
-        wal.append_load(2, 2 ** 40 + 17)
         wal.append_set_attribute(2, nid, QName("urn:x", "year"), "",
                                  nid, replace=True)
         wal.append_commit(2)
-        create, drop, load, replaced = read_wal_store(
-            wal_store).records[7:11]
-        assert [r.kind for r in (create, drop, load, replaced)] == [
-            walmod.CREATE_INDEX, walmod.DROP_INDEX, walmod.LOAD,
-            walmod.SET_ATTRIBUTE]
+        create, drop, replaced = read_wal_store(wal_store).records[7:10]
+        assert [r.kind for r in (create, drop, replaced)] == [
+            walmod.CREATE_INDEX, walmod.DROP_INDEX, walmod.SET_ATTRIBUTE]
         assert (create.index_path, create.index_kind, create.value_type) \
             == ("library/book/@year", "value", "integer")
         assert (drop.index_path, drop.index_kind, drop.value_type) \
             == ("//author", "path", None)
-        assert (load.txn, load.node_count) == (2, 2 ** 40 + 17)
         assert (replaced.name, replaced.text, replaced.replace) \
             == (QName("urn:x", "year"), "", True)
         assert equal(replaced.parent_nid, nid) and equal(replaced.nid, nid)
-        wal.reset(12)
+        wal.reset(11)
         wal.close()
         (marker,) = read_wal_store(wal_store).records
         assert (marker.lsn, marker.kind, marker.txn,
-                marker.checkpoint_lsn) == (13, walmod.CHECKPOINT, 0, 12)
+                marker.checkpoint_lsn) == (12, walmod.CHECKPOINT, 0, 11)
 
     def test_reopen_continues_lsns(self, wal_store):
         wal = WriteAheadLog(wal_store)
@@ -148,12 +144,11 @@ class TestWalFormat:
         wal.append_create_index(1, "library/book/@year", "value",
                                 "integer")
         wal.append_drop_index(1, "library/book/@year", "value")
-        wal.append_load(1, 2 ** 40 + 17)
         wal.append_abort(1)
         wal.append_commit(2)
         published = list(wal.scan.records)
         data = wal_store.load()
-        wal.reset(10)
+        wal.reset(9)
         published += wal.scan.records
         data += wal_store.load()[len(walmod._HEADER):]
         wal.close()
@@ -317,7 +312,28 @@ class TestTransactions:
         assert _snapshot(engine) == before_image
         assert book.block is not None
         engine.check_invariants()
-        engine.stats.verify_consistency(engine)
+        engine.schema.verify_statistics()
+
+    def test_rollback_restores_the_statistics_digest(self, wal_store):
+        """Each inverse reports to the schema node it touches, so a
+        rolled-back insert, replace and delete leave every node's
+        statistics as they were, not merely consistent with a recount."""
+        engine, wal, manager = _attached(wal_store)
+        library = _library(engine)
+        book = engine.children(library)[0]
+        engine.set_attribute(book, QName("", "lang"), "en")
+        digest = engine.schema.statistics()
+        with pytest.raises(RuntimeError, match="boom"):
+            with manager.transaction():
+                note = engine.insert_child(book, 0, name=QName("", "note"))
+                engine.insert_child(note, 0, text="1994")
+                engine.set_attribute(book, QName("", "lang"), "zz",
+                                     replace=True)
+                engine.delete_subtree(engine.children(library)[-1])
+                assert engine.schema.statistics() != digest
+                raise RuntimeError("boom")
+        assert engine.schema.statistics() == digest
+        assert engine.schema.recount_statistics() == digest
 
     def test_explicit_begin_commit_and_no_nesting(self, wal_store):
         engine, wal, manager = _attached(wal_store)

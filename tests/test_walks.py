@@ -378,7 +378,7 @@ class TestSchemaSubtree:
         assert list(schema.iter_nodes()) == list(
             oracle_schema_subtree(schema.root))
         descendant = parse_path("//a").steps[0]
-        model = CostModel(engine.stats, engine.block_capacity)
+        model = CostModel(engine.block_capacity)
         for schema_node in schema.iter_nodes():
             expected = list(oracle_schema_subtree(schema_node))
             assert list(schema_node.subtree()) == expected
