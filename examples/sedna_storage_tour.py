@@ -11,6 +11,7 @@ Run:  python examples/sedna_storage_tour.py
 
 from repro.query import StorageQueryEngine
 from repro.storage import StorageEngine
+from repro.storage.dschema import descriptor_bytes
 from repro.xmlio import QName, parse_document
 from repro.workloads.fixtures import EXAMPLE_8_DOCUMENT
 
@@ -46,7 +47,8 @@ def main() -> None:
     print(f"  children-by-schema pointers: "
           f"{len(first_book.children_by_schema)} "
           "(first child per schema child only)")
-    print(f"  modelled size:  {first_book.size_bytes()} bytes")
+    print(f"  modelled size:  {descriptor_bytes(first_book)} bytes "
+          "(overhead + label + value; child pointers not counted)")
 
     # --- Section 9.2 claim: every accessor from descriptor + schema.
     print("\naccessors evaluated from storage:")

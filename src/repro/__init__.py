@@ -15,7 +15,6 @@ representation it describes:
   of Section 8,
 * :mod:`repro.storage` — descriptive schema, blocks, node descriptors
   and the numbering scheme of Section 9,
-* :mod:`repro.numbering` — baseline numbering schemes,
 * :mod:`repro.query` — a small path-query engine over both models,
 * :mod:`repro.workloads` — the paper's examples and scalable generators.
 

@@ -224,20 +224,6 @@ class StateAlgebra:
                         f"node {node!r} is in the wrong carrier {kind}")
                 seen[node.identifier] = kind
 
-    def check_parent_child_consistency(self) -> None:
-        """Verify parent/children/attributes accessors agree."""
-        for node in self.nodes():
-            for child in node.children():
-                if child.parent_or_none() is not node:
-                    raise AlgebraError(
-                        f"{child!r} is a child of {node!r} but its parent "
-                        f"accessor says {child.parent_or_none()!r}")
-            for attribute in node.attributes():
-                if attribute.parent_or_none() is not node:
-                    raise AlgebraError(
-                        f"{attribute!r} hangs off {node!r} but its parent "
-                        f"accessor disagrees")
-
     def __repr__(self) -> str:
         sizes = ", ".join(
             f"{kind}:{len(carrier)}"

@@ -92,9 +92,6 @@ class EventLog:
 
     # -- inspection -----------------------------------------------------
 
-    def set_clock(self, clock: Callable[[], int]) -> None:
-        self._clock = clock
-
     def find(self, kind: str) -> List[EventRecord]:
         return [r for r in self.records if r.kind == kind]
 

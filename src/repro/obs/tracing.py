@@ -140,9 +140,6 @@ class Tracer:
 
     # -- inspection -----------------------------------------------------
 
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
-
     def find(self, name: str) -> List[SpanRecord]:
         return [r for r in self.records if r.name == name]
 

@@ -1,10 +1,10 @@
 """Abstract syntax of XML Schema (Sections 2-3) and its XSD surface form.
 
-The package contains the formal type constructors of Section 2, the AST
-classes mirroring the paper's syntactic domains, the compiled form every
-schema reader uses (:mod:`repro.schema.compiled`), a parser from the XSD
-subset into the AST, a writer back to XSD text, and static schema
-well-formedness diagnostics.
+The package contains the AST classes mirroring the paper's syntactic
+domains, the compiled form every schema reader uses
+(:mod:`repro.schema.compiled`), a parser from the XSD subset into the
+AST, a writer back to XSD text, and static schema well-formedness
+diagnostics.
 """
 
 from repro.schema.ast import (

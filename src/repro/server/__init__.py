@@ -3,7 +3,7 @@
 Readers pin immutable MVCC-lite snapshots (committed state only,
 keyed by checkpoint LSN + committed-WAL horizon); the single writer
 holds an expiring, heartbeat-renewed intent lease with jittered-
-backoff waiters and dead-letter records; admission control sheds load
+backoff waiters and dead-letter events; admission control sheds load
 with typed ``Overloaded`` responses instead of queuing unboundedly.
 See DESIGN §14 for the architecture and the isolation guarantees.
 """
@@ -18,7 +18,6 @@ from repro.server.leases import (
     DEFAULT_BASE_BACKOFF,
     DEFAULT_MAX_BACKOFF,
     DEFAULT_TTL,
-    DeadLetter,
     Lease,
     LeaseManager,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "DEFAULT_TTL",
     "DEFAULT_WORKERS",
     "DatabaseServer",
-    "DeadLetter",
     "Lease",
     "LeaseExpired",
     "LeaseManager",

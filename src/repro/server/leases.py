@@ -7,8 +7,10 @@ concurrency is a *handoff* problem, not a sharing problem.  The shape
 here is the event-store claim pattern: a writer **claims** the intent
 to mutate, the claim **expires** at ``lease_until`` unless the worker
 heartbeats (:meth:`LeaseManager.renew`), and work abandoned by an
-expired holder is recorded as a **dead letter** — an explicit,
-drainable acknowledgment that the handoff happened mid-work, rather
+expired holder is recorded as a **dead letter** — a ``lease.expired``
+and a ``lease.dead_letter`` event in the bounded event ring
+(:data:`repro.obs.EVENTS`) carrying owner, note and renewals, an
+explicit acknowledgment that the handoff happened mid-work rather
 than silent forfeiture.  Durability does not depend on the lease: an
 expired holder's unfinished transaction either rolls back in-process
 (its next lease check raises :class:`LeaseExpired`) or, if the process
@@ -53,26 +55,6 @@ DEFAULT_MAX_BACKOFF = 0.1
 
 
 @dataclass
-class DeadLetter:
-    """Work abandoned by an expired lease holder."""
-
-    owner: str
-    granted_ns: int
-    expired_ns: int
-    renewals: int
-    note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "owner": self.owner,
-            "granted_ns": self.granted_ns,
-            "expired_ns": self.expired_ns,
-            "renewals": self.renewals,
-            "note": self.note,
-        }
-
-
-@dataclass
 class Lease:
     """One writer's claim on the mutation right."""
 
@@ -106,7 +88,6 @@ class LeaseManager:
         self._lock = threading.Lock()
         self._freed = threading.Condition(self._lock)
         self._holder: Optional[Lease] = None
-        self.dead_letters: list[DeadLetter] = []
         self.grants = 0
         self.expirations = 0
 
@@ -231,12 +212,6 @@ class LeaseManager:
             self._expire_locked(self._clock())
             return self._holder
 
-    def drain_dead_letters(self) -> list[DeadLetter]:
-        """Return and clear the dead-letter records (operator drain)."""
-        with self._lock:
-            drained, self.dead_letters = self.dead_letters, []
-            return drained
-
     # -- internals --------------------------------------------------------
 
     def _expire_locked(self, now: float) -> None:
@@ -246,18 +221,14 @@ class LeaseManager:
         holder.revoked = True
         self._holder = None
         self.expirations += 1
-        letter = DeadLetter(owner=holder.owner,
-                            granted_ns=holder.granted_ns,
-                            expired_ns=time.monotonic_ns(),
-                            renewals=holder.renewals,
-                            note=holder.note)
-        self.dead_letters.append(letter)
         self._freed.notify_all()
         obs.REGISTRY.counter("server.lease.expirations").inc()
         obs.EVENTS.emit("lease.expired", severity="warn",
-                        **letter.as_dict())
+                        owner=holder.owner, granted_ns=holder.granted_ns,
+                        expired_ns=time.monotonic_ns(),
+                        renewals=holder.renewals, note=holder.note)
         obs.EVENTS.emit("lease.dead_letter", severity="warn",
-                        owner=letter.owner, note=letter.note)
+                        owner=holder.owner, note=holder.note)
 
     def _observe_wait(self, started_ns: int, attempts: int,
                       granted: bool) -> None:
@@ -274,4 +245,4 @@ class LeaseManager:
         with self._lock:
             held = self._holder.owner if self._holder else None
         return (f"LeaseManager(ttl={self.ttl}, holder={held!r}, "
-                f"dead_letters={len(self.dead_letters)})")
+                f"expirations={self.expirations})")

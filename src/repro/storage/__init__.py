@@ -18,11 +18,9 @@ from repro.storage.backends import (
     schema_fingerprint,
     snapshot_version,
 )
-from repro.storage.blocks import BLOCK_HEADER_BYTES, Block
+from repro.storage.blocks import Block
 from repro.storage.descriptor import (
     NO_SLOT,
-    POINTER_BYTES,
-    SHORT_POINTER_BYTES,
     NodeDescriptor,
 )
 from repro.storage.dschema import DescriptiveSchema, SchemaNode
@@ -69,7 +67,6 @@ from repro.storage.labels import (
 
 __all__ = [
     "BACKENDS",
-    "BLOCK_HEADER_BYTES",
     "Block",
     "CRASH_POINTS",
     "SESSION_CRASH_POINTS",
@@ -88,8 +85,6 @@ __all__ = [
     "NidLabel",
     "NodeDescriptor",
     "NumberingScheme",
-    "POINTER_BYTES",
-    "SHORT_POINTER_BYTES",
     "RecoveryError",
     "RecoveryResult",
     "SchemaNode",

@@ -24,9 +24,10 @@ Layout (one database file):
   generation counter.
 
 Checkpoint protocol: a block's row is reused when this backend's last
-committed checkpoint wrote the very payload the engine's payload memo
-still holds for it, and no one has published to the store since
-(``meta.gen`` is the generation this backend committed); every other
+committed checkpoint wrote (or its restore of the current version
+read) the very payload the engine's payload memo still holds for it,
+and no one has published to the store since (``meta.gen`` is the
+generation this backend committed or restored); every other
 block gets a row at the new generation (a checkpoint that reuses no
 row is ``full``).  All of it happens inside one SQLite transaction
 whose COMMIT is the atomic publish.  The named fault points keep
@@ -171,8 +172,9 @@ class SqliteBackend(StorageBackend):
         self._conn.executescript(_SCHEMA_SQL)
         self._wal_conn: Optional[sqlite3.Connection] = None
         self._wal_store: Optional[SqliteWalStore] = None
-        # The generation this backend last committed, and per block
-        # the (generation, payload) row its manifest references.
+        # The generation this backend last committed (or restored as
+        # the current one), and per block the (generation, payload) row
+        # its manifest references.
         self._gen: Optional[int] = None
         self._rows: dict[int, tuple[int, bytes]] = {}
 
@@ -272,9 +274,30 @@ class SqliteBackend(StorageBackend):
             raise StorageError(
                 f"unknown snapshot version {version!r} "
                 f"(backend {self.name}, {self.describe()})")
-        return load_manifest(row[0], self._payload,
-                             backend=self.name,
-                             where=f"snapshot {version} manifest")
+        fetched: dict[int, tuple[int, bytes]] = {}
+
+        def payload(block_id: int, gen: int) -> Optional[bytes]:
+            data = self._payload(block_id, gen)
+            if data is not None:
+                fetched[block_id] = (gen, data)
+            return data
+
+        engine = load_manifest(row[0], payload, backend=self.name,
+                               where=f"snapshot {version} manifest")
+        if version == self._meta_get("current_version"):
+            # The current generation's rows stand for the restored
+            # blocks: a backend that did not commit it adopts them, and
+            # the engine's payload memo holds the very payloads the rows
+            # reference, so the next checkpoint reuses every row no
+            # write reaches.
+            gen = int(self._meta_get("gen", "0"))
+            if self._gen != gen:
+                self._gen, self._rows = gen, fetched
+            rows = self._rows
+            engine.payloads.update(
+                (block_id, rows.get(block_id, ref)[1])
+                for block_id, ref in fetched.items())
+        return engine
 
     def _payload(self, block_id: int, gen: int) -> Optional[bytes]:
         row = self._conn.execute(

@@ -27,10 +27,6 @@ from repro.storage.descriptor import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.dschema import SchemaNode
 
-#: Modelled block header size in bytes (schema-node pointer + chain
-#: pointers + the in-order chain anchors + the occupancy map).
-BLOCK_HEADER_BYTES = 8 * 4 + 8
-
 
 class Block:
     """One fixed-capacity block of node descriptors."""
@@ -269,11 +265,6 @@ class Block:
         self.count = len(run)
         self.first_slot = 0 if run else NO_SLOT
         self.last_slot = last if run else NO_SLOT
-
-    def size_bytes(self) -> int:
-        """Modelled block footprint: header + descriptor payloads."""
-        payload = sum(d.size_bytes() for d in self.slots if d is not None)
-        return BLOCK_HEADER_BYTES + payload
 
     def __repr__(self) -> str:
         return (f"Block#{self.block_id}({self.schema_node.step!r}, "

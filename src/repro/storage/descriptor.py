@@ -12,8 +12,8 @@ A descriptor carries exactly the fields of the paper's figure:
   schema child rather than to every child,
 
 plus the text value for the "text-enabled" kinds (text and attribute
-nodes), which Sedna stores out of line.  Pointer sizes are modelled
-explicitly so the benchmarks can report bytes.
+nodes), which Sedna stores out of line.  The modelled size of a
+descriptor is :func:`repro.storage.dschema.descriptor_bytes`.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.blocks import Block
     from repro.storage.dschema import SchemaNode
 
-#: Modelled size of a full node pointer, in bytes.
-POINTER_BYTES = 8
-#: Modelled size of an in-block short pointer, in bytes (paper: 2).
-SHORT_POINTER_BYTES = 2
 #: The null slot value of the in-block short pointers.
 NO_SLOT = -1
 
@@ -74,19 +70,6 @@ class NodeDescriptor:
                         ) -> "NodeDescriptor | None":
         """The stored pointer to the first child by schema (§9.2)."""
         return self.children_by_schema.get(schema_child_index)
-
-    def size_bytes(self) -> int:
-        """The modelled descriptor size.
-
-        Three full pointers + two short pointers + the nid symbols
-        (one byte per symbol) + one full pointer per schema child
-        pointer actually stored.
-        """
-        size = 3 * POINTER_BYTES
-        size += 2 * SHORT_POINTER_BYTES
-        size += len(self.nid)
-        size += POINTER_BYTES * len(self.children_by_schema)
-        return size
 
     def __repr__(self) -> str:
         return (f"NodeDescriptor({self.schema_node.step!r}, "

@@ -750,11 +750,10 @@ class StorageEngine:
         return sum(node.block_count() for node in self.schema.iter_nodes())
 
     def size_bytes(self) -> int:
-        total = 0
-        for schema_node in self.schema.iter_nodes():
-            for block in schema_node.blocks():
-                total += block.size_bytes()
-        return total
+        """The modelled size of every descriptor
+        (:func:`~repro.storage.dschema.descriptor_bytes`), as each
+        schema node keeps it."""
+        return sum(node.byte_size for node in self.schema.iter_nodes())
 
     def blocks_per_schema_node(self) -> dict[str, int]:
         return {node.path or "#document": node.block_count()

@@ -528,11 +528,6 @@ class IndexManager:
 
     # -- rebuild / verification ----------------------------------------
 
-    def rebuild_all(self) -> None:
-        """Repopulate every index from the block lists."""
-        for index in self._indexes.values():
-            index.build()
-
     def _fresh_instance(self, definition: IndexDefinition) -> ValueIndex:
         node = self.engine.schema.find_path(definition.path)
         if node is None:

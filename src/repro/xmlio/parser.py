@@ -6,7 +6,9 @@ string, normalized for line ends and checked against production [2]
 character class each.  It supports the features a schema-described
 document can use:
 
-* the XML declaration and a (skipped) DOCTYPE without entity definitions,
+* the XML declaration (checked against production [23], only at the
+  start of the input) and a (skipped) DOCTYPE without entity
+  definitions,
 * elements with attributes and self-closing tags,
 * character data, CDATA sections, character and predefined entity
   references,
@@ -52,6 +54,15 @@ _CHAR_DATA = re.compile("[^<&]+")
 
 #: Production [10] up to markup, a reference or the closing quote.
 _ATTRIBUTE_RUN = {'"': re.compile('[^"<&]*'), "'": re.compile("[^'<&]*")}
+
+#: The pseudo-attributes of production [23] XMLDecl, in their order:
+#: name, value (productions [26] VersionNum, [81] EncName, [32]), and
+#: whether it is required.
+_XML_DECL_FIELDS = (
+    ("version", re.compile(r"1\.[0-9]+"), True),
+    ("encoding", re.compile(r"[A-Za-z][A-Za-z0-9._-]*"), False),
+    ("standalone", re.compile("yes|no"), False),
+)
 
 
 class _Scanner:
@@ -144,19 +155,45 @@ class XmlParser:
 
     def _skip_prolog(self) -> None:
         scanner = self._scanner
-        scanner.skip_whitespace()
-        if scanner.startswith("<?xml") and self._is_xml_decl():
-            scanner.read_until("?>", "XML declaration")
+        # "<?xml" followed by whitespace is the declaration, and only at
+        # offset 0; anywhere else it is a PI with the reserved target.
+        if scanner.startswith("<?xml") \
+                and S.match(scanner.text, len("<?xml")) is not None:
+            self._parse_xml_decl()
         self._skip_misc()
         if scanner.startswith("<!DOCTYPE"):
             self._skip_doctype()
             self._skip_misc()
 
-    def _is_xml_decl(self) -> bool:
-        # "<?xml" must be followed by whitespace to be the declaration
-        # (as opposed to a PI named e.g. "xmlfoo").
+    def _parse_xml_decl(self) -> None:
+        """Production [23]: ``version``, then an optional ``encoding``,
+        then an optional ``standalone``, each after whitespace."""
         scanner = self._scanner
-        return S.match(scanner.text, scanner.pos + len("<?xml")) is not None
+        text = scanner.text
+        scanner.pos = len("<?xml")
+        for name, pattern, required in _XML_DECL_FIELDS:
+            start = scanner.pos
+            if not (scanner.skip_whitespace() and scanner.startswith(name)):
+                if required:
+                    raise scanner.error(
+                        f"expected {name!r} in the XML declaration")
+                scanner.pos = start
+                continue
+            scanner.pos += len(name)
+            scanner.skip_whitespace()
+            scanner.expect("=")
+            scanner.skip_whitespace()
+            quote = scanner.peek()
+            if quote not in ("'", '"'):
+                raise scanner.error(f"{name} value must be quoted")
+            scanner.pos += 1
+            match = pattern.match(text, scanner.pos)
+            if match is None or not text.startswith(quote, match.end()):
+                raise scanner.error(
+                    f"malformed {name} value in the XML declaration")
+            scanner.pos = match.end() + 1
+        scanner.skip_whitespace()
+        scanner.expect("?>")
 
     def _skip_doctype(self) -> None:
         scanner = self._scanner
@@ -196,10 +233,16 @@ class XmlParser:
 
     def _skip_pi(self) -> None:
         scanner = self._scanner
+        start = scanner.pos
         scanner.expect("<?")
         target = scanner.read_name()
         if target.lower() == "xml":
-            raise scanner.error("processing instruction may not be named 'xml'")
+            raise scanner.error(
+                "processing instruction may not be named 'xml'", start)
+        if not scanner.skip_whitespace() and not scanner.startswith("?>"):
+            raise scanner.error(
+                "expected whitespace or '?>' after the processing "
+                f"instruction target {target!r}")
         scanner.read_until("?>", "processing instruction")
 
     # ------------------------------------------------------------------

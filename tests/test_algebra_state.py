@@ -157,7 +157,13 @@ class TestMutation:
     def test_parent_child_consistency_check(self, algebra):
         parent = algebra.create_element(QName("", "p"))
         algebra.append_child(parent, algebra.create_text("t"))
-        algebra.check_parent_child_consistency()  # must not raise
+        algebra.attach_attribute(
+            parent, algebra.create_attribute(QName("", "a"), "1"))
+        for node in algebra.nodes():
+            for child in node.children():
+                assert child.parent_or_none() is node
+            for attribute in node.attributes():
+                assert attribute.parent_or_none() is node
 
 
 class TestBuildElementTree:

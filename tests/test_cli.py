@@ -15,6 +15,7 @@ from repro.cli import main
 from repro.workloads.fixtures import (
     EXAMPLE_7_DOCUMENT,
     EXAMPLE_7_SCHEMA,
+    EXAMPLE_8_DOCUMENT,
     LIBRARY_SCHEMA,
     wrap_in_schema,
 )
@@ -38,7 +39,8 @@ def files(tmp_path):
                           ("upa.xsd", _UPA_SCHEMA),
                           ("valid.xml", _VALID_DOC),
                           ("invalid.xml", _INVALID_DOC),
-                          ("books.xml", EXAMPLE_7_DOCUMENT)):
+                          ("books.xml", EXAMPLE_7_DOCUMENT),
+                          ("example8.xml", EXAMPLE_8_DOCUMENT)):
         path = tmp_path / name
         path.write_text(content, encoding="utf-8")
         paths[name] = str(path)
@@ -182,6 +184,14 @@ class TestInspect:
         paths = [entry["path"]
                  for entry in report["descriptive_schema"]]
         assert "library/book/title" in paths
+
+    def test_one_size_of_a_descriptor(self, files, capsys):
+        """The report's total is the sum of its per-node ``bytes``
+        column: one size model, not two."""
+        assert main(["inspect", files["example8.xml"], "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["modelled_bytes"] == sum(
+            entry["bytes"] for entry in report["descriptive_schema"])
 
 
 class TestMetrics:

@@ -1,5 +1,5 @@
 """Lease lifecycle edges: expiry during commit, heartbeat racing
-expiry, dead-letter drain and re-claim, backoff jitter bounds.
+expiry, dead-letter events and re-claim, backoff jitter bounds.
 
 The lease manager takes an injectable clock, so every expiry edge here
 is driven deterministically — the only real-time tests are the ones
@@ -44,6 +44,12 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
+
+
+def dead_letters():
+    """The dead letters: one ``lease.expired`` event's fields per
+    lapsed holder, oldest first."""
+    return [event.fields for event in obs.EVENTS.find("lease.expired")]
 
 
 @pytest.fixture
@@ -100,10 +106,11 @@ class TestExpiryAndDeadLetters:
         successor = manager.acquire("w2")  # immediate: incumbent lapsed
         assert successor.owner == "w2"
         assert manager.expirations == 1
-        letters = manager.drain_dead_letters()
-        assert [l.owner for l in letters] == ["w1"]
-        assert letters[0].note == "txn #1"
-        assert manager.drain_dead_letters() == []  # drained
+        letters = dead_letters()
+        assert [l["owner"] for l in letters] == ["w1"]
+        assert letters[0]["note"] == "txn #1"
+        assert [e.fields for e in obs.EVENTS.find("lease.dead_letter")] \
+            == [{"owner": "w1", "note": "txn #1"}]
 
     def test_expired_lease_cannot_renew_or_release(self, manager, clock):
         lease = manager.acquire("w1")
@@ -120,8 +127,7 @@ class TestExpiryAndDeadLetters:
             manager.acquire(f"w{round_no}", note=f"round {round_no}")
             clock.advance(0.6)
         assert manager.holder() is None  # last one also lapsed
-        letters = manager.drain_dead_letters()
-        assert [l.note for l in letters] == [
+        assert [l["note"] for l in dead_letters()] == [
             "round 0", "round 1", "round 2"]
         fresh = manager.acquire("fresh")
         assert manager.holder() is fresh
@@ -145,7 +151,7 @@ class TestHeartbeat:
         with pytest.raises(LeaseExpired):
             manager.renew(lease)
         assert lease.revoked
-        assert [l.owner for l in manager.drain_dead_letters()] == ["w1"]
+        assert [l["owner"] for l in dead_letters()] == ["w1"]
 
     def test_renewal_after_reclaim_fails(self, manager, clock):
         lease = manager.acquire("w1")
@@ -221,9 +227,9 @@ class TestExpiryDuringCommit:
             with pytest.raises(LeaseExpired):
                 session.execute(slow_mutate)
             assert server.engine.node_count() == before  # rolled back
-            letters = server.leases.drain_dead_letters()
+            letters = dead_letters()
             assert len(letters) == 1
-            assert "write session" in letters[0].note
+            assert "write session" in letters[0]["note"]
             session.close()  # releasing the lapsed lease is a no-op
         finally:
             server.close()

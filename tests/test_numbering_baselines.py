@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.numbering import (
+from tests.numbering_baselines import (
     DeweyBaseline,
     IntervalBaseline,
     SednaAdapter,

@@ -14,12 +14,6 @@ import threading
 import pytest
 
 from repro import obs
-from repro.numbering import (
-    DeweyBaseline,
-    IntervalBaseline,
-    SednaAdapter,
-    UpdateWorkload,
-)
 from repro.obs import explain
 from repro.obs.explain import collect
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -30,6 +24,12 @@ from repro.storage import FileBackend, MemoryBackend, StorageEngine
 from repro.workloads import make_library_document
 from repro.xmlio import QName
 from repro.xquery.evaluator import execute_values
+from tests.numbering_baselines import (
+    DeweyBaseline,
+    IntervalBaseline,
+    SednaAdapter,
+    UpdateWorkload,
+)
 
 
 pytestmark = pytest.mark.usefixtures("clean_obs")

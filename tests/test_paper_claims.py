@@ -23,8 +23,6 @@ from repro.content import DerivativeMatcher, compile_group
 from repro.errors import ModelError
 from repro.mapping import content_equal, document_to_tree, \
     tree_to_document, untyped_document_to_tree
-from repro.numbering import DeweyBaseline, IntervalBaseline, \
-    SednaAdapter, SimTree, UpdateWorkload
 from repro.obs import explain
 from repro.order import DocumentOrderIndex, before as structural_before, \
     iter_document_order
@@ -42,6 +40,8 @@ from repro.xdm import TreeNodeStore
 from repro.xmlio import parse_document, serialize_document, xsd
 from repro.xquery import XQueryEvaluator
 from tests.glushkov import GlushkovAutomaton
+from tests.numbering_baselines import DeweyBaseline, IntervalBaseline, \
+    SednaAdapter, SimTree, UpdateWorkload
 
 SCALES = (10, 100, 1000)
 

@@ -17,7 +17,8 @@ from repro.schema import (
     TypeName,
     UNBOUNDED,
 )
-from repro.schema.constructors import (
+from repro.xsdtypes import builtin
+from tests.formal_types import (
     BOOLEAN,
     Enumeration,
     FM,
@@ -29,7 +30,6 @@ from repro.schema.constructors import (
     Tuple,
     Union,
 )
-from repro.xsdtypes import builtin
 
 
 def _string_ref() -> TypeName:
@@ -257,7 +257,7 @@ class TestFormalConstructors:
     def test_element_declaration_inhabits_its_formal_type(self):
         # ElementDeclaration = Tuple(ElemName, Type, RepetitionFactor,
         #                            NillIndicator)
-        from repro.schema.constructors import Atom, Instance
+        from tests.formal_types import Atom, Instance
         repetition = Pair(NAT_NUMBER,
                           Union(NAT_NUMBER, Enumeration(UNBOUNDED)))
         formal = Tuple(

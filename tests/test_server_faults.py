@@ -26,6 +26,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import obs
 from repro.server import DatabaseServer
 from repro.storage import (
     SESSION_CRASH_POINTS,
@@ -118,8 +119,9 @@ class TestSessionCrashMatrix:
         # claimant is not blocked forever.
         lease = server.leases.acquire("undertaker", timeout=5.0)
         assert lease.owner == "undertaker"
-        assert [l.note for l in server.leases.drain_dead_letters()] \
-            == ["write session #2"]
+        assert server.leases.expirations == 1
+        assert obs.EVENTS.last("lease.dead_letter").fields["note"] \
+            == "write session #2"
 
     def test_lease_holder_dies_mid_transaction(
             self, backend_name, tmp_path):
@@ -203,7 +205,7 @@ class TestProbabilisticSessionSweep:
         # Give the last leaked lease time to lapse, then observe it.
         time.sleep(0.06)
         server.leases.holder()
-        dead = len(server.leases.drain_dead_letters())
+        dead = server.leases.expirations
         result = recover(server.backend)
         return outcomes, committed, dead, result
 

@@ -23,6 +23,7 @@ from repro.storage import (
     dumps_engine,
     recover,
 )
+from repro.storage.dschema import DESCRIPTOR_OVERHEAD, descriptor_bytes
 from repro.workloads.fixtures import (
     EXAMPLE_8_DESCRIPTIVE_SCHEMA,
     EXAMPLE_8_DOCUMENT,
@@ -97,11 +98,18 @@ class TestDescriptorLayout:
                 assert before(descriptor.nid, neighbour.nid)
 
     def test_size_accounting(self, engine):
-        descriptor = engine.children(engine.document)[0]
-        # 3 pointers*8 + 2 shorts*2 + nid + 8 per schema-child pointer
-        expected = (24 + 4 + len(descriptor.nid)
-                    + 8 * len(descriptor.children_by_schema))
-        assert descriptor.size_bytes() == expected
+        """One size model: the fixed overhead, the label's bytes and
+        the UTF-8 value; child pointers are not counted."""
+        library = engine.children(engine.document)[0]
+        assert descriptor_bytes(library) \
+            == DESCRIPTOR_OVERHEAD + bytes.__len__(library.nid)
+        text = next(d for d in engine.iter_document_order()
+                    if d.node_type == "text")
+        assert descriptor_bytes(text) == (
+            DESCRIPTOR_OVERHEAD + bytes.__len__(text.nid)
+            + len(text.value.encode("utf-8")))
+        assert engine.size_bytes() == sum(
+            descriptor_bytes(d) for d in engine.iter_document_order())
 
     def test_first_child_by_schema_pointers(self, engine):
         """Only *first* children are stored, per the §9.2 design: the

@@ -9,8 +9,11 @@ recursion limit.
 
 Two kinds of check:
 
-* a guard: no function of ``repro.storage``, ``repro.query``,
-  ``repro.order`` or ``repro.algebra.tree`` calls itself (an AST scan);
+* guards, each an AST scan: no function of ``repro.storage``,
+  ``repro.query``, ``repro.order`` or ``repro.algebra.tree`` calls
+  itself; and every module of the package is reached by imports from
+  its entry points (``src/`` holds the product, the tests' oracles
+  live under ``tests/``);
 * parity: the recursive walks the loops replaced are kept below as
   short oracles, and generated trees — stored, updated, and as their
   tree twin — must give the same nodes in the same order, the same
@@ -118,6 +121,91 @@ class TestNoRecursion:
                 found += [f"{module}: {name}" for name
                           in self_recursive(path.read_text("utf-8"))]
         assert sorted(set(found) - set(RECURSION_ALLOWED)) == []
+
+
+#: The modules a user enters the package by.
+ENTRY_MODULES = ("repro", "repro.__main__", "repro.cli", "repro.server")
+
+#: Modules no entry point has to reach: the workload generators that
+#: ``examples/`` and ``benchmarks/e2e/`` drive the product with.
+OFF_SURFACE = "repro.workloads"
+
+
+def _package_modules() -> dict[str, Path]:
+    """``dotted name → file`` for every module under ``src/repro``."""
+    modules = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def imported_names(source: str, module: str, is_package: bool) -> set[str]:
+    """Every dotted name an ``import`` or ``from … import`` in *source*
+    may load, in any scope (imports inside functions too), with each
+    name's enclosing packages; relative imports are resolved against
+    *module*."""
+    names = set()
+    package = module.split(".") if is_package else module.split(".")[:-1]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package[:len(package) - node.level + 1]
+                base = ".".join(anchor + ([base] if base else []))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return {".".join(name.split(".")[:end]) for name in names
+            for end in range(1, name.count(".") + 2)}
+
+
+def reached_modules(modules: dict[str, Path]) -> set[str]:
+    """The modules of *modules* that the entry points import,
+    transitively."""
+    reached, pending = set(), list(ENTRY_MODULES)
+    while pending:
+        module = pending.pop()
+        if module in reached or module not in modules:
+            continue
+        reached.add(module)
+        path = modules[module]
+        pending.extend(imported_names(path.read_text("utf-8"), module,
+                                      path.name == "__init__.py"))
+    return reached
+
+
+class TestProductSurface:
+    def test_scan_sees_nested_and_relative_imports(self):
+        source = (
+            "import a.b\n"
+            "def f():\n"
+            "    from c import d\n"
+            "    from . import e\n"
+            "    from ..g import h\n")
+        assert imported_names(source, "p.q.r", is_package=False) == {
+            "a", "a.b", "c", "c.d", "p", "p.q", "p.q.e", "p.g", "p.g.h"}
+
+    def test_every_module_is_reached_from_an_entry_point(self):
+        modules = _package_modules()
+        unreached = set(modules) - reached_modules(modules)
+        assert sorted(name for name in unreached
+                      if name != OFF_SURFACE
+                      and not name.startswith(OFF_SURFACE + ".")) == []
+
+    def test_no_module_imports_the_tests_or_the_stdlib_xml(self):
+        """The package imports no oracle: neither the tests' own nor
+        the standard library's XML parsers they compare against."""
+        found = [f"{module}: {name}"
+                 for module, path in _package_modules().items()
+                 for name in imported_names(path.read_text("utf-8"),
+                                            module,
+                                            path.name == "__init__.py")
+                 if name.split(".")[0] in ("tests", "xml")]
+        assert found == []
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,9 @@ goes up is a regression, and the change that raises it names it.
 * **A checkpoint** — at library ×1000 on a :class:`SqliteBackend`:
   blocks encoded, rows written and payload bytes of the first (full)
   checkpoint and of an incremental one after ten inserts, and the
-  blocks a :class:`FileBackend` checkpoint encodes right after.
+  blocks a :class:`FileBackend` checkpoint encodes right after; and
+  none at all for the first checkpoint after a SQLite store is
+  reopened and recovered.
 * **A request hand-off** — with every worker held, each
   ``submit(...).wait()`` is run by its waiter: one inline run and one
   request per call, and the depth back to what the workers hold.
@@ -41,6 +43,7 @@ from repro.storage import (
     NidLabel,
     SqliteBackend,
     StorageEngine,
+    recover,
 )
 from repro.workloads import make_library_document
 from repro.xmlio import QName
@@ -132,6 +135,8 @@ BLOCKS_AT_LIBRARY_1000 = 154
 #: incremental SQLite checkpoint writes, with their payload bytes.
 ROWS_AFTER_TEN_INSERTS = 5
 PAYLOAD_BYTES_AFTER_TEN_INSERTS = 13714
+#: The full first checkpoint of ``make_library_document(20, 5)``.
+LIBRARY_20_5_PAYLOAD_BYTES = 12298
 
 
 class TestCheckpointWork:
@@ -172,6 +177,49 @@ class TestCheckpointWork:
             assert blocks == 0
         finally:
             backend.close()
+
+    def test_a_reopened_store_checkpoints_incrementally(self, tmp_path):
+        """Recovery from the current generation adopts its rows: the
+        first checkpoint after reopening writes and encodes nothing."""
+        encoded = obs.REGISTRY.counter("checkpoint.blocks.encoded")
+        engine = StorageEngine()
+        engine.load_document(make_library_document(20, 5))
+        path = tmp_path / "store.db"
+        backend = SqliteBackend(path)
+        try:
+            first = backend.checkpoint(engine)
+        finally:
+            backend.close()
+        assert first.mode == "full"
+        assert first.bytes == LIBRARY_20_5_PAYLOAD_BYTES
+
+        reopened = SqliteBackend(path)
+        try:
+            result = recover(reopened)
+            assert result.replayed == 0
+            before = encoded.value
+            info = reopened.checkpoint(result.engine)
+            assert (info.mode, info.bytes, encoded.value - before) == (
+                "incremental", 0, 0)
+            assert info.version == first.version
+
+            # A write after the reopen rewrites only what it reached,
+            # and the rows the checkpoint kept still read back.
+            engine = result.engine
+            book = engine.children(engine.children(engine.document)[0])[0]
+            engine.insert_child(book, 1, text="reopened")
+            info = reopened.checkpoint(engine)
+            assert info.mode == "incremental"
+            assert 0 < info.bytes < first.bytes
+            expected = engine.string_value(engine.document)
+        finally:
+            reopened.close()
+        again = SqliteBackend(path)
+        try:
+            restored = again.load_engine()
+            assert restored.string_value(restored.document) == expected
+        finally:
+            again.close()
 
 
 #: ``submit(...).wait()`` calls made while both workers are held.

@@ -170,7 +170,7 @@ class TestErrorTypes:
 
 class TestFormalConstructorExtras:
     def test_instance_with_projection(self):
-        from repro.schema.constructors import Instance, NAT_NUMBER, Pair
+        from tests.formal_types import Instance, NAT_NUMBER, Pair
 
         class Point:
             def __init__(self, x, y):
@@ -183,12 +183,12 @@ class TestFormalConstructorExtras:
         assert not formal.contains("not a point")
 
     def test_union_of_instances(self):
-        from repro.schema.constructors import union_of_instances
+        from tests.formal_types import union_of_instances
         formal = union_of_instances(int, str)
         assert formal.contains(3)
         assert formal.contains("x")
         assert not formal.contains(3.5)
 
     def test_repr_is_name(self):
-        from repro.schema.constructors import Seq, NAME
+        from tests.formal_types import Seq, NAME
         assert repr(Seq(NAME)) == "Seq(Name)"

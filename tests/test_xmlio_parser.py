@@ -1,5 +1,7 @@
 """Unit tests for the from-scratch XML parser."""
 
+import xml.parsers.expat
+
 import pytest
 
 from repro.errors import XmlSyntaxError
@@ -221,6 +223,58 @@ class TestWellFormednessErrors:
     def test_content_after_root_rejected(self):
         with pytest.raises(XmlSyntaxError):
             parse_document("<a/>trailing")
+
+
+def _refused_like_expat(text):
+    """*text* is refused by expat and by the parser, at the position
+    expat names (expat counts columns from 0)."""
+    expat = xml.parsers.expat.ParserCreate()
+    with pytest.raises(xml.parsers.expat.ExpatError) as expected:
+        expat.Parse(text.encode("utf-8"), True)
+    with pytest.raises(XmlSyntaxError) as refused:
+        parse_document(text)
+    assert (refused.value.line, refused.value.column) == (
+        expected.value.lineno, expected.value.offset + 1)
+    return refused.value
+
+
+class TestPrologGrammar:
+    """The XML declaration (production [23]) and the PI target
+    (production [16]) are checked, not skipped."""
+
+    def test_pi_target_needs_whitespace_or_end_in_the_prolog(self):
+        error = _refused_like_expat('<?x=ml version="1.0"?><a/>')
+        assert "target 'x'" in str(error)
+
+    def test_pi_target_needs_whitespace_or_end_in_content(self):
+        _refused_like_expat("<a><?p=x?></a>")
+
+    def test_declaration_requires_version(self):
+        error = _refused_like_expat('<?xml veion="1.0"?><a/>')
+        assert "'version'" in str(error)
+
+    def test_declaration_refuses_an_unknown_pseudo_attribute(self):
+        _refused_like_expat('<?xml version="1.0" encodng="x"?><a/>')
+
+    def test_standalone_is_yes_or_no(self):
+        error = _refused_like_expat(
+            '<?xml version="1.0" encoding="UTF-8" standalone="maybe"?>'
+            "<a/>")
+        assert "standalone" in str(error)
+
+    def test_declaration_only_at_offset_zero(self):
+        _refused_like_expat(' <?xml version="1.0"?><a/>')
+
+    @pytest.mark.parametrize("text", [
+        '<?xml version="1.0" encoding="UTF-8"?>\n<a/>',
+        "<?xml version='1.0' encoding='utf-8' standalone='yes' ?><a/>",
+        '<?xml version = "1.1" standalone="no"?><a/>',
+        "\ufeff<?xml version=\"1.0\"?><a/>",
+        '<?xml-stylesheet href="s.css"?><a><?pi?><?pi data?></a>',
+    ])
+    def test_well_formed_prologs_parse(self, text):
+        xml.parsers.expat.ParserCreate().Parse(text.encode("utf-8"), True)
+        assert parse_document(text).root.name == QName("", "a")
 
 
 class TestNodeHelpers:
