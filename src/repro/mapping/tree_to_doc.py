@@ -24,14 +24,13 @@ from repro.xdm.store import NodeStore, Ref, as_node_store
 _XSI_NIL = QName(XSI_NAMESPACE, "nil", "xsi")
 
 
-def store_to_document(store: NodeStore, ref: Ref = None,
-                      emit_nil: bool = True) -> XmlDocument:
+def store_to_document(store: NodeStore, ref: Ref = None) -> XmlDocument:
     """The paper's ``g`` over any accessor-protocol model: serialize
     the document (or element subtree) at *ref* to a raw document.
 
-    ``emit_nil`` controls whether nilled elements get an explicit
-    ``xsi:nil="true"`` attribute (needed for the round-trip theorem,
-    since nilled-ness is otherwise invisible in the serialization).
+    A nilled element gets an explicit ``xsi:nil="true"`` attribute
+    (needed for the round-trip theorem, since nilled-ness is otherwise
+    invisible in the serialization).
     """
     if ref is None:
         ref = store.root()
@@ -44,33 +43,27 @@ def store_to_document(store: NodeStore, ref: Ref = None,
         base_uri = None
     else:
         raise ModelError("g expects a document or element node")
-    xml_root = _convert_element(store, root_ref, emit_nil=emit_nil,
-                                default_uri="")
-    _declare_namespaces(store, root_ref, xml_root, emit_nil=emit_nil)
+    xml_root = _convert_element(store, root_ref, default_uri="")
+    _declare_namespaces(store, root_ref, xml_root)
     return XmlDocument(xml_root, base_uri=base_uri)
 
 
-def tree_to_document(node: "DocumentNode | ElementNode",
-                     emit_nil: bool = True) -> XmlDocument:
+def tree_to_document(node: "DocumentNode | ElementNode") -> XmlDocument:
     """``g`` on the formal tree (the historical Node-typed API)."""
-    return store_to_document(as_node_store(node), node,
-                             emit_nil=emit_nil)
+    return store_to_document(as_node_store(node), node)
 
 
 def serialize_tree(node: "DocumentNode | ElementNode",
-                   indent: str | None = None,
-                   emit_nil: bool = True) -> str:
+                   indent: str | None = None) -> str:
     """``g`` composed with the textual serializer."""
-    return serialize_document(tree_to_document(node, emit_nil=emit_nil),
-                              indent=indent)
+    return serialize_document(tree_to_document(node), indent=indent)
 
 
 def serialize_store(store: NodeStore, ref: Ref = None,
-                    indent: str | None = None,
-                    emit_nil: bool = True) -> str:
+                    indent: str | None = None) -> str:
     """``g`` over any store, composed with the textual serializer."""
-    return serialize_document(
-        store_to_document(store, ref, emit_nil=emit_nil), indent=indent)
+    return serialize_document(store_to_document(store, ref),
+                              indent=indent)
 
 
 def _element_name(store: NodeStore, ref: Ref) -> QName:
@@ -80,7 +73,7 @@ def _element_name(store: NodeStore, ref: Ref) -> QName:
     return name
 
 
-def _convert_element(store: NodeStore, ref: Ref, emit_nil: bool,
+def _convert_element(store: NodeStore, ref: Ref,
                      default_uri: str) -> XmlElement:
     name = _element_name(store, ref)
     xml_element = XmlElement(name)
@@ -93,26 +86,24 @@ def _convert_element(store: NodeStore, ref: Ref, emit_nil: bool,
     for attribute in store.attributes(ref):
         xml_element.attributes[_element_name(store, attribute)] = \
             store.string_value(attribute)
-    if emit_nil and store.nilled(ref):
+    if store.nilled(ref):
         xml_element.attributes[_XSI_NIL] = "true"
     for child in store.children(ref):
-        xml_element.append(_convert_child(store, child, emit_nil,
-                                          default_uri))
+        xml_element.append(_convert_child(store, child, default_uri))
     return xml_element
 
 
-def _convert_child(store: NodeStore, child: Ref, emit_nil: bool,
-                   default_uri: str):
+def _convert_child(store: NodeStore, child: Ref, default_uri: str):
     kind = store.node_kind(child)
     if kind == "text":
         return XmlText(store.string_value(child))
     if kind == "element":
-        return _convert_element(store, child, emit_nil, default_uri)
+        return _convert_element(store, child, default_uri)
     raise ModelError(f"unexpected child node kind {kind!r}")
 
 
 def _declare_namespaces(store: NodeStore, root: Ref,
-                        xml_root: XmlElement, emit_nil: bool) -> None:
+                        xml_root: XmlElement) -> None:
     """Synthesize the namespace declarations the serialization needs."""
     uris: dict[str, str] = {}
 
@@ -124,7 +115,7 @@ def _declare_namespaces(store: NodeStore, root: Ref,
             attr_name = _element_name(store, attribute)
             if attr_name.uri:
                 uris.setdefault(attr_name.uri, attr_name.prefix or "ns")
-        if emit_nil and store.nilled(ref):
+        if store.nilled(ref):
             uris.setdefault(XSI_NAMESPACE, "xsi")
         for child in store.children(ref):
             if store.node_kind(child) == "element":

@@ -9,7 +9,6 @@ from repro.order.document_order import (
     is_total_order,
     iter_document_order,
     iter_subtree_elements,
-    iter_subtree_elements_reversed,
     store_document_order,
     tree_before,
 )
@@ -24,6 +23,5 @@ __all__ = [
     "is_total_order",
     "iter_document_order",
     "iter_subtree_elements",
-    "iter_subtree_elements_reversed",
     "tree_before",
 ]

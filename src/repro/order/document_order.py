@@ -80,33 +80,12 @@ def document_order(root: Node) -> list[Node]:
 
 
 def iter_subtree_elements(root: Node) -> Iterator[Node]:
-    """The subtree of *root* in document order, attributes skipped.
-
-    This is the building block of the ``descendant`` and ``following``
-    axes: XPath excludes attribute nodes from both, so axes built from
-    this iterator never materialize node sets just to filter them out
-    again.
-    """
+    """The subtree of *root* in document order, attributes skipped."""
     stack = [root]
     while stack:
         node = stack.pop()
         yield node
         stack.extend(reversed(node.children()))
-
-
-def iter_subtree_elements_reversed(root: Node) -> Iterator[Node]:
-    """The subtree of *root* in **reverse** document order, attributes
-    skipped — the building block of the ``preceding`` axis.  A node
-    is pushed once to be expanded and once more, below its children,
-    to be yielded after them."""
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            yield node
-        else:
-            stack.append((node, True))
-            stack.extend((child, False) for child in node.children())
 
 
 def _order_path(node: Node) -> tuple[tuple[int, int], ...]:

@@ -1,11 +1,5 @@
 """Path queries over both the formal model and the storage engine."""
 
-from repro.query.axes import (
-    AXES,
-    STORAGE_AXES,
-    storage_following_axis,
-    storage_preceding_axis,
-)
 from repro.query.cache import (
     CacheStats,
     LRUCache,
@@ -30,7 +24,6 @@ from repro.query.planner import (
 )
 
 __all__ = [
-    "AXES",
     "CacheStats",
     "CompiledPlan",
     "CostEstimate",
@@ -39,7 +32,6 @@ __all__ = [
     "POLICIES",
     "Path",
     "QueryPlanner",
-    "STORAGE_AXES",
     "Step",
     "StorageQueryEngine",
     "cached_parse_path",
@@ -51,6 +43,4 @@ __all__ = [
     "match_schema_nodes",
     "parse_cache_stats",
     "parse_path",
-    "storage_following_axis",
-    "storage_preceding_axis",
 ]

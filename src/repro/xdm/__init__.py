@@ -1,10 +1,8 @@
-"""The XQuery 1.0 / XPath 2.0 data-model node classes (Section 5).
-
-:mod:`repro.xdm.functions` provides the fn:* query primitives built
-strictly on the ten accessors.
+"""The XQuery 1.0 / XPath 2.0 data-model node classes (Section 5) and
+the :class:`NodeStore` protocol that states the ten accessors over any
+model.  The fn:* builtins live in the XQuery evaluator
+(:mod:`repro.xquery.evaluator`), written over that protocol.
 """
-
-from repro.xdm import functions
 
 from repro.xdm.node import (
     ANY_TYPE_NAME,
@@ -26,7 +24,6 @@ from repro.xdm.store import (
 
 __all__ = [
     "ANY_TYPE_NAME",
-    "functions",
     "AttributeNode",
     "DocumentNode",
     "ElementNode",

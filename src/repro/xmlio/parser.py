@@ -7,8 +7,8 @@ character class each.  It supports the features a schema-described
 document can use:
 
 * the XML declaration (checked against production [23], only at the
-  start of the input) and a (skipped) DOCTYPE without entity
-  definitions,
+  start of the input) and a DOCTYPE, whose root name is read and whose
+  rest is skipped (entities it defines are not expanded),
 * elements with attributes and self-closing tags,
 * character data, CDATA sections, character and predefined entity
   references,
@@ -196,13 +196,31 @@ class XmlParser:
         scanner.expect("?>")
 
     def _skip_doctype(self) -> None:
+        """Production [28] doctypedecl, skipped: whitespace and the root
+        Name after ``<!DOCTYPE``, then everything to the closing ``>``.
+        Quoted literals (the external ID's, the internal subset's) and
+        the subset's comments and PIs are skipped whole, so a ``>``,
+        ``[`` or ``]`` inside them ends nothing."""
         scanner = self._scanner
         scanner.expect("<!DOCTYPE")
+        if not scanner.skip_whitespace():
+            raise scanner.error("expected whitespace after '<!DOCTYPE'")
+        scanner.read_name()
         depth = 0
         while True:
             if scanner.eof():
                 raise scanner.error("unterminated DOCTYPE")
             ch = scanner.peek()
+            if ch in "\"'":
+                scanner.pos += 1
+                scanner.read_until(ch, "literal in the DOCTYPE")
+                continue
+            if depth and scanner.startswith("<!--"):
+                self._skip_comment()
+                continue
+            if depth and scanner.startswith("<?"):
+                self._skip_pi()
+                continue
             if ch == "[":
                 depth += 1
             elif ch == "]":

@@ -1,8 +1,8 @@
 """One walk per tree shape, each with its own stack.
 
 The three shapes are the §7 node order (node, attributes, child
-subtrees), the elements-and-texts order forward and reversed, and the
-descriptive-schema subtree.  Each is written once, as a loop, and the
+subtrees), the elements-and-texts order, and the descriptive-schema
+subtree.  Each is written once, as a loop, and the
 storage engine's own walks (load, delete, mixed-content string value)
 go through them, so no walk's reach depends on the interpreter's
 recursion limit.
@@ -32,11 +32,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.algebra.tree import Tree, is_well_formed_tree, pretty
 from repro.mapping import untyped_document_to_tree
-from repro.order import (
-    iter_subtree_elements,
-    iter_subtree_elements_reversed,
-)
-from repro.query.axes import descendant_axis, descendant_or_self_axis
+from repro.order import iter_subtree_elements
 from repro.query.cost import CostModel
 from repro.query.planner import _schema_candidates
 from repro.query.paths import parse_path
@@ -225,22 +221,10 @@ def oracle_elements(node):
         yield from oracle_elements(child)
 
 
-def oracle_elements_reversed(node):
-    for child in reversed(list(node.children())):
-        yield from oracle_elements_reversed(child)
-    yield node
-
-
 def oracle_schema_subtree(node):
     yield node
     for child in node.children:
         yield from oracle_schema_subtree(child)
-
-
-def oracle_descendants(node):
-    for child in node.children():
-        yield child
-        yield from oracle_descendants(child)
 
 
 def oracle_string_value(engine, descriptor):
@@ -438,12 +422,6 @@ class TestElementOrder:
         for node in Tree(_tree(text)).nodes():
             assert list(iter_subtree_elements(node)) == list(
                 oracle_elements(node))
-            assert list(iter_subtree_elements_reversed(node)) == list(
-                oracle_elements_reversed(node))
-            assert list(descendant_axis(node)) == list(
-                oracle_descendants(node))
-            assert list(descendant_or_self_axis(node)) == [
-                node, *oracle_descendants(node)]
 
     @_SETTINGS
     @given(text=_element())

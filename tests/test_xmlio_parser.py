@@ -239,8 +239,10 @@ def _refused_like_expat(text):
 
 
 class TestPrologGrammar:
-    """The XML declaration (production [23]) and the PI target
-    (production [16]) are checked, not skipped."""
+    """The XML declaration (production [23]), the PI target
+    (production [16]) and the DOCTYPE's root name (production [28])
+    are checked, not skipped; a DOCTYPE's quoted literals are skipped
+    whole."""
 
     def test_pi_target_needs_whitespace_or_end_in_the_prolog(self):
         error = _refused_like_expat('<?x=ml version="1.0"?><a/>')
@@ -265,12 +267,26 @@ class TestPrologGrammar:
     def test_declaration_only_at_offset_zero(self):
         _refused_like_expat(' <?xml version="1.0"?><a/>')
 
+    def test_doctype_system_literal_may_hold_a_gt(self):
+        text = '<!DOCTYPE a SYSTEM "x>y"><a/>'
+        xml.parsers.expat.ParserCreate().Parse(text.encode("utf-8"), True)
+        assert parse_document(text).root.name == QName("", "a")
+
+    def test_doctype_entity_value_may_hold_a_bracket(self):
+        text = '<!DOCTYPE a [<!ENTITY e "]">]><a/>'
+        xml.parsers.expat.ParserCreate().Parse(text.encode("utf-8"), True)
+        assert parse_document(text).root.name == QName("", "a")
+
+    def test_doctype_requires_a_root_name(self):
+        _refused_like_expat("<!DOCTYPE><a/>")
+
     @pytest.mark.parametrize("text", [
         '<?xml version="1.0" encoding="UTF-8"?>\n<a/>',
         "<?xml version='1.0' encoding='utf-8' standalone='yes' ?><a/>",
         '<?xml version = "1.1" standalone="no"?><a/>',
         "\ufeff<?xml version=\"1.0\"?><a/>",
         '<?xml-stylesheet href="s.css"?><a><?pi?><?pi data?></a>',
+        "<!DOCTYPE a [<!-- ' --><?pi \"?>]><a/>",
     ])
     def test_well_formed_prologs_parse(self, text):
         xml.parsers.expat.ParserCreate().Parse(text.encode("utf-8"), True)

@@ -3,18 +3,25 @@
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import QueryError
 from repro.mapping import document_to_tree, untyped_document_to_tree
 from repro.schema import parse_schema
-from repro.xmlio import parse_document
+from repro.storage import StorageEngine, StorageNodeStore
+from repro.workloads import make_library_document
+from repro.xmlio import parse_document, serialize_document
 from repro.xquery import execute, execute_values, parse_query, tokenize
 from repro.xquery.ast import Comparison, Flwor, Literal, PathExpr
 from repro.workloads.fixtures import (
     EXAMPLE_7_DOCUMENT,
     EXAMPLE_7_SCHEMA,
     EXAMPLE_8_DOCUMENT,
+    LIBRARY_SCHEMA,
+    wrap_in_schema,
 )
+
+from tests.test_query_plan import _budget
 
 
 @pytest.fixture(scope="module")
@@ -214,31 +221,161 @@ class TestMultipleFor:
         assert len(result) == 4  # both papers share the author Codd
 
 
-class TestFunctions:
-    def test_count(self, library):
-        assert execute(library, "count(//author)") == [6]
+def _stores(text, schema_text):
+    """The document as a typed tree and as typed storage."""
+    schema = parse_schema(schema_text)
+    tree = document_to_tree(parse_document(text), schema)
+    engine = StorageEngine()
+    engine.load_tree(tree)
+    return tree, StorageNodeStore.typed(engine, schema)
 
-    def test_string_join(self, library):
-        (joined,) = execute(
-            library, "string-join(/library/paper/author, ';')")
+
+def _outcome(document, query):
+    try:
+        return execute(document, query)
+    except QueryError as error:
+        return error
+
+
+def _on_both(stores, query):
+    """*query* over the typed tree and over typed storage: the same
+    items of the same Python types (no builtin returns a node), or a
+    ``QueryError`` with the same message from both."""
+    tree, storage = stores
+    on_tree, on_storage = _outcome(tree, query), _outcome(storage, query)
+    if isinstance(on_tree, QueryError):
+        assert isinstance(on_storage, QueryError), query
+        assert str(on_tree) == str(on_storage)
+        return on_tree
+    assert on_tree == on_storage, query
+    assert [type(item) for item in on_tree] == \
+        [type(item) for item in on_storage], query
+    return on_tree
+
+
+_NUMS = wrap_in_schema("""
+ <xsd:element name="nums"><xsd:complexType>
+  <xsd:sequence>
+   <xsd:element name="n" type="xsd:integer"
+                minOccurs="0" maxOccurs="unbounded"/>
+  </xsd:sequence>
+ </xsd:complexType></xsd:element>""")
+
+
+@pytest.fixture(scope="module")
+def typed_library():
+    return _stores(EXAMPLE_8_DOCUMENT, LIBRARY_SCHEMA)
+
+
+@pytest.fixture(scope="module")
+def typed_bookstore():
+    return _stores(EXAMPLE_7_DOCUMENT, EXAMPLE_7_SCHEMA)
+
+
+@pytest.fixture(scope="module")
+def typed_nums():
+    return _stores("<nums><n>1</n><n>2</n><n>2</n></nums>", _NUMS)
+
+
+#: Every builtin of the evaluator, as a query over library documents.
+_LIBRARY_CALLS = (
+    "count(//author)",
+    "count(/library/book[1]/author)",
+    "exists(//issue)",
+    "empty(//issue)",
+    "not(empty(//paper))",
+    "not(0)",
+    "string(/library/book[1]/title)",
+    "string(//year)",
+    "string(count(//book))",
+    "data(//year)",
+    "data(/library/paper/title)",
+    "data(//issue)",
+    "data(count(//paper))",
+    "distinct-values(//author)",
+    "distinct-values(//year)",
+    "string-join(//publisher, ';')",
+    "string-join(//title)",
+)
+
+_SINGLE_ARGUMENT = ("count", "exists", "empty", "not", "string", "data",
+                    "distinct-values")
+
+
+class TestFunctions:
+    """Every builtin runs over the typed tree and over typed storage
+    with equal results."""
+
+    def test_count(self, typed_library):
+        assert _on_both(typed_library, "count(//author)") == [6]
+
+    def test_string_join(self, typed_library):
+        (joined,) = _on_both(
+            typed_library, "string-join(/library/paper/author, ';')")
         assert joined == "Codd;Codd"
 
-    def test_distinct_values(self, library):
-        assert execute_values(
-            library, "distinct-values(/library/paper/author)") == ["Codd"]
+    def test_string_join_with_a_separator(self, typed_nums):
+        assert _on_both(typed_nums, "string-join(/nums/n, '+')") == \
+            ["1+2+2"]
+        assert _on_both(typed_nums, "string-join(/nums/n)") == ["122"]
 
-    def test_exists_empty_not(self, library):
-        assert execute(library, "exists(//issue)") == [True]
-        assert execute(library, "empty(//nonexistent)") == [True]
-        assert execute(library, "not(exists(//issue))") == [False]
+    def test_distinct_values(self, typed_library, typed_nums):
+        assert _on_both(typed_library,
+                        "distinct-values(/library/paper/author)") == \
+            ["Codd"]
+        assert _on_both(typed_nums, "distinct-values(/nums/n)") == [1, 2]
 
-    def test_string(self, library):
-        (value,) = execute(library, "string(/library/book[1]/title)")
+    def test_exists_empty_not(self, typed_library):
+        assert _on_both(typed_library, "exists(//issue)") == [True]
+        assert _on_both(typed_library, "empty(//nonexistent)") == [True]
+        assert _on_both(typed_library, "not(exists(//issue))") == [False]
+
+    def test_string(self, typed_library):
+        (value,) = _on_both(typed_library,
+                            "string(/library/book[1]/title)")
         assert value == "Foundations of Databases"
 
-    def test_data_on_typed(self, bookstore):
-        values = execute(bookstore, "data(/BookStore/Book[1]/Title)")
+    def test_string_of_an_atomic(self, typed_library):
+        assert _on_both(typed_library, "string(42)") == ["42"]
+        assert _on_both(typed_library, "string(count(//author))") == ["6"]
+
+    def test_data_on_typed(self, typed_bookstore, typed_nums):
+        values = _on_both(typed_bookstore,
+                          "data(/BookStore/Book[1]/Title)")
         assert values == ["My Life and Times"]
+        assert _on_both(typed_nums, "data(/nums/n)") == [1, 2, 2]
+
+    def test_data_of_one_node(self, typed_nums):
+        assert _on_both(typed_nums, "data(/nums/n[2])") == [2]
+
+    def test_data_passes_atomics_through(self, typed_nums):
+        assert _on_both(typed_nums, "data(5)") == [5]
+        assert _on_both(typed_nums, "data(data(/nums/n))") == [1, 2, 2]
+
+    @pytest.mark.parametrize("query", [
+        *(f"{name}()" for name in _SINGLE_ARGUMENT),
+        *(f"{name}(//author, //title)" for name in _SINGLE_ARGUMENT),
+        "string-join()",
+        "string-join(//author, ';', ',')",
+    ])
+    def test_arity_errors(self, typed_library, query):
+        error = _on_both(typed_library, query)
+        assert isinstance(error, QueryError)
+        assert "argument" in str(error)
+
+
+@settings(max_examples=_budget(10), deadline=None)
+@given(books=st.integers(0, 4), papers=st.integers(0, 4),
+       seed=st.integers(0, 10**6), issue_every=st.integers(0, 3))
+def test_builtins_agree_on_generated_library_documents(books, papers, seed,
+                                                       issue_every):
+    """Each builtin gives the same answer on the typed tree and on
+    typed storage of a generated library document."""
+    text = serialize_document(make_library_document(
+        books, papers, seed=seed, issue_every=issue_every))
+    stores = _stores(text, LIBRARY_SCHEMA)
+    for query in _LIBRARY_CALLS:
+        _on_both(stores, query)
 
 
 class TestConstructors:
