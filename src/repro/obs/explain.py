@@ -40,9 +40,8 @@ class QueryExplain:
                  "schema_nodes_scanned", "pruned_schema_nodes",
                  "axis_steps", "nodes_visited", "nodes_returned",
                  "elapsed_s", "index_used", "compiled", "stage_ns",
-                 "not_lowerable_reason", "cost_table",
-                 "cost_estimated_rows", "cost_total", "outer",
-                 "stage_note")
+                 "cost_table", "cost_estimated_rows", "cost_total",
+                 "outer", "stage_note")
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -76,9 +75,6 @@ class QueryExplain:
         #: is running, for the executor to fold into its stage name and
         #: :attr:`nodes_visited`; None between stages.
         self.stage_note: Optional[tuple] = None
-        #: "naive" plans: why the path was handed to the navigator
-        #: instead of a block scan ("" for every other strategy).
-        self.not_lowerable_reason = ""
         #: Per-candidate cost estimates from the cost-based planner
         #: (one dict per candidate, the chosen one flagged); empty
         #: when the plan was picked structurally.
@@ -103,7 +99,6 @@ class QueryExplain:
             "nodes_returned": self.nodes_returned,
             "elapsed_s": self.elapsed_s,
             "compiled": self.compiled,
-            "not_lowerable_reason": self.not_lowerable_reason,
             "stage_ns": [[name, elapsed] for name, elapsed
                          in self.stage_ns],
             "cost_table": list(self.cost_table),

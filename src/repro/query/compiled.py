@@ -24,10 +24,10 @@ Every source and every stage returns a duplicate-free descriptor list
 in document order — ``<<`` (§7), on storage label order (§9.3) — the
 order of a path result whoever evaluates it; the one interpreter
 (:func:`repro.query.engine.evaluate_store`) is reachable from here only
-as the source of a ``naive`` plan.  What is set-at-a-time is one
-semi-join over a posting list in ``<<``, in two directions:
-:func:`_holders` (the ancestors of the postings: an element-value
-probe's parents, a value sweep's carriers' parents) and
+as the source of a plan forced by the ``naive`` policy.  What is
+set-at-a-time is one semi-join over a posting list in ``<<``, in two
+directions: :func:`_holders` (the ancestors of the postings: an
+element-value probe's parents, a value sweep's carriers' parents) and
 :func:`_members` (the postings below the contexts: a child step's
 sweep, a ``//`` step), over :func:`repro.storage.blocks.sweep`, the one
 statement of "these schema nodes' instances, in ``<<``"; what is
@@ -770,7 +770,8 @@ def _descendant_step_stage(queries: "StorageQueryEngine",
     # Membership under the context set is an ancestor-pointer walk of
     # pre-computed lengths, not a label scan: per destination schema
     # node, the distances at which a context schema node sits on its
-    # root path (0: descendant-or-*self*; several when the contexts
+    # root path (from 1: ``//`` is descendant-or-self::node()/child::,
+    # so a context is never its own member; several when the contexts
     # are ancestor-related, as below ``//*``).
     in_document_order = queries.store.in_document_order
     context_set = set(context_nodes)
@@ -778,8 +779,8 @@ def _descendant_step_stage(queries: "StorageQueryEngine",
     lowered: list[tuple[tuple[SchemaNode], tuple[int, ...]]] = []
     for schema_node in destination:
         hops = []
-        node: Optional[SchemaNode] = schema_node
-        hop = 0
+        node: Optional[SchemaNode] = schema_node.parent
+        hop = 1
         while node is not None:
             if node in context_set:
                 hops.append(hop)

@@ -1,14 +1,13 @@
 """Statistics-driven cost model for candidate query plans.
 
 The planner (:mod:`repro.query.planner`) can answer one compiled path
-several ways — block scan, hybrid scan+navigate, a value-index
-probe, or naive per-descriptor navigation.  Secondary indexes
-made the wrong pick a 10-129x swing; this module prices every
-candidate from the statistics each descriptive-schema node keeps of
-itself (:class:`~repro.storage.dschema.SchemaNode`: descriptor
-counts, distinct typed values, min/max, byte sizing) so the planner
-can take the cheapest instead of applying fixed structural
-precedence.
+several ways — block scan, hybrid scan+navigate or a value-index
+probe.  Secondary indexes made the wrong pick a 10-129x swing; this
+module prices every candidate from the statistics each
+descriptive-schema node keeps of itself
+(:class:`~repro.storage.dschema.SchemaNode`: descriptor counts,
+distinct typed values, min/max, byte sizing) so the planner can take
+the cheapest instead of applying fixed structural precedence.
 
 Each :class:`CostEstimate` decomposes a candidate into the quantities
 the §9 physical design actually spends:
@@ -24,9 +23,9 @@ the §9 physical design actually spends:
   instances is answered from its value holders' blocks instead and
   charged as scan rows: :func:`sweep_holders`);
 * **navigations** — context-node×step units of per-descriptor
-  navigation (a walked hybrid/index suffix step, the whole path for
-  naive); a suffix child step is charged the way the executor runs it
-  (:func:`walks`): walked per context, or swept per destination row;
+  navigation (a walked hybrid/index suffix step); a suffix child step
+  is charged the way the executor runs it (:func:`walks`): walked per
+  context, or swept per destination row;
 * **output cardinality** — the selectivity-discounted result size
   (surfaced to EXPLAIN as ``cost.estimated`` for calibration against
   the observed row count).
@@ -378,8 +377,6 @@ class CostModel:
         estimate = CostEstimate(strategy, plan.index_used)
         if strategy == "empty":
             return estimate.finish()
-        if strategy == "naive":
-            return self._price_naive(estimate, plan, frontiers)
         if strategy == "index":
             return self._price_probe(estimate, plan, frontiers)
         # scan / hybrid: sweep the matched block lists, test the
@@ -395,38 +392,6 @@ class CostModel:
                 sum(self.rows(node) for node in plan.scan_nodes))
         else:
             estimate.output_rows = survivors
-        return estimate.finish()
-
-    def _subtree_rows(self, schema_node: "SchemaNode") -> float:
-        return sum(map(self.rows, schema_node.subtree()))
-
-    def _price_naive(self, estimate: CostEstimate,
-                     plan: "CompiledPlan",
-                     frontiers: list) -> CostEstimate:
-        """Per-descriptor navigation: every step visits every child
-        (or descendant) of the surviving frontier *before* the name
-        test — that candidate sweep, not the matched set, is what
-        navigation pays per context node."""
-        final_rows = 0.0
-        for depth, step in enumerate(plan.path.steps):
-            visited: set = set()
-            candidates = 0.0
-            for schema_node in frontiers[depth]:
-                if step.axis == "child":
-                    for child in schema_node.children:
-                        if child not in visited:
-                            visited.add(child)
-                            candidates += self.rows(child)
-                else:
-                    if schema_node not in visited:
-                        visited.add(schema_node)
-                        candidates += self._subtree_rows(schema_node)
-            estimate.navigations += candidates
-            final_rows = sum(self.rows(node)
-                             for node in frontiers[depth + 1])
-            for _predicate in step.predicates:
-                estimate.residual += final_rows
-        estimate.output_rows = final_rows
         return estimate.finish()
 
     def _price_probe(self, estimate: CostEstimate,

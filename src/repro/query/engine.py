@@ -39,7 +39,7 @@ model; how many fewer descriptors it visits is the XP claim of
 from __future__ import annotations
 
 import time
-from typing import Iterator
+from typing import Iterable
 
 from repro import obs
 from repro.obs import explain as _explain
@@ -77,9 +77,12 @@ def evaluate_store(store: NodeStore, path: "Path | str",
     """Evaluate *path* over *store*, starting at *root* (default: the
     store's document reference).
 
-    Predicates are applied per context node, so ``book[2]`` means "the
-    second book child of each parent", as in XPath; the result is a
-    sequence in document order (``<<``, §7), whatever the store.
+    ``a//x`` is ``a/descendant-or-self::node()/child::x``, as in
+    XPath: the context is never a match of its own ``//`` step (its
+    attributes are, for ``//@a``).  Predicates are applied per parent,
+    so ``book[2]`` and ``//book[2]`` both mean "the second book child
+    of each parent"; the result is a sequence in document order
+    (``<<``, §7), whatever the store.
     """
     path = _as_path(path)
     if root is None:
@@ -94,7 +97,7 @@ def navigate_steps(store: NodeStore, current: list[Ref],
     sequence in ``<<`` (:meth:`NodeStore.in_document_order`).
 
     EXPLAIN accounting rides on the calling thread's collecting
-    record — one ``is None`` test per context node when no explain is
+    record — one ``is None`` test per parent when no explain is
     collecting, so the kernel stays within the no-op overhead budget.
     """
     context = _explain.current() if _explain.COLLECTING else None
@@ -104,17 +107,17 @@ def navigate_steps(store: NodeStore, current: list[Ref],
         bucket: list[Ref] = []
         seen: set = set()
         for ref in current:
-            matched = [candidate
-                       for candidate in _step_candidates(store, ref, step)
-                       if _step_accepts(store, candidate, step)]
-            if context is not None:
-                context.nodes_visited += len(matched)
-            for candidate in apply_step_predicates(store, matched,
-                                                   step.predicates):
-                key = store.node_key(candidate)
-                if key not in seen:
-                    seen.add(key)
-                    bucket.append(candidate)
+            for candidates in _step_candidates(store, ref, step):
+                matched = [candidate for candidate in candidates
+                           if _step_accepts(store, candidate, step)]
+                if context is not None:
+                    context.nodes_visited += len(matched)
+                for candidate in apply_step_predicates(store, matched,
+                                                       step.predicates):
+                    key = store.node_key(candidate)
+                    if key not in seen:
+                        seen.add(key)
+                        bucket.append(candidate)
         current = bucket
     return store.in_document_order(current)
 
@@ -154,14 +157,15 @@ def predicate_holds(store: NodeStore, ref: Ref, predicate) -> bool:
 
 
 def _step_candidates(store: NodeStore, ref: Ref,
-                     step: Step) -> Iterator[Ref]:
+                     step: Step) -> "Iterable[list[Ref]]":
+    """The nodes *step* tests from *ref*, one list per parent — what a
+    position counts over.  ``//`` is
+    ``descendant-or-self::node()/child::``: the children (attributes,
+    for ``//@a``) of *ref* and of every node below it."""
+    axis = store.attributes if step.kind == "attribute" else store.children
     if step.axis == "child":
-        if step.kind == "attribute":
-            yield from store.attributes(ref)
-        else:
-            yield from store.children(ref)
-    else:  # descendant-or-self
-        yield from store.descendants_of(ref)
+        return (axis(ref),)
+    return map(axis, store.descendants_of(ref))
 
 
 def _step_accepts(store: NodeStore, ref: Ref, step: Step) -> bool:

@@ -1,4 +1,4 @@
-"""A small path language: the XPath subset the benchmarks exercise.
+"""A small path language: an XPath subset, meaning what XPath means.
 
 Grammar (absolute paths only)::
 
@@ -16,11 +16,18 @@ Anything else is refused with a :class:`~repro.errors.QueryError`
 naming the offending token — never read as a name no node carries.
 
 ``/library/book/title`` selects title elements along child steps,
-``//author`` selects all author descendants, ``/library/book/@id``
+``//author`` selects all author elements, ``/library/book/@id``
 selects attribute nodes, ``text()`` selects text children, and
-predicates filter by position (``book[2]``, per parent context, as in
-XPath), by attribute (``book[@lang='en']``) or by child value
-(``book[title='Illusions']``).
+predicates filter by position (``book[2]``), by attribute
+(``book[@lang='en']``) or by child value (``book[title='Illusions']``).
+
+``a//x`` is ``a/descendant-or-self::node()/child::x``: the nodes below
+``a`` that pass the test, never ``a`` itself (``a//@y`` includes the
+attributes of ``a``).  A position counts the children of one parent
+that passed the test and the predicates before it, on ``//`` as on
+``/``: ``//book[1]`` is the first book child of every parent.  On the
+fragment it shares with ``xml.etree.ElementTree``'s ElementPath the
+two select the same elements (``tests/test_elementpath.py``).
 """
 
 from __future__ import annotations

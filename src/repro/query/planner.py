@@ -31,11 +31,15 @@ Strategies, from fastest to slowest:
   apply final-step predicates per instance;
 * ``hybrid`` — the path has predicates on an *inner* step: scan the
   blocks for the prefix ending at that step, filter instances, then
-  navigate only the remaining steps;
-* ``naive`` — per-descriptor navigation by the one interpreter
-  (:func:`repro.query.engine.evaluate_store`); required only for
-  positional predicates on ``//`` steps, whose whole-selection
-  grouping a flat block scan cannot reproduce.
+  navigate only the remaining steps.
+
+Every path of the language has one of these: ``//`` means
+``descendant-or-self::node()/child::``, and a position counts one
+parent's children on ``//`` as on ``/`` (:mod:`repro.query.paths`),
+which is what a block scan answers.  The one interpreter
+(:func:`repro.query.engine.evaluate_store`) is the oracle the plans
+are tested against and what the forced ``naive`` policy runs; it is
+never a candidate.
 
 With declared value indexes (:mod:`repro.storage.indexes`) one more
 strategy slots in above ``scan``:
@@ -46,8 +50,8 @@ strategy slots in above ``scan``:
   suffix steps run exactly as in ``scan``/``hybrid``.
 
 The planner enumerates **every** applicable candidate exactly once
-(:func:`_candidate_plans`) — the scan/hybrid baseline, one value-index
-probe per eligible predicate, and priced-naive — and a policy
+(:func:`_candidate_plans`) — the scan/hybrid baseline and one
+value-index probe per eligible predicate — and a policy
 (:data:`POLICIES`) is a selection rule over that list.  The default
 rule is ``cost``: the cheapest under the :mod:`repro.query.cost`
 model, priced from the schema nodes' own statistics.
@@ -56,6 +60,7 @@ model, priced from the schema nodes' own statistics.
 from __future__ import annotations
 
 import threading
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro import obs
@@ -90,7 +95,8 @@ def _schema_candidates(schema_node: SchemaNode,
                        step: Step) -> Iterable[SchemaNode]:
     if step.axis == "child":
         return schema_node.children
-    return schema_node.subtree()
+    # ``//`` is descendant-or-self::node()/child::…: below the node.
+    return islice(schema_node.subtree(), 1, None)
 
 
 def _schema_accepts(schema_node: SchemaNode, step: Step) -> bool:
@@ -183,8 +189,8 @@ class CompiledPlan:
 
     __slots__ = ("path", "strategy", "scan_nodes", "split",
                  "pruned_schema_nodes", "probe", "rest_predicates",
-                 "index_used", "executor", "not_lowerable_reason",
-                 "cost", "cost_table", "epoch")
+                 "index_used", "executor", "cost", "cost_table",
+                 "epoch")
 
     def __init__(self, path: Path, strategy: str,
                  scan_nodes: tuple[SchemaNode, ...],
@@ -214,9 +220,6 @@ class CompiledPlan:
         #: Lazily lowered closure chain (:mod:`repro.query.compiled`);
         #: built on the first execution, it lives and dies with the plan.
         self.executor = None
-        #: "naive" plans: why the path is handed to the navigator
-        #: instead of a block scan ("" for every other strategy).
-        self.not_lowerable_reason = ""
         #: The chosen candidate's :class:`~repro.query.cost.CostEstimate`
         #: (None when the plan was picked structurally).
         self.cost = None
@@ -258,21 +261,19 @@ class CompiledPlan:
 
 
 #: Deterministic tie-break when candidates price equal: the historical
-#: structural precedence (probe > scan/hybrid > naive).
-_STRATEGY_RANK = {"empty": 0, "index": 1, "scan": 2, "hybrid": 3,
-                  "naive": 4}
+#: structural precedence (probe > scan/hybrid).
+_STRATEGY_RANK = {"empty": 0, "index": 1, "scan": 2, "hybrid": 3}
 
-#: Planner policies — four selection rules over the one candidate
-#: enumeration (:func:`_candidate_plans`): ``cost`` prices every
-#: candidate and takes the cheapest; ``structural`` takes the
-#: historical fixed precedence
-#: (a probe on the first predicate > scan/hybrid); ``scan`` takes the
-#: scan/hybrid base candidate and never probes an index; ``naive``
-#: takes the navigating candidate.  Where the enumeration has a single
-#: entry (the schema proves the path empty, or only the navigator is
-#: sound) every rule selects it.  The forced policies exist for the
-#: benchmark harness and the parity tests — every policy returns the
-#: same rows.
+#: Planner policies — three selection rules over the one candidate
+#: enumeration (:func:`_candidate_plans`) and one witness: ``cost``
+#: prices every candidate and takes the cheapest; ``structural`` takes
+#: the historical fixed precedence (a probe on the first predicate >
+#: scan/hybrid); ``scan`` takes the scan/hybrid base candidate and
+#: never probes an index (where the schema proves the path empty,
+#: these three take the one ``empty`` candidate); ``naive`` skips the
+#: enumeration and hands every path to the one interpreter.  The
+#: forced policies exist for the benchmark harness and the parity
+#: tests — every policy returns the same rows.
 POLICIES = ("cost", "structural", "scan", "naive")
 
 
@@ -298,7 +299,10 @@ def compile_plan(path: Path, schema: "DescriptiveSchema",
 
 def _select_plan(path: Path, schema: "DescriptiveSchema", indexes,
                  block_capacity: int, policy: str) -> CompiledPlan:
-    """Enumerate the candidates once, then apply *policy*'s rule."""
+    """Enumerate the candidates once, then apply *policy*'s rule; the
+    ``naive`` witness enumerates nothing."""
+    if policy == "naive":
+        return CompiledPlan(path, "naive", (), None, 0)
     candidates, structural_pick, frontiers = _candidate_plans(
         path, schema, indexes)
     if policy == "cost":
@@ -306,17 +310,9 @@ def _select_plan(path: Path, schema: "DescriptiveSchema", indexes,
                          block_capacity)
     elif policy == "scan":
         pick = 0
-    elif policy == "naive":
-        pick = len(candidates) - 1
     else:
         pick = structural_pick
     return candidates[pick]
-
-
-def _naive_plan(path: Path, reason: str) -> CompiledPlan:
-    plan = CompiledPlan(path, "naive", (), None, 0)
-    plan.not_lowerable_reason = reason
-    return plan
 
 
 def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
@@ -327,28 +323,19 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
     prices from.
 
     What a block scan can answer is a property of the path fragment
-    (Fletcher, Gyssens, Paredaens, Van Gucht, Wu — PAPERS.md): downward
-    steps with per-node predicates lower to scans, probes and sweeps;
-    a positional predicate on a ``//`` step selects over the *whole*
-    descendant selection, which no flat scan (or probe) reproduces, so
-    such a path has one candidate — the navigator.  A path the schema
-    proves unmatchable likewise has one candidate, ``empty``.
+    (Fletcher, Gyssens, Paredaens, Van Gucht, Wu — PAPERS.md): ``//``
+    is descendant-or-self composed with child, and every downward step
+    with per-parent predicates lowers to scans, probes and sweeps.  A
+    path the schema proves unmatchable has one candidate, ``empty``.
 
-    Otherwise the list holds, in order, the scan/hybrid base, one
+    Otherwise the list holds, in order, the scan/hybrid base and one
     ``index`` candidate per eligible value-index probe (any prefix of
     non-positional predicates may be probed, not just the first — the
-    remaining predicates commute as pure filters), and last the priced
-    ``naive`` — all shapes :mod:`repro.query.compiled` lowers.
+    remaining predicates commute as pure filters) — all shapes
+    :mod:`repro.query.compiled` lowers.
     """
     steps = path.steps
     frontiers = schema_frontiers(schema.root, steps)
-    for step in steps:
-        if (step.axis == "descendant-or-self"
-                and any(isinstance(p, PositionPredicate)
-                        for p in step.predicates)):
-            return [_naive_plan(
-                path, "positional predicate on a descendant step needs "
-                "whole-selection navigation")], 0, frontiers
     split: Optional[int] = None
     for index, step in enumerate(steps[:-1]):
         if step.predicates:
@@ -387,7 +374,6 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
             if position == 0:
                 # Structural precedence probed the first predicate.
                 structural_pick = len(candidates) - 1
-    candidates.append(_naive_plan(path, "naive candidate navigates"))
     return candidates, structural_pick, frontiers
 
 
@@ -460,7 +446,6 @@ def _describe(plan: CompiledPlan, outcome: str) -> None:
     context.schema_nodes_scanned = len(plan.scan_nodes)
     context.pruned_schema_nodes = plan.pruned_schema_nodes
     context.index_used = plan.index_used
-    context.not_lowerable_reason = plan.not_lowerable_reason
     if plan.cost is not None:
         context.cost_total = plan.cost.total
         context.cost_estimated_rows = plan.cost.output_rows

@@ -295,8 +295,10 @@ class XQueryEvaluator:
                 raise QueryError("string-join() takes 1 or 2 arguments")
             separator = ""
             if len(arguments) == 2:
-                (separator_item,) = arguments[1]
-                separator = self._string_of(separator_item)
+                if len(arguments[1]) != 1:
+                    raise QueryError("string-join() takes one separator "
+                                     f"item, not {len(arguments[1])}")
+                separator = self._string_of(arguments[1][0])
             return [separator.join(self._string_of(item)
                                    for item in arguments[0])]
         raise QueryError(f"unknown function {call.name}()")

@@ -168,6 +168,19 @@ class TestXQuery:
         assert main(["xquery", files["valid.xml"], "for $b in"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_a_separator_sequence_is_a_query_error(self, files, capsys,
+                                                   monkeypatch):
+        kinds = []
+        fail = cli._fail
+        monkeypatch.setattr(cli, "_fail", lambda args, error, kind: (
+            kinds.append(kind), fail(args, error, kind))[1])
+        assert main(["xquery", files["valid.xml"],
+                     "string-join(//author, (',', ';'))"]) == 2
+        assert kinds == ["query"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: string-join()")
+        assert "Traceback" not in err
+
 
 class TestInspect:
     def test_reports_statistics(self, files, capsys):
@@ -243,14 +256,25 @@ class TestExplain:
 
     def test_json_carries_the_cost_table_behind_the_choice(self, files,
                                                            capsys):
+        # Without an index a path has one candidate, the block route.
         assert main(["explain", files["valid.xml"],
                      "/library/book/title", "--json"]) == 0
         cold = json.loads(capsys.readouterr().out)["cold"]
-        chosen = [candidate for candidate in cold["cost_table"]
+        assert [candidate["strategy"] for candidate
+                in cold["cost_table"]] == ["scan"]
+        assert cold["cost_table"][0]["chosen"]
+        # With one, the table prices the probe against the scan.
+        assert main(["index", files["valid.xml"], "library/book/title",
+                     "--query", "/library/book[title='T']",
+                     "--json"]) == 0
+        explain = json.loads(capsys.readouterr().out)["query"]["explain"]
+        chosen = [candidate for candidate in explain["cost_table"]
                   if candidate["chosen"]]
-        assert len(cold["cost_table"]) >= 2 and len(chosen) == 1
-        assert chosen[0]["strategy"] == cold["strategy"]
-        assert chosen[0]["total"] == cold["cost_total"]
+        assert sorted(candidate["strategy"] for candidate
+                      in explain["cost_table"]) == ["index", "scan"]
+        assert len(chosen) == 1
+        assert chosen[0]["strategy"] == explain["strategy"]
+        assert chosen[0]["total"] == explain["cost_total"]
 
     def test_bad_path(self, files, capsys):
         assert main(["explain", files["valid.xml"], "not-a-path"]) == 2

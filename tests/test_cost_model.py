@@ -149,14 +149,6 @@ class TestPricingSanity:
         engine.create_index("library/book/@year", value_type="integer")
         return engine, StorageQueryEngine(engine)
 
-    def test_scan_prices_below_naive(self, setup):
-        _, queries = setup
-        plan = queries.compile("/library/book/issue/publisher")
-        assert plan.strategy == "scan"
-        by_strategy = {c.strategy: c for c in plan.cost_table}
-        assert "naive" in by_strategy
-        assert plan.cost.total < by_strategy["naive"].total
-
     def test_eq_probe_prices_below_scan(self, setup):
         engine, queries = setup
         year = engine.string_value(

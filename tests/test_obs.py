@@ -544,7 +544,8 @@ class TestCompiledExecutionCounters:
 
     def test_naive_plans_lower_to_a_navigate_closure(self):
         obs.enable()
-        queries = _library_queries()
+        queries = StorageQueryEngine(_library_queries().engine,
+                                     planner_policy="naive")
         queries.evaluate("//book[1]")
         record = obs.EXPLAINS.last()
         assert record.strategy == "naive"

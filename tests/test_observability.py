@@ -239,19 +239,6 @@ class TestPrometheusRendering:
 
 
 class TestNotLowerableReason:
-    def test_naive_plans_report_their_reason_in_explain(self):
-        obs.enable()
-        queries = StorageQueryEngine(_engine())
-        queries.evaluate("//book[2]")
-        record = obs.EXPLAINS.last()
-        assert record.as_dict()["strategy"] == "naive"
-        assert "positional predicate" in \
-            record.as_dict()["not_lowerable_reason"]
-        # Naive plans still lower (to a navigate closure), so the
-        # human rendering keeps the reason out of the way.
-        assert record.compiled is True
-        assert "not lowerable" not in record.render()
-
     def test_lowering_an_unknown_strategy_raises(self):
         """There is one executor: a strategy the lowering does not know
         is an error, not a second way to run the plan."""

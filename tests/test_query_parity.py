@@ -26,7 +26,7 @@ _SHELF_DOC = """<lib>
   </shelf>
 </lib>"""
 
-#: Positional predicates under // steps (whole-selection semantics).
+#: Positional predicates under // steps (counted per parent, as in XPath).
 DESCENDANT_POSITIONAL = (
     "//book[1]",
     "//book[2]/t",

@@ -159,10 +159,15 @@ class TestPlanStrategies:
         assert {n.path for n in plan.scan_nodes} == \
             {"lib/book", "lib/shelf/book"}
 
-    def test_descendant_positional_still_navigates(self, stored):
-        _engine, queries = stored
-        assert queries.compile("//book[1]").strategy == "naive"
-        assert queries.compile("//book[last()]/t").strategy == "naive"
+    def test_descendant_positional_lowers(self, stored):
+        # A position on a // step counts per parent, as a block scan
+        # does, so every candidate-choosing policy plans a block route.
+        engine, _queries = stored
+        for policy in ("cost", "structural", "scan"):
+            queries = StorageQueryEngine(engine, planner_policy=policy)
+            assert queries.compile("//book[1]").strategy == "scan"
+            assert queries.compile("//book[last()]/t").strategy == \
+                "hybrid"
 
     def test_structural_pruning_to_empty(self, stored):
         _engine, queries = stored

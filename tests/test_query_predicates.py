@@ -131,10 +131,12 @@ class TestTreePredicates:
         assert _tree_values(tree, "/lib/book[@lang='en'][2]/t") == \
             ["Ulysses"]
 
-    def test_descendant_positional_whole_selection(self, setup):
+    def test_descendant_positional_counts_per_parent(self, setup):
         tree, _engine, _queries = setup
-        # Whole-selection semantics: the first matching descendant.
-        assert _tree_values(tree, "//book[1]/t") == ["Illusions"]
+        # //book[1] is /descendant-or-self::node()/child::book[1]: the
+        # first book child of every parent, the shelf's included.
+        assert _tree_values(tree, "//book[1]/t") == ["Illusions",
+                                                      "Nausea"]
 
     def test_predicate_on_attribute_step(self, setup):
         tree, _engine, _queries = setup

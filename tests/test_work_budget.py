@@ -27,6 +27,10 @@ goes up is a regression, and the change that raises it names it.
   :class:`FileBackend`: one compile and one parse for eight
   ``Session.query`` calls of one string, and after schema growth one
   compile and one invalidation, with no parse.
+* **A priced plan** — under ``cost``, the read path shapes (probe,
+  child, positional, conjunctive) and the ``//`` ones (``//x[n]``,
+  ``/a//x``) price only block and probe candidates: one per path plus
+  one per probe-able predicate, and never the navigator.
 """
 
 import gc
@@ -36,6 +40,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.query import StorageQueryEngine
 from repro.server import DatabaseServer, snapshots
 from repro.storage import (
     FileBackend,
@@ -342,3 +347,43 @@ class TestPlanWork:
             writer.execute(grow)
             assert len(writer.query("/library/*")) == 9
         assert self._delta(before) == [1, 0, 1, 0, 0]
+
+
+#: Path shapes and the candidates ``cost`` prices for each on the
+#: library with a value index on ``book/@year``: the block route, plus
+#: one probe where a predicate on ``@year`` leads.
+PRICED = (
+    ("/library/book[@year='1977']/title", 2),
+    ("/library", 1),
+    ("/library/paper/title", 1),
+    ("/library/book[3]/title", 1),
+    ("/library/book[@year='1977'][author='Codd']/title", 2),
+    ("//author[1]", 1),
+    ("//book[last()]/title", 1),
+    ("//issue[1]/year", 1),
+    ("/library//title", 1),
+    ("/library/book//year", 1),
+    ("//book[@year]//publisher", 2),
+)
+
+
+class TestCostPlanWork:
+    def test_cost_prices_only_block_and_probe_candidates(self,
+                                                         clean_obs):
+        engine = StorageEngine()
+        engine.load_document(make_library_document(
+            books=12, papers=4, seed=1, year_attrs=True))
+        engine.create_index("library/book/@year", value_type="integer")
+        queries = StorageQueryEngine(engine)
+        plans = [queries.compile(path) for path, _ in PRICED]
+        registry = obs.REGISTRY
+        assert registry.value("query.cost.priced") == len(PRICED)
+        assert registry.value("query.cost.candidates") == \
+            sum(candidates for _, candidates in PRICED)
+        assert registry.value("query.cost.chosen.naive") == 0
+        assert [len(plan.cost_table) for plan in plans] == \
+            [candidates for _, candidates in PRICED]
+        assert {estimate.strategy for plan in plans
+                for estimate in plan.cost_table} == \
+            {"scan", "hybrid", "index"}
+        assert all(plan.strategy != "naive" for plan in plans)

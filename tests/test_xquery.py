@@ -319,6 +319,17 @@ class TestFunctions:
             ["1+2+2"]
         assert _on_both(typed_nums, "string-join(/nums/n)") == ["122"]
 
+    @pytest.mark.parametrize("query", [
+        "string-join(//author, //title)",
+        "string-join(//author, (',', ';'))",
+        "string-join(//author, //nonexistent)",
+    ])
+    def test_string_join_takes_one_separator_item(self, typed_library,
+                                                  query):
+        error = _on_both(typed_library, query)
+        assert isinstance(error, QueryError)
+        assert "one separator item" in str(error)
+
     def test_distinct_values(self, typed_library, typed_nums):
         assert _on_both(typed_library,
                         "distinct-values(/library/paper/author)") == \
