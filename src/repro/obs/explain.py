@@ -2,11 +2,11 @@
 
 One :class:`QueryExplain` captures what the §9 query stack actually
 did for a single evaluation: which plan strategy the planner chose,
-whether the plan/parse caches hit, how many descriptive-schema nodes
-the plan scans (and how many structural pruning discarded), how many
-axis steps were navigated, and the nodes *visited* versus *returned* —
-the node-visit accounting that Koch's complexity results and the
-navigational-expressiveness literature tie evaluation cost to.
+whether the plan/shape/parse caches hit, how many descriptive-schema
+nodes the plan scans (and how many structural pruning discarded), how
+many axis steps were navigated, and the nodes *visited* versus
+*returned* — the node-visit accounting that Koch's complexity results
+and the navigational-expressiveness literature tie evaluation cost to.
 
 The recording protocol is deliberately passive so the hot path stays
 hot.  The collecting record is **per thread** (the server evaluates on
@@ -36,7 +36,8 @@ DEFAULT_EXPLAIN_LIMIT = 256
 class QueryExplain:
     """The execution record of one query evaluation."""
 
-    __slots__ = ("path", "strategy", "plan_cache", "parse_cache",
+    __slots__ = ("path", "strategy", "plan_cache", "shape_cache",
+                 "parse_cache",
                  "schema_nodes_scanned", "pruned_schema_nodes",
                  "axis_steps", "nodes_visited", "nodes_returned",
                  "elapsed_s", "index_used", "compiled", "stage_ns",
@@ -56,6 +57,10 @@ class QueryExplain:
         self.index_used = ""
         #: "hit" | "miss" | "invalidated" (stale plan dropped, then miss).
         self.plan_cache = ""
+        #: "hit" | "miss" when the planner's shape table compiled the
+        #: plan (a hit: no parse, no enumeration, no lowering from
+        #: scratch), "" when it did not.
+        self.shape_cache = ""
         #: "hit" | "miss" | "" (plans passed as Path objects skip parse).
         self.parse_cache = ""
         self.schema_nodes_scanned = 0
@@ -91,6 +96,7 @@ class QueryExplain:
             "strategy": self.strategy,
             "index_used": self.index_used,
             "plan_cache": self.plan_cache,
+            "shape_cache": self.shape_cache,
             "parse_cache": self.parse_cache,
             "schema_nodes_scanned": self.schema_nodes_scanned,
             "pruned_schema_nodes": self.pruned_schema_nodes,
@@ -113,6 +119,7 @@ class QueryExplain:
             f"  plan strategy:      {self.strategy or '?'}",
             f"  index used:         {self.index_used or 'none'}",
             f"  plan cache:         {self.plan_cache or 'bypassed'}",
+            f"  shape cache:        {self.shape_cache or 'bypassed'}",
             f"  parse cache:        {self.parse_cache or 'bypassed'}",
             f"  schema nodes:       {self.schema_nodes_scanned} scanned, "
             f"{self.pruned_schema_nodes} pruned",

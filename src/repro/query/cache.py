@@ -1,6 +1,7 @@
-"""Caches for the query layer: parsed paths and compiled plans.
+"""Caches for the query layer: parsed paths, compiled plans and
+path shapes.
 
-Two caches keep repeated queries off the slow paths, one
+Three caches keep repeated queries off the slow paths, one
 :class:`LRUCache` each:
 
 * a process-wide **parse cache** — a path string compiles to a
@@ -14,10 +15,23 @@ Two caches keep repeated queries off the slow paths, one
   single integer that every source of staleness (schema growth,
   index DDL, statistics drift) bumps, and the plan's only freshness
   stamp.  When the compare fails the plan is compiled afresh and
-  replaces its entry.
+  replaces its entry;
+* a per-engine **shape table** under the plan cache (also the
+  planner's, as large as its plan cache) — what planning decides
+  without reading a literal (:class:`~repro.query.planner.Shape`),
+  keyed by the request string with its literals left open
+  (:func:`~repro.query.paths.lift_path`) and stamped with the plan
+  epoch like a plan.  A new literal on a known shape is not parsed.
 
-A hit on either takes no lock: :meth:`LRUCache.get` stamps the entry
-it finds, and :meth:`LRUCache.put` evicts the oldest stamp.  The
+The parse cache stays beside the shape table, and its counters keep
+their meaning — a miss is a ``parse_path`` call: a string the lifter
+does not read as a shape, the first string of a shape, a shape made
+anew after the epoch moved, and a stale plan's ``Path`` request all
+still parse through it, and a repeated string among them parses once.
+Folding it into the shape table is a change of its own.
+
+A hit on any of them takes no lock: :meth:`LRUCache.get` stamps the
+entry it finds, and :meth:`LRUCache.put` evicts the oldest stamp.  The
 owners decide what a hit, a miss and an invalidation are (a
 found-but-stale plan is a miss) and count them into the cache's
 :class:`~repro.obs.metrics.Counter` instruments; the cache counts only
@@ -25,7 +39,8 @@ its evictions.  :class:`CacheStats` and :func:`parse_cache_stats` are
 snapshot views over those instruments, and the process-wide parse
 cache registers its counters in the global :data:`repro.obs.REGISTRY`
 (under ``query.parse_cache.*``) so they appear in every metrics
-snapshot.
+snapshot; the planners add theirs up under ``query.plan_cache.*`` and
+``query.shape_cache.*``.
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro import obs
 from repro.errors import QueryError
 from repro.obs import explain as _explain
-from repro.query.cost import sweep_holders, walks
+from repro.query.cost import value_holders, walks
 from repro.query.paths import (
     AttributePredicate,
     ChildPredicate,
@@ -176,53 +176,103 @@ def lower(plan: CompiledPlan,
 
     Every strategy the planner emits lowers; a strategy this function
     does not know raises :class:`~repro.errors.QueryError` rather than
-    running some second way.  Called once per cached plan; the
+    running some second way.  Called once per cached plan.  What does
+    not depend on the plan's literals — the schema nodes, the carriers
+    of its value predicates, their sweep holders and text slots, the
+    suffix steps — is prepared once per route of its shape
+    (:class:`~repro.query.planner.Route`) and kept there; each plan
+    binds only its own literals into it (:meth:`Lowering.bind`).  The
     nanoseconds spent here are surfaced through the
     ``query.compile.ns`` counter so the benchmark harness can
     attribute them.
     """
     started = time.perf_counter_ns()
-    executor = _lower(plan, queries)
+    route = plan.route
+    if route is None:
+        lowering = _prepare(plan, queries)
+    else:
+        lowering = route.lowering
+        if lowering is None:
+            # Two threads may both prepare one route; either lowering
+            # is the route's.
+            lowering = route.lowering = _prepare(plan, queries)
+    executor = lowering.bind(plan)
     obs.REGISTRY.counter("query.compile.ns").inc(
         time.perf_counter_ns() - started)
     obs.REGISTRY.counter("query.plans.lowered").inc()
     return executor
 
 
-def _lower(plan: CompiledPlan,
-           queries: "StorageQueryEngine") -> CompiledExecutor:
+class Lowering:
+    """A closure chain with its literals left open.
+
+    :attr:`source` maps a plan to its ``(name, source)``; each entry of
+    :attr:`stages` is ``(None, (name, stage))`` for a stage that reads
+    no literal, or ``((step, position), make)`` for the predicate at
+    that place of the path, ``make`` mapping that predicate — the
+    plan's own, literal included — to its ``(name, stage)``.
+    """
+
+    __slots__ = ("source", "stages")
+
+    def __init__(self, source: Callable, stages) -> None:
+        self.source = source
+        self.stages = tuple(stages)
+
+    def bind(self, plan: CompiledPlan) -> CompiledExecutor:
+        """The executor of *plan*, a plan of the route this lowering was
+        prepared for."""
+        steps = plan.path.steps
+        source_name, source = self.source(plan)
+        return CompiledExecutor(source_name, source, [
+            item if at is None else item(steps[at[0]].predicates[at[1]])
+            for at, item in self.stages])
+
+
+def _same(source: tuple, _plan: CompiledPlan) -> tuple:
+    """A source every plan of the route shares: it reads no literal."""
+    return source
+
+
+_EMPTY = partial(_same, ("empty", list))
+
+
+def _prepare(plan: CompiledPlan,
+             queries: "StorageQueryEngine") -> Lowering:
     strategy = plan.strategy
     if strategy == "empty":
-        return CompiledExecutor("empty", lambda: [], [])
+        return Lowering(_EMPTY, ())
     if strategy == "naive":
-        path = plan.path
-        return CompiledExecutor(
-            "navigate", lambda: queries.evaluate_naive(path), [])
+        return Lowering(lambda plan: (
+            "navigate", partial(queries.evaluate_naive, plan.path)), ())
     steps = plan.path.steps
-    stages: list[tuple[str, Stage]] = []
+    decisive = len(steps) - 1 if plan.split is None else plan.split
+    predicates = list(enumerate(steps[decisive].predicates))
     if strategy == "index":
-        source_name, source = _probe_source(plan)
-        predicates = plan.rest_predicates
+        # The probed predicate is answered by the source.
+        probed = plan.route.probe[0]
+        predicates = [(position, predicate)
+                      for position, predicate in predicates
+                      if position != probed]
+        source = _probe_source
     elif strategy in ("scan", "hybrid"):
-        scan_step = (steps[-1] if plan.split is None
-                     else steps[plan.split])
-        predicates = scan_step.predicates
         if (len(plan.scan_nodes) == 1 and predicates
-                and isinstance(predicates[0], PositionPredicate)):
-            source_name, source = _positional_scan_source(
-                plan.scan_nodes[0], predicates[0])
+                and isinstance(predicates[0][1], PositionPredicate)):
+            source = _positional_scan_source(plan.scan_nodes[0],
+                                             decisive)
             predicates = predicates[1:]
         else:
-            source_name, source = _scan_source(plan.scan_nodes)
+            source = partial(_same, _scan_source(plan.scan_nodes))
     else:
         raise QueryError(f"no closure lowering for strategy {strategy!r}")
-    for predicate in predicates:
-        stages.append(_predicate_stage(queries, plan.scan_nodes,
-                                       predicate))
+    stages: list = [
+        ((decisive, position),
+         _predicate_stage(queries, plan.scan_nodes, predicate))
+        for position, predicate in predicates]
     if plan.split is not None:
-        stages.extend(_suffix_stages(queries, plan.scan_nodes,
-                                     steps[plan.split + 1:]))
-    return CompiledExecutor(source_name, source, stages)
+        stages.extend(_suffix_stages(queries, plan.scan_nodes, steps,
+                                     plan.split + 1))
+    return Lowering(source, stages)
 
 
 # ----------------------------------------------------------------------
@@ -373,59 +423,68 @@ class _Runs:
         return self.out
 
 
-def _positional_scan_source(schema_node: SchemaNode,
-                            predicate: PositionPredicate
-                            ) -> tuple[str, Callable[[], list]]:
+def _positional_scan_source(schema_node: SchemaNode, step: int
+                            ) -> Callable[[CompiledPlan], tuple]:
     """A single-node scan fused with the positional predicate that
-    comes first on it: O(blocks) where every block lies inside one
-    parent's run (``/library/book[i]``)."""
-    index = predicate.index
+    comes first on it (in the *step*-th step of a plan's path): O(blocks)
+    where every block lies inside one parent's run
+    (``/library/book[i]``)."""
+    scanned = schema_node.path or "#document"
 
-    def source() -> list:
-        runs = _Runs(index)
-        block = schema_node.first_block
-        while block is not None:
-            runs.block(block)
-            block = block.next_block
-        if _explain.COLLECTING:
-            _note("", runs.touched)
-        return runs.finish()
+    def bind(plan: CompiledPlan) -> tuple[str, Callable[[], list]]:
+        index = plan.path.steps[step].predicates[0].index
 
-    return (f"scan-pos[{schema_node.path or '#document'}]"
-            f"[{index or 'last()'}]", source)
-
-
-def _positional_stage(queries: "StorageQueryEngine", schema_nodes,
-                      predicate: PositionPredicate) -> tuple[str, Stage]:
-    """A positional predicate over a flat, document-ordered selection:
-    positions count per parent context (as in XPath)."""
-    index = predicate.index
-    in_document_order = queries.store.in_document_order
-
-    if len(schema_nodes) == 1:
-        def positional_runs(descriptors: list) -> list:
+        def source() -> list:
             runs = _Runs(index)
-            runs.members(descriptors)
+            block = schema_node.first_block
+            while block is not None:
+                runs.block(block)
+                block = block.next_block
+            if _explain.COLLECTING:
+                _note("", runs.touched)
             return runs.finish()
 
-        return "predicate[pos]", positional_runs
+        return f"scan-pos[{scanned}][{index or 'last()'}]", source
 
-    def positional(descriptors: list) -> list:
-        # Several schema nodes (a wildcard, or one name at several
-        # depths): same-parent members need not be adjacent, so the
-        # selection is grouped by parent, and the picks of parents at
-        # different depths are put back in ``<<``.
-        groups: dict = {}
-        for descriptor in descriptors:
-            groups.setdefault(descriptor.parent, []).append(descriptor)
-        if index is None:
-            picked = [group[-1] for group in groups.values()]
-        else:
-            picked = [group[index - 1] for group in groups.values()
-                      if index <= len(group)]
-        return in_document_order(picked)
+    return bind
 
-    return "predicate[pos]", positional
+
+def _positional_stage(queries: "StorageQueryEngine", schema_nodes
+                      ) -> Callable[[PositionPredicate], tuple]:
+    """A positional predicate over a flat, document-ordered selection:
+    positions count per parent context (as in XPath)."""
+    in_document_order = queries.store.in_document_order
+    single = len(schema_nodes) == 1
+
+    def make(predicate: PositionPredicate) -> tuple[str, Stage]:
+        index = predicate.index
+        if single:
+            def positional_runs(descriptors: list) -> list:
+                runs = _Runs(index)
+                runs.members(descriptors)
+                return runs.finish()
+
+            return "predicate[pos]", positional_runs
+
+        def positional(descriptors: list) -> list:
+            # Several schema nodes (a wildcard, or one name at several
+            # depths): same-parent members need not be adjacent, so the
+            # selection is grouped by parent, and the picks of parents
+            # at different depths are put back in ``<<``.
+            groups: dict = {}
+            for descriptor in descriptors:
+                groups.setdefault(descriptor.parent, []).append(
+                    descriptor)
+            if index is None:
+                picked = [group[-1] for group in groups.values()]
+            else:
+                picked = [group[index - 1] for group in groups.values()
+                          if index <= len(group)]
+            return in_document_order(picked)
+
+        return "predicate[pos]", positional
+
+    return make
 
 
 # ----------------------------------------------------------------------
@@ -460,17 +519,17 @@ def _walk(slot: int, descriptors, out: list) -> None:
                 break
 
 
-def _value_walk(slot: int, text_at: Optional[int], value: str,
-                string_value) -> Callable[[list, list], int]:
+def _value_walk(slot: int, text_at: Optional[int],
+                string_value) -> Callable[[list, list, str], int]:
     """The loop of :func:`_walk` fused with a child-value compare: a
-    ``(descriptors, out)`` function appending to *out* every context
-    with a child in *slot* whose string value is *value*, testing a
+    ``(descriptors, out, value)`` function appending to *out* every
+    context with a child in *slot* whose string value is *value*, testing a
     context's children in order up to its first match, and returning
     how many it tested.  A carrier with simple content (*text_at*: its
     :func:`~repro.storage.dschema.text_slot`) has its one text child
     compared in place; only several texts or complex content (*text_at*
     None) build a string."""
-    def walk(descriptors, out: list) -> int:
+    def walk(descriptors, out: list, value: str) -> int:
         tested = 0
         for descriptor in descriptors:
             node = descriptor.children_by_schema.get(slot)
@@ -528,21 +587,22 @@ def _carriers(predicate) -> _Lowered:
 
 
 def _per_run(schema_nodes, lowered: _Lowered, run_each
-             ) -> Callable[[list, list], int]:
+             ) -> Callable[..., int]:
     """A stage's walk below its contexts, lowered: a ``(descriptors,
-    out)`` function.  With one context schema node lowered to one walk
-    (a probe's owners, a scan of one node, a step to one destination)
-    it is that walk — one loop over the whole list, with no call or
-    lookup per context; otherwise it hands each run of one schema
-    node's contexts and that node's walks to *run_each*, and returns
-    the sum of what that returns (the carriers a value walk tested)."""
+    out, *literal)`` function.  With one context schema node lowered to
+    one walk (a probe's owners, a scan of one node, a step to one
+    destination) it is that walk — one loop over the whole list, with
+    no call or lookup per context; otherwise it hands each run of one
+    schema node's contexts and that node's walks to *run_each*, and
+    returns the sum of what that returns (the carriers a value walk
+    tested)."""
     if len(schema_nodes) == 1 and len(lowered[schema_nodes[0]]) == 1:
         return lowered[schema_nodes[0]][0]
 
-    def runs(descriptors: list, out: list) -> int:
+    def runs(descriptors: list, out: list, *literal) -> int:
         count = 0
         for schema_node, run in groupby(descriptors, _schema_node_of):
-            count += run_each(lowered[schema_node], run, out)
+            count += run_each(lowered[schema_node], run, out, *literal)
         return count
 
     return runs
@@ -563,28 +623,29 @@ def _walk_run(walks: tuple, run, out: list) -> int:
     return 0
 
 
-def _value_walk_run(walks: tuple, run, out: list) -> int:
+def _value_walk_run(walks: tuple, run, out: list, value: str) -> int:
     """:func:`_value_walk` below a run of one schema node's contexts;
     with several carrier slots (one local name in several namespaces),
     a context's slots are tried in order up to its first match."""
     if len(walks) == 1:
-        return walks[0](run, out)
+        return walks[0](run, out, value)
     tested = 0
     for descriptor in run:
         for walk in walks:
             kept = len(out)
-            tested += walk((descriptor,), out)
+            tested += walk((descriptor,), out, value)
             if len(out) > kept:
                 break
     return tested
 
 
-def _predicate_stage(queries: "StorageQueryEngine",
-                     schema_nodes, predicate) -> tuple[str, Stage]:
+def _predicate_stage(queries: "StorageQueryEngine", schema_nodes,
+                     predicate) -> Callable[..., tuple[str, Stage]]:
     """One predicate lowered against the schema nodes the descriptors
-    are known to instantiate."""
+    are known to instantiate, its literal left open: a function from
+    the predicate at its place in a plan's path to its stage."""
     if isinstance(predicate, PositionPredicate):
-        return _positional_stage(queries, schema_nodes, predicate)
+        return _positional_stage(queries, schema_nodes)
     if isinstance(predicate, AttributePredicate):
         return _attribute_predicate_stage(predicate)
     if isinstance(predicate, ChildPredicate):
@@ -593,44 +654,47 @@ def _predicate_stage(queries: "StorageQueryEngine",
 
 
 def _attribute_predicate_stage(predicate: AttributePredicate
-                               ) -> tuple[str, Stage]:
+                               ) -> Callable[..., tuple[str, Stage]]:
     # The attribute schema-child slots whose local name matches (one,
     # unless namespaces share it): the instance FIRST in label order
     # decides, mirroring predicate_holds over the attributes() order.
     carriers = _carriers(predicate)
-    value = predicate.value
+    name = f"predicate[@{predicate.name}]"
 
-    def stage(descriptors: list) -> list:
-        out: list = []
-        for descriptor in descriptors:
-            lookup = descriptor.children_by_schema.get
-            first = None
-            for slot in carriers[descriptor.schema_node]:
-                attribute = lookup(slot)
-                if attribute is not None and (
-                        first is None or attribute.nid < first.nid):
-                    first = attribute
-            if first is not None and (
-                    value is None or (first.value or "") == value):
-                out.append(descriptor)
-        return out
+    def make(predicate: AttributePredicate) -> tuple[str, Stage]:
+        value = predicate.value
 
-    return f"predicate[@{predicate.name}]", stage
+        def stage(descriptors: list) -> list:
+            out: list = []
+            for descriptor in descriptors:
+                lookup = descriptor.children_by_schema.get
+                first = None
+                for slot in carriers[descriptor.schema_node]:
+                    attribute = lookup(slot)
+                    if attribute is not None and (
+                            first is None or attribute.nid < first.nid):
+                        first = attribute
+                if first is not None and (
+                        value is None or (first.value or "") == value):
+                    out.append(descriptor)
+            return out
+
+        return name, stage
+
+    return make
 
 
 def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
                            predicate: ChildPredicate
-                           ) -> tuple[str, Stage]:
+                           ) -> Callable[..., tuple[str, Stage]]:
     # The element schema children whose local name matches: existence
     # is answered by the stored first-child pointer alone; a value test
     # has the two routes of a child step, chosen per call by the same
     # rule (cost.walks) from the context count and the value holders'
     # descriptor counts.
     carriers = _carriers(predicate)
-    value = predicate.value
-    string_value = queries.engine.string_value
 
-    if value is None:
+    if predicate.value is None:
         def exists_stage(descriptors: list) -> list:
             out: list = []
             for descriptor in descriptors:
@@ -640,58 +704,71 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
                         out.append(descriptor)
                         break
             return out
-        return f"predicate[{predicate.name}]", exists_stage
+        exists = f"predicate[{predicate.name}]", exists_stage
+        return lambda _predicate: exists
 
-    holders = sweep_holders(schema_nodes, predicate)
+    string_value = queries.engine.string_value
+    text_holders = value_holders(schema_nodes, predicate)
     walked = _per_run(schema_nodes, _Lowered(lambda schema_node: tuple(
-        _value_walk(slot, text_slot(schema_node.children[slot]), value,
+        _value_walk(slot, text_slot(schema_node.children[slot]),
                     string_value)
         for slot in carriers[schema_node])), _value_walk_run)
+    name = f"predicate[{predicate.name}=…]"
 
-    def swept(descriptors: list) -> list:
-        # A semi-join from the value side.  The predicate is a per-node
-        # filter, so it may be answered for every instance at once:
-        # a text equal to the literal that is its parent's only child
-        # IS that carrier's string value (simple content: the chain
-        # holds texts only), and its parent's parent has the matching
-        # child.  A carrier with several texts (update-made) is read
-        # whole, once, from its first.  Membership only — order and
-        # duplicate-freedom are the input's.
-        matches: list = []
-        rows = 0
-        for holder in holders:
-            texts = sweep((holder,))
-            rows += len(texts)
-            for text in texts:
-                if text.right_sibling is None:
-                    if text.value == value and text.left_sibling is None:
-                        matches.append(text)
-                elif (text.left_sibling is None
-                      and string_value(text.parent) == value):
-                    matches.append(text)
-        hits = _holders(matches, 2)
-        if _explain.COLLECTING:
-            _note("/sweep", rows)
-        return [descriptor for descriptor in descriptors
-                if descriptor in hits]
+    def make(predicate: ChildPredicate) -> tuple[str, Stage]:
+        value = predicate.value
+        # The literal '' has no sweep (:func:`~repro.query.cost.
+        # sweep_holders`).
+        holders = text_holders if value else None
 
-    def value_stage(descriptors: list) -> list:
-        if not descriptors:
-            return []
-        if holders is not None:
+        def swept(descriptors: list) -> list:
+            # A semi-join from the value side.  The predicate is a
+            # per-node filter, so it may be answered for every instance
+            # at once: a text equal to the literal that is its parent's
+            # only child IS that carrier's string value (simple
+            # content: the chain holds texts only), and its parent's
+            # parent has the matching child.  A carrier with several
+            # texts (update-made) is read whole, once, from its first.
+            # Membership only — order and duplicate-freedom are the
+            # input's.
+            matches: list = []
             rows = 0
             for holder in holders:
-                rows += holder.descriptor_count
-            if not walks(len(descriptors), rows):
-                return swept(descriptors)
-        out: list = []
-        tested = walked(descriptors, out)
-        if _explain.COLLECTING:
-            # A carrier and the text below it per test.
-            _note("/walk", 2 * tested)
-        return out
+                texts = sweep((holder,))
+                rows += len(texts)
+                for text in texts:
+                    if text.right_sibling is None:
+                        if (text.value == value
+                                and text.left_sibling is None):
+                            matches.append(text)
+                    elif (text.left_sibling is None
+                          and string_value(text.parent) == value):
+                        matches.append(text)
+            hits = _holders(matches, 2)
+            if _explain.COLLECTING:
+                _note("/sweep", rows)
+            return [descriptor for descriptor in descriptors
+                    if descriptor in hits]
 
-    return f"predicate[{predicate.name}=…]", value_stage
+        def value_stage(descriptors: list) -> list:
+            if not descriptors:
+                return []
+            if holders is not None:
+                rows = 0
+                for holder in holders:
+                    rows += holder.descriptor_count
+                if not walks(len(descriptors), rows):
+                    return swept(descriptors)
+            out: list = []
+            tested = walked(descriptors, out, value)
+            if _explain.COLLECTING:
+                # A carrier and the text below it per test.
+                _note("/walk", 2 * tested)
+            return out
+
+        return name, value_stage
+
+    return make
 
 
 # ----------------------------------------------------------------------
@@ -699,24 +776,28 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
 
 
 def _suffix_stages(queries: "StorageQueryEngine", context_nodes,
-                   steps: "tuple[Step, ...]"
-                   ) -> "list[tuple[str, Stage]]":
+                   steps: "tuple[Step, ...]", first: int) -> list:
+    """The :class:`Lowering` entries of ``steps[first:]`` below
+    *context_nodes*."""
     # Every stage takes and returns a duplicate-free list in ``<<``,
     # so a step's predicates — positional ones included: the contexts
     # of a child step are the parents — are the stages a scan uses.
-    stages: list[tuple[str, Stage]] = []
+    stages: list = []
     current: list[SchemaNode] = list(context_nodes)
-    for step in steps:
+    for index in range(first, len(steps)):
+        step = steps[index]
         destination = match_step(current, step)
         if not destination:
-            stages.append(("step-empty", lambda _descriptors: []))
+            stages.append((None, ("step-empty", lambda _descriptors: [])))
             return stages
         lower_step = (_child_step_stage if step.axis == "child"
                       else _descendant_step_stage)
-        stages.append(lower_step(queries, current, destination, step))
-        for predicate in step.predicates:
-            stages.append(_predicate_stage(queries, destination,
-                                           predicate))
+        stages.append((None, lower_step(queries, current, destination,
+                                        step)))
+        for position, predicate in enumerate(step.predicates):
+            stages.append(((index, position),
+                           _predicate_stage(queries, destination,
+                                            predicate)))
         current = destination
     return stages
 

@@ -39,6 +39,17 @@ to zero rows.  The weights below are unit costs in an abstract
 machine, not nanoseconds — only their ratios matter, and EXPLAIN
 prints estimated units next to observed time so operators can judge
 the calibration.
+
+Where the model reads a literal.  Only the value predicates of a
+plan's *decisive* step — the step its scan or probe answers — are
+priced by their literal: :meth:`CostModel._value_selectivity` (the
+``may_hold`` range check and ``1/distinct``), :func:`sweep_holders`
+(the literal ``''`` has no sweep) and an ``eq`` probe's postings.  A
+position is never read (``[n]`` keeps one instance per parent
+whatever ``n`` is), nor is any predicate of a suffix step.  So a path
+shape whose decisive step holds no value literal
+(``/library/book[n]/title``) prices alike for every literal, and the
+planner prices it once per shape (:class:`repro.query.planner.Shape`).
 """
 
 from __future__ import annotations
@@ -144,12 +155,20 @@ def sweep_holders(schema_nodes, predicate
     — or None when only the per-context walk can: not a child-value
     predicate, the literal ``''`` (an element with no text child has
     that string value and no row in any text block), or a carrier with
-    complex content (:func:`~repro.storage.dschema.text_slot`).
-    Shared, like :func:`walks`, by the executor
-    (``compiled._child_predicate_stage``) and the model, which put the
-    holders' rows to that rule."""
+    complex content (:func:`value_holders`).  Shared, like
+    :func:`walks`, by the executor (``compiled._child_predicate_stage``)
+    and the model, which put the holders' rows to that rule."""
     if not (isinstance(predicate, ChildPredicate) and predicate.value):
         return None
+    return value_holders(schema_nodes, predicate)
+
+
+def value_holders(schema_nodes, predicate
+                  ) -> "Optional[list[SchemaNode]]":
+    """What :func:`sweep_holders` reads of a child-value *predicate*
+    apart from its literal: the ``#text`` schema children of its
+    carriers below *schema_nodes*, or None when a carrier has complex
+    content (:func:`~repro.storage.dschema.text_slot`)."""
     holders = []
     for schema_node in schema_nodes:
         for _slot, carrier in predicate_carriers(schema_node, predicate):

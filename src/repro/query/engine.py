@@ -24,10 +24,12 @@ the *descriptive schema* and enumerate the candidate plans
 closure chain (:mod:`repro.query.compiled`) and run that — scanning
 the blocks of only the matching schema nodes, in document order.
 Plans are cached by the request as the caller sent it, so a repeated
-string is one lock-free lookup and never parses; only a miss visits
-the parse cache, and both caches evict the least recently used entry
+string is one lock-free lookup and never parses; a miss on a path
+shape the planner knows (a new literal) builds its path and plan from
+the shape's entry without a parse, and only the rest visit the parse
+cache.  Every cache evicts the least recently used entry
 (:mod:`repro.query.cache`).  :meth:`StorageQueryEngine.
-evaluate_schema_driven` forces the same pipeline with both caches
+evaluate_schema_driven` forces the same pipeline with every cache
 bypassed.
 
 The route agreeing node-for-node, in order, with the interpreter is an
@@ -330,7 +332,7 @@ class StorageQueryEngine:
 
     def evaluate_schema_driven(self, path: "Path | str"
                                ) -> list[NodeDescriptor]:
-        """:meth:`evaluate` with both caches bypassed.
+        """:meth:`evaluate` with every cache bypassed.
 
         Because every document path has exactly one schema path (the
         defining property of Section 9.1), scanning the block lists of

@@ -28,10 +28,20 @@ that passed the test and the predicates before it, on ``//`` as on
 ``/``: ``//book[1]`` is the first book child of every parent.  On the
 fragment it shares with ``xml.etree.ElementTree``'s ElementPath the
 two select the same elements (``tests/test_elementpath.py``).
+
+A path's *shape* is the path with its literals left open — the quoted
+values of its value predicates and the ``n`` of its ``[n]`` positions:
+``/library/book[3]/title`` and ``/library/book[7]/title`` are one
+shape.  :func:`lift_path` reads the shape key and the literals off a
+request string without parsing it, :func:`literals_of` reads them off
+a parsed :class:`Path`, and :func:`with_literals` puts new ones into
+a parsed path of the same shape — what the planner's shape table
+(:mod:`repro.query.planner`) uses instead of a parse.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -238,3 +248,85 @@ def _parse_step(axis: str, token: str) -> Step:
     if test == "*":
         return Step(axis, kind, None, predicates)
     return Step(axis, kind, _name(test, token), predicates)
+
+
+# ----------------------------------------------------------------------
+# Shapes: a path with its literals left open.
+
+#: One literal of a request string: a quoted value between ``=`` and
+#: the ``]`` closing its predicate (group 1 or 2), or a position
+#: (group 3).  ``\s`` is what ``str.strip`` strips, as in the parser.
+_LITERAL = re.compile(
+    r"""=\s*(?:'([^']*)'|"([^"]*)")\s*\]|\[\s*([0-9]+)\s*\]""")
+
+
+def lift_path(text: str) -> "tuple[str, tuple] | None":
+    """The shape key of *text* and its literals, left to right — each
+    value a ``str``, each position an ``int`` — or None for a text this
+    does not read as a shape (a ``NUL`` in it, a position below 1):
+    :func:`parse_path` has the last word on those.
+
+    The key is *text* with every literal's span replaced by ``=\\0]``
+    or ``[\\0]``, so it keeps everything but the literals (and the
+    spaces around them, which the parser strips): two texts with one
+    key parse alike, literals apart, whenever the parse of one lines
+    up with its lifted literals (:func:`literals_of`).  The key says
+    nothing of whether *text* parses; that is the parse's to say.
+    """
+    if "\0" in text:
+        return None
+    parts: list[str] = []
+    literals: list = []
+    end = 0
+    for match in _LITERAL.finditer(text):
+        parts.append(text[end:match.start()])
+        end = match.end()
+        position = match.group(3)
+        if position is None:
+            value = match.group(1)
+            literals.append(match.group(2) if value is None else value)
+            parts.append("=\0]")
+        else:
+            number = int(position)
+            if number < 1:
+                return None
+            literals.append(number)
+            parts.append("[\0]")
+    if not literals:
+        return text, ()
+    parts.append(text[end:])
+    return "".join(parts), tuple(literals)
+
+
+def _literal_bearing(predicate) -> bool:
+    if isinstance(predicate, PositionPredicate):
+        return predicate.index is not None
+    return predicate.value is not None
+
+
+def literals_of(path: Path) -> tuple:
+    """The literals of *path* in text order, as :func:`lift_path` lifts
+    them: every position ``n`` and every predicate value."""
+    return tuple(
+        predicate.index if isinstance(predicate, PositionPredicate)
+        else predicate.value
+        for step in path.steps for predicate in step.predicates
+        if _literal_bearing(predicate))
+
+
+def with_literals(path: Path, literals: tuple) -> Path:
+    """*path* with its literals (:func:`literals_of`) replaced, in
+    order, by *literals* — the path a text of the same shape parses
+    to."""
+    feed = iter(literals)
+    steps = []
+    for step in path.steps:
+        if any(map(_literal_bearing, step.predicates)):
+            step = Step(step.axis, step.kind, step.name, tuple(
+                (PositionPredicate(next(feed))
+                 if isinstance(predicate, PositionPredicate)
+                 else type(predicate)(predicate.name, next(feed)))
+                if _literal_bearing(predicate) else predicate
+                for predicate in step.predicates))
+        steps.append(step)
+    return Path(tuple(steps))

@@ -21,6 +21,21 @@ statistics drift) bumps.  It is the only freshness stamp a plan
 carries: a plan whose epoch fell behind is compiled afresh and
 replaces its cache entry.
 
+The same argument holds one level down: which schema nodes a path
+matches, and which strategies can answer it, depend on its *shape*,
+not on its literals.  So three caches serve a query
+(:mod:`repro.query.cache`): the process-wide text → ``Path`` parse
+cache, the plan cache, and between them each planner's **shape
+table** (:class:`Shape`, one entry per path with its literals left
+open).  A new literal on a known shape skips the parse, the schema
+match, the candidate enumeration and — where :mod:`repro.query.cost`
+reads no literal — the pricing, and binds its literals into the
+lowering its route prepared (:class:`Route`); what reads a literal
+runs again, so a plan is still chosen per literal and cached under
+its own string.  The parse cache stays: every text the shape table
+does not answer is parsed through it, with the counters it always
+had.
+
 Strategies, from fastest to slowest:
 
 * ``empty`` — no schema node can match (including structural pruning:
@@ -50,7 +65,7 @@ strategy slots in above ``scan``:
   suffix steps run exactly as in ``scan``/``hybrid``.
 
 The planner enumerates **every** applicable candidate exactly once
-(:func:`_candidate_plans`) — the scan/hybrid baseline and one
+(:meth:`Shape.enumerate`) — the scan/hybrid baseline and one
 value-index probe per eligible predicate — and a policy
 (:data:`POLICIES`) is a selection rule over that list.  The default
 rule is ``cost``: the cheapest under the :mod:`repro.query.cost`
@@ -77,6 +92,9 @@ from repro.query.paths import (
     Path,
     PositionPredicate,
     Step,
+    lift_path,
+    literals_of,
+    with_literals,
 )
 from repro.storage.dschema import SchemaNode
 
@@ -190,7 +208,7 @@ class CompiledPlan:
     __slots__ = ("path", "strategy", "scan_nodes", "split",
                  "pruned_schema_nodes", "probe", "rest_predicates",
                  "index_used", "executor", "cost", "cost_table",
-                 "epoch")
+                 "epoch", "route")
 
     def __init__(self, path: Path, strategy: str,
                  scan_nodes: tuple[SchemaNode, ...],
@@ -198,7 +216,8 @@ class CompiledPlan:
                  pruned_schema_nodes: int,
                  probe: Optional[tuple] = None,
                  rest_predicates: tuple = (),
-                 index_used: str = "") -> None:
+                 index_used: str = "",
+                 route: "Optional[Route]" = None) -> None:
         self.path = path
         #: "empty" | "index" | "scan" | "hybrid" | "naive".
         self.strategy = strategy
@@ -230,6 +249,9 @@ class CompiledPlan:
         #: its only freshness stamp, the one compare of a cache hit
         #: (-1: not cached yet; the engine's epoch is never negative).
         self.epoch = -1
+        #: The shape's :class:`Route` this plan takes, whose prepared
+        #: lowering it binds its literals into (None: a ``naive`` plan).
+        self.route = route
 
     def execute_compiled(self, queries: "StorageQueryEngine"
                          ) -> "list[NodeDescriptor]":
@@ -265,7 +287,7 @@ class CompiledPlan:
 _STRATEGY_RANK = {"empty": 0, "index": 1, "scan": 2, "hybrid": 3}
 
 #: Planner policies — three selection rules over the one candidate
-#: enumeration (:func:`_candidate_plans`) and one witness: ``cost``
+#: enumeration (:meth:`Shape.enumerate`) and one witness: ``cost``
 #: prices every candidate and takes the cheapest; ``structural`` takes
 #: the historical fixed precedence (a probe on the first predicate >
 #: scan/hybrid); ``scan`` takes the scan/hybrid base candidate and
@@ -279,16 +301,19 @@ POLICIES = ("cost", "structural", "scan", "naive")
 
 def compile_plan(path: Path, schema: "DescriptiveSchema",
                  indexes=None, block_capacity: int = 64,
-                 policy: str = "cost") -> CompiledPlan:
+                 policy: str = "cost",
+                 shape: "Optional[Shape]" = None) -> CompiledPlan:
     """Compile *path* against the current schema (no caching here).
 
     *indexes* is the engine's :class:`IndexManager` (or None: no probe
     candidates).  Under the ``cost`` *policy* every candidate is
     priced under :mod:`repro.query.cost` and the cheapest wins.
+    *shape* is the planner's entry for *path*'s shape: what it already
+    holds is not decided again (None: a fresh one, used once).
     """
     with obs.TRACER.span("query.plan.compile", path=path):
-        plan = _select_plan(path, schema, indexes, block_capacity,
-                            policy)
+        plan = _select_plan(path, shape or Shape(path), schema, indexes,
+                            block_capacity, policy)
     obs.REGISTRY.counter("query.plan.compiles").inc()
     obs.REGISTRY.counter(f"query.plan.strategy.{plan.strategy}").inc()
     if plan.pruned_schema_nodes:
@@ -297,16 +322,18 @@ def compile_plan(path: Path, schema: "DescriptiveSchema",
     return plan
 
 
-def _select_plan(path: Path, schema: "DescriptiveSchema", indexes,
-                 block_capacity: int, policy: str) -> CompiledPlan:
+def _select_plan(path: Path, shape: "Shape", schema: "DescriptiveSchema",
+                 indexes, block_capacity: int, policy: str
+                 ) -> CompiledPlan:
     """Enumerate the candidates once, then apply *policy*'s rule; the
     ``naive`` witness enumerates nothing."""
     if policy == "naive":
         return CompiledPlan(path, "naive", (), None, 0)
-    candidates, structural_pick, frontiers = _candidate_plans(
-        path, schema, indexes)
+    if shape.routes is None:
+        shape.enumerate(schema, indexes)
+    candidates, structural_pick = shape.candidates(path)
     if policy == "cost":
-        pick = _cheapest(candidates, structural_pick, frontiers,
+        pick = _cheapest(candidates, structural_pick, shape,
                          block_capacity)
     elif policy == "scan":
         pick = 0
@@ -315,81 +342,163 @@ def _select_plan(path: Path, schema: "DescriptiveSchema", indexes,
     return candidates[pick]
 
 
-def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
-                     ) -> "tuple[list[CompiledPlan], int, list]":
-    """Every strategy that can answer *path*, the index of the
-    candidate the historical structural precedence picks, and the
-    per-step schema frontiers (:func:`schema_frontiers`) the cost model
-    prices from.
+class Route:
+    """One candidate of a shape as far as no literal decides it: its
+    strategy, the schema nodes it scans, the split and the pruning,
+    and for an ``index`` route the probe (:attr:`probe`).  Plans that
+    take it share the lowering :mod:`repro.query.compiled` prepares
+    once, on the first execution of one of them (:attr:`lowering`)."""
 
-    What a block scan can answer is a property of the path fragment
-    (Fletcher, Gyssens, Paredaens, Van Gucht, Wu — PAPERS.md): ``//``
-    is descendant-or-self composed with child, and every downward step
-    with per-parent predicates lowers to scans, probes and sweeps.  A
-    path the schema proves unmatchable has one candidate, ``empty``.
+    __slots__ = ("strategy", "scan_nodes", "split", "pruned", "probe",
+                 "index_used", "lowering")
 
-    Otherwise the list holds, in order, the scan/hybrid base and one
-    ``index`` candidate per eligible value-index probe (any prefix of
-    non-positional predicates may be probed, not just the first — the
-    remaining predicates commute as pure filters) — all shapes
-    :mod:`repro.query.compiled` lowers.
+    def __init__(self, strategy: str, scan_nodes: "tuple[SchemaNode, ...]",
+                 split: Optional[int], pruned: int,
+                 probe: Optional[tuple] = None) -> None:
+        self.strategy = strategy
+        self.scan_nodes = scan_nodes
+        self.split = split
+        self.pruned = pruned
+        #: ``(position, mode, index, via_parent)``: the probed
+        #: predicate's position in the decisive step, and the probe
+        #: (:func:`_probe_route`).
+        self.probe = probe
+        self.index_used = ("" if probe is None
+                           else f"value:{probe[2].definition.path}")
+        #: The prepared lowering (:func:`repro.query.compiled.lower`).
+        self.lowering = None
+
+
+class Shape:
+    """What planning a path decides without reading its literals — one
+    entry of a planner's shape table (:func:`repro.query.paths.
+    lift_path` keys it), or a throwaway for one uncached compile.
+
+    It holds the parsed path it was made from (:attr:`skeleton`, whose
+    literals :func:`~repro.query.paths.with_literals` replaces), the
+    schema frontiers, and the routes of :meth:`enumerate`.  Per
+    literal, :meth:`candidates` re-runs what reads one: the typed-key
+    check of an ``eq`` probe.  The cost model reads literals only in
+    the decisive step's value predicates (:mod:`repro.query.cost`), so
+    a shape with none there is priced once (:attr:`priced`).  Like a
+    plan it is stamped with the engine's ``plan_epoch`` it was made
+    under, and a stale entry is made afresh.
     """
-    steps = path.steps
-    frontiers = schema_frontiers(schema.root, steps)
-    split: Optional[int] = None
-    for index, step in enumerate(steps[:-1]):
-        if step.predicates:
-            split = index
-            break
-    predicates = steps[-1 if split is None else split].predicates
-    matched = frontiers[-1 if split is None else split + 1]
-    pruned = 0
-    if predicates:
-        feasible = [node for node in matched
-                    if structurally_feasible(node, predicates)]
-        pruned = len(matched) - len(feasible)
-        matched = feasible
-    if not matched:
-        empty = CompiledPlan(path, "empty", (), split, pruned)
-        return [empty], 0, frontiers
-    candidates = [CompiledPlan(path, "scan" if split is None else "hybrid",
-                               tuple(matched), split, pruned)]
-    structural_pick = 0
-    if indexes is not None and indexes.active and predicates \
-            and len(matched) == 1:
-        for position, predicate in enumerate(predicates):
-            if isinstance(predicate, PositionPredicate):
-                # A probe answers its predicate *first*; value
-                # predicates commute around it, positional ones do not
-                # — stop at the first positional.
+
+    __slots__ = ("skeleton", "epoch", "frontiers", "decisive", "routes",
+                 "reads_literals", "priced")
+
+    def __init__(self, skeleton: Path, epoch: int = -1) -> None:
+        self.skeleton = skeleton
+        self.epoch = epoch
+        self.frontiers: list = []
+        #: Index of the step whose predicates decide the candidates:
+        #: the first inner step with predicates, else the last.
+        self.decisive = 0
+        #: The :class:`Route` list (base first), once enumerated.
+        self.routes: "Optional[list[Route]]" = None
+        #: Does pricing read a literal?  (A value in the decisive step.)
+        self.reads_literals = True
+        #: ``(cost table, index of the cheapest)`` when it does not.
+        self.priced: Optional[tuple] = None
+
+    def enumerate(self, schema: "DescriptiveSchema", indexes) -> None:
+        """Every strategy that can answer the shape, in order: the
+        scan/hybrid base and one ``index`` route per eligible
+        value-index probe (any prefix of non-positional predicates may
+        be probed, not just the first — the remaining predicates
+        commute as pure filters) — all shapes :mod:`repro.query.
+        compiled` lowers — or the one ``empty`` route when the schema
+        proves the path unmatchable.
+
+        What a block scan can answer is a property of the path fragment
+        (Fletcher, Gyssens, Paredaens, Van Gucht, Wu — PAPERS.md):
+        ``//`` is descendant-or-self composed with child, and every
+        downward step with per-parent predicates lowers to scans,
+        probes and sweeps.
+        """
+        steps = self.skeleton.steps
+        frontiers = self.frontiers = schema_frontiers(schema.root, steps)
+        split: Optional[int] = None
+        for index, step in enumerate(steps[:-1]):
+            if step.predicates:
+                split = index
                 break
-            probe = _plan_probe(indexes, matched[0], predicate)
-            if probe is None:
+        decisive = self.decisive = len(steps) - 1 if split is None \
+            else split
+        predicates = steps[decisive].predicates
+        self.reads_literals = any(
+            not isinstance(predicate, PositionPredicate)
+            and predicate.value is not None for predicate in predicates)
+        matched = frontiers[decisive + 1]
+        pruned = 0
+        if predicates:
+            feasible = [node for node in matched
+                        if structurally_feasible(node, predicates)]
+            pruned = len(matched) - len(feasible)
+            matched = feasible
+        if not matched:
+            self.routes = [Route("empty", (), split, pruned)]
+            return
+        scanned = tuple(matched)
+        routes = [Route("scan" if split is None else "hybrid", scanned,
+                        split, pruned)]
+        if indexes is not None and indexes.active and predicates \
+                and len(matched) == 1:
+            for position, predicate in enumerate(predicates):
+                if isinstance(predicate, PositionPredicate):
+                    # A probe answers its predicate *first*; value
+                    # predicates commute around it, positional ones do
+                    # not — stop at the first positional.
+                    break
+                probe = _probe_route(indexes, matched[0], predicate)
+                if probe is not None:
+                    routes.append(Route("index", scanned, split, pruned,
+                                        (position, *probe)))
+        self.routes = routes
+
+    def candidates(self, path: Path
+                   ) -> "tuple[list[CompiledPlan], int]":
+        """The candidate plans for *path*, a path of this shape, and
+        the index of the one the historical structural precedence
+        picks (a probe on the first predicate > scan/hybrid)."""
+        predicates = path.steps[self.decisive].predicates
+        candidates: list[CompiledPlan] = []
+        structural_pick = 0
+        for route in self.routes:
+            if route.probe is None:
+                candidates.append(CompiledPlan(
+                    path, route.strategy, route.scan_nodes, route.split,
+                    route.pruned, route=route))
                 continue
-            rest = predicates[:position] + predicates[position + 1:]
+            position, mode, index, via_parent = route.probe
+            literal = predicates[position].value
+            if mode == "eq" and not _typed(index, literal):
+                continue
             candidates.append(CompiledPlan(
-                path, "index", tuple(matched), split, pruned,
-                probe=probe, rest_predicates=rest,
-                index_used=f"value:{probe[1].definition.path}"))
+                path, "index", route.scan_nodes, route.split,
+                route.pruned, probe=(mode, index, literal, via_parent),
+                rest_predicates=(predicates[:position]
+                                 + predicates[position + 1:]),
+                index_used=route.index_used, route=route))
             if position == 0:
                 # Structural precedence probed the first predicate.
                 structural_pick = len(candidates) - 1
-    return candidates, structural_pick, frontiers
+        return candidates, structural_pick
 
 
-def _plan_probe(indexes, schema_node: SchemaNode, predicate
-                ) -> Optional[tuple]:
-    """A value-index probe answering *predicate* on instances of
-    *schema_node*, or None.
+def _probe_route(indexes, schema_node: SchemaNode, predicate
+                 ) -> Optional[tuple]:
+    """A value-index probe that can answer *predicate* on instances of
+    *schema_node*, whatever its literal, or None.
 
-    Returns ``(mode, index, literal, via_parent)`` with *mode* ``"eq"``
-    or ``"exists"``.  The probe is offered only when the predicate's
+    Returns ``(mode, index, via_parent)`` with *mode* ``"eq"`` or
+    ``"exists"``.  The probe is offered only when the predicate's
     local name resolves to exactly one schema child — with several
     same-named children (different namespaces) an index on one of them
-    would under-report the evaluator's local-name semantics — and, for
-    ``eq``, only when the literal has a typed value: its key then files
-    every owner whose stored value is the literal, and an untyped
-    literal could still match the untyped owners no key files.
+    would under-report the evaluator's local-name semantics.  An
+    ``eq`` probe is a candidate only for a literal with a typed value
+    (:func:`_typed`).
     """
     carriers = predicate_carriers(schema_node, predicate)
     if len(carriers) != 1:
@@ -399,49 +508,65 @@ def _plan_probe(indexes, schema_node: SchemaNode, predicate
     index = indexes.index_on(carrier)
     if index is None or index.attribute is via_parent:
         return None
-    if predicate.value is None:
-        return ("exists", index, None, via_parent)
+    return ("exists" if predicate.value is None else "eq", index,
+            via_parent)
+
+
+def _typed(index, literal: str) -> bool:
+    """Does *literal* have a typed value under *index*?  Its key then
+    files every owner whose stored value is the literal; an untyped
+    literal could still match the untyped owners no key files."""
     try:
-        index.parse_key(predicate.value)
+        index.parse_key(literal)
     except TypeSystemError:
-        return None
-    return ("eq", index, predicate.value, via_parent)
+        return False
+    return True
 
 
 def _cheapest(candidates: "list[CompiledPlan]", structural_pick: int,
-              frontiers: list, block_capacity: int) -> int:
+              shape: Shape, block_capacity: int) -> int:
     """Price every candidate; index of the cheapest (the ``cost``
-    rule).  The winner carries the cost table."""
-    from repro.query.cost import CostModel
-    model = CostModel(block_capacity)
-    table = []
-    for candidate in candidates:
-        candidate.cost = model.price(candidate, frontiers)
-        table.append(candidate.cost)
-    best = min(
-        range(len(candidates)),
-        key=lambda i: (table[i].total,
-                       _STRATEGY_RANK[candidates[i].strategy], i))
-    plan = candidates[best]
-    table[best].chosen = True
-    plan.cost_table = tuple(table)
-    registry = obs.REGISTRY
-    registry.counter("query.cost.priced").inc()
-    registry.counter("query.cost.candidates").inc(len(table))
-    registry.counter(f"query.cost.chosen.{plan.strategy}").inc()
-    if best != structural_pick:
-        registry.counter("query.cost.overrides").inc()
+    rule).  The winner carries the cost table.  A shape whose pricing
+    reads no literal keeps its table and winner for the next literal."""
+    priced = shape.priced
+    if priced is None:
+        from repro.query.cost import CostModel
+        model = CostModel(block_capacity)
+        table = tuple(model.price(candidate, shape.frontiers)
+                      for candidate in candidates)
+        best = min(
+            range(len(candidates)),
+            key=lambda i: (table[i].total,
+                           _STRATEGY_RANK[candidates[i].strategy], i))
+        table[best].chosen = True
+        registry = obs.REGISTRY
+        registry.counter("query.cost.priced").inc()
+        registry.counter("query.cost.candidates").inc(len(table))
+        registry.counter(
+            f"query.cost.chosen.{candidates[best].strategy}").inc()
+        if best != structural_pick:
+            registry.counter("query.cost.overrides").inc()
+        if not shape.reads_literals:
+            shape.priced = (table, best)
+    else:
+        table, best = priced
+    for candidate, estimate in zip(candidates, table):
+        candidate.cost = estimate
+    candidates[best].cost_table = table
     return best
 
 
-def _describe(plan: CompiledPlan, outcome: str) -> None:
+def _describe(plan: CompiledPlan, outcome: str, shaped: str = "") -> None:
     """The planner's EXPLAIN fields for *plan* (*outcome*: ``hit``,
-    ``miss`` or ``invalidated``), into this thread's collecting record
-    if it has one.  Callers test ``_explain.COLLECTING`` first."""
+    ``miss`` or ``invalidated``; *shaped*: ``hit`` or ``miss`` when the
+    shape table compiled it, else ``""``), into this thread's
+    collecting record if it has one.  Callers test
+    ``_explain.COLLECTING`` first."""
     context = _explain.current()
     if context is None:
         return
     context.plan_cache = outcome
+    context.shape_cache = shaped
     context.strategy = plan.strategy
     context.schema_nodes_scanned = len(plan.scan_nodes)
     context.pruned_schema_nodes = plan.pruned_schema_nodes
@@ -454,7 +579,8 @@ def _describe(plan: CompiledPlan, outcome: str) -> None:
 
 
 class QueryPlanner:
-    """Per-engine plan compiler with a (request → plan) cache.
+    """Per-engine plan compiler with a (request → plan) cache and,
+    under it, a (shape → :class:`Shape`) table.
 
     The cache is keyed by the request exactly as the caller passed it,
     a path string or a ``Path``: a string that hits takes no lock,
@@ -469,6 +595,13 @@ class QueryPlanner:
     paper's claim that the descriptive schema is small and *stable* —
     and the drift threshold on statistics — keep that rare: no
     read-only traffic ever reaches it.
+
+    A string the plan cache has not seen goes to the shape table
+    (:meth:`_compile_text`): §9 answers a path from the schema nodes
+    its *shape* matches, whatever its literals, so a new literal on a
+    known shape is not parsed, matched, enumerated or lowered again —
+    only what reads the literal runs.  The plan is still chosen per
+    literal and cached under its own string.
     """
 
     def __init__(self, engine, capacity: int = PLAN_CACHE_CAPACITY,
@@ -480,6 +613,8 @@ class QueryPlanner:
         self.policy = policy
         self._plans: "LRUCache[Path | str, CompiledPlan]" = LRUCache(
             capacity, prefix="query.plan_cache")
+        self._shapes: "LRUCache[str, Shape]" = LRUCache(
+            capacity, prefix="query.shape_cache")
         #: Serializes everything but the hit: compile and store.
         self._lock = threading.Lock()
         # Held, not looked up per request (obs.reset() zeroes in
@@ -491,14 +626,21 @@ class QueryPlanner:
             "query.plan_cache.misses")
         self._all_invalidations = obs.REGISTRY.counter(
             "query.plan_cache.invalidations")
+        self._all_shape_hits = obs.REGISTRY.counter(
+            "query.shape_cache.hits")
+        self._all_shape_misses = obs.REGISTRY.counter(
+            "query.shape_cache.misses")
 
     def compile_uncached(self, path: Path) -> CompiledPlan:
         """A fresh plan for *path* under this planner's policy — what
         :meth:`compile` computes on a miss, bypassing the cache."""
+        return self._compile(path, None)
+
+    def _compile(self, path: Path, shape: Optional[Shape]) -> CompiledPlan:
         engine = self._engine
         return compile_plan(path, engine.schema, engine.indexes,
                             block_capacity=engine.block_capacity,
-                            policy=self.policy)
+                            policy=self.policy, shape=shape)
 
     def compile(self, request: "Path | str") -> CompiledPlan:
         plan = self._plans.get(request)
@@ -515,6 +657,7 @@ class QueryPlanner:
         """Everything that is not a prepared hit: an unknown request,
         or a plan whose epoch fell behind the engine's — a stale plan
         is compiled afresh and replaces its entry."""
+        shaped = ""
         with self._lock:
             # Read before compiling: a bump that races the compile
             # leaves the plan one epoch behind, and the next call comes
@@ -526,10 +669,12 @@ class QueryPlanner:
                 self._hits.inc()
             else:
                 stale = plan
-                path = request if stale is None else stale.path
-                if isinstance(path, str):
-                    path = cached_parse_path(path)
-                plan = self.compile_uncached(path)
+                if stale is not None:
+                    plan = self.compile_uncached(stale.path)
+                elif isinstance(request, str):
+                    plan, shaped = self._compile_text(request, epoch)
+                else:
+                    plan = self.compile_uncached(request)
                 plan.epoch = epoch
                 self._plans.put(request, plan)
                 self._plans.miss_counter.inc()
@@ -538,7 +683,7 @@ class QueryPlanner:
                     outcome = "invalidated"
                     self._plans.invalidation_counter.inc()
         if _explain.COLLECTING:
-            _describe(plan, outcome)
+            _describe(plan, outcome, shaped)
         # Aggregate plan-cache counters across all engines (each
         # cache also keeps its private per-engine instruments).
         (self._all_hits if outcome == "hit" else self._all_misses).inc()
@@ -546,9 +691,42 @@ class QueryPlanner:
             self._all_invalidations.inc()
         return plan
 
+    def _compile_text(self, text: str, epoch: int
+                      ) -> "tuple[CompiledPlan, str]":
+        """A plan for the request string *text*, and ``hit`` / ``miss``
+        for the shape table (``""``: *text* went round it).
+
+        A hit builds the path from the entry's and *text*'s literals
+        (:func:`~repro.query.paths.with_literals`) — no parse — and
+        compiles it on the entry.  A miss parses through the parse
+        cache and puts a fresh entry, stamped with *epoch*, in place
+        of any stale one.  A text the lifter does not read as a shape,
+        or whose parse does not line up with what it lifted, is parsed
+        and compiled without an entry.
+        """
+        lifted = lift_path(text)
+        if lifted is None:
+            return self.compile_uncached(cached_parse_path(text)), ""
+        key, literals = lifted
+        shape = self._shapes.get(key)
+        if shape is not None and shape.epoch == epoch:
+            self._shapes.hit_counter.inc()
+            self._all_shape_hits.inc()
+            return self._compile(with_literals(shape.skeleton, literals),
+                                 shape), "hit"
+        path = cached_parse_path(text)
+        if literals_of(path) != literals:
+            return self.compile_uncached(path), ""
+        shape = Shape(path, epoch)
+        self._shapes.put(key, shape)
+        self._shapes.miss_counter.inc()
+        self._all_shape_misses.inc()
+        return self._compile(path, shape), "miss"
+
     def stats(self) -> CacheStats:
         return self._plans.stats()
 
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()
+            self._shapes.clear()

@@ -8,7 +8,8 @@ document can use:
 
 * the XML declaration (checked against production [23], only at the
   start of the input) and a DOCTYPE, whose root name is read and whose
-  rest is skipped (entities it defines are not expanded),
+  rest is skipped (entities it defines are not expanded: a reference to
+  one is refused by that name),
 * elements with attributes and self-closing tags,
 * character data, CDATA sections, character and predefined entity
   references,
@@ -133,6 +134,8 @@ class XmlParser:
         self._base_uri = base_uri
         # Namespace environment: list of dicts, innermost last.
         self._ns_stack: list[dict[str, str]] = [dict(_BUILTIN_BINDINGS)]
+        #: General entities the DOCTYPE's internal subset declares.
+        self._declared_entities: set[str] = set()
 
     def parse(self) -> XmlDocument:
         """Parse the whole input and return the document."""
@@ -200,7 +203,9 @@ class XmlParser:
         Name after ``<!DOCTYPE``, then everything to the closing ``>``.
         Quoted literals (the external ID's, the internal subset's) and
         the subset's comments and PIs are skipped whole, so a ``>``,
-        ``[`` or ``]`` inside them ends nothing."""
+        ``[`` or ``]`` inside them ends nothing.  The names of the
+        general entities the subset declares are kept, to name them
+        when a reference is refused."""
         scanner = self._scanner
         scanner.expect("<!DOCTYPE")
         if not scanner.skip_whitespace():
@@ -220,6 +225,14 @@ class XmlParser:
                 continue
             if depth and scanner.startswith("<?"):
                 self._skip_pi()
+                continue
+            if depth and scanner.startswith("<!ENTITY"):
+                scanner.pos += len("<!ENTITY")
+                if scanner.skip_whitespace():
+                    declared = NAME.match(scanner.text, scanner.pos)
+                    if declared is not None:
+                        self._declared_entities.add(declared.group())
+                        scanner.pos = declared.end()
                 continue
             if ch == "[":
                 depth += 1
@@ -428,6 +441,11 @@ class XmlParser:
         try:
             return _PREDEFINED_ENTITIES[name]
         except KeyError:
+            if name in self._declared_entities:
+                raise scanner.error(
+                    f"reference to entity &{name}; declared in the "
+                    "DOCTYPE's internal subset: internal-subset entities "
+                    "are not expanded", start) from None
             raise scanner.error(
                 f"reference to undefined entity &{name};", start) from None
 

@@ -9,10 +9,11 @@ properties of ``tests/test_content_models.py``, the label ≡ §9.3
 rules properties of ``tests/test_storage_labels.py``, the walk ≡
 recursive oracle properties of ``tests/test_walks.py``, the
 statistics ≡ recount property of ``tests/test_storage_engine.py`` and
-the tree ≡ storage builtins property of ``tests/test_xquery.py`` and
-the path ≡ ElementPath property of ``tests/test_elementpath.py`` take
-their example budget from the active profile); tier-1 runs the
-hypothesis default.
+the tree ≡ storage builtins property of ``tests/test_xquery.py``, the
+path ≡ ElementPath property of ``tests/test_elementpath.py`` and the
+shape ≡ uncached compile and lifter ≡ parser properties of
+``tests/test_query_shapes.py`` take their example budget from the
+active profile); tier-1 runs the hypothesis default.
 """
 
 import pytest

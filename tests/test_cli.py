@@ -276,6 +276,21 @@ class TestExplain:
         assert chosen[0]["strategy"] == explain["strategy"]
         assert chosen[0]["total"] == explain["cost_total"]
 
+    def test_reports_the_shape_route(self, files, capsys):
+        # The cold run plans the shape; the warm one is a plan hit and
+        # goes round the shape table.
+        assert main(["explain", files["valid.xml"],
+                     "/library/book[1]/title"]) == 0
+        out = capsys.readouterr().out
+        cold, warm = out.split("-- warm (plan cache hit) --")
+        assert "shape cache:        miss" in cold
+        assert "shape cache:        bypassed" in warm
+        assert main(["explain", files["valid.xml"],
+                     "/library/book[1]/title", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cold"]["shape_cache"] == "miss"
+        assert report["warm"]["shape_cache"] == ""
+
     def test_bad_path(self, files, capsys):
         assert main(["explain", files["valid.xml"], "not-a-path"]) == 2
 

@@ -31,6 +31,10 @@ goes up is a regression, and the change that raises it names it.
   child, positional, conjunctive) and the ``//`` ones (``//x[n]``,
   ``/a//x``) price only block and probe candidates: one per path plus
   one per probe-able predicate, and never the navigator.
+* **A new literal on a known shape** — ``read_cold``'s positional,
+  conjunctive and wide shapes: no ``parse_path`` call, no schema
+  frontier matched, one compile, one shape-table hit; priced again only
+  where the decisive step holds a value literal.
 """
 
 import gc
@@ -387,3 +391,69 @@ class TestCostPlanWork:
                 for estimate in plan.cost_table} == \
             {"scan", "hybrid", "index"}
         assert all(plan.strategy != "naive" for plan in plans)
+
+
+#: Path shapes of ``read_cold`` — a literal, the next literal on the
+#: same shape, and how many times ``cost`` prices the second: a
+#: position is never priced by its literal, a value in the decisive
+#: step always is.
+SHAPES = (
+    ("/library/book[{}]/title", "3", "7", 0),
+    ("/library/book[@year='{}'][author='Codd']/title", "1977", "1984", 1),
+    ("/library/*[author='{}']/title", "Codd", "Gray", 1),
+)
+
+
+class TestShapeWork:
+    @staticmethod
+    def _counts():
+        return {name: obs.REGISTRY.value(name) for name in (
+            "query.plan.compiles", "query.plan_cache.misses",
+            "query.shape_cache.hits", "query.shape_cache.misses",
+            "query.parse_cache.misses", "query.parse_cache.hits",
+            "query.cost.priced")}
+
+    @pytest.mark.parametrize("template,first,second,priced", SHAPES)
+    def test_a_new_literal_on_a_known_shape(self, clean_obs, monkeypatch,
+                                            template, first, second,
+                                            priced):
+        """No parse, no schema-frontier match (in planning or in
+        lowering), one compile: the entry's path, frontiers, routes and
+        prepared lowering take the literal."""
+        from repro.query import cache, compiled, planner
+
+        calls = []
+        for module, name in ((cache, "parse_path"),
+                             (planner, "schema_frontiers"),
+                             (compiled, "match_step")):
+            def counted(*args, _name=name, _original=getattr(module, name),
+                        **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        document = make_library_document(books=12, papers=4, seed=1,
+                                         year_attrs=True)
+        with DatabaseServer(MemoryBackend(), document, workers=1) as server:
+            with server.open_session("write") as writer:
+                writer.execute(lambda engine, session: engine.create_index(
+                    "library/book/@year"))
+            with server.open_session("read") as reader:
+                before = self._counts()
+                reader.query(template.format(first))
+                assert "parse_path" in calls
+                assert "schema_frontiers" in calls
+                warm = self._counts()
+                del calls[:]
+                reader.query(template.format(second))
+                after = self._counts()
+        assert calls == []
+        assert {name: warm[name] - before[name] for name in warm} == {
+            "query.plan.compiles": 1, "query.plan_cache.misses": 1,
+            "query.shape_cache.hits": 0, "query.shape_cache.misses": 1,
+            "query.parse_cache.misses": 1, "query.parse_cache.hits": 0,
+            "query.cost.priced": 1}
+        assert {name: after[name] - warm[name] for name in after} == {
+            "query.plan.compiles": 1, "query.plan_cache.misses": 1,
+            "query.shape_cache.hits": 1, "query.shape_cache.misses": 0,
+            "query.parse_cache.misses": 0, "query.parse_cache.hits": 0,
+            "query.cost.priced": priced}

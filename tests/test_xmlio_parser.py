@@ -280,6 +280,30 @@ class TestPrologGrammar:
     def test_doctype_requires_a_root_name(self):
         _refused_like_expat("<!DOCTYPE><a/>")
 
+    @pytest.mark.parametrize("text,at", [
+        ('<!DOCTYPE a [<!ENTITY e "x">]><a>&e;</a>', (1, 34)),
+        ('<!DOCTYPE a [\n  <!ENTITY % p "y">\n  <!ENTITY e "z">'
+         '\n]>\n<a>\n  <b c="&e;"/></a>', (6, 9)),
+    ])
+    def test_an_internal_subset_entity_is_refused_by_name(self, text, at):
+        """expat expands the entity; this parser does not, and says so
+        where the reference is, not that the entity is undefined."""
+        xml.parsers.expat.ParserCreate().Parse(text.encode("utf-8"), True)
+        with pytest.raises(XmlSyntaxError) as refused:
+            parse_document(text)
+        assert str(refused.value).startswith(
+            "reference to entity &e; declared in the DOCTYPE's internal "
+            "subset: internal-subset entities are not expanded")
+        assert (refused.value.line, refused.value.column) == at
+        # An entity the subset does not declare (a parameter entity is
+        # not a general one) is undefined, at the same place.
+        for name in ("u", "p"):
+            with pytest.raises(XmlSyntaxError) as undefined:
+                parse_document(text.replace("&e;", f"&{name};"))
+            assert str(undefined.value).startswith(
+                f"reference to undefined entity &{name};")
+            assert (undefined.value.line, undefined.value.column) == at
+
     @pytest.mark.parametrize("text", [
         '<?xml version="1.0" encoding="UTF-8"?>\n<a/>',
         "<?xml version='1.0' encoding='utf-8' standalone='yes' ?><a/>",
